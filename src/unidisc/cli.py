@@ -32,7 +32,6 @@ from .families import (
     pauli_hadamard_tree,
     phase_pair_set,
     qutrit_quartet_set,
-    qutrit_quartet_tree,
     random_qubit_set,
 )
 from .probefeas import verify_certificate
@@ -48,7 +47,6 @@ from .protocols import (
 from .qcore import DEFAULT_TOL, Tolerances, as_matrix
 from .seesaw import (
     QUARTET_BOB_FIRST_SMAX_BOUND,
-    elimination_objective,
     quartet_alice_first_task,
     quartet_alice_first_warm_start,
     quartet_bob_first_task,
@@ -93,10 +91,13 @@ def _config(args) -> RunConfig:
             raise _CliError(f"--tol must be positive, got {args.tol}")
         tol = Tolerances(validation=args.tol, comparison=args.tol,
                          orthogonality=args.tol)
+    restarts = getattr(args, "restarts", 50)
+    if restarts < 1:
+        raise _CliError("--restarts must be at least 1")
     return RunConfig(
         tol=tol,
         seed=getattr(args, "seed", 0),
-        restarts=getattr(args, "restarts", 50),
+        restarts=restarts,
         output="json" if getattr(args, "json", False) else "human",
         out_path=getattr(args, "out", None),
     )
@@ -300,8 +301,6 @@ def _cmd_check(args) -> int:
 
 def _cmd_seesaw(args) -> int:
     cfg = _config(args)
-    if args.restarts < 1:
-        raise _CliError("--restarts must be at least 1")
     if args.task == "quartet-bob-first":
         task = quartet_bob_first_task()
         warm = ()
@@ -312,9 +311,9 @@ def _cmd_seesaw(args) -> int:
         raise _CliError(
             f"unknown task {args.task!r}; builtins: quartet-bob-first, "
             "quartet-alice-first")
-    result = run_seesaw(task, restarts=args.restarts, seed=cfg.seed,
+    result = run_seesaw(task, restarts=cfg.restarts, seed=cfg.seed,
                         warm_starts=warm)
-    report = jsonio.seesaw_to_json(result, args.restarts)
+    report = jsonio.seesaw_to_json(result, cfg.restarts)
     report["task"] = args.task
     report["descriptions"] = list(task.descriptions)
     lines = [
@@ -534,11 +533,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     "under restricted strategies.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed_default=0):
+    def common(p):
         p.add_argument("--tol", type=float, default=None,
                        help="override all tolerances with one value")
-        p.add_argument("--seed", type=int, default=seed_default)
-        p.add_argument("--restarts", type=int, default=50)
         p.add_argument("--json", action="store_true",
                        help="print the JSON report instead of text")
         p.add_argument("--out", default=None,
@@ -561,13 +558,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_seesaw = sub.add_parser("seesaw", help="elimination seesaw")
     p_seesaw.add_argument("task", nargs="?", default="quartet-bob-first")
-    common(p_seesaw, seed_default=1)
+    common(p_seesaw)
     p_seesaw.set_defaults(fn=_cmd_seesaw)
 
     p_repro = sub.add_parser("repro", help="reproduction bundles")
     p_repro.add_argument("target")
     common(p_repro)
     p_repro.set_defaults(fn=_cmd_repro)
+    # only the commands that draw random starts take a seed and restarts
+    for p, seed_default in ((p_seesaw, 1), (p_repro, 0)):
+        p.add_argument("--seed", type=int, default=seed_default)
+        p.add_argument("--restarts", type=int, default=50)
     return parser
 
 

@@ -28,7 +28,7 @@ than a fake certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .qcore import (
     StateVector,
     Tolerances,
     as_matrix,
+    check_povm,
 )
 from .eigdist import build_pair_probe, pair_distinguishable
 from .probefeas import OrthogonalityProblem, ProbeFeasibility, common_probe_feasible, purify_witness
@@ -163,7 +164,7 @@ def group_by_factor(uset: ProductUnitarySet, party) -> list:
 
 
 def _relative(a, b):
-    return as_matrix(a).conj().T @ as_matrix(b)
+    return a.conj().T @ b
 
 
 def _dedup_phase(ops):
@@ -236,27 +237,7 @@ class VerifyResult:
     stage1_probs: np.ndarray  # (num unitaries) x (stage-1 outcomes)
 
 
-def _check_povm(povm, dim, what):
-    if not povm:
-        raise ValueError(f"{what}: empty POVM")
-    total = np.zeros((dim, dim), dtype=complex)
-    for k, m in enumerate(povm):
-        m = as_matrix(m)
-        if m.shape != (dim, dim):
-            raise ValueError(f"{what}: element {k} has shape {m.shape}, expected {(dim, dim)}")
-        if np.max(np.abs(m - m.conj().T)) > 1e-8:
-            raise ValueError(f"{what}: element {k} is not Hermitian")
-        lo = float(np.linalg.eigvalsh((m + m.conj().T) / 2).min())
-        if lo < -1e-10:
-            raise ValueError(f"{what}: element {k} has eigenvalue {lo:.3e} < -1e-10")
-        total += m
-    err = float(np.max(np.abs(total - np.eye(dim))))
-    if err > 1e-8:
-        raise ValueError(f"{what}: completeness violated by {err:.3e}")
-
-
-def _evolved(factor, ancilla_dim, probe: StateVector):
-    u = as_matrix(factor)
+def _evolved(u, ancilla_dim, probe: StateVector):
     if ancilla_dim > 1:
         u = np.kron(u, np.eye(ancilla_dim))
     return u @ probe.amplitudes
@@ -282,9 +263,10 @@ def verify_tree(uset: ProductUnitarySet, tree: ProtocolTree,
 
     if tree.probe.dim != d1 * tree.ancilla_dim:
         raise ValueError(f"stage-1 probe dim {tree.probe.dim} != {d1} * {tree.ancilla_dim}")
-    _check_povm(tree.povm, d1 * tree.ancilla_dim, "stage-1 POVM")
-    if len(tree.branches) != len(tree.povm):
+    povm1 = check_povm(tree.povm, d1 * tree.ancilla_dim, "stage-1 POVM")
+    if len(tree.branches) != len(povm1):
         raise ValueError("one branch per stage-1 outcome required")
+    povm2 = {}  # stage-2 POVMs by outcome, checked and converted on first use
 
     m = uset.size
     success = np.zeros(m)
@@ -293,8 +275,8 @@ def verify_tree(uset: ProductUnitarySet, tree: ProtocolTree,
 
     for i in range(m):
         phi1 = _evolved(uset.factor(i, start), tree.ancilla_dim, tree.probe)
-        for a, (el, br) in enumerate(zip(tree.povm, tree.branches)):
-            p = float(np.real(phi1.conj() @ (as_matrix(el) @ phi1)))
+        for a, (el, br) in enumerate(zip(povm1, tree.branches)):
+            p = float(np.real(phi1.conj() @ (el @ phi1)))
             p = max(p, 0.0)
             stage1[i, a] = p
             if p < 1e-15:
@@ -309,18 +291,19 @@ def verify_tree(uset: ProductUnitarySet, tree: ProtocolTree,
                     success[i] += p
                 continue
             st = br.stage2
-            if st.party != resp:
-                raise ValueError("stage-2 party must be the responder")
-            if st.probe.dim != d2 * st.ancilla_dim:
-                raise ValueError(f"stage-2 probe dim {st.probe.dim} != {d2} * {st.ancilla_dim}")
-            _check_povm(st.povm, d2 * st.ancilla_dim, f"stage-2 POVM (outcome {a})")
-            if len(st.guesses) != len(st.povm):
-                raise ValueError("stage-2 guesses must map every outcome")
+            if a not in povm2:
+                if st.party != resp:
+                    raise ValueError("stage-2 party must be the responder")
+                if st.probe.dim != d2 * st.ancilla_dim:
+                    raise ValueError(f"stage-2 probe dim {st.probe.dim} != {d2} * {st.ancilla_dim}")
+                povm2[a] = check_povm(st.povm, d2 * st.ancilla_dim, f"stage-2 POVM (outcome {a})")
+                if len(st.guesses) != len(povm2[a]):
+                    raise ValueError("stage-2 guesses must map every outcome")
             phi2 = _evolved(uset.factor(i, resp), st.ancilla_dim, st.probe)
             if st.correction is not None:
                 phi2 = as_matrix(st.correction) @ phi2
-            for el2, guess in zip(st.povm, st.guesses):
-                q = float(np.real(phi2.conj() @ (as_matrix(el2) @ phi2)))
+            for el2, guess in zip(povm2[a], st.guesses):
+                q = float(np.real(phi2.conj() @ (el2 @ phi2)))
                 q = max(q, 0.0)
                 if guess is None:
                     leakage[i] += p * q
@@ -333,13 +316,13 @@ def verify_probe(unitaries, witness: ProbeWitness) -> np.ndarray:
     """Success probabilities of a one-shot probe witness on given unitaries."""
     mats = [as_matrix(u) for u in unitaries]
     d = mats[0].shape[0]
-    _check_povm(witness.povm, d * witness.ancilla_dim, "witness POVM")
+    povm = check_povm(witness.povm, d * witness.ancilla_dim, "witness POVM")
     success = np.zeros(len(mats))
     for i, u in enumerate(mats):
         phi = _evolved(u, witness.ancilla_dim, witness.probe)
-        for el, guess in zip(witness.povm, witness.guesses):
+        for el, guess in zip(povm, witness.guesses):
             if guess == i:
-                success[i] += float(np.real(phi.conj() @ (as_matrix(el) @ phi)))
+                success[i] += float(np.real(phi.conj() @ (el @ phi)))
     return success
 
 
@@ -374,30 +357,18 @@ def _projective_povm(states, dim):
     return povm, False
 
 
-def _one_shot_witness(factors, feas: ProbeFeasibility, tol):
-    """Probe + orthogonal-state measurement from a feasibility witness."""
+def _orthogonal_measurement(factors, feas: ProbeFeasibility, tol):
+    """(probe, ancilla_dim, povm, has_rest): the purified feasibility witness,
+    and the projective measurement onto the states ``factors`` evolve it to."""
     psi, r = purify_witness(feas.witness, tol)
-    dim = as_matrix(factors[0]).shape[0] * r
     probe = StateVector(psi.amplitudes)
     states = [_evolved(f, r, probe) for f in factors]
-    povm, has_rest = _projective_povm(states, dim)
-    guesses = tuple(range(len(factors))) + ((None,) if has_rest else ())
-    return ProbeWitness(probe=probe, ancilla_dim=r, povm=tuple(povm), guesses=guesses)
+    povm, has_rest = _projective_povm(states, factors[0].shape[0] * r)
+    return probe, r, tuple(povm), has_rest
 
 
 def _pass_through_stage1(d_start):
     return StateVector(np.eye(d_start)[:, 0]), 1, (np.eye(d_start, dtype=complex),)
-
-
-def _stage2_from_feasibility(party, members, factors, feas, tol):
-    psi, r = purify_witness(feas.witness, tol)
-    probe = StateVector(psi.amplitudes)
-    dim = as_matrix(factors[0]).shape[0] * r
-    states = [_evolved(factors[k], r, probe) for k in range(len(factors))]
-    povm, has_rest = _projective_povm(states, dim)
-    guesses = tuple(members) + ((None,) if has_rest else ())
-    return StageTwo(party=party, probe=probe, ancilla_dim=r,
-                    povm=tuple(povm), guesses=guesses)
 
 
 # -----------------------------------------------------------------------------
@@ -431,16 +402,15 @@ def check_gdr(uset: ProductUnitarySet, tol: Tolerances = DEFAULT_TOL) -> Strateg
                                status="distinguishable", witness=witness,
                                note="at most one candidate")
     feas = common_probe_feasible(gdr_problem(uset), tol)
+    status = {"feasible": "distinguishable",
+              "infeasible_certified": "indistinguishable_certified"}.get(feas.status, "not_found")
+    witness = None
     if feas.status == "feasible":
-        witness = _one_shot_witness(uset.global_unitaries(), feas, tol)
-        return StrategyVerdict(strategy="GDR", starting_party="either",
-                               status="distinguishable", witness=witness,
-                               note=feas.note, feasibility=feas)
-    if feas.status == "infeasible_certified":
-        return StrategyVerdict(strategy="GDR", starting_party="either",
-                               status="indistinguishable_certified",
-                               note=feas.note, feasibility=feas)
-    return StrategyVerdict(strategy="GDR", starting_party="either", status="not_found",
+        probe, r, povm, has_rest = _orthogonal_measurement(uset.global_unitaries(), feas, tol)
+        witness = ProbeWitness(probe=probe, ancilla_dim=r, povm=povm,
+                               guesses=tuple(range(m)) + ((None,) if has_rest else ()))
+    return StrategyVerdict(strategy="GDR", starting_party="either",
+                           status=status, witness=witness,
                            note=feas.note, feasibility=feas)
 
 
@@ -605,43 +575,29 @@ def _locc_check(uset, start, adaptive, tol):
                                note=f"shared-probe search stalled: {union_feas.note}",
                                feasibility=union_feas)
 
-    def stage2_for(g, feas):
+    def branch_for(gi, g):
         members = g.member_indices
         if len(members) == 1:
-            return None
-        return _stage2_from_feasibility(resp, members,
-                                        [uset.factor(k, resp) for k in members], feas, tol)
+            return OutcomeBranch(retained=members, guess=members[0])
+        feas = union_feas if not adaptive else group_feas[gi]
+        probe2, r2, povm2, rest2 = _orthogonal_measurement(
+            [uset.factor(k, resp) for k in members], feas, tol)
+        st = StageTwo(party=resp, probe=probe2, ancilla_dim=r2, povm=povm2,
+                      guesses=members + ((None,) if rest2 else ()))
+        return OutcomeBranch(retained=members, stage2=st)
 
     if stage1_feas is None:
         probe, anc, povm = _pass_through_stage1(d1)
-        g = groups[0]
-        feas = union_feas if not adaptive else group_feas[0]
-        st = stage2_for(g, feas)
-        branch = (OutcomeBranch(retained=g.member_indices, stage2=st)
-                  if st is not None else
-                  OutcomeBranch(retained=g.member_indices, guess=g.member_indices[0]))
-        tree = ProtocolTree(start=start, probe=probe, ancilla_dim=anc, povm=povm,
-                            branches=(branch,),
-                            note="single factor group, responder works alone")
+        branches = [branch_for(0, groups[0])]
+        note = "single factor group, responder works alone"
     else:
-        psi, r = purify_witness(stage1_feas.witness, tol)
-        probe = StateVector(psi.amplitudes)
-        states = [_evolved(g.representative, r, probe) for g in groups]
-        povm, has_rest = _projective_povm(states, d1 * r)
-        branches = []
-        for gi, g in enumerate(groups):
-            feas = union_feas if not adaptive else group_feas[gi]
-            st = stage2_for(g, feas)
-            if st is None:
-                branches.append(OutcomeBranch(retained=g.member_indices,
-                                              guess=g.member_indices[0]))
-            else:
-                branches.append(OutcomeBranch(retained=g.member_indices, stage2=st))
+        probe, anc, povm, has_rest = _orthogonal_measurement(reps, stage1_feas, tol)
+        branches = [branch_for(gi, g) for gi, g in enumerate(groups)]
         if has_rest:
             branches.append(OutcomeBranch(retained=(), guess=None))
-        tree = ProtocolTree(start=start, probe=probe, ancilla_dim=r,
-                            povm=tuple(povm), branches=tuple(branches),
-                            note="group identification followed by within-group separation")
+        note = "group identification followed by within-group separation"
+    tree = ProtocolTree(start=start, probe=probe, ancilla_dim=anc, povm=povm,
+                        branches=tuple(branches), note=note)
     return StrategyVerdict(strategy=strategy, starting_party=start,
                            status="distinguishable", witness=tree, note=tree.note,
                            feasibility=stage1_feas)
@@ -661,21 +617,21 @@ def check_ldr(uset: ProductUnitarySet, starting_party: str,
     return _locc_check(uset, starting_party, adaptive=False, tol=tol)
 
 
-def check_gda(uset: ProductUnitarySet, tol: Tolerances = DEFAULT_TOL) -> StrategyVerdict:
-    """Global adaptive strategies reduce to the better of the global
-    restricted check and the local adaptive check over starting parties."""
-    gdr = check_gdr(uset, tol)
+def _gda_from_parts(gdr: StrategyVerdict, lda) -> StrategyVerdict:
+    """The GDA verdict composed from the GDR verdict and ``lda(party)``, the
+    LDA verdict per starting party (asked for only while GDR has failed)."""
     if gdr.status == "distinguishable":
         return StrategyVerdict(strategy="GDA", starting_party="either",
                                status="distinguishable", witness=gdr.witness,
                                note="via a fixed composite probe", feasibility=gdr.feasibility)
-    lda = {p: check_lda(uset, p, tol) for p in _PARTIES}
+    parts = [gdr]
     for p in _PARTIES:
-        if lda[p].status == "distinguishable":
+        v = lda(p)
+        if v.status == "distinguishable":
             return StrategyVerdict(strategy="GDA", starting_party=p,
-                                   status="distinguishable", witness=lda[p].witness,
+                                   status="distinguishable", witness=v.witness,
                                    note=f"via the local adaptive protocol starting at {p}")
-    parts = [gdr] + [lda[p] for p in _PARTIES]
+        parts.append(v)
     if all(v.status == "indistinguishable_certified" for v in parts):
         return StrategyVerdict(strategy="GDA", starting_party="either",
                                status="indistinguishable_certified",
@@ -683,6 +639,12 @@ def check_gda(uset: ProductUnitarySet, tol: Tolerances = DEFAULT_TOL) -> Strateg
                                      "are certified infeasible"))
     return StrategyVerdict(strategy="GDA", starting_party="either", status="not_found",
                            note="no route succeeded and at least one search is inconclusive")
+
+
+def check_gda(uset: ProductUnitarySet, tol: Tolerances = DEFAULT_TOL) -> StrategyVerdict:
+    """Global adaptive strategies reduce to the better of the global
+    restricted check and the local adaptive check over starting parties."""
+    return _gda_from_parts(check_gdr(uset, tol), lambda p: check_lda(uset, p, tol))
 
 
 # -----------------------------------------------------------------------------
@@ -706,7 +668,8 @@ def hierarchy_audit(uset: ProductUnitarySet, tol: Tolerances = DEFAULT_TOL,
     for p in _PARTIES:
         rows.append((f"LDA:{p}", check_lda(uset, p, tol)))
     rows.append(("GDR", check_gdr(uset, tol)))
-    rows.append(("GDA", check_gda(uset, tol)))
+    table = dict(rows)
+    rows.append(("GDA", _gda_from_parts(table["GDR"], lambda p: table[f"LDA:{p}"])))
     if include_separable is None:
         include_separable = uset.party_dims == (2, 2)
     if include_separable:

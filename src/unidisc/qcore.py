@@ -29,6 +29,7 @@ __all__ = [
     "DensityOperator",
     "StateVector",
     "as_matrix",
+    "check_povm",
     "adjoint",
     "matmul",
     "kron",
@@ -75,6 +76,28 @@ def as_matrix(m) -> np.ndarray:
     if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
         raise ValueError("matrix contains non-finite entries")
     return a
+
+
+def check_povm(povm, dim: int, what: str = "POVM") -> tuple:
+    """Validate a POVM on a ``dim``-dimensional space and return its elements
+    as complex arrays: each one (dim, dim), Hermitian and PSD, summing to 1."""
+    if not povm:
+        raise ValueError(f"{what}: empty POVM")
+    mats = []
+    for k, m in enumerate(povm):
+        m = as_matrix(m)
+        if m.shape != (dim, dim):
+            raise ValueError(f"{what}: element {k} has shape {m.shape}, expected {(dim, dim)}")
+        if np.max(np.abs(m - m.conj().T)) > 1e-8:
+            raise ValueError(f"{what}: element {k} is not Hermitian")
+        lo = float(np.linalg.eigvalsh((m + m.conj().T) / 2).min())
+        if lo < -1e-10:
+            raise ValueError(f"{what}: element {k} has eigenvalue {lo:.3e} < -1e-10")
+        mats.append(m)
+    err = float(np.max(np.abs(sum(mats) - np.eye(dim))))
+    if err > 1e-8:
+        raise ValueError(f"{what}: completeness violated by {err:.3e}")
+    return tuple(mats)
 
 
 def _as_vector(v) -> np.ndarray:

@@ -26,7 +26,7 @@ import logging
 import numpy as np
 
 from .families import CLOCK3, FLIP3
-from .qcore import DensityOperator, as_matrix
+from .qcore import DensityOperator, as_matrix, check_povm
 
 __all__ = [
     "EliminationTask",
@@ -55,7 +55,8 @@ class EliminationTask:
     ``arms[i]`` is the tuple of evolution unitaries whose evolved probes
     outcome ``i`` is meant to eliminate; the objective charges outcome ``i``
     with the probability mass it assigns to those evolved states.
-    ``descriptions`` is parallel human-readable text for reporting.
+    ``descriptions`` is parallel human-readable text for reporting.  The
+    constructor stores each arm operator as a validated complex array.
     """
 
     dim: int
@@ -65,13 +66,12 @@ class EliminationTask:
     def __post_init__(self) -> None:
         if not self.arms:
             raise ValueError("need at least one arm")
-        for arm in self.arms:
-            for u in arm:
-                mat = as_matrix(u)
+        arms = tuple(tuple(as_matrix(u) for u in arm) for arm in self.arms)
+        for arm in arms:
+            for mat in arm:
                 if mat.shape != (self.dim, self.dim):
-                    raise ValueError(
-                        f"arm operator shape {mat.shape} does not match dim {self.dim}"
-                    )
+                    raise ValueError(f"arm operator shape {mat.shape} does not match dim {self.dim}")
+        object.__setattr__(self, "arms", arms)
 
 
 @dataclass(frozen=True)
@@ -161,34 +161,43 @@ def quartet_alice_first_warm_start() -> tuple:
 # objective and the two half-steps
 
 
+def _check_outcomes(task: EliminationTask, povm) -> None:
+    if len(povm) != len(task.arms):
+        raise ValueError(f"POVM has {len(povm)} elements, the task has "
+                         f"{len(task.arms)} arms")
+
+
 def _sigma_tildes(task: EliminationTask, rho: np.ndarray) -> list:
     out = []
     for arm in task.arms:
         s = np.zeros((task.dim, task.dim), dtype=complex)
-        for u in arm:
-            mat = as_matrix(u)
+        for mat in arm:
             s += mat @ rho @ mat.conj().T
         out.append(s)
     return out
 
 
-def elimination_objective(task: EliminationTask, rho, povm) -> float:
-    """Total false-elimination weight ``sum_i Tr(sigma_i M_i)``."""
-    rho_m = rho.matrix if isinstance(rho, DensityOperator) else as_matrix(rho)
-    sigmas = _sigma_tildes(task, rho_m)
+def _score(sigmas: list, povm) -> float:
     total = 0.0
     for s, m in zip(sigmas, povm):
-        total += float(np.real(np.trace(s @ as_matrix(m))))
+        total += float(np.real(np.trace(s @ m)))
     return total
 
 
+def elimination_objective(task: EliminationTask, rho, povm) -> float:
+    """Total false-elimination weight ``sum_i Tr(sigma_i M_i)``."""
+    _check_outcomes(task, povm)
+    rho_m = rho.matrix if isinstance(rho, DensityOperator) else as_matrix(rho)
+    return _score(_sigma_tildes(task, rho_m), [as_matrix(m) for m in povm])
+
+
 def rho_step(task: EliminationTask, povm) -> DensityOperator:
-    """Exact probe update: bottom eigenvector of the averaged penalty."""
+    """Exact probe update: bottom eigenvector of the averaged penalty.
+    ``povm`` holds one array per arm, as :func:`measurement_step` returns."""
+    _check_outcomes(task, povm)
     k = np.zeros((task.dim, task.dim), dtype=complex)
-    for arm, m in zip(task.arms, povm):
-        mat_m = as_matrix(m)
-        for u in arm:
-            mat_u = as_matrix(u)
+    for arm, mat_m in zip(task.arms, povm):
+        for mat_u in arm:
             k += mat_u.conj().T @ mat_m @ mat_u
     k = (k + k.conj().T) / 2
     vals, vecs = np.linalg.eigh(k)
@@ -224,7 +233,7 @@ def measurement_step(task: EliminationTask, rho, iterations: int = 200,
     rewards = [lam * np.eye(d, dtype=complex) - s for s in sigmas]
     povm = [np.eye(d, dtype=complex) / n for _ in range(n)]
     best = povm
-    best_val = elimination_objective(task, rho_m, povm)
+    best_val = _score(sigmas, povm)
     prev = best_val
     for _ in range(iterations):
         total = np.zeros((d, d), dtype=complex)
@@ -240,7 +249,7 @@ def measurement_step(task: EliminationTask, rho, iterations: int = 200,
             scores = [float(np.real(np.trace(s @ rest))) for s in sigmas]
             new[int(np.argmin(scores))] += rest
         povm = [(m + m.conj().T) / 2 for m in new]
-        val = elimination_objective(task, rho_m, povm)
+        val = _score(sigmas, povm)
         if val < best_val:
             best_val = val
             best = povm
@@ -278,6 +287,8 @@ def run_seesaw(
     increase the objective, so accepted sweep values are non-increasing up
     to the sweep tolerance.  ``warm_starts`` entries are ``(rho, povm)``
     pairs (``povm`` may be ``None``) evaluated before the random restarts.
+    A warm-start POVM must have one (dim, dim) Hermitian PSD element per arm,
+    summing to the identity; it is checked on entry (``ValueError``).
     Reported ``s_max`` is one minus the smallest objective found.
     """
     if restarts < 1 and not warm_starts:
@@ -288,6 +299,9 @@ def run_seesaw(
             rho0, povm0 = entry
         else:
             rho0, povm0 = entry, None
+        if povm0 is not None:
+            _check_outcomes(task, povm0)
+            povm0 = check_povm(povm0, task.dim, "warm-start POVM")
         starts.append((rho0 if isinstance(rho0, DensityOperator)
                        else DensityOperator(as_matrix(rho0)), povm0))
     for r in range(restarts):
@@ -302,16 +316,17 @@ def run_seesaw(
     for rho, povm in starts:
         if povm is None:
             povm = measurement_step(task, rho)
-        current = elimination_objective(task, rho, povm)
+        current = _score(_sigma_tildes(task, rho.matrix), povm)
         traj = [current]
         sweeps = 0
         for sweeps in range(1, max_sweeps + 1):
             rho = rho_step(task, povm)
             cand_povm = measurement_step(task, rho)
-            cand = elimination_objective(task, rho, cand_povm)
+            sigmas = _sigma_tildes(task, rho.matrix)
+            cand = _score(sigmas, cand_povm)
             if cand <= current + sweep_tol:
                 povm = cand_povm
-            new = elimination_objective(task, rho, povm)
+            new = _score(sigmas, povm)
             traj.append(min(new, current))
             if abs(current - new) < sweep_tol:
                 current = min(new, current)

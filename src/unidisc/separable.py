@@ -147,10 +147,6 @@ def _eigenrays(op: np.ndarray) -> list:
     return [vecs[:, k] / np.linalg.norm(vecs[:, k]) for k in range(op.shape[0])]
 
 
-def _factor_mats(uset: ProductUnitarySet, party: str) -> list:
-    return [uset.factor(k, party) for k in range(uset.size)]
-
-
 # ---------------------------------------------------------------------------
 # sequential branch
 
@@ -310,7 +306,7 @@ def separable_start_analysis(
         raise ValueError("sequential product-probe analysis requires qubit factors")
     responder = "B" if start == "A" else "A"
     m = uset.size
-    s_factors = _factor_mats(uset, start)
+    s_factors = uset.factors(start)
 
     if m <= 2:
         if m <= 1:

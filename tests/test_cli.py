@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import unidisc
+from unidisc import cli
 from unidisc.cli import main
 from unidisc.families import pauli_hadamard_set
 from unidisc.jsonio import dumps, matrix_to_json, set_to_json
@@ -172,6 +173,17 @@ class TestCheck:
             main(["check", "pauli-hadamard", "--strategy", "teleport"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag", ["--seed", "--restarts"])
+    def test_seed_and_restarts_not_options(self, flag, pair_files, capsys):
+        # only seesaw and repro draw random starts
+        a, b = pair_files
+        for argv in (["pair", a, b, flag, "3"],
+                     ["check", "pauli-hadamard", "--strategy", "gdr", flag, "3"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert flag in capsys.readouterr().err
+
 
 class TestSeesaw:
     def test_zero_restarts_usage_error(self, capsys):
@@ -227,6 +239,14 @@ class TestRepro:
         assert main(["repro", "everything"]) == 2
         err = capsys.readouterr().err
         assert "pair-gap" in err
+
+    def test_zero_restarts_usage_error_before_bundle(self, monkeypatch, capsys):
+        def bundle(seed, restarts, tol):
+            raise AssertionError("bundle ran with invalid --restarts")
+
+        monkeypatch.setitem(cli._REPRO, "start-asymmetry", bundle)
+        assert main(["repro", "start-asymmetry", "--restarts", "0"]) == 2
+        assert "restarts" in capsys.readouterr().err
 
     def test_pair_gap_bundle_passes(self, capsys):
         assert main(["repro", "pair-gap", "--json"]) == 0

@@ -18,6 +18,7 @@ from unidisc.protocols import (
     verify_probe,
     verify_tree,
 )
+from unidisc.jsonio import dumps, verdict_to_json
 from unidisc.probefeas import verify_certificate
 from unidisc.qcore import StateVector, haar_unitary
 from unidisc.families import (
@@ -31,6 +32,7 @@ from unidisc.families import (
     phase_pair_set,
     PhasePairParams,
     qutrit_quartet_set,
+    random_qubit_set,
 )
 
 
@@ -243,6 +245,20 @@ class TestHierarchyAudit:
                               haar_unitary(2, rng).matrix))
             uset = ProductUnitarySet((2, 2), tuple(items))
             hierarchy_audit(uset)  # raises on a certified contradiction
+
+    def test_gda_row_matches_standalone_check_gda(self):
+        rng = np.random.default_rng(0)
+        sets = [qutrit_quartet_set(), pauli_hadamard_set(),
+                phase_pair_set(PhasePairParams(0.3, 0.5, 0.9, np.pi - 1.7))]
+        sets += [random_qubit_set(rng) for _ in range(24)]
+        statuses = set()
+        for uset in sets:
+            row = dict(hierarchy_audit(uset))["GDA"]
+            statuses.add(row.status)
+            assert (dumps(verdict_to_json(row))
+                    == dumps(verdict_to_json(check_gda(uset))))
+        assert statuses == {"distinguishable", "indistinguishable_certified",
+                            "not_found"}
 
     def test_includes_separable_only_for_qubits(self):
         rows = hierarchy_audit(qutrit_quartet_set())

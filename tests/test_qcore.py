@@ -11,6 +11,7 @@ from unidisc.qcore import (
     UnitaryOperator,
     apply,
     as_matrix,
+    check_povm,
     eig_unitary,
     haar_unitary,
     kron,
@@ -230,3 +231,24 @@ class TestHaarUnitary:
         a = haar_unitary(3, rng).matrix
         b = haar_unitary(3, rng).matrix
         assert np.max(np.abs(a - b)) > 1e-3
+
+
+class TestCheckPovm:
+    def test_returns_complex_arrays(self):
+        povm = check_povm(([[1, 0], [0, 0]], [[0, 0], [0, 1]]), 2)
+        assert isinstance(povm, tuple) and len(povm) == 2
+        for m in povm:
+            assert isinstance(m, np.ndarray) and m.dtype == complex
+        assert np.array_equal(povm[0], np.diag([1.0, 0.0]))
+
+    @pytest.mark.parametrize("povm, message", [
+        ((), "empty"),
+        ((np.eye(3),), "shape"),
+        ((np.array([[0.5, 0.5], [0.0, 0.5]]), np.array([[0.5, 0.0], [0.0, 0.5]])),
+         "Hermitian"),
+        ((np.diag([1.5, 0.5]), np.diag([-0.5, 0.5])), "eigenvalue"),
+        ((np.zeros((2, 2)),) * 2, "completeness"),
+    ])
+    def test_rejects(self, povm, message):
+        with pytest.raises(ValueError, match=message):
+            check_povm(povm, 2, "test POVM")

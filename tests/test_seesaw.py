@@ -65,6 +65,22 @@ class TestEliminationTask:
         with pytest.raises(ValueError):
             EliminationTask(dim=2, arms=())
 
+    def test_stores_arms_as_complex_arrays(self):
+        task = EliminationTask(dim=2, arms=(([[1, 0], [0, 1]],), ([[0, 1], [1, 0]],)))
+        for arm in task.arms:
+            for u in arm:
+                assert isinstance(u, np.ndarray) and u.dtype == complex
+
+    def test_nested_lists_run_like_arrays(self):
+        task = quartet_bob_first_task()
+        listed = EliminationTask(
+            dim=task.dim,
+            arms=tuple(tuple(u.tolist() for u in arm) for arm in task.arms))
+        a = run_seesaw(task, restarts=1, seed=5)
+        b = run_seesaw(listed, restarts=1, seed=5)
+        assert a.s_max == b.s_max
+        assert a.trajectory == b.trajectory
+
 
 class TestObjectiveAndSteps:
     def test_objective_hand_value(self):
@@ -73,6 +89,18 @@ class TestObjectiveAndSteps:
         povm = (np.zeros((9, 9)),) * 3 + (np.eye(9),)
         # the last arm contains only the identity, so the score is Tr(rho)
         assert np.isclose(elimination_objective(task, rho, povm), 1.0)
+
+    @pytest.mark.parametrize("count", [1, 3, 5])
+    def test_objective_rejects_povm_length_mismatch(self, count):
+        task = quartet_bob_first_task()
+        rho = DensityOperator(np.eye(9) / 9)
+        with pytest.raises(ValueError, match="arms"):
+            elimination_objective(task, rho, (np.eye(9) / count,) * count)
+
+    def test_rho_step_rejects_povm_length_mismatch(self):
+        task = quartet_bob_first_task()
+        with pytest.raises(ValueError, match="arms"):
+            rho_step(task, (np.eye(9),))
 
     def test_rho_step_bottom_eigenvector(self):
         task = two_arm_task(np.pi / 4)
@@ -161,6 +189,20 @@ class TestQuartetTasks:
         res = run_seesaw(task, restarts=1, seed=0,
                          warm_starts=((rho, povm),))
         assert abs(res.s_max - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("povm", [
+        (np.zeros((9, 9)),) * 4,  # right count, incomplete
+        (np.zeros((9, 9)),),  # too few elements
+        (np.eye(9),),  # complete but too few elements
+        (np.eye(3) / 4,) * 4,  # wrong shape
+        (np.diag([2.0] + [1.0] * 8), -np.diag([1.0] + [0.0] * 8),
+         np.zeros((9, 9)), np.zeros((9, 9))),  # complete, not PSD
+    ])
+    def test_invalid_warm_start_povm_rejected(self, povm):
+        rho = DensityOperator(np.eye(9) / 9)
+        with pytest.raises(ValueError):
+            run_seesaw(quartet_bob_first_task(), restarts=0,
+                       warm_starts=((rho, povm),))
 
     def test_warm_start_without_povm(self):
         task = quartet_alice_first_task()
