@@ -18,35 +18,22 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import jsonio
+from . import jsonio, repro
 from .eigdist import build_pair_probe, pair_distinguishable
 from .families import (
     PhasePairParams,
     pauli_hadamard_set,
-    pauli_hadamard_tree,
     phase_pair_set,
     qutrit_quartet_set,
-    random_qubit_set,
 )
-from .probefeas import verify_certificate
-from .protocols import (
-    check_gda,
-    check_gdr,
-    check_lda,
-    check_ldr,
-    gdr_problem,
-    hierarchy_audit,
-    verify_tree,
-)
-from .qcore import DEFAULT_TOL, Tolerances, as_matrix
+from .protocols import check_gda, check_gdr, check_lda, check_ldr
+from .qcore import DEFAULT_TOL, Tolerances
 from .seesaw import (
-    QUARTET_BOB_FIRST_SMAX_BOUND,
     quartet_alice_first_task,
     quartet_alice_first_warm_start,
     quartet_bob_first_task,
@@ -325,201 +312,26 @@ def _cmd_seesaw(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# repro bundles
-
-
-def _grid_angles(n: int):
-    # interior grid over the angle simplex: alpha, beta, gamma free in
-    # (0, pi/2), delta = pi - alpha - beta - gamma must land inside too
-    vals = [(k + 1) * (math.pi / 2.0) / (n + 1) for k in range(n)]
-    for a in vals:
-        for b in vals:
-            for g in vals:
-                d = math.pi - a - b - g
-                if 1e-9 < d < math.pi / 2.0 - 1e-9:
-                    yield a, b, g, d
-
-
-def _repro_pair_gap(seed: int, restarts: int, tol: Tolerances):
-    checks = []
-    worst_overlap = 0.0
-    worst_local = math.inf
-    bad = 0
-    count = 0
-    for a, b, g, d in _grid_angles(10):
-        uset = phase_pair_set(PhasePairParams(a, b, g, d))
-        verdict = check_gdr(uset, tol)
-        ok = verdict.status == "distinguishable"
-        if ok and verdict.witness is not None:
-            w = verdict.witness
-            evolved = [np.kron(as_matrix(el), np.eye(w.ancilla_dim))
-                       @ w.probe.amplitudes
-                       for el in uset.global_unitaries()]
-            overlap = abs(np.vdot(evolved[0], evolved[1]))
-            worst_overlap = max(worst_overlap, overlap)
-            ok = ok and overlap < 1e-10
-        for party in ("A", "B"):
-            geom = pair_distinguishable(uset.factor(0, party),
-                                        uset.factor(1, party), tol)
-            worst_local = min(worst_local, geom.min_norm)
-            ok = ok and geom.min_norm > tol.comparison
-        bad += 0 if ok else 1
-        count += 1
-    checks.append(("grid composite-probe distinguishable, local pairs not",
-                   bad == 0,
-                   f"{count} points, worst witness overlap {worst_overlap:.2e}, "
-                   f"smallest local hull distance {worst_local:.4f}"))
-    return checks
-
-
-def _repro_adaptive_gap(seed: int, restarts: int, tol: Tolerances):
-    uset = qutrit_quartet_set()
-    checks = []
-    v_lda = check_lda(uset, "A", tol)
-    ok_tree = False
-    detail = "no witness"
-    if v_lda.status == "distinguishable" and v_lda.witness is not None:
-        res = verify_tree(uset, v_lda.witness, tol)
-        ok_tree = bool(np.all(np.abs(res.success - 1.0) < 1e-9))
-        detail = f"min success {res.success.min():.12f}"
-    checks.append(("adaptive local protocol exists and verifies",
-                   v_lda.status == "distinguishable" and ok_tree, detail))
-    v_gdr = check_gdr(uset, tol)
-    cert_ok = False
-    if (v_gdr.status == "indistinguishable_certified"
-            and v_gdr.feasibility is not None
-            and v_gdr.feasibility.certificate is not None):
-        min_eig = verify_certificate(gdr_problem(uset),
-                                     v_gdr.feasibility.certificate, tol)
-        cert_ok = min_eig >= 1.0 - tol.comparison
-    checks.append(("fixed composite probe certified impossible",
-                   cert_ok,
-                   f"status {v_gdr.status}"))
-    v_ldr = check_ldr(uset, "A", tol)
-    checks.append(("fixed local probes certified impossible",
-                   v_ldr.status == "indistinguishable_certified",
-                   f"status {v_ldr.status}"))
-    return checks
-
-
-def _repro_start_asymmetry(seed: int, restarts: int, tol: Tolerances):
-    uset = qutrit_quartet_set()
-    checks = []
-    v_a = check_lda(uset, "A", tol)
-    checks.append(("first party starting succeeds",
-                   v_a.status == "distinguishable", v_a.status))
-    v_b = check_lda(uset, "B", tol)
-    checks.append(("second party starting finds no protocol",
-                   v_b.status != "distinguishable", v_b.status))
-    res = run_seesaw(quartet_bob_first_task(), restarts=restarts, seed=seed)
-    checks.append(("second-party elimination seesaw stays below 1 - 1e-3",
-                   res.s_max < 1.0 - 1e-3, f"s_max {res.s_max:.9f}"))
-    checks.append(("seesaw within frozen regression bound",
-                   res.s_max <= QUARTET_BOB_FIRST_SMAX_BOUND,
-                   f"bound {QUARTET_BOB_FIRST_SMAX_BOUND:.9f}"))
-    warm = run_seesaw(quartet_alice_first_task(), restarts=1, seed=seed,
-                      warm_starts=(quartet_alice_first_warm_start(),))
-    checks.append(("first-party elimination reaches 1 exactly",
-                   abs(warm.s_max - 1.0) < 1e-9, f"s_max {warm.s_max:.12f}"))
-    return checks
-
-
-def _repro_separable_probes(seed: int, restarts: int, tol: Tolerances):
-    uset = pauli_hadamard_set()
-    checks = []
-    v = check_gda_separable(uset, tol)
-    checks.append(("single-system probes certified impossible",
-                   v.status == "indistinguishable_certified", v.status))
-    for party in ("A", "B"):
-        rep = separable_start_analysis(uset, party, tol)
-        checks.append((f"sequential start {party} certified impossible",
-                       rep.verdict == "infeasible_certified", rep.note))
-    v_ldr = check_ldr(uset, "A", tol)
-    ok = False
-    detail = v_ldr.status
-    if v_ldr.status == "distinguishable" and v_ldr.witness is not None:
-        res = verify_tree(uset, v_ldr.witness, tol)
-        ok = bool(np.all(np.abs(res.success - 1.0) < 1e-9))
-        detail = f"min success {res.success.min():.12f}"
-    checks.append(("fixed-probe search, start A, finds a protocol", ok, detail))
-    # the Bob-first protocol eliminates across factor groups, which the
-    # search schema does not cover; the bundled tree carries that side
-    for start in ("A", "B"):
-        tree = pauli_hadamard_tree(start)
-        res = verify_tree(uset, tree, tol)
-        checks.append((f"bundled fixed-probe tree, start {start}, verifies",
-                       bool(np.all(np.abs(res.success - 1.0) < 1e-9)),
-                       f"min success {res.success.min():.12f}"))
-    return checks
-
-
-def _repro_hierarchy(seed: int, restarts: int, tol: Tolerances):
-    checks = []
-    families = [
-        ("phase pair", phase_pair_set(
-            PhasePairParams(0.3, 0.5, 0.9, math.pi - 1.7))),
-        ("qutrit quartet", qutrit_quartet_set()),
-        ("pauli hadamard", pauli_hadamard_set()),
-    ]
-    rows_seen = 0
-    contradiction = None
-    try:
-        for _, uset in families:
-            rows_seen += len(hierarchy_audit(uset, tol))
-        rng = np.random.default_rng(seed)
-        for _ in range(100):
-            rows_seen += len(hierarchy_audit(random_qubit_set(rng), tol))
-    except RuntimeError as exc:
-        contradiction = str(exc)
-    checks.append(("strategy orderings hold on families and random sets",
-                   contradiction is None,
-                   contradiction or f"{rows_seen} audited rows, "
-                   "0 certified contradictions"))
-    rng = np.random.default_rng(seed)
-    mismatch = 0
-    for _ in range(100):
-        uset = random_qubit_set(rng)
-        for start in ("A", "B"):
-            if (check_lda(uset, start, tol).status
-                    != check_ldr(uset, start, tol).status):
-                mismatch += 1
-    checks.append(("adaptive and fixed local verdicts coincide on qubits",
-                   mismatch == 0, f"{mismatch} mismatches"))
-    return checks
-
-
-_REPRO = {
-    "pair-gap": _repro_pair_gap,
-    "adaptive-gap": _repro_adaptive_gap,
-    "start-asymmetry": _repro_start_asymmetry,
-    "separable-probes": _repro_separable_probes,
-    "hierarchy": _repro_hierarchy,
-}
+# repro
 
 
 def _cmd_repro(args) -> int:
     cfg = _config(args)
-    try:
-        fn = _REPRO[args.target]
-    except KeyError:
-        raise _CliError(
-            f"unknown target {args.target!r}; choose from "
-            + ", ".join(sorted(_REPRO))) from None
-    checks = fn(cfg.seed, cfg.restarts, cfg.tol)
+    result = repro.BUNDLES[args.target](cfg.seed, cfg.restarts, cfg.tol)
     report = {
         "target": args.target,
         "seed": cfg.seed,
         "checks": [{"name": n, "ok": bool(ok), "detail": str(d)}
-                   for n, ok, d in checks],
-        "passed": all(ok for _, ok, _ in checks),
+                   for n, ok, d in result.checks],
+        "passed": result.passed,
     }
     lines = [f"{'PASS' if ok else 'FAIL'}  {name}  ({detail})"
-             for name, ok, detail in checks]
-    failed = [name for name, ok, _ in checks if not ok]
+             for name, ok, detail in result.checks]
+    failed = [name for name, ok, _ in result.checks if not ok]
     lines.append("result: " + ("all checks passed" if not failed
                                else "failed: " + ", ".join(failed)))
     _emit(cfg, report, lines)
-    return EXIT_OK if not failed else EXIT_FAIL
+    return EXIT_OK if result.passed else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_seesaw.set_defaults(fn=_cmd_seesaw)
 
     p_repro = sub.add_parser("repro", help="reproduction bundles")
-    p_repro.add_argument("target")
+    p_repro.add_argument("target", choices=sorted(repro.BUNDLES))
     common(p_repro)
     p_repro.set_defaults(fn=_cmd_repro)
     # only the commands that draw random starts take a seed and restarts

@@ -30,11 +30,7 @@ __all__ = [
     "min_convex_norm",
     "pair_distinguishable",
     "build_pair_probe",
-    "DISTINGUISH_THRESHOLD",
 ]
-
-# hull distance below which a pair counts as perfectly distinguishable
-DISTINGUISH_THRESHOLD = 1e-9
 
 # points on the unit circle closer than this are merged before hull work
 _DEDUPE = 1e-12
@@ -48,16 +44,15 @@ class ConvexNormResult:
     are nonzero (Caratheodory in the plane) and
     ``|sum_j weights[j] points[j]| == min_norm`` up to the orthogonality
     tolerance.  Duplicate phases carry their mass on the first occurrence.
+    ``distinguishable`` is the pair criterion, ``min_norm <= tol.comparison``
+    for the tolerances the distance was computed under.
     """
 
     phases: np.ndarray
     points: np.ndarray
     min_norm: float
     weights: np.ndarray
-
-    @property
-    def distinguishable(self) -> bool:
-        return self.min_norm < DISTINGUISH_THRESHOLD
+    distinguishable: bool
 
 
 @dataclass(frozen=True)
@@ -176,7 +171,8 @@ def min_convex_norm(phases, tol: Tolerances = DEFAULT_TOL) -> ConvexNormResult:
                 f"weight/norm mismatch: |sum w z| = {achieved:.3e}, min_norm = {norm:.3e}"
             )
         return ConvexNormResult(phases=phases, points=points,
-                                min_norm=float(norm), weights=weights)
+                                min_norm=float(norm), weights=weights,
+                                distinguishable=bool(norm <= tol.comparison))
 
     if len(reps) == 1:
         return finish(1.0, {reps[0]: 1.0})

@@ -266,7 +266,18 @@ def verify_tree(uset: ProductUnitarySet, tree: ProtocolTree,
     povm1 = check_povm(tree.povm, d1 * tree.ancilla_dim, "stage-1 POVM")
     if len(tree.branches) != len(povm1):
         raise ValueError("one branch per stage-1 outcome required")
-    povm2 = {}  # stage-2 POVMs by outcome, checked and converted on first use
+    povm2 = {}  # stage-2 POVMs by outcome, checked on every branch, reached or not
+    for a, br in enumerate(tree.branches):
+        st = br.stage2
+        if st is None:
+            continue
+        if st.party != resp:
+            raise ValueError("stage-2 party must be the responder")
+        if st.probe.dim != d2 * st.ancilla_dim:
+            raise ValueError(f"stage-2 probe dim {st.probe.dim} != {d2} * {st.ancilla_dim}")
+        povm2[a] = check_povm(st.povm, d2 * st.ancilla_dim, f"stage-2 POVM (outcome {a})")
+        if len(st.guesses) != len(povm2[a]):
+            raise ValueError("stage-2 guesses must map every outcome")
 
     m = uset.size
     success = np.zeros(m)
@@ -291,14 +302,6 @@ def verify_tree(uset: ProductUnitarySet, tree: ProtocolTree,
                     success[i] += p
                 continue
             st = br.stage2
-            if a not in povm2:
-                if st.party != resp:
-                    raise ValueError("stage-2 party must be the responder")
-                if st.probe.dim != d2 * st.ancilla_dim:
-                    raise ValueError(f"stage-2 probe dim {st.probe.dim} != {d2} * {st.ancilla_dim}")
-                povm2[a] = check_povm(st.povm, d2 * st.ancilla_dim, f"stage-2 POVM (outcome {a})")
-                if len(st.guesses) != len(povm2[a]):
-                    raise ValueError("stage-2 guesses must map every outcome")
             phi2 = _evolved(uset.factor(i, resp), st.ancilla_dim, st.probe)
             if st.correction is not None:
                 phi2 = as_matrix(st.correction) @ phi2
@@ -654,13 +657,13 @@ def check_gda(uset: ProductUnitarySet, tol: Tolerances = DEFAULT_TOL) -> Strateg
 _RANK = {"distinguishable": 1, "indistinguishable_certified": 0, "not_found": None}
 
 
-def hierarchy_audit(uset: ProductUnitarySet, tol: Tolerances = DEFAULT_TOL,
-                    include_separable: bool | None = None):
+def hierarchy_audit(uset: ProductUnitarySet, tol: Tolerances = DEFAULT_TOL):
     """Run every checker and confirm the strategy-power orderings.
 
     Certified verdicts must satisfy LDR <= LDA <= GDA and LDR <= GDR <= GDA
     (per starting party where applicable); a certified contradiction raises.
-    Returns the ordered (label, verdict) table.
+    Returns the ordered (label, verdict) table, with a GDA_separable row
+    last for qubit-qubit sets.
     """
     rows = []
     for p in _PARTIES:
@@ -670,9 +673,7 @@ def hierarchy_audit(uset: ProductUnitarySet, tol: Tolerances = DEFAULT_TOL,
     rows.append(("GDR", check_gdr(uset, tol)))
     table = dict(rows)
     rows.append(("GDA", _gda_from_parts(table["GDR"], lambda p: table[f"LDA:{p}"])))
-    if include_separable is None:
-        include_separable = uset.party_dims == (2, 2)
-    if include_separable:
+    if uset.party_dims == (2, 2):
         from .separable import check_gda_separable
         rows.append(("GDA_separable", check_gda_separable(uset, tol)))
 

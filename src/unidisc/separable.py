@@ -154,10 +154,9 @@ def _eigenrays(op: np.ndarray) -> list:
 def _responder_pairs(uset, responder: str, tol: Tolerances) -> set:
     pairs = set()
     for i, j in combinations(range(uset.size), 2):
-        res = pair_distinguishable(
+        if pair_distinguishable(
             uset.factor(i, responder), uset.factor(j, responder), tol
-        )
-        if res.min_norm <= tol.comparison:
+        ).distinguishable:
             pairs.add((i, j))
     return pairs
 
@@ -204,7 +203,7 @@ def _candidate_probes(factors, tol: Tolerances) -> list:
             continue
         rays.extend(_eigenrays(rel))
         geom = pair_distinguishable(a, b, tol)
-        if geom.min_norm <= tol.comparison:
+        if geom.distinguishable:
             rays.append(build_pair_probe(a, b, geom, tol).probe.amplitudes)
     return _dedup_rays(rays)
 
@@ -561,9 +560,9 @@ def _simultaneous_check(uset, tol: Tolerances):
                 @ uset.factor(j, party)
             )
             rel[(i, j, party)] = k
-            res = pair_distinguishable(uset.factor(i, party),
-                                       uset.factor(j, party), tol)
-            side_ok[party][(i, j)] = res.min_norm <= tol.comparison
+            side_ok[party][(i, j)] = pair_distinguishable(
+                uset.factor(i, party), uset.factor(j, party), tol
+            ).distinguishable
 
     dead = [p for p in pairs if not side_ok["A"][p] and not side_ok["B"][p]]
     if dead:
@@ -654,7 +653,7 @@ def check_gda_separable(
         for party in ("A", "B"):
             res = pair_distinguishable(uset.factor(0, party),
                                        uset.factor(1, party), tol)
-            if res.min_norm <= tol.comparison:
+            if res.distinguishable:
                 other = "B" if party == "A" else "A"
                 pp = build_pair_probe(uset.factor(0, party),
                                       uset.factor(1, party), res, tol)

@@ -19,10 +19,11 @@ import numpy as np
 import pytest
 
 import unidisc
-from unidisc import cli
+from unidisc import repro
 from unidisc.cli import main
-from unidisc.families import pauli_hadamard_set
+from unidisc.families import I2, X, Z, pauli_hadamard_set
 from unidisc.jsonio import dumps, matrix_to_json, set_to_json
+from unidisc.protocols import ProductUnitarySet
 
 RT2 = 1.0 / math.sqrt(2.0)
 
@@ -160,6 +161,17 @@ class TestCheck:
         path.write_text(dumps(set_to_json(pauli_hadamard_set())))
         assert main(["check", str(path), "--strategy", "gdr"]) == 0
 
+    def test_gda_sep_loose_tol_decides_near_antipodal_pair(self, tmp_path):
+        # hull distance 5e-8 for the A pair: distinguishable under --tol 1e-6
+        # in every module, so no probe builder may reject the pair
+        near = np.diag([1.0, np.exp(1j * (math.pi - 1e-7))])
+        uset = ProductUnitarySet((2, 2), (("II", I2, I2), ("PX", near, X),
+                                          ("ZZ", Z, Z)))
+        path = tmp_path / "set.json"
+        path.write_text(dumps(set_to_json(uset)))
+        assert main(["check", str(path), "--strategy", "gda-sep",
+                     "--tol", "1e-6"]) in (0, 3)
+
     def test_set_file_field_error(self, tmp_path, capsys):
         data = set_to_json(pauli_hadamard_set())
         del data["items"][1]["label"]
@@ -236,15 +248,17 @@ class TestOutputPlumbing:
 
 class TestRepro:
     def test_unknown_target_lists_choices(self, capsys):
-        assert main(["repro", "everything"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["repro", "everything"])
+        assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "pair-gap" in err
+        assert all(name in err for name in repro.BUNDLES)
 
     def test_zero_restarts_usage_error_before_bundle(self, monkeypatch, capsys):
         def bundle(seed, restarts, tol):
             raise AssertionError("bundle ran with invalid --restarts")
 
-        monkeypatch.setitem(cli._REPRO, "start-asymmetry", bundle)
+        monkeypatch.setitem(repro.BUNDLES, "start-asymmetry", bundle)
         assert main(["repro", "start-asymmetry", "--restarts", "0"]) == 2
         assert "restarts" in capsys.readouterr().err
 

@@ -11,7 +11,6 @@ import pytest
 from scipy.optimize import minimize
 
 from unidisc.eigdist import (
-    ConvexNormResult,
     build_pair_probe,
     min_convex_norm,
     pair_distinguishable,
@@ -177,9 +176,7 @@ class TestBuildPairProbe:
         clock = np.diag([1.0, w, w * w])
         r = min_convex_norm([0.0, np.pi / 3, np.pi])
         with pytest.raises(ValueError, match="does not match"):
-            build_pair_probe(np.eye(3), clock, result=ConvexNormResult(
-                phases=r.phases, points=r.points,
-                min_norm=r.min_norm, weights=r.weights))
+            build_pair_probe(np.eye(3), clock, result=r)
 
     def test_no_ancilla_ever(self):
         w = np.exp(2j * np.pi / 3)

@@ -1,5 +1,7 @@
 """Strategy checkers, protocol trees, and the exact tree simulator."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from unidisc.protocols import (
     OutcomeBranch,
     ProductUnitarySet,
     ProtocolTree,
+    StageTwo,
     check_gda,
     check_gdr,
     check_lda,
@@ -225,6 +228,26 @@ class TestVerifyTree:
         )
         with pytest.raises(ValueError):
             verify_tree(s, tree)
+
+    @pytest.mark.parametrize("defect, match", [
+        ({"party": "B"}, "party"),
+        ({"probe": StateVector(np.eye(5)[0])}, "probe dim"),
+        ({"povm": (np.eye(3), np.eye(3))}, "POVM"),
+    ])
+    def test_rejects_bad_stage2_on_unreached_branch(self, defect, match):
+        # no unitary reaches the zero stage-1 outcome; its stage 2 must
+        # still be a valid responder stage
+        s = ProductUnitarySet((2, 2), (("a", I2, I2), ("b", X, I2)))
+        good = StageTwo(party="A", probe=StateVector([1.0, 0.0]), ancilla_dim=1,
+                        povm=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
+                        guesses=(0, 1))
+        tree = ProtocolTree(start="B", probe=StateVector([1.0, 0.0]), ancilla_dim=1,
+                            povm=(np.eye(2), np.zeros((2, 2))),
+                            branches=(OutcomeBranch(retained=(0, 1), stage2=good),) * 2)
+        assert np.allclose(verify_tree(s, tree).success, [1.0, 1.0])
+        bad = OutcomeBranch(retained=(0, 1), stage2=dataclasses.replace(good, **defect))
+        with pytest.raises(ValueError, match=match):
+            verify_tree(s, dataclasses.replace(tree, branches=(tree.branches[0], bad)))
 
 
 class TestHierarchyAudit:
