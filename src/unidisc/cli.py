@@ -39,7 +39,7 @@ from .seesaw import (
     quartet_bob_first_task,
     run_seesaw,
 )
-from .separable import check_gda_separable, separable_start_analysis
+from .separable import gda_separable_analysis
 
 __all__ = ["RunConfig", "main"]
 
@@ -216,29 +216,27 @@ def _run_strategy(uset, strategy: str, start: str, tol: Tolerances):
     if strategy == "gda":
         return check_gda(uset, tol), {}
     if strategy == "gda-sep":
-        verdict = check_gda_separable(uset, tol)
-        extra = {}
-        if uset.party_dims == (2, 2) and uset.size >= 3:
-            reports = {}
-            for party in ("A", "B"):
-                rep = separable_start_analysis(uset, party, tol)
-                reports[party] = {
-                    "responder_pairs": [list(p) for p in rep.responder_pairs],
-                    "necessary_sets": [list(s) for s in rep.necessary_sets],
-                    "eliminable": [
-                        {
-                            "member_indices": list(c.member_indices),
-                            "probes": [jsonio.vector_to_json(p)
-                                       for p in c.probes],
-                            "any_probe": c.any_probe,
-                        }
-                        for c in rep.eliminable
-                    ],
-                    "verdict": rep.verdict,
-                    "note": rep.note,
-                }
-            extra["start_reports"] = reports
-        return verdict, extra
+        verdict, reports = gda_separable_analysis(uset, tol)
+        if reports is None:
+            return verdict, {}
+        return verdict, {"start_reports": {
+            party: {
+                "responder_pairs": [list(p) for p in rep.responder_pairs],
+                "necessary_sets": [list(s) for s in rep.necessary_sets],
+                "eliminable": [
+                    {
+                        "member_indices": list(c.member_indices),
+                        "probes": [jsonio.vector_to_json(p)
+                                   for p in c.probes],
+                        "any_probe": c.any_probe,
+                    }
+                    for c in rep.eliminable
+                ],
+                "verdict": rep.verdict,
+                "note": rep.note,
+            }
+            for party, rep in reports.items()
+        }}
     if strategy in ("ldr", "lda"):
         fn = check_ldr if strategy == "ldr" else check_lda
         if start in ("a", "b"):

@@ -186,20 +186,23 @@ def set_from_json(data, field: str = "set") -> ProductUnitarySet:
 # trees and witnesses
 
 
-def _stage2_to_json(st: StageTwo) -> dict:
-    return {
-        "party": st.party,
-        "probe": vector_to_json(st.probe.amplitudes),
-        "ancilla_dim": st.ancilla_dim,
-        "povm": [matrix_to_json(el) for el in st.povm],
-        "guesses": list(st.guesses),
-        "correction": None if st.correction is None
-        else matrix_to_json(st.correction),
+def _probe_block_to_json(block) -> dict:
+    """The probe, ancilla size and POVM of a tree, stage 2 or probe witness,
+    plus the guesses of the latter two."""
+    out = {
+        "probe": vector_to_json(block.probe.amplitudes),
+        "ancilla_dim": block.ancilla_dim,
+        "povm": [matrix_to_json(el) for el in block.povm],
     }
+    if not isinstance(block, ProtocolTree):
+        out["guesses"] = list(block.guesses)
+    return out
 
 
-def _stage2_from_json(data, field: str) -> StageTwo:
-    party = _expect_key(data, "party", field)
+def _probe_block_from_json(data, field: str, guesses: bool = True) -> dict:
+    """Validated ``probe``, ``ancilla_dim``, ``povm`` and (when ``guesses``)
+    ``guesses``, one index or null per POVM element, as keyword arguments
+    for the dataclass that holds them."""
     probe = vector_from_json(_expect_key(data, "probe", field), f"{field}.probe")
     anc = _expect_key(data, "ancilla_dim", field)
     if not isinstance(anc, int) or isinstance(anc, bool) or anc < 1:
@@ -209,25 +212,40 @@ def _stage2_from_json(data, field: str) -> StageTwo:
         raise FormatError(f"{field}.povm: expected a non-empty list")
     povm = tuple(matrix_from_json(el, f"{field}.povm[{k}]")
                  for k, el in enumerate(povm_data))
-    guesses = _expect_key(data, "guesses", field)
-    if not isinstance(guesses, list) or len(guesses) != len(povm):
-        raise FormatError(f"{field}.guesses: expected {len(povm)} entries")
-    for k, g in enumerate(guesses):
-        if g is not None and not isinstance(g, int):
-            raise FormatError(f"{field}.guesses[{k}]: expected an index or null")
+    block = {"probe": StateVector(probe), "ancilla_dim": anc, "povm": povm}
+    if guesses:
+        values = _expect_key(data, "guesses", field)
+        if not isinstance(values, list) or len(values) != len(povm):
+            raise FormatError(f"{field}.guesses: expected {len(povm)} entries")
+        for k, g in enumerate(values):
+            if g is not None and not isinstance(g, int):
+                raise FormatError(f"{field}.guesses[{k}]: expected an index or null")
+        block["guesses"] = tuple(values)
+    return block
+
+
+def _stage2_to_json(st: StageTwo) -> dict:
+    return {
+        "party": st.party,
+        **_probe_block_to_json(st),
+        "correction": None if st.correction is None
+        else matrix_to_json(st.correction),
+    }
+
+
+def _stage2_from_json(data, field: str) -> StageTwo:
+    party = _expect_key(data, "party", field)
+    block = _probe_block_from_json(data, field)
     corr = data.get("correction")
     correction = None if corr is None else matrix_from_json(
         corr, f"{field}.correction")
-    return StageTwo(party=party, probe=StateVector(probe), ancilla_dim=anc,
-                    povm=povm, guesses=tuple(guesses), correction=correction)
+    return StageTwo(party=party, correction=correction, **block)
 
 
 def tree_to_json(tree: ProtocolTree) -> dict:
     return {
         "start": tree.start,
-        "probe": vector_to_json(tree.probe.amplitudes),
-        "ancilla_dim": tree.ancilla_dim,
-        "povm": [matrix_to_json(el) for el in tree.povm],
+        **_probe_block_to_json(tree),
         "branches": [
             {
                 "retained": list(br.retained),
@@ -244,18 +262,11 @@ def tree_from_json(data, field: str = "tree") -> ProtocolTree:
     start = _expect_key(data, "start", field)
     if start not in ("A", "B"):
         raise FormatError(f"{field}.start: expected 'A' or 'B', got {start!r}")
-    probe = vector_from_json(_expect_key(data, "probe", field), f"{field}.probe")
-    anc = _expect_key(data, "ancilla_dim", field)
-    if not isinstance(anc, int) or isinstance(anc, bool) or anc < 1:
-        raise FormatError(f"{field}.ancilla_dim: expected a positive integer")
-    povm_data = _expect_key(data, "povm", field)
-    if not isinstance(povm_data, list) or not povm_data:
-        raise FormatError(f"{field}.povm: expected a non-empty list")
-    povm = tuple(matrix_from_json(el, f"{field}.povm[{k}]")
-                 for k, el in enumerate(povm_data))
+    block = _probe_block_from_json(data, field, guesses=False)
+    n_out = len(block["povm"])
     branches_data = _expect_key(data, "branches", field)
-    if not isinstance(branches_data, list) or len(branches_data) != len(povm):
-        raise FormatError(f"{field}.branches: expected {len(povm)} entries")
+    if not isinstance(branches_data, list) or len(branches_data) != n_out:
+        raise FormatError(f"{field}.branches: expected {n_out} entries")
     branches = []
     for k, br in enumerate(branches_data):
         retained = _expect_key(br, "retained", f"{field}.branches[{k}]")
@@ -274,34 +285,15 @@ def tree_from_json(data, field: str = "tree") -> ProtocolTree:
         branches.append(OutcomeBranch(retained=tuple(retained), guess=guess,
                                       stage2=stage2))
     note = data.get("note", "")
-    return ProtocolTree(start=start, probe=StateVector(probe), ancilla_dim=anc,
-                        povm=povm, branches=tuple(branches), note=note)
+    return ProtocolTree(start=start, branches=tuple(branches), note=note, **block)
 
 
 def probe_witness_to_json(w: ProbeWitness) -> dict:
-    return {
-        "probe": vector_to_json(w.probe.amplitudes),
-        "ancilla_dim": w.ancilla_dim,
-        "povm": [matrix_to_json(el) for el in w.povm],
-        "guesses": list(w.guesses),
-    }
+    return _probe_block_to_json(w)
 
 
 def probe_witness_from_json(data, field: str = "witness") -> ProbeWitness:
-    probe = vector_from_json(_expect_key(data, "probe", field), f"{field}.probe")
-    anc = _expect_key(data, "ancilla_dim", field)
-    if not isinstance(anc, int) or isinstance(anc, bool) or anc < 1:
-        raise FormatError(f"{field}.ancilla_dim: expected a positive integer")
-    povm_data = _expect_key(data, "povm", field)
-    if not isinstance(povm_data, list) or not povm_data:
-        raise FormatError(f"{field}.povm: expected a non-empty list")
-    povm = tuple(matrix_from_json(el, f"{field}.povm[{k}]")
-                 for k, el in enumerate(povm_data))
-    guesses = _expect_key(data, "guesses", field)
-    if not isinstance(guesses, list) or len(guesses) != len(povm):
-        raise FormatError(f"{field}.guesses: expected {len(povm)} entries")
-    return ProbeWitness(probe=StateVector(probe), ancilla_dim=anc, povm=povm,
-                        guesses=tuple(guesses))
+    return ProbeWitness(**_probe_block_from_json(data, field))
 
 
 def witness_to_json(witness) -> dict | None:

@@ -5,7 +5,7 @@ u_i to mutually orthogonal states iff its reduced density operator rho on
 the system satisfies Tr(rho K) = 0 for every relative unitary K = u_i{dag}
 u_j in the constraint set.  Feasibility over density operators is decided
 
-* exactly, by a two-phase simplex over simplex weights in the common
+* exactly, by a phase-1 simplex over simplex weights in the common
   eigenbasis, when all constraint operators commute;
 * exactly in the negative, whenever some single constraint operator already
   has its eigenvalue hull away from the origin (a one-operator problem is
@@ -98,8 +98,6 @@ class ProbeFeasibility:
     status: str  # "feasible" | "infeasible_certified" | "not_found"
     witness: DensityOperator | None = None
     certificate: InfeasibilityCertificate | None = None
-    weights: np.ndarray | None = None
-    basis: np.ndarray | None = None
     residual: float | None = None
     note: str = ""
 
@@ -168,15 +166,13 @@ def _solve_commuting(problem, indices, tol):
     b[-1] = 1.0
 
     lp = feasible_point(a, b)
-    if lp.status == "optimal":
+    if lp.status == "feasible":
         q = lp.x
         rho = (basis * q[None, :]) @ basis.conj().T
         rho = (rho + rho.conj().T) / 2
         return ProbeFeasibility(
             status="feasible",
             witness=DensityOperator(rho),
-            weights=q,
-            basis=basis,
             residual=float(np.max(np.abs(mu @ q))),
             note="common-eigenbasis linear program",
         )
@@ -184,7 +180,6 @@ def _solve_commuting(problem, indices, tol):
     return ProbeFeasibility(
         status="infeasible_certified",
         certificate=cert,
-        basis=basis,
         note="common-eigenbasis linear program (Farkas dual)",
     )
 

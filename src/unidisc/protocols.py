@@ -476,12 +476,27 @@ def _union_reduction_certified(uset, resp, groups, tol):
     return True
 
 
-def _locc_check(uset, start, adaptive, tol):
-    strategy = "LDA" if adaptive else "LDR"
+def _local_verdicts(uset, start, tol):
+    """The (LDR, LDA) verdicts for one starting party.
+
+    Both strategies rest on the same sub-problems, each solved once here:
+    every group's responder problem, stage-1 group identification with its
+    two-group union reduction, and the union of all within-group
+    constraints that LDR's fixed responder probe must meet at once.  The
+    strategies differ only in where a group's stage-2 probe comes from: LDR
+    takes the union witness for every group, LDA each group's own.
+    """
     resp = "B" if start == "A" else "A"
     m = uset.size
     d1 = uset.party_dims[_party_index(start)]
     d2 = uset.party_dims[_party_index(resp)]
+
+    def both(**fields):
+        return tuple(StrategyVerdict(strategy=s, starting_party=start, **fields)
+                     for s in ("LDR", "LDA"))
+
+    def solve(dim, ops):
+        return common_probe_feasible(OrthogonalityProblem(dim=dim, operators=tuple(ops)), tol)
 
     if m <= 1:
         probe, anc, povm = _pass_through_stage1(d1)
@@ -489,135 +504,114 @@ def _locc_check(uset, start, adaptive, tol):
                             branches=(OutcomeBranch(retained=tuple(range(m)),
                                                     guess=0 if m else None),),
                             note="at most one candidate")
-        return StrategyVerdict(strategy=strategy, starting_party=start,
-                               status="distinguishable", witness=tree,
-                               note="at most one candidate")
+        return both(status="distinguishable", witness=tree, note="at most one candidate")
     if m == 2:
         tree, fail_note = _pair_tree(uset, start, tol)
         if tree is not None:
-            return StrategyVerdict(strategy=strategy, starting_party=start,
-                                   status="distinguishable", witness=tree, note=tree.note)
-        return StrategyVerdict(strategy=strategy, starting_party=start,
-                               status="indistinguishable_certified", note=fail_note)
+            return both(status="distinguishable", witness=tree, note=tree.note)
+        return both(status="indistinguishable_certified", note=fail_note)
 
     groups = group_by_factor(uset, start)
 
     # responder problems inside each group; these constraints bind every
     # protocol because phase-equal starting factors are never split
+    group_ops = [_within_group_ops(uset, resp, g.member_indices) for g in groups]
     group_feas = []
-    for g in groups:
-        ops = _within_group_ops(uset, resp, g.member_indices)
-        if not ops:
-            group_feas.append(None)
-            continue
-        feas = common_probe_feasible(OrthogonalityProblem(dim=d2, operators=tuple(ops)), tol)
+    for g, ops in zip(groups, group_ops):
+        feas = solve(d2, ops) if ops else None
+        if feas is not None and feas.status == "infeasible_certified":
+            return both(status="indistinguishable_certified",
+                        note=(f"indices {g.member_indices} share a starting factor, and no "
+                              f"responder probe can separate them"),
+                        feasibility=feas)
         group_feas.append(feas)
-        if feas.status == "infeasible_certified":
-            return StrategyVerdict(
-                strategy=strategy, starting_party=start,
-                status="indistinguishable_certified",
-                note=(f"indices {g.member_indices} share a starting factor, and no "
-                      f"responder probe can separate them"),
-                feasibility=feas)
-
-    union_feas = None
-    if not adaptive:
-        union_ops = []
-        for g in groups:
-            union_ops.extend(_within_group_ops(uset, resp, g.member_indices))
-        union_ops = _dedup_phase(union_ops)
-        if union_ops:
-            union_feas = common_probe_feasible(
-                OrthogonalityProblem(dim=d2, operators=tuple(union_ops)), tol)
-            if union_feas.status == "infeasible_certified":
-                return StrategyVerdict(
-                    strategy=strategy, starting_party=start,
-                    status="indistinguishable_certified",
-                    note=("the responder probe is fixed upfront, and no single probe "
-                          "satisfies all within-group constraints at once"),
-                    feasibility=union_feas)
+    union_ops = _dedup_phase([k for ops in group_ops for k in ops])
+    union_feas = solve(d2, union_ops) if union_ops else None
 
     # stage 1: perfect identification of the starting party's factor group
     reps = [g.representative for g in groups]
     cross_ops = _dedup_phase([_relative(reps[x], reps[y])
                               for x in range(len(reps)) for y in range(x + 1, len(reps))])
-    if cross_ops:
-        stage1_feas = common_probe_feasible(
-            OrthogonalityProblem(dim=d1, operators=tuple(cross_ops)), tol)
-    else:
-        stage1_feas = None  # single group, nothing to identify
-
+    stage1_feas = solve(d1, cross_ops) if cross_ops else None  # None: a single group
+    stage1_exit = None
     if stage1_feas is not None and stage1_feas.status == "infeasible_certified":
         if _union_reduction_certified(uset, resp, groups, tol):
-            return StrategyVerdict(
-                strategy=strategy, starting_party=start,
+            stage1_exit = dict(
                 status="indistinguishable_certified",
                 note=("every two-group union defeats the responder, so the starting "
                       "party would have to identify its factor group exactly, and "
                       "no probe of its own can do that"),
                 feasibility=stage1_feas)
-        return StrategyVerdict(
-            strategy=strategy, starting_party=start, status="not_found",
-            note=("group identification by the starting party is certified "
-                  "impossible, but partial-elimination protocols with overlapping "
-                  "retained sets are not exhausted by this search"),
-            feasibility=stage1_feas)
-    if stage1_feas is not None and stage1_feas.status == "not_found":
-        return StrategyVerdict(strategy=strategy, starting_party=start, status="not_found",
-                               note=f"stage-1 search stalled: {stage1_feas.note}",
+        else:
+            stage1_exit = dict(
+                status="not_found",
+                note=("group identification by the starting party is certified "
+                      "impossible, but partial-elimination protocols with overlapping "
+                      "retained sets are not exhausted by this search"),
+                feasibility=stage1_feas)
+    elif stage1_feas is not None and stage1_feas.status == "not_found":
+        stage1_exit = dict(status="not_found", note=f"stage-1 search stalled: {stage1_feas.note}",
+                           feasibility=stage1_feas)
+
+    def verdict(strategy, stage2_feas, search):
+        """``stage2_feas[gi]`` is the responder problem whose witness serves group gi."""
+        if stage1_exit is not None:
+            return StrategyVerdict(strategy=strategy, starting_party=start, **stage1_exit)
+        stalled = [f for f in stage2_feas if f is not None and f.status == "not_found"]
+        if stalled:
+            return StrategyVerdict(strategy=strategy, starting_party=start, status="not_found",
+                                   note=f"{search} search stalled: {stalled[0].note}",
+                                   feasibility=stalled[0])
+
+        def branch_for(gi, g):
+            members = g.member_indices
+            if len(members) == 1:
+                return OutcomeBranch(retained=members, guess=members[0])
+            probe2, r2, povm2, rest2 = _orthogonal_measurement(
+                [uset.factor(k, resp) for k in members], stage2_feas[gi], tol)
+            st = StageTwo(party=resp, probe=probe2, ancilla_dim=r2, povm=povm2,
+                          guesses=members + ((None,) if rest2 else ()))
+            return OutcomeBranch(retained=members, stage2=st)
+
+        if stage1_feas is None:
+            probe, anc, povm = _pass_through_stage1(d1)
+            branches = [branch_for(0, groups[0])]
+            note = "single factor group, responder works alone"
+        else:
+            probe, anc, povm, has_rest = _orthogonal_measurement(reps, stage1_feas, tol)
+            branches = [branch_for(gi, g) for gi, g in enumerate(groups)]
+            if has_rest:
+                branches.append(OutcomeBranch(retained=(), guess=None))
+            note = "group identification followed by within-group separation"
+        tree = ProtocolTree(start=start, probe=probe, ancilla_dim=anc, povm=povm,
+                            branches=tuple(branches), note=note)
+        return StrategyVerdict(strategy=strategy, starting_party=start,
+                               status="distinguishable", witness=tree, note=tree.note,
                                feasibility=stage1_feas)
 
-    # feasible throughout; assemble the protocol tree
-    unresolved = [f for f in group_feas if f is not None and f.status == "not_found"]
-    if adaptive and unresolved:
-        return StrategyVerdict(strategy=strategy, starting_party=start, status="not_found",
-                               note=f"within-group search stalled: {unresolved[0].note}",
-                               feasibility=unresolved[0])
-    if not adaptive and union_feas is not None and union_feas.status == "not_found":
-        return StrategyVerdict(strategy=strategy, starting_party=start, status="not_found",
-                               note=f"shared-probe search stalled: {union_feas.note}",
-                               feasibility=union_feas)
-
-    def branch_for(gi, g):
-        members = g.member_indices
-        if len(members) == 1:
-            return OutcomeBranch(retained=members, guess=members[0])
-        feas = union_feas if not adaptive else group_feas[gi]
-        probe2, r2, povm2, rest2 = _orthogonal_measurement(
-            [uset.factor(k, resp) for k in members], feas, tol)
-        st = StageTwo(party=resp, probe=probe2, ancilla_dim=r2, povm=povm2,
-                      guesses=members + ((None,) if rest2 else ()))
-        return OutcomeBranch(retained=members, stage2=st)
-
-    if stage1_feas is None:
-        probe, anc, povm = _pass_through_stage1(d1)
-        branches = [branch_for(0, groups[0])]
-        note = "single factor group, responder works alone"
+    if union_feas is not None and union_feas.status == "infeasible_certified":
+        ldr = StrategyVerdict(strategy="LDR", starting_party=start,
+                              status="indistinguishable_certified",
+                              note=("the responder probe is fixed upfront, and no single probe "
+                                    "satisfies all within-group constraints at once"),
+                              feasibility=union_feas)
     else:
-        probe, anc, povm, has_rest = _orthogonal_measurement(reps, stage1_feas, tol)
-        branches = [branch_for(gi, g) for gi, g in enumerate(groups)]
-        if has_rest:
-            branches.append(OutcomeBranch(retained=(), guess=None))
-        note = "group identification followed by within-group separation"
-    tree = ProtocolTree(start=start, probe=probe, ancilla_dim=anc, povm=povm,
-                        branches=tuple(branches), note=note)
-    return StrategyVerdict(strategy=strategy, starting_party=start,
-                           status="distinguishable", witness=tree, note=tree.note,
-                           feasibility=stage1_feas)
+        ldr = verdict("LDR", [union_feas] * len(groups), "shared-probe")
+    return ldr, verdict("LDA", group_feas, "within-group")
 
 
 def check_lda(uset: ProductUnitarySet, starting_party: str,
               tol: Tolerances = DEFAULT_TOL) -> StrategyVerdict:
     """Local sequential discrimination, responder probe chosen per outcome."""
     _party_index(starting_party)
-    return _locc_check(uset, starting_party, adaptive=True, tol=tol)
+    return _local_verdicts(uset, starting_party, tol)[1]
 
 
 def check_ldr(uset: ProductUnitarySet, starting_party: str,
               tol: Tolerances = DEFAULT_TOL) -> StrategyVerdict:
     """Local sequential discrimination with both probes fixed upfront."""
     _party_index(starting_party)
-    return _locc_check(uset, starting_party, adaptive=False, tol=tol)
+    return _local_verdicts(uset, starting_party, tol)[0]
 
 
 def _gda_from_parts(gdr: StrategyVerdict, lda) -> StrategyVerdict:
@@ -665,11 +659,8 @@ def hierarchy_audit(uset: ProductUnitarySet, tol: Tolerances = DEFAULT_TOL):
     Returns the ordered (label, verdict) table, with a GDA_separable row
     last for qubit-qubit sets.
     """
-    rows = []
-    for p in _PARTIES:
-        rows.append((f"LDR:{p}", check_ldr(uset, p, tol)))
-    for p in _PARTIES:
-        rows.append((f"LDA:{p}", check_lda(uset, p, tol)))
+    local = {p: _local_verdicts(uset, p, tol) for p in _PARTIES}
+    rows = [(f"{s}:{p}", local[p][k]) for k, s in enumerate(("LDR", "LDA")) for p in _PARTIES]
     rows.append(("GDR", check_gdr(uset, tol)))
     table = dict(rows)
     rows.append(("GDA", _gda_from_parts(table["GDR"], lambda p: table[f"LDA:{p}"])))

@@ -38,7 +38,7 @@ from .seesaw import (
     quartet_bob_first_task,
     run_seesaw,
 )
-from .separable import check_gda_separable, separable_start_analysis
+from .separable import gda_separable_analysis
 
 __all__ = ["BundleResult", "BUNDLES"]
 
@@ -163,12 +163,10 @@ def separable_probes(seed: int, restarts: int, tol: Tolerances = DEFAULT_TOL) ->
     """Pauli-Hadamard quintet: separable probes certifiably fail, entangled ones work."""
     uset = pauli_hadamard_set()
     checks = []
-    v = check_gda_separable(uset, tol)
+    v, reports = gda_separable_analysis(uset, tol)
     checks.append(("single-system probes certified impossible",
                    v.status == "indistinguishable_certified", v.status))
-    reports = {}
-    for party in ("A", "B"):
-        rep = reports[party] = separable_start_analysis(uset, party, tol)
+    for party, rep in reports.items():
         checks.append((f"sequential start {party} certified impossible",
                        rep.verdict == "infeasible_certified", rep.note))
     v_ldr = check_ldr(uset, "A", tol)

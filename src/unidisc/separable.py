@@ -63,6 +63,7 @@ __all__ = [
     "SeparableStartReport",
     "separable_start_analysis",
     "check_gda_separable",
+    "gda_separable_analysis",
 ]
 
 _PARALLEL_TOL = 1e-9
@@ -229,7 +230,7 @@ def _completion_lp(class_rays):
     )
     b_eq = np.array([1.0, 1.0, 0.0, 0.0])
     res = feasible_point(a_eq, b_eq)
-    if res.status != "optimal":
+    if res.status != "feasible":
         return None
     return res.x
 
@@ -546,10 +547,6 @@ def _simultaneous_check(uset, tol: Tolerances):
     exist.
     """
     m = uset.size
-    if m <= 1:
-        alpha = np.array([1.0, 0.0], dtype=complex)
-        witness = _local_cell_witness(uset, alpha, alpha)
-        return "distinguishable", witness, "at most one input"
     rel = {}
     side_ok = {"A": {}, "B": {}}
     pairs = list(combinations(range(m), 2))
@@ -634,6 +631,14 @@ def check_gda_separable(
     decided (the pair criterion is probe-shape agnostic: a product of
     factor-wise hull points achieves any needed orthogonality).
     """
+    return gda_separable_analysis(uset, tol)[0]
+
+
+def gda_separable_analysis(uset: ProductUnitarySet, tol: Tolerances = DEFAULT_TOL):
+    """``(verdict, reports)``: the :func:`check_gda_separable` verdict and the
+    ``{"A": ..., "B": ...}`` :class:`SeparableStartReport` pair it was decided
+    from, or ``None`` when the sequential analysis does not apply (at most
+    two inputs, or factors that are not qubits)."""
     strategy = "GDA_separable"
     m = uset.size
     if m <= 1:
@@ -647,7 +652,7 @@ def check_gda_separable(
             guesses=(0,) if m else (None,),
         )
         return StrategyVerdict(strategy, "either", "distinguishable",
-                               witness=witness, note="at most one input")
+                               witness=witness, note="at most one input"), None
 
     if m == 2:
         for party in ("A", "B"):
@@ -671,31 +676,32 @@ def check_gda_separable(
                                        povm=povm, guesses=(0, 1))
                 return StrategyVerdict(
                     strategy, "either", "distinguishable", witness=witness,
-                    note=f"pair criterion met by party {party}")
+                    note=f"pair criterion met by party {party}"), None
         return StrategyVerdict(
             strategy, "either", "indistinguishable_certified",
             note="two inputs and neither factor pair admits an "
-                 "orthogonalizing probe; no probe shape can help")
+                 "orthogonalizing probe; no probe shape can help"), None
 
     if uset.party_dims != (2, 2):
         return StrategyVerdict(
             strategy, "either", "not_found",
             note="exact product-probe analysis is implemented for qubit "
-                 "factors only")
+                 "factors only"), None
 
     rep_a = separable_start_analysis(uset, "A", tol)
     rep_b = separable_start_analysis(uset, "B", tol)
+    reports = {"A": rep_a, "B": rep_b}
     sim_status, sim_witness, sim_note = _simultaneous_check(uset, tol)
 
     if rep_a.verdict == "distinguishable" and rep_a.tree is not None:
         return StrategyVerdict(strategy, "A", "distinguishable",
-                               witness=rep_a.tree, note=rep_a.note)
+                               witness=rep_a.tree, note=rep_a.note), reports
     if rep_b.verdict == "distinguishable" and rep_b.tree is not None:
         return StrategyVerdict(strategy, "B", "distinguishable",
-                               witness=rep_b.tree, note=rep_b.note)
+                               witness=rep_b.tree, note=rep_b.note), reports
     if sim_status == "distinguishable":
         return StrategyVerdict(strategy, "either", "distinguishable",
-                               witness=sim_witness, note=sim_note)
+                               witness=sim_witness, note=sim_note), reports
 
     parts = [
         f"first-measurer A: {rep_a.verdict} ({rep_a.note})",
@@ -709,5 +715,5 @@ def check_gda_separable(
         and sim_status == "infeasible_certified"
     ):
         return StrategyVerdict(strategy, "either", "indistinguishable_certified",
-                               note=combined)
-    return StrategyVerdict(strategy, "either", "not_found", note=combined)
+                               note=combined), reports
+    return StrategyVerdict(strategy, "either", "not_found", note=combined), reports

@@ -1,10 +1,11 @@
-"""Dense two-phase simplex for small equality-form linear programs.
+"""Dense phase-1 simplex deciding feasibility of small equality-form systems.
 
-Solves  min c.x  s.t.  A x = b, x >= 0  in floating point.  Instances here
-are tiny (tens of variables at most), so the implementation favors
-robustness over speed: Bland's anti-cycling pivot rule throughout, a fixed
-pivot tolerance, and an explicitly re-verified Farkas certificate whenever
-phase 1 proves infeasibility.
+Decides whether  A x = b, x >= 0  has a solution, in floating point.
+Instances here are tiny (tens of variables at most), so the implementation
+favors robustness over speed: Bland's anti-cycling pivot rule throughout, a
+fixed pivot tolerance, a re-checked residual for every returned point, and
+an explicitly re-verified Farkas certificate whenever phase 1 proves
+infeasibility.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["FarkasCertificate", "LpResult", "linear_program", "feasible_point"]
+__all__ = ["FarkasCertificate", "LpResult", "feasible_point"]
 
 PIVOT_TOL = 1e-9
 
@@ -32,9 +33,8 @@ class FarkasCertificate:
 
 @dataclass(frozen=True)
 class LpResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "feasible" | "infeasible"
     x: np.ndarray | None
-    objective: float | None
     certificate: FarkasCertificate | None
 
 
@@ -47,10 +47,11 @@ def _pivot(tableau, basis, row, col):
 
 
 def _simplex_core(tableau, basis, cost_row, ncols):
-    """Run Bland-rule simplex on an (m+1) x (ncols+1) tableau in place.
+    """Run Bland-rule simplex on an (m+1) x (ncols+1) tableau in place until
+    no reduced cost is negative.
 
     Row ``cost_row`` holds reduced costs (minimization); rightmost column is
-    the rhs.  Returns "optimal" or "unbounded".
+    the rhs.  Only phase 1 runs here, whose objective is bounded below by 0.
     """
     m = cost_row
     while True:
@@ -60,7 +61,7 @@ def _simplex_core(tableau, basis, cost_row, ncols):
                 enter = j
                 break
         if enter < 0:
-            return "optimal"
+            return
         leave = -1
         best = np.inf
         for r in range(m):
@@ -73,20 +74,19 @@ def _simplex_core(tableau, basis, cost_row, ncols):
                     best = ratio
                     leave = r
         if leave < 0:
-            return "unbounded"
+            raise AssertionError("phase 1 unbounded")
         _pivot(tableau, basis, leave, enter)
 
 
-def linear_program(c, a_eq, b_eq) -> LpResult:
-    """Two-phase simplex for min c.x, A x = b, x >= 0."""
+def feasible_point(a_eq, b_eq) -> LpResult:
+    """A point of {x >= 0 : A x = b}, or a Farkas certificate that none exists."""
     a = np.array(a_eq, dtype=float)
     b = np.array(b_eq, dtype=float).ravel()
-    c = np.array(c, dtype=float).ravel()
     if a.ndim != 2:
         raise ValueError("A must be 2-D")
     m, n = a.shape
-    if b.shape != (m,) or c.shape != (n,):
-        raise ValueError("A, b, c shapes disagree")
+    if b.shape != (m,):
+        raise ValueError("A and b shapes disagree")
 
     # keep a pristine copy for certificate re-verification
     a0 = a.copy()
@@ -96,7 +96,7 @@ def linear_program(c, a_eq, b_eq) -> LpResult:
     a[flip] *= -1
     b[flip] *= -1
 
-    # ---- phase 1: artificials, minimize their sum -------------------------
+    # phase 1: artificials, minimize their sum
     t = np.zeros((m + 1, n + m + 1))
     t[:m, :n] = a
     t[:m, n:n + m] = np.eye(m)
@@ -106,9 +106,7 @@ def linear_program(c, a_eq, b_eq) -> LpResult:
     t[m, :n] = -a.sum(axis=0)
     t[m, -1] = -b.sum()
 
-    status = _simplex_core(t, basis, m, n + m)
-    if status == "unbounded":  # cannot happen for a bounded-below phase 1
-        raise AssertionError("phase 1 unbounded")
+    _simplex_core(t, basis, m, n + m)
     phase1 = -t[m, -1]
 
     if phase1 > 1e-7 * max(1.0, np.abs(b).max()):
@@ -124,9 +122,10 @@ def linear_program(c, a_eq, b_eq) -> LpResult:
         margin = float((y @ a0).max()) if n else 0.0
         if margin > 1e-7:
             raise AssertionError(f"Farkas certificate failed re-verification ({margin:.3e})")
-        return LpResult("infeasible", None, None, FarkasCertificate(y=y, margin=margin))
+        return LpResult("infeasible", None, FarkasCertificate(y=y, margin=margin))
 
-    # drive leftover artificials out of the basis where possible
+    # drive leftover artificials out of the basis where possible; redundant
+    # rows may keep one basic at zero level, and contribute no variable
     for r in range(m):
         if basis[r] >= n:
             for j in range(n):
@@ -134,35 +133,12 @@ def linear_program(c, a_eq, b_eq) -> LpResult:
                     _pivot(t, basis, r, j)
                     break
 
-    # ---- phase 2 ----------------------------------------------------------
-    t2 = np.zeros((m + 1, n + 1))
-    t2[:m, :n] = t[:m, :n]
-    t2[:m, -1] = t[:m, -1]
-    # redundant rows may keep an artificial basic at zero level; freeze them
-    frozen = [r for r in range(m) if basis[r] >= n]
-    t2[m, :n] = c
-    for r in range(m):
-        if basis[r] < n:
-            t2[m, :] -= c[basis[r]] * t2[r, :]
-    for r in frozen:
-        t2[r, :] = 0.0
-
-    status = _simplex_core(t2, basis, m, n)
-    if status == "unbounded":
-        return LpResult("unbounded", None, None, None)
-
     x = np.zeros(n)
     for r in range(m):
         if basis[r] < n:
-            x[basis[r]] = t2[r, -1]
+            x[basis[r]] = t[r, -1]
     x[np.abs(x) < 1e-12] = 0.0
     resid = np.max(np.abs(a0 @ x - b0)) if m else 0.0
     if resid > 1e-7:
         raise AssertionError(f"simplex solution violates constraints ({resid:.3e})")
-    return LpResult("optimal", x, float(c @ x), None)
-
-
-def feasible_point(a_eq, b_eq) -> LpResult:
-    """Feasibility of A x = b, x >= 0 (zero objective two-phase run)."""
-    a = np.asarray(a_eq, dtype=float)
-    return linear_program(np.zeros(a.shape[1]), a, b_eq)
+    return LpResult("feasible", x, None)

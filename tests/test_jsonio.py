@@ -171,6 +171,14 @@ class TestTreeCodec:
         data["branches"][2]["stage2"]["guesses"][0] = "zero"
         with pytest.raises(FormatError, match=r"guesses\[0\]"):
             tree_from_json(data)
+        # a one-shot probe witness reads its guesses through the same check
+        uset = phase_pair_set(PhasePairParams(0.3, 0.5, 0.9, math.pi - 1.7))
+        witness = check_gdr(uset).witness
+        for k, bad in enumerate(["x", 2.5]):
+            data = probe_witness_to_json(witness)
+            data["guesses"][k] = bad
+            with pytest.raises(FormatError, match=rf"witness\.guesses\[{k}\]"):
+                probe_witness_from_json(data)
 
     def test_boolean_ancilla_rejected(self):
         data = tree_to_json(pauli_hadamard_tree("A"))

@@ -276,12 +276,43 @@ class TestHierarchyAudit:
         sets += [random_qubit_set(rng) for _ in range(24)]
         statuses = set()
         for uset in sets:
-            row = dict(hierarchy_audit(uset))["GDA"]
-            statuses.add(row.status)
-            assert (dumps(verdict_to_json(row))
+            rows = dict(hierarchy_audit(uset))
+            statuses.add(rows["GDA"].status)
+            assert (dumps(verdict_to_json(rows["GDA"]))
                     == dumps(verdict_to_json(check_gda(uset))))
+            for p in ("A", "B"):
+                for label, checker in (("LDR", check_ldr), ("LDA", check_lda)):
+                    assert (dumps(verdict_to_json(rows[f"{label}:{p}"]))
+                            == dumps(verdict_to_json(checker(uset, p))))
         assert statuses == {"distinguishable", "indistinguishable_certified",
                             "not_found"}
+
+    def test_local_rows_solve_shared_problems_once(self, monkeypatch):
+        # the LDR rows come from the same pass as the LDA rows, so the
+        # audit's local rows cost no more probe problems than LDA alone
+        import unidisc.protocols as protocols
+
+        calls = []
+        solve = protocols.common_probe_feasible
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(protocols, "common_probe_feasible", counting)
+
+        def count(fn):
+            calls.clear()
+            fn()
+            return len(calls)
+
+        rng = np.random.default_rng(0)
+        sets = [qutrit_quartet_set(), pauli_hadamard_set()]
+        sets += [random_qubit_set(rng) for _ in range(6)]
+        for uset in sets:
+            local = count(lambda: hierarchy_audit(uset)) - count(lambda: check_gdr(uset))
+            lda = count(lambda: check_lda(uset, "A")) + count(lambda: check_lda(uset, "B"))
+            assert local <= lda
 
     def test_includes_separable_only_for_qubits(self):
         rows = hierarchy_audit(qutrit_quartet_set())

@@ -1,52 +1,28 @@
-"""Two-phase simplex: optima, infeasibility certificates, edge cases."""
+"""Phase-1 feasibility simplex: points, infeasibility certificates, edge cases."""
 
 import numpy as np
 import pytest
 
-from unidisc.simplex import FarkasCertificate, linear_program, feasible_point
-
-
-def test_simple_optimum():
-    # min x0 + 2 x1  s.t.  x0 + x1 = 1;  optimum puts all mass on x0
-    res = linear_program([1.0, 2.0], [[1.0, 1.0]], [1.0])
-    assert res.status == "optimal"
-    assert np.allclose(res.x, [1.0, 0.0])
-    assert np.isclose(res.objective, 1.0)
-
-
-def test_degenerate_tie():
-    # both variables cost the same; any split is optimal, objective fixed
-    res = linear_program([1.0, 1.0], [[1.0, 1.0]], [2.0])
-    assert res.status == "optimal"
-    assert np.isclose(res.objective, 2.0)
+from unidisc.simplex import FarkasCertificate, feasible_point
 
 
 def test_two_constraints():
-    # min -x0 - x1 over x0 + 2 x1 = 4, x0 - x1 = 1: unique point (2, 1)
-    res = linear_program([-1.0, -1.0],
-                         [[1.0, 2.0], [1.0, -1.0]],
-                         [4.0, 1.0])
-    assert res.status == "optimal"
+    # x0 + 2 x1 = 4, x0 - x1 = 1: unique point (2, 1)
+    res = feasible_point([[1.0, 2.0], [1.0, -1.0]], [4.0, 1.0])
+    assert res.status == "feasible"
     assert np.allclose(res.x, [2.0, 1.0], atol=1e-9)
-    assert np.isclose(res.objective, -3.0)
-
-
-def test_unbounded():
-    # min -x0 with x0 - x1 = 0: both can grow without bound
-    res = linear_program([-1.0, 0.0], [[1.0, -1.0]], [0.0])
-    assert res.status == "unbounded"
-    assert res.x is None
 
 
 def test_negative_rhs_handled():
-    res = linear_program([1.0, 1.0], [[-1.0, -1.0]], [-3.0])
-    assert res.status == "optimal"
-    assert np.isclose(res.objective, 3.0)
+    res = feasible_point([[-1.0, -1.0]], [-3.0])
+    assert res.status == "feasible"
+    assert np.all(res.x >= 0.0)
+    assert np.isclose(res.x.sum(), 3.0)
 
 
 def test_infeasible_certificate():
     # x0 + x1 = -1 has no nonnegative solution
-    res = linear_program([0.0, 0.0], [[1.0, 1.0]], [-1.0])
+    res = feasible_point([[1.0, 1.0]], [-1.0])
     assert res.status == "infeasible"
     cert = res.certificate
     assert isinstance(cert, FarkasCertificate)
@@ -60,7 +36,7 @@ def test_infeasible_certificate_multirow():
     # x0 = 1 and x0 = 2 cannot both hold
     a = np.array([[1.0, 0.0], [1.0, 0.0]])
     b = np.array([1.0, 2.0])
-    res = linear_program([0.0, 0.0], a, b)
+    res = feasible_point(a, b)
     assert res.status == "infeasible"
     y = res.certificate.y
     assert np.isclose(y @ b, 1.0)
@@ -69,7 +45,7 @@ def test_infeasible_certificate_multirow():
 
 def test_feasible_point():
     res = feasible_point([[1.0, 1.0, 1.0]], [1.0])
-    assert res.status == "optimal"
+    assert res.status == "feasible"
     x = res.x
     assert np.all(x >= -1e-12)
     assert np.isclose(x.sum(), 1.0)
@@ -83,21 +59,21 @@ def test_feasible_point_infeasible():
 
 def test_shape_validation():
     with pytest.raises(ValueError):
-        linear_program([1.0], [[1.0, 1.0]], [1.0])
+        feasible_point([[1.0, 1.0]], [1.0, 2.0])
     with pytest.raises(ValueError):
-        linear_program([1.0, 1.0], [1.0, 1.0], [1.0])
+        feasible_point([1.0, 1.0], [1.0])
 
 
 def test_random_feasible_systems_agree_with_lstsq():
-    # on square invertible systems with a nonnegative solution the LP must
-    # find exactly that solution
+    # on square invertible systems with a nonnegative solution the simplex
+    # must find exactly that solution
     rng = np.random.default_rng(19)
     for _ in range(25):
         n = rng.integers(2, 5)
         a = rng.normal(size=(n, n))
         x_true = rng.uniform(0.1, 1.0, size=n)
         b = a @ x_true
-        res = linear_program(np.zeros(n), a, b)
-        assert res.status == "optimal"
+        res = feasible_point(a, b)
+        assert res.status == "feasible"
         assert np.allclose(a @ res.x, b, atol=1e-8)
         assert np.all(res.x >= -1e-9)
