@@ -117,6 +117,11 @@ def vector_from_json(data, field: str) -> np.ndarray:
     )
 
 
+def _is_index(x) -> bool:
+    # JSON true/false decode as bool, a subclass of int; they are not indices
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _expect_key(data: dict, key: str, field: str):
     if not isinstance(data, dict):
         raise FormatError(f"{field}: expected an object")
@@ -149,7 +154,7 @@ def set_from_json(data, field: str = "set") -> ProductUnitarySet:
     if (
         not isinstance(dims, list)
         or len(dims) != 2
-        or not all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in dims)
+        or not all(_is_index(d) and d >= 1 for d in dims)
     ):
         raise FormatError(f"{field}.party_dims: expected two positive integers")
     items_data = _expect_key(data, "items", field)
@@ -205,7 +210,7 @@ def _probe_block_from_json(data, field: str, guesses: bool = True) -> dict:
     for the dataclass that holds them."""
     probe = vector_from_json(_expect_key(data, "probe", field), f"{field}.probe")
     anc = _expect_key(data, "ancilla_dim", field)
-    if not isinstance(anc, int) or isinstance(anc, bool) or anc < 1:
+    if not _is_index(anc) or anc < 1:
         raise FormatError(f"{field}.ancilla_dim: expected a positive integer")
     povm_data = _expect_key(data, "povm", field)
     if not isinstance(povm_data, list) or not povm_data:
@@ -218,7 +223,7 @@ def _probe_block_from_json(data, field: str, guesses: bool = True) -> dict:
         if not isinstance(values, list) or len(values) != len(povm):
             raise FormatError(f"{field}.guesses: expected {len(povm)} entries")
         for k, g in enumerate(values):
-            if g is not None and not isinstance(g, int):
+            if g is not None and not _is_index(g):
                 raise FormatError(f"{field}.guesses[{k}]: expected an index or null")
         block["guesses"] = tuple(values)
     return block
@@ -270,13 +275,11 @@ def tree_from_json(data, field: str = "tree") -> ProtocolTree:
     branches = []
     for k, br in enumerate(branches_data):
         retained = _expect_key(br, "retained", f"{field}.branches[{k}]")
-        if not isinstance(retained, list) or not all(
-            isinstance(i, int) for i in retained
-        ):
+        if not isinstance(retained, list) or not all(map(_is_index, retained)):
             raise FormatError(
                 f"{field}.branches[{k}].retained: expected a list of indices")
         guess = br.get("guess")
-        if guess is not None and not isinstance(guess, int):
+        if guess is not None and not _is_index(guess):
             raise FormatError(
                 f"{field}.branches[{k}].guess: expected an index or null")
         st_data = br.get("stage2")
@@ -348,7 +351,7 @@ def feasibility_to_json(feas: ProbeFeasibility | None) -> dict | None:
 
 def certificate_from_json(data, field: str = "certificate") -> InfeasibilityCertificate:
     idx = _expect_key(data, "op_indices", field)
-    if not isinstance(idx, list) or not all(isinstance(i, int) for i in idx):
+    if not isinstance(idx, list) or not all(map(_is_index, idx)):
         raise FormatError(f"{field}.op_indices: expected a list of indices")
     coeffs_data = _expect_key(data, "coeffs", field)
     if (

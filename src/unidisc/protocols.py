@@ -655,9 +655,10 @@ def hierarchy_audit(uset: ProductUnitarySet, tol: Tolerances = DEFAULT_TOL):
     """Run every checker and confirm the strategy-power orderings.
 
     Certified verdicts must satisfy LDR <= LDA <= GDA and LDR <= GDR <= GDA
-    (per starting party where applicable); a certified contradiction raises.
-    Returns the ordered (label, verdict) table, with a GDA_separable row
-    last for qubit-qubit sets.
+    (per starting party where applicable), and GDA_separable <= GDA where
+    that row exists; a certified contradiction raises.  Returns the ordered
+    (label, verdict) table, with a GDA_separable row last for qubit-qubit
+    sets.
     """
     local = {p: _local_verdicts(uset, p, tol) for p in _PARTIES}
     rows = [(f"{s}:{p}", local[p][k]) for k, s in enumerate(("LDR", "LDA")) for p in _PARTIES]
@@ -672,6 +673,8 @@ def hierarchy_audit(uset: ProductUnitarySet, tol: Tolerances = DEFAULT_TOL):
     ordering = [("LDR:A", "LDA:A"), ("LDR:B", "LDA:B"),
                 ("LDA:A", "GDA"), ("LDA:B", "GDA"),
                 ("LDR:A", "GDR"), ("LDR:B", "GDR"), ("GDR", "GDA")]
+    if "GDA_separable" in val:
+        ordering.append(("GDA_separable", "GDA"))
     violations = []
     for weak, strong in ordering:
         a, b = val[weak], val[strong]

@@ -3,16 +3,16 @@
 This module decides whether a set of product unitaries can be perfectly
 identified when the probe must be a product of two single-system states (no
 entanglement with each other or with ancillas) and each party measures only
-their own system.  Two shapes of protocol are covered:
+their own system.  The verdict is decided from two branches, one per
+measuring order: one party measures their evolved probe first and the
+outcome tells the other party what to discriminate; the second probe and
+measurement may be chosen adaptively.  A fixed product probe whose evolved
+states are pairwise orthogonal adds nothing on qubits, however those states
+are measured: some party's evolved factors then lie in one orthonormal
+basis, and measuring that basis first is a sequential protocol of the kind
+searched here (the argument is in :func:`gda_separable_analysis`).
 
-* **sequential**: one party measures their evolved probe first and the
-  outcome tells the other party what to discriminate; the second probe and
-  measurement may be chosen adaptively,
-* **simultaneous**: both probes and both local measurements are fixed
-  upfront and the pair of outcomes must determine the answer.
-
-For qubit factors both branches are decided exactly in the certification
-direction.  The sequential analysis rests on a structural fact: in a
+The sequential analysis of qubit factors rests on a structural fact: in a
 two-dimensional space a POVM element of rank 2 has full support, so any
 outcome that eliminates anything must be rank 1, and it eliminates
 precisely the inputs whose evolved probe states are parallel to its kernel
@@ -24,17 +24,9 @@ over the class rays.  Candidate probes are exhausted by the eigenrays of
 the non-phase-equal relative factors, the balanced superpositions that null
 a distinguishable relative, and the six axis states; for five or more
 inputs two disjoint classes of the required size cannot coexist at all, so
-the sequential branch is infeasible outright.
-
-The simultaneous branch first assigns every index pair to a side whose
-evolved overlap must vanish; on a qubit each such constraint is affine in
-the probe's axis vector, so an assignment is a sphere-meets-subspace
-feasibility problem solved exactly through the minimum-norm solution and a
-null-space extension.  Infeasibility of every assignment certifies the
-branch.  A feasible assignment yields probes, and a local witness is then
-sought as a pair of two-outcome projective measurements whose joint cells
-isolate the inputs; failure of that final search leaves the branch open
-rather than claiming success with a non-local measurement.
+the sequential branch is infeasible outright.  With three inputs a failed
+probe search is certified only when the responder can finish no pair;
+otherwise that order stays ``not_found``.
 """
 
 from __future__ import annotations
@@ -408,213 +400,6 @@ def separable_start_analysis(
 
 
 # ---------------------------------------------------------------------------
-# simultaneous branch
-
-
-def _pauli_components(op: np.ndarray) -> tuple:
-    """Expansion ``op = c 1 + r . sigma`` with complex ``c`` and ``r``."""
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    sy = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-    sz = np.diag([1.0, -1.0]).astype(complex)
-    c = np.trace(op) / 2.0
-    r = np.array([np.trace(s @ op) / 2.0 for s in (sx, sy, sz)])
-    return c, r
-
-
-def _axis_system(ops, tol: float = 1e-9):
-    """Unit axis vector ``n`` with ``<alpha|K|alpha> = 0`` for every ``K``.
-
-    The expectation of ``K = c 1 + r . sigma`` in the state with axis ``n``
-    is ``c + r . n``, so the constraints are affine in ``n``; feasibility
-    on the unit sphere is settled exactly by the minimum-norm solution
-    (orthogonal to the null space) plus a null-space extension when slack
-    remains.
-    """
-    rows = []
-    rhs = []
-    for op in ops:
-        c, r = _pauli_components(op)
-        rows.append(r.real)
-        rhs.append(-c.real)
-        rows.append(r.imag)
-        rhs.append(-c.imag)
-    if not rows:
-        return np.array([0.0, 0.0, 1.0])
-    a = np.array(rows)
-    b = np.array(rhs)
-    u, sv, vt = np.linalg.svd(a)
-    cutoff = 1e-10 * max(1.0, float(sv[0]) if sv.size else 1.0)
-    rank = int(np.sum(sv > cutoff))
-    n0 = np.zeros(3)
-    for k in range(rank):
-        n0 = n0 + (u[:, k] @ b) / sv[k] * vt[k]
-    if np.linalg.norm(a @ n0 - b) > tol * max(1.0, np.linalg.norm(b)):
-        return None
-    norm = float(np.linalg.norm(n0))
-    null = vt[rank:]
-    if null.shape[0] == 0:
-        if abs(norm - 1.0) <= tol:
-            return n0 / norm
-        return None
-    if norm > 1.0 + tol:
-        return None
-    t = math.sqrt(max(0.0, 1.0 - min(norm, 1.0) ** 2))
-    n = n0 + t * null[0]
-    return n / np.linalg.norm(n)
-
-
-def _state_from_axis(n: np.ndarray) -> np.ndarray:
-    theta = math.acos(min(1.0, max(-1.0, float(n[2]))))
-    phi = math.atan2(float(n[1]), float(n[0]))
-    return np.array(
-        [math.cos(theta / 2.0), np.exp(1j * phi) * math.sin(theta / 2.0)],
-        dtype=complex,
-    )
-
-
-def _local_cell_witness(uset, alpha, beta):
-    """Fixed local measurements whose joint outcomes isolate each input.
-
-    Searches two-outcome projective measurements for both parties among the
-    evolved rays and their orthogonal complements; an input occupies the
-    cells its evolved factors can trigger, and the witness exists when the
-    occupied cell sets are pairwise disjoint.
-    """
-    m = uset.size
-    ev_a = [uset.factor(k, "A") @ alpha for k in range(m)]
-    ev_b = [uset.factor(k, "B") @ beta for k in range(m)]
-    cands_a = _dedup_rays(list(ev_a) + [_kernel_ray(v) for v in ev_a])
-    cands_b = _dedup_rays(list(ev_b) + [_kernel_ray(v) for v in ev_b])
-
-    def outcomes(states, ray):
-        # which of the two projective outcomes each state can trigger
-        occ = []
-        for v in states:
-            o = []
-            if abs(np.vdot(_kernel_ray(ray), v)) > _PARALLEL_TOL:
-                o.append(1)
-            if abs(np.vdot(ray, v)) > _PARALLEL_TOL:
-                o.append(0)
-            occ.append(tuple(sorted(o)))
-        return occ
-
-    for ra in cands_a:
-        occ_a = outcomes(ev_a, ra)
-        for rb in cands_b:
-            occ_b = outcomes(ev_b, rb)
-            cells: dict = {}
-            ok = True
-            for i in range(m):
-                for oa in occ_a[i]:
-                    for ob in occ_b[i]:
-                        if (oa, ob) in cells:
-                            ok = False
-                            break
-                        cells[(oa, ob)] = i
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                continue
-            pa = (np.outer(ra, ra.conj()),
-                  np.outer(_kernel_ray(ra), _kernel_ray(ra).conj()))
-            pb = (np.outer(rb, rb.conj()),
-                  np.outer(_kernel_ray(rb), _kernel_ray(rb).conj()))
-            povm = []
-            guesses = []
-            for oa in (0, 1):
-                for ob in (0, 1):
-                    povm.append(np.kron(pa[oa], pb[ob]))
-                    guesses.append(cells.get((oa, ob)))
-            return ProbeWitness(
-                probe=StateVector(np.kron(alpha, beta)),
-                ancilla_dim=1,
-                povm=tuple(povm),
-                guesses=tuple(guesses),
-            )
-    return None
-
-
-def _simultaneous_check(uset, tol: Tolerances):
-    """Fixed product probe, fixed local measurements on both sides.
-
-    Every pair of inputs must be orthogonalized on one side or the other;
-    sides are assigned exhaustively and each assignment is an exact sphere
-    feasibility problem per party.  When no assignment admits probe axes
-    the branch is certified infeasible; a feasible assignment is upgraded to
-    a witness only if fixed local measurements with disjoint outcome cells
-    exist.
-    """
-    m = uset.size
-    rel = {}
-    side_ok = {"A": {}, "B": {}}
-    pairs = list(combinations(range(m), 2))
-    for i, j in pairs:
-        for party in ("A", "B"):
-            k = (
-                uset.factor(i, party).conj().T
-                @ uset.factor(j, party)
-            )
-            rel[(i, j, party)] = k
-            side_ok[party][(i, j)] = pair_distinguishable(
-                uset.factor(i, party), uset.factor(j, party), tol
-            ).distinguishable
-
-    dead = [p for p in pairs if not side_ok["A"][p] and not side_ok["B"][p]]
-    if dead:
-        i, j = dead[0]
-        return (
-            "infeasible_certified",
-            None,
-            f"pair ({i}, {j}) cannot be orthogonalized on either side",
-        )
-    forced = {
-        "A": [p for p in pairs if not side_ok["B"][p]],
-        "B": [p for p in pairs if not side_ok["A"][p]],
-    }
-    free = [p for p in pairs if side_ok["A"][p] and side_ok["B"][p]]
-    if len(free) > 16:
-        return "not_found", None, "too many free pairs to enumerate"
-
-    axes_found = False
-    for mask in range(1 << len(free)):
-        assign_a = list(forced["A"])
-        assign_b = list(forced["B"])
-        for bit, p in enumerate(free):
-            (assign_a if (mask >> bit) & 1 else assign_b).append(p)
-        na = _axis_system([rel[(i, j, "A")] for i, j in assign_a])
-        if na is None:
-            continue
-        nb = _axis_system([rel[(i, j, "B")] for i, j in assign_b])
-        if nb is None:
-            continue
-        axes_found = True
-        alpha = _state_from_axis(na)
-        beta = _state_from_axis(nb)
-        witness = _local_cell_witness(uset, alpha, beta)
-        if witness is not None:
-            return (
-                "distinguishable",
-                witness,
-                "product probe with fixed local measurements",
-            )
-
-    if axes_found:
-        return (
-            "not_found",
-            None,
-            "orthogonalizing product probes exist but no fixed local "
-            "measurement pair with disjoint outcome cells was found",
-        )
-    return (
-        "infeasible_certified",
-        None,
-        "no assignment of pairs to sides admits probe axes on both spheres",
-    )
-
-
-# ---------------------------------------------------------------------------
 # verdict assembly
 
 
@@ -623,13 +408,15 @@ def check_gda_separable(
 ) -> StrategyVerdict:
     """Global-answer discrimination with single-system probes only.
 
-    Aggregates both sequential measurement orders and the simultaneous
-    branch; the verdict is ``distinguishable`` with an explicit protocol or
-    witness, ``indistinguishable_certified`` when all three branches are
-    certified impossible, and ``not_found`` otherwise.  Fully decided for
-    qubit factors; for other dimensions only sets of at most two inputs are
-    decided (the pair criterion is probe-shape agnostic: a product of
-    factor-wise hull points achieves any needed orthogonality).
+    Decided from the two sequential measurement orders: ``distinguishable``
+    with the first protocol tree found (A measuring first, then B),
+    ``indistinguishable_certified`` when both orders are certified
+    impossible, and ``not_found`` otherwise.  A fixed product probe, with
+    any measurement, is covered by those two branches on qubits (see
+    :func:`gda_separable_analysis`).  For qubit factors only three-input
+    sets can end ``not_found``; for other dimensions only sets of at most
+    two inputs are decided (the pair criterion is probe-shape agnostic: a
+    product of factor-wise hull points achieves any needed orthogonality).
     """
     return gda_separable_analysis(uset, tol)[0]
 
@@ -638,7 +425,44 @@ def gda_separable_analysis(uset: ProductUnitarySet, tol: Tolerances = DEFAULT_TO
     """``(verdict, reports)``: the :func:`check_gda_separable` verdict and the
     ``{"A": ..., "B": ...}`` :class:`SeparableStartReport` pair it was decided
     from, or ``None`` when the sequential analysis does not apply (at most
-    two inputs, or factors that are not qubits)."""
+    two inputs, or factors that are not qubits).
+
+    Why two branches suffice.  Take a product probe ``alpha (x) beta`` that
+    sends ``m >= 3`` inputs to pairwise-orthogonal product states
+    ``a_k (x) b_k`` (``a_k = A_k alpha``, ``b_k = B_k beta``), whether they
+    are then measured locally or jointly.  Every pair ``(i, j)`` has
+    ``a_i`` orthogonal to ``a_j`` or ``b_i`` orthogonal to ``b_j``; call it
+    A-orthogonal or B-orthogonal.  In C^2 two rays orthogonal to a third
+    are parallel, so neither relation contains a triangle.
+
+    * ``m >= 5`` is impossible: C^2 (x) C^2 holds at most four orthogonal
+      states.
+    * ``m = 3``: one relation holds on two of the three pairs, which share
+      an input ``k``; say A.  Both other ``a`` rays are parallel to the ray
+      orthogonal to ``a_k``, so the ``a`` rays lie in one orthonormal basis.
+    * ``m = 4``: suppose the ``a`` rays lie in no single orthonormal basis.
+      Pairs that are not A-orthogonal are B-orthogonal, so every three
+      inputs contain an A-orthogonal pair.  Three inputs on rays of three
+      different bases would not, so the rays use exactly two bases
+      ``{r, r'}`` and ``{s, s'}`` (a prime marks the orthogonal ray); two
+      inputs sharing a ray plus one input in the other basis would not
+      either, so the four inputs sit on ``r, r', s, s'``, one each.  Write
+      ``b_r`` for the ``b`` ray of the input on ``r``, and so on.  The four
+      pairs across the bases are B-orthogonal: ``b_s`` and ``b_s'`` are
+      orthogonal to ``b_r``, and ``b_r'`` to ``b_s``, so the ``b`` rays lie
+      in the basis ``{b_r, b_s}``.
+
+    So one party's evolved factors take at most two orthogonal values, and
+    each value is shared by at most two inputs (three would need three
+    pairwise-orthogonal qubit states on the other side).  That party
+    measures first in that basis; each outcome eliminates one parallel
+    class and retains at most two inputs that are not orthogonal on its
+    side, hence orthogonal on the other, which the responder finishes by
+    the pair criterion.  That is an A-first or B-first protocol of the
+    shape :func:`separable_start_analysis` searches.  Hence both orders
+    certified impossible implies no such product probe exists, and a
+    product-probe witness implies a sequential witness.
+    """
     strategy = "GDA_separable"
     m = uset.size
     if m <= 1:
@@ -688,32 +512,14 @@ def gda_separable_analysis(uset: ProductUnitarySet, tol: Tolerances = DEFAULT_TO
             note="exact product-probe analysis is implemented for qubit "
                  "factors only"), None
 
-    rep_a = separable_start_analysis(uset, "A", tol)
-    rep_b = separable_start_analysis(uset, "B", tol)
-    reports = {"A": rep_a, "B": rep_b}
-    sim_status, sim_witness, sim_note = _simultaneous_check(uset, tol)
-
-    if rep_a.verdict == "distinguishable" and rep_a.tree is not None:
-        return StrategyVerdict(strategy, "A", "distinguishable",
-                               witness=rep_a.tree, note=rep_a.note), reports
-    if rep_b.verdict == "distinguishable" and rep_b.tree is not None:
-        return StrategyVerdict(strategy, "B", "distinguishable",
-                               witness=rep_b.tree, note=rep_b.note), reports
-    if sim_status == "distinguishable":
-        return StrategyVerdict(strategy, "either", "distinguishable",
-                               witness=sim_witness, note=sim_note), reports
-
-    parts = [
-        f"first-measurer A: {rep_a.verdict} ({rep_a.note})",
-        f"first-measurer B: {rep_b.verdict} ({rep_b.note})",
-        f"simultaneous: {sim_status} ({sim_note})",
-    ]
-    combined = "; ".join(parts)
-    if (
-        rep_a.verdict == "infeasible_certified"
-        and rep_b.verdict == "infeasible_certified"
-        and sim_status == "infeasible_certified"
-    ):
+    reports = {p: separable_start_analysis(uset, p, tol) for p in ("A", "B")}
+    for party, rep in reports.items():
+        if rep.verdict == "distinguishable":
+            return StrategyVerdict(strategy, party, "distinguishable",
+                                   witness=rep.tree, note=rep.note), reports
+    note = "; ".join(f"first-measurer {p}: {rep.verdict} ({rep.note})"
+                     for p, rep in reports.items())
+    if all(rep.verdict == "infeasible_certified" for rep in reports.values()):
         return StrategyVerdict(strategy, "either", "indistinguishable_certified",
-                               note=combined), reports
-    return StrategyVerdict(strategy, "either", "not_found", note=combined), reports
+                               note=note), reports
+    return StrategyVerdict(strategy, "either", "not_found", note=note), reports

@@ -187,6 +187,44 @@ class TestTreeCodec:
             tree_from_json(data)
 
 
+class TestBooleanIndicesRejected:
+    # JSON true/false decode as Python bools, which are ints; an index
+    # field must not read them as 1/0
+
+    def test_stage2_guess(self):
+        data = tree_to_json(pauli_hadamard_tree("A"))
+        data["branches"][2]["stage2"]["guesses"][0] = False
+        with pytest.raises(FormatError, match=r"branches\[2\]\.stage2\.guesses\[0\]"):
+            tree_from_json(data)
+
+    def test_probe_witness_guess(self):
+        uset = phase_pair_set(PhasePairParams(0.3, 0.5, 0.9, math.pi - 1.7))
+        data = probe_witness_to_json(check_gdr(uset).witness)
+        data["guesses"][1] = True
+        with pytest.raises(FormatError, match=r"witness\.guesses\[1\]"):
+            probe_witness_from_json(data)
+
+    def test_branch_retained(self):
+        data = tree_to_json(pauli_hadamard_tree("A"))
+        data["branches"][1]["retained"] = [True]
+        with pytest.raises(FormatError, match=r"branches\[1\]\.retained"):
+            tree_from_json(data)
+
+    def test_branch_guess(self):
+        data = tree_to_json(pauli_hadamard_tree("A"))
+        data["branches"][1]["guess"] = True
+        with pytest.raises(FormatError, match=r"branches\[1\]\.guess"):
+            tree_from_json(data)
+
+    def test_certificate_op_indices(self):
+        ops = [np.eye(2), np.diag([1.0, np.exp(1j * np.pi / 4)])]
+        data = feasibility_to_json(common_probe_feasible(
+            OrthogonalityProblem(2, ops)))["certificate"]
+        data["op_indices"] = [False, True]
+        with pytest.raises(FormatError, match="op_indices"):
+            certificate_from_json(data)
+
+
 class TestWitnessCodec:
     def _probe_witness(self):
         uset = phase_pair_set(PhasePairParams(0.3, 0.5, 0.9, math.pi - 1.7))

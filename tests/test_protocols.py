@@ -10,6 +10,7 @@ from unidisc.protocols import (
     ProductUnitarySet,
     ProtocolTree,
     StageTwo,
+    StrategyVerdict,
     check_gda,
     check_gdr,
     check_lda,
@@ -319,3 +320,21 @@ class TestHierarchyAudit:
         assert not any(lab == "GDA_separable" for lab, _ in rows)
         rows = hierarchy_audit(pauli_hadamard_set())
         assert any(lab == "GDA_separable" for lab, _ in rows)
+
+    def test_separable_row_bounded_by_gda(self, monkeypatch):
+        # a separable-probe protocol is a global adaptive one, so a
+        # distinguishable GDA_separable row under a certified GDA row is a
+        # contradiction the audit must report
+        import unidisc.separable as separable
+
+        t = np.diag([1.0, np.exp(1j * np.pi / 4)])
+        uset = ProductUnitarySet((2, 2), (("a", I2, I2), ("b", t, t)))
+        rows = dict(hierarchy_audit(uset))
+        assert rows["GDA"].status == "indistinguishable_certified"
+        assert rows["GDA_separable"].status == "indistinguishable_certified"
+        planted = StrategyVerdict("GDA_separable", "either", "distinguishable",
+                                  note="planted")
+        monkeypatch.setattr(separable, "check_gda_separable",
+                            lambda uset, tol=None: planted)
+        with pytest.raises(RuntimeError, match="GDA_separable=1 exceeds GDA=0"):
+            hierarchy_audit(uset)

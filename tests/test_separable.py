@@ -1,4 +1,4 @@
-"""Separable-probe strategies: sequential elimination and product probes.
+"""Separable-probe strategies: sequential elimination from either party.
 
 The frozen enumerations for the five-element Pauli/Hadamard family were
 hand-verified: every listed class is re-checked here from first principles
@@ -16,7 +16,11 @@ from unidisc.protocols import (
     verify_tree,
 )
 from unidisc.qcore import haar_unitary
-from unidisc.separable import check_gda_separable, separable_start_analysis
+from unidisc.separable import (
+    check_gda_separable,
+    gda_separable_analysis,
+    separable_start_analysis,
+)
 from unidisc.families import H, HX, I2, X, Z, pauli_hadamard_set
 
 W = pauli_hadamard_set()
@@ -180,18 +184,30 @@ class TestCheckGdaSeparable:
 
     def test_simultaneous_product_probe_triple(self):
         # {1x1, Zx1, 1xZ} splits under the |+>|+> probe into three
-        # distinct product cells
+        # orthogonal product states; A's evolved factors lie in the basis
+        # {|+>, |->}, so A measuring first in it is a sequential protocol
         s = ProductUnitarySet((2, 2),
                               (("a", I2, I2), ("b", Z, I2), ("c", I2, Z)))
         v = check_gda_separable(s)
         assert v.status == "distinguishable"
-        if isinstance(v.witness, ProbeWitness):
-            succ = verify_probe([s.global_unitary(i) for i in range(3)],
-                                v.witness)
-            assert np.all(np.abs(succ - 1.0) < 1e-9)
-        else:
-            res = verify_tree(s, v.witness)
-            assert np.all(np.abs(res.success - 1.0) < 1e-9)
+        assert v.starting_party == "A"
+        res = verify_tree(s, v.witness)
+        assert np.all(np.abs(res.success - 1.0) < 1e-9)
+
+    def test_pauli_grid_eight_inputs_certified(self):
+        # eight inputs exceed the four orthogonal states of C^2 (x) C^2;
+        # both sequential orders are certified by counting, with no pair
+        # of inputs blocked on both sides
+        Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+        grid = ((I2, I2), (I2, X), (X, X), (X, Y), (Y, Y), (Y, Z),
+                (Z, Z), (Z, I2))
+        s = ProductUnitarySet((2, 2), tuple(
+            (f"u{k}", a, b) for k, (a, b) in enumerate(grid)))
+        v, reports = gda_separable_analysis(s)
+        assert v.status == "indistinguishable_certified"
+        assert check_gda_separable(s).status == "indistinguishable_certified"
+        for start in ("A", "B"):
+            assert reports[start].verdict == "infeasible_certified"
 
     def test_non_qubit_honest(self):
         w3 = np.exp(2j * np.pi / 3)
