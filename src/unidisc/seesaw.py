@@ -13,6 +13,14 @@ supposed to eliminate.  This module runs a seesaw on that objective,
   semidefinite program, using a pseudo-inverse square root and completing
   any missing weight on the least-penalized outcome.
 
+Both steps work on stacked arrays: the arms sit on one axis and the
+restarts on a leading one, so every restart of a :func:`run_seesaw` call,
+warm and random, sweeps as one batch through the same kernels, one
+batched ``eigh`` and a few batched products per fixed-point iteration.  A
+restart whose sweeps have converged drops out of the batch, and so does a
+row of a measurement step whose iterates have settled.  The public
+:func:`measurement_step` and :func:`rho_step` are the kernels on one probe.
+
 A vanishing optimum means a perfect elimination measurement exists; a
 strictly positive optimum across restarts is numerical evidence (not a
 certificate) that it does not.
@@ -67,6 +75,8 @@ class EliminationTask:
         if not self.arms:
             raise ValueError("need at least one arm")
         arms = tuple(tuple(as_matrix(u) for u in arm) for arm in self.arms)
+        if not all(arms):
+            raise ValueError("every arm needs at least one operator")
         for arm in arms:
             for mat in arm:
                 if mat.shape != (self.dim, self.dim):
@@ -159,6 +169,19 @@ def quartet_alice_first_warm_start() -> tuple:
 
 # ---------------------------------------------------------------------------
 # objective and the two half-steps
+#
+# The kernels work on stacks: a probe stack is (R, d, d), a sigma or POVM
+# stack is (R, n, d, d) with one row per restart and one slot per arm.
+
+
+#: Fixed-point iterations per measurement step, and the change in the
+#: objective between iterates that ends them early.
+_STEP_ITERATIONS = 200
+_STEP_TOL = 1e-12
+#: Change in the objective between sweeps that ends a restart.
+_SWEEP_TOL = 1e-10
+#: Relative eigenvalue cutoff of the pseudo-inverse square root.
+_PINV_CUTOFF = 1e-12
 
 
 def _check_outcomes(task: EliminationTask, povm) -> None:
@@ -167,53 +190,110 @@ def _check_outcomes(task: EliminationTask, povm) -> None:
                          f"{len(task.arms)} arms")
 
 
-def _sigma_tildes(task: EliminationTask, rho: np.ndarray) -> list:
-    out = []
-    for arm in task.arms:
-        s = np.zeros((task.dim, task.dim), dtype=complex)
-        for mat in arm:
-            s += mat @ rho @ mat.conj().T
-        out.append(s)
-    return out
+def _herm(mat: np.ndarray) -> np.ndarray:
+    return (mat + mat.conj().mT) / 2
 
 
-def _score(sigmas: list, povm) -> float:
-    total = 0.0
-    for s, m in zip(sigmas, povm):
-        total += float(np.real(np.trace(s @ m)))
-    return total
+class _ArmStack:
+    """Every arm operator on one (K, d, d) stack, arm by arm: ``owner[k]`` is
+    the arm of operator ``k`` and ``starts[i]`` the first operator of arm i."""
+
+    def __init__(self, task: EliminationTask):
+        self.units = np.stack([u for arm in task.arms for u in arm])
+        self.units_h = self.units.conj().mT
+        sizes = [len(arm) for arm in task.arms]
+        self.owner = np.repeat(np.arange(len(sizes)), sizes)
+        self.starts = np.cumsum([0] + sizes[:-1])
+
+
+def _sigma_tildes(arms: _ArmStack, rho: np.ndarray) -> np.ndarray:
+    """``sigma_i = sum_{U in arm i} U rho U^dag`` for a probe stack."""
+    return np.add.reduceat(arms.units @ rho[:, None] @ arms.units_h,
+                           arms.starts, axis=1)
+
+
+def _score(sigmas: np.ndarray, povm: np.ndarray) -> np.ndarray:
+    """``sum_i Tr(sigma_i M_i)`` per row."""
+    return (sigmas @ povm).trace(axis1=-2, axis2=-1).real.sum(axis=-1)
 
 
 def elimination_objective(task: EliminationTask, rho, povm) -> float:
     """Total false-elimination weight ``sum_i Tr(sigma_i M_i)``."""
     _check_outcomes(task, povm)
     rho_m = rho.matrix if isinstance(rho, DensityOperator) else as_matrix(rho)
-    return _score(_sigma_tildes(task, rho_m), [as_matrix(m) for m in povm])
+    povm_m = np.stack([as_matrix(m) for m in povm])
+    return float(_score(_sigma_tildes(_ArmStack(task), rho_m[None]), povm_m[None])[0])
+
+
+def _rho_kernel(arms: _ArmStack, povm: np.ndarray) -> np.ndarray:
+    """Bottom eigenvector of ``K = sum_i sum_{U in arm i} U^dag M_i U`` per
+    row, as a probe stack."""
+    k = (arms.units_h @ povm[:, arms.owner] @ arms.units).sum(axis=1)
+    vecs = np.linalg.eigh(_herm(k))[1]
+    v = vecs[..., :, 0]
+    return v[:, :, None] * v.conj()[:, None, :]
 
 
 def rho_step(task: EliminationTask, povm) -> DensityOperator:
     """Exact probe update: bottom eigenvector of the averaged penalty.
     ``povm`` holds one array per arm, as :func:`measurement_step` returns."""
     _check_outcomes(task, povm)
-    k = np.zeros((task.dim, task.dim), dtype=complex)
-    for arm, mat_m in zip(task.arms, povm):
-        for mat_u in arm:
-            k += mat_u.conj().T @ mat_m @ mat_u
-    k = (k + k.conj().T) / 2
-    vals, vecs = np.linalg.eigh(k)
-    v = vecs[:, 0]
-    return DensityOperator(np.outer(v, v.conj()))
+    return DensityOperator(_rho_kernel(_ArmStack(task), np.stack(povm)[None])[0])
 
 
-def _psd_sqrt_pinv(mat: np.ndarray, cutoff: float = 1e-12) -> np.ndarray:
-    vals, vecs = np.linalg.eigh((mat + mat.conj().T) / 2)
-    inv = np.where(vals > cutoff * max(1.0, float(vals[-1])),
-                   1.0 / np.sqrt(np.clip(vals, cutoff, None)), 0.0)
-    return (vecs * inv) @ vecs.conj().T
+def _psd_sqrt_pinv(mat: np.ndarray) -> np.ndarray:
+    vals, vecs = np.linalg.eigh(_herm(mat))
+    floor = _PINV_CUTOFF * np.maximum(1.0, vals[..., -1:])
+    inv = np.where(vals > floor, 1.0 / np.sqrt(np.maximum(vals, _PINV_CUTOFF)), 0.0)
+    return (vecs * inv[..., None, :]) @ vecs.conj().mT
 
 
-def measurement_step(task: EliminationTask, rho, iterations: int = 200,
-                     tol: float = 1e-12):
+def _measurement_kernel(sigmas: np.ndarray) -> np.ndarray:
+    """Best fixed-point iterate per row of a sigma stack (see
+    :func:`measurement_step`).  A row leaves the iteration once its objective
+    settles; each row still iterating after the last one logs a warning."""
+    rows, n, d, _ = sigmas.shape
+    eye = np.eye(d, dtype=complex)
+    lam = np.linalg.eigvalsh(_herm(sigmas))[..., -1].max(axis=1) + 1e-6
+    rewards = lam[:, None, None, None] * eye - sigmas
+    povm = np.broadcast_to(eye / n, sigmas.shape)
+    best = povm
+    best_val = _score(sigmas, povm)
+    prev = best_val
+    out = np.empty(sigmas.shape, dtype=complex)
+    live = np.arange(rows)
+    for _ in range(_STEP_ITERATIONS):
+        tmt = rewards @ povm @ rewards
+        g = _psd_sqrt_pinv(tmt.sum(axis=1))[:, None]
+        new = g @ tmt @ g
+        rest = _herm(eye - new.sum(axis=1))
+        gap = np.linalg.norm(rest, axis=(1, 2)) > 1e-14
+        if gap.any():
+            # hand the uncovered subspace to the outcome it penalizes least
+            scores = (sigmas[gap] @ rest[gap, None]).trace(axis1=-2, axis2=-1).real
+            new[gap, scores.argmin(axis=1)] += rest[gap]
+        povm = _herm(new)
+        val = _score(sigmas, povm)
+        better = val < best_val
+        best = np.where(better[:, None, None, None], povm, best)
+        best_val = np.where(better, val, best_val)
+        done = np.abs(val - prev) < _STEP_TOL
+        prev = val
+        if done.any():
+            out[live[done]] = best[done]
+            keep = ~done
+            live, sigmas, rewards, povm, best, best_val, prev = (
+                a[keep] for a in (live, sigmas, rewards, povm, best, best_val, prev))
+            if not live.size:
+                return out
+    for _ in live:
+        _log.warning("measurement step did not converge in %d iterations",
+                     _STEP_ITERATIONS)
+    out[live] = best
+    return out
+
+
+def measurement_step(task: EliminationTask, rho):
     """POVM update at fixed probe via a fixed-point iteration.
 
     Minimizing ``sum_i Tr(sigma_i M_i)`` equals maximizing
@@ -225,41 +305,7 @@ def measurement_step(task: EliminationTask, rho, iterations: int = 200,
     the best iterate.
     """
     rho_m = rho.matrix if isinstance(rho, DensityOperator) else as_matrix(rho)
-    sigmas = _sigma_tildes(task, rho_m)
-    n = len(sigmas)
-    d = task.dim
-    lam = max(float(np.linalg.eigvalsh((s + s.conj().T) / 2)[-1]) for s in sigmas)
-    lam = lam + 1e-6
-    rewards = [lam * np.eye(d, dtype=complex) - s for s in sigmas]
-    povm = [np.eye(d, dtype=complex) / n for _ in range(n)]
-    best = povm
-    best_val = _score(sigmas, povm)
-    prev = best_val
-    for _ in range(iterations):
-        total = np.zeros((d, d), dtype=complex)
-        for t, m in zip(rewards, povm):
-            total += t @ m @ t
-        g = _psd_sqrt_pinv(total)
-        new = [g @ (t @ m @ t) @ g for t, m in zip(rewards, povm)]
-        covered = sum(new)
-        rest = np.eye(d, dtype=complex) - covered
-        rest = (rest + rest.conj().T) / 2
-        if float(np.linalg.norm(rest)) > 1e-14:
-            # hand the uncovered subspace to the outcome it penalizes least
-            scores = [float(np.real(np.trace(s @ rest))) for s in sigmas]
-            new[int(np.argmin(scores))] += rest
-        povm = [(m + m.conj().T) / 2 for m in new]
-        val = _score(sigmas, povm)
-        if val < best_val:
-            best_val = val
-            best = povm
-        if abs(val - prev) < tol:
-            break
-        prev = val
-    else:
-        _log.warning("measurement step did not converge in %d iterations",
-                     iterations)
-    return tuple(best)
+    return tuple(_measurement_kernel(_sigma_tildes(_ArmStack(task), rho_m[None]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -272,12 +318,34 @@ def _random_rho(dim: int, rng: np.random.Generator) -> DensityOperator:
     return DensityOperator(np.outer(v, v.conj()))
 
 
+def _starts(task: EliminationTask, restarts: int, seed: int, warm_starts):
+    """Probe and POVM (or ``None``) of every start: warm starts, then random."""
+    starts = []
+    for entry in warm_starts:
+        if isinstance(entry, (tuple, list)):
+            rho0, povm0 = entry
+        else:
+            rho0, povm0 = entry, None
+        if not isinstance(rho0, DensityOperator):
+            rho0 = DensityOperator(as_matrix(rho0))
+        if rho0.dim != task.dim:
+            raise ValueError(f"warm-start rho is {rho0.dim}x{rho0.dim}, "
+                             f"the task dimension is {task.dim}")
+        if povm0 is not None:
+            _check_outcomes(task, povm0)
+            povm0 = np.stack(check_povm(povm0, task.dim, "warm-start POVM"))
+        starts.append((rho0.matrix, povm0))
+    for r in range(restarts):
+        rng = np.random.default_rng([seed, r])
+        starts.append((_random_rho(task.dim, rng).matrix, None))
+    return starts
+
+
 def run_seesaw(
     task: EliminationTask,
     restarts: int = 50,
     seed: int = 0,
     max_sweeps: int = 2000,
-    sweep_tol: float = 1e-10,
     warm_starts=(),
 ) -> SeesawResult:
     """Best elimination value over seeded random restarts.
@@ -287,62 +355,65 @@ def run_seesaw(
     increase the objective, so accepted sweep values are non-increasing up
     to the sweep tolerance.  ``warm_starts`` entries are ``(rho, povm)``
     pairs (``povm`` may be ``None``) evaluated before the random restarts.
-    A warm-start POVM must have one (dim, dim) Hermitian PSD element per arm,
-    summing to the identity; it is checked on entry (``ValueError``).
-    Reported ``s_max`` is one minus the smallest objective found.
+    A warm-start rho must be a (dim, dim) density operator, and a warm-start
+    POVM must have one (dim, dim) Hermitian PSD element per arm, summing to
+    the identity; both are checked on entry (``ValueError``).  All restarts
+    sweep together as one stack; a restart leaves it once it converges.
+    Reported ``s_max`` is one minus the smallest objective found, taking the
+    first start in order on ties within 1e-15.
     """
     if restarts < 1 and not warm_starts:
         raise ValueError("need at least one restart or warm start")
-    starts = []
-    for entry in warm_starts:
-        if isinstance(entry, (tuple, list)):
-            rho0, povm0 = entry
-        else:
-            rho0, povm0 = entry, None
-        if povm0 is not None:
-            _check_outcomes(task, povm0)
-            povm0 = check_povm(povm0, task.dim, "warm-start POVM")
-        starts.append((rho0 if isinstance(rho0, DensityOperator)
-                       else DensityOperator(as_matrix(rho0)), povm0))
-    for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
-        starts.append((_random_rho(task.dim, rng), None))
+    starts = _starts(task, restarts, seed, warm_starts)
+    arms = _ArmStack(task)
+    rho = np.stack([r for r, _ in starts])
+    sigmas = _sigma_tildes(arms, rho)
+    cold = [i for i, (_, p) in enumerate(starts) if p is None]
+    povm = np.empty(sigmas.shape, dtype=complex)
+    for i, (_, p) in enumerate(starts):
+        if p is not None:
+            povm[i] = p
+    if cold:
+        povm[cold] = _measurement_kernel(sigmas[cold])
+    current = _score(sigmas, povm)
+    trajs = [[float(v)] for v in current]
 
-    best_val = None
-    best_rho = None
-    best_povm = None
-    best_traj = None
-    per_restart = []
-    for rho, povm in starts:
-        if povm is None:
-            povm = measurement_step(task, rho)
-        current = _score(_sigma_tildes(task, rho.matrix), povm)
-        traj = [current]
-        sweeps = 0
-        for sweeps in range(1, max_sweeps + 1):
-            rho = rho_step(task, povm)
-            cand_povm = measurement_step(task, rho)
-            sigmas = _sigma_tildes(task, rho.matrix)
-            cand = _score(sigmas, cand_povm)
-            if cand <= current + sweep_tol:
-                povm = cand_povm
-            new = _score(sigmas, povm)
-            traj.append(min(new, current))
-            if abs(current - new) < sweep_tol:
-                current = min(new, current)
+    # final probe, POVM, value and sweep count per start
+    final_rho, final_povm = rho.copy(), povm.copy()
+    final_val = current.copy()
+    sweeps = np.zeros(len(starts), dtype=int)
+    live = np.arange(len(starts))
+    for sweep in range(1, max_sweeps + 1):
+        rho = _rho_kernel(arms, povm)
+        sigmas = _sigma_tildes(arms, rho)
+        cand_povm = _measurement_kernel(sigmas)
+        accept = _score(sigmas, cand_povm) <= current + _SWEEP_TOL
+        povm = np.where(accept[:, None, None, None], cand_povm, povm)
+        new = _score(sigmas, povm)
+        done = np.abs(current - new) < _SWEEP_TOL
+        current = np.minimum(new, current)
+        for i, v in zip(live, current):
+            trajs[i].append(float(v))
+        if sweep == max_sweeps:
+            done[:] = True
+        if done.any():
+            ended = live[done]
+            final_rho[ended], final_povm[ended] = rho[done], povm[done]
+            final_val[ended], sweeps[ended] = current[done], sweep
+            keep = ~done
+            live, povm, current = live[keep], povm[keep], current[keep]
+            if not live.size:
                 break
-            current = min(new, current)
-        per_restart.append((current, sweeps))
-        if best_val is None or current < best_val - 1e-15:
-            best_val = current
-            best_rho = rho
-            best_povm = povm
-            best_traj = tuple(traj)
+
+    best = 0
+    for i in range(1, len(starts)):
+        if final_val[i] < final_val[best] - 1e-15:
+            best = i
     return SeesawResult(
-        s_max=1.0 - best_val,
-        rho=best_rho,
-        povm=best_povm,
-        trajectory=best_traj,
+        s_max=1.0 - float(final_val[best]),
+        rho=DensityOperator(final_rho[best]),
+        povm=tuple(final_povm[best]),
+        trajectory=tuple(trajs[best]),
         restarts_used=len(starts),
-        per_restart=tuple(per_restart),
+        per_restart=tuple((float(v), int(s)) for v, s in zip(final_val, sweeps)),
     )

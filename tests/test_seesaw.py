@@ -8,6 +8,8 @@ phi < pi (the overlap cannot drop below the hull distance cos(phi/2)).
 So s_max = sin(phi/2) exactly.
 """
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,105 @@ def grid_minimum(phi, step_deg=1.0):
     return best
 
 
+# ---------------------------------------------------------------------------
+# reference oracle: the one-restart, one-arm-at-a-time seesaw that the
+# stacked kernels replaced, kept verbatim in its arithmetic
+
+
+def _ref_sigmas(task, rho):
+    out = []
+    for arm in task.arms:
+        s = np.zeros((task.dim, task.dim), dtype=complex)
+        for mat in arm:
+            s += mat @ rho @ mat.conj().T
+        out.append(s)
+    return out
+
+
+def _ref_score(sigmas, povm):
+    return sum((float(np.real(np.trace(s @ m))) for s, m in zip(sigmas, povm)), 0.0)
+
+
+def _ref_rho_step(task, povm):
+    k = np.zeros((task.dim, task.dim), dtype=complex)
+    for arm, mat_m in zip(task.arms, povm):
+        for mat_u in arm:
+            k += mat_u.conj().T @ mat_m @ mat_u
+    v = np.linalg.eigh((k + k.conj().T) / 2)[1][:, 0]
+    return np.outer(v, v.conj())
+
+
+def _ref_sqrt_pinv(mat):
+    vals, vecs = np.linalg.eigh((mat + mat.conj().T) / 2)
+    inv = np.where(vals > 1e-12 * max(1.0, float(vals[-1])),
+                   1.0 / np.sqrt(np.clip(vals, 1e-12, None)), 0.0)
+    return (vecs * inv) @ vecs.conj().T
+
+
+def _ref_measurement_step(task, rho, misses):
+    sigmas = _ref_sigmas(task, rho)
+    n, d = len(sigmas), task.dim
+    lam = max(float(np.linalg.eigvalsh((s + s.conj().T) / 2)[-1]) for s in sigmas) + 1e-6
+    rewards = [lam * np.eye(d, dtype=complex) - s for s in sigmas]
+    best = povm = [np.eye(d, dtype=complex) / n for _ in range(n)]
+    best_val = prev = _ref_score(sigmas, povm)
+    for _ in range(200):
+        total = np.zeros((d, d), dtype=complex)
+        for t, m in zip(rewards, povm):
+            total += t @ m @ t
+        g = _ref_sqrt_pinv(total)
+        new = [g @ (t @ m @ t) @ g for t, m in zip(rewards, povm)]
+        rest = np.eye(d, dtype=complex) - sum(new)
+        rest = (rest + rest.conj().T) / 2
+        if float(np.linalg.norm(rest)) > 1e-14:
+            new[int(np.argmin([float(np.real(np.trace(s @ rest))) for s in sigmas]))] += rest
+        povm = [(m + m.conj().T) / 2 for m in new]
+        val = _ref_score(sigmas, povm)
+        if val < best_val:
+            best_val, best = val, povm
+        if abs(val - prev) < 1e-12:
+            break
+        prev = val
+    else:
+        misses.append(rho)
+    return best
+
+
+def _ref_run(task, starts, max_sweeps=2000):
+    """Per start ``(value, sweeps, trajectory)`` and the non-converged
+    measurement-step count; ``starts`` are ``(rho, povm or None)`` arrays."""
+    runs, misses = [], []
+    for rho, povm in starts:
+        if povm is None:
+            povm = _ref_measurement_step(task, rho, misses)
+        current = _ref_score(_ref_sigmas(task, rho), povm)
+        traj, sweeps = [current], 0
+        for sweeps in range(1, max_sweeps + 1):
+            rho = _ref_rho_step(task, povm)
+            cand_povm = _ref_measurement_step(task, rho, misses)
+            sigmas = _ref_sigmas(task, rho)
+            if _ref_score(sigmas, cand_povm) <= current + 1e-10:
+                povm = cand_povm
+            new = _ref_score(sigmas, povm)
+            traj.append(min(new, current))
+            done = abs(current - new) < 1e-10
+            current = min(new, current)
+            if done:
+                break
+        runs.append((current, sweeps, tuple(traj)))
+    return runs, len(misses)
+
+
+def _random_starts(dim, restarts, seed):
+    starts = []
+    for r in range(restarts):
+        rng = np.random.default_rng([seed, r])
+        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        v = v / np.linalg.norm(v)
+        starts.append((np.outer(v, v.conj()), None))
+    return starts
+
+
 class TestEliminationTask:
     def test_validates_arm_shapes(self):
         with pytest.raises(ValueError):
@@ -64,6 +165,10 @@ class TestEliminationTask:
     def test_validates_empty(self):
         with pytest.raises(ValueError):
             EliminationTask(dim=2, arms=())
+
+    def test_validates_empty_arm(self):
+        with pytest.raises(ValueError, match="at least one operator"):
+            EliminationTask(dim=2, arms=((I2,), ()))
 
     def test_stores_arms_as_complex_arrays(self):
         task = EliminationTask(dim=2, arms=(([[1, 0], [0, 1]],), ([[0, 1], [1, 0]],)))
@@ -204,9 +309,79 @@ class TestQuartetTasks:
             run_seesaw(quartet_bob_first_task(), restarts=0,
                        warm_starts=((rho, povm),))
 
+    def test_warm_start_rho_of_wrong_dimension_rejected(self):
+        rho = DensityOperator(np.eye(3) / 3)
+        with pytest.raises(ValueError, match=r"warm-start rho is 3x3, the task dimension is 9"):
+            run_seesaw(quartet_bob_first_task(), restarts=0,
+                       warm_starts=((rho, None),))
+
+    def test_nonconverged_measurement_steps_logged_once_each(self, caplog):
+        # seed 39 has two measurement steps that run all 200 iterations
+        with caplog.at_level(logging.WARNING, logger="unidisc.seesaw"):
+            run_seesaw(quartet_bob_first_task(), restarts=1, seed=39)
+        assert _nonconverged(caplog) == 2
+        assert len(caplog.records) == 2
+
     def test_warm_start_without_povm(self):
         task = quartet_alice_first_task()
         rho, _ = quartet_alice_first_warm_start()
         res = run_seesaw(task, restarts=1, seed=0,
                          warm_starts=((rho, None),))
         assert abs(res.s_max - 1.0) < 1e-9
+
+
+def _assert_matches_reference(res, runs):
+    assert len(res.per_restart) == len(runs)
+    for (value, sweeps), (ref_value, ref_sweeps, _) in zip(res.per_restart, runs):
+        assert abs(value - ref_value) <= 1e-12
+        assert sweeps == ref_sweeps
+    best = 0
+    for i, run in enumerate(runs):
+        if run[0] < runs[best][0] - 1e-15:
+            best = i
+    assert abs(res.s_max - (1.0 - runs[best][0])) <= 1e-12
+    assert len(res.trajectory) == len(runs[best][2])
+    assert np.max(np.abs(np.subtract(res.trajectory, runs[best][2]))) <= 1e-12
+
+
+def _nonconverged(caplog):
+    return sum(r.getMessage() == "measurement step did not converge in 200 iterations"
+               for r in caplog.records)
+
+
+class TestReferenceOracle:
+    """Stacked arms and restarts reproduce the one-at-a-time seesaw."""
+
+    @pytest.mark.parametrize("seed", [1, 39])
+    def test_quartet_bob_first(self, seed, caplog):
+        task = quartet_bob_first_task()
+        with caplog.at_level(logging.WARNING, logger="unidisc.seesaw"):
+            res = run_seesaw(task, restarts=3, seed=seed)
+        runs, misses = _ref_run(task, _random_starts(task.dim, 3, seed))
+        _assert_matches_reference(res, runs)
+        assert _nonconverged(caplog) == misses
+
+    @pytest.mark.parametrize("arms", ["toy", "unequal"])
+    def test_qubit_tasks(self, arms):
+        t = np.diag([1.0, np.exp(1j * np.pi / 4)])
+        task = (two_arm_task(np.pi / 4) if arms == "toy"
+                else EliminationTask(dim=2, arms=((I2, t), (t @ t,))))
+        res = run_seesaw(task, restarts=5, seed=0)
+        runs, _ = _ref_run(task, _random_starts(task.dim, 5, 0))
+        _assert_matches_reference(res, runs)
+
+    def test_warm_starts_ahead_of_random_restarts(self):
+        task = quartet_alice_first_task()
+        rho, povm = quartet_alice_first_warm_start()
+        rng = np.random.default_rng(11)
+        v = rng.normal(size=9) + 1j * rng.normal(size=9)
+        v /= np.linalg.norm(v)
+        other = np.outer(v, v.conj())
+        uniform = (np.eye(9) / 2, np.eye(9) / 2)
+        warm = ((other, uniform), (rho, None), (other, None), other, (rho, povm))
+        res = run_seesaw(task, restarts=2, seed=2, warm_starts=warm)
+        starts = [(other, np.array(uniform, dtype=complex)), (rho.matrix, None),
+                  (other, None), (other, None), (rho.matrix, np.array(povm))]
+        runs, _ = _ref_run(task, starts + _random_starts(task.dim, 2, 2))
+        _assert_matches_reference(res, runs)
+        assert res.restarts_used == 7
