@@ -2,9 +2,11 @@
 
 Two unitaries u1, u2 can be told apart perfectly in a single shot iff the
 origin lies in the convex hull of the eigenvalues of u1{dag} u2 on the unit
-circle.  The distance from the origin to that hull is computed with exact
-2-D geometry (no iterative optimization), together with convex weights
-attaining it; a vanishing distance converts directly into a probe and a
+circle.  Points on the circle are all hull vertices, so the hull is their
+circular order, and the origin is outside it exactly when one angular gap
+exceeds pi; the distance is then that of the chord across the gap.  The
+distance comes with convex weights attaining it (no iterative
+optimization); a vanishing distance converts directly into a probe and a
 two-outcome measurement that succeed with certainty.
 """
 
@@ -72,67 +74,29 @@ class PairProbe:
     ancilla_dim: int = 1
 
 
-# -----------------------------------------------------------------------------
-# Planar geometry helpers
-# -----------------------------------------------------------------------------
-
-def _cross(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _convex_hull(pts):
-    """Monotone-chain hull; returns indices into pts in CCW order."""
-    order = sorted(range(len(pts)), key=lambda i: (pts[i][0], pts[i][1]))
-    if len(order) <= 2:
-        return order
-    lo = []
-    for i in order:
-        while len(lo) >= 2 and _cross(pts[lo[-2]], pts[lo[-1]], pts[i]) <= 0:
-            lo.pop()
-        lo.append(i)
-    hi = []
-    for i in reversed(order):
-        while len(hi) >= 2 and _cross(pts[hi[-2]], pts[hi[-1]], pts[i]) <= 0:
-            hi.pop()
-        hi.append(i)
-    return lo[:-1] + hi[:-1]
-
-
 def _segment_closest(a, b):
-    """Closest point to the origin on segment ab; returns (point, t) with
-    point = t*a + (1-t)*b."""
+    """Closest point to the origin on segment ab, for a != b; returns
+    (point, t) with point = t*a + (1-t)*b."""
     ab = b - a
-    denom = float(ab @ ab)
-    if denom < 1e-30:
-        return a, 1.0
-    # param s along a -> b
-    s = float(-(a @ ab)) / denom
+    s = float(-(a @ ab)) / float(ab @ ab)
     s = min(1.0, max(0.0, s))
     p = a + s * ab
     return p, 1.0 - s
 
 
-def _origin_in_hull(pts, hull):
-    """Strict-or-boundary containment test for the origin, CCW hull."""
-    n = len(hull)
-    for k in range(n):
-        a = pts[hull[k]]
-        b = pts[hull[(k + 1) % n]]
-        if _cross(a, b, (0.0, 0.0)) < -1e-15:
-            return False
-    return True
+def _side(a, b):
+    """Twice the signed area of (a, b, 0): positive if 0 is left of a -> b."""
+    return a[0] * (b[1] - a[1]) - a[1] * (b[0] - a[0])
 
-
-# -----------------------------------------------------------------------------
-# Main criterion
-# -----------------------------------------------------------------------------
 
 def min_convex_norm(phases, tol: Tolerances = DEFAULT_TOL) -> ConvexNormResult:
     """Distance from the origin to the convex hull of {e^{i theta_j}}.
 
-    Exact case analysis: single point, collinear segment, full polygon with
-    the origin inside (weights from a containing triangle) or outside
-    (closest vertex or perpendicular foot on an edge).
+    Every distinct point on the unit circle is a hull vertex, so the merged
+    points in counter-clockwise order are the hull.  Only the chord across
+    the widest angular gap can face the origin; if it does, the closest
+    point lies on it, otherwise the barycentric coordinates of a fan
+    triangle containing the origin are the weights.
     """
     phases = np.atleast_1d(np.asarray(phases))
     if np.iscomplexobj(phases):
@@ -141,21 +105,14 @@ def min_convex_norm(phases, tol: Tolerances = DEFAULT_TOL) -> ConvexNormResult:
     if phases.size == 0:
         raise ValueError("need at least one phase")
     points = np.exp(1j * phases)
-    m = points.size
 
     # merge numerically identical points, keeping the first representative
     reps: list[int] = []
-    owner = np.empty(m, dtype=int)
-    for j in range(m):
-        for r in reps:
-            if abs(points[j] - points[r]) < _DEDUPE:
-                owner[j] = r
-                break
-        else:
+    for j in range(points.size):
+        if not any(abs(points[j] - points[r]) < _DEDUPE for r in reps):
             reps.append(j)
-            owner[j] = j
 
-    weights = np.zeros(m)
+    weights = np.zeros(points.size)
 
     def finish(norm, wmap):
         for idx, w in wmap.items():
@@ -183,49 +140,32 @@ def min_convex_norm(phases, tol: Tolerances = DEFAULT_TOL) -> ConvexNormResult:
         p, t = _segment_closest(pts[0], pts[1])
         return finish(float(np.hypot(*p)), {reps[0]: t, reps[1]: 1.0 - t})
 
-    hull = _convex_hull(pts)
+    # counter-clockwise from the leftmost point (the lowest one on ties)
+    first = min(range(len(pts)), key=lambda k: (pts[k][0], pts[k][1]))
+    angle = np.angle(points[reps])
+    turn = np.mod(angle - angle[first], 2 * np.pi).tolist()
+    hull = sorted(range(len(turn)), key=turn.__getitem__)
+    ends = [turn[h] for h in hull] + [2 * np.pi]
+    k = max(range(len(hull)), key=lambda g: ends[g + 1] - ends[g])  # widest gap
+    a, b = hull[k], hull[(k + 1) % len(hull)]
+    p, t = _segment_closest(pts[a], pts[b])
+    chord = (float(np.hypot(*p)), {reps[a]: t, reps[b]: 1.0 - t})
+    if _side(pts[a], pts[b]) < -1e-15:
+        return finish(*chord)
 
-    if len(hull) <= 2:
-        # all representatives collinear; the extremes span the segment
-        a, b = hull[0], hull[-1] if len(hull) == 2 else hull[0]
-        if len(hull) == 1:
-            a = b = hull[0]
-        p, t = _segment_closest(pts[a], pts[b])
-        norm = float(np.hypot(*p))
-        # interior collinear points may coincide with the foot; the two
-        # extremes always suffice
-        return finish(norm, {reps[a]: t, reps[b]: 1.0 - t})
-
-    if _origin_in_hull(pts, hull):
-        # fan triangulation from hull[0]; the origin lies in some triangle
-        anchor = hull[0]
-        for k in range(1, len(hull) - 1):
-            i, j = hull[k], hull[k + 1]
-            a, b, c = pts[anchor], pts[i], pts[j]
-            det = (b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1])
-            if abs(det) < 1e-15:
-                continue
-            l1 = ((0.0 - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (0.0 - a[1])) / det
-            l2 = ((b[0] - a[0]) * (0.0 - a[1]) - (0.0 - a[0]) * (b[1] - a[1])) / det
-            l0 = 1.0 - l1 - l2
-            if min(l0, l1, l2) >= -1e-12:
-                wmap = {reps[anchor]: max(l0, 0.0)}
-                wmap[reps[i]] = wmap.get(reps[i], 0.0) + max(l1, 0.0)
-                wmap[reps[j]] = wmap.get(reps[j], 0.0) + max(l2, 0.0)
-                return finish(0.0, wmap)
-        raise AssertionError("origin inside hull but no containing triangle found")
-
-    # origin outside: minimize over edges (covers vertices at t in {0,1})
-    best = None
-    n = len(hull)
-    for k in range(n):
-        a_i, b_i = hull[k], hull[(k + 1) % n]
-        p, t = _segment_closest(pts[a_i], pts[b_i])
-        dist = float(np.hypot(*p))
-        if best is None or dist < best[0]:
-            best = (dist, a_i, b_i, t)
-    dist, a_i, b_i, t = best
-    return finish(dist, {reps[a_i]: t, reps[b_i]: 1.0 - t})
+    anchor = pts[hull[0]]
+    for i, j in zip(hull[1:-1], hull[2:]):
+        u, v = pts[i] - anchor, pts[j] - anchor
+        det = u[0] * v[1] - v[0] * u[1]
+        if abs(det) < 1e-15:
+            continue
+        l1 = -_side(anchor, pts[j]) / det
+        l2 = _side(anchor, pts[i]) / det
+        l0 = 1.0 - l1 - l2
+        if min(l0, l1, l2) >= -1e-12:
+            return finish(0.0, {reps[hull[0]]: l0, reps[i]: l1, reps[j]: l2})
+    # no fan triangle passed within rounding: the origin lies on the chord
+    return finish(*chord)
 
 
 def pair_distinguishable(u1, u2, tol: Tolerances = DEFAULT_TOL) -> ConvexNormResult:

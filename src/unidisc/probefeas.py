@@ -110,7 +110,7 @@ def _hermitian_parts(k):
     return (k + k.conj().T) / 2, (k - k.conj().T) / 2j
 
 
-def _certificate_from_lp(ops, indices, farkas, tol):
+def _certificate_from_lp(ops, indices, farkas):
     """Convert a Farkas vector of the eigenbasis LP into a spectral bound."""
     y = farkas.y
     coeffs = -np.asarray(y[:-1], dtype=float)  # drop the normalization row
@@ -150,7 +150,7 @@ def _solve_commuting(problem, indices, tol):
     for k in ops:
         h, s = _hermitian_parts(k)
         parts.extend([h, s])
-    basis = simultaneous_eigenbasis(parts, tol)
+    basis = simultaneous_eigenbasis(parts)
     d = problem.dim
     mu = np.empty((len(ops), d), dtype=complex)
     for t, k in enumerate(ops):
@@ -176,7 +176,7 @@ def _solve_commuting(problem, indices, tol):
             residual=float(np.max(np.abs(mu @ q))),
             note="common-eigenbasis linear program",
         )
-    cert = _certificate_from_lp(problem.operators, indices, lp.certificate, tol)
+    cert = _certificate_from_lp(problem.operators, indices, lp.certificate)
     return ProbeFeasibility(
         status="infeasible_certified",
         certificate=cert,
@@ -207,15 +207,13 @@ def _solve_by_projections(problem, tol, restarts=10, iterations=5000, seed=0):
     affine constraint subspace.  Heuristic: success yields a witness, but a
     residual floor is not an infeasibility proof."""
     d = problem.dim
+    # never empty: the caller handles an empty constraint set, and each
+    # operator is unitary, so one of its two parts is nonzero
     funcs = []
     for k in problem.operators:
         for g in _hermitian_parts(k):
             if np.max(np.abs(g)) > 1e-14:
                 funcs.append(g)
-    if not funcs:
-        rho = np.eye(d) / d
-        return ProbeFeasibility(status="feasible", witness=DensityOperator(rho),
-                                residual=0.0, note="no nontrivial constraints")
 
     gram = np.array([[np.vdot(gi, gj).real for gj in funcs] for gi in funcs])
     gram_pinv = np.linalg.pinv(gram, rcond=1e-12)

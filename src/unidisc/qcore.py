@@ -279,7 +279,7 @@ def partial_trace(rho, dims, keep) -> np.ndarray:
 _CLUSTER_GAP = 1e-8
 
 
-def simultaneous_eigenbasis(ops, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def simultaneous_eigenbasis(ops) -> np.ndarray:
     """Common eigenbasis of a family of commuting Hermitian operators.
 
     Blockwise refinement: diagonalize the first operator, then within each
@@ -356,7 +356,7 @@ def eig_unitary(u, tol: Tolerances = DEFAULT_TOL):
     if np.max(np.abs(diag - np.diag(np.diag(diag)))) <= 1e-10:
         basis = q
     if basis is None:
-        basis = simultaneous_eigenbasis([c, s], tol)
+        basis = simultaneous_eigenbasis([c, s])
 
     lam = np.diag(basis.conj().T @ mat @ basis)
     resid = np.max(np.abs(mat @ basis - basis * lam[None, :]))

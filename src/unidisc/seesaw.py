@@ -190,6 +190,13 @@ def _check_outcomes(task: EliminationTask, povm) -> None:
                          f"{len(task.arms)} arms")
 
 
+def _check_dim(task: EliminationTask, mats: np.ndarray, what: str) -> None:
+    """``mats`` is one matrix or a stack of them, each (dim, dim)."""
+    if mats.shape[-2:] != (task.dim, task.dim):
+        rows, cols = mats.shape[-2:]
+        raise ValueError(f"{what} is {rows}x{cols}, the task dimension is {task.dim}")
+
+
 def _herm(mat: np.ndarray) -> np.ndarray:
     return (mat + mat.conj().mT) / 2
 
@@ -222,6 +229,8 @@ def elimination_objective(task: EliminationTask, rho, povm) -> float:
     _check_outcomes(task, povm)
     rho_m = rho.matrix if isinstance(rho, DensityOperator) else as_matrix(rho)
     povm_m = np.stack([as_matrix(m) for m in povm])
+    _check_dim(task, rho_m, "rho")
+    _check_dim(task, povm_m, "each POVM element")
     return float(_score(_sigma_tildes(_ArmStack(task), rho_m[None]), povm_m[None])[0])
 
 
@@ -238,7 +247,9 @@ def rho_step(task: EliminationTask, povm) -> DensityOperator:
     """Exact probe update: bottom eigenvector of the averaged penalty.
     ``povm`` holds one array per arm, as :func:`measurement_step` returns."""
     _check_outcomes(task, povm)
-    return DensityOperator(_rho_kernel(_ArmStack(task), np.stack(povm)[None])[0])
+    povm_m = np.stack(povm)
+    _check_dim(task, povm_m, "each POVM element")
+    return DensityOperator(_rho_kernel(_ArmStack(task), povm_m[None])[0])
 
 
 def _psd_sqrt_pinv(mat: np.ndarray) -> np.ndarray:
@@ -305,6 +316,7 @@ def measurement_step(task: EliminationTask, rho):
     the best iterate.
     """
     rho_m = rho.matrix if isinstance(rho, DensityOperator) else as_matrix(rho)
+    _check_dim(task, rho_m, "rho")
     return tuple(_measurement_kernel(_sigma_tildes(_ArmStack(task), rho_m[None]))[0])
 
 
@@ -328,9 +340,7 @@ def _starts(task: EliminationTask, restarts: int, seed: int, warm_starts):
             rho0, povm0 = entry, None
         if not isinstance(rho0, DensityOperator):
             rho0 = DensityOperator(as_matrix(rho0))
-        if rho0.dim != task.dim:
-            raise ValueError(f"warm-start rho is {rho0.dim}x{rho0.dim}, "
-                             f"the task dimension is {task.dim}")
+        _check_dim(task, rho0.matrix, "warm-start rho")
         if povm0 is not None:
             _check_outcomes(task, povm0)
             povm0 = np.stack(check_povm(povm0, task.dim, "warm-start POVM"))

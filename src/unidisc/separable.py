@@ -336,6 +336,26 @@ def separable_start_analysis(
                                 any_probe=any_probe)
             )
 
+    def report(verdict, tree, note):
+        return SeparableStartReport(
+            starting_party=start,
+            responder_pairs=pair_list,
+            necessary_sets=necessary,
+            eliminable=tuple(eliminable),
+            verdict=verdict,
+            tree=tree,
+            note=note,
+        )
+
+    if m >= 5:
+        # admissible classes have at least m - 2 members, so at most one
+        # exists, and a single rank-1 class never completes a POVM
+        return report("infeasible_certified", None, (
+            "any informative outcome on a qubit eliminates one parallel class of "
+            f"at least {m - 2} inputs; two disjoint such classes would need "
+            f"{2 * (m - 2)} > {m} inputs, so no elimination POVM exists"
+        ))
+
     # search over candidate probes for a completable elimination POVM
     for probe in _candidate_probes(s_factors, tol):
         evolved = [f @ probe for f in s_factors]
@@ -355,48 +375,22 @@ def separable_start_analysis(
             continue
         tree = _sequential_tree(uset, start, responder, probe, admissible,
                                 weights, tol)
-        return SeparableStartReport(
-            starting_party=start,
-            responder_pairs=pair_list,
-            necessary_sets=necessary,
-            eliminable=tuple(eliminable),
-            verdict="distinguishable",
-            tree=tree,
-            note="elimination probe found by exhaustive ray search",
-        )
+        return report("distinguishable", tree,
+                      "elimination probe found by exhaustive ray search")
 
-    if m >= 5:
-        verdict = "infeasible_certified"
-        note = (
-            "any informative outcome on a qubit eliminates one parallel class of "
-            f"at least {m - 2} inputs; two disjoint such classes would need "
-            f"{2 * (m - 2)} > {m} inputs, so no elimination POVM exists"
-        )
-    elif m == 4:
-        verdict = "infeasible_certified"
-        note = (
+    if m == 4:
+        return report("infeasible_certified", None, (
             "exhaustive probe search failed; every completable structure pairs "
             "two orthogonal elimination rays, and all probes realizing one "
             "appear among the relative-factor eigenrays and balance points"
-        )
-    elif not good_pairs:
-        verdict = "infeasible_certified"
-        note = (
+        ))
+    if not good_pairs:
+        return report("infeasible_certified", None, (
             "the responding party cannot finish any pair, and a single "
             "retained-pair class can never complete a POVM alone"
-        )
-    else:
-        verdict = "not_found"
-        note = "probe search failed; the three-input case is not certified"
-    return SeparableStartReport(
-        starting_party=start,
-        responder_pairs=pair_list,
-        necessary_sets=necessary,
-        eliminable=tuple(eliminable),
-        verdict=verdict,
-        tree=None,
-        note=note,
-    )
+        ))
+    return report("not_found", None,
+                  "probe search failed; the three-input case is not certified")
 
 
 # ---------------------------------------------------------------------------

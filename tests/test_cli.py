@@ -316,6 +316,16 @@ def test_module_entry_point_exit_code_indistinguishable(tmp_path):
     assert "verdict: indistinguishable" in proc.stdout
 
 
+def test_module_entry_point_pair_on_a_near_antipodal_chord(tmp_path):
+    # relative phases {0, pi - 1e-6, pi}: the origin lies on the chord
+    # across the widest gap, where no fan triangle contains it in rounding
+    a = write_matrix(tmp_path / "a.json", np.eye(3))
+    b = write_matrix(tmp_path / "b.json", np.diag([1.0, -1.0, -np.exp(-1e-6j)]))
+    proc = run_cli([sys.executable, "-m", "unidisc", "pair", a, b, "--json"])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["status"] == "distinguishable"
+
+
 @pytest.mark.skipif(shutil.which("unidisc") is None,
                     reason="no unidisc console script on PATH")
 def test_installed_console_script(pair_files):

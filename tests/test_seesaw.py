@@ -207,6 +207,25 @@ class TestObjectiveAndSteps:
         with pytest.raises(ValueError, match="arms"):
             rho_step(task, (np.eye(9),))
 
+    @pytest.mark.parametrize("rho_dim, povm_dim, what", [
+        (3, 9, "rho"),
+        (9, 3, "each POVM element"),
+    ])
+    def test_objective_rejects_wrong_dimension(self, rho_dim, povm_dim, what):
+        rho = DensityOperator(np.eye(rho_dim) / rho_dim)
+        povm = (np.eye(povm_dim) / 4,) * 4
+        with pytest.raises(ValueError, match=f"{what} is 3x3, the task dimension is 9"):
+            elimination_objective(quartet_bob_first_task(), rho, povm)
+
+    def test_rho_step_rejects_wrong_dimension(self):
+        with pytest.raises(ValueError, match="each POVM element is 3x3, "
+                                             "the task dimension is 9"):
+            rho_step(quartet_bob_first_task(), (np.eye(3) / 4,) * 4)
+
+    def test_measurement_step_rejects_wrong_dimension(self):
+        with pytest.raises(ValueError, match="rho is 3x3, the task dimension is 9"):
+            measurement_step(quartet_bob_first_task(), DensityOperator(np.eye(3) / 3))
+
     def test_rho_step_bottom_eigenvector(self):
         task = two_arm_task(np.pi / 4)
         povm = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))

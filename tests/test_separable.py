@@ -16,6 +16,7 @@ from unidisc.protocols import (
     verify_tree,
 )
 from unidisc.qcore import haar_unitary
+from unidisc import separable
 from unidisc.separable import (
     check_gda_separable,
     gda_separable_analysis,
@@ -122,6 +123,19 @@ class TestStartAnalysisPauliHadamard:
     def test_five_inputs_counting_note(self):
         rep = separable_start_analysis(W, "A")
         assert "disjoint" in rep.note or "eliminates" in rep.note
+
+    @pytest.mark.parametrize("start", ["A", "B"])
+    def test_five_inputs_settled_without_probe_search(self, start, monkeypatch):
+        # the counting argument needs no candidate probe
+        expected = separable_start_analysis(W, start)
+
+        def no_search(*args):
+            raise AssertionError("probe search ran")
+
+        monkeypatch.setattr(separable, "_candidate_probes", no_search)
+        rep = separable_start_analysis(W, start)
+        assert (rep.verdict, rep.note, rep.necessary_sets) == (
+            expected.verdict, expected.note, expected.necessary_sets)
 
 
 class TestStartAnalysisSmall:
