@@ -162,7 +162,10 @@ def min_convex_norm(phases, tol: Tolerances = DEFAULT_TOL) -> ConvexNormResult:
         l1 = -_side(anchor, pts[j]) / det
         l2 = _side(anchor, pts[i]) / det
         l0 = 1.0 - l1 - l2
-        if min(l0, l1, l2) >= -1e-12:
+        # a sliver triangle can pass the sign test on rounding alone, so its
+        # weights must also land on the origin
+        miss = np.hypot(*(l0 * anchor + l1 * pts[i] + l2 * pts[j]))
+        if min(l0, l1, l2) >= -1e-12 and miss <= 10 * tol.orthogonality:
             return finish(0.0, {reps[hull[0]]: l0, reps[i]: l1, reps[j]: l2})
     # no fan triangle passed within rounding: the origin lies on the chord
     return finish(*chord)

@@ -6,7 +6,9 @@ the system satisfies Tr(rho K) = 0 for every relative unitary K = u_i{dag}
 u_j in the constraint set.  Feasibility over density operators is decided
 
 * exactly, by a phase-1 simplex over simplex weights in the common
-  eigenbasis, when all constraint operators commute;
+  eigenbasis, when all constraint operators commute; the witness is the
+  pure state with those weights as squared amplitudes, so it needs no
+  ancilla;
 * exactly in the negative, whenever some single constraint operator already
   has its eigenvalue hull away from the origin (a one-operator problem is
   always a commuting problem);
@@ -167,13 +169,14 @@ def _solve_commuting(problem, indices, tol):
 
     lp = feasible_point(a, b)
     if lp.status == "feasible":
-        q = lp.x
-        rho = (basis * q[None, :]) @ basis.conj().T
-        rho = (rho + rho.conj().T) / 2
+        # every constraint is diagonal in the basis, so the pure state with
+        # weights q meets them exactly as the mixture would, without ancilla
+        psi = basis @ np.sqrt(np.maximum(lp.x, 0.0))
+        rho = np.outer(psi, psi.conj())
         return ProbeFeasibility(
             status="feasible",
             witness=DensityOperator(rho),
-            residual=float(np.max(np.abs(mu @ q))),
+            residual=float(max(abs(np.trace(rho @ k)) for k in ops)),
             note="common-eigenbasis linear program",
         )
     cert = _certificate_from_lp(problem.operators, indices, lp.certificate)
@@ -284,18 +287,9 @@ def _solve_by_projections(problem, tol, restarts=10, iterations=5000, seed=0):
 # -----------------------------------------------------------------------------
 
 def common_probe_feasible(problem: OrthogonalityProblem,
-                          tol: Tolerances = DEFAULT_TOL,
-                          method: str = "auto",
-                          restarts: int = 10,
-                          iterations: int = 5000,
-                          seed: int = 0) -> ProbeFeasibility:
-    """Decide whether one reduced probe state satisfies every constraint.
-
-    ``method`` forces a path for testing: "lp" (commuting problems only) or
-    "projections"; "auto" runs the exact screens first.
-    """
-    if method not in ("auto", "lp", "projections"):
-        raise ValueError(f"unknown method {method!r}")
+                          tol: Tolerances = DEFAULT_TOL) -> ProbeFeasibility:
+    """Decide whether one reduced probe state satisfies every constraint;
+    the exact screens run first, projections last."""
     d = problem.dim
 
     if not problem.operators:
@@ -303,13 +297,8 @@ def common_probe_feasible(problem: OrthogonalityProblem,
                                 witness=DensityOperator(np.eye(d) / d),
                                 residual=0.0, note="empty constraint set")
 
-    if method == "projections":
-        return _solve_by_projections(problem, tol, restarts, iterations, seed)
-
     if problem.commuting:
         return _solve_commuting(problem, range(len(problem.operators)), tol)
-    if method == "lp":
-        raise ValueError("LP path requires commuting constraint operators")
 
     # one operator alone is a commuting problem; any single-operator
     # infeasibility certifies the whole system
@@ -330,7 +319,7 @@ def common_probe_feasible(problem: OrthogonalityProblem,
                                                    for k in problem.operators)),
                                 note="maximally mixed witness")
 
-    return _solve_by_projections(problem, tol, restarts, iterations, seed)
+    return _solve_by_projections(problem, tol)
 
 
 # -----------------------------------------------------------------------------

@@ -9,10 +9,12 @@ A set {U_i = A_i (x) B_i} is tested under four probe/measurement regimes:
 
 Local strategies are modeled as group discrimination: the starting party
 identifies which class of phase-equal factors acted, the responder then
-separates the class.  Indices with phase-equal starting factors produce
-evolved states equal up to phase for every probe, so no measurement ever
-splits them: any unambiguous elimination retains whole groups.  That
-observation makes three certification routes exact:
+separates the class; when the starting party cannot do that, the protocol in
+which it measures nothing and the responder separates every input alone is
+tried.  Indices with phase-equal starting factors produce evolved states
+equal up to phase for every probe, so no measurement ever splits them: any
+unambiguous elimination retains whole groups.  That observation makes three
+certification routes exact:
 
 * a responder within-group problem with no common probe kills LDA and LDR;
 * for LDR the responder probe is fixed, so the union of all within-group
@@ -29,6 +31,7 @@ than a fake certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -39,7 +42,6 @@ from .qcore import (
     as_matrix,
     check_povm,
 )
-from .eigdist import build_pair_probe, pair_distinguishable
 from .probefeas import OrthogonalityProblem, ProbeFeasibility, common_probe_feasible, purify_witness
 
 __all__ = [
@@ -84,6 +86,8 @@ class ProductUnitarySet:
     priors: np.ndarray | None = None
 
     def __post_init__(self):
+        if not self.items:
+            raise ValueError("a set needs at least one item")
         da, db = self.party_dims
         norm_items = []
         for label, a, b in self.items:
@@ -99,7 +103,7 @@ class ProductUnitarySet:
         object.__setattr__(self, "items", tuple(norm_items))
         object.__setattr__(self, "party_dims", (int(da), int(db)))
         if self.priors is None:
-            p = np.full(len(norm_items), 1.0 / max(len(norm_items), 1))
+            p = np.full(len(norm_items), 1.0 / len(norm_items))
         else:
             p = np.asarray(self.priors, dtype=float)
             if p.shape != (len(norm_items),) or np.any(p < -1e-12) or abs(p.sum() - 1) > 1e-9:
@@ -370,10 +374,6 @@ def _orthogonal_measurement(factors, feas: ProbeFeasibility, tol):
     return probe, r, tuple(povm), has_rest
 
 
-def _pass_through_stage1(d_start):
-    return StateVector(np.eye(d_start)[:, 0]), 1, (np.eye(d_start, dtype=complex),)
-
-
 # -----------------------------------------------------------------------------
 # Global strategies
 # -----------------------------------------------------------------------------
@@ -421,39 +421,6 @@ def check_gdr(uset: ProductUnitarySet, tol: Tolerances = DEFAULT_TOL) -> Strateg
 # Local strategies
 # -----------------------------------------------------------------------------
 
-def _pair_tree(uset, start, tol):
-    """Two candidates: adaptivity is irrelevant, one party's pair criterion
-    decides, and either party may do the measuring."""
-    resp = "B" if start == "A" else "A"
-    res_start = pair_distinguishable(uset.factor(0, start), uset.factor(1, start), tol)
-    res_resp = pair_distinguishable(uset.factor(0, resp), uset.factor(1, resp), tol)
-    d1 = uset.party_dims[_party_index(start)]
-
-    if res_start.distinguishable:
-        probe = build_pair_probe(uset.factor(0, start), uset.factor(1, start), res_start, tol)
-        tree = ProtocolTree(
-            start=start, probe=probe.probe, ancilla_dim=probe.ancilla_dim,
-            povm=tuple(probe.measurement),
-            branches=(OutcomeBranch(retained=(0,), guess=0),
-                      OutcomeBranch(retained=(1,), guess=1)),
-            note="pair criterion met by the starting party")
-        return tree, None
-    if res_resp.distinguishable:
-        probe = build_pair_probe(uset.factor(0, resp), uset.factor(1, resp), res_resp, tol)
-        s1_probe, s1_anc, s1_povm = _pass_through_stage1(d1)
-        st = StageTwo(party=resp, probe=probe.probe, ancilla_dim=probe.ancilla_dim,
-                      povm=tuple(probe.measurement), guesses=(0, 1))
-        tree = ProtocolTree(
-            start=start, probe=s1_probe, ancilla_dim=s1_anc, povm=s1_povm,
-            branches=(OutcomeBranch(retained=(0, 1), stage2=st),),
-            note="pair criterion met by the responding party")
-        return tree, None
-    note = (f"two candidates, both factor pairs fail the pair criterion "
-            f"(hull distances {res_start.min_norm:.6f} and {res_resp.min_norm:.6f}); "
-            f"with two candidates outcome-dependent probes cannot help")
-    return None, note
-
-
 def _within_group_ops(uset, resp, members):
     ops = []
     for x in range(len(members)):
@@ -462,29 +429,17 @@ def _within_group_ops(uset, resp, members):
     return _dedup_phase(ops)
 
 
-def _union_reduction_certified(uset, resp, groups, tol):
-    """True when every two-group union is certified beyond the responder,
-    forcing any successful protocol to fully identify the group."""
-    d2 = uset.party_dims[_party_index(resp)]
-    for gi in range(len(groups)):
-        for gj in range(gi + 1, len(groups)):
-            members = tuple(sorted(groups[gi].member_indices + groups[gj].member_indices))
-            ops = _within_group_ops(uset, resp, members)
-            feas = common_probe_feasible(OrthogonalityProblem(dim=d2, operators=tuple(ops)), tol)
-            if feas.status != "infeasible_certified":
-                return False
-    return True
-
-
 def _local_verdicts(uset, start, tol):
     """The (LDR, LDA) verdicts for one starting party.
 
     Both strategies rest on the same sub-problems, each solved once here:
-    every group's responder problem, stage-1 group identification with its
-    two-group union reduction, and the union of all within-group
-    constraints that LDR's fixed responder probe must meet at once.  The
-    strategies differ only in where a group's stage-2 probe comes from: LDR
-    takes the union witness for every group, LDA each group's own.
+    every group's responder problem, stage-1 group identification, the
+    responder's problem on every index (the protocol in which the starting
+    party measures nothing) when stage 1 fails, the two-group union
+    reduction, and the union of all within-group constraints that LDR's
+    fixed responder probe must meet at once.  The strategies differ only in
+    where a group's stage-2 probe comes from: LDR takes the union witness
+    for every group, LDA each group's own.
     """
     resp = "B" if start == "A" else "A"
     m = uset.size
@@ -498,44 +453,64 @@ def _local_verdicts(uset, start, tol):
     def solve(dim, ops):
         return common_probe_feasible(OrthogonalityProblem(dim=dim, operators=tuple(ops)), tol)
 
-    if m <= 1:
-        probe, anc, povm = _pass_through_stage1(d1)
-        tree = ProtocolTree(start=start, probe=probe, ancilla_dim=anc, povm=povm,
-                            branches=(OutcomeBranch(retained=tuple(range(m)),
-                                                    guess=0 if m else None),),
-                            note="at most one candidate")
-        return both(status="distinguishable", witness=tree, note="at most one candidate")
-    if m == 2:
-        tree, fail_note = _pair_tree(uset, start, tol)
-        if tree is not None:
-            return both(status="distinguishable", witness=tree, note=tree.note)
-        return both(status="indistinguishable_certified", note=fail_note)
+    solved = {}
 
-    groups = group_by_factor(uset, start)
+    def responder(members):
+        """The responder's problem of separating ``members`` (None when there
+        is nothing to separate), solved at most once per index set."""
+        if members not in solved:
+            ops = _within_group_ops(uset, resp, members)
+            solved[members] = solve(d2, ops) if ops else None
+        return solved[members]
+
+    def branch_for(members, feas):
+        """Outcome retaining ``members``, which the responder separates with
+        the witness of ``feas``."""
+        if len(members) == 1:
+            return OutcomeBranch(retained=members, guess=members[0])
+        probe2, r2, povm2, rest2 = _orthogonal_measurement(
+            [uset.factor(k, resp) for k in members], feas, tol)
+        st = StageTwo(party=resp, probe=probe2, ancilla_dim=r2, povm=povm2,
+                      guesses=members + ((None,) if rest2 else ()))
+        return OutcomeBranch(retained=members, stage2=st)
 
     # responder problems inside each group; these constraints bind every
     # protocol because phase-equal starting factors are never split
-    group_ops = [_within_group_ops(uset, resp, g.member_indices) for g in groups]
+    groups = group_by_factor(uset, start)
     group_feas = []
-    for g, ops in zip(groups, group_ops):
-        feas = solve(d2, ops) if ops else None
+    for g in groups:
+        feas = responder(g.member_indices)
         if feas is not None and feas.status == "infeasible_certified":
             return both(status="indistinguishable_certified",
                         note=(f"indices {g.member_indices} share a starting factor, and no "
                               f"responder probe can separate them"),
                         feasibility=feas)
         group_feas.append(feas)
-    union_ops = _dedup_phase([k for ops in group_ops for k in ops])
-    union_feas = solve(d2, union_ops) if union_ops else None
 
     # stage 1: perfect identification of the starting party's factor group
     reps = [g.representative for g in groups]
     cross_ops = _dedup_phase([_relative(reps[x], reps[y])
                               for x in range(len(reps)) for y in range(x + 1, len(reps))])
     stage1_feas = solve(d1, cross_ops) if cross_ops else None  # None: a single group
+
+    # otherwise the starting party measures nothing and the responder
+    # separates every index alone (a single group's problem is this one)
+    if stage1_feas is None or stage1_feas.status != "feasible":
+        alone = responder(tuple(range(m)))
+        if alone is None or alone.status == "feasible":
+            tree = ProtocolTree(start=start, probe=StateVector(np.eye(d1)[:, 0]), ancilla_dim=1,
+                                povm=(np.eye(d1, dtype=complex),),
+                                branches=(branch_for(tuple(range(m)), alone),),
+                                note="starting party measures nothing, responder works alone")
+            return both(status="distinguishable", witness=tree, note=tree.note,
+                        feasibility=stage1_feas)
+
     stage1_exit = None
     if stage1_feas is not None and stage1_feas.status == "infeasible_certified":
-        if _union_reduction_certified(uset, resp, groups, tol):
+        # certified when every two-group union is beyond the responder,
+        # forcing any successful protocol to fully identify the group
+        if all(responder(tuple(sorted(a.member_indices + b.member_indices))).status
+               == "infeasible_certified" for a, b in combinations(groups, 2)):
             stage1_exit = dict(
                 status="indistinguishable_certified",
                 note=("every two-group union defeats the responder, so the starting "
@@ -562,33 +537,24 @@ def _local_verdicts(uset, start, tol):
             return StrategyVerdict(strategy=strategy, starting_party=start, status="not_found",
                                    note=f"{search} search stalled: {stalled[0].note}",
                                    feasibility=stalled[0])
-
-        def branch_for(gi, g):
-            members = g.member_indices
-            if len(members) == 1:
-                return OutcomeBranch(retained=members, guess=members[0])
-            probe2, r2, povm2, rest2 = _orthogonal_measurement(
-                [uset.factor(k, resp) for k in members], stage2_feas[gi], tol)
-            st = StageTwo(party=resp, probe=probe2, ancilla_dim=r2, povm=povm2,
-                          guesses=members + ((None,) if rest2 else ()))
-            return OutcomeBranch(retained=members, stage2=st)
-
-        if stage1_feas is None:
-            probe, anc, povm = _pass_through_stage1(d1)
-            branches = [branch_for(0, groups[0])]
-            note = "single factor group, responder works alone"
-        else:
-            probe, anc, povm, has_rest = _orthogonal_measurement(reps, stage1_feas, tol)
-            branches = [branch_for(gi, g) for gi, g in enumerate(groups)]
-            if has_rest:
-                branches.append(OutcomeBranch(retained=(), guess=None))
-            note = "group identification followed by within-group separation"
+        probe, anc, povm, has_rest = _orthogonal_measurement(reps, stage1_feas, tol)
+        branches = [branch_for(g.member_indices, stage2_feas[gi])
+                    for gi, g in enumerate(groups)]
+        if has_rest:
+            branches.append(OutcomeBranch(retained=(), guess=None))
         tree = ProtocolTree(start=start, probe=probe, ancilla_dim=anc, povm=povm,
-                            branches=tuple(branches), note=note)
+                            branches=tuple(branches),
+                            note="group identification followed by within-group separation")
         return StrategyVerdict(strategy=strategy, starting_party=start,
                                status="distinguishable", witness=tree, note=tree.note,
                                feasibility=stage1_feas)
 
+    if len(groups) == 1:
+        union_feas = group_feas[0]
+    else:
+        union_ops = _dedup_phase([k for g in groups
+                                  for k in _within_group_ops(uset, resp, g.member_indices)])
+        union_feas = solve(d2, union_ops) if union_ops else None
     if union_feas is not None and union_feas.status == "infeasible_certified":
         ldr = StrategyVerdict(strategy="LDR", starting_party=start,
                               status="indistinguishable_certified",

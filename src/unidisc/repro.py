@@ -194,6 +194,7 @@ def hierarchy(seed: int, restarts: int, tol: Tolerances = DEFAULT_TOL) -> Bundle
     ]
     rows_seen = 0
     mismatch = 0
+    decided = 0  # coinciding pairs that are not both not_found
     contradiction = None
     try:
         for uset in families:
@@ -202,8 +203,10 @@ def hierarchy(seed: int, restarts: int, tol: Tolerances = DEFAULT_TOL) -> Bundle
         for _ in range(100):
             rows = dict(hierarchy_audit(random_qubit_set(rng), tol))
             rows_seen += len(rows)
-            mismatch += sum(rows[f"LDA:{p}"].status != rows[f"LDR:{p}"].status
-                            for p in ("A", "B"))
+            for p in ("A", "B"):
+                lda, ldr = rows[f"LDA:{p}"].status, rows[f"LDR:{p}"].status
+                mismatch += lda != ldr
+                decided += lda == ldr != "not_found"
     except RuntimeError as exc:
         contradiction = str(exc)
     checks = (("strategy orderings hold on families and random sets",
@@ -212,9 +215,10 @@ def hierarchy(seed: int, restarts: int, tol: Tolerances = DEFAULT_TOL) -> Bundle
                "0 certified contradictions"),
               ("adaptive and fixed local verdicts coincide on qubits",
                contradiction is None and mismatch == 0,
-               f"{mismatch} mismatches" if contradiction is None
-               else "audit stopped at a contradiction"))
-    return BundleResult(checks, {"audited_rows": rows_seen, "mismatches": mismatch})
+               f"{mismatch} mismatches, {decided} decided coincidences"
+               if contradiction is None else "audit stopped at a contradiction"))
+    return BundleResult(checks, {"audited_rows": rows_seen, "mismatches": mismatch,
+                                 "decided_coincidences": decided})
 
 
 BUNDLES = {

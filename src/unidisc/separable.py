@@ -46,7 +46,7 @@ from .protocols import (
     StageTwo,
     StrategyVerdict,
     phase_equal,
-    _pair_tree,
+    _local_verdicts,
 )
 from .qcore import DEFAULT_TOL, StateVector, Tolerances
 
@@ -301,26 +301,15 @@ def separable_start_analysis(
     s_factors = uset.factors(start)
 
     if m <= 2:
-        if m <= 1:
-            tree = ProtocolTree(
-                start=start,
-                probe=StateVector(np.array([1.0, 0.0], dtype=complex)),
-                ancilla_dim=1,
-                povm=(np.eye(2, dtype=complex),),
-                branches=(OutcomeBranch(retained=tuple(range(m)), guess=0 if m else None),),
-                note="at most one input",
-            )
-            return SeparableStartReport(start, (), (), (), "distinguishable", tree,
-                                        "at most one input")
-        tree, fail_note = _pair_tree(uset, start, tol)
+        # with at most two inputs the local decider is exact, and its trees
+        # use single-system probes: every sub-problem is one commuting
+        # operator, whose witness is pure
+        lda = _local_verdicts(uset, start, tol)[1]
         pairs = tuple(sorted(_responder_pairs(uset, responder, tol)))
-        if tree is not None:
-            verdict, note = "distinguishable", "two inputs, single pair criterion"
-        else:
-            # for two inputs no strategy of any kind beats the pair criterion
-            verdict, note = "infeasible_certified", fail_note
+        verdict = {"indistinguishable_certified": "infeasible_certified"}.get(lda.status,
+                                                                             lda.status)
         return SeparableStartReport(start, pairs, ((),) if pairs else (), (),
-                                    verdict, tree, note)
+                                    verdict, lda.witness, lda.note)
 
     good_pairs = _responder_pairs(uset, responder, tol)
     pair_list = tuple(sorted(good_pairs))

@@ -239,6 +239,8 @@ def test_strategy_orderings_audit():
     rows = res.values["audited_rows"]
     assert rows == 720
     assert res.values["mismatches"] == 0
+    # coincidences that are not not_found on both sides
+    assert res.values["decided_coincidences"] == 143
     print(f"\n[6/8] PASS strategy orderings: {rows} audited verdicts over "
           f"103 sets, zero certified contradictions")
 

@@ -333,3 +333,22 @@ def test_installed_console_script(pair_files):
     proc = run_cli(["unidisc", "pair", a, b])
     assert proc.returncode == 0
     assert "verdict: distinguishable" in proc.stdout
+
+
+NUMPY_ONLY_RUN = """
+import importlib, pkgutil, runpy, sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+import unidisc
+for info in pkgutil.iter_modules(unidisc.__path__):
+    importlib.import_module("unidisc." + info.name)
+sys.argv = ["unidisc", "check", "pauli-hadamard", "--strategy", "gda-sep"]
+runpy.run_module("unidisc", run_name="__main__")
+"""
+
+
+def test_runtime_needs_no_scipy():
+    # scipy is a test dependency only: every module imports, and a CLI
+    # decision runs to its exit code, with scipy unimportable
+    proc = run_cli([sys.executable, "-c", NUMPY_ONLY_RUN])
+    assert proc.returncode == 3, proc.stderr
+    assert "indistinguishable_certified" in proc.stdout

@@ -25,6 +25,9 @@ from unidisc.qcore import DEFAULT_TOL, haar_unitary
 # the widest gap, and the fan triangle is too thin to contain it in rounding
 NEAR_CHORD_EPS = [5e-5, 1e-6, 1e-9, 1e-11]
 
+# two phases 1e-10 apart and a third antipodal to them
+NEAR_DUPLICATE_PHASES = [np.pi / 10 + 1e-10, 11 * np.pi / 10 + 1e-10, np.pi / 10]
+
 
 def near_chord_pair(eps):
     return np.eye(3), np.diag([1.0, -1.0, -np.exp(-1j * eps)])
@@ -317,6 +320,19 @@ class TestMinConvexNorm:
         assert r.min_norm < 1e-15
         assert r.weights[1] == 0.0
 
+    def test_near_duplicate_phases(self):
+        # two phases 1e-10 apart and one antipodal: the fan triangle is a
+        # sliver whose weights pass the sign test yet miss the origin
+        r = min_convex_norm(NEAR_DUPLICATE_PHASES)
+        assert r.distinguishable
+        assert abs(np.dot(r.weights, r.points)) < 1e-15
+
+    @pytest.mark.parametrize("eps", [1e-10, 1e-7])
+    def test_moved_lattice_lists_answer(self, eps):
+        for phases in lattice_lists(12, 2000, eps):
+            r = min_convex_norm(phases)
+            assert abs(abs(np.dot(r.weights, r.points)) - r.min_norm) < 1e-9
+
 
 class TestPairDistinguishable:
     def test_identity_vs_clock(self):
@@ -340,6 +356,10 @@ class TestPairDistinguishable:
     @pytest.mark.parametrize("eps", NEAR_CHORD_EPS)
     def test_near_antipodal_chord(self, eps):
         assert pair_distinguishable(*near_chord_pair(eps)).distinguishable
+
+    def test_near_duplicate_phases(self):
+        r = pair_distinguishable(np.eye(3), np.diag(np.exp(1j * np.array(NEAR_DUPLICATE_PHASES))))
+        assert r.distinguishable
 
     def test_invariant_under_common_rotation(self):
         # the criterion depends only on the relative unitary

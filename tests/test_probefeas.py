@@ -5,12 +5,13 @@ import pytest
 
 from unidisc.probefeas import (
     OrthogonalityProblem,
+    _solve_by_projections,
     common_probe_feasible,
     gram_overlaps,
     purify_witness,
     verify_certificate,
 )
-from unidisc.qcore import DensityOperator, haar_unitary, partial_trace
+from unidisc.qcore import DEFAULT_TOL, DensityOperator, haar_unitary, partial_trace
 
 W3 = np.exp(2j * np.pi / 3)
 CLOCK = np.diag([1.0, W3, W3 * W3])
@@ -44,6 +45,19 @@ class TestSingleOperator:
         diag = np.diag(f.witness.matrix).real
         assert np.allclose(np.sort(diag), [1 / 3, 1 / 3, 1 / 3], atol=1e-9)
         assert abs(np.trace(f.witness.matrix @ CLOCK)) < 1e-9
+
+    def test_lp_witness_is_pure(self):
+        # constraints are diagonal in the common eigenbasis, so the LP
+        # weights become squared amplitudes of one state
+        ops = (CLOCK, CLOCK @ CLOCK)
+        f = common_probe_feasible(OrthogonalityProblem(3, ops))
+        assert f.status == "feasible"
+        assert np.linalg.matrix_rank(f.witness.matrix, tol=1e-9) == 1
+        _, r = purify_witness(f.witness)
+        assert r == 1
+        # the reported residual is the returned witness's own
+        assert f.residual == max(abs(v) for v in gram_overlaps(f.witness, ops))
+        assert f.residual < 1e-12
 
     def test_hull_gap_certified(self):
         # eigenphases {0, pi/4} cannot average to zero
@@ -92,16 +106,6 @@ def test_empty_constraints_maximally_mixed():
     assert np.allclose(f.witness.matrix, np.eye(4) / 4)
 
 
-def test_method_validation():
-    prob = OrthogonalityProblem(3, (CLOCK,))
-    with pytest.raises(ValueError):
-        common_probe_feasible(prob, method="newton")
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    z = np.diag([1.0, -1.0])
-    with pytest.raises(ValueError, match="commuting"):
-        common_probe_feasible(OrthogonalityProblem(2, (x, z)), method="lp")
-
-
 class TestLpVsProjections:
     @staticmethod
     def _designed_feasible(d, nops, rng):
@@ -134,8 +138,8 @@ class TestLpVsProjections:
                 ops = tuple(random_diag_unitary(d, rng)
                             for _ in range(nops))
             prob = OrthogonalityProblem(d, ops)
-            f_lp = common_probe_feasible(prob, method="auto")
-            f_pr = common_probe_feasible(prob, method="projections",
+            f_lp = common_probe_feasible(prob)
+            f_pr = _solve_by_projections(prob, DEFAULT_TOL,
                                          restarts=4, iterations=1500)
             assert f_lp.status in ("feasible", "infeasible_certified")
             if f_lp.status == "feasible":
@@ -159,11 +163,11 @@ class TestLpVsProjections:
 
     def test_projections_find_noncommuting_witness(self):
         # X and Z are both traceless: the maximally mixed state works, but
-        # force the heuristic path and check it lands on a valid witness
+        # run the heuristic path and check it lands on a valid witness
         x = np.array([[0, 1], [1, 0]], dtype=complex)
         z = np.diag([1.0, -1.0])
         prob = OrthogonalityProblem(2, (x, z))
-        f = common_probe_feasible(prob, method="projections")
+        f = _solve_by_projections(prob, DEFAULT_TOL)
         assert f.status == "feasible"
         assert max(abs(v) for v in gram_overlaps(f.witness, (x, z))) < 1e-9
 

@@ -49,6 +49,10 @@ class TestProductUnitarySet:
         with pytest.raises(ValueError):
             ProductUnitarySet((2, 2), (("a", I2, I2),), priors=[0.5, 0.5])
 
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError):
+            ProductUnitarySet((2, 2), [])
+
     def test_default_priors_uniform(self):
         s = ProductUnitarySet((2, 2), (("a", I2, I2), ("b", X, Z)))
         assert np.allclose(s.priors, [0.5, 0.5])
@@ -101,6 +105,8 @@ class TestCheckGdr:
         succ = verify_probe([s.global_unitary(i) for i in range(2)],
                             v.witness)
         assert np.all(np.abs(succ - 1.0) < 1e-9)
+        # the exact LP witness is pure, so the probe carries no ancilla
+        assert v.witness.ancilla_dim == 1
 
 
 class TestLocalSequential:
@@ -148,6 +154,37 @@ class TestLocalSequential:
         s = ProductUnitarySet((2, 2), (("a", I2, I2), ("b", X, Z)))
         with pytest.raises(ValueError):
             check_lda(s, "C")
+
+    def test_responder_alone_across_groups(self):
+        # three distinct A factors whose relative phases leave the origin out
+        # of every hull, so A identifies nothing; B's factors I, X, Z are
+        # separated by one probe entangled with an ancilla, and A need not
+        # measure at all
+        t = np.diag([1.0, np.exp(1j * np.pi / 4)])
+        s = ProductUnitarySet((2, 2), (("a", I2, I2), ("b", t, X), ("c", t @ t, Z)))
+        for checker in (check_lda, check_ldr):
+            v = checker(s, "A")
+            assert v.status == "distinguishable"
+            assert len(v.witness.branches) == 1
+            res = verify_tree(s, v.witness)
+            assert np.all(np.abs(res.success - 1.0) < 1e-9)
+
+    def test_phase_pair_solves_stage_one_and_responder_alone(self, monkeypatch):
+        # stage 1 fails, the responder-alone problem is then the only
+        # two-group union, so it is not solved a second time
+        import unidisc.protocols as protocols
+
+        calls = []
+        solve = protocols.common_probe_feasible
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(protocols, "common_probe_feasible", counting)
+        s = phase_pair_set(PhasePairParams(0.3, 0.5, 0.9, np.pi - 1.7))
+        assert check_lda(s, "A").status == "indistinguishable_certified"
+        assert len(calls) == 2
 
 
 class TestCheckGda:

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from unidisc.eigdist import pair_distinguishable
+from unidisc.jsonio import dumps, tree_to_json
 from unidisc.protocols import (
     ProbeWitness,
     ProductUnitarySet,
+    check_lda,
     verify_probe,
     verify_tree,
 )
@@ -22,7 +24,7 @@ from unidisc.separable import (
     gda_separable_analysis,
     separable_start_analysis,
 )
-from unidisc.families import H, HX, I2, X, Z, pauli_hadamard_set
+from unidisc.families import H, HX, I2, SNAP_GATES, X, Z, pauli_hadamard_set
 
 W = pauli_hadamard_set()
 
@@ -152,6 +154,27 @@ class TestStartAnalysisSmall:
         for start in ("A", "B"):
             rep = separable_start_analysis(s, start)
             assert rep.verdict == "infeasible_certified"
+
+    @pytest.mark.parametrize("start", ["A", "B"])
+    def test_pair_tree_is_local_tree_without_ancilla(self, start):
+        # two inputs: the report carries the local decider's LDA tree, whose
+        # exact LP witnesses are pure, so neither stage needs an ancilla
+        rng = np.random.default_rng(31)
+        found = 0
+        for _ in range(40):
+            a, b = rng.integers(len(SNAP_GATES), size=(2, 2))
+            s = ProductUnitarySet((2, 2), [(f"u{i}", SNAP_GATES[a[i]], SNAP_GATES[b[i]])
+                                           for i in range(2)])
+            rep = separable_start_analysis(s, start)
+            if rep.tree is None:
+                continue
+            found += 1
+            assert dumps(tree_to_json(rep.tree)) == dumps(tree_to_json(check_lda(s, start).witness))
+            assert rep.tree.ancilla_dim == 1
+            assert all(br.stage2.ancilla_dim == 1 for br in rep.tree.branches if br.stage2)
+            res = verify_tree(s, rep.tree)
+            assert np.all(np.abs(res.success - 1.0) < 1e-9)
+        assert found >= 10
 
     def test_singleton(self):
         s = ProductUnitarySet((2, 2), (("a", X, Z),))
