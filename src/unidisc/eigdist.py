@@ -12,6 +12,7 @@ two-outcome measurement that succeed with certainty.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,8 +168,27 @@ def min_convex_norm(phases, tol: Tolerances = DEFAULT_TOL) -> ConvexNormResult:
         miss = np.hypot(*(l0 * anchor + l1 * pts[i] + l2 * pts[j]))
         if min(l0, l1, l2) >= -1e-12 and miss <= 10 * tol.orthogonality:
             return finish(0.0, {reps[hull[0]]: l0, reps[i]: l1, reps[j]: l2})
-    # no fan triangle passed within rounding: the origin lies on the chord
-    return finish(*chord)
+    # no fan triangle passed: the origin lies on the widest chord within
+    # rounding, or only sliver fan triangles hold it.  Then the ray from a
+    # vertex c through the origin leaves the hull at a point p on the edge
+    # across c's antipode, and 0 = (|p| c + p) / (1 + |p|); that split is
+    # well conditioned for some c, so the one landing nearest the origin wins
+    if chord[0] <= tol.comparison:
+        return finish(*chord)
+
+    def through(g):
+        c = hull[g]
+        e = bisect_right(ends, (ends[g] + np.pi) % (2 * np.pi)) - 1
+        a, b = hull[e], hull[(e + 1) % len(hull)]
+        ca, cb = _side(pts[c], pts[a]), _side(pts[c], pts[b])
+        if c in (a, b) or cb == ca:
+            return np.inf, {}
+        mu = min(1.0, max(0.0, cb / (cb - ca)))
+        n = float(np.hypot(*(mu * pts[a] + (1.0 - mu) * pts[b])))
+        w = {reps[c]: n / (1 + n), reps[a]: mu / (1 + n), reps[b]: (1 - mu) / (1 + n)}
+        return abs(sum(v * points[k] for k, v in w.items())), w
+
+    return finish(0.0, min(map(through, range(len(hull))), key=lambda r: r[0])[1])
 
 
 def pair_distinguishable(u1, u2, tol: Tolerances = DEFAULT_TOL) -> ConvexNormResult:

@@ -503,7 +503,7 @@ def _local_verdicts(uset, start, tol):
                                 branches=(branch_for(tuple(range(m)), alone),),
                                 note="starting party measures nothing, responder works alone")
             return both(status="distinguishable", witness=tree, note=tree.note,
-                        feasibility=stage1_feas)
+                        feasibility=alone)
 
     stage1_exit = None
     if stage1_feas is not None and stage1_feas.status == "infeasible_certified":

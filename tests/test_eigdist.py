@@ -28,6 +28,12 @@ NEAR_CHORD_EPS = [5e-5, 1e-6, 1e-9, 1e-11]
 # two phases 1e-10 apart and a third antipodal to them
 NEAR_DUPLICATE_PHASES = [np.pi / 10 + 1e-10, 11 * np.pi / 10 + 1e-10, np.pi / 10]
 
+# a square with one corner doubled 4e-8 apart and the opposite corner
+# antipodal to a point between the two: the origin is inside, but only a
+# sliver fan triangle holds it, and the widest chord lies 0.71 away
+SLIVER_INSIDE_PHASES = [np.pi / 7 + x for x in
+                        (0.0, 4e-8, np.pi / 2, np.pi + 2e-8, 3 * np.pi / 2)]
+
 
 def near_chord_pair(eps):
     return np.eye(3), np.diag([1.0, -1.0, -np.exp(-1j * eps)])
@@ -327,11 +333,31 @@ class TestMinConvexNorm:
         assert r.distinguishable
         assert abs(np.dot(r.weights, r.points)) < 1e-15
 
+    def test_origin_inside_only_sliver_fan_triangles(self):
+        r = min_convex_norm(SLIVER_INSIDE_PHASES)
+        assert r.distinguishable
+        assert r.min_norm == 0.0
+        assert abs(np.dot(r.weights, r.points)) < 1e-15
+        assert slsqp_value_oracle(SLIVER_INSIDE_PHASES) < 1e-6
+
     @pytest.mark.parametrize("eps", [1e-10, 1e-7])
     def test_moved_lattice_lists_answer(self, eps):
+        # the reference's distance and verdict wherever it answers (near
+        # duplicates may pick other weights); where it raises, the value
+        # matches the SLSQP oracle
+        raised = 0
         for phases in lattice_lists(12, 2000, eps):
             r = min_convex_norm(phases)
             assert abs(abs(np.dot(r.weights, r.points)) - r.min_norm) < 1e-9
+            try:
+                want = ref_min_convex_norm(phases)
+            except AssertionError:
+                raised += 1
+                assert abs(r.min_norm - slsqp_value_oracle(phases)) < 1e-6, list(phases)
+                continue
+            assert r.min_norm == want.min_norm, list(phases)
+            assert r.distinguishable == want.distinguishable, list(phases)
+        assert raised > 0
 
 
 class TestPairDistinguishable:

@@ -166,6 +166,9 @@ class TestLocalSequential:
             v = checker(s, "A")
             assert v.status == "distinguishable"
             assert len(v.witness.branches) == 1
+            # the verdict carries the responder's problem, not stage 1's
+            assert v.feasibility.status == "feasible"
+            assert v.feasibility.witness.dim == 2
             res = verify_tree(s, v.witness)
             assert np.all(np.abs(res.success - 1.0) < 1e-9)
 
