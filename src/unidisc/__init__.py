@@ -13,11 +13,6 @@ from .qcore import (
     UnitaryOperator,
     DensityOperator,
     StateVector,
-    adjoint,
-    matmul,
-    kron,
-    apply,
-    overlap,
     partial_trace,
     eig_unitary,
     haar_unitary,
@@ -87,11 +82,6 @@ __all__ = [
     "UnitaryOperator",
     "DensityOperator",
     "StateVector",
-    "adjoint",
-    "matmul",
-    "kron",
-    "apply",
-    "overlap",
     "partial_trace",
     "eig_unitary",
     "haar_unitary",

@@ -74,10 +74,11 @@ class _CliError(Exception):
 def _config(args) -> RunConfig:
     tol = DEFAULT_TOL
     if getattr(args, "tol", None) is not None:
-        if args.tol <= 0:
-            raise _CliError(f"--tol must be positive, got {args.tol}")
-        tol = Tolerances(validation=args.tol, comparison=args.tol,
-                         orthogonality=args.tol)
+        try:
+            tol = Tolerances(validation=args.tol, comparison=args.tol,
+                             orthogonality=args.tol)
+        except ValueError:
+            raise _CliError(f"--tol must be finite and positive, got {args.tol}") from None
     restarts = getattr(args, "restarts", 50)
     if restarts < 1:
         raise _CliError("--restarts must be at least 1")

@@ -391,20 +391,15 @@ def random_pair(rng: np.random.Generator, dim: int) -> tuple[UnitaryOperator, Un
     return haar_unitary(dim, rng), haar_unitary(dim, rng)
 
 
-def random_qubit_set(
-    rng: np.random.Generator,
-    max_size: int = 4,
-) -> ProductUnitarySet:
+def random_qubit_set(rng: np.random.Generator) -> ProductUnitarySet:
     """Random product-unitary set on a pair of qubits.
 
-    Sizes are drawn from ``{2, ..., max_size}`` and each factor is a Haar
-    sample snapped to the nearest member of :data:`SNAP_GATES` (largest
+    Sizes are drawn from ``{2, 3, 4}`` and each factor is a Haar sample
+    snapped to the nearest member of :data:`SNAP_GATES` (largest
     ``|Tr(G^dag U)|``), which keeps the sets exactly decidable while still
     exercising every code path.
     """
-    if max_size < 2:
-        raise ValueError("max_size must be at least 2")
-    m = int(rng.integers(2, max_size + 1))
+    m = int(rng.integers(2, 5))
 
     def snap() -> np.ndarray:
         u = haar_unitary(2, rng).matrix

@@ -145,7 +145,6 @@ def set_to_json(uset: ProductUnitarySet) -> dict:
             }
             for i in range(uset.size)
         ],
-        "priors": [float(p) for p in uset.priors],
     }
 
 
@@ -170,19 +169,8 @@ def set_from_json(data, field: str = "set") -> ProductUnitarySet:
         b = matrix_from_json(_expect_key(it, "B", f"{field}.items[{k}]"),
                              f"{field}.items[{k}].B")
         items.append((label, a, b))
-    priors = data.get("priors")
-    if priors is not None:
-        if (
-            not isinstance(priors, list)
-            or len(priors) != len(items)
-            or not all(isinstance(p, (int, float)) and not isinstance(p, bool)
-                       for p in priors)
-        ):
-            raise FormatError(
-                f"{field}.priors: expected {len(items)} probabilities")
-        priors = [float(p) for p in priors]
     try:
-        return ProductUnitarySet((dims[0], dims[1]), items, priors=priors)
+        return ProductUnitarySet((dims[0], dims[1]), items)
     except ValueError as exc:
         raise FormatError(f"{field}: {exc}") from exc
 
@@ -230,21 +218,19 @@ def _probe_block_from_json(data, field: str, guesses: bool = True) -> dict:
 
 
 def _stage2_to_json(st: StageTwo) -> dict:
-    return {
-        "party": st.party,
-        **_probe_block_to_json(st),
-        "correction": None if st.correction is None
-        else matrix_to_json(st.correction),
-    }
+    return {"party": st.party, **_probe_block_to_json(st)}
 
 
 def _stage2_from_json(data, field: str) -> StageTwo:
     party = _expect_key(data, "party", field)
-    block = _probe_block_from_json(data, field)
-    corr = data.get("correction")
-    correction = None if corr is None else matrix_from_json(
-        corr, f"{field}.correction")
-    return StageTwo(party=party, correction=correction, **block)
+    if party not in ("A", "B"):
+        raise FormatError(f"{field}.party: expected 'A' or 'B', got {party!r}")
+    # older files carry "correction": null; a non-null correction describes
+    # a protocol this format does not model, and ignoring it would verify
+    # a different one
+    if data.get("correction") is not None:
+        raise FormatError(f"{field}.correction: corrections are not supported, expected null")
+    return StageTwo(party=party, **_probe_block_from_json(data, field))
 
 
 def tree_to_json(tree: ProtocolTree) -> dict:
@@ -288,6 +274,8 @@ def tree_from_json(data, field: str = "tree") -> ProtocolTree:
         branches.append(OutcomeBranch(retained=tuple(retained), guess=guess,
                                       stage2=stage2))
     note = data.get("note", "")
+    if not isinstance(note, str):
+        raise FormatError(f"{field}.note: expected a string")
     return ProtocolTree(start=start, branches=tuple(branches), note=note, **block)
 
 

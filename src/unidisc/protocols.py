@@ -79,11 +79,10 @@ def _party_index(party):
 
 @dataclass(frozen=True)
 class ProductUnitarySet:
-    """Indexed product unitaries A_i (x) B_i with optional priors."""
+    """Indexed product unitaries A_i (x) B_i."""
 
     party_dims: tuple
     items: tuple  # of (label, factor_A, factor_B)
-    priors: np.ndarray | None = None
 
     def __post_init__(self):
         if not self.items:
@@ -102,13 +101,6 @@ class ProductUnitarySet:
             norm_items.append((str(label), a, b))
         object.__setattr__(self, "items", tuple(norm_items))
         object.__setattr__(self, "party_dims", (int(da), int(db)))
-        if self.priors is None:
-            p = np.full(len(norm_items), 1.0 / len(norm_items))
-        else:
-            p = np.asarray(self.priors, dtype=float)
-            if p.shape != (len(norm_items),) or np.any(p < -1e-12) or abs(p.sum() - 1) > 1e-9:
-                raise ValueError("priors must be a probability vector over the items")
-        object.__setattr__(self, "priors", p)
 
     @property
     def size(self):
@@ -137,17 +129,16 @@ class ProductUnitarySet:
         return tuple(self.global_unitary(i) for i in range(self.size))
 
 
-def phase_equal(a, b, tol: float = 1e-9) -> bool:
+def phase_equal(a, b) -> bool:
     """Whether two unitaries agree up to one global phase: |Tr(a†b)| = d."""
     a = as_matrix(a)
     b = as_matrix(b)
     d = a.shape[0]
-    return abs(np.trace(a.conj().T @ b)) >= d - tol
+    return abs(np.trace(a.conj().T @ b)) >= d - 1e-9
 
 
 @dataclass(frozen=True)
 class FactorGroup:
-    party: str
     representative: np.ndarray
     member_indices: tuple
 
@@ -163,7 +154,7 @@ def group_by_factor(uset: ProductUnitarySet, party) -> list:
                 break
         else:
             groups.append((f, [i]))
-    return [FactorGroup(party=party, representative=f, member_indices=tuple(members))
+    return [FactorGroup(representative=f, member_indices=tuple(members))
             for f, members in groups]
 
 
@@ -192,7 +183,6 @@ class StageTwo:
     ancilla_dim: int
     povm: tuple
     guesses: tuple  # per outcome: unitary index or None
-    correction: np.ndarray | None = None  # known unitary applied before measuring
 
 
 @dataclass(frozen=True)
@@ -253,13 +243,8 @@ def verify_tree(uset: ProductUnitarySet, tree: ProtocolTree,
 
     Returns per-unitary success probability, leakage (mass on outcomes
     whose retained set excludes the true index, plus mass on dead ends),
-    and the full stage-1 outcome table.  ``tree`` may also be the JSON
-    object form of a tree, which is decoded first.
+    and the full stage-1 outcome table.
     """
-    if isinstance(tree, dict):
-        from .jsonio import tree_from_json
-
-        tree = tree_from_json(tree)
     start = tree.start
     resp = "B" if start == "A" else "A"
     d1 = uset.party_dims[_party_index(start)]
@@ -307,8 +292,6 @@ def verify_tree(uset: ProductUnitarySet, tree: ProtocolTree,
                 continue
             st = br.stage2
             phi2 = _evolved(uset.factor(i, resp), st.ancilla_dim, st.probe)
-            if st.correction is not None:
-                phi2 = as_matrix(st.correction) @ phi2
             for el2, guess in zip(povm2[a], st.guesses):
                 q = float(np.real(phi2.conj() @ (el2 @ phi2)))
                 q = max(q, 0.0)
@@ -323,7 +306,14 @@ def verify_probe(unitaries, witness: ProbeWitness) -> np.ndarray:
     """Success probabilities of a one-shot probe witness on given unitaries."""
     mats = [as_matrix(u) for u in unitaries]
     d = mats[0].shape[0]
+    for i, u in enumerate(mats):
+        if u.shape != mats[0].shape:
+            raise ValueError(f"unitary {i} has shape {u.shape}, unitary 0 has {mats[0].shape}")
+    if witness.probe.dim != d * witness.ancilla_dim:
+        raise ValueError(f"witness probe dim {witness.probe.dim} != {d} * {witness.ancilla_dim}")
     povm = check_povm(witness.povm, d * witness.ancilla_dim, "witness POVM")
+    if len(witness.guesses) != len(povm):
+        raise ValueError(f"witness has {len(witness.guesses)} guesses for {len(povm)} outcomes")
     success = np.zeros(len(mats))
     for i, u in enumerate(mats):
         phi = _evolved(u, witness.ancilla_dim, witness.probe)
@@ -397,10 +387,10 @@ def check_gdr(uset: ProductUnitarySet, tol: Tolerances = DEFAULT_TOL) -> Strateg
     """One composite probe, one measurement: feasibility of a common probe
     orthogonalizing all pairwise relative product unitaries."""
     m = uset.size
-    if m <= 1:
+    if m == 1:
         d = uset.dim
         witness = ProbeWitness(probe=StateVector(np.eye(d)[:, 0]), ancilla_dim=1,
-                               povm=(np.eye(d, dtype=complex),), guesses=(0,) * m or (None,))
+                               povm=(np.eye(d, dtype=complex),), guesses=(0,))
         return StrategyVerdict(strategy="GDR", starting_party="either",
                                status="distinguishable", witness=witness,
                                note="at most one candidate")

@@ -6,19 +6,18 @@ and 3, composites up to 9 or 16), so all routines here are plain numpy on
 
 * validated wrapper types (:class:`UnitaryOperator`, :class:`DensityOperator`,
   :class:`StateVector`) whose invariants are checked at construction,
-* elementary operations (adjoint, matmul, kron, apply, overlap, partial
-  trace),
+* projectors and partial traces,
 * eigendecomposition of a unitary through its commuting Hermitian parts,
   degeneracy-safe via blockwise refinement.
 
 Matrices are ordinary 2-D ``numpy`` arrays in row-major layout; state
 vectors are 1-D arrays.  Tensor factors are ordered left to right, i.e.
-``kron(a, b)`` acts on the composite with ``a`` on the first factor.
+``np.kron(a, b)`` acts on the composite with ``a`` on the first factor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,11 +29,6 @@ __all__ = [
     "StateVector",
     "as_matrix",
     "check_povm",
-    "adjoint",
-    "matmul",
-    "kron",
-    "apply",
-    "overlap",
     "partial_trace",
     "eig_unitary",
     "simultaneous_eigenbasis",
@@ -54,11 +48,19 @@ class Tolerances:
     validation : bound on constructor invariants (unitarity, hermiticity, ...)
     comparison : bound when comparing computed against expected quantities
     orthogonality : bound on inner products that must vanish
+
+    Every field must be finite and positive: a NaN bound makes every
+    comparison false and an infinite one makes every comparison true.
     """
 
     validation: float = 1e-10
     comparison: float = 1e-9
     orthogonality: float = 1e-10
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not 0 < value < float("inf"):
+                raise ValueError(f"tolerance {name} must be finite and positive, got {value}")
 
 
 DEFAULT_TOL = Tolerances()
@@ -118,7 +120,6 @@ class UnitaryOperator:
     """A square matrix U with U{dag}U = 1 within the validation tolerance."""
 
     matrix: np.ndarray
-    tol: Tolerances = field(default=DEFAULT_TOL, repr=False, compare=False)
 
     def __post_init__(self):
         m = as_matrix(self.matrix)
@@ -126,7 +127,7 @@ class UnitaryOperator:
         if n != k:
             raise ValueError(f"unitary must be square, got {m.shape}")
         err = np.max(np.abs(m.conj().T @ m - np.eye(n)))
-        if err > self.tol.validation:
+        if err > DEFAULT_TOL.validation:
             raise ValueError(f"not unitary: max |U+U - 1| = {err:.3e}")
         object.__setattr__(self, "matrix", m)
 
@@ -134,16 +135,12 @@ class UnitaryOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def dagger(self) -> "UnitaryOperator":
-        return UnitaryOperator(self.matrix.conj().T, self.tol)
-
 
 @dataclass(frozen=True)
 class DensityOperator:
     """Hermitian, positive semidefinite, unit-trace matrix."""
 
     matrix: np.ndarray
-    tol: Tolerances = field(default=DEFAULT_TOL, repr=False, compare=False)
 
     def __post_init__(self):
         m = as_matrix(self.matrix)
@@ -151,13 +148,13 @@ class DensityOperator:
         if n != k:
             raise ValueError(f"density operator must be square, got {m.shape}")
         herm = np.max(np.abs(m - m.conj().T))
-        if herm > self.tol.validation:
+        if herm > DEFAULT_TOL.validation:
             raise ValueError(f"not Hermitian: max |rho - rho+| = {herm:.3e}")
         tr = m.trace()
-        if abs(tr - 1.0) > self.tol.validation:
+        if abs(tr - 1.0) > DEFAULT_TOL.validation:
             raise ValueError(f"trace is {tr:.12g}, expected 1")
         lo = np.linalg.eigvalsh((m + m.conj().T) / 2).min()
-        if lo < -self.tol.validation:
+        if lo < -DEFAULT_TOL.validation:
             raise ValueError(f"negative eigenvalue {lo:.3e}")
         object.__setattr__(self, "matrix", m)
 
@@ -189,44 +186,8 @@ class StateVector:
 
 
 # -----------------------------------------------------------------------------
-# Elementary operations
+# Projectors and partial traces
 # -----------------------------------------------------------------------------
-
-def adjoint(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(m).conj().T
-
-
-def matmul(a, b) -> np.ndarray:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
-    return a @ b
-
-
-def kron(a, b) -> np.ndarray:
-    """Tensor product, first argument on the first factor."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
-def apply(u, psi) -> StateVector:
-    """Evolve a state by a unitary (norm is preserved by construction)."""
-    mat = u.matrix if isinstance(u, UnitaryOperator) else as_matrix(u)
-    vec = psi.amplitudes if isinstance(psi, StateVector) else _as_vector(psi)
-    if mat.shape[1] != vec.shape[0]:
-        raise ValueError(f"dimension mismatch {mat.shape} on {vec.shape}")
-    return StateVector(mat @ vec)
-
-
-def overlap(phi, psi) -> complex:
-    """Inner product <phi|psi>."""
-    a = phi.amplitudes if isinstance(phi, StateVector) else _as_vector(phi)
-    b = psi.amplitudes if isinstance(psi, StateVector) else _as_vector(psi)
-    if a.shape != b.shape:
-        raise ValueError("overlap of vectors with different dimensions")
-    return complex(np.vdot(a, b))
-
 
 def projector(psi) -> np.ndarray:
     """|psi><psi| as a plain array."""

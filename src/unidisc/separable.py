@@ -103,9 +103,9 @@ class SeparableStartReport:
 # small geometry helpers
 
 
-def _rays_parallel(u: np.ndarray, v: np.ndarray, tol: float = _PARALLEL_TOL) -> bool:
+def _rays_parallel(u: np.ndarray, v: np.ndarray) -> bool:
     # unit vectors in C^2: parallel iff the 2x2 determinant vanishes
-    return abs(u[0] * v[1] - u[1] * v[0]) <= tol
+    return abs(u[0] * v[1] - u[1] * v[0]) <= _PARALLEL_TOL
 
 
 def _dedup_rays(rays) -> list:
@@ -448,7 +448,7 @@ def gda_separable_analysis(uset: ProductUnitarySet, tol: Tolerances = DEFAULT_TO
     """
     strategy = "GDA_separable"
     m = uset.size
-    if m <= 1:
+    if m == 1:
         probe_dim = uset.party_dims[0] * uset.party_dims[1]
         vec = np.zeros(probe_dim, dtype=complex)
         vec[0] = 1.0
@@ -456,7 +456,7 @@ def gda_separable_analysis(uset: ProductUnitarySet, tol: Tolerances = DEFAULT_TO
             probe=StateVector(vec),
             ancilla_dim=1,
             povm=(np.eye(probe_dim, dtype=complex),),
-            guesses=(0,) if m else (None,),
+            guesses=(0,),
         )
         return StrategyVerdict(strategy, "either", "distinguishable",
                                witness=witness, note="at most one input"), None

@@ -249,7 +249,7 @@ def test_qubit_fixed_equals_adaptive_local():
     rng = np.random.default_rng(777)
     checked = 0
     for k in range(100):
-        uset = random_qubit_set(rng, max_size=4)
+        uset = random_qubit_set(rng)
         for party in ("A", "B"):
             lda = check_lda(uset, party)
             ldr = check_ldr(uset, party)

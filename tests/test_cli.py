@@ -242,8 +242,10 @@ class TestOutputPlumbing:
 
     def test_negative_tol_usage_error(self, pair_files, capsys):
         a, b = pair_files
-        assert main(["pair", a, b, "--tol", "-1"]) == 2
-        assert "tol" in capsys.readouterr().err
+        # NaN and infinity would turn every tolerance comparison constant
+        for bad in ("-1", "nan", "inf"):
+            assert main(["pair", a, b, "--tol", bad]) == 2
+            assert "--tol" in capsys.readouterr().err
 
 
 class TestRepro:

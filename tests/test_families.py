@@ -212,12 +212,8 @@ class TestRandomInstances:
                     assert any(np.allclose(f, g) for g in SNAP_GATES)
 
     def test_random_qubit_set_deterministic(self):
-        a = random_qubit_set(np.random.default_rng(3), max_size=4)
-        b = random_qubit_set(np.random.default_rng(3), max_size=4)
+        a = random_qubit_set(np.random.default_rng(3))
+        b = random_qubit_set(np.random.default_rng(3))
         assert a.size == b.size
         for i in range(a.size):
             assert np.allclose(a.global_unitary(i), b.global_unitary(i))
-
-    def test_max_size_validated(self):
-        with pytest.raises(ValueError, match="max_size"):
-            random_qubit_set(np.random.default_rng(0), max_size=1)

@@ -107,7 +107,6 @@ class TestSetCodec:
         clone = set_from_json(set_to_json(uset))
         assert clone.party_dims == uset.party_dims
         assert list(clone.labels) == list(uset.labels)
-        assert np.allclose(clone.priors, uset.priors)
         for i in range(uset.size):
             assert np.allclose(clone.global_unitary(i), uset.global_unitary(i))
 
@@ -139,11 +138,11 @@ class TestSetCodec:
         with pytest.raises(FormatError, match="unitary"):
             set_from_json(data)
 
-    def test_priors_length_checked(self):
-        data = set_to_json(pauli_hadamard_set())
-        data["priors"] = [0.5, 0.5]
-        with pytest.raises(FormatError, match="priors"):
-            set_from_json(data)
+    def test_unknown_keys_ignored(self):
+        # older files carry a "priors" key; no decision reads one
+        uset = pauli_hadamard_set()
+        data = {**set_to_json(uset), "priors": [1.0 / uset.size] * uset.size}
+        assert "priors" not in set_to_json(set_from_json(data))
 
 
 class TestTreeCodec:
@@ -179,6 +178,26 @@ class TestTreeCodec:
             data["guesses"][k] = bad
             with pytest.raises(FormatError, match=rf"witness\.guesses\[{k}\]"):
                 probe_witness_from_json(data)
+
+    def test_stage2_party_checked(self):
+        data = tree_to_json(pauli_hadamard_tree("A"))
+        data["branches"][2]["stage2"]["party"] = 5
+        with pytest.raises(FormatError, match=r"tree\.branches\[2\]\.stage2\.party"):
+            tree_from_json(data)
+
+    def test_stage2_correction_must_be_null(self):
+        data = tree_to_json(pauli_hadamard_tree("A"))
+        data["branches"][2]["stage2"]["correction"] = None
+        assert tree_from_json(data).branches[2].stage2.party == "B"
+        data["branches"][2]["stage2"]["correction"] = matrix_to_json(np.eye(2))
+        with pytest.raises(FormatError, match=r"tree\.branches\[2\]\.stage2\.correction"):
+            tree_from_json(data)
+
+    def test_note_must_be_string(self):
+        data = tree_to_json(pauli_hadamard_tree("A"))
+        data["note"] = 12
+        with pytest.raises(FormatError, match=r"tree\.note"):
+            tree_from_json(data)
 
     def test_boolean_ancilla_rejected(self):
         data = tree_to_json(pauli_hadamard_tree("A"))

@@ -7,6 +7,7 @@ import pytest
 
 from unidisc.protocols import (
     OutcomeBranch,
+    ProbeWitness,
     ProductUnitarySet,
     ProtocolTree,
     StageTwo,
@@ -45,17 +46,9 @@ class TestProductUnitarySet:
         with pytest.raises(ValueError):
             ProductUnitarySet((2, 3), (("a", I2, I2),))
 
-    def test_priors_must_match(self):
-        with pytest.raises(ValueError):
-            ProductUnitarySet((2, 2), (("a", I2, I2),), priors=[0.5, 0.5])
-
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             ProductUnitarySet((2, 2), [])
-
-    def test_default_priors_uniform(self):
-        s = ProductUnitarySet((2, 2), (("a", I2, I2), ("b", X, Z)))
-        assert np.allclose(s.priors, [0.5, 0.5])
 
     def test_global_unitary_is_kron(self):
         s = ProductUnitarySet((2, 2), (("a", X, Z),))
@@ -238,13 +231,6 @@ class TestVerifyTree:
         assert np.allclose(res.success, [1.0, 0.0])
         assert res.leakage[1] > 0.99
 
-    def test_accepts_json_form(self):
-        from unidisc.jsonio import tree_to_json
-        q = qutrit_quartet_set()
-        v = check_lda(q, "A")
-        res = verify_tree(q, tree_to_json(v.witness))
-        assert np.all(np.abs(res.success - 1.0) < 1e-9)
-
     def test_rejects_incomplete_povm(self):
         s = ProductUnitarySet((2, 2), (("a", I2, I2), ("b", X, I2)))
         tree = ProtocolTree(
@@ -289,6 +275,31 @@ class TestVerifyTree:
         bad = OutcomeBranch(retained=(0, 1), stage2=dataclasses.replace(good, **defect))
         with pytest.raises(ValueError, match=match):
             verify_tree(s, dataclasses.replace(tree, branches=(tree.branches[0], bad)))
+
+
+class TestVerifyProbe:
+    # [I, X] with probe |0> and the computational-basis measurement
+    UNITARIES = [I2, X]
+    GOOD = ProbeWitness(probe=StateVector([1.0, 0.0]), ancilla_dim=1,
+                        povm=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), guesses=(0, 1))
+
+    def test_scores_a_perfect_witness(self):
+        assert np.allclose(verify_probe(self.UNITARIES, self.GOOD), [1.0, 1.0])
+
+    def test_rejects_mixed_shapes(self):
+        with pytest.raises(ValueError, match="unitary 1 has shape"):
+            verify_probe([I2, np.eye(3)], self.GOOD)
+
+    def test_rejects_probe_of_wrong_dimension(self):
+        bad = dataclasses.replace(self.GOOD, probe=StateVector([1.0, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="probe dim 3"):
+            verify_probe(self.UNITARIES, bad)
+
+    def test_rejects_guess_count_mismatch(self):
+        # a dropped guess must not silently score the unmatched outcome as a miss
+        bad = dataclasses.replace(self.GOOD, guesses=(0,))
+        with pytest.raises(ValueError, match="1 guesses for 2 outcomes"):
+            verify_probe(self.UNITARIES, bad)
 
 
 class TestHierarchyAudit:
