@@ -16,6 +16,8 @@ u_j in the constraint set.  Feasibility over density operators is decided
   qubit instance and many composite ones;
 * otherwise heuristically, by Dykstra-corrected alternating projections
   between the density-operator set and the affine constraint subspace.
+  The restarts run in lockstep as one stack of matrices, and the answer
+  is chosen in restart order, as if they had run one after another.
 
 Infeasibility certificates are stored basis-free: real coefficients c such
 that G = sum_k (cRe_k ReK_k + cIm_k ImK_k) satisfies G >= 1, which makes
@@ -187,98 +189,124 @@ def _solve_commuting(problem, indices, tol):
     )
 
 
-def _project_simplex(vals):
-    """Euclidean projection of a real vector onto the probability simplex."""
-    u = np.sort(vals)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, len(u) + 1)
-    cond = u - css / idx > 0
-    k = idx[cond][-1]
-    theta = css[cond][-1] / k
-    return np.maximum(vals - theta, 0.0)
-
-
 def _project_density(x):
-    h = (x + x.conj().T) / 2
-    w, v = np.linalg.eigh(h)
-    w = _project_simplex(w)
-    return (v * w[None, :]) @ v.conj().T
+    """Nearest density operators to the Hermitian parts of a stack of
+    matrices: one batched ``eigh``, then each row's eigenvalues go to their
+    Euclidean projection onto the probability simplex."""
+    w, v = np.linalg.eigh((x + x.conj().swapaxes(1, 2)) / 2)
+    u = w[:, ::-1]  # eigh returns each row's eigenvalues in ascending order
+    css = np.cumsum(u, axis=1) - 1.0
+    idx = np.arange(1, u.shape[1] + 1)
+    cond = u - css / idx > 0
+    # the last index where cond holds (it holds at index 0 in every row)
+    k = u.shape[1] - 1 - np.argmax(cond[:, ::-1], axis=1)
+    theta = css[np.arange(len(k)), k] / idx[k]
+    w = np.maximum(w - theta[:, None], 0.0)
+    return (v * w[:, None, :]) @ v.conj().swapaxes(1, 2)
+
+
+def _project_affine(x, funcs, gram_pinv):
+    """Project a stack onto the matrices x with Re<g, x> = 0 for every row g
+    of ``funcs`` (the nonzero Hermitian parts, flattened)."""
+    r, d, _ = x.shape
+    flat = x.reshape(r, d * d)
+    coef = (flat @ funcs.conj().T).real @ gram_pinv.T
+    return (flat - coef @ funcs).reshape(r, d, d)
+
+
+def _violations(rho, ops_t):
+    """max_k |Tr(rho K_k)| per row of a stack; column k of ``ops_t`` is
+    K_k transposed and flattened."""
+    r, d, _ = rho.shape
+    return np.abs(rho.reshape(r, d * d) @ ops_t).max(axis=1)
 
 
 def _solve_by_projections(problem, tol, restarts=10, iterations=5000, seed=0):
     """Dykstra-corrected alternating projections onto densities vs the
     affine constraint subspace.  Heuristic: success yields a witness, but a
-    residual floor is not an infeasibility proof."""
+    residual floor is not an infeasibility proof.
+
+    Restart 0 starts from I/d and the others from random pure states drawn
+    from ``default_rng(seed)``.  The restarts run in lockstep as one
+    ``(restarts, d, d)`` stack, and the answer is the one a loop running them
+    one after another would give.  Each row checks its projected iterate
+    every 50 iterations and at the last, keeps its own best (first smallest)
+    residual, and stops once that is below 1e-11.  A loop in restart order
+    would stop after the first row that succeeds, the *winner*, so rows
+    after it drop out, while rows before it run on: one of them may still
+    succeed and become the winner.  The best residual over rows up to the
+    winner (all rows if none succeeds), ties to the lower row, is polished
+    inside the near-miss band.
+    """
+    if restarts < 1 or iterations < 1:
+        raise ValueError(f"need at least one restart and one iteration, "
+                         f"got restarts={restarts}, iterations={iterations}")
     d = problem.dim
     # never empty: the caller handles an empty constraint set, and each
     # operator is unitary, so one of its two parts is nonzero
-    funcs = []
-    for k in problem.operators:
-        for g in _hermitian_parts(k):
-            if np.max(np.abs(g)) > 1e-14:
-                funcs.append(g)
-
+    funcs = np.array([g.reshape(-1) for k in problem.operators
+                      for g in _hermitian_parts(k) if np.max(np.abs(g)) > 1e-14])
     gram = np.array([[np.vdot(gi, gj).real for gj in funcs] for gi in funcs])
     gram_pinv = np.linalg.pinv(gram, rcond=1e-12)
-
-    def project_affine(x):
-        vals = np.array([np.vdot(g, x).real for g in funcs])
-        coef = gram_pinv @ vals
-        out = x.copy()
-        for c, g in zip(coef, funcs):
-            out = out - c * g
-        return out
-
-    def violation(rho):
-        return max(abs(np.trace(rho @ k)) for k in problem.operators)
+    ops_t = np.array([k.T.reshape(-1) for k in problem.operators]).T
 
     rng = np.random.default_rng(seed)
-    best = None
-    best_viol = np.inf
-    for r in range(restarts):
-        if r == 0:
-            x = np.eye(d, dtype=complex) / d
-        else:
-            v = rng.normal(size=d) + 1j * rng.normal(size=d)
-            v /= np.linalg.norm(v)
-            x = np.outer(v, v.conj())
-        p = np.zeros_like(x)
-        q = np.zeros_like(x)
-        for it in range(iterations):
-            y = _project_density(x + p)
-            p = x + p - y
-            x_new = project_affine(y + q)
-            q = y + q - x_new
-            x = x_new
-            if it % 50 == 49 or it == iterations - 1:
-                cand = _project_density(x)
-                viol = violation(cand)
-                if viol < best_viol:
-                    best_viol = viol
-                    best = cand
-                if viol < 1e-11:
+    x = np.empty((restarts, d, d), dtype=complex)
+    x[0] = np.eye(d) / d
+    for r in range(1, restarts):
+        v = rng.normal(size=d) + 1j * rng.normal(size=d)
+        v /= np.linalg.norm(v)
+        x[r] = np.outer(v, v.conj())
+    p = np.zeros_like(x)
+    q = np.zeros_like(x)
+    rows = np.arange(restarts)  # restart index of each live row
+    best = np.zeros_like(x)
+    best_viol = np.full(restarts, np.inf)
+    winner = restarts
+    for it in range(iterations):
+        xp = x + p
+        y = _project_density(xp)
+        p = xp - y
+        yq = y + q
+        x = _project_affine(yq, funcs, gram_pinv)
+        q = yq - x
+        if it % 50 == 49 or it == iterations - 1:
+            cand = _project_density(x)
+            viol = _violations(cand, ops_t)
+            better = viol < best_viol[rows]
+            best_viol[rows[better]] = viol[better]
+            best[rows[better]] = cand[better]
+            done = viol < 1e-11
+            if done.any():  # every live row comes before the winner
+                winner = int(rows[done][0])
+            live = ~done & (rows < winner)
+            if not live.all():
+                rows, x, p, q = rows[live], x[live], p[live], q[live]
+                if not rows.size:
                     break
-        if best_viol < 1e-11:
-            break
+
+    r = int(np.argmin(best_viol[:winner + 1]))
+    best_viol = float(best_viol[r])
+    best = best[r:r + 1]
 
     # plain alternating polish inside the near-miss band
-    if best is not None and 1e-11 <= best_viol < 1e-7:
+    if 1e-11 <= best_viol < 1e-7:
         x = best
         for it in range(2000):
-            x = _project_density(project_affine(x))
+            x = _project_density(_project_affine(x, funcs, gram_pinv))
             if it % 100 == 99:
-                viol = violation(x)
+                viol = float(_violations(x, ops_t)[0])
                 if viol < best_viol:
                     best_viol = viol
                     best = x
                 if viol < 1e-11:
                     break
 
-    if best is not None and best_viol < tol.comparison:
-        return ProbeFeasibility(status="feasible", witness=DensityOperator(best),
-                                residual=float(best_viol),
+    if best_viol < tol.comparison:
+        return ProbeFeasibility(status="feasible", witness=DensityOperator(best[0]),
+                                residual=best_viol,
                                 note="alternating projections")
-    return ProbeFeasibility(status="not_found", residual=float(best_viol),
+    return ProbeFeasibility(status="not_found", residual=best_viol,
                             note=f"alternating projections stalled at residual {best_viol:.3e}")
 
 
@@ -313,11 +341,10 @@ def common_probe_feasible(problem: OrthogonalityProblem,
 
     # cheap exact candidate: the maximally mixed state
     mixed = np.eye(d) / d
-    if max(abs(np.trace(mixed @ k)) for k in problem.operators) < tol.comparison:
+    mixed_residual = float(max(abs(np.trace(mixed @ k)) for k in problem.operators))
+    if mixed_residual < tol.comparison:
         return ProbeFeasibility(status="feasible", witness=DensityOperator(mixed),
-                                residual=float(max(abs(np.trace(mixed @ k))
-                                                   for k in problem.operators)),
-                                note="maximally mixed witness")
+                                residual=mixed_residual, note="maximally mixed witness")
 
     return _solve_by_projections(problem, tol)
 

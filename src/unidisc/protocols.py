@@ -305,6 +305,8 @@ def verify_tree(uset: ProductUnitarySet, tree: ProtocolTree,
 def verify_probe(unitaries, witness: ProbeWitness) -> np.ndarray:
     """Success probabilities of a one-shot probe witness on given unitaries."""
     mats = [as_matrix(u) for u in unitaries]
+    if not mats:
+        raise ValueError("no unitaries to verify")
     d = mats[0].shape[0]
     for i, u in enumerate(mats):
         if u.shape != mats[0].shape:

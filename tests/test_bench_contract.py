@@ -34,23 +34,32 @@ def test_traced_names_resolve(tracing):
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
+H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+# the four product unitaries of a two-qubit set whose GDR problem stalls
+_STALL = [np.kron(a, b) for a, b in ((np.eye(2), Z @ H @ Z), (np.eye(2), H),
+                                     (H @ Z, X), (Z @ H @ Z, np.eye(2)))]
 # one instance per route: commuting; non-commuting with an operator whose
-# eigenvalue hull misses the origin; traceless and non-commuting; and a
-# qutrit pair that each admit a probe alone, but not the maximally mixed one
+# eigenvalue hull misses the origin; traceless and non-commuting; a qutrit
+# pair that each admit a probe alone, but not the maximally mixed one; and
+# six relative unitaries of the stalled set, on which projections give up
 _ROUTE_CASES = [
-    ("trivial", 2, ()),
-    ("lp", 2, (Z,)),
-    ("single_op_cert", 2, (np.diag([1.0, np.exp(0.1j)]), X)),
-    ("mixed", 2, (X, Z)),
-    ("projections", 3, (np.diag([1.0, -1.0, 1j]), np.roll(np.eye(3), 1, axis=0))),
+    pytest.param("trivial", 2, (), id="trivial"),
+    pytest.param("lp", 2, (Z,), id="lp"),
+    pytest.param("single_op_cert", 2, (np.diag([1.0, np.exp(0.1j)]), X), id="single_op_cert"),
+    pytest.param("mixed", 2, (X, Z), id="mixed"),
+    pytest.param("projections", 3, (np.diag([1.0, -1.0, 1j]), np.roll(np.eye(3), 1, axis=0)),
+                 id="projections"),
+    pytest.param("projections", 4, tuple(_STALL[i].conj().T @ _STALL[j]
+                                         for i in range(4) for j in range(i + 1, 4)),
+                 id="projections_stalled"),
 ]
 
 
-@pytest.mark.parametrize("route, dim, ops", _ROUTE_CASES, ids=[c[0] for c in _ROUTE_CASES])
+@pytest.mark.parametrize("route, dim, ops", _ROUTE_CASES)
 def test_probe_route_classifies_every_route(tracing, route, dim, ops):
     result = common_probe_feasible(OrthogonalityProblem(dim=dim, operators=ops))
     assert tracing.probe_route(result) == route
 
 
 def test_route_cases_cover_every_route(tracing):
-    assert sorted(c[0] for c in _ROUTE_CASES) == sorted(tracing.ROUTES)
+    assert {c.values[0] for c in _ROUTE_CASES} == set(tracing.ROUTES)

@@ -5,6 +5,7 @@ import pytest
 
 from unidisc.probefeas import (
     OrthogonalityProblem,
+    ProbeFeasibility,
     _solve_by_projections,
     common_probe_feasible,
     gram_overlaps,
@@ -170,6 +171,177 @@ class TestLpVsProjections:
         f = _solve_by_projections(prob, DEFAULT_TOL)
         assert f.status == "feasible"
         assert max(abs(v) for v in gram_overlaps(f.witness, (x, z))) < 1e-9
+
+
+def _ref_simplex(vals):
+    u = np.sort(vals)[::-1]
+    css = np.cumsum(u) - 1.0
+    idx = np.arange(1, len(u) + 1)
+    cond = u - css / idx > 0
+    k = idx[cond][-1]
+    return np.maximum(vals - css[cond][-1] / k, 0.0)
+
+
+def _ref_density(x):
+    w, v = np.linalg.eigh((x + x.conj().T) / 2)
+    return (v * _ref_simplex(w)[None, :]) @ v.conj().T
+
+
+def _ref_projections(problem, tol, restarts=10, iterations=5000, seed=0, stops=None):
+    """The restarts run one after another on single matrices: the oracle
+    for the stacked solver.  Appends to ``stops`` each restart that reaches
+    the 1e-11 stop."""
+    d = problem.dim
+    funcs = [g for k in problem.operators
+             for g in ((k + k.conj().T) / 2, (k - k.conj().T) / 2j)
+             if np.max(np.abs(g)) > 1e-14]
+    gram = np.array([[np.vdot(gi, gj).real for gj in funcs] for gi in funcs])
+    gram_pinv = np.linalg.pinv(gram, rcond=1e-12)
+
+    def project_affine(x):
+        coef = gram_pinv @ np.array([np.vdot(g, x).real for g in funcs])
+        for c, g in zip(coef, funcs):
+            x = x - c * g
+        return x
+
+    def violation(rho):
+        return max(abs(np.trace(rho @ k)) for k in problem.operators)
+
+    rng = np.random.default_rng(seed)
+    best, best_viol = None, np.inf
+    for r in range(restarts):
+        if r == 0:
+            x = np.eye(d, dtype=complex) / d
+        else:
+            v = rng.normal(size=d) + 1j * rng.normal(size=d)
+            v /= np.linalg.norm(v)
+            x = np.outer(v, v.conj())
+        p = np.zeros_like(x)
+        q = np.zeros_like(x)
+        for it in range(iterations):
+            y = _ref_density(x + p)
+            p = x + p - y
+            x_new = project_affine(y + q)
+            q = y + q - x_new
+            x = x_new
+            if it % 50 == 49 or it == iterations - 1:
+                cand = _ref_density(x)
+                viol = violation(cand)
+                if viol < best_viol:
+                    best_viol, best = viol, cand
+                if viol < 1e-11:
+                    if stops is not None:
+                        stops.append(r)
+                    break
+        if best_viol < 1e-11:
+            break
+    if best is not None and 1e-11 <= best_viol < 1e-7:
+        x = best
+        for it in range(2000):
+            x = _ref_density(project_affine(x))
+            if it % 100 == 99:
+                viol = violation(x)
+                if viol < best_viol:
+                    best_viol, best = viol, x
+                if viol < 1e-11:
+                    break
+    if best is not None and best_viol < tol.comparison:
+        return ProbeFeasibility(status="feasible", witness=DensityOperator(best),
+                                residual=float(best_viol), note="alternating projections")
+    return ProbeFeasibility(status="not_found", residual=float(best_viol),
+                            note=f"alternating projections stalled at residual {best_viol:.3e}")
+
+
+def _assert_same_answer(got, ref):
+    assert got.status == ref.status
+    assert got.note == ref.note
+    assert abs(got.residual - ref.residual) <= 1e-12
+    assert (got.witness is None) == (ref.witness is None)
+    if ref.witness is not None:
+        assert np.max(np.abs(got.witness.matrix - ref.witness.matrix)) <= 1e-12
+
+
+_H = 1 / np.sqrt(2)
+# the product unitaries of a benchmark-pool set whose GDR problem stalls
+_G4 = _H * np.array([[1.0, 1.0], [1.0, -1.0]])
+_G6 = _H * np.array([[1.0, -1.0], [1.0, 1.0]])
+_G7 = _H * np.array([[-1.0, 1.0], [1.0, 1.0]])
+_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+_STALL_GATES = [np.kron(a, b) for a, b in
+                ((np.eye(2), _G7), (np.eye(2), _G4), (_G6, _X), (_G7, np.eye(2)))]
+# dim 4, six relative unitaries; no exact route decides them, and the
+# projections stall at residual 1/2
+STALLED = OrthogonalityProblem(4, tuple(
+    _STALL_GATES[i].conj().T @ _STALL_GATES[j]
+    for i in range(4) for j in range(i + 1, 4)))
+# a qutrit pair that each admit a probe alone, but not the maximally mixed one
+FEASIBLE = OrthogonalityProblem(3, (np.diag([1.0, -1.0, 1j]), np.roll(np.eye(3), 1, axis=0)))
+# two random qutrit unitaries with a planted common pure-state witness; with
+# 4 restarts of 300 iterations restart 0 misses the stop, restart 1 stops at
+# its sixth check with residual 1.4e-12, and restart 3 stops earlier (fourth
+# check) with a smaller residual
+LATER_WINNER = OrthogonalityProblem(3, tuple(np.array(k) for k in (
+    [
+        [(0.6576998202906216+0.29434558276328854j),
+         (0.35934811332750133-0.49487493873779j),
+         (-0.2282540605280748-0.23379357691584315j)],
+        [(-0.44254771535755544+0.21954999866757108j),
+         (0.14315362935783865-0.22982558081345514j),
+         (-0.7067441747988152+0.42795937880861556j)],
+        [(0.47915185461851284-0.08458393600407514j),
+         (0.17578706744536238+0.7223253257235485j),
+         (-0.3369104479646509+0.3116014100983592j)],
+    ],
+    [
+        [(-0.5179147206269742+0.11020352657270174j),
+         (-0.06086560040483916-0.5792078436723621j),
+         (0.4956153583018698-0.367149280293321j)],
+        [(0.39106324842406687+0.49713533559709844j),
+         (-0.19045432800546605+0.09741989251281184j),
+         (0.6531521768917606+0.3571480661309953j)],
+        [(0.5560922190889828+0.10152321207630796j),
+         (0.24117880185246415-0.7462459055429111j),
+         (-0.2521024483307993+0.04299617217226246j)],
+    ],
+)))
+
+
+class TestStackedRestarts:
+    """The restarts run as one stack give the sequential loop's answer."""
+
+    def test_stalled_pool_problem(self):
+        ref = _ref_projections(STALLED, DEFAULT_TOL, restarts=3, iterations=300)
+        got = _solve_by_projections(STALLED, DEFAULT_TOL, restarts=3, iterations=300)
+        assert ref.status == "not_found"
+        _assert_same_answer(got, ref)
+
+    def test_feasible_problem(self):
+        ref = _ref_projections(FEASIBLE, DEFAULT_TOL)
+        got = _solve_by_projections(FEASIBLE, DEFAULT_TOL)
+        assert ref.status == "feasible"
+        _assert_same_answer(got, ref)
+
+    def test_later_restart_wins(self):
+        stops = []
+        ref = _ref_projections(LATER_WINNER, DEFAULT_TOL, restarts=4, iterations=300,
+                               stops=stops)
+        got = _solve_by_projections(LATER_WINNER, DEFAULT_TOL, restarts=4, iterations=300)
+        assert stops == [1]
+        assert ref.status == "feasible"
+        _assert_same_answer(got, ref)
+
+    def test_stalled_call_is_deterministic(self):
+        # traced and untraced benchmark runs must see the same answers
+        first = common_probe_feasible(STALLED)
+        second = common_probe_feasible(STALLED)
+        assert first.status == "not_found"
+        assert first.residual == second.residual
+        assert first.note == second.note
+
+    @pytest.mark.parametrize("budget", [{"restarts": 0}, {"iterations": 0}])
+    def test_rejects_empty_budget(self, budget):
+        with pytest.raises(ValueError, match="at least one restart and one iteration"):
+            _solve_by_projections(FEASIBLE, DEFAULT_TOL, **budget)
 
 
 class TestAutoNoncommuting:

@@ -286,6 +286,10 @@ class TestVerifyProbe:
     def test_scores_a_perfect_witness(self):
         assert np.allclose(verify_probe(self.UNITARIES, self.GOOD), [1.0, 1.0])
 
+    def test_rejects_empty_unitary_list(self):
+        with pytest.raises(ValueError, match="no unitaries to verify"):
+            verify_probe([], self.GOOD)
+
     def test_rejects_mixed_shapes(self):
         with pytest.raises(ValueError, match="unitary 1 has shape"):
             verify_probe([I2, np.eye(3)], self.GOOD)
