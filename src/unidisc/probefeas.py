@@ -14,16 +14,26 @@ u_j in the constraint set.  Feasibility over density operators is decided
   always a commuting problem);
 * by testing the maximally mixed candidate, which settles every feasible
   qubit instance and many composite ones;
-* otherwise heuristically, by Dykstra-corrected alternating projections
-  between the density-operator set and the affine constraint subspace.
-  The restarts run in lockstep as one stack of matrices, and the answer
-  is chosen in restart order, as if they had run one after another.
+* otherwise by Dykstra-corrected alternating projections between the
+  density-operator set and the constraint subspace.  The restarts run in
+  lockstep as one stack of matrices, and a witness is chosen in restart
+  order, as if they had run one after another.  The density set is
+  compact, so an infeasible problem keeps the two sets a positive
+  distance apart, and Dykstra's iterates converge to the gap vector v
+  between them (Bauschke & Borwein, J. Approx. Theory 79, 418 (1994)).
+  v lies in the span of the constraints' Hermitian parts, and since its
+  density end minimizes Tr(rho v) over densities, lambda_min(v) = |v|^2 > 0:
+  rescaled, v is a certificate of the form below.  A feasible rho* forces
+  lambda_min(v) <= Tr(rho* v) = 0 for every v in that span, so the
+  projections certify only infeasible problems.  ``not_found`` means the
+  iteration budget ran out with neither a witness nor a certificate.
 
 Infeasibility certificates are stored basis-free: real coefficients c such
 that G = sum_k (cRe_k ReK_k + cIm_k ImK_k) satisfies G >= 1, which makes
 Tr(rho G) >= 1 > 0 for every density operator while the constraints demand
-it vanish.  ``verify_certificate`` recomputes the spectral bound from
-scratch.
+it vanish (a theorem of alternatives; Boyd & Vandenberghe, Convex
+Optimization, section 5.8).  ``verify_certificate`` recomputes the spectral
+bound from scratch.
 """
 
 from __future__ import annotations
@@ -114,15 +124,21 @@ def _hermitian_parts(k):
     return (k + k.conj().T) / 2, (k - k.conj().T) / 2j
 
 
+def _combined_min_eig(ops, indices, coeffs):
+    """Smallest eigenvalue of G = sum_t (c_2t ReK + c_2t+1 ImK) over the
+    operators K = ops[k] that ``indices`` names, in that order."""
+    g = np.zeros(ops[0].shape, dtype=complex)
+    for t, k in enumerate(indices):
+        h, s = _hermitian_parts(ops[k])
+        g = g + coeffs[2 * t] * h + coeffs[2 * t + 1] * s
+    return float(np.linalg.eigvalsh((g + g.conj().T) / 2).min())
+
+
 def _certificate_from_lp(ops, indices, farkas):
     """Convert a Farkas vector of the eigenbasis LP into a spectral bound."""
     y = farkas.y
     coeffs = -np.asarray(y[:-1], dtype=float)  # drop the normalization row
-    g = np.zeros_like(ops[0])
-    for t, k in enumerate(indices):
-        h, s = _hermitian_parts(ops[k])
-        g = g + coeffs[2 * t] * h + coeffs[2 * t + 1] * s
-    lo = float(np.linalg.eigvalsh((g + g.conj().T) / 2).min())
+    lo = _combined_min_eig(ops, indices, coeffs)
     if lo < 1 - 1e-7:
         raise AssertionError(f"certificate bound failed: min eig {lo:.6e}")
     return InfeasibilityCertificate(op_indices=tuple(indices), coeffs=coeffs, min_eig=lo)
@@ -136,11 +152,7 @@ def verify_certificate(problem: OrthogonalityProblem,
     Returns the recomputed minimum eigenvalue; raises if it fails to clear
     the strictly positive bar, since then the certificate proves nothing.
     """
-    g = np.zeros((problem.dim, problem.dim), dtype=complex)
-    for t, k in enumerate(cert.op_indices):
-        h, s = _hermitian_parts(problem.operators[k])
-        g = g + cert.coeffs[2 * t] * h + cert.coeffs[2 * t + 1] * s
-    lo = float(np.linalg.eigvalsh((g + g.conj().T) / 2).min())
+    lo = _combined_min_eig(problem.operators, cert.op_indices, cert.coeffs)
     if lo < 1 - tol.comparison:
         raise ValueError(f"certificate does not verify: min eig {lo:.6e}")
     return lo
@@ -205,13 +217,42 @@ def _project_density(x):
     return (v * w[:, None, :]) @ v.conj().swapaxes(1, 2)
 
 
+def _span_coefficients(x, funcs, gram_pinv):
+    """Per row of a stack, the coefficients over the rows of ``funcs`` (the
+    nonzero Hermitian parts, flattened) of its orthogonal projection onto
+    their real span."""
+    r, d, _ = x.shape
+    return (x.reshape(r, d * d) @ funcs.conj().T).real @ gram_pinv.T
+
+
 def _project_affine(x, funcs, gram_pinv):
     """Project a stack onto the matrices x with Re<g, x> = 0 for every row g
-    of ``funcs`` (the nonzero Hermitian parts, flattened)."""
-    r, d, _ = x.shape
-    flat = x.reshape(r, d * d)
-    coef = (flat @ funcs.conj().T).real @ gram_pinv.T
-    return (flat - coef @ funcs).reshape(r, d, d)
+    of ``funcs``."""
+    return x - (_span_coefficients(x, funcs, gram_pinv) @ funcs).reshape(x.shape)
+
+
+def _gap_certificate(problem, funcs, gram_pinv, slots, cand, tol):
+    """An infeasibility certificate from the first row of the density stack
+    ``cand`` whose component in the constraint span is positive definite,
+    rescaled to smallest eigenvalue 1, or None when no row gives one that
+    ``verify_certificate`` accepts.  ``slots`` maps the rows of ``funcs``
+    to their (cRe_k, cIm_k) positions."""
+    coef = _span_coefficients(cand, funcs, gram_pinv)
+    lo = np.linalg.eigvalsh((coef @ funcs).reshape(cand.shape)).min(axis=1)
+    hit = np.flatnonzero(lo > 0)
+    if not hit.size:
+        return None
+    coeffs = np.zeros(2 * len(problem.operators))
+    coeffs[slots] = coef[hit[0]] / lo[hit[0]]
+    indices = tuple(range(len(problem.operators)))
+    cert = InfeasibilityCertificate(
+        op_indices=indices, coeffs=coeffs,
+        min_eig=_combined_min_eig(problem.operators, indices, coeffs))
+    try:
+        verify_certificate(problem, cert, tol)
+    except ValueError:
+        return None
+    return cert
 
 
 def _violations(rho, ops_t):
@@ -223,12 +264,13 @@ def _violations(rho, ops_t):
 
 def _solve_by_projections(problem, tol, restarts=10, iterations=5000, seed=0):
     """Dykstra-corrected alternating projections onto densities vs the
-    affine constraint subspace.  Heuristic: success yields a witness, but a
-    residual floor is not an infeasibility proof.
+    constraint subspace.  Success yields a witness; an infeasible problem
+    yields a certificate from the gap vector the iterates converge to (see
+    the module docstring), and only an exhausted budget gives ``not_found``.
 
     Restart 0 starts from I/d and the others from random pure states drawn
     from ``default_rng(seed)``.  The restarts run in lockstep as one
-    ``(restarts, d, d)`` stack, and the answer is the one a loop running them
+    ``(restarts, d, d)`` stack, and a witness is the one a loop running them
     one after another would give.  Each row checks its projected iterate
     every 50 iterations and at the last, keeps its own best (first smallest)
     residual, and stops once that is below 1e-11.  A loop in restart order
@@ -237,6 +279,11 @@ def _solve_by_projections(problem, tol, restarts=10, iterations=5000, seed=0):
     succeed and become the winner.  The best residual over rows up to the
     winner (all rows if none succeeds), ties to the lower row, is polished
     inside the near-miss band.
+
+    Until some row succeeds, each check also takes the projected iterates'
+    components in the constraint span: the first row (in restart order)
+    whose component is positive definite, rescaled, is returned as a
+    certificate once ``verify_certificate`` accepts it.
     """
     if restarts < 1 or iterations < 1:
         raise ValueError(f"need at least one restart and one iteration, "
@@ -244,8 +291,9 @@ def _solve_by_projections(problem, tol, restarts=10, iterations=5000, seed=0):
     d = problem.dim
     # never empty: the caller handles an empty constraint set, and each
     # operator is unitary, so one of its two parts is nonzero
-    funcs = np.array([g.reshape(-1) for k in problem.operators
-                      for g in _hermitian_parts(k) if np.max(np.abs(g)) > 1e-14])
+    parts = np.array([g.reshape(-1) for k in problem.operators for g in _hermitian_parts(k)])
+    slots = np.flatnonzero(np.abs(parts).max(axis=1) > 1e-14)
+    funcs = parts[slots]
     gram = np.array([[np.vdot(gi, gj).real for gj in funcs] for gi in funcs])
     gram_pinv = np.linalg.pinv(gram, rcond=1e-12)
     ops_t = np.array([k.T.reshape(-1) for k in problem.operators]).T
@@ -279,6 +327,12 @@ def _solve_by_projections(problem, tol, restarts=10, iterations=5000, seed=0):
             done = viol < 1e-11
             if done.any():  # every live row comes before the winner
                 winner = int(rows[done][0])
+            elif winner == restarts:
+                cert = _gap_certificate(problem, funcs, gram_pinv, slots, cand, tol)
+                if cert is not None:
+                    return ProbeFeasibility(
+                        status="infeasible_certified", certificate=cert,
+                        note="alternating projections separating certificate")
             live = ~done & (rows < winner)
             if not live.all():
                 rows, x, p, q = rows[live], x[live], p[live], q[live]

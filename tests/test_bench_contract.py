@@ -35,13 +35,14 @@ def test_traced_names_resolve(tracing):
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
 H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-# the four product unitaries of a two-qubit set whose GDR problem stalls
+# the four product unitaries of a two-qubit set whose GDR problem only the
+# projections decide
 _STALL = [np.kron(a, b) for a, b in ((np.eye(2), Z @ H @ Z), (np.eye(2), H),
                                      (H @ Z, X), (Z @ H @ Z, np.eye(2)))]
 # one instance per route: commuting; non-commuting with an operator whose
 # eigenvalue hull misses the origin; traceless and non-commuting; a qutrit
 # pair that each admit a probe alone, but not the maximally mixed one; and
-# six relative unitaries of the stalled set, on which projections give up
+# six relative unitaries of that set, which projections certify
 _ROUTE_CASES = [
     pytest.param("trivial", 2, (), id="trivial"),
     pytest.param("lp", 2, (Z,), id="lp"),
@@ -51,7 +52,7 @@ _ROUTE_CASES = [
                  id="projections"),
     pytest.param("projections", 4, tuple(_STALL[i].conj().T @ _STALL[j]
                                          for i in range(4) for j in range(i + 1, 4)),
-                 id="projections_stalled"),
+                 id="projections_certified"),
 ]
 
 

@@ -1,8 +1,11 @@
 """Common-probe feasibility: exact LP path, certificates, projections."""
 
+import json
+
 import numpy as np
 import pytest
 
+from unidisc.jsonio import certificate_from_json, dumps, verdict_to_json
 from unidisc.probefeas import (
     OrthogonalityProblem,
     ProbeFeasibility,
@@ -12,6 +15,7 @@ from unidisc.probefeas import (
     purify_witness,
     verify_certificate,
 )
+from unidisc.protocols import ProductUnitarySet, check_gdr, gdr_problem
 from unidisc.qcore import DEFAULT_TOL, DensityOperator, haar_unitary, partial_trace
 
 W3 = np.exp(2j * np.pi / 3)
@@ -124,8 +128,9 @@ class TestLpVsProjections:
 
     def test_agreement_on_commuting_instances(self):
         # 100 diagonal systems, half with a planted feasible point: exact
-        # LP verdict vs the projection heuristic; projections may stall
-        # (not_found) but must never contradict a certified verdict
+        # LP verdict vs the projections; projections may run out of budget
+        # (not_found), but each witness and each certificate they return
+        # must agree with the LP verdict and re-check on its own
         rng = np.random.default_rng(77)
         lp_feasible = 0
         checked = 0
@@ -155,7 +160,8 @@ class TestLpVsProjections:
                            gram_overlaps(f_pr.witness, ops))
                 assert viol < 1e-8
             elif f_pr.status == "infeasible_certified":
-                raise AssertionError("projection path cannot certify")
+                assert f_lp.status == "infeasible_certified"
+                assert verify_certificate(prob, f_pr.certificate) >= 1 - 1e-9
             if trial % 2 == 0:
                 assert f_lp.status == "feasible"
         # both paths must do real work on this ensemble
@@ -267,10 +273,10 @@ _G4 = _H * np.array([[1.0, 1.0], [1.0, -1.0]])
 _G6 = _H * np.array([[1.0, -1.0], [1.0, 1.0]])
 _G7 = _H * np.array([[-1.0, 1.0], [1.0, 1.0]])
 _X = np.array([[0.0, 1.0], [1.0, 0.0]])
-_STALL_GATES = [np.kron(a, b) for a, b in
-                ((np.eye(2), _G7), (np.eye(2), _G4), (_G6, _X), (_G7, np.eye(2)))]
-# dim 4, six relative unitaries; no exact route decides them, and the
-# projections stall at residual 1/2
+_STALL_FACTORS = ((np.eye(2), _G7), (np.eye(2), _G4), (_G6, _X), (_G7, np.eye(2)))
+_STALL_GATES = [np.kron(a, b) for a, b in _STALL_FACTORS]
+# dim 4, six relative unitaries; no exact route decides them, no witness
+# exists, and the projections' residual stalls at 1/2
 STALLED = OrthogonalityProblem(4, tuple(
     _STALL_GATES[i].conj().T @ _STALL_GATES[j]
     for i in range(4) for j in range(i + 1, 4)))
@@ -307,13 +313,22 @@ LATER_WINNER = OrthogonalityProblem(3, tuple(np.array(k) for k in (
 
 
 class TestStackedRestarts:
-    """The restarts run as one stack give the sequential loop's answer."""
+    """The restarts run as one stack give the sequential loop's witness, and
+    a certificate where the loop finds none."""
 
     def test_stalled_pool_problem(self):
+        # the loop finds no witness; the stack certifies from the gap vector
         ref = _ref_projections(STALLED, DEFAULT_TOL, restarts=3, iterations=300)
         got = _solve_by_projections(STALLED, DEFAULT_TOL, restarts=3, iterations=300)
         assert ref.status == "not_found"
-        _assert_same_answer(got, ref)
+        assert got.status == "infeasible_certified"
+        assert got.note == "alternating projections separating certificate"
+        assert verify_certificate(STALLED, got.certificate) >= 1 - 1e-9
+
+    def test_first_checkpoint_certifies(self):
+        got = _solve_by_projections(STALLED, DEFAULT_TOL, iterations=50)
+        assert got.status == "infeasible_certified"
+        assert verify_certificate(STALLED, got.certificate) >= 1 - 1e-9
 
     def test_feasible_problem(self):
         ref = _ref_projections(FEASIBLE, DEFAULT_TOL)
@@ -334,14 +349,26 @@ class TestStackedRestarts:
         # traced and untraced benchmark runs must see the same answers
         first = common_probe_feasible(STALLED)
         second = common_probe_feasible(STALLED)
-        assert first.status == "not_found"
-        assert first.residual == second.residual
+        assert first.status == "infeasible_certified"
+        assert first.certificate.coeffs.tobytes() == second.certificate.coeffs.tobytes()
         assert first.note == second.note
 
     @pytest.mark.parametrize("budget", [{"restarts": 0}, {"iterations": 0}])
     def test_rejects_empty_budget(self, budget):
         with pytest.raises(ValueError, match="at least one restart and one iteration"):
             _solve_by_projections(FEASIBLE, DEFAULT_TOL, **budget)
+
+
+def test_stalled_gdr_certificate_round_trips_through_json():
+    # the benchmark's gate: a GDR certificate decoded from the verdict's
+    # JSON re-verifies against the problem rebuilt from the set
+    uset = ProductUnitarySet((2, 2), tuple((f"u{i}", a, b)
+                                           for i, (a, b) in enumerate(_STALL_FACTORS)))
+    verdict = check_gdr(uset)
+    assert verdict.status == "indistinguishable_certified"
+    data = json.loads(dumps(verdict_to_json(verdict)))
+    cert = certificate_from_json(data["feasibility"]["certificate"])
+    assert verify_certificate(gdr_problem(uset), cert) >= 1 - 1e-9
 
 
 class TestAutoNoncommuting:
