@@ -9,7 +9,11 @@ maps to a usage-error exit.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -55,9 +59,126 @@ class FormatError(ValueError):
 def dumps(obj) -> str:
     """Canonical serialization: sorted keys, two-space indent, newline end.
 
-    Identical structures produce byte-identical text.
+    Identical structures produce byte-identical text, the same as
+    ``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\\n"``,
+    with the same ``ValueError`` on NaN, infinity or a circular reference
+    and ``TypeError`` on objects JSON cannot represent.  The standard library writes indented
+    output in pure Python, one value at a time; here each rectangular nested
+    list of numbers (matrices, POVM elements, vectors) is rendered in one
+    pass of its C compact encoder, and the number strings fill an
+    indentation template cached per shape and depth.
     """
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    out = []
+    _encode(obj, 0, out, set())
+    out.append("\n")
+    return "".join(out)
+
+
+_INDENT = "  "
+# scalar types the compact encoder renders as the indented one does, and
+# whose text never holds a comma
+_LEAF_TYPES = frozenset((float, int, bool, type(None)))
+# number types as JSON decodes them
+_NUMBER_TYPES = frozenset((float, int))
+_compact = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
+
+
+def _scalar_text(o) -> str | None:
+    """JSON text of a string or scalar, or None for anything else."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o or o in (math.inf, -math.inf):
+            raise ValueError(f"Out of range float values are not JSON compliant: {o!r}")
+        return float.__repr__(o)
+    return None
+
+
+def _encode(o, level: int, out: list, open_ids: set) -> None:
+    """Append the text of ``o`` at nesting depth ``level`` to ``out``;
+    ``open_ids`` holds the ids of the containers being encoded."""
+    text = _scalar_text(o)
+    if text is not None:
+        out.append(text)
+        return
+    pad = "\n" + _INDENT * (level + 1)
+    if isinstance(o, (list, tuple)):
+        block = _number_block(o, level) if o else "[]"
+        if block is not None:
+            out.append(block)
+            return
+        _enter(o, open_ids)
+        sep = "[" + pad
+        for item in o:
+            out.append(sep)
+            sep = "," + pad
+            _encode(item, level + 1, out, open_ids)
+        out.append("\n" + _INDENT * level + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        _enter(o, open_ids)
+        sep = "{" + pad
+        for key, item in sorted(o.items()):
+            if not isinstance(key, str):
+                text = _scalar_text(key)
+                if text is None:
+                    raise TypeError(f"keys must be str, int, float, bool or None, "
+                                    f"not {key.__class__.__name__}")
+                key = text
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            sep = "," + pad
+            _encode(item, level + 1, out, open_ids)
+        out.append("\n" + _INDENT * level + "}")
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+    open_ids.remove(id(o))
+
+
+def _enter(container, open_ids: set) -> None:
+    if id(container) in open_ids:
+        raise ValueError("Circular reference detected")
+    open_ids.add(id(container))
+
+
+def _number_block(o, level: int) -> str | None:
+    """Text of a rectangular nested list of numbers at depth ``level``, or
+    None when ``o`` is anything else."""
+    shape = []
+    leaves = [o]
+    while type(leaves[0]) is list and leaves[0]:
+        n = len(leaves[0])
+        if set(map(type, leaves)) != {list} or set(map(len, leaves)) != {n}:
+            return None
+        shape.append(n)
+        leaves = list(chain.from_iterable(leaves))
+    if not shape or not _LEAF_TYPES.issuperset(map(type, leaves)):
+        return None
+    try:
+        numbers = _compact(leaves)[1:-1].split(",")
+    except ValueError:  # NaN or infinity: the per-value path names it
+        return None
+    return _block_template(tuple(shape), level) % tuple(numbers)
+
+
+@functools.lru_cache(maxsize=256)
+def _block_template(shape: tuple, level: int) -> str:
+    """Indented layout of a nested list of ``shape`` at depth ``level``,
+    with a ``%s`` slot per number."""
+    if not shape:
+        return "%s"
+    pad = "\n" + _INDENT * (level + 1)
+    inner = _block_template(shape[1:], level + 1)
+    return "[" + pad + ("," + pad).join([inner] * shape[0]) + "\n" + _INDENT * level + "]"
 
 
 # ---------------------------------------------------------------------------
@@ -69,32 +190,54 @@ def complex_to_json(z) -> list:
     return [z.real, z.imag]
 
 
+def _is_number(x) -> bool:
+    # JSON true/false decode as bool, a subclass of int; they are not numbers
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def complex_from_json(v, field: str) -> complex:
-    if (
-        not isinstance(v, (list, tuple))
-        or len(v) != 2
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)
-    ):
+    if not isinstance(v, (list, tuple)) or len(v) != 2 or not all(map(_is_number, v)):
         raise FormatError(f"{field}: expected a [re, im] number pair, got {v!r}")
-    return complex(float(v[0]), float(v[1]))
+    try:
+        return complex(float(v[0]), float(v[1]))
+    except OverflowError:
+        raise FormatError(f"{field}: number out of float range") from None
+
+
+def _complex_array(entries: list) -> np.ndarray | None:
+    """The entries as one complex array when each is a list of two JSON
+    numbers in float range, else None (the per-entry path then decodes or
+    names the bad entry).  The numbers are read as one float64 array and
+    viewed as complex, so signed zeros survive."""
+    if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
+        return None
+    leaves = list(chain.from_iterable(entries))
+    if not _NUMBER_TYPES.issuperset(map(type, leaves)):
+        return None
+    try:
+        return np.array(leaves, dtype=float).view(complex)
+    except OverflowError:
+        return None
 
 
 def matrix_to_json(m) -> list:
     m = np.asarray(m, dtype=complex)
-    return [[complex_to_json(z) for z in row] for row in m]
+    return np.stack((m.real, m.imag), -1).tolist()
 
 
 def matrix_from_json(data, field: str) -> np.ndarray:
     if not isinstance(data, list) or not data:
         raise FormatError(f"{field}: expected a non-empty list of rows")
-    width = None
+    width = len(data[0]) if isinstance(data[0], list) else 0
+    if width and all(type(row) is list and len(row) == width for row in data):
+        m = _complex_array(list(chain.from_iterable(data)))
+        if m is not None:
+            return m.reshape(len(data), width)
     rows = []
     for r, row in enumerate(data):
         if not isinstance(row, list) or not row:
             raise FormatError(f"{field}[{r}]: expected a non-empty row")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
+        if len(row) != width:
             raise FormatError(
                 f"{field}[{r}]: ragged row of length {len(row)}, expected {width}"
             )
@@ -105,16 +248,17 @@ def matrix_from_json(data, field: str) -> np.ndarray:
 
 def vector_to_json(v) -> list:
     v = np.asarray(v, dtype=complex).reshape(-1)
-    return [complex_to_json(z) for z in v]
+    return np.stack((v.real, v.imag), -1).tolist()
 
 
 def vector_from_json(data, field: str) -> np.ndarray:
     if not isinstance(data, list) or not data:
         raise FormatError(f"{field}: expected a non-empty list of entries")
-    return np.array(
-        [complex_from_json(z, f"{field}[{k}]") for k, z in enumerate(data)],
-        dtype=complex,
-    )
+    v = _complex_array(data)
+    if v is None:
+        v = np.array([complex_from_json(z, f"{field}[{k}]") for k, z in enumerate(data)],
+                     dtype=complex)
+    return v
 
 
 def _is_index(x) -> bool:
@@ -345,17 +489,23 @@ def certificate_from_json(data, field: str = "certificate") -> InfeasibilityCert
     if (
         not isinstance(coeffs_data, list)
         or len(coeffs_data) != 2 * len(idx)
-        or not all(isinstance(c, (int, float)) and not isinstance(c, bool)
-                   for c in coeffs_data)
+        or not all(map(_is_number, coeffs_data))
     ):
         raise FormatError(
             f"{field}.coeffs: expected {2 * len(idx)} real coefficients")
-    coeffs = np.array([float(c) for c in coeffs_data])
+    try:
+        coeffs = np.array(coeffs_data, dtype=float)
+    except OverflowError:
+        raise FormatError(f"{field}.coeffs: coefficient out of float range") from None
     min_eig = _expect_key(data, "min_eig", field)
-    if not isinstance(min_eig, (int, float)) or isinstance(min_eig, bool):
+    if not _is_number(min_eig):
         raise FormatError(f"{field}.min_eig: expected a number")
+    try:
+        min_eig = float(min_eig)
+    except OverflowError:
+        raise FormatError(f"{field}.min_eig: number out of float range") from None
     return InfeasibilityCertificate(op_indices=tuple(idx), coeffs=coeffs,
-                                    min_eig=float(min_eig))
+                                    min_eig=min_eig)
 
 
 def verdict_to_json(verdict: StrategyVerdict) -> dict:

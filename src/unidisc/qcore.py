@@ -75,7 +75,7 @@ def as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+    if not np.isfinite(a).all():  # false when either part is not finite
         raise ValueError("matrix contains non-finite entries")
     return a
 
@@ -106,7 +106,7 @@ def _as_vector(v) -> np.ndarray:
     a = np.asarray(v, dtype=complex)
     if a.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {a.shape}")
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+    if not np.isfinite(a).all():  # false when either part is not finite
         raise ValueError("vector contains non-finite entries")
     return a
 

@@ -318,6 +318,29 @@ def test_module_entry_point_exit_code_indistinguishable(tmp_path):
     assert "verdict: indistinguishable" in proc.stdout
 
 
+def test_module_entry_point_out_of_range_entry_usage_error(tmp_path):
+    # a JSON integer too large for a float is a malformed entry, not a crash
+    bad = tmp_path / "bad.json"
+    bad.write_text("[[[1" + "0" * 400 + ", 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]")
+    b = write_matrix(tmp_path / "b.json", np.eye(2))
+    proc = run_cli([sys.executable, "-m", "unidisc", "pair", str(bad), b])
+    assert proc.returncode == 2
+    assert "matrix[0][0]: number out of float range" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("strategy", ["gdr", "lda"])
+@pytest.mark.parametrize("builtin", ["qutrit-quartet", "pauli-hadamard",
+                                     f"phasepair:0.3,0.5,0.9,{math.pi - 1.7}"])
+def test_module_entry_point_check_json_is_canonical(builtin, strategy):
+    proc = run_cli([sys.executable, "-m", "unidisc", "check", builtin,
+                    "--strategy", strategy, "--json"])
+    assert proc.returncode in (0, 3), proc.stderr
+    canonical = json.dumps(json.loads(proc.stdout), indent=2, sort_keys=True,
+                           allow_nan=False) + "\n"
+    assert proc.stdout == canonical
+
+
 def test_module_entry_point_pair_on_a_near_antipodal_chord(tmp_path):
     # relative phases {0, pi - 1e-6, pi}: the origin lies on the chord
     # across the widest gap, where no fan triangle contains it in rounding

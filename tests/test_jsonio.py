@@ -12,6 +12,7 @@ from unidisc.families import (
     pauli_hadamard_tree,
     phase_pair_set,
     qutrit_quartet_set,
+    random_qubit_set,
 )
 from unidisc.jsonio import (
     FormatError,
@@ -40,8 +41,101 @@ from unidisc.probefeas import (
     common_probe_feasible,
     verify_certificate,
 )
-from unidisc.protocols import check_gdr, verify_probe, verify_tree
-from unidisc.seesaw import run_seesaw
+from unidisc.protocols import check_gdr, hierarchy_audit, verify_probe, verify_tree
+from unidisc.seesaw import EliminationTask, run_seesaw
+
+HUGE = 10 ** 400  # a JSON integer outside float range
+
+
+def stdlib_dumps(obj) -> str:
+    """The canonical form by definition: the oracle for ``dumps``."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def per_entry_matrix(data) -> np.ndarray:
+    """The per-entry decoding the array-native decoders replaced."""
+    return np.array([[complex(float(re), float(im)) for re, im in row] for row in data],
+                    dtype=complex)
+
+
+def _seesaw_result():
+    t = np.diag([1.0, np.exp(1j * np.pi / 4)])
+    task = EliminationTask(dim=2, arms=((np.eye(2),), (t,)))
+    return run_seesaw(task, restarts=2, seed=0)
+
+
+def _circular_list():
+    a = [1.0, [2.0]]
+    a[1].append(a)
+    return a
+
+
+def _circular_dict():
+    d = {"x": [1.0]}
+    d["y"] = [d]
+    return d
+
+
+@pytest.fixture(scope="module")
+def audit_verdicts():
+    """Every hierarchy_audit verdict on the builtins and 20 random qubit sets."""
+    sets = [phase_pair_set(PhasePairParams(0.3, 0.5, 0.9, math.pi - 1.7)),
+            qutrit_quartet_set(), pauli_hadamard_set()]
+    rng = np.random.default_rng(0)
+    sets += [random_qubit_set(rng) for _ in range(20)]
+    return [verdict for uset in sets for _, verdict in hierarchy_audit(uset)]
+
+
+class TestDumpsMatchesStdlib:
+    def test_audit_verdicts(self, audit_verdicts):
+        assert len(audit_verdicts) == 160
+        for verdict in audit_verdicts:
+            data = verdict_to_json(verdict)
+            assert dumps(data) == stdlib_dumps(data)
+
+    def test_sets_and_seesaw(self):
+        for uset in (qutrit_quartet_set(), pauli_hadamard_set()):
+            data = set_to_json(uset)
+            assert dumps(data) == stdlib_dumps(data)
+        data = seesaw_to_json(_seesaw_result(), restarts=2)
+        assert dumps(data) == stdlib_dumps(data)
+
+    @pytest.mark.parametrize("obj", [
+        [], {}, [[]], [{}], [[], []], {"a": [], "b": {}}, [[[]]], [{"x": [[]]}],
+        -0.0, 5e-324, 1e16, [-0.0, 5e-324, 1e16, 1.5e-7], [[[-0.0, 5e-324]], [[1e16, 0.0]]],
+        [[1, 2.5], [True, None]], [[[1, 0.0], [False, 2]]], 10 ** 30, [10 ** 30, 1.0],
+        [[1.0, 2.0], [3.0]], [[1.0, 2.0], 3.0], [[1.0], [[2.0]]], [[[1.0, 2.0]], [[3.0]]],
+        (1.0, 2.0), [(1.0, 2.0), [3.0, 4.0]], ((1, 2), (3, 4)),
+        "tab\t \"quote\" \\ caf\u00e9 \u2603 \U0001F600", {"k\u00e9y": ["v\n", "\u00ff"]},
+        [["a", "b"], ["c", "d"]], [[1.0, "x,y"]],
+        {"b": 1, "a": {"d": [1, 2], "c": None}}, {2: "x", 1: "y"}, {1.5: 0, 0.5: 1},
+        {True: 1}, {None: [1.0]}, [[[[1.0]]]],
+    ])
+    def test_edge_cases(self, obj):
+        assert dumps(obj) == stdlib_dumps(obj)
+
+    def test_numpy_float_encodes_as_stdlib(self):
+        obj = {"x": np.float64(0.1), "m": [[np.float64(-0.0), 1.0]]}
+        assert dumps(obj) == stdlib_dumps(obj)
+
+    @pytest.mark.parametrize("obj", [np.int64(1), [np.int64(1)], [[np.int64(1), 2]],
+                                     {"a": object()}, {(1, 2): 3}, np.zeros(2)])
+    def test_type_error_as_stdlib(self, obj):
+        with pytest.raises(TypeError) as ours:
+            dumps(obj)
+        with pytest.raises(TypeError) as theirs:
+            stdlib_dumps(obj)
+        assert str(ours.value) == str(theirs.value)
+
+    @pytest.mark.parametrize("obj", [math.nan, [math.inf], [[1.0, -math.inf]],
+                                     {"m": [[[0.0, math.nan]]]}, {math.nan: 1},
+                                     _circular_list(), {"a": [{"b": _circular_dict()}]}])
+    def test_value_error_as_stdlib(self, obj):
+        with pytest.raises(ValueError) as ours:
+            dumps(obj)
+        with pytest.raises(ValueError) as theirs:
+            stdlib_dumps(obj)
+        assert str(ours.value) == str(theirs.value)
 
 
 class TestDumps:
@@ -99,6 +193,78 @@ class TestArrays:
     def test_vector_bad_entry_names_index(self):
         with pytest.raises(FormatError, match=r"v\[1\]"):
             vector_from_json([[1.0, 0.0], None], "v")
+
+
+class TestArrayDecoders:
+    def test_match_per_entry_path(self, audit_verdicts):
+        checked = 0
+        for verdict in audit_verdicts:
+            data = json.loads(dumps(verdict_to_json(verdict)))
+            witness = data["witness"]
+            if witness is None:
+                continue
+            block = witness.get("tree") or witness["probe_witness"]
+            for el in block["povm"]:
+                got = matrix_from_json(el, "m")
+                assert got.tobytes() == per_entry_matrix(el).tobytes()
+                checked += 1
+            got = vector_from_json(block["probe"], "v")
+            assert got.tobytes() == per_entry_matrix([block["probe"]])[0].tobytes()
+        assert checked > 100
+
+    def test_signed_zeros_and_ints_survive(self):
+        data = [[[-0.0, -0.0], [0.0, -0.0]], [[1, -0.0], [-0.0, 2]]]
+        got = matrix_from_json(data, "m")
+        assert got.tobytes() == per_entry_matrix(data).tobytes()
+        assert got.dtype == complex and got.shape == (2, 2)
+        assert vector_from_json(data[0], "v").tobytes() == per_entry_matrix(data)[0].tobytes()
+        as_floats = [[[float(x) for x in z] for z in row] for row in data]
+        assert json.dumps(matrix_to_json(got)) == json.dumps(as_floats)
+        assert json.dumps(vector_to_json(got[0])) == json.dumps(as_floats[0])
+
+    def test_tuples_and_numpy_scalars_accepted(self):
+        data = [[(1.0, np.float64(-0.0)), [0, 1]]]
+        assert matrix_from_json(data, "m").tobytes() == per_entry_matrix(data).tobytes()
+
+    @pytest.mark.parametrize("bad", [True, "x", None, [1.0], [1.0, 2.0, 3.0],
+                                     [True, 0.0], [0.0, None], ["1", 0.0], {"re": 1}])
+    def test_bad_entry_path(self, bad):
+        good = [0.0, 0.0]
+        with pytest.raises(FormatError, match=r"^m\[1\]\[0\]: expected a \[re, im\]"):
+            matrix_from_json([[good, good], [bad, good]], "m")
+        with pytest.raises(FormatError, match=r"^v\[1\]: expected a \[re, im\]"):
+            vector_from_json([good, bad], "v")
+
+    def test_first_error_in_row_major_order(self):
+        good = [0.0, 0.0]
+        # an entry of row 0 is reported before the ragged row 1
+        with pytest.raises(FormatError, match=r"^m\[0\]\[1\]:"):
+            matrix_from_json([[good, "x"], [good]], "m")
+        with pytest.raises(FormatError, match=r"^m\[1\]: ragged"):
+            matrix_from_json([[good, good], [good], ["x"]], "m")
+        with pytest.raises(FormatError, match=r"^m\[1\]: expected a non-empty row"):
+            matrix_from_json([[good], []], "m")
+
+    def test_overflow_matrix(self):
+        with pytest.raises(FormatError, match=r"^m\[1\]\[0\]: number out of float range"):
+            matrix_from_json([[[1.0, 0.0]], [[HUGE, 0.0]]], "m")
+
+    def test_overflow_vector(self):
+        with pytest.raises(FormatError, match=r"^v\[0\]: number out of float range"):
+            vector_from_json([[0.0, -HUGE], [1.0, 0.0]], "v")
+
+    def test_overflow_complex(self):
+        with pytest.raises(FormatError, match=r"^z: number out of float range"):
+            complex_from_json([HUGE, 0], "z")
+
+    def test_overflow_certificate(self):
+        ops = [np.eye(2), np.diag([1.0, np.exp(1j * np.pi / 4)])]
+        data = feasibility_to_json(common_probe_feasible(
+            OrthogonalityProblem(2, ops)))["certificate"]
+        with pytest.raises(FormatError, match=r"certificate\.coeffs"):
+            certificate_from_json({**data, "coeffs": [HUGE] + data["coeffs"][1:]})
+        with pytest.raises(FormatError, match=r"certificate\.min_eig"):
+            certificate_from_json({**data, "min_eig": -HUGE})
 
 
 class TestSetCodec:
@@ -304,11 +470,7 @@ class TestFeasibilityCodec:
 
 class TestSeesawCodec:
     def test_seesaw_report_shape(self):
-        from unidisc.seesaw import EliminationTask
-
-        t = np.diag([1.0, np.exp(1j * np.pi / 4)])
-        task = EliminationTask(dim=2, arms=((np.eye(2),), (t,)))
-        res = run_seesaw(task, restarts=2, seed=0)
+        res = _seesaw_result()
         data = seesaw_to_json(res, restarts=2)
         assert data["restarts"] == 2
         assert len(data["per_restart"]) == 2

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from unidisc import probefeas
 from unidisc.jsonio import certificate_from_json, dumps, verdict_to_json
 from unidisc.probefeas import (
     OrthogonalityProblem,
@@ -352,6 +353,18 @@ class TestStackedRestarts:
         assert first.status == "infeasible_certified"
         assert first.certificate.coeffs.tobytes() == second.certificate.coeffs.tobytes()
         assert first.note == second.note
+
+    @pytest.mark.parametrize("problem, stacks", [(FEASIBLE, [2]), (STALLED, [2, 8])])
+    def test_rows_run_ahead_to_first_check(self, problem, stacks, monkeypatch):
+        # rows 0 and 1 run alone to the first check; the other eight start
+        # only when row 0 has not succeeded there
+        sizes = []
+        steps = probefeas._dykstra_steps
+        monkeypatch.setattr(probefeas, "_dykstra_steps",
+                            lambda x, *args: sizes.append(len(x)) or steps(x, *args))
+        got = _solve_by_projections(problem, DEFAULT_TOL)
+        assert got.status in ("feasible", "infeasible_certified")
+        assert sizes == stacks
 
     @pytest.mark.parametrize("budget", [{"restarts": 0}, {"iterations": 0}])
     def test_rejects_empty_budget(self, budget):

@@ -38,6 +38,28 @@ def test_as_matrix_rejects_non_2d():
         as_matrix([1, 2, 3])
 
 
+# a non-finite real part, imaginary part, or both
+NON_FINITE = [complex(float("nan"), 0.0), complex(0.0, float("inf")),
+              complex(float("-inf"), float("nan"))]
+
+
+@pytest.mark.parametrize("z", NON_FINITE)
+def test_as_matrix_rejects_non_finite_part(z):
+    with pytest.raises(ValueError, match="non-finite"):
+        as_matrix([[1.0, 0.0], [0.0, z]])
+
+
+@pytest.mark.parametrize("z", NON_FINITE)
+def test_state_vector_rejects_non_finite_part(z):
+    with pytest.raises(ValueError, match="non-finite"):
+        StateVector([1.0, z])
+
+
+def test_as_matrix_keeps_finite_input_without_copy():
+    m = np.array([[1.0, -0.0j], [1e300j, -1e-300]])
+    assert as_matrix(m) is m
+
+
 class TestUnitaryOperator:
     def test_accepts_unitary(self):
         u = UnitaryOperator(np.diag([1, 1j]))
