@@ -79,12 +79,15 @@ def _config(args) -> RunConfig:
                              orthogonality=args.tol)
         except ValueError:
             raise _CliError(f"--tol must be finite and positive, got {args.tol}") from None
+    seed = getattr(args, "seed", 0)
+    if seed < 0:
+        raise _CliError(f"--seed must be non-negative, got {seed}")
     restarts = getattr(args, "restarts", 50)
     if restarts < 1:
         raise _CliError("--restarts must be at least 1")
     return RunConfig(
         tol=tol,
-        seed=getattr(args, "seed", 0),
+        seed=seed,
         restarts=restarts,
         output="json" if getattr(args, "json", False) else "human",
         out_path=getattr(args, "out", None),

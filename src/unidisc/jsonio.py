@@ -31,7 +31,6 @@ from .qcore import StateVector
 __all__ = [
     "FormatError",
     "dumps",
-    "complex_to_json",
     "complex_from_json",
     "matrix_to_json",
     "matrix_from_json",
@@ -183,11 +182,6 @@ def _block_template(shape: tuple, level: int) -> str:
 
 # ---------------------------------------------------------------------------
 # scalars, vectors, matrices
-
-
-def complex_to_json(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
 
 
 def _is_number(x) -> bool:

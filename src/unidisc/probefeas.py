@@ -15,12 +15,13 @@ u_j in the constraint set.  Feasibility over density operators is decided
 * by testing the maximally mixed candidate, which settles every feasible
   qubit instance and many composite ones;
 * otherwise by Dykstra-corrected alternating projections between the
-  density-operator set and the constraint subspace.  The restarts run in
-  lockstep as one stack of matrices, and a witness is chosen in restart
-  order, as if they had run one after another.  The density set is
-  compact, so an infeasible problem keeps the two sets a positive
-  distance apart, and Dykstra's iterates converge to the gap vector v
-  between them (Bauschke & Borwein, J. Approx. Theory 79, 418 (1994)).
+  density-operator set and the constraint subspace, one run from the
+  maximally mixed state.  Both sets are convex, so one start suffices: the
+  iterates converge to a feasible point whenever one exists (Boyle &
+  Dykstra, 1986).  The density set is also compact, so an infeasible
+  problem keeps the two sets a positive distance apart, and Dykstra's
+  iterates converge to the gap vector v between them (Bauschke & Borwein,
+  J. Approx. Theory 79, 418 (1994)).
   v lies in the span of the constraints' Hermitian parts, and since its
   density end minimizes Tr(rho v) over densities, lambda_min(v) = |v|^2 > 0:
   rescaled, v is a certificate of the form below.  A feasible rho* forces
@@ -124,21 +125,21 @@ def _hermitian_parts(k):
     return (k + k.conj().T) / 2, (k - k.conj().T) / 2j
 
 
-def _combined_min_eig(ops, indices, coeffs):
+def _combined_min_eig(problem, indices, coeffs):
     """Smallest eigenvalue of G = sum_t (c_2t ReK + c_2t+1 ImK) over the
-    operators K = ops[k] that ``indices`` names, in that order."""
-    g = np.zeros(ops[0].shape, dtype=complex)
+    constraint operators K that ``indices`` names, in that order."""
+    g = np.zeros((problem.dim, problem.dim), dtype=complex)
     for t, k in enumerate(indices):
-        h, s = _hermitian_parts(ops[k])
+        h, s = _hermitian_parts(problem.operators[k])
         g = g + coeffs[2 * t] * h + coeffs[2 * t + 1] * s
     return float(np.linalg.eigvalsh((g + g.conj().T) / 2).min())
 
 
-def _certificate_from_lp(ops, indices, farkas):
+def _certificate_from_lp(problem, indices, farkas):
     """Convert a Farkas vector of the eigenbasis LP into a spectral bound."""
     y = farkas.y
     coeffs = -np.asarray(y[:-1], dtype=float)  # drop the normalization row
-    lo = _combined_min_eig(ops, indices, coeffs)
+    lo = _combined_min_eig(problem, indices, coeffs)
     if lo < 1 - 1e-7:
         raise AssertionError(f"certificate bound failed: min eig {lo:.6e}")
     return InfeasibilityCertificate(op_indices=tuple(indices), coeffs=coeffs, min_eig=lo)
@@ -149,10 +150,22 @@ def verify_certificate(problem: OrthogonalityProblem,
                        tol: Tolerances = DEFAULT_TOL) -> float:
     """Recompute the spectral lower bound of a certificate from scratch.
 
-    Returns the recomputed minimum eigenvalue; raises if it fails to clear
-    the strictly positive bar, since then the certificate proves nothing.
+    Returns the recomputed minimum eigenvalue; raises ``ValueError`` if the
+    certificate does not fit the problem (an index that is not an integer
+    in range, or not two finite coefficients per index) or if the bound
+    fails to clear the strictly positive bar, since then it proves nothing.
     """
-    lo = _combined_min_eig(problem.operators, cert.op_indices, cert.coeffs)
+    n = len(problem.operators)
+    bad = [k for k in cert.op_indices if not (isinstance(k, (int, np.integer)) and 0 <= k < n)]
+    if bad:
+        raise ValueError(f"certificate op_indices {bad} are not indices "
+                         f"of a problem with {n} operators")
+    if np.shape(cert.coeffs) != (2 * len(cert.op_indices),):
+        raise ValueError(f"certificate needs {2 * len(cert.op_indices)} coefficients for "
+                         f"{len(cert.op_indices)} op_indices, got shape {np.shape(cert.coeffs)}")
+    if not np.isfinite(cert.coeffs).all():
+        raise ValueError("certificate coefficients must be finite")
+    lo = _combined_min_eig(problem, cert.op_indices, cert.coeffs)
     if lo < 1 - tol.comparison:
         raise ValueError(f"certificate does not verify: min eig {lo:.6e}")
     return lo
@@ -193,7 +206,7 @@ def _solve_commuting(problem, indices, tol):
             residual=float(max(abs(np.trace(rho @ k)) for k in ops)),
             note="common-eigenbasis linear program",
         )
-    cert = _certificate_from_lp(problem.operators, indices, lp.certificate)
+    cert = _certificate_from_lp(problem, indices, lp.certificate)
     return ProbeFeasibility(
         status="infeasible_certified",
         certificate=cert,
@@ -202,52 +215,48 @@ def _solve_commuting(problem, indices, tol):
 
 
 def _project_density(x):
-    """Nearest density operators to the Hermitian parts of a stack of
-    matrices: one batched ``eigh``, then each row's eigenvalues go to their
-    Euclidean projection onto the probability simplex."""
-    w, v = np.linalg.eigh((x + x.conj().swapaxes(1, 2)) / 2)
-    u = w[:, ::-1]  # eigh returns each row's eigenvalues in ascending order
-    css = np.cumsum(u, axis=1) - 1.0
-    idx = np.arange(1, u.shape[1] + 1)
-    cond = u - css / idx > 0
-    # the last index where cond holds (it holds at index 0 in every row)
-    k = u.shape[1] - 1 - np.argmax(cond[:, ::-1], axis=1)
-    theta = css[np.arange(len(k)), k] / idx[k]
-    w = np.maximum(w - theta[:, None], 0.0)
-    return (v * w[:, None, :]) @ v.conj().swapaxes(1, 2)
+    """Nearest density operator to the Hermitian part of ``x``: one ``eigh``,
+    then the eigenvalues go to their Euclidean projection onto the
+    probability simplex."""
+    w, v = np.linalg.eigh((x + x.conj().T) / 2)
+    u = w[::-1]  # eigh returns the eigenvalues in ascending order
+    css = np.cumsum(u) - 1.0
+    idx = np.arange(1, len(u) + 1)
+    # the last index where the condition holds (it holds at index 0)
+    k = np.flatnonzero(u - css / idx > 0)[-1]
+    w = np.maximum(w - css[k] / idx[k], 0.0)
+    return (v * w) @ v.conj().T
 
 
 def _span_coefficients(x, funcs, gram_pinv):
-    """Per row of a stack, the coefficients over the rows of ``funcs`` (the
-    nonzero Hermitian parts, flattened) of its orthogonal projection onto
-    their real span."""
-    r, d, _ = x.shape
-    return (x.reshape(r, d * d) @ funcs.conj().T).real @ gram_pinv.T
+    """The coefficients over the rows of ``funcs`` (the nonzero Hermitian
+    parts, flattened) of the orthogonal projection of ``x`` onto their real
+    span."""
+    return gram_pinv @ (funcs.conj() @ x.reshape(-1)).real
 
 
 def _project_affine(x, funcs, gram_pinv):
-    """Project a stack onto the matrices x with Re<g, x> = 0 for every row g
-    of ``funcs``."""
+    """Project ``x`` onto the matrices with Re<g, x> = 0 for every row g of
+    ``funcs``."""
     return x - (_span_coefficients(x, funcs, gram_pinv) @ funcs).reshape(x.shape)
 
 
 def _gap_certificate(problem, funcs, gram_pinv, slots, cand, tol):
-    """An infeasibility certificate from the first row of the density stack
-    ``cand`` whose component in the constraint span is positive definite,
-    rescaled to smallest eigenvalue 1, or None when no row gives one that
-    ``verify_certificate`` accepts.  ``slots`` maps the rows of ``funcs``
-    to their (cRe_k, cIm_k) positions."""
+    """An infeasibility certificate from the component of the density
+    ``cand`` in the constraint span, rescaled to smallest eigenvalue 1, or
+    None unless that component is positive definite and the certificate
+    passes ``verify_certificate``.  ``slots`` maps the rows of ``funcs`` to
+    their (cRe_k, cIm_k) positions."""
     coef = _span_coefficients(cand, funcs, gram_pinv)
-    lo = np.linalg.eigvalsh((coef @ funcs).reshape(cand.shape)).min(axis=1)
-    hit = np.flatnonzero(lo > 0)
-    if not hit.size:
+    lo = np.linalg.eigvalsh((coef @ funcs).reshape(cand.shape)).min()
+    if lo <= 0:
         return None
     coeffs = np.zeros(2 * len(problem.operators))
-    coeffs[slots] = coef[hit[0]] / lo[hit[0]]
+    coeffs[slots] = coef / lo
     indices = tuple(range(len(problem.operators)))
     cert = InfeasibilityCertificate(
         op_indices=indices, coeffs=coeffs,
-        min_eig=_combined_min_eig(problem.operators, indices, coeffs))
+        min_eig=_combined_min_eig(problem, indices, coeffs))
     try:
         verify_certificate(problem, cert, tol)
     except ValueError:
@@ -256,15 +265,14 @@ def _gap_certificate(problem, funcs, gram_pinv, slots, cand, tol):
 
 
 def _violations(rho, ops_t):
-    """max_k |Tr(rho K_k)| per row of a stack; column k of ``ops_t`` is
-    K_k transposed and flattened."""
-    r, d, _ = rho.shape
-    return np.abs(rho.reshape(r, d * d) @ ops_t).max(axis=1)
+    """max_k |Tr(rho K_k)|; column k of ``ops_t`` is K_k transposed and
+    flattened."""
+    return float(np.abs(rho.reshape(-1) @ ops_t).max())
 
 
 def _dykstra_steps(x, p, q, steps, funcs, gram_pinv):
-    """``steps`` Dykstra iterations on a stack: iterate ``x`` with the
-    corrections ``p`` (density side) and ``q`` (constraint side)."""
+    """``steps`` Dykstra iterations: iterate ``x`` with the corrections
+    ``p`` (density side) and ``q`` (constraint side)."""
     for _ in range(steps):
         xp = x + p
         y = _project_density(xp)
@@ -275,36 +283,26 @@ def _dykstra_steps(x, p, q, steps, funcs, gram_pinv):
     return x, p, q
 
 
-def _solve_by_projections(problem, tol, restarts=10, iterations=5000, seed=0):
+def _solve_by_projections(problem, tol, iterations=5000):
     """Dykstra-corrected alternating projections onto densities vs the
-    constraint subspace.  Success yields a witness; an infeasible problem
-    yields a certificate from the gap vector the iterates converge to (see
-    the module docstring), and only an exhausted budget gives ``not_found``.
+    constraint subspace, from the maximally mixed state.
 
-    Restart 0 starts from I/d and the others from random pure states drawn
-    from ``default_rng(seed)``.  The restarts run in lockstep as one
-    ``(restarts, d, d)`` stack, and a witness is the one a loop running them
-    one after another would give.  Each row checks its projected iterate
-    every 50 iterations and at the last, keeps its own best (first smallest)
-    residual, and stops once that is below 1e-11.  A loop in restart order
-    would stop after the first row that succeeds, the *winner*, so rows
-    after it drop out, while rows before it run on: one of them may still
-    succeed and become the winner.  The best residual over rows up to the
-    winner (all rows if none succeeds), ties to the lower row, is polished
-    inside the near-miss band.
+    One run suffices: both sets are convex and the density set is compact,
+    so from any start the iterates converge to a feasible point when one
+    exists (Boyle & Dykstra, 1986) and otherwise to the gap vector between
+    the sets (Bauschke & Borwein, J. Approx. Theory 79, 418 (1994)), which
+    yields a certificate (see the module docstring); another start would
+    only spend more of the budget on the same limit.
 
-    Until some row succeeds, each check also takes the projected iterates'
-    components in the constraint span: the first row (in restart order)
-    whose component is positive definite, rescaled, is returned as a
-    certificate once ``verify_certificate`` accepts it.
-
-    Rows 0 and 1 run ahead to the first check, and the others start only
-    if row 0 has not succeeded there, which it has on most feasible
-    problems; the result is the same as from the whole stack.
+    Every 50 iterations and at the last, the projected iterate is returned
+    as a witness once its residual is below 1e-11, and otherwise its
+    component in the constraint span is returned as a certificate once
+    ``verify_certificate`` accepts it.  When the budget runs out, the last
+    projected iterate is a witness if its residual is below
+    ``tol.comparison``, and the answer is ``not_found`` if not.
     """
-    if restarts < 1 or iterations < 1:
-        raise ValueError(f"need at least one restart and one iteration, "
-                         f"got restarts={restarts}, iterations={iterations}")
+    if iterations < 1:
+        raise ValueError(f"need at least one iteration, got iterations={iterations}")
     d = problem.dim
     # never empty: the caller handles an empty constraint set, and each
     # operator is unitary, so one of its two parts is nonzero
@@ -315,78 +313,28 @@ def _solve_by_projections(problem, tol, restarts=10, iterations=5000, seed=0):
     gram_pinv = np.linalg.pinv(gram, rcond=1e-12)
     ops_t = np.array([k.T.reshape(-1) for k in problem.operators]).T
 
-    rng = np.random.default_rng(seed)
-    x = np.empty((restarts, d, d), dtype=complex)
-    x[0] = np.eye(d) / d
-    for r in range(1, restarts):
-        v = rng.normal(size=d) + 1j * rng.normal(size=d)
-        v /= np.linalg.norm(v)
-        x[r] = np.outer(v, v.conj())
+    x = np.eye(d, dtype=complex) / d
     p = np.zeros_like(x)
     q = np.zeros_like(x)
-    rows = np.arange(restarts)  # restart index of each live row
-    best = np.zeros_like(x)
-    best_viol = np.full(restarts, np.inf)
-    winner = restarts
     prev = 0
     for check in (*range(50, iterations, 50), iterations):
-        if prev:
-            x, p, q = _dykstra_steps(x, p, q, check - prev, funcs, gram_pinv)
-        else:
-            # the first two rows run ahead to the first check, where row 0
-            # succeeds on most feasible problems and ends the search (two,
-            # not one: BLAS rounds a one-row stack differently)
-            head = _dykstra_steps(x[:2], p[:2], q[:2], check, funcs, gram_pinv)
-            if _violations(_project_density(head[0]), ops_t)[0] < 1e-11:
-                x, p, q = head
-                rows = rows[:2]
-            else:
-                tail = _dykstra_steps(x[2:], p[2:], q[2:], check, funcs, gram_pinv)
-                x, p, q = (np.concatenate(pair) for pair in zip(head, tail))
+        x, p, q = _dykstra_steps(x, p, q, check - prev, funcs, gram_pinv)
         prev = check
         cand = _project_density(x)
         viol = _violations(cand, ops_t)
-        better = viol < best_viol[rows]
-        best_viol[rows[better]] = viol[better]
-        best[rows[better]] = cand[better]
-        done = viol < 1e-11
-        if done.any():  # every live row comes before the winner
-            winner = int(rows[done][0])
-        elif winner == restarts:
-            cert = _gap_certificate(problem, funcs, gram_pinv, slots, cand, tol)
-            if cert is not None:
-                return ProbeFeasibility(
-                    status="infeasible_certified", certificate=cert,
-                    note="alternating projections separating certificate")
-        live = ~done & (rows < winner)
-        if not live.all():
-            rows, x, p, q = rows[live], x[live], p[live], q[live]
-            if not rows.size:
-                break
+        if viol < 1e-11:
+            break
+        cert = _gap_certificate(problem, funcs, gram_pinv, slots, cand, tol)
+        if cert is not None:
+            return ProbeFeasibility(
+                status="infeasible_certified", certificate=cert,
+                note="alternating projections separating certificate")
 
-    r = int(np.argmin(best_viol[:winner + 1]))
-    best_viol = float(best_viol[r])
-    best = best[r:r + 1]
-
-    # plain alternating polish inside the near-miss band
-    if 1e-11 <= best_viol < 1e-7:
-        x = best
-        for it in range(2000):
-            x = _project_density(_project_affine(x, funcs, gram_pinv))
-            if it % 100 == 99:
-                viol = float(_violations(x, ops_t)[0])
-                if viol < best_viol:
-                    best_viol = viol
-                    best = x
-                if viol < 1e-11:
-                    break
-
-    if best_viol < tol.comparison:
-        return ProbeFeasibility(status="feasible", witness=DensityOperator(best[0]),
-                                residual=best_viol,
-                                note="alternating projections")
-    return ProbeFeasibility(status="not_found", residual=best_viol,
-                            note=f"alternating projections stalled at residual {best_viol:.3e}")
+    if viol < tol.comparison:
+        return ProbeFeasibility(status="feasible", witness=DensityOperator(cand),
+                                residual=viol, note="alternating projections")
+    return ProbeFeasibility(status="not_found", residual=viol,
+                            note=f"alternating projections stalled at residual {viol:.3e}")
 
 
 # -----------------------------------------------------------------------------

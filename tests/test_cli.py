@@ -202,6 +202,10 @@ class TestSeesaw:
         assert main(["seesaw", "--restarts", "0"]) == 2
         assert "restarts" in capsys.readouterr().err
 
+    def test_negative_seed_usage_error(self, capsys):
+        assert main(["seesaw", "--seed", "-1", "--restarts", "1"]) == 2
+        assert "--seed" in capsys.readouterr().err
+
     def test_unknown_task_usage_error(self, capsys):
         assert main(["seesaw", "warp-drive"]) == 2
         assert "warp-drive" in capsys.readouterr().err
@@ -263,6 +267,15 @@ class TestRepro:
         monkeypatch.setitem(repro.BUNDLES, "start-asymmetry", bundle)
         assert main(["repro", "start-asymmetry", "--restarts", "0"]) == 2
         assert "restarts" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["hierarchy", "start-asymmetry"])
+    def test_negative_seed_usage_error_before_bundle(self, target, monkeypatch, capsys):
+        def bundle(seed, restarts, tol):
+            raise AssertionError("bundle ran with invalid --seed")
+
+        monkeypatch.setitem(repro.BUNDLES, target, bundle)
+        assert main(["repro", target, "--seed", "-3"]) == 2
+        assert "--seed" in capsys.readouterr().err
 
     def test_pair_gap_bundle_passes(self, capsys):
         assert main(["repro", "pair-gap", "--json"]) == 0

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from unidisc import jsonio
 from unidisc.families import (
     PhasePairParams,
     pauli_hadamard_set,
@@ -18,7 +19,6 @@ from unidisc.jsonio import (
     FormatError,
     certificate_from_json,
     complex_from_json,
-    complex_to_json,
     dumps,
     feasibility_to_json,
     matrix_from_json,
@@ -156,7 +156,12 @@ class TestDumps:
 class TestScalars:
     def test_complex_round_trip(self):
         for z in (0j, 1 + 2j, -0.5 - 0.25j):
-            assert complex_from_json(complex_to_json(z), "z") == z
+            assert complex_from_json([z.real, z.imag], "z") == z
+
+    def test_no_scalar_complex_encoder(self):
+        # matrices and vectors encode whole arrays; no per-entry encoder is left
+        assert not hasattr(jsonio, "complex_to_json")
+        assert "complex_to_json" not in jsonio.__all__
 
     def test_complex_rejects_bad_shapes(self):
         with pytest.raises(FormatError, match="z"):

@@ -1,6 +1,7 @@
 """Common-probe feasibility: exact LP path, certificates, projections."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from unidisc import probefeas
 from unidisc.jsonio import certificate_from_json, dumps, verdict_to_json
 from unidisc.probefeas import (
+    InfeasibilityCertificate,
     OrthogonalityProblem,
     ProbeFeasibility,
     _solve_by_projections,
@@ -105,6 +107,45 @@ class TestClockFlipPair:
         with pytest.raises(ValueError):
             verify_certificate(prob, bad)
 
+    def test_negative_indices_rejected(self):
+        # -2 and -1 name the same operators as 0 and 1, but a certificate
+        # names its operators by their place in the problem
+        prob = OrthogonalityProblem(3, (CLOCK, FLIP))
+        cert = common_probe_feasible(prob).certificate
+        bad = replace(cert, op_indices=tuple(k - 2 for k in cert.op_indices))
+        with pytest.raises(ValueError, match=r"op_indices \[-2, -1\] are not indices"):
+            verify_certificate(prob, bad)
+
+    @pytest.mark.parametrize("indices, coeffs, match", [
+        pytest.param((5,), [1.0, 0.0], r"op_indices \[5\] are not indices of a problem with 2",
+                     id="index-past-end"),
+        pytest.param((0.0, 1), [1.0, 0.0, 1.0, 0.0], r"op_indices \[0.0\] are not indices",
+                     id="float-index"),
+        pytest.param((0, 1), [1.0, 0.0, 1.0], "needs 4 coefficients for 2 op_indices",
+                     id="too-few-coeffs"),
+        pytest.param((0,), [1.0, 0.0, 1.0], "needs 2 coefficients for 1 op_indices",
+                     id="too-many-coeffs"),
+        pytest.param((0,), [np.nan, 0.0], "must be finite", id="nan-coeff"),
+        pytest.param((0,), [np.inf, 0.0], "must be finite", id="inf-coeff"),
+    ])
+    def test_malformed_certificate_rejected(self, indices, coeffs, match):
+        prob = OrthogonalityProblem(3, (CLOCK, FLIP))
+        cert = InfeasibilityCertificate(op_indices=indices, coeffs=np.array(coeffs),
+                                        min_eig=1.0)
+        with pytest.raises(ValueError, match=match):
+            verify_certificate(prob, cert)
+
+    @pytest.mark.parametrize("indices, match", [
+        pytest.param((0,), r"op_indices \[0\] are not indices of a problem with 0 operators",
+                     id="index"),
+        pytest.param((), "does not verify: min eig 0", id="no-index"),
+    ])
+    def test_certificate_for_empty_problem_rejected(self, indices, match):
+        cert = InfeasibilityCertificate(op_indices=indices, coeffs=np.zeros(2 * len(indices)),
+                                        min_eig=1.0)
+        with pytest.raises(ValueError, match=match):
+            verify_certificate(OrthogonalityProblem(3, ()), cert)
+
 
 def test_empty_constraints_maximally_mixed():
     f = common_probe_feasible(OrthogonalityProblem(4, ()))
@@ -146,8 +187,7 @@ class TestLpVsProjections:
                             for _ in range(nops))
             prob = OrthogonalityProblem(d, ops)
             f_lp = common_probe_feasible(prob)
-            f_pr = _solve_by_projections(prob, DEFAULT_TOL,
-                                         restarts=4, iterations=1500)
+            f_pr = _solve_by_projections(prob, DEFAULT_TOL, iterations=1500)
             assert f_lp.status in ("feasible", "infeasible_certified")
             if f_lp.status == "feasible":
                 lp_feasible += 1
@@ -195,8 +235,9 @@ def _ref_density(x):
 
 
 def _ref_projections(problem, tol, restarts=10, iterations=5000, seed=0, stops=None):
-    """The restarts run one after another on single matrices: the oracle
-    for the stacked solver.  Appends to ``stops`` each restart that reaches
+    """Restarts run one after another on single matrices, each checked every
+    50 iterations, then a near-miss polish; with ``restarts=1`` it is the
+    oracle for the solver.  Appends to ``stops`` each restart that reaches
     the 1e-11 stop."""
     d = problem.dim
     funcs = [g for k in problem.operators
@@ -283,10 +324,8 @@ STALLED = OrthogonalityProblem(4, tuple(
     for i in range(4) for j in range(i + 1, 4)))
 # a qutrit pair that each admit a probe alone, but not the maximally mixed one
 FEASIBLE = OrthogonalityProblem(3, (np.diag([1.0, -1.0, 1j]), np.roll(np.eye(3), 1, axis=0)))
-# two random qutrit unitaries with a planted common pure-state witness; with
-# 4 restarts of 300 iterations restart 0 misses the stop, restart 1 stops at
-# its sixth check with residual 1.4e-12, and restart 3 stops earlier (fourth
-# check) with a smaller residual
+# two random qutrit unitaries with a planted common pure-state witness; the
+# run from I/d reaches the 1e-11 stop only at its eighth check
 LATER_WINNER = OrthogonalityProblem(3, tuple(np.array(k) for k in (
     [
         [(0.6576998202906216+0.29434558276328854j),
@@ -314,13 +353,13 @@ LATER_WINNER = OrthogonalityProblem(3, tuple(np.array(k) for k in (
 
 
 class TestStackedRestarts:
-    """The restarts run as one stack give the sequential loop's witness, and
-    a certificate where the loop finds none."""
+    """The single run from I/d gives the sequential loop's witness, and a
+    certificate where the loop finds none."""
 
     def test_stalled_pool_problem(self):
-        # the loop finds no witness; the stack certifies from the gap vector
-        ref = _ref_projections(STALLED, DEFAULT_TOL, restarts=3, iterations=300)
-        got = _solve_by_projections(STALLED, DEFAULT_TOL, restarts=3, iterations=300)
+        # the loop finds no witness; the run certifies from the gap vector
+        ref = _ref_projections(STALLED, DEFAULT_TOL, restarts=1, iterations=300)
+        got = _solve_by_projections(STALLED, DEFAULT_TOL, iterations=300)
         assert ref.status == "not_found"
         assert got.status == "infeasible_certified"
         assert got.note == "alternating projections separating certificate"
@@ -332,17 +371,21 @@ class TestStackedRestarts:
         assert verify_certificate(STALLED, got.certificate) >= 1 - 1e-9
 
     def test_feasible_problem(self):
-        ref = _ref_projections(FEASIBLE, DEFAULT_TOL)
+        ref = _ref_projections(FEASIBLE, DEFAULT_TOL, restarts=1)
         got = _solve_by_projections(FEASIBLE, DEFAULT_TOL)
         assert ref.status == "feasible"
         _assert_same_answer(got, ref)
 
-    def test_later_restart_wins(self):
+    def test_single_run_solves_later_winner(self, monkeypatch):
         stops = []
-        ref = _ref_projections(LATER_WINNER, DEFAULT_TOL, restarts=4, iterations=300,
-                               stops=stops)
-        got = _solve_by_projections(LATER_WINNER, DEFAULT_TOL, restarts=4, iterations=300)
-        assert stops == [1]
+        ref = _ref_projections(LATER_WINNER, DEFAULT_TOL, restarts=1, stops=stops)
+        steps = []
+        dykstra = probefeas._dykstra_steps
+        monkeypatch.setattr(probefeas, "_dykstra_steps",
+                            lambda *args: steps.append(args[3]) or dykstra(*args))
+        got = _solve_by_projections(LATER_WINNER, DEFAULT_TOL)
+        assert stops == [0]
+        assert steps == [50] * 8
         assert ref.status == "feasible"
         _assert_same_answer(got, ref)
 
@@ -354,22 +397,24 @@ class TestStackedRestarts:
         assert first.certificate.coeffs.tobytes() == second.certificate.coeffs.tobytes()
         assert first.note == second.note
 
-    @pytest.mark.parametrize("problem, stacks", [(FEASIBLE, [2]), (STALLED, [2, 8])])
-    def test_rows_run_ahead_to_first_check(self, problem, stacks, monkeypatch):
-        # rows 0 and 1 run alone to the first check; the other eight start
-        # only when row 0 has not succeeded there
-        sizes = []
-        steps = probefeas._dykstra_steps
+    @pytest.mark.parametrize("problem, status", [
+        pytest.param(FEASIBLE, "feasible", id="feasible"),
+        pytest.param(STALLED, "infeasible_certified", id="stalled"),
+    ])
+    def test_first_check_decides(self, problem, status, monkeypatch):
+        # both problems are decided at the first check, so the run stops
+        # after one block of 50 iterations
+        steps = []
+        dykstra = probefeas._dykstra_steps
         monkeypatch.setattr(probefeas, "_dykstra_steps",
-                            lambda x, *args: sizes.append(len(x)) or steps(x, *args))
+                            lambda *args: steps.append(args[3]) or dykstra(*args))
         got = _solve_by_projections(problem, DEFAULT_TOL)
-        assert got.status in ("feasible", "infeasible_certified")
-        assert sizes == stacks
+        assert got.status == status
+        assert steps == [50]
 
-    @pytest.mark.parametrize("budget", [{"restarts": 0}, {"iterations": 0}])
-    def test_rejects_empty_budget(self, budget):
-        with pytest.raises(ValueError, match="at least one restart and one iteration"):
-            _solve_by_projections(FEASIBLE, DEFAULT_TOL, **budget)
+    def test_rejects_empty_budget(self):
+        with pytest.raises(ValueError, match="at least one iteration"):
+            _solve_by_projections(FEASIBLE, DEFAULT_TOL, iterations=0)
 
 
 def test_stalled_gdr_certificate_round_trips_through_json():
