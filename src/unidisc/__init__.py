@@ -31,11 +31,11 @@ from .probefeas import (
     common_probe_feasible,
     verify_certificate,
     purify_witness,
-    gram_overlaps,
 )
 from .protocols import (
     ProductUnitarySet,
     FactorGroup,
+    SetAnalysis,
     StageTwo,
     OutcomeBranch,
     ProtocolTree,
@@ -96,9 +96,9 @@ __all__ = [
     "common_probe_feasible",
     "verify_certificate",
     "purify_witness",
-    "gram_overlaps",
     "ProductUnitarySet",
     "FactorGroup",
+    "SetAnalysis",
     "StageTwo",
     "OutcomeBranch",
     "ProtocolTree",

@@ -221,6 +221,12 @@ def build_pair_probe(u1, u2, result: ConvexNormResult | None = None,
         if result.phases.shape != phases.shape or np.max(
                 np.abs(np.exp(1j * result.phases) - np.exp(1j * phases))) > 1e-9:
             raise ValueError("supplied ConvexNormResult does not match this pair")
+    return _pair_probe(m1, m2, vecs, result, tol)
+
+
+def _pair_probe(m1, m2, vecs, result: ConvexNormResult, tol: Tolerances) -> PairProbe:
+    """:func:`build_pair_probe` from the eigenvectors ``vecs`` of m1{dag} m2
+    (in :func:`~unidisc.qcore.eig_unitary` order) and their hull result."""
     if not result.distinguishable:
         raise ValueError(
             f"pair is not perfectly distinguishable (min_norm = {result.min_norm:.3e})")

@@ -61,7 +61,6 @@ __all__ = [
     "common_probe_feasible",
     "verify_certificate",
     "purify_witness",
-    "gram_overlaps",
 ]
 
 
@@ -405,9 +404,3 @@ def purify_witness(witness: DensityOperator, tol: Tolerances = DEFAULT_TOL):
         raise AssertionError(f"purification round trip failed ({err:.3e})")
     return state, r
 
-
-def gram_overlaps(witness: DensityOperator, operators) -> list:
-    """Tr(rho K) for each constraint operator (the evolved-state Gram
-    entries of any purification of rho)."""
-    rho = witness.matrix
-    return [complex(np.trace(rho @ as_matrix(k))) for k in operators]

@@ -31,7 +31,7 @@ than a fake certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -41,7 +41,9 @@ from .qcore import (
     Tolerances,
     as_matrix,
     check_povm,
+    eig_unitary,
 )
+from .eigdist import _pair_probe, min_convex_norm
 from .probefeas import OrthogonalityProblem, ProbeFeasibility, common_probe_feasible, purify_witness
 
 __all__ = [
@@ -55,6 +57,7 @@ __all__ = [
     "VerifyResult",
     "phase_equal",
     "group_by_factor",
+    "SetAnalysis",
     "verify_tree",
     "verify_probe",
     "check_gdr",
@@ -131,10 +134,11 @@ class ProductUnitarySet:
 
 def phase_equal(a, b) -> bool:
     """Whether two unitaries agree up to one global phase: |Tr(a†b)| = d."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    d = a.shape[0]
-    return abs(np.trace(a.conj().T @ b)) >= d - 1e-9
+    return _phase_equal(as_matrix(a), as_matrix(b))
+
+
+def _phase_equal(a, b) -> bool:
+    return abs(np.trace(a.conj().T @ b)) >= a.shape[0] - 1e-9
 
 
 @dataclass(frozen=True)
@@ -165,7 +169,7 @@ def _relative(a, b):
 def _dedup_phase(ops):
     kept = []
     for k in ops:
-        if not any(phase_equal(k, other) for other in kept):
+        if not any(_phase_equal(k, other) for other in kept):
             kept.append(k)
     return kept
 
@@ -367,6 +371,111 @@ def _orthogonal_measurement(factors, feas: ProbeFeasibility, tol):
 
 
 # -----------------------------------------------------------------------------
+# The analysis table
+# -----------------------------------------------------------------------------
+
+class SetAnalysis:
+    """The sub-problems the deciders pose about one set under one set of
+    tolerances, each computed on first request and then kept.
+
+    It holds each party's relative factors U_i{dag} U_j (i < j), sorted
+    into phase-equality classes; each relative's eigensystem, pair
+    criterion, pair probe and eigenrays; the common-probe problem that any
+    index pairs pose on one party (responder, stage-1 and union problems),
+    with the measurement realizing its witness; and the GDR problem.
+    Entries that depend only on matrices are keyed by their bytes, so a
+    problem posed twice, by one decider or by two, is solved once.  The
+    table only decides which call computes an entry: the solvers and their
+    operator orders are those the deciders used on their own.  Each public
+    decider builds its own table and :func:`hierarchy_audit` builds one for
+    all its rows, so no entry outlives one public call.
+    """
+
+    def __init__(self, uset: ProductUnitarySet, tol: Tolerances = DEFAULT_TOL):
+        self.uset = uset
+        self.tol = tol
+        self._entries = {}
+
+    def _entry(self, key, compute):
+        if key not in self._entries:
+            self._entries[key] = compute()
+        return self._entries[key]
+
+    def relatives(self, party):
+        """``(rel, cls)``: ``rel[i, j]`` is U_i{dag} U_j on ``party`` for
+        i < j, and ``cls[i, j]`` the first pair, in lexicographic order,
+        whose relative is phase-equal to it."""
+        def compute():
+            fs = self.uset.factors(party)
+            rel, cls, firsts = {}, {}, []
+            for p in combinations(range(self.uset.size), 2):
+                k = rel[p] = _relative(fs[p[0]], fs[p[1]])
+                cls[p] = next((q for q in firsts if _phase_equal(k, rel[q])), p)
+                if cls[p] == p:
+                    firsts.append(p)
+            return rel, cls
+        return self._entry(("relatives", party), compute)
+
+    def feasibility(self, party, pairs) -> ProbeFeasibility | None:
+        """Whether one probe on ``party`` orthogonalizes U_i and U_j for
+        every (i, j) in ``pairs`` (each i < j): one constraint per phase
+        class, the relative of the first pair reaching it.  ``None`` when
+        there is nothing to orthogonalize."""
+        rel, cls = self.relatives(party)
+        first = {}
+        for p in pairs:
+            first.setdefault(cls[p], p)
+        ops = tuple(rel[p] for p in first.values())
+        if not ops:
+            return None
+        dim = ops[0].shape[0]
+        return self._entry(("feasibility", dim, b"".join(k.tobytes() for k in ops)),
+                           lambda: common_probe_feasible(
+                               OrthogonalityProblem(dim=dim, operators=ops), self.tol))
+
+    def measurement(self, party, members, feas: ProbeFeasibility):
+        """:func:`_orthogonal_measurement` of the factors of ``members`` on
+        ``party`` with the witness of ``feas``."""
+        fs = self.uset.factors(party)
+        return self._entry(("measurement", party, members, feas.witness.matrix.tobytes()),
+                           lambda: _orthogonal_measurement([fs[k] for k in members],
+                                                           feas, self.tol))
+
+    def _keyed(self, kind, party, i, j, compute):
+        k = self.relatives(party)[0][i, j]
+        return self._entry((kind, k.shape, k.tobytes()), lambda: compute(k))
+
+    def eigensystem(self, party, i, j):
+        """:func:`~unidisc.qcore.eig_unitary` of U_i{dag} U_j on ``party``."""
+        return self._keyed("eig", party, i, j, lambda k: eig_unitary(k, self.tol))
+
+    def pair(self, party, i, j):
+        """The pair criterion (a ``ConvexNormResult``) of U_i and U_j on
+        ``party``, keyed by the eigenphases it reads."""
+        phases = self.eigensystem(party, i, j)[0]
+        return self._entry(("pair", phases.tobytes()), lambda: min_convex_norm(phases, self.tol))
+
+    def pair_probe(self, party, i, j):
+        """:func:`~unidisc.eigdist.build_pair_probe` for U_i and U_j on
+        ``party``."""
+        fs = self.uset.factors(party)
+        return self._entry(("pair_probe", party, i, j), lambda: _pair_probe(
+            fs[i], fs[j], self.eigensystem(party, i, j)[1], self.pair(party, i, j), self.tol))
+
+    def eigenrays(self, party, i, j) -> tuple:
+        """Unit eigenvectors of U_i{dag} U_j on ``party``, from ``np.linalg.eig``."""
+        def compute(k):
+            _, vecs = np.linalg.eig(k)
+            return tuple(vecs[:, c] / np.linalg.norm(vecs[:, c]) for c in range(k.shape[0]))
+        return self._keyed("eigenrays", party, i, j, compute)
+
+    def gdr(self) -> ProbeFeasibility:
+        """The :func:`gdr_problem` of the set, solved."""
+        return self._entry(("gdr",), lambda: common_probe_feasible(gdr_problem(self.uset),
+                                                                   self.tol))
+
+
+# -----------------------------------------------------------------------------
 # Global strategies
 # -----------------------------------------------------------------------------
 
@@ -388,6 +497,11 @@ def gdr_problem(uset: ProductUnitarySet) -> OrthogonalityProblem:
 def check_gdr(uset: ProductUnitarySet, tol: Tolerances = DEFAULT_TOL) -> StrategyVerdict:
     """One composite probe, one measurement: feasibility of a common probe
     orthogonalizing all pairwise relative product unitaries."""
+    return _gdr_verdict(SetAnalysis(uset, tol))
+
+
+def _gdr_verdict(table: SetAnalysis) -> StrategyVerdict:
+    uset = table.uset
     m = uset.size
     if m == 1:
         d = uset.dim
@@ -396,12 +510,13 @@ def check_gdr(uset: ProductUnitarySet, tol: Tolerances = DEFAULT_TOL) -> Strateg
         return StrategyVerdict(strategy="GDR", starting_party="either",
                                status="distinguishable", witness=witness,
                                note="at most one candidate")
-    feas = common_probe_feasible(gdr_problem(uset), tol)
+    feas = table.gdr()
     status = {"feasible": "distinguishable",
               "infeasible_certified": "indistinguishable_certified"}.get(feas.status, "not_found")
     witness = None
     if feas.status == "feasible":
-        probe, r, povm, has_rest = _orthogonal_measurement(uset.global_unitaries(), feas, tol)
+        probe, r, povm, has_rest = _orthogonal_measurement(uset.global_unitaries(), feas,
+                                                           table.tol)
         witness = ProbeWitness(probe=probe, ancilla_dim=r, povm=povm,
                                guesses=tuple(range(m)) + ((None,) if has_rest else ()))
     return StrategyVerdict(strategy="GDR", starting_party="either",
@@ -413,55 +528,38 @@ def check_gdr(uset: ProductUnitarySet, tol: Tolerances = DEFAULT_TOL) -> Strateg
 # Local strategies
 # -----------------------------------------------------------------------------
 
-def _within_group_ops(uset, resp, members):
-    ops = []
-    for x in range(len(members)):
-        for y in range(x + 1, len(members)):
-            ops.append(_relative(uset.factor(members[x], resp), uset.factor(members[y], resp)))
-    return _dedup_phase(ops)
-
-
-def _local_verdicts(uset, start, tol):
+def _local_verdicts(table: SetAnalysis, start):
     """The (LDR, LDA) verdicts for one starting party.
 
-    Both strategies rest on the same sub-problems, each solved once here:
-    every group's responder problem, stage-1 group identification, the
-    responder's problem on every index (the protocol in which the starting
-    party measures nothing) when stage 1 fails, the two-group union
-    reduction, and the union of all within-group constraints that LDR's
-    fixed responder probe must meet at once.  The strategies differ only in
-    where a group's stage-2 probe comes from: LDR takes the union witness
-    for every group, LDA each group's own.
+    Both strategies rest on the same sub-problems, each read from the
+    table: every group's responder problem, stage-1 group identification,
+    the responder's problem on every index (the protocol in which the
+    starting party measures nothing) when stage 1 fails, the two-group
+    union reduction, and the union of all within-group constraints that
+    LDR's fixed responder probe must meet at once.  The strategies differ
+    only in where a group's stage-2 probe comes from: LDR takes the union
+    witness for every group, LDA each group's own.
     """
+    uset = table.uset
     resp = "B" if start == "A" else "A"
     m = uset.size
     d1 = uset.party_dims[_party_index(start)]
-    d2 = uset.party_dims[_party_index(resp)]
 
     def both(**fields):
         return tuple(StrategyVerdict(strategy=s, starting_party=start, **fields)
                      for s in ("LDR", "LDA"))
 
-    def solve(dim, ops):
-        return common_probe_feasible(OrthogonalityProblem(dim=dim, operators=tuple(ops)), tol)
-
-    solved = {}
-
     def responder(members):
         """The responder's problem of separating ``members`` (None when there
-        is nothing to separate), solved at most once per index set."""
-        if members not in solved:
-            ops = _within_group_ops(uset, resp, members)
-            solved[members] = solve(d2, ops) if ops else None
-        return solved[members]
+        is nothing to separate)."""
+        return table.feasibility(resp, combinations(members, 2))
 
     def branch_for(members, feas):
         """Outcome retaining ``members``, which the responder separates with
         the witness of ``feas``."""
         if len(members) == 1:
             return OutcomeBranch(retained=members, guess=members[0])
-        probe2, r2, povm2, rest2 = _orthogonal_measurement(
-            [uset.factor(k, resp) for k in members], feas, tol)
+        probe2, r2, povm2, rest2 = table.measurement(resp, members, feas)
         st = StageTwo(party=resp, probe=probe2, ancilla_dim=r2, povm=povm2,
                       guesses=members + ((None,) if rest2 else ()))
         return OutcomeBranch(retained=members, stage2=st)
@@ -480,10 +578,9 @@ def _local_verdicts(uset, start, tol):
         group_feas.append(feas)
 
     # stage 1: perfect identification of the starting party's factor group
-    reps = [g.representative for g in groups]
-    cross_ops = _dedup_phase([_relative(reps[x], reps[y])
-                              for x in range(len(reps)) for y in range(x + 1, len(reps))])
-    stage1_feas = solve(d1, cross_ops) if cross_ops else None  # None: a single group
+    # (None: a single group)
+    reps = tuple(g.member_indices[0] for g in groups)
+    stage1_feas = table.feasibility(start, combinations(reps, 2))
 
     # otherwise the starting party measures nothing and the responder
     # separates every index alone (a single group's problem is this one)
@@ -529,7 +626,7 @@ def _local_verdicts(uset, start, tol):
             return StrategyVerdict(strategy=strategy, starting_party=start, status="not_found",
                                    note=f"{search} search stalled: {stalled[0].note}",
                                    feasibility=stalled[0])
-        probe, anc, povm, has_rest = _orthogonal_measurement(reps, stage1_feas, tol)
+        probe, anc, povm, has_rest = table.measurement(start, reps, stage1_feas)
         branches = [branch_for(g.member_indices, stage2_feas[gi])
                     for gi, g in enumerate(groups)]
         if has_rest:
@@ -541,12 +638,8 @@ def _local_verdicts(uset, start, tol):
                                status="distinguishable", witness=tree, note=tree.note,
                                feasibility=stage1_feas)
 
-    if len(groups) == 1:
-        union_feas = group_feas[0]
-    else:
-        union_ops = _dedup_phase([k for g in groups
-                                  for k in _within_group_ops(uset, resp, g.member_indices)])
-        union_feas = solve(d2, union_ops) if union_ops else None
+    union_feas = table.feasibility(resp, chain.from_iterable(
+        combinations(g.member_indices, 2) for g in groups))
     if union_feas is not None and union_feas.status == "infeasible_certified":
         ldr = StrategyVerdict(strategy="LDR", starting_party=start,
                               status="indistinguishable_certified",
@@ -562,14 +655,14 @@ def check_lda(uset: ProductUnitarySet, starting_party: str,
               tol: Tolerances = DEFAULT_TOL) -> StrategyVerdict:
     """Local sequential discrimination, responder probe chosen per outcome."""
     _party_index(starting_party)
-    return _local_verdicts(uset, starting_party, tol)[1]
+    return _local_verdicts(SetAnalysis(uset, tol), starting_party)[1]
 
 
 def check_ldr(uset: ProductUnitarySet, starting_party: str,
               tol: Tolerances = DEFAULT_TOL) -> StrategyVerdict:
     """Local sequential discrimination with both probes fixed upfront."""
     _party_index(starting_party)
-    return _local_verdicts(uset, starting_party, tol)[0]
+    return _local_verdicts(SetAnalysis(uset, tol), starting_party)[0]
 
 
 def _gda_from_parts(gdr: StrategyVerdict, lda) -> StrategyVerdict:
@@ -599,7 +692,9 @@ def _gda_from_parts(gdr: StrategyVerdict, lda) -> StrategyVerdict:
 def check_gda(uset: ProductUnitarySet, tol: Tolerances = DEFAULT_TOL) -> StrategyVerdict:
     """Global adaptive strategies reduce to the better of the global
     restricted check and the local adaptive check over starting parties."""
-    return _gda_from_parts(check_gdr(uset, tol), lambda p: check_lda(uset, p, tol))
+    # the GDR problem shares no entry with the local deciders
+    table = SetAnalysis(uset, tol)
+    return _gda_from_parts(check_gdr(uset, tol), lambda p: _local_verdicts(table, p)[1])
 
 
 # -----------------------------------------------------------------------------
@@ -616,16 +711,19 @@ def hierarchy_audit(uset: ProductUnitarySet, tol: Tolerances = DEFAULT_TOL):
     (per starting party where applicable), and GDA_separable <= GDA where
     that row exists; a certified contradiction raises.  Returns the ordered
     (label, verdict) table, with a GDA_separable row last for qubit-qubit
-    sets.
+    sets.  Every row reads one :class:`SetAnalysis`, so each sub-problem is
+    solved once for the set, and each row is the verdict its public checker
+    returns.
     """
-    local = {p: _local_verdicts(uset, p, tol) for p in _PARTIES}
+    table = SetAnalysis(uset, tol)
+    local = {p: _local_verdicts(table, p) for p in _PARTIES}
     rows = [(f"{s}:{p}", local[p][k]) for k, s in enumerate(("LDR", "LDA")) for p in _PARTIES]
-    rows.append(("GDR", check_gdr(uset, tol)))
-    table = dict(rows)
-    rows.append(("GDA", _gda_from_parts(table["GDR"], lambda p: table[f"LDA:{p}"])))
+    rows.append(("GDR", _gdr_verdict(table)))
+    row = dict(rows)
+    rows.append(("GDA", _gda_from_parts(row["GDR"], lambda p: row[f"LDA:{p}"])))
     if uset.party_dims == (2, 2):
-        from .separable import check_gda_separable
-        rows.append(("GDA_separable", check_gda_separable(uset, tol)))
+        from .separable import _gda_separable
+        rows.append(("GDA_separable", _gda_separable(table)[0]))
 
     val = {label: _RANK[v.status] for label, v in rows}
     ordering = [("LDR:A", "LDA:A"), ("LDR:B", "LDA:B"),

@@ -37,12 +37,12 @@ import math
 
 import numpy as np
 
-from .eigdist import build_pair_probe, pair_distinguishable
 from .protocols import (
     OutcomeBranch,
     ProbeWitness,
     ProductUnitarySet,
     ProtocolTree,
+    SetAnalysis,
     StageTwo,
     StrategyVerdict,
     phase_equal,
@@ -135,26 +135,16 @@ _AXIS_STATES = (
 )
 
 
-def _eigenrays(op: np.ndarray) -> list:
-    _, vecs = np.linalg.eig(op)
-    return [vecs[:, k] / np.linalg.norm(vecs[:, k]) for k in range(op.shape[0])]
-
-
 # ---------------------------------------------------------------------------
 # sequential branch
 
 
-def _responder_pairs(uset, responder: str, tol: Tolerances) -> set:
-    pairs = set()
-    for i, j in combinations(range(uset.size), 2):
-        if pair_distinguishable(
-            uset.factor(i, responder), uset.factor(j, responder), tol
-        ).distinguishable:
-            pairs.add((i, j))
-    return pairs
+def _responder_pairs(table: SetAnalysis, responder: str) -> set:
+    return {(i, j) for i, j in combinations(range(table.uset.size), 2)
+            if table.pair(responder, i, j).distinguishable}
 
 
-def _class_probes(factors, members) -> tuple:
+def _class_probes(table: SetAnalysis, party: str, members) -> tuple:
     """Probes making the evolved states of ``members`` pairwise parallel.
 
     A probe works iff it is a common eigenray of all relatives within the
@@ -162,14 +152,14 @@ def _class_probes(factors, members) -> tuple:
     candidates; a class of phase-equal factors is parallel under every
     probe.
     """
-    mats = [factors[k] for k in members]
-    base = mats[0]
-    rels = [base.conj().T @ m for m in mats[1:]]
-    nontrivial = [r for r in rels if not phase_equal(r, np.eye(2, dtype=complex))]
+    mats = [table.uset.factor(k, party) for k in members]
+    rel = table.relatives(party)[0]
+    nontrivial = [(members[0], k) for k in members[1:]
+                  if not phase_equal(rel[members[0], k], np.eye(2, dtype=complex))]
     if not nontrivial:
         return (), True
     good = []
-    for ray in _dedup_rays(_eigenrays(nontrivial[0])):
+    for ray in _dedup_rays(table.eigenrays(party, *nontrivial[0])):
         imgs = [m @ ray for m in mats]
         if all(_rays_parallel(imgs[0], v) for v in imgs[1:]):
             good.append(ray)
@@ -188,16 +178,15 @@ def _parallel_classes(evolved) -> list:
     return [(ray, tuple(members)) for ray, members in classes]
 
 
-def _candidate_probes(factors, tol: Tolerances) -> list:
+def _candidate_probes(table: SetAnalysis, party: str) -> list:
     rays = list(_AXIS_STATES)
-    for a, b in combinations(factors, 2):
-        rel = a.conj().T @ b
-        if phase_equal(rel, np.eye(2, dtype=complex)):
+    rel = table.relatives(party)[0]
+    for i, j in combinations(range(table.uset.size), 2):
+        if phase_equal(rel[i, j], np.eye(2, dtype=complex)):
             continue
-        rays.extend(_eigenrays(rel))
-        geom = pair_distinguishable(a, b, tol)
-        if geom.distinguishable:
-            rays.append(build_pair_probe(a, b, geom, tol).probe.amplitudes)
+        rays.extend(table.eigenrays(party, i, j))
+        if table.pair(party, i, j).distinguishable:
+            rays.append(table.pair_probe(party, i, j).probe.amplitudes)
     return _dedup_rays(rays)
 
 
@@ -227,10 +216,8 @@ def _completion_lp(class_rays):
     return res.x
 
 
-def _stage2_for_pair(uset, responder: str, i: int, j: int, tol: Tolerances) -> StageTwo:
-    pp = build_pair_probe(
-        uset.factor(i, responder), uset.factor(j, responder), None, tol
-    )
+def _stage2_for_pair(table: SetAnalysis, responder: str, i: int, j: int) -> StageTwo:
+    pp = table.pair_probe(responder, i, j)
     return StageTwo(
         party=responder,
         probe=pp.probe,
@@ -240,8 +227,8 @@ def _stage2_for_pair(uset, responder: str, i: int, j: int, tol: Tolerances) -> S
     )
 
 
-def _sequential_tree(uset, start, responder, probe, classes, weights, tol):
-    m = uset.size
+def _sequential_tree(table, start, responder, probe, classes, weights):
+    m = table.uset.size
     povm = []
     branches = []
     d = 2
@@ -256,7 +243,7 @@ def _sequential_tree(uset, start, responder, probe, classes, weights, tol):
         if len(retained) == 2:
             branch = OutcomeBranch(
                 retained=retained,
-                stage2=_stage2_for_pair(uset, responder, *retained, tol),
+                stage2=_stage2_for_pair(table, responder, *retained),
             )
         elif len(retained) == 1:
             branch = OutcomeBranch(retained=retained, guess=retained[0])
@@ -296,6 +283,11 @@ def separable_start_analysis(
         raise ValueError(f"start must be 'A' or 'B', got {start!r}")
     if uset.party_dims != (2, 2):
         raise ValueError("sequential product-probe analysis requires qubit factors")
+    return _start_analysis(SetAnalysis(uset, tol), start)
+
+
+def _start_analysis(table: SetAnalysis, start: str) -> SeparableStartReport:
+    uset = table.uset
     responder = "B" if start == "A" else "A"
     m = uset.size
     s_factors = uset.factors(start)
@@ -304,21 +296,21 @@ def separable_start_analysis(
         # with at most two inputs the local decider is exact, and its trees
         # use single-system probes: every sub-problem is one commuting
         # operator, whose witness is pure
-        lda = _local_verdicts(uset, start, tol)[1]
-        pairs = tuple(sorted(_responder_pairs(uset, responder, tol)))
+        lda = _local_verdicts(table, start)[1]
+        pairs = tuple(sorted(_responder_pairs(table, responder)))
         verdict = {"indistinguishable_certified": "infeasible_certified"}.get(lda.status,
                                                                              lda.status)
         return SeparableStartReport(start, pairs, ((),) if pairs else (), (),
                                     verdict, lda.witness, lda.note)
 
-    good_pairs = _responder_pairs(uset, responder, tol)
+    good_pairs = _responder_pairs(table, responder)
     pair_list = tuple(sorted(good_pairs))
     necessary = tuple(
         tuple(k for k in range(m) if k not in pair) for pair in pair_list
     )
     eliminable = []
     for members in necessary:
-        probes, any_probe = _class_probes(s_factors, members)
+        probes, any_probe = _class_probes(table, start, members)
         if any_probe or probes:
             eliminable.append(
                 EliminableClass(member_indices=members, probes=probes,
@@ -346,7 +338,7 @@ def separable_start_analysis(
         ))
 
     # search over candidate probes for a completable elimination POVM
-    for probe in _candidate_probes(s_factors, tol):
+    for probe in _candidate_probes(table, start):
         evolved = [f @ probe for f in s_factors]
         classes = _parallel_classes(evolved)
         admissible = []
@@ -362,8 +354,7 @@ def separable_start_analysis(
         weights = _completion_lp([ray for ray, _ in admissible])
         if weights is None:
             continue
-        tree = _sequential_tree(uset, start, responder, probe, admissible,
-                                weights, tol)
+        tree = _sequential_tree(table, start, responder, probe, admissible, weights)
         return report("distinguishable", tree,
                       "elimination probe found by exhaustive ray search")
 
@@ -446,6 +437,12 @@ def gda_separable_analysis(uset: ProductUnitarySet, tol: Tolerances = DEFAULT_TO
     certified impossible implies no such product probe exists, and a
     product-probe witness implies a sequential witness.
     """
+    return _gda_separable(SetAnalysis(uset, tol))
+
+
+def _gda_separable(table: SetAnalysis):
+    """:func:`gda_separable_analysis` on the set of ``table``."""
+    uset = table.uset
     strategy = "GDA_separable"
     m = uset.size
     if m == 1:
@@ -463,12 +460,9 @@ def gda_separable_analysis(uset: ProductUnitarySet, tol: Tolerances = DEFAULT_TO
 
     if m == 2:
         for party in ("A", "B"):
-            res = pair_distinguishable(uset.factor(0, party),
-                                       uset.factor(1, party), tol)
-            if res.distinguishable:
+            if table.pair(party, 0, 1).distinguishable:
                 other = "B" if party == "A" else "A"
-                pp = build_pair_probe(uset.factor(0, party),
-                                      uset.factor(1, party), res, tol)
+                pp = table.pair_probe(party, 0, 1)
                 d_other = uset.party_dims[0 if other == "A" else 1]
                 idle = np.zeros(d_other, dtype=complex)
                 idle[0] = 1.0
@@ -495,7 +489,7 @@ def gda_separable_analysis(uset: ProductUnitarySet, tol: Tolerances = DEFAULT_TO
             note="exact product-probe analysis is implemented for qubit "
                  "factors only"), None
 
-    reports = {p: separable_start_analysis(uset, p, tol) for p in ("A", "B")}
+    reports = {p: _start_analysis(table, p) for p in ("A", "B")}
     for party, rep in reports.items():
         if rep.verdict == "distinguishable":
             return StrategyVerdict(strategy, party, "distinguishable",

@@ -14,7 +14,6 @@ from unidisc.probefeas import (
     ProbeFeasibility,
     _solve_by_projections,
     common_probe_feasible,
-    gram_overlaps,
     purify_witness,
     verify_certificate,
 )
@@ -28,6 +27,13 @@ FLIP = np.diag([1.0, 1.0, -1.0])
 
 def random_diag_unitary(d, rng):
     return np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, size=d)))
+
+
+def gram_overlaps(witness, operators) -> list:
+    """Tr(rho K) for each constraint operator (the evolved-state Gram
+    entries of any purification of rho)."""
+    rho = witness.matrix
+    return [complex(np.trace(rho @ np.asarray(k, dtype=complex))) for k in operators]
 
 
 class TestProblemValidation:

@@ -24,6 +24,7 @@ from unidisc.protocols import (
     verify_tree,
 )
 from unidisc.jsonio import dumps, verdict_to_json
+from unidisc.separable import check_gda_separable
 from unidisc.probefeas import verify_certificate
 from unidisc.qcore import StateVector, haar_unitary
 from unidisc.families import (
@@ -325,23 +326,67 @@ class TestHierarchyAudit:
             uset = ProductUnitarySet((2, 2), tuple(items))
             hierarchy_audit(uset)  # raises on a certified contradiction
 
-    def test_gda_row_matches_standalone_check_gda(self):
+    def test_rows_match_standalone_checkers(self):
+        # the audit shares one analysis across its rows; each row must still
+        # be, byte for byte, the verdict of the public checker for that row
         rng = np.random.default_rng(0)
         sets = [qutrit_quartet_set(), pauli_hadamard_set(),
                 phase_pair_set(PhasePairParams(0.3, 0.5, 0.9, np.pi - 1.7))]
-        sets += [random_qubit_set(rng) for _ in range(24)]
+        sets += [random_qubit_set(rng) for _ in range(30)]
+        checkers = {"GDR": check_gdr, "GDA": check_gda, "GDA_separable": check_gda_separable}
+        for p in ("A", "B"):
+            checkers[f"LDR:{p}"] = lambda uset, p=p: check_ldr(uset, p)
+            checkers[f"LDA:{p}"] = lambda uset, p=p: check_lda(uset, p)
         statuses = set()
         for uset in sets:
-            rows = dict(hierarchy_audit(uset))
-            statuses.add(rows["GDA"].status)
-            assert (dumps(verdict_to_json(rows["GDA"]))
-                    == dumps(verdict_to_json(check_gda(uset))))
-            for p in ("A", "B"):
-                for label, checker in (("LDR", check_ldr), ("LDA", check_lda)):
-                    assert (dumps(verdict_to_json(rows[f"{label}:{p}"]))
-                            == dumps(verdict_to_json(checker(uset, p))))
+            for label, verdict in hierarchy_audit(uset):
+                statuses.add(verdict.status)
+                assert (dumps(verdict_to_json(verdict))
+                        == dumps(verdict_to_json(checkers[label](uset)))), label
         assert statuses == {"distinguishable", "indistinguishable_certified",
                             "not_found"}
+
+    def test_audit_solves_each_problem_once(self, monkeypatch):
+        # solver calls keyed by the bytes of their inputs: within one audit
+        # no probe problem, eigensystem or pair criterion is solved twice,
+        # and a second audit of the same set repeats every call, so nothing
+        # the first one solved was kept beyond it
+        import unidisc
+
+        calls = []
+        keys = {
+            "common_probe_feasible": lambda problem, tol=None: b"".join(
+                k.tobytes() for k in problem.operators),
+            "eig_unitary": lambda u, tol=None: u.tobytes(),
+            "min_convex_norm": lambda phases, tol=None: phases.tobytes(),
+            "pair_distinguishable": lambda u1, u2, tol=None: u1.tobytes() + u2.tobytes(),
+        }
+        modules = [m for m in vars(unidisc).values()
+                   if getattr(m, "__name__", "").startswith("unidisc.")]
+        for name, key in keys.items():
+            original = next(getattr(m, name) for m in modules if hasattr(m, name))
+
+            def counting(*args, _name=name, _key=key, _original=original, **kwargs):
+                calls.append((_name, _key(*args, **kwargs)))
+                return _original(*args, **kwargs)
+
+            for m in modules:
+                if getattr(m, name, None) is original:
+                    monkeypatch.setattr(m, name, counting)
+
+        rng = np.random.default_rng(0)
+        sets = [pauli_hadamard_set()] + [random_qubit_set(rng) for _ in range(20)]
+        kinds = set()
+        for uset in sets:
+            calls.clear()
+            hierarchy_audit(uset)
+            first = list(calls)
+            assert len(set(first)) == len(first)
+            kinds.update(name for name, _ in first)
+            calls.clear()
+            hierarchy_audit(uset)
+            assert len(calls) == len(first)
+        assert kinds == {"common_probe_feasible", "eig_unitary", "min_convex_norm"}
 
     def test_local_rows_solve_shared_problems_once(self, monkeypatch):
         # the LDR rows come from the same pass as the LDA rows, so the
@@ -389,7 +434,7 @@ class TestHierarchyAudit:
         assert rows["GDA_separable"].status == "indistinguishable_certified"
         planted = StrategyVerdict("GDA_separable", "either", "distinguishable",
                                   note="planted")
-        monkeypatch.setattr(separable, "check_gda_separable",
-                            lambda uset, tol=None: planted)
+        # the audit reads its row from the analysis it shares with the other rows
+        monkeypatch.setattr(separable, "_gda_separable", lambda table: (planted, None))
         with pytest.raises(RuntimeError, match="GDA_separable=1 exceeds GDA=0"):
             hierarchy_audit(uset)
