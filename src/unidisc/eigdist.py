@@ -105,6 +105,8 @@ def min_convex_norm(phases, tol: Tolerances = DEFAULT_TOL) -> ConvexNormResult:
     phases = phases.astype(float)
     if phases.size == 0:
         raise ValueError("need at least one phase")
+    if not np.isfinite(phases).all():
+        raise ValueError(f"phases must be finite, got {phases[~np.isfinite(phases)].tolist()}")
     points = np.exp(1j * phases)
 
     # merge numerically identical points, keeping the first representative

@@ -170,7 +170,7 @@ def verify_certificate(problem: OrthogonalityProblem,
     return lo
 
 
-def _solve_commuting(problem, indices, tol):
+def _solve_commuting(problem, indices):
     """Exact LP over simplex weights in the common eigenbasis of a commuting
     subset of the constraints."""
     ops = [problem.operators[k] for k in indices]
@@ -352,12 +352,12 @@ def common_probe_feasible(problem: OrthogonalityProblem,
                                 residual=0.0, note="empty constraint set")
 
     if problem.commuting:
-        return _solve_commuting(problem, range(len(problem.operators)), tol)
+        return _solve_commuting(problem, range(len(problem.operators)))
 
     # one operator alone is a commuting problem; any single-operator
     # infeasibility certifies the whole system
     for k in range(len(problem.operators)):
-        sub = _solve_commuting(problem, [k], tol)
+        sub = _solve_commuting(problem, [k])
         if sub.status == "infeasible_certified":
             return ProbeFeasibility(
                 status="infeasible_certified",

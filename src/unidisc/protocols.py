@@ -64,6 +64,7 @@ __all__ = [
     "check_lda",
     "check_ldr",
     "check_gda",
+    "gdr_problem",
     "hierarchy_audit",
 ]
 
@@ -143,23 +144,12 @@ def _phase_equal(a, b) -> bool:
 
 @dataclass(frozen=True)
 class FactorGroup:
-    representative: np.ndarray
     member_indices: tuple
 
 
-def group_by_factor(uset: ProductUnitarySet, party) -> list:
+def group_by_factor(uset: ProductUnitarySet, party) -> tuple:
     """Partition indices into classes of phase-equal factors on one side."""
-    groups = []
-    for i in range(uset.size):
-        f = uset.factor(i, party)
-        for g in groups:
-            if phase_equal(g[0], f):
-                g[1].append(i)
-                break
-        else:
-            groups.append((f, [i]))
-    return [FactorGroup(representative=f, member_indices=tuple(members))
-            for f, members in groups]
+    return SetAnalysis(uset).groups(party)
 
 
 def _relative(a, b):
@@ -241,8 +231,7 @@ def _evolved(u, ancilla_dim, probe: StateVector):
     return u @ probe.amplitudes
 
 
-def verify_tree(uset: ProductUnitarySet, tree: ProtocolTree,
-                tol: Tolerances = DEFAULT_TOL) -> VerifyResult:
+def verify_tree(uset: ProductUnitarySet, tree: ProtocolTree) -> VerifyResult:
     """Exact simulation of a protocol tree on every unitary of the set.
 
     Returns per-unitary success probability, leakage (mass on outcomes
@@ -360,10 +349,18 @@ def _projective_povm(states, dim):
     return povm, False
 
 
-def _orthogonal_measurement(factors, feas: ProbeFeasibility, tol):
-    """(probe, ancilla_dim, povm, has_rest): the purified feasibility witness,
-    and the projective measurement onto the states ``factors`` evolve it to."""
-    psi, r = purify_witness(feas.witness, tol)
+def _one_input_witness(d):
+    """The witness for a set of one input on dimension ``d``: any probe, and
+    the one-outcome measurement that names it."""
+    return ProbeWitness(probe=StateVector(np.eye(d)[:, 0]), ancilla_dim=1,
+                        povm=(np.eye(d, dtype=complex),), guesses=(0,))
+
+
+def _orthogonal_measurement(factors, purified):
+    """(probe, ancilla_dim, povm, has_rest): the ``(state, ancilla_dim)``
+    purification of a feasibility witness, and the projective measurement
+    onto the states ``factors`` evolve it to."""
+    psi, r = purified
     probe = StateVector(psi.amplitudes)
     states = [_evolved(f, r, probe) for f in factors]
     povm, has_rest = _projective_povm(states, factors[0].shape[0] * r)
@@ -379,10 +376,11 @@ class SetAnalysis:
     tolerances, each computed on first request and then kept.
 
     It holds each party's relative factors U_i{dag} U_j (i < j), sorted
-    into phase-equality classes; each relative's eigensystem, pair
-    criterion, pair probe and eigenrays; the common-probe problem that any
-    index pairs pose on one party (responder, stage-1 and union problems),
-    with the measurement realizing its witness; and the GDR problem.
+    into phase-equality classes, whose traces give the factor groups; each
+    relative's eigensystem, pair criterion, pair probe and eigenrays; the
+    common-probe problem that any index pairs pose on one party (responder,
+    stage-1 and union problems), with the measurement realizing its witness;
+    the purification of each witness; and the GDR problem.
     Entries that depend only on matrices are keyed by their bytes, so a
     problem posed twice, by one decider or by two, is solved once.  The
     table only decides which call computes an entry: the solvers and their
@@ -416,6 +414,21 @@ class SetAnalysis:
             return rel, cls
         return self._entry(("relatives", party), compute)
 
+    def same_factor(self, party, i, j) -> bool:
+        """Whether the factors of U_i and U_j (i < j) on ``party`` agree up
+        to phase: |Tr(U_i{dag} U_j)| = d."""
+        k = self.relatives(party)[0][i, j]
+        return abs(np.trace(k)) >= k.shape[0] - 1e-9
+
+    def groups(self, party) -> tuple:
+        """The indices partitioned into classes of phase-equal factors on
+        ``party``, each class in index order, led by its first member."""
+        groups = {}  # members by their first member
+        for i in range(self.uset.size):
+            lead = next((k for k in groups if self.same_factor(party, k, i)), i)
+            groups.setdefault(lead, []).append(i)
+        return tuple(FactorGroup(member_indices=tuple(g)) for g in groups.values())
+
     def feasibility(self, party, pairs) -> ProbeFeasibility | None:
         """Whether one probe on ``party`` orthogonalizes U_i and U_j for
         every (i, j) in ``pairs`` (each i < j): one constraint per phase
@@ -433,13 +446,18 @@ class SetAnalysis:
                            lambda: common_probe_feasible(
                                OrthogonalityProblem(dim=dim, operators=ops), self.tol))
 
+    def purified(self, feas: ProbeFeasibility):
+        """:func:`~unidisc.probefeas.purify_witness` of the witness of ``feas``."""
+        return self._entry(("purified", feas.witness.matrix.tobytes()),
+                           lambda: purify_witness(feas.witness, self.tol))
+
     def measurement(self, party, members, feas: ProbeFeasibility):
         """:func:`_orthogonal_measurement` of the factors of ``members`` on
         ``party`` with the witness of ``feas``."""
         fs = self.uset.factors(party)
         return self._entry(("measurement", party, members, feas.witness.matrix.tobytes()),
                            lambda: _orthogonal_measurement([fs[k] for k in members],
-                                                           feas, self.tol))
+                                                           self.purified(feas)))
 
     def _keyed(self, kind, party, i, j, compute):
         k = self.relatives(party)[0][i, j]
@@ -504,19 +522,16 @@ def _gdr_verdict(table: SetAnalysis) -> StrategyVerdict:
     uset = table.uset
     m = uset.size
     if m == 1:
-        d = uset.dim
-        witness = ProbeWitness(probe=StateVector(np.eye(d)[:, 0]), ancilla_dim=1,
-                               povm=(np.eye(d, dtype=complex),), guesses=(0,))
         return StrategyVerdict(strategy="GDR", starting_party="either",
-                               status="distinguishable", witness=witness,
+                               status="distinguishable", witness=_one_input_witness(uset.dim),
                                note="at most one candidate")
     feas = table.gdr()
     status = {"feasible": "distinguishable",
               "infeasible_certified": "indistinguishable_certified"}.get(feas.status, "not_found")
     witness = None
     if feas.status == "feasible":
-        probe, r, povm, has_rest = _orthogonal_measurement(uset.global_unitaries(), feas,
-                                                           table.tol)
+        probe, r, povm, has_rest = _orthogonal_measurement(uset.global_unitaries(),
+                                                           table.purified(feas))
         witness = ProbeWitness(probe=probe, ancilla_dim=r, povm=povm,
                                guesses=tuple(range(m)) + ((None,) if has_rest else ()))
     return StrategyVerdict(strategy="GDR", starting_party="either",
@@ -566,7 +581,7 @@ def _local_verdicts(table: SetAnalysis, start):
 
     # responder problems inside each group; these constraints bind every
     # protocol because phase-equal starting factors are never split
-    groups = group_by_factor(uset, start)
+    groups = table.groups(start)
     group_feas = []
     for g in groups:
         feas = responder(g.member_indices)

@@ -68,9 +68,9 @@ def _grid_angles(n: int):
                     yield a, b, g, d
 
 
-def _tree_exact(uset, tree, tol):
+def _tree_exact(uset, tree):
     """(every success probability within 1e-9 of 1, smallest success)."""
-    res = verify_tree(uset, tree, tol)
+    res = verify_tree(uset, tree)
     return bool(np.all(np.abs(res.success - 1.0) < 1e-9)), float(res.success.min())
 
 
@@ -115,7 +115,7 @@ def adaptive_gap(seed: int, restarts: int, tol: Tolerances = DEFAULT_TOL) -> Bun
     ok_tree = False
     detail = "no witness"
     if v_lda.status == "distinguishable" and v_lda.witness is not None:
-        ok_tree, min_success = _tree_exact(uset, v_lda.witness, tol)
+        ok_tree, min_success = _tree_exact(uset, v_lda.witness)
         detail = f"min success {min_success:.12f}"
     checks.append(("adaptive local protocol exists and verifies",
                    v_lda.status == "distinguishable" and ok_tree, detail))
@@ -173,13 +173,13 @@ def separable_probes(seed: int, restarts: int, tol: Tolerances = DEFAULT_TOL) ->
     ok = False
     detail = v_ldr.status
     if v_ldr.status == "distinguishable" and v_ldr.witness is not None:
-        ok, min_success = _tree_exact(uset, v_ldr.witness, tol)
+        ok, min_success = _tree_exact(uset, v_ldr.witness)
         detail = f"min success {min_success:.12f}"
     checks.append(("fixed-probe search, start A, finds a protocol", ok, detail))
     # the Bob-first protocol eliminates across factor groups, which the
     # search schema does not cover; the bundled tree carries that side
     for start in ("A", "B"):
-        ok, min_success = _tree_exact(uset, pauli_hadamard_tree(start), tol)
+        ok, min_success = _tree_exact(uset, pauli_hadamard_tree(start))
         checks.append((f"bundled fixed-probe tree, start {start}, verifies",
                        ok, f"min success {min_success:.12f}"))
     return BundleResult(tuple(checks), {"start_reports": reports})

@@ -45,8 +45,8 @@ from .protocols import (
     SetAnalysis,
     StageTwo,
     StrategyVerdict,
-    phase_equal,
     _local_verdicts,
+    _one_input_witness,
 )
 from .qcore import DEFAULT_TOL, StateVector, Tolerances
 
@@ -153,9 +153,8 @@ def _class_probes(table: SetAnalysis, party: str, members) -> tuple:
     probe.
     """
     mats = [table.uset.factor(k, party) for k in members]
-    rel = table.relatives(party)[0]
     nontrivial = [(members[0], k) for k in members[1:]
-                  if not phase_equal(rel[members[0], k], np.eye(2, dtype=complex))]
+                  if not table.same_factor(party, members[0], k)]
     if not nontrivial:
         return (), True
     good = []
@@ -180,9 +179,8 @@ def _parallel_classes(evolved) -> list:
 
 def _candidate_probes(table: SetAnalysis, party: str) -> list:
     rays = list(_AXIS_STATES)
-    rel = table.relatives(party)[0]
     for i, j in combinations(range(table.uset.size), 2):
-        if phase_equal(rel[i, j], np.eye(2, dtype=complex)):
+        if table.same_factor(party, i, j):
             continue
         rays.extend(table.eigenrays(party, i, j))
         if table.pair(party, i, j).distinguishable:
@@ -446,17 +444,9 @@ def _gda_separable(table: SetAnalysis):
     strategy = "GDA_separable"
     m = uset.size
     if m == 1:
-        probe_dim = uset.party_dims[0] * uset.party_dims[1]
-        vec = np.zeros(probe_dim, dtype=complex)
-        vec[0] = 1.0
-        witness = ProbeWitness(
-            probe=StateVector(vec),
-            ancilla_dim=1,
-            povm=(np.eye(probe_dim, dtype=complex),),
-            guesses=(0,),
-        )
         return StrategyVerdict(strategy, "either", "distinguishable",
-                               witness=witness, note="at most one input"), None
+                               witness=_one_input_witness(uset.dim),
+                               note="at most one input"), None
 
     if m == 2:
         for party in ("A", "B"):

@@ -87,6 +87,8 @@ def feasible_point(a_eq, b_eq) -> LpResult:
     m, n = a.shape
     if b.shape != (m,):
         raise ValueError("A and b shapes disagree")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("A and b must be finite")
 
     # keep a pristine copy for certificate re-verification
     a0 = a.copy()

@@ -34,7 +34,6 @@ from unidisc.families import (
     pauli_hadamard_tree,
     phase_pair_set,
     qutrit_quartet_set,
-    qutrit_quartet_tree,
     random_pair,
     random_qubit_set,
 )
@@ -71,7 +70,7 @@ def test_composite_probe_beats_local_probes_on_grid():
           f"local hull distance {v['smallest_local_hull_distance']:.4f}")
 
 
-def test_qutrit_quartet_adaptive_strictly_beats_restricted():
+def test_qutrit_quartet_adaptive_strictly_beats_restricted(quartet_tree):
     # adaptive start-A tree exact, GDR certificate re-verified, LDR(A) certified
     res = repro.BUNDLES["adaptive-gap"](seed=0, restarts=1)
     assert res.passed, res.checks
@@ -79,7 +78,7 @@ def test_qutrit_quartet_adaptive_strictly_beats_restricted():
     bound = res.values["certificate_bound"]
     assert bound >= 1.0 - 1e-9
 
-    bundled = verify_tree(qutrit_quartet_set(), qutrit_quartet_tree())
+    bundled = verify_tree(qutrit_quartet_set(), quartet_tree)
     assert np.max(np.abs(np.asarray(bundled.success) - 1.0)) < 1e-9
     probs = np.asarray(bundled.stage1_probs)
     assert probs.shape == (4, 3)
@@ -274,7 +273,7 @@ def test_qubit_fixed_equals_adaptive_local():
           f"verdict pairs coincide")
 
 
-def test_povm_hygiene_and_witness_round_trips():
+def test_povm_hygiene_and_witness_round_trips(quartet_tree):
     # qcore.check_povm holds every POVM to shape, Hermiticity, eigenvalues
     # >= -1e-10 and completeness within 1e-8; verify_tree applies it to the
     # stage-1 POVM and every stage-2 POVM of the (losslessly) decoded tree
@@ -285,7 +284,7 @@ def test_povm_hygiene_and_witness_round_trips():
     quintet = pauli_hadamard_set()
 
     trees = [
-        (qut, qutrit_quartet_tree()),
+        (qut, quartet_tree),
         (qut, check_lda(qut, "A").witness),
         (quintet, pauli_hadamard_tree("A")),
         (quintet, pauli_hadamard_tree("B")),

@@ -319,6 +319,12 @@ class TestMinConvexNorm:
         with pytest.raises(ValueError):
             min_convex_norm([])
 
+    @pytest.mark.parametrize("phases", [[0.0, np.pi, np.nan], [0.0, np.nan],
+                                        [0.0, np.inf, 1.0]])
+    def test_non_finite_raises(self, phases):
+        with pytest.raises(ValueError, match=r"phases must be finite, got \[(nan|inf)\]"):
+            min_convex_norm(phases)
+
     @pytest.mark.parametrize("eps", NEAR_CHORD_EPS)
     def test_origin_on_widest_chord(self, eps):
         r = min_convex_norm([0.0, np.pi - eps, np.pi])

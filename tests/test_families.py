@@ -34,7 +34,6 @@ from unidisc.families import (
     pauli_hadamard_tree,
     phase_pair_set,
     qutrit_quartet_set,
-    qutrit_quartet_tree,
     random_pair,
     random_qubit_set,
     uniform_superposition,
@@ -135,15 +134,15 @@ class TestQutritQuartet:
                     fj = uset.factor(j, party)
                     assert np.allclose(fi @ fj, fj @ fi)
 
-    def test_tree_verifies_exactly(self):
+    def test_tree_verifies_exactly(self, quartet_tree):
         uset = qutrit_quartet_set()
-        res = verify_tree(uset, qutrit_quartet_tree())
+        res = verify_tree(uset, quartet_tree)
         assert np.all(np.abs(np.asarray(res.success) - 1.0) < 1e-9)
         assert np.max(res.leakage) < 1e-9
 
-    def test_third_outcome_never_fires(self):
+    def test_third_outcome_never_fires(self, quartet_tree):
         uset = qutrit_quartet_set()
-        res = verify_tree(uset, qutrit_quartet_tree())
+        res = verify_tree(uset, quartet_tree)
         probs = np.asarray(res.stage1_probs)
         assert probs.shape == (4, 3)
         assert np.max(probs[:, 2]) < 1e-12

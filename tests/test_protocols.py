@@ -348,9 +348,10 @@ class TestHierarchyAudit:
 
     def test_audit_solves_each_problem_once(self, monkeypatch):
         # solver calls keyed by the bytes of their inputs: within one audit
-        # no probe problem, eigensystem or pair criterion is solved twice,
-        # and a second audit of the same set repeats every call, so nothing
-        # the first one solved was kept beyond it
+        # no probe problem, eigensystem or pair criterion is solved twice and
+        # no witness is purified twice, and a second audit of the same set
+        # repeats every call, so nothing the first one solved was kept
+        # beyond it
         import unidisc
 
         calls = []
@@ -360,6 +361,7 @@ class TestHierarchyAudit:
             "eig_unitary": lambda u, tol=None: u.tobytes(),
             "min_convex_norm": lambda phases, tol=None: phases.tobytes(),
             "pair_distinguishable": lambda u1, u2, tol=None: u1.tobytes() + u2.tobytes(),
+            "purify_witness": lambda witness, tol=None: witness.matrix.tobytes(),
         }
         modules = [m for m in vars(unidisc).values()
                    if getattr(m, "__name__", "").startswith("unidisc.")]
@@ -375,7 +377,8 @@ class TestHierarchyAudit:
                     monkeypatch.setattr(m, name, counting)
 
         rng = np.random.default_rng(0)
-        sets = [pauli_hadamard_set()] + [random_qubit_set(rng) for _ in range(20)]
+        sets = [pauli_hadamard_set(), qutrit_quartet_set()]
+        sets += [random_qubit_set(rng) for _ in range(20)]
         kinds = set()
         for uset in sets:
             calls.clear()
@@ -386,7 +389,8 @@ class TestHierarchyAudit:
             calls.clear()
             hierarchy_audit(uset)
             assert len(calls) == len(first)
-        assert kinds == {"common_probe_feasible", "eig_unitary", "min_convex_norm"}
+        assert kinds == {"common_probe_feasible", "eig_unitary", "min_convex_norm",
+                         "purify_witness"}
 
     def test_local_rows_solve_shared_problems_once(self, monkeypatch):
         # the LDR rows come from the same pass as the LDA rows, so the

@@ -62,6 +62,14 @@ def test_shape_validation():
         feasible_point([[1.0, 1.0]], [1.0, 2.0])
     with pytest.raises(ValueError):
         feasible_point([1.0, 1.0], [1.0])
+    # a NaN residual never exceeds the re-check bound, so these used to
+    # come back "feasible"
+    with pytest.raises(ValueError, match="finite"):
+        feasible_point([[np.inf, 1.0]], [1.0])
+    with pytest.raises(ValueError, match="finite"):
+        feasible_point([[1.0, np.nan]], [1.0])
+    with pytest.raises(ValueError, match="finite"):
+        feasible_point([[1.0, 1.0]], [np.inf])
 
 
 def test_random_feasible_systems_agree_with_lstsq():
