@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .protocols import OutcomeBranch, ProductUnitarySet, ProtocolTree, StageTwo
-from .qcore import StateVector, UnitaryOperator, haar_unitary
+from .qcore import StateVector, UnitaryOperator, _kron, haar_unitary
 
 __all__ = [
     "I2",
@@ -95,7 +95,7 @@ def choi_state(u: np.ndarray) -> np.ndarray:
     """Image of the maximally entangled state under ``u`` on the first half."""
     u = np.asarray(u, dtype=complex)
     d = u.shape[0]
-    return np.kron(u, np.eye(d, dtype=complex)) @ maximally_entangled(d)
+    return _kron(u, np.eye(d, dtype=complex)) @ maximally_entangled(d)
 
 
 # Two-qubit Bell-type states written in the fixed convention used by every

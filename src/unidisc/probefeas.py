@@ -48,8 +48,8 @@ from .qcore import (
     DensityOperator,
     StateVector,
     Tolerances,
+    _valid_prefix,
     as_matrix,
-    partial_trace,
     simultaneous_eigenbasis,
 )
 from .simplex import feasible_point
@@ -88,22 +88,33 @@ class OrthogonalityProblem:
     commuting: bool = field(init=False)
 
     def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError(f"dimension must be positive, got dim={self.dim}")
         ops = tuple(as_matrix(k) for k in self.operators)
-        for k in ops:
+
+        def shaped(k):
             if k.shape != (self.dim, self.dim):
                 raise ValueError(f"operator shape {k.shape} does not match dim {self.dim}")
-            err = np.max(np.abs(k.conj().T @ k - np.eye(self.dim)))
-            if err > 1e-8:
-                raise ValueError(f"constraint operator not unitary (err {err:.3e})")
+            return k
+
+        valid, held = _valid_prefix(ops, shaped)
+        if valid:
+            stack = np.array(valid)
+            err = np.abs(stack.conj().transpose(0, 2, 1) @ stack
+                         - np.eye(self.dim)).max(axis=(1, 2))
+            bad = err > 1e-8
+            if bad.any():
+                k = int(bad.argmax())
+                raise ValueError(f"constraint operator not unitary (err {err[k]:.3e})")
+        if held is not None:
+            raise held
         object.__setattr__(self, "operators", ops)
         comm = True
-        for i in range(len(ops)):
-            for j in range(i + 1, len(ops)):
-                if np.max(np.abs(ops[i] @ ops[j] - ops[j] @ ops[i])) > 1e-9:
-                    comm = False
-                    break
-            if not comm:
-                break
+        if len(ops) > 1:
+            # every product K_i K_j at once: the family commutes iff the
+            # products agree in both orders
+            prod = stack[:, None] @ stack[None, :]
+            comm = bool(np.abs(prod - prod.transpose(1, 0, 2, 3)).max() <= 1e-9)
         object.__setattr__(self, "commuting", comm)
 
 
@@ -393,13 +404,16 @@ def purify_witness(witness: DensityOperator, tol: Tolerances = DEFAULT_TOL):
     if r == 0:
         raise ValueError("witness has numerically zero rank")
     d = rho.shape[0]
-    amp = np.zeros(d * r, dtype=complex)
+    amp = np.zeros((d, r), dtype=complex)
     for slot, i in enumerate(keep):
-        amp += np.sqrt(w[i]) * np.kron(v[:, i], np.eye(r)[:, slot])
-    state = StateVector(amp)
-    back = partial_trace(np.outer(state.amplitudes, state.amplitudes.conj()),
-                         [d, r], keep=[0])
-    err = np.max(np.abs(back - rho))
+        # the kept eigenvector, weighted, in its ancilla column: adding it to
+        # zeros leaves the bytes a Kronecker product with e_slot would give
+        amp[:, slot] += np.sqrt(w[i]) * v[:, i]
+    state = StateVector(amp.reshape(-1))
+    # with the amplitudes as a (system, ancilla) matrix a, tracing the
+    # ancilla out of the state leaves a a{dag}
+    a = state.amplitudes.reshape(d, r)
+    err = np.abs(a @ a.conj().T - rho).max()
     if err > tol.comparison:
         raise AssertionError(f"purification round trip failed ({err:.3e})")
     return state, r

@@ -39,6 +39,8 @@ from .qcore import (
     DEFAULT_TOL,
     StateVector,
     Tolerances,
+    _kron,
+    _valid_prefix,
     as_matrix,
     check_povm,
     eig_unitary,
@@ -92,17 +94,29 @@ class ProductUnitarySet:
         if not self.items:
             raise ValueError("a set needs at least one item")
         da, db = self.party_dims
-        norm_items = []
-        for label, a, b in self.items:
+        if da < 1 or db < 1:
+            raise ValueError(f"party dimensions must be positive, got {self.party_dims}")
+
+        def item(entry):
+            label, a, b = entry
             a = as_matrix(a)
             b = as_matrix(b)
             if a.shape != (da, da) or b.shape != (db, db):
                 raise ValueError(f"item {label!r}: factor shapes {a.shape}, {b.shape} "
                                  f"do not match party dims {self.party_dims}")
-            for f in (a, b):
-                if np.max(np.abs(f.conj().T @ f - np.eye(f.shape[0]))) > 1e-8:
-                    raise ValueError(f"item {label!r}: factor is not unitary")
-            norm_items.append((str(label), a, b))
+            return str(label), a, b
+
+        norm_items, held = _valid_prefix(self.items, item)
+        if norm_items:
+            fails = np.zeros(len(norm_items), dtype=bool)
+            for k, d in ((1, da), (2, db)):  # one stack per party
+                f = np.array([it[k] for it in norm_items])
+                fails |= np.abs(f.conj().transpose(0, 2, 1) @ f - np.eye(d)).max(axis=(1, 2)) > 1e-8
+            if fails.any():
+                k = int(fails.argmax())
+                raise ValueError(f"item {self.items[k][0]!r}: factor is not unitary")
+        if held is not None:
+            raise held
         object.__setattr__(self, "items", tuple(norm_items))
         object.__setattr__(self, "party_dims", (int(da), int(db)))
 
@@ -127,7 +141,7 @@ class ProductUnitarySet:
 
     def global_unitary(self, index):
         _, a, b = self.items[index]
-        return np.kron(a, b)
+        return _kron(a, b)
 
     def global_unitaries(self):
         return tuple(self.global_unitary(i) for i in range(self.size))
@@ -227,7 +241,7 @@ class VerifyResult:
 
 def _evolved(u, ancilla_dim, probe: StateVector):
     if ancilla_dim > 1:
-        u = np.kron(u, np.eye(ancilla_dim))
+        u = _kron(u, np.eye(ancilla_dim))
     return u @ probe.amplitudes
 
 
@@ -341,7 +355,7 @@ def _projective_povm(states, dim):
     povm = [np.outer(v, v.conj()) for v in ortho]
     rest = np.eye(dim, dtype=complex) - sum(povm)
     rest = (rest + rest.conj().T) / 2
-    if np.max(np.abs(rest)) > 1e-12:
+    if np.abs(rest).max() > 1e-12:
         povm.append(rest)
         return povm, True
     # states span everything; fold the numerically zero remainder away
@@ -507,8 +521,8 @@ def gdr_problem(uset: ProductUnitarySet) -> OrthogonalityProblem:
     ops = []
     for i in range(uset.size):
         for j in range(i + 1, uset.size):
-            ops.append(np.kron(_relative(uset.factor(i, "A"), uset.factor(j, "A")),
-                               _relative(uset.factor(i, "B"), uset.factor(j, "B"))))
+            ops.append(_kron(_relative(uset.factor(i, "A"), uset.factor(j, "A")),
+                             _relative(uset.factor(i, "B"), uset.factor(j, "B"))))
     return OrthogonalityProblem(dim=uset.dim, operators=tuple(_dedup_phase(ops)))
 
 

@@ -12,7 +12,9 @@ and 3, composites up to 9 or 16), so all routines here are plain numpy on
 
 Matrices are ordinary 2-D ``numpy`` arrays in row-major layout; state
 vectors are 1-D arrays.  Tensor factors are ordered left to right, i.e.
-``np.kron(a, b)`` acts on the composite with ``a`` on the first factor.
+``np.kron(a, b)`` acts on the composite with ``a`` on the first factor;
+the package forms such products with :func:`_kron`, which computes the same
+bytes.
 """
 
 from __future__ import annotations
@@ -80,23 +82,61 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
+def _kron(a, b) -> np.ndarray:
+    """``np.kron`` of two vectors or two matrices: the same elementwise
+    products by the same ufunc, without its generic shape handling."""
+    if a.ndim == 1:
+        return (a[:, None] * b[None, :]).reshape(-1)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
+def _valid_prefix(items, check):
+    """``check`` applied to each item until one raises ``ValueError``: the
+    results so far and that error (``None`` when every item passed).
+
+    Stacked validators run their per-item structural checks through this,
+    then their numeric checks over the stack of the valid prefix, and raise
+    the held error last, so the first failing item is the one a loop over
+    the items would have reported."""
+    out = []
+    for item in items:
+        try:
+            out.append(check(item))
+        except ValueError as exc:
+            return out, exc
+    return out, None
+
+
 def check_povm(povm, dim: int, what: str = "POVM") -> tuple:
     """Validate a POVM on a ``dim``-dimensional space and return its elements
-    as complex arrays: each one (dim, dim), Hermitian and PSD, summing to 1."""
-    if not povm:
+    as complex arrays: each one (dim, dim), Hermitian and PSD, summing to 1.
+    ``povm`` is a sequence of matrices or one ``(n, dim, dim)`` stack."""
+    if len(povm) == 0:
         raise ValueError(f"{what}: empty POVM")
-    mats = []
-    for k, m in enumerate(povm):
+
+    def element(km):
+        k, m = km
         m = as_matrix(m)
         if m.shape != (dim, dim):
             raise ValueError(f"{what}: element {k} has shape {m.shape}, expected {(dim, dim)}")
-        if np.max(np.abs(m - m.conj().T)) > 1e-8:
-            raise ValueError(f"{what}: element {k} is not Hermitian")
-        lo = float(np.linalg.eigvalsh((m + m.conj().T) / 2).min())
-        if lo < -1e-10:
-            raise ValueError(f"{what}: element {k} has eigenvalue {lo:.3e} < -1e-10")
-        mats.append(m)
-    err = float(np.max(np.abs(sum(mats) - np.eye(dim))))
+        return m
+
+    mats, held = _valid_prefix(enumerate(povm), element)
+    if mats:
+        stack = np.array(mats)
+        adj = stack.conj().transpose(0, 2, 1)
+        herm = np.abs(stack - adj).max(axis=(1, 2)) > 1e-8
+        lo = np.linalg.eigvalsh((stack + adj) / 2).min(axis=1)
+        bad = herm | (lo < -1e-10)
+        if bad.any():
+            k = int(bad.argmax())
+            if herm[k]:
+                raise ValueError(f"{what}: element {k} is not Hermitian")
+            raise ValueError(f"{what}: element {k} has eigenvalue {float(lo[k]):.3e} < -1e-10")
+    if held is not None:
+        raise held
+    err = float(np.abs(sum(mats) - np.eye(dim)).max())
     if err > 1e-8:
         raise ValueError(f"{what}: completeness violated by {err:.3e}")
     return tuple(mats)
@@ -126,7 +166,7 @@ class UnitaryOperator:
         n, k = m.shape
         if n != k:
             raise ValueError(f"unitary must be square, got {m.shape}")
-        err = np.max(np.abs(m.conj().T @ m - np.eye(n)))
+        err = np.abs(m.conj().T @ m - np.eye(n)).max()
         if err > DEFAULT_TOL.validation:
             raise ValueError(f"not unitary: max |U+U - 1| = {err:.3e}")
         object.__setattr__(self, "matrix", m)
@@ -147,13 +187,14 @@ class DensityOperator:
         n, k = m.shape
         if n != k:
             raise ValueError(f"density operator must be square, got {m.shape}")
-        herm = np.max(np.abs(m - m.conj().T))
+        adj = m.conj().T
+        herm = np.abs(m - adj).max()
         if herm > DEFAULT_TOL.validation:
             raise ValueError(f"not Hermitian: max |rho - rho+| = {herm:.3e}")
         tr = m.trace()
         if abs(tr - 1.0) > DEFAULT_TOL.validation:
             raise ValueError(f"trace is {tr:.12g}, expected 1")
-        lo = np.linalg.eigvalsh((m + m.conj().T) / 2).min()
+        lo = np.linalg.eigvalsh((m + adj) / 2).min()
         if lo < -DEFAULT_TOL.validation:
             raise ValueError(f"negative eigenvalue {lo:.3e}")
         object.__setattr__(self, "matrix", m)
@@ -257,32 +298,27 @@ def simultaneous_eigenbasis(ops) -> np.ndarray:
             raise ValueError("operators must share one dimension")
 
     basis = np.eye(d, dtype=complex)
-    blocks = [list(range(d))]
+    blocks = [(0, d)]  # the column ranges [a, b) of the eigenspaces so far
     for h in ops:
         new_blocks = []
-        for blk in blocks:
-            if len(blk) == 1:
-                new_blocks.append(blk)
+        for a, b in blocks:
+            if b - a == 1:
+                new_blocks.append((a, b))
                 continue
-            cols = basis[:, blk]
+            cols = basis[:, a:b]
             comp = cols.conj().T @ h @ cols
             comp = (comp + comp.conj().T) / 2
             w, q = np.linalg.eigh(comp)
-            basis[:, blk] = cols @ q
+            basis[:, a:b] = cols @ q
             # split the block wherever the spectrum jumps
-            start = 0
-            for i in range(1, len(blk)):
-                if w[i] - w[i - 1] > _CLUSTER_GAP:
-                    new_blocks.append(blk[start:i])
-                    start = i
-            new_blocks.append(blk[start:])
+            cuts = [a, *(a + i for i in range(1, b - a) if w[i] - w[i - 1] > _CLUSTER_GAP), b]
+            new_blocks.extend(zip(cuts[:-1], cuts[1:]))
         blocks = new_blocks
 
-    for h in ops:
-        off = basis.conj().T @ h @ basis
-        off = off - np.diag(np.diag(off))
-        if np.max(np.abs(off)) > 1e-7:
-            raise ValueError("operators do not commute: no common eigenbasis")
+    off = np.abs(basis.conj().T @ np.array(ops) @ basis).reshape(len(ops), d * d)
+    off[:, ::d + 1] = 0.0  # the diagonals
+    if off.max() > 1e-7:
+        raise ValueError("operators do not commute: no common eigenbasis")
     return basis
 
 
@@ -301,26 +337,27 @@ def eig_unitary(u, tol: Tolerances = DEFAULT_TOL):
     d = mat.shape[0]
     if mat.shape[0] != mat.shape[1]:
         raise ValueError("unitary must be square")
+    adj = mat.conj().T
     if not isinstance(u, UnitaryOperator):
-        err = float(np.max(np.abs(mat.conj().T @ mat - np.eye(d))))
+        err = float(np.abs(adj @ mat - np.eye(d)).max())
         if err > tol.validation * d:
             raise ValueError(f"matrix is not unitary: deviation {err:.3e}")
-    c = (mat + mat.conj().T) / 2
-    s = (mat - mat.conj().T) / 2j
+    c = (mat + adj) / 2
+    s = (mat - adj) / 2j
 
     # fixed pseudo-random mixing angle; irrational multiples of pi rarely
     # collide with spectral symmetries
     t = 0.7390851332151607
-    basis = None
     w, q = np.linalg.eigh(np.cos(t) * c + np.sin(t) * s)
     diag = q.conj().T @ mat @ q
-    if np.max(np.abs(diag - np.diag(np.diag(diag)))) <= 1e-10:
-        basis = q
-    if basis is None:
+    off = np.abs(diag)
+    off.flat[::d + 1] = 0.0  # the diagonal
+    if off.max() <= 1e-10:
+        basis, lam = q, np.diag(diag)
+    else:
         basis = simultaneous_eigenbasis([c, s])
-
-    lam = np.diag(basis.conj().T @ mat @ basis)
-    resid = np.max(np.abs(mat @ basis - basis * lam[None, :]))
+        lam = np.diag(basis.conj().T @ mat @ basis)
+    resid = np.abs(mat @ basis - basis * lam[None, :]).max()
     if resid > tol.comparison:
         raise ValueError(f"eigendecomposition residual {resid:.3e}")
 
@@ -336,6 +373,8 @@ def eig_unitary(u, tol: Tolerances = DEFAULT_TOL):
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> UnitaryOperator:
     """Haar-distributed unitary via QR of a complex Gaussian matrix."""
+    if dim < 1:
+        raise ValueError(f"dimension must be positive, got dim={dim}")
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(z)
     # fix the phase ambiguity of QR so the distribution is Haar

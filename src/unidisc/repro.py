@@ -30,7 +30,7 @@ from .protocols import (
     hierarchy_audit,
     verify_tree,
 )
-from .qcore import DEFAULT_TOL, Tolerances
+from .qcore import DEFAULT_TOL, Tolerances, _kron
 from .seesaw import (
     QUARTET_BOB_FIRST_SMAX_BOUND,
     quartet_alice_first_task,
@@ -86,7 +86,7 @@ def pair_gap(seed: int, restarts: int, tol: Tolerances = DEFAULT_TOL) -> BundleR
         ok = verdict.status == "distinguishable"
         if ok:
             w = verdict.witness
-            evolved = [np.kron(el, np.eye(w.ancilla_dim)) @ w.probe.amplitudes
+            evolved = [_kron(el, np.eye(w.ancilla_dim)) @ w.probe.amplitudes
                        for el in uset.global_unitaries()]
             overlap = abs(np.vdot(evolved[0], evolved[1]))
             worst_overlap = max(worst_overlap, overlap)

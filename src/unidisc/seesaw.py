@@ -34,7 +34,7 @@ import logging
 import numpy as np
 
 from .families import CLOCK3, FLIP3
-from .qcore import DensityOperator, as_matrix, check_povm
+from .qcore import DensityOperator, _kron, as_matrix, check_povm
 
 __all__ = [
     "EliminationTask",
@@ -100,7 +100,7 @@ class SeesawResult:
 
 def _embed(u: np.ndarray) -> np.ndarray:
     # second party's factor acting on system (x) 3-dim ancilla
-    return np.kron(u, np.eye(3, dtype=complex))
+    return _kron(u, np.eye(3, dtype=complex))
 
 
 def quartet_bob_first_task() -> EliminationTask:
@@ -159,7 +159,7 @@ def quartet_alice_first_warm_start() -> tuple:
     objective vanishes exactly at this point.
     """
     phi = np.full(3, 1.0 / np.sqrt(3.0), dtype=complex)
-    psi = np.kron(phi, np.array([1.0, 0.0, 0.0], dtype=complex))
+    psi = _kron(phi, np.array([1.0, 0.0, 0.0], dtype=complex))
     rho = DensityOperator(np.outer(psi, psi.conj()))
     rotated = _embed(CLOCK3) @ psi
     p_rot = np.outer(rotated, rotated.conj())

@@ -48,7 +48,7 @@ from .protocols import (
     _local_verdicts,
     _one_input_witness,
 )
-from .qcore import DEFAULT_TOL, StateVector, Tolerances
+from .qcore import DEFAULT_TOL, StateVector, Tolerances, _kron
 
 __all__ = [
     "EliminableClass",
@@ -458,11 +458,11 @@ def _gda_separable(table: SetAnalysis):
                 idle[0] = 1.0
                 eye = np.eye(d_other, dtype=complex)
                 if party == "A":
-                    probe = np.kron(pp.probe.amplitudes, idle)
-                    povm = tuple(np.kron(el, eye) for el in pp.measurement)
+                    probe = _kron(pp.probe.amplitudes, idle)
+                    povm = tuple(_kron(el, eye) for el in pp.measurement)
                 else:
-                    probe = np.kron(idle, pp.probe.amplitudes)
-                    povm = tuple(np.kron(eye, el) for el in pp.measurement)
+                    probe = _kron(idle, pp.probe.amplitudes)
+                    povm = tuple(_kron(eye, el) for el in pp.measurement)
                 witness = ProbeWitness(probe=StateVector(probe), ancilla_dim=1,
                                        povm=povm, guesses=(0, 1))
                 return StrategyVerdict(

@@ -385,6 +385,12 @@ class TestPairDistinguishable:
         with pytest.raises(ValueError):
             pair_distinguishable(np.eye(2), np.eye(3))
 
+    @pytest.mark.parametrize("decider", [pair_distinguishable, build_pair_probe])
+    def test_rejects_non_square_inputs(self, decider):
+        # the shape of the inputs is named, not the deviation of m1{dag} m2
+        with pytest.raises(ValueError, match=r"must be square, got shape \(2, 3\)"):
+            decider(np.ones((2, 3)), np.ones((2, 3)))
+
     @pytest.mark.parametrize("eps", NEAR_CHORD_EPS)
     def test_near_antipodal_chord(self, eps):
         assert pair_distinguishable(*near_chord_pair(eps)).distinguishable

@@ -45,6 +45,13 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             OrthogonalityProblem(3, (np.eye(2),))
 
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_rejects_non_positive_dimension(self, dim):
+        # an empty problem on no dimension had been accepted, and then
+        # failed inside common_probe_feasible
+        with pytest.raises(ValueError, match=f"dimension must be positive, got dim={dim}"):
+            OrthogonalityProblem(dim=dim, operators=())
+
     def test_commuting_flag(self):
         assert OrthogonalityProblem(3, (CLOCK, FLIP)).commuting
         x = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -51,9 +51,18 @@ class TestProductUnitarySet:
         with pytest.raises(ValueError):
             ProductUnitarySet((2, 2), [])
 
+    def test_rejects_non_positive_party_dimension(self):
+        # a zero dimension had reached a reduction over an empty stack
+        with pytest.raises(ValueError, match=r"party dimensions must be positive, got \(0, 2\)"):
+            ProductUnitarySet((0, 2), (("a", np.zeros((0, 0)), I2),))
+
     def test_global_unitary_is_kron(self):
-        s = ProductUnitarySet((2, 2), (("a", X, Z),))
-        assert np.allclose(s.global_unitary(0), np.kron(X, Z))
+        # byte for byte, on real and complex factors of both party sizes
+        for s in (ProductUnitarySet((2, 2), (("a", X, Z),)), qutrit_quartet_set(),
+                  pauli_hadamard_set(), random_qubit_set(np.random.default_rng(3))):
+            for i in range(s.size):
+                want = np.kron(s.factor(i, "A"), s.factor(i, "B"))
+                assert s.global_unitary(i).tobytes() == want.tobytes()
 
 
 class TestPhaseEqual:
@@ -286,6 +295,10 @@ class TestVerifyProbe:
 
     def test_scores_a_perfect_witness(self):
         assert np.allclose(verify_probe(self.UNITARIES, self.GOOD), [1.0, 1.0])
+
+    def test_scores_a_witness_whose_povm_is_a_stack(self):
+        stacked = dataclasses.replace(self.GOOD, povm=np.stack(self.GOOD.povm))
+        assert np.allclose(verify_probe(self.UNITARIES, stacked), [1.0, 1.0])
 
     def test_rejects_empty_unitary_list(self):
         with pytest.raises(ValueError, match="no unitaries to verify"):

@@ -9,6 +9,7 @@ from unidisc.qcore import (
     StateVector,
     Tolerances,
     UnitaryOperator,
+    _kron,
     as_matrix,
     check_povm,
     eig_unitary,
@@ -240,6 +241,45 @@ class TestHaarUnitary:
         b = haar_unitary(3, rng).matrix
         assert np.max(np.abs(a - b)) > 1e-3
 
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_rejects_non_positive_dimension(self, dim):
+        with pytest.raises(ValueError, match=f"dimension must be positive, got dim={dim}"):
+            haar_unitary(dim, np.random.default_rng(0))
+
+
+def _signed_operand(shape, kind, rng):
+    """Random entries of one dtype, with some parts set to +0.0 or -0.0."""
+    a = rng.normal(size=shape)
+    if kind == "complex":
+        a = a + 1j * rng.normal(size=shape)
+        a.imag[rng.random(shape) < 0.3] = -0.0
+    a.real[rng.random(shape) < 0.3] = -0.0
+    a.real[rng.random(shape) < 0.2] = 0.0
+    return a
+
+
+class TestKron:
+    """``_kron`` computes the bytes of ``np.kron``, dtype promotion included."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kinds", [("complex", "complex"), ("real", "real"),
+                                       ("complex", "real"), ("real", "complex")])
+    @pytest.mark.parametrize("ndim", [1, 2])
+    def test_matches_np_kron_bytes(self, n, kinds, ndim):
+        rng = np.random.default_rng(n)
+        for m in (1, 2, 3, 4):
+            a = _signed_operand((n,) * ndim, kinds[0], rng)
+            b = _signed_operand((m,) * ndim, kinds[1], rng)
+            got, want = _kron(a, b), np.kron(a, b)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_identity_factor_bytes(self):
+        # the ancilla embedding u (x) 1 of the protocol simulators
+        u = _signed_operand((3, 3), "complex", np.random.default_rng(7))
+        for r in (1, 2, 3):
+            assert _kron(u, np.eye(r)).tobytes() == np.kron(u, np.eye(r)).tobytes()
+
 
 class TestCheckPovm:
     def test_returns_complex_arrays(self):
@@ -260,3 +300,34 @@ class TestCheckPovm:
     def test_rejects(self, povm, message):
         with pytest.raises(ValueError, match=message):
             check_povm(povm, 2, "test POVM")
+
+    NOT_PSD = np.diag([1.5, -0.5])
+    NOT_HERMITIAN = np.array([[0.5, 0.5], [0.0, 0.5]])
+    HALF = np.diag([0.5, 0.5])
+
+    # with several faults, the first failing element is reported, and for it
+    # the first failing check in the order shape, Hermiticity, eigenvalue
+    @pytest.mark.parametrize("povm, message", [
+        ((NOT_PSD, NOT_HERMITIAN), "test POVM: element 0 has eigenvalue -5.000e-01 < -1e-10"),
+        ((NOT_HERMITIAN, NOT_PSD), "test POVM: element 0 is not Hermitian"),
+        ((HALF, NOT_PSD, NOT_HERMITIAN), "test POVM: element 1 has eigenvalue -5.000e-01 < -1e-10"),
+        ((NOT_PSD, np.eye(3)), "test POVM: element 0 has eigenvalue -5.000e-01 < -1e-10"),
+        ((HALF, np.eye(3), NOT_HERMITIAN), "test POVM: element 1 has shape (3, 3), expected (2, 2)"),
+        ((np.array([[-0.5, 1.0], [0.0, 0.5]]), HALF), "test POVM: element 0 is not Hermitian"),
+        ((NOT_HERMITIAN, np.array([[np.nan, 0.0], [0.0, 1.0]])),
+         "test POVM: element 0 is not Hermitian"),
+        ((NOT_PSD, np.ones(2)), "test POVM: element 0 has eigenvalue -5.000e-01 < -1e-10"),
+        ((HALF, HALF, HALF), "test POVM: completeness violated by 5.000e-01"),
+    ])
+    def test_reports_first_failure(self, povm, message):
+        with pytest.raises(ValueError) as info:
+            check_povm(povm, 2, "test POVM")
+        assert str(info.value) == message
+
+    def test_accepts_a_stack(self):
+        povm = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+        got = check_povm(np.stack(povm), 2)
+        assert len(got) == 2
+        assert all(np.array_equal(g, p) for g, p in zip(got, povm))
+        with pytest.raises(ValueError, match="empty POVM"):
+            check_povm(np.zeros((0, 2, 2)), 2)

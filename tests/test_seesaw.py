@@ -341,6 +341,14 @@ class TestQuartetTasks:
         assert _nonconverged(caplog) == 2
         assert len(caplog.records) == 2
 
+    def test_warm_start_povm_as_a_stack(self):
+        task = quartet_alice_first_task()
+        rho, povm = quartet_alice_first_warm_start()
+        stacked = run_seesaw(task, restarts=0, warm_starts=((rho, np.stack(povm)),))
+        listed = run_seesaw(task, restarts=0, warm_starts=((rho, povm),))
+        assert abs(stacked.s_max - 1.0) < 1e-9
+        assert stacked.s_max == listed.s_max
+
     def test_warm_start_without_povm(self):
         task = quartet_alice_first_task()
         rho, _ = quartet_alice_first_warm_start()
