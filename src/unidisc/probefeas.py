@@ -9,11 +9,11 @@ u_j in the constraint set.  Feasibility over density operators is decided
   eigenbasis, when all constraint operators commute; the witness is the
   pure state with those weights as squared amplitudes, so it needs no
   ancilla;
+* by testing the maximally mixed candidate, which settles every feasible
+  qubit instance and many composite ones;
 * exactly in the negative, whenever some single constraint operator already
   has its eigenvalue hull away from the origin (a one-operator problem is
   always a commuting problem);
-* by testing the maximally mixed candidate, which settles every feasible
-  qubit instance and many composite ones;
 * otherwise by Dykstra-corrected alternating projections between the
   density-operator set and the constraint subspace, one run from the
   maximally mixed state.  Both sets are convex, so one start suffices: the
@@ -353,8 +353,20 @@ def _solve_by_projections(problem, tol, iterations=5000):
 
 def common_probe_feasible(problem: OrthogonalityProblem,
                           tol: Tolerances = DEFAULT_TOL) -> ProbeFeasibility:
-    """Decide whether one reduced probe state satisfies every constraint;
-    the exact screens run first, projections last."""
+    """Decide whether one reduced probe state satisfies every constraint.
+
+    The routes run in this order, and the first that decides answers: an
+    empty constraint set; the common-eigenbasis LP when the operators
+    commute; the maximally mixed state; one single-operator LP per
+    operator, looking for a spectral certificate; the projections.  The
+    mixed state may go before the single-operator LPs because whatever it
+    settles they cannot contradict: a state meeting every constraint meets
+    each one alone, and by the theorem of alternatives no operator it meets
+    has a certificate, so those LPs could only come back feasible.  A mixed
+    residual that is merely below ``tol.comparison`` is accepted at that
+    tolerance, as the projections' witnesses are; a single-operator
+    certificate could then exist only with coefficients above 1/residual.
+    """
     d = problem.dim
 
     if not problem.operators:
@@ -364,6 +376,14 @@ def common_probe_feasible(problem: OrthogonalityProblem,
 
     if problem.commuting:
         return _solve_commuting(problem, range(len(problem.operators)))
+
+    # cheap exact candidate: the maximally mixed state; it goes before the
+    # single-operator LPs, which could only agree with it (see above)
+    mixed = np.eye(d) / d
+    mixed_residual = float(max(abs(np.trace(mixed @ k)) for k in problem.operators))
+    if mixed_residual < tol.comparison:
+        return ProbeFeasibility(status="feasible", witness=DensityOperator(mixed),
+                                residual=mixed_residual, note="maximally mixed witness")
 
     # one operator alone is a commuting problem; any single-operator
     # infeasibility certifies the whole system
@@ -375,13 +395,6 @@ def common_probe_feasible(problem: OrthogonalityProblem,
                 certificate=sub.certificate,
                 note=f"single-operator spectral certificate (operator {k})",
             )
-
-    # cheap exact candidate: the maximally mixed state
-    mixed = np.eye(d) / d
-    mixed_residual = float(max(abs(np.trace(mixed @ k)) for k in problem.operators))
-    if mixed_residual < tol.comparison:
-        return ProbeFeasibility(status="feasible", witness=DensityOperator(mixed),
-                                residual=mixed_residual, note="maximally mixed witness")
 
     return _solve_by_projections(problem, tol)
 

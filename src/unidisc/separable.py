@@ -20,13 +20,14 @@ ray.  Outcomes therefore retain at most two candidates (the responder,
 measuring one qubit, cannot tell three pairwise non-parallel states apart),
 the eliminated sets of distinct outcomes are disjoint parallel classes, and
 completing the elimination elements to a POVM is a small linear program
-over the class rays.  Candidate probes are exhausted by the eigenrays of
-the non-phase-equal relative factors, the balanced superpositions that null
-a distinguishable relative, and the six axis states; for five or more
-inputs two disjoint classes of the required size cannot coexist at all, so
-the sequential branch is infeasible outright.  With three inputs a failed
-probe search is certified only when the responder can finish no pair;
-otherwise that order stays ``not_found``.
+over the class rays, run only for two rays or more (one rank-1 projector
+alone is never a multiple of the identity).  Candidate probes are exhausted
+by the eigenrays of the non-phase-equal relative factors, the balanced
+superpositions that null a distinguishable relative, and the six axis
+states; for five or more inputs two disjoint classes of the required size
+cannot coexist at all, so the sequential branch is infeasible outright.
+With three inputs a failed probe search is certified only when the
+responder can finish no pair; otherwise that order stays ``not_found``.
 """
 
 from __future__ import annotations
@@ -192,11 +193,13 @@ def _completion_lp(class_rays):
     """Nonnegative weights making the kernel projectors sum to the identity.
 
     ``sum_a c_a |r_a^perp><r_a^perp| = 1`` on a qubit is four real linear
-    equations in the weights; returns the weight vector or ``None``.
+    equations in the weights; returns the weight vector or ``None``.  Fewer
+    than two rays never complete: a multiple of one rank-1 projector is not
+    the identity, so that case needs no LP.
     """
     from .simplex import feasible_point
 
-    if not class_rays:
+    if len(class_rays) < 2:
         return None
     projs = [np.outer(_kernel_ray(r), _kernel_ray(r).conj()) for r in class_rays]
     a_eq = np.array(

@@ -6,11 +6,21 @@ favors robustness over speed: Bland's anti-cycling pivot rule throughout, a
 fixed pivot tolerance, a re-checked residual for every returned point, and
 an explicitly re-verified Farkas certificate whenever phase 1 proves
 infeasibility.
+
+The pivots run on a tableau of plain Python floats, one list per row: at
+these sizes reading and writing numpy scalars one at a time costs more than
+the arithmetic.  Each entry still goes through the same IEEE operations in
+the same order as a row-wise numpy update (a row divided by its pivot, then
+``row_r - f * pivot_row`` for every other row with a nonzero factor f), so
+the points, certificates and margins are the ones a numpy tableau gives.
+Input validation, the initial column sums, the Farkas extraction and the
+residual re-check stay in numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -38,36 +48,42 @@ class LpResult:
     certificate: FarkasCertificate | None
 
 
-def _pivot(tableau, basis, row, col):
-    tableau[row] /= tableau[row, col]
-    for r in range(tableau.shape[0]):
-        if r != row and abs(tableau[r, col]) > 0:
-            tableau[r] -= tableau[r, col] * tableau[row]
+def _pivot(rows, basis, row, col):
+    p = rows[row][col]
+    prow = rows[row] = [v / p for v in rows[row]]
+    for r, cur in enumerate(rows):
+        if r != row:
+            f = cur[col]
+            # a zero factor leaves the row alone, signed zeros included
+            if abs(f) > 0:
+                rows[r] = [u - f * v for u, v in zip(cur, prow)]
     basis[row] = col
 
 
-def _simplex_core(tableau, basis, cost_row, ncols):
-    """Run Bland-rule simplex on an (m+1) x (ncols+1) tableau in place until
-    no reduced cost is negative.
+def _simplex_core(rows, basis, cost_row, ncols):
+    """Run Bland-rule simplex on an (m+1)-row tableau of ncols+1 columns in
+    place until no reduced cost is negative.
 
     Row ``cost_row`` holds reduced costs (minimization); rightmost column is
     the rhs.  Only phase 1 runs here, whose objective is bounded below by 0.
     """
     m = cost_row
     while True:
+        cost = rows[m]
         enter = -1
         for j in range(ncols):
-            if tableau[m, j] < -PIVOT_TOL:
+            if cost[j] < -PIVOT_TOL:
                 enter = j
                 break
         if enter < 0:
             return
         leave = -1
-        best = np.inf
+        best = math.inf
         for r in range(m):
-            a = tableau[r, enter]
+            cur = rows[r]
+            a = cur[enter]
             if a > PIVOT_TOL:
-                ratio = tableau[r, -1] / a
+                ratio = cur[-1] / a
                 if ratio < best - PIVOT_TOL or (
                         abs(ratio - best) <= PIVOT_TOL
                         and (leave < 0 or basis[r] < basis[leave])):
@@ -75,7 +91,7 @@ def _simplex_core(tableau, basis, cost_row, ncols):
                     leave = r
         if leave < 0:
             raise AssertionError("phase 1 unbounded")
-        _pivot(tableau, basis, leave, enter)
+        _pivot(rows, basis, leave, enter)
 
 
 def feasible_point(a_eq, b_eq) -> LpResult:
@@ -90,32 +106,34 @@ def feasible_point(a_eq, b_eq) -> LpResult:
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("A and b must be finite")
 
-    # keep a pristine copy for certificate re-verification
-    a0 = a.copy()
-    b0 = b.copy()
-
+    # negate the rows with a negative rhs; the originals stay for the
+    # certificate and residual re-checks
+    a0, b0 = a, b
     flip = b < 0
-    a[flip] *= -1
-    b[flip] *= -1
+    if flip.any():
+        a, b = a.copy(), b.copy()
+        a[flip] *= -1
+        b[flip] *= -1
 
-    # phase 1: artificials, minimize their sum
-    t = np.zeros((m + 1, n + m + 1))
-    t[:m, :n] = a
-    t[:m, n:n + m] = np.eye(m)
-    t[:m, -1] = b
+    # phase 1: artificials, minimize their sum; the reduced costs of that
+    # sum are numpy's column sums, so they carry its summation order
+    rhs = b.tolist()
+    rows = a.tolist()
+    for r, row in enumerate(rows):
+        row.extend([0.0] * m)
+        row[n + r] = 1.0
+        row.append(rhs[r])
+    rows.append((-a.sum(axis=0)).tolist() + [0.0] * m + [float(-b.sum())])
     basis = list(range(n, n + m))
-    # reduced costs for sum of artificials
-    t[m, :n] = -a.sum(axis=0)
-    t[m, -1] = -b.sum()
 
-    _simplex_core(t, basis, m, n + m)
-    phase1 = -t[m, -1]
+    _simplex_core(rows, basis, m, n + m)
+    phase1 = -rows[m][-1]
 
-    if phase1 > 1e-7 * max(1.0, np.abs(b).max()):
+    if phase1 > 1e-7 * max(1.0, max(map(abs, rhs), default=0.0)):
         # infeasible: dual multipliers of phase 1 separate b from the cone.
         # Recover y from the final reduced costs of the artificial columns:
         # for artificial j, reduced cost = 1 - y_j (flipped rows negate y_j).
-        y = 1.0 - t[m, n:n + m].copy()
+        y = 1.0 - np.array(rows[m][n:n + m])
         y[flip] *= -1
         num = float(y @ b0)
         if num <= PIVOT_TOL:
@@ -131,14 +149,14 @@ def feasible_point(a_eq, b_eq) -> LpResult:
     for r in range(m):
         if basis[r] >= n:
             for j in range(n):
-                if abs(t[r, j]) > PIVOT_TOL:
-                    _pivot(t, basis, r, j)
+                if abs(rows[r][j]) > PIVOT_TOL:
+                    _pivot(rows, basis, r, j)
                     break
 
     x = np.zeros(n)
     for r in range(m):
         if basis[r] < n:
-            x[basis[r]] = t[r, -1]
+            x[basis[r]] = rows[r][-1]
     x[np.abs(x) < 1e-12] = 0.0
     resid = np.max(np.abs(a0 @ x - b0)) if m else 0.0
     if resid > 1e-7:

@@ -233,6 +233,46 @@ class TestLpVsProjections:
         assert max(abs(v) for v in gram_overlaps(f.witness, (x, z))) < 1e-9
 
 
+class TestMixedStateScreen:
+    @staticmethod
+    def _traceless_unitary(d, rng):
+        # antipodal eigenvalue pairs sum to zero; a Haar rotation makes
+        # draws from it fail to commute
+        half = np.exp(1j * rng.uniform(0, 2 * np.pi, size=d // 2))
+        v = haar_unitary(d, rng).matrix
+        return v @ np.diag(np.concatenate([half, -half])) @ v.conj().T
+
+    def test_traceless_problem_skips_single_operator_lps(self, monkeypatch):
+        calls = []
+        solve = probefeas._solve_commuting
+
+        def spy(problem, indices):
+            calls.append(list(indices))
+            return solve(problem, indices)
+
+        monkeypatch.setattr(probefeas, "_solve_commuting", spy)
+        x = np.array([[0, 1], [1, 0]], dtype=complex)
+        z = np.diag([1.0, -1.0])
+        f = common_probe_feasible(OrthogonalityProblem(2, (x, z)))
+        assert (f.status, f.note) == ("feasible", "maximally mixed witness")
+        assert calls == []
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_mixed_witness_leaves_no_single_operator_certificate(self, d):
+        # whenever the maximally mixed state meets every constraint (here up
+        # to rounding), each one-operator LP the screen now skips is
+        # feasible, so skipping it cannot hide a certificate
+        rng = np.random.default_rng(31 + d)
+        for _ in range(40):
+            ops = tuple(self._traceless_unitary(d, rng) for _ in range(int(rng.integers(2, 5))))
+            prob = OrthogonalityProblem(d, ops)
+            assert not prob.commuting
+            assert max(abs(np.trace(k)) / d for k in ops) < DEFAULT_TOL.comparison
+            assert common_probe_feasible(prob).note == "maximally mixed witness"
+            for k in range(len(ops)):
+                assert probefeas._solve_commuting(prob, [k]).status == "feasible"
+
+
 def _ref_simplex(vals):
     u = np.sort(vals)[::-1]
     css = np.cumsum(u) - 1.0

@@ -19,6 +19,7 @@ from unidisc.protocols import (
 )
 from unidisc.qcore import haar_unitary
 from unidisc import separable
+from unidisc.simplex import feasible_point
 from unidisc.separable import (
     check_gda_separable,
     gda_separable_analysis,
@@ -283,3 +284,24 @@ class TestCheckGdaSeparable:
                 else:
                     res = verify_tree(s, v.witness)
                     assert np.all(np.abs(res.success - 1.0) < 1e-9)
+
+
+class TestCompletionScreen:
+    def test_one_ray_needs_no_lp(self, monkeypatch):
+        def no_lp(*args):
+            raise AssertionError("completion LP ran")
+
+        monkeypatch.setattr("unidisc.simplex.feasible_point", no_lp)
+        assert separable._completion_lp([np.array([1.0, 0.0], dtype=complex)]) is None
+        assert separable._completion_lp([]) is None
+
+    def test_one_ray_lp_is_infeasible(self):
+        # the screened-out LP: one weighted rank-1 kernel projector set equal
+        # to the identity, which no weight achieves
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            ray = rng.normal(size=2) + 1j * rng.normal(size=2)
+            kr = separable._kernel_ray(ray / np.linalg.norm(ray))
+            p = np.outer(kr, kr.conj())
+            a_eq = np.array([[p[0, 0].real], [p[1, 1].real], [p[0, 1].real], [p[0, 1].imag]])
+            assert feasible_point(a_eq, [1.0, 1.0, 0.0, 0.0]).status == "infeasible"
