@@ -148,11 +148,7 @@ def _builtin_set(name: str):
                 "phasepair builtin needs four comma-separated angles, "
                 f"got {name!r}")
         try:
-            angles = [float(p) for p in parts]
-        except ValueError as exc:
-            raise _CliError(f"phasepair angles: {exc}") from exc
-        try:
-            return phase_pair_set(PhasePairParams(*angles))
+            return phase_pair_set(PhasePairParams(*[float(p) for p in parts]))
         except ValueError as exc:
             raise _CliError(f"phasepair angles: {exc}") from exc
     return None
@@ -391,10 +387,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except jsonio.FormatError as exc:
+    except (_CliError, jsonio.FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

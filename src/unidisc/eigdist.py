@@ -193,23 +193,22 @@ def min_convex_norm(phases, tol: Tolerances = DEFAULT_TOL) -> ConvexNormResult:
     return finish(0.0, min(map(through, range(len(hull))), key=lambda r: r[0])[1])
 
 
-def _pair_matrices(u1, u2):
-    """The matrices of a pair, checked to be square and of one shape."""
+def _pair_eigensystem(u1, u2, tol: Tolerances):
+    """``(m1, m2, phases, vecs)``: the matrices of a pair, checked to be
+    square and of one shape, and the :func:`~unidisc.qcore.eig_unitary`
+    eigensystem of m1{dag} m2."""
     m1 = u1.matrix if isinstance(u1, UnitaryOperator) else as_matrix(u1)
     m2 = u2.matrix if isinstance(u2, UnitaryOperator) else as_matrix(u2)
     if m1.shape != m2.shape:
         raise ValueError(f"dimension mismatch {m1.shape} vs {m2.shape}")
     if m1.shape[0] != m1.shape[1]:
         raise ValueError(f"pair unitaries must be square, got shape {m1.shape}")
-    return m1, m2
+    return (m1, m2, *eig_unitary(m1.conj().T @ m2, tol))
 
 
 def pair_distinguishable(u1, u2, tol: Tolerances = DEFAULT_TOL) -> ConvexNormResult:
     """Apply the hull criterion to the eigenphases of u1{dag} u2."""
-    m1, m2 = _pair_matrices(u1, u2)
-    rel = m1.conj().T @ m2
-    phases, _ = eig_unitary(rel, tol)
-    return min_convex_norm(phases, tol)
+    return min_convex_norm(_pair_eigensystem(u1, u2, tol)[2], tol)
 
 
 def build_pair_probe(u1, u2, result: ConvexNormResult | None = None,
@@ -221,9 +220,7 @@ def build_pair_probe(u1, u2, result: ConvexNormResult | None = None,
     orthonormal the evolved overlap equals sum_j p_j e^{i theta_j} = 0 and
     the two evolved states are exactly orthogonal.
     """
-    m1, m2 = _pair_matrices(u1, u2)
-    rel = m1.conj().T @ m2
-    phases, vecs = eig_unitary(rel, tol)
+    m1, m2, phases, vecs = _pair_eigensystem(u1, u2, tol)
     if result is None:
         result = min_convex_norm(phases, tol)
     else:

@@ -215,6 +215,26 @@ def _proj(vec: np.ndarray) -> np.ndarray:
     return np.outer(vec, vec.conj())
 
 
+def _bell_povm(states, rest: bool) -> tuple:
+    """Projectors onto two-qubit ``states`` and, with ``rest``, the remainder
+    I - P_1 - P_2 - ..., subtracted in that order."""
+    povm = [_proj(v) for v in states]
+    if rest:
+        el = np.eye(4, dtype=complex)
+        for p in povm:
+            el = el - p
+        povm.append(el)
+    return tuple(povm)
+
+
+def _bell_stage(party: str, states, guesses) -> StageTwo:
+    """Stage 2 that probes with a maximally entangled pair and measures the
+    projectors onto ``states``, plus the remainder when ``guesses`` names
+    one outcome more."""
+    return StageTwo(party=party, probe=StateVector(PHI_PLUS), ancilla_dim=2,
+                    povm=_bell_povm(states, len(guesses) > len(states)), guesses=guesses)
+
+
 def pauli_hadamard_tree(start: str = "A") -> ProtocolTree:
     """Adaptive protocol for the Pauli/Hadamard quintet, from either side.
 
@@ -227,29 +247,12 @@ def pauli_hadamard_tree(start: str = "A") -> ProtocolTree:
     if start == "A":
         # The first party's factors 1, Z, X, X, XZ map the probe onto the
         # four Bell-type states, with the two middle elements colliding.
-        stage = StageTwo(
-            party="B",
-            probe=StateVector(PHI_PLUS),
-            ancilla_dim=2,
-            povm=(
-                _proj(H_PSI_PLUS),
-                _proj(H_PSI_MINUS),
-                np.eye(4, dtype=complex)
-                - _proj(H_PSI_PLUS)
-                - _proj(H_PSI_MINUS),
-            ),
-            guesses=(2, 3, None),
-        )
+        stage = _bell_stage("B", (H_PSI_PLUS, H_PSI_MINUS), (2, 3, None))
         return ProtocolTree(
             start="A",
             probe=StateVector(PHI_PLUS),
             ancilla_dim=2,
-            povm=(
-                _proj(PHI_PLUS),
-                _proj(PHI_MINUS),
-                _proj(PSI_PLUS),
-                _proj(PSI_MINUS),
-            ),
+            povm=_bell_povm((PHI_PLUS, PHI_MINUS, PSI_PLUS, PSI_MINUS), rest=False),
             branches=(
                 OutcomeBranch(retained=(0,), guess=0),
                 OutcomeBranch(retained=(1,), guess=1),
@@ -264,50 +267,19 @@ def pauli_hadamard_tree(start: str = "A") -> ProtocolTree:
         # basis of Hadamard-rotated Bell states splits them into branches the
         # first party can always finish.
         basis = tuple(choi_state(g) for g in (H, H @ X, H @ Z, H @ X @ Z))
-        stage_h = StageTwo(
-            party="A",
-            probe=StateVector(PHI_PLUS),
-            ancilla_dim=2,
-            povm=(
-                _proj(PHI_MINUS),
-                _proj(PSI_PLUS),
-                _proj(PSI_MINUS),
-                _proj(PHI_PLUS),
-            ),
-            guesses=(1, 2, 4, None),
-        )
-        stage_hx = StageTwo(
-            party="A",
-            probe=StateVector(PHI_PLUS),
-            ancilla_dim=2,
-            povm=(
-                _proj(PHI_PLUS),
-                _proj(PSI_PLUS),
-                np.eye(4, dtype=complex) - _proj(PHI_PLUS) - _proj(PSI_PLUS),
-            ),
-            guesses=(0, 3, None),
-        )
-        stage_hxz = StageTwo(
-            party="A",
-            probe=StateVector(PHI_PLUS),
-            ancilla_dim=2,
-            povm=(
-                _proj(PHI_MINUS),
-                _proj(PSI_MINUS),
-                np.eye(4, dtype=complex) - _proj(PHI_MINUS) - _proj(PSI_MINUS),
-            ),
-            guesses=(1, 4, None),
-        )
         return ProtocolTree(
             start="B",
             probe=StateVector(PHI_PLUS),
             ancilla_dim=2,
-            povm=tuple(_proj(b) for b in basis),
+            povm=_bell_povm(basis, rest=False),
             branches=(
-                OutcomeBranch(retained=(1, 2, 4), stage2=stage_h),
-                OutcomeBranch(retained=(0, 3), stage2=stage_hx),
+                OutcomeBranch(retained=(1, 2, 4), stage2=_bell_stage(
+                    "A", (PHI_MINUS, PSI_PLUS, PSI_MINUS, PHI_PLUS), (1, 2, 4, None))),
+                OutcomeBranch(retained=(0, 3), stage2=_bell_stage(
+                    "A", (PHI_PLUS, PSI_PLUS), (0, 3, None))),
                 OutcomeBranch(retained=(0,), guess=0),
-                OutcomeBranch(retained=(1, 4), stage2=stage_hxz),
+                OutcomeBranch(retained=(1, 4), stage2=_bell_stage(
+                    "A", (PHI_MINUS, PSI_MINUS), (1, 4, None))),
             ),
             note="second-party-first protocol for the Pauli/Hadamard quintet",
         )

@@ -9,6 +9,7 @@ maps to a usage-error exit.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import json
 import math
@@ -193,15 +194,19 @@ def complex_from_json(v, field: str) -> complex:
     if not isinstance(v, (list, tuple)) or len(v) != 2 or not all(map(_is_number, v)):
         raise FormatError(f"{field}: expected a [re, im] number pair, got {v!r}")
     try:
-        return complex(float(v[0]), float(v[1]))
+        z = complex(float(v[0]), float(v[1]))
     except OverflowError:
         raise FormatError(f"{field}: number out of float range") from None
+    # json reads NaN, Infinity and 1e999 (as inf)
+    if not cmath.isfinite(z):
+        raise FormatError(f"{field}: number is not finite")
+    return z
 
 
 def _complex_array(entries: list) -> np.ndarray | None:
-    """The entries as one complex array when each is a list of two JSON
-    numbers in float range, else None (the per-entry path then decodes or
-    names the bad entry).  The numbers are read as one float64 array and
+    """The entries as one complex array when each is a list of two finite
+    JSON numbers in float range, else None (the per-entry path then decodes
+    or names the bad entry).  The numbers are read as one float64 array and
     viewed as complex, so signed zeros survive."""
     if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
         return None
@@ -209,9 +214,10 @@ def _complex_array(entries: list) -> np.ndarray | None:
     if not _NUMBER_TYPES.issuperset(map(type, leaves)):
         return None
     try:
-        return np.array(leaves, dtype=float).view(complex)
+        a = np.array(leaves, dtype=float)
     except OverflowError:
         return None
+    return a.view(complex) if np.isfinite(a).all() else None
 
 
 def matrix_to_json(m) -> list:
@@ -343,7 +349,11 @@ def _probe_block_from_json(data, field: str, guesses: bool = True) -> dict:
         raise FormatError(f"{field}.povm: expected a non-empty list")
     povm = tuple(matrix_from_json(el, f"{field}.povm[{k}]")
                  for k, el in enumerate(povm_data))
-    block = {"probe": StateVector(probe), "ancilla_dim": anc, "povm": povm}
+    try:
+        probe = StateVector(probe)
+    except ValueError as exc:  # the zero vector
+        raise FormatError(f"{field}.probe: {exc}") from None
+    block = {"probe": probe, "ancilla_dim": anc, "povm": povm}
     if guesses:
         values = _expect_key(data, "guesses", field)
         if not isinstance(values, list) or len(values) != len(povm):
@@ -491,6 +501,9 @@ def certificate_from_json(data, field: str = "certificate") -> InfeasibilityCert
         coeffs = np.array(coeffs_data, dtype=float)
     except OverflowError:
         raise FormatError(f"{field}.coeffs: coefficient out of float range") from None
+    bad = np.flatnonzero(~np.isfinite(coeffs))
+    if bad.size:
+        raise FormatError(f"{field}.coeffs[{bad[0]}]: number is not finite")
     min_eig = _expect_key(data, "min_eig", field)
     if not _is_number(min_eig):
         raise FormatError(f"{field}.min_eig: expected a number")
@@ -498,6 +511,8 @@ def certificate_from_json(data, field: str = "certificate") -> InfeasibilityCert
         min_eig = float(min_eig)
     except OverflowError:
         raise FormatError(f"{field}.min_eig: number out of float range") from None
+    if not math.isfinite(min_eig):
+        raise FormatError(f"{field}.min_eig: number is not finite")
     return InfeasibilityCertificate(op_indices=tuple(idx), coeffs=coeffs,
                                     min_eig=min_eig)
 

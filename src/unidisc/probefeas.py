@@ -145,13 +145,15 @@ def _combined_min_eig(problem, indices, coeffs):
     return float(np.linalg.eigvalsh((g + g.conj().T) / 2).min())
 
 
-def _certificate_from_lp(problem, indices, farkas):
-    """Convert a Farkas vector of the eigenbasis LP into a spectral bound."""
+def _certificate_from_lp(problem, indices, farkas, tol):
+    """Convert a Farkas vector of the eigenbasis LP into a spectral bound;
+    raises ``ValueError`` unless the bound clears the bar of
+    :func:`verify_certificate`."""
     y = farkas.y
     coeffs = -np.asarray(y[:-1], dtype=float)  # drop the normalization row
     lo = _combined_min_eig(problem, indices, coeffs)
-    if lo < 1 - 1e-7:
-        raise AssertionError(f"certificate bound failed: min eig {lo:.6e}")
+    if not lo >= 1 - tol.comparison:  # NaN fails too
+        raise ValueError(f"certificate bound failed: min eig {lo:.6e}")
     return InfeasibilityCertificate(op_indices=tuple(indices), coeffs=coeffs, min_eig=lo)
 
 
@@ -181,9 +183,17 @@ def verify_certificate(problem: OrthogonalityProblem,
     return lo
 
 
-def _solve_commuting(problem, indices):
+def _solve_commuting(problem, indices, tol=DEFAULT_TOL):
     """Exact LP over simplex weights in the common eigenbasis of a commuting
-    subset of the constraints."""
+    subset of the constraints.
+
+    ``not_found`` when the answer fails its re-check: the simplex's own
+    (a point off the constraints, a Farkas vector that does not separate),
+    a certificate bound below the :func:`verify_certificate` bar, or a
+    witness that misses a constraint by more than ``tol.comparison`` or is
+    not a density operator.  Near-antipodal spectra, whose hull passes
+    within rounding of the origin, end there.
+    """
     ops = [problem.operators[k] for k in indices]
     parts = []
     for k in ops:
@@ -204,19 +214,32 @@ def _solve_commuting(problem, indices):
     b = np.zeros(len(rows))
     b[-1] = 1.0
 
-    lp = feasible_point(a, b)
+    def failed(why, residual=None):
+        return ProbeFeasibility(status="not_found", residual=residual,
+                                note=f"common-eigenbasis linear program failed: {why}")
+
+    try:
+        lp = feasible_point(a, b)
+    except AssertionError as exc:  # the simplex re-checks its answer
+        return failed(exc)
     if lp.status == "feasible":
         # every constraint is diagonal in the basis, so the pure state with
         # weights q meets them exactly as the mixture would, without ancilla
         psi = basis @ np.sqrt(np.maximum(lp.x, 0.0))
         rho = np.outer(psi, psi.conj())
-        return ProbeFeasibility(
-            status="feasible",
-            witness=DensityOperator(rho),
-            residual=float(max(abs(np.trace(rho @ k)) for k in ops)),
-            note="common-eigenbasis linear program",
-        )
-    cert = _certificate_from_lp(problem, indices, lp.certificate)
+        residual = float(max(abs(np.trace(rho @ k)) for k in ops))
+        if residual > tol.comparison:
+            return failed(f"witness residual {residual:.3e}", residual)
+        try:
+            witness = DensityOperator(rho)
+        except ValueError as exc:
+            return failed(f"witness {exc}", residual)
+        return ProbeFeasibility(status="feasible", witness=witness, residual=residual,
+                                note="common-eigenbasis linear program")
+    try:
+        cert = _certificate_from_lp(problem, indices, lp.certificate, tol)
+    except ValueError as exc:
+        return failed(exc)
     return ProbeFeasibility(
         status="infeasible_certified",
         certificate=cert,
@@ -375,7 +398,7 @@ def common_probe_feasible(problem: OrthogonalityProblem,
                                 residual=0.0, note="empty constraint set")
 
     if problem.commuting:
-        return _solve_commuting(problem, range(len(problem.operators)))
+        return _solve_commuting(problem, range(len(problem.operators)), tol)
 
     # cheap exact candidate: the maximally mixed state; it goes before the
     # single-operator LPs, which could only agree with it (see above)
@@ -388,7 +411,7 @@ def common_probe_feasible(problem: OrthogonalityProblem,
     # one operator alone is a commuting problem; any single-operator
     # infeasibility certifies the whole system
     for k in range(len(problem.operators)):
-        sub = _solve_commuting(problem, [k])
+        sub = _solve_commuting(problem, [k], tol)
         if sub.status == "infeasible_certified":
             return ProbeFeasibility(
                 status="infeasible_certified",

@@ -79,6 +79,11 @@ def _party_index(party):
     return _PARTIES.index(party)
 
 
+def _other(party):
+    """The party that is not ``party``."""
+    return _PARTIES[1 - _party_index(party)]
+
+
 # -----------------------------------------------------------------------------
 # The set
 # -----------------------------------------------------------------------------
@@ -152,8 +157,12 @@ def phase_equal(a, b) -> bool:
     return _phase_equal(as_matrix(a), as_matrix(b))
 
 
+# |Tr(a{dag}b)| may fall this far short of d for phase-equal unitaries
+_PHASE_TOL = 1e-9
+
+
 def _phase_equal(a, b) -> bool:
-    return abs(np.trace(a.conj().T @ b)) >= a.shape[0] - 1e-9
+    return abs(np.trace(a.conj().T @ b)) >= a.shape[0] - _PHASE_TOL
 
 
 @dataclass(frozen=True)
@@ -245,6 +254,26 @@ def _evolved(u, ancilla_dim, probe: StateVector):
     return u @ probe.amplitudes
 
 
+def _checked_povm(block, d, answers, what):
+    """The POVM of a probe block (a tree's stage 1, a stage 2 or a probe
+    witness) on a ``d``-dimensional system, checked with everything else
+    the block says about it: the probe lives on the system and its
+    ancilla, and ``answers`` (branches or guesses) name every outcome."""
+    dim = d * block.ancilla_dim
+    if block.probe.dim != dim:
+        raise ValueError(f"{what} probe dim {block.probe.dim} != {d} * {block.ancilla_dim}")
+    povm = check_povm(block.povm, dim, f"{what} POVM")
+    if len(answers) != len(povm):
+        noun = "branches" if isinstance(block, ProtocolTree) else "guesses"
+        raise ValueError(f"{what} has {len(answers)} {noun} for {len(povm)} outcomes")
+    return povm
+
+
+def _probability(phi, el) -> float:
+    """Probability of the outcome with POVM element ``el`` on the state ``phi``."""
+    return float(np.real(phi.conj() @ (el @ phi)))
+
+
 def verify_tree(uset: ProductUnitarySet, tree: ProtocolTree) -> VerifyResult:
     """Exact simulation of a protocol tree on every unitary of the set.
 
@@ -252,60 +281,43 @@ def verify_tree(uset: ProductUnitarySet, tree: ProtocolTree) -> VerifyResult:
     whose retained set excludes the true index, plus mass on dead ends),
     and the full stage-1 outcome table.
     """
-    start = tree.start
-    resp = "B" if start == "A" else "A"
-    d1 = uset.party_dims[_party_index(start)]
-    d2 = uset.party_dims[_party_index(resp)]
-
-    if tree.probe.dim != d1 * tree.ancilla_dim:
-        raise ValueError(f"stage-1 probe dim {tree.probe.dim} != {d1} * {tree.ancilla_dim}")
-    povm1 = check_povm(tree.povm, d1 * tree.ancilla_dim, "stage-1 POVM")
-    if len(tree.branches) != len(povm1):
-        raise ValueError("one branch per stage-1 outcome required")
+    start, resp = tree.start, _other(tree.start)
+    d1, d2 = (uset.party_dims[_party_index(p)] for p in (start, resp))
+    povm1 = _checked_povm(tree, d1, tree.branches, "stage-1")
     povm2 = {}  # stage-2 POVMs by outcome, checked on every branch, reached or not
     for a, br in enumerate(tree.branches):
         st = br.stage2
-        if st is None:
-            continue
-        if st.party != resp:
-            raise ValueError("stage-2 party must be the responder")
-        if st.probe.dim != d2 * st.ancilla_dim:
-            raise ValueError(f"stage-2 probe dim {st.probe.dim} != {d2} * {st.ancilla_dim}")
-        povm2[a] = check_povm(st.povm, d2 * st.ancilla_dim, f"stage-2 POVM (outcome {a})")
-        if len(st.guesses) != len(povm2[a]):
-            raise ValueError("stage-2 guesses must map every outcome")
+        if st is not None:
+            if st.party != resp:
+                raise ValueError(f"stage-2 (outcome {a}) party must be the responder")
+            povm2[a] = _checked_povm(st, d2, st.guesses, f"stage-2 (outcome {a})")
 
     m = uset.size
     success = np.zeros(m)
     leakage = np.zeros(m)
     stage1 = np.zeros((m, len(tree.povm)))
 
+    def answer(i, guess, p):
+        if guess is None:
+            leakage[i] += p  # declared possible but no answer
+        elif guess == i:
+            success[i] += p
+
     for i in range(m):
         phi1 = _evolved(uset.factor(i, start), tree.ancilla_dim, tree.probe)
         for a, (el, br) in enumerate(zip(povm1, tree.branches)):
-            p = float(np.real(phi1.conj() @ (el @ phi1)))
-            p = max(p, 0.0)
-            stage1[i, a] = p
+            p = stage1[i, a] = max(_probability(phi1, el), 0.0)
             if p < 1e-15:
                 continue
             if i not in br.retained:
                 leakage[i] += p
-                continue
-            if br.stage2 is None:
-                if br.guess is None:
-                    leakage[i] += p  # declared possible but no answer
-                elif br.guess == i:
-                    success[i] += p
-                continue
-            st = br.stage2
-            phi2 = _evolved(uset.factor(i, resp), st.ancilla_dim, st.probe)
-            for el2, guess in zip(povm2[a], st.guesses):
-                q = float(np.real(phi2.conj() @ (el2 @ phi2)))
-                q = max(q, 0.0)
-                if guess is None:
-                    leakage[i] += p * q
-                elif guess == i:
-                    success[i] += p * q
+            elif br.stage2 is None:
+                answer(i, br.guess, p)
+            else:
+                st = br.stage2
+                phi2 = _evolved(uset.factor(i, resp), st.ancilla_dim, st.probe)
+                for el2, guess in zip(povm2[a], st.guesses):
+                    answer(i, guess, p * max(_probability(phi2, el2), 0.0))
     return VerifyResult(success=success, leakage=leakage, stage1_probs=stage1)
 
 
@@ -314,21 +326,16 @@ def verify_probe(unitaries, witness: ProbeWitness) -> np.ndarray:
     mats = [as_matrix(u) for u in unitaries]
     if not mats:
         raise ValueError("no unitaries to verify")
-    d = mats[0].shape[0]
     for i, u in enumerate(mats):
         if u.shape != mats[0].shape:
             raise ValueError(f"unitary {i} has shape {u.shape}, unitary 0 has {mats[0].shape}")
-    if witness.probe.dim != d * witness.ancilla_dim:
-        raise ValueError(f"witness probe dim {witness.probe.dim} != {d} * {witness.ancilla_dim}")
-    povm = check_povm(witness.povm, d * witness.ancilla_dim, "witness POVM")
-    if len(witness.guesses) != len(povm):
-        raise ValueError(f"witness has {len(witness.guesses)} guesses for {len(povm)} outcomes")
+    povm = _checked_povm(witness, mats[0].shape[0], witness.guesses, "witness")
     success = np.zeros(len(mats))
     for i, u in enumerate(mats):
         phi = _evolved(u, witness.ancilla_dim, witness.probe)
         for el, guess in zip(povm, witness.guesses):
             if guess == i:
-                success[i] += float(np.real(phi.conj() @ (el @ phi)))
+                success[i] += _probability(phi, el)
     return success
 
 
@@ -363,11 +370,17 @@ def _projective_povm(states, dim):
     return povm, False
 
 
+def _idle_stage(d):
+    """``(probe, povm)`` of a stage on dimension ``d`` that learns nothing:
+    the basis state e_0 and the one-outcome measurement I."""
+    return StateVector(np.eye(d)[:, 0]), (np.eye(d, dtype=complex),)
+
+
 def _one_input_witness(d):
-    """The witness for a set of one input on dimension ``d``: any probe, and
-    the one-outcome measurement that names it."""
-    return ProbeWitness(probe=StateVector(np.eye(d)[:, 0]), ancilla_dim=1,
-                        povm=(np.eye(d, dtype=complex),), guesses=(0,))
+    """The witness for a set of one input on dimension ``d``: the idle stage,
+    whose one outcome names that input."""
+    probe, povm = _idle_stage(d)
+    return ProbeWitness(probe=probe, ancilla_dim=1, povm=povm, guesses=(0,))
 
 
 def _orthogonal_measurement(factors, purified):
@@ -432,7 +445,7 @@ class SetAnalysis:
         """Whether the factors of U_i and U_j (i < j) on ``party`` agree up
         to phase: |Tr(U_i{dag} U_j)| = d."""
         k = self.relatives(party)[0][i, j]
-        return abs(np.trace(k)) >= k.shape[0] - 1e-9
+        return abs(np.trace(k)) >= k.shape[0] - _PHASE_TOL
 
     def groups(self, party) -> tuple:
         """The indices partitioned into classes of phase-equal factors on
@@ -570,9 +583,8 @@ def _local_verdicts(table: SetAnalysis, start):
     witness for every group, LDA each group's own.
     """
     uset = table.uset
-    resp = "B" if start == "A" else "A"
+    resp = _other(start)
     m = uset.size
-    d1 = uset.party_dims[_party_index(start)]
 
     def both(**fields):
         return tuple(StrategyVerdict(strategy=s, starting_party=start, **fields)
@@ -616,8 +628,8 @@ def _local_verdicts(table: SetAnalysis, start):
     if stage1_feas is None or stage1_feas.status != "feasible":
         alone = responder(tuple(range(m)))
         if alone is None or alone.status == "feasible":
-            tree = ProtocolTree(start=start, probe=StateVector(np.eye(d1)[:, 0]), ancilla_dim=1,
-                                povm=(np.eye(d1, dtype=complex),),
+            probe, povm = _idle_stage(uset.party_dims[_party_index(start)])
+            tree = ProtocolTree(start=start, probe=probe, ancilla_dim=1, povm=povm,
                                 branches=(branch_for(tuple(range(m)), alone),),
                                 note="starting party measures nothing, responder works alone")
             return both(status="distinguishable", witness=tree, note=tree.note,
@@ -683,14 +695,12 @@ def _local_verdicts(table: SetAnalysis, start):
 def check_lda(uset: ProductUnitarySet, starting_party: str,
               tol: Tolerances = DEFAULT_TOL) -> StrategyVerdict:
     """Local sequential discrimination, responder probe chosen per outcome."""
-    _party_index(starting_party)
     return _local_verdicts(SetAnalysis(uset, tol), starting_party)[1]
 
 
 def check_ldr(uset: ProductUnitarySet, starting_party: str,
               tol: Tolerances = DEFAULT_TOL) -> StrategyVerdict:
     """Local sequential discrimination with both probes fixed upfront."""
-    _party_index(starting_party)
     return _local_verdicts(SetAnalysis(uset, tol), starting_party)[0]
 
 

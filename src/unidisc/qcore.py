@@ -262,10 +262,9 @@ def partial_trace(rho, dims, keep) -> np.ndarray:
     kept = [d for i, d in enumerate(dims) if i in keep]
     # axes of kept subsystems are already in increasing original order; reorder
     # to match the order the caller asked for
-    order = np.argsort([sorted(keep).index(k) for k in keep])
-    if list(order) != list(range(len(keep))):
+    perm = [sorted(keep).index(k) for k in keep]
+    if perm != list(range(len(keep))):
         half = len(kept)
-        perm = [sorted(keep).index(k) for k in keep]
         t = t.transpose(perm + [half + p for p in perm])
         kept = [dims[k] for k in keep]
     d = int(np.prod(kept)) if kept else 1

@@ -29,8 +29,9 @@ from .protocols import (
     gdr_problem,
     hierarchy_audit,
     verify_tree,
+    _evolved,
 )
-from .qcore import DEFAULT_TOL, Tolerances, _kron
+from .qcore import DEFAULT_TOL, Tolerances
 from .seesaw import (
     QUARTET_BOB_FIRST_SMAX_BOUND,
     quartet_alice_first_task,
@@ -86,8 +87,7 @@ def pair_gap(seed: int, restarts: int, tol: Tolerances = DEFAULT_TOL) -> BundleR
         ok = verdict.status == "distinguishable"
         if ok:
             w = verdict.witness
-            evolved = [_kron(el, np.eye(w.ancilla_dim)) @ w.probe.amplitudes
-                       for el in uset.global_unitaries()]
+            evolved = [_evolved(u, w.ancilla_dim, w.probe) for u in uset.global_unitaries()]
             overlap = abs(np.vdot(evolved[0], evolved[1]))
             worst_overlap = max(worst_overlap, overlap)
             ok = overlap < 1e-10

@@ -46,10 +46,15 @@ from .protocols import (
     SetAnalysis,
     StageTwo,
     StrategyVerdict,
+    _PARTIES,
+    _idle_stage,
     _local_verdicts,
     _one_input_witness,
+    _other,
+    _party_index,
 )
 from .qcore import DEFAULT_TOL, StateVector, Tolerances, _kron
+from .simplex import feasible_point
 
 __all__ = [
     "EliminableClass",
@@ -197,8 +202,6 @@ def _completion_lp(class_rays):
     than two rays never complete: a multiple of one rank-1 projector is not
     the identity, so that case needs no LP.
     """
-    from .simplex import feasible_point
-
     if len(class_rays) < 2:
         return None
     projs = [np.outer(_kernel_ray(r), _kernel_ray(r).conj()) for r in class_rays]
@@ -217,17 +220,6 @@ def _completion_lp(class_rays):
     return res.x
 
 
-def _stage2_for_pair(table: SetAnalysis, responder: str, i: int, j: int) -> StageTwo:
-    pp = table.pair_probe(responder, i, j)
-    return StageTwo(
-        party=responder,
-        probe=pp.probe,
-        ancilla_dim=pp.ancilla_dim,
-        povm=tuple(pp.measurement),
-        guesses=(i, j),
-    )
-
-
 def _sequential_tree(table, start, responder, probe, classes, weights):
     m = table.uset.size
     povm = []
@@ -242,10 +234,10 @@ def _sequential_tree(table, start, responder, probe, classes, weights):
         total += el
         retained = tuple(k for k in range(m) if k not in members)
         if len(retained) == 2:
-            branch = OutcomeBranch(
-                retained=retained,
-                stage2=_stage2_for_pair(table, responder, *retained),
-            )
+            pp = table.pair_probe(responder, *retained)
+            branch = OutcomeBranch(retained=retained, stage2=StageTwo(
+                party=responder, probe=pp.probe, ancilla_dim=pp.ancilla_dim,
+                povm=tuple(pp.measurement), guesses=retained))
         elif len(retained) == 1:
             branch = OutcomeBranch(retained=retained, guess=retained[0])
         else:
@@ -289,7 +281,7 @@ def separable_start_analysis(
 
 def _start_analysis(table: SetAnalysis, start: str) -> SeparableStartReport:
     uset = table.uset
-    responder = "B" if start == "A" else "A"
+    responder = _other(start)
     m = uset.size
     s_factors = uset.factors(start)
 
@@ -452,20 +444,17 @@ def _gda_separable(table: SetAnalysis):
                                note="at most one input"), None
 
     if m == 2:
-        for party in ("A", "B"):
+        for party in _PARTIES:
             if table.pair(party, 0, 1).distinguishable:
-                other = "B" if party == "A" else "A"
+                # the pair probe on ``party``, the idle stage on the other
                 pp = table.pair_probe(party, 0, 1)
-                d_other = uset.party_dims[0 if other == "A" else 1]
-                idle = np.zeros(d_other, dtype=complex)
-                idle[0] = 1.0
-                eye = np.eye(d_other, dtype=complex)
-                if party == "A":
-                    probe = _kron(pp.probe.amplitudes, idle)
-                    povm = tuple(_kron(el, eye) for el in pp.measurement)
-                else:
-                    probe = _kron(idle, pp.probe.amplitudes)
-                    povm = tuple(_kron(eye, el) for el in pp.measurement)
+                idle, (eye,) = _idle_stage(uset.party_dims[_party_index(_other(party))])
+
+                def product(own, rest):
+                    return _kron(own, rest) if party == "A" else _kron(rest, own)
+
+                probe = product(pp.probe.amplitudes, idle.amplitudes)
+                povm = tuple(product(el, eye) for el in pp.measurement)
                 witness = ProbeWitness(probe=StateVector(probe), ancilla_dim=1,
                                        povm=povm, guesses=(0, 1))
                 return StrategyVerdict(
@@ -482,7 +471,7 @@ def _gda_separable(table: SetAnalysis):
             note="exact product-probe analysis is implemented for qubit "
                  "factors only"), None
 
-    reports = {p: _start_analysis(table, p) for p in ("A", "B")}
+    reports = {p: _start_analysis(table, p) for p in _PARTIES}
     for party, rep in reports.items():
         if rep.verdict == "distinguishable":
             return StrategyVerdict(strategy, party, "distinguishable",

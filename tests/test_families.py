@@ -179,6 +179,37 @@ class TestPauliHadamardQuintet:
         res = verify_tree(uset, pauli_hadamard_tree(start))
         assert np.all(np.abs(np.asarray(res.success) - 1.0) < 1e-9)
 
+    @staticmethod
+    def _reference_povms(start):
+        """The POVMs of ``pauli_hadamard_tree(start)``, stage 1 and then each
+        stage 2 in branch order, built element by element: projectors onto
+        Bell-type states, and the rest as I - P1 - P2 in that order."""
+        def proj(v):
+            return np.outer(v, v.conj())
+
+        eye = np.eye(4, dtype=complex)
+        if start == "A":
+            return [
+                [proj(PHI_PLUS), proj(PHI_MINUS), proj(PSI_PLUS), proj(PSI_MINUS)],
+                [proj(H_PSI_PLUS), proj(H_PSI_MINUS),
+                 eye - proj(H_PSI_PLUS) - proj(H_PSI_MINUS)],
+            ]
+        return [
+            [proj(choi_state(g)) for g in (H, H @ X, H @ Z, H @ X @ Z)],
+            [proj(PHI_MINUS), proj(PSI_PLUS), proj(PSI_MINUS), proj(PHI_PLUS)],
+            [proj(PHI_PLUS), proj(PSI_PLUS), eye - proj(PHI_PLUS) - proj(PSI_PLUS)],
+            [proj(PHI_MINUS), proj(PSI_MINUS), eye - proj(PHI_MINUS) - proj(PSI_MINUS)],
+        ]
+
+    @pytest.mark.parametrize("start", ["A", "B"])
+    def test_tree_povms_match_reference_bytes(self, start):
+        tree = pauli_hadamard_tree(start)
+        got = [tree.povm] + [br.stage2.povm for br in tree.branches if br.stage2 is not None]
+        ref = self._reference_povms(start)
+        assert len(got) == len(ref)
+        for g, r in zip(got, ref):
+            assert [el.tobytes() for el in g] == [el.tobytes() for el in r]
+
     def test_bad_start_rejected(self):
         with pytest.raises(ValueError, match="start"):
             pauli_hadamard_tree("C")

@@ -272,6 +272,31 @@ class TestArrayDecoders:
             certificate_from_json({**data, "min_eig": -HUGE})
 
 
+    # json.loads reads all three: NaN, Infinity and 1e999 (which becomes inf)
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_entry_named(self, text):
+        x = json.loads(text)
+        good = [0.0, 0.0]
+        with pytest.raises(FormatError, match=r"^m\[0\]\[1\]: number is not finite"):
+            matrix_from_json([[good, [0.0, x]]], "m")
+        with pytest.raises(FormatError, match=r"^m\[1\]\[0\]: number is not finite"):
+            matrix_from_json([[good], [[x, 0.0]]], "m")
+        with pytest.raises(FormatError, match=r"^v\[1\]: number is not finite"):
+            vector_from_json([good, [x, 0.0]], "v")
+        with pytest.raises(FormatError, match=r"^z: number is not finite"):
+            complex_from_json([0.0, x], "z")
+
+    def test_non_finite_certificate_named(self):
+        ops = [np.eye(2), np.diag([1.0, np.exp(1j * np.pi / 4)])]
+        data = feasibility_to_json(common_probe_feasible(
+            OrthogonalityProblem(2, ops)))["certificate"]
+        coeffs = data["coeffs"][:1] + [json.loads("NaN")] + data["coeffs"][2:]
+        with pytest.raises(FormatError, match=r"^certificate\.coeffs\[1\]: number is not finite"):
+            certificate_from_json({**data, "coeffs": coeffs})
+        with pytest.raises(FormatError, match=r"^certificate\.min_eig: number is not finite"):
+            certificate_from_json({**data, "min_eig": json.loads("1e999")})
+
+
 class TestSetCodec:
     def test_round_trip(self):
         uset = pauli_hadamard_set()
@@ -368,6 +393,19 @@ class TestTreeCodec:
         data = tree_to_json(pauli_hadamard_tree("A"))
         data["note"] = 12
         with pytest.raises(FormatError, match=r"tree\.note"):
+            tree_from_json(data)
+
+    def test_bad_probe_named(self):
+        data = tree_to_json(pauli_hadamard_tree("A"))
+        data["probe"][1] = [math.nan, 0.0]
+        with pytest.raises(FormatError, match=r"^tree\.probe\[1\]: number is not finite"):
+            tree_from_json(data)
+        data["probe"] = [[0.0, 0.0]] * 4
+        with pytest.raises(FormatError, match=r"^tree\.probe: cannot normalize"):
+            tree_from_json(data)
+        data = tree_to_json(pauli_hadamard_tree("A"))
+        data["branches"][2]["stage2"]["probe"] = [[0.0, 0.0]] * 4
+        with pytest.raises(FormatError, match=r"^tree\.branches\[2\]\.stage2\.probe: "):
             tree_from_json(data)
 
     def test_boolean_ancilla_rejected(self):

@@ -87,6 +87,25 @@ class TestSingleOperator:
         assert f.status == "infeasible_certified"
         assert f.certificate is not None
 
+    def test_near_antipodal_spectra_answer_or_not_found(self):
+        # diag(e^{i t}, -e^{i(t + eps)}) with |eps| <= 1e-9: the hull misses
+        # the origin by rounding only, so a certificate needs coefficients
+        # near 1/|eps| and the simplex may fail its own re-checks; every
+        # answer must still be one a reader can re-verify
+        rng = np.random.default_rng(0)
+        statuses = []
+        for _ in range(2000):
+            t, eps = rng.uniform(0, 2 * np.pi), rng.uniform(-1e-9, 1e-9)
+            prob = OrthogonalityProblem(2, (np.diag([np.exp(1j * t), -np.exp(1j * (t + eps))]),))
+            f = common_probe_feasible(prob)
+            statuses.append(f.status)
+            assert f.note.startswith("common-eigenbasis linear program")
+            if f.status == "infeasible_certified":
+                verify_certificate(prob, f.certificate)
+            elif f.status == "feasible":
+                assert f.residual <= DEFAULT_TOL.comparison
+        assert {"feasible", "infeasible_certified", "not_found"} <= set(statuses)
+
 
 class TestClockFlipPair:
     def test_certified_infeasible(self):

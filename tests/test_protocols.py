@@ -266,6 +266,36 @@ class TestVerifyTree:
         with pytest.raises(ValueError):
             verify_tree(s, tree)
 
+    def test_retained_outcome_without_answer_is_leakage(self):
+        # the one outcome keeps both indices but neither guesses nor hands over
+        s = ProductUnitarySet((2, 2), (("a", I2, I2), ("b", X, I2)))
+        tree = ProtocolTree(start="A", probe=StateVector([1.0, 0.0]), ancilla_dim=1,
+                            povm=(np.eye(2),), branches=(OutcomeBranch(retained=(0, 1)),))
+        res = verify_tree(s, tree)
+        assert np.allclose(res.success, [0.0, 0.0])
+        assert np.allclose(res.leakage, [1.0, 1.0])
+
+    @staticmethod
+    def _handover_tree(guesses):
+        # A learns nothing; B measures its probe |0> in the computational basis
+        st = StageTwo(party="B", probe=StateVector([1.0, 0.0]), ancilla_dim=1,
+                      povm=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), guesses=guesses)
+        return ProtocolTree(start="A", probe=StateVector([1.0, 0.0]), ancilla_dim=1,
+                            povm=(np.eye(2),),
+                            branches=(OutcomeBranch(retained=(0, 1), stage2=st),))
+
+    def test_stage2_outcome_without_guess_is_leakage(self):
+        # the X factor on B always lands on the outcome that names no index
+        s = ProductUnitarySet((2, 2), (("a", I2, I2), ("b", I2, X)))
+        res = verify_tree(s, self._handover_tree((0, None)))
+        assert np.allclose(res.success, [1.0, 0.0])
+        assert np.allclose(res.leakage, [0.0, 1.0])
+
+    def test_rejects_stage2_with_too_few_guesses(self):
+        s = ProductUnitarySet((2, 2), (("a", I2, I2), ("b", I2, X)))
+        with pytest.raises(ValueError, match="stage-2.*guesses"):
+            verify_tree(s, self._handover_tree((0,)))
+
     @pytest.mark.parametrize("defect, match", [
         ({"party": "B"}, "party"),
         ({"probe": StateVector(np.eye(5)[0])}, "probe dim"),
@@ -299,6 +329,11 @@ class TestVerifyProbe:
     def test_scores_a_witness_whose_povm_is_a_stack(self):
         stacked = dataclasses.replace(self.GOOD, povm=np.stack(self.GOOD.povm))
         assert np.allclose(verify_probe(self.UNITARIES, stacked), [1.0, 1.0])
+
+    def test_unnamed_outcome_adds_no_success(self):
+        # I keeps the probe on outcome 0, which names no index
+        w = dataclasses.replace(self.GOOD, guesses=(None, 1))
+        assert np.allclose(verify_probe(self.UNITARIES, w), [0.0, 1.0])
 
     def test_rejects_empty_unitary_list(self):
         with pytest.raises(ValueError, match="no unitaries to verify"):
