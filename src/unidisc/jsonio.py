@@ -533,7 +533,8 @@ def seesaw_to_json(result, restarts: int) -> dict:
         "s_max": float(result.s_max),
         "restarts": int(restarts),
         "per_restart": [
-            {"value": float(v), "sweeps": int(s)} for v, s in result.per_restart
+            {"value": float(v), "sweeps": int(s), "nonconverged": int(k)}
+            for (v, s), k in zip(result.per_restart, result.nonconverged)
         ],
         "povm": [matrix_to_json(el) for el in result.povm],
         "rho": matrix_to_json(result.rho.matrix),

@@ -15,10 +15,25 @@ supposed to eliminate.  This module runs a seesaw on that objective,
 
 Both steps work on stacked arrays: the arms sit on one axis and the
 restarts on a leading one, so every restart of a :func:`run_seesaw` call,
-warm and random, sweeps as one batch through the same kernels, one
-batched ``eigh`` and a few batched products per fixed-point iteration.  A
-restart whose sweeps have converged drops out of the batch, and so does a
-row of a measurement step whose iterates have settled.  The public
+warm and random, sweeps as one batch through the same kernels.  A restart
+whose sweeps have converged drops out of the batch, and so does a row of a
+measurement step whose iterates have settled.
+
+The measurement step runs on a subspace.  With ``rho = sum_k v_k v_k^dag``,
+every ``sigma_i = sum_{U in arm i} U rho U^dag`` has its support in the
+orbit space W spanned by the vectors ``U v_k``, U a distinct arm operator.
+On the orthogonal complement each reward ``lambda 1 - sigma_i`` is
+``lambda 1``, so from the start ``1/n`` every iterate, its total and the
+total's pseudo-inverse square root split into a block on W and a multiple
+of the identity on the complement, in exact arithmetic.  The iteration
+therefore runs on the w x w blocks in an orthonormal basis of W, with one
+small batched ``eigh`` per iteration; the complement's eigenvalue
+``lambda^2`` of the total still counts towards the pseudo-inverse floor.
+For the pure probes of the quartet's second-party task w is 3 instead of
+9.  The basis comes from a QR factorization of the ``U v_k``, with no rank
+threshold: a column left over by a dependent image carries no part of any
+sigma_i, so it behaves like the complement.  A mixed probe, or one whose
+images fill the space, runs with the identity basis.  The public
 :func:`measurement_step` and :func:`rho_step` are the kernels on one probe.
 
 A vanishing optimum means a perfect elimination measurement exists; a
@@ -34,7 +49,7 @@ import logging
 import numpy as np
 
 from .families import CLOCK3, FLIP3
-from .qcore import DensityOperator, _kron, as_matrix, check_povm
+from .qcore import DensityOperator, StateVector, _kron, as_matrix, check_povm
 
 __all__ = [
     "EliminationTask",
@@ -86,12 +101,17 @@ class EliminationTask:
 
 @dataclass(frozen=True)
 class SeesawResult:
+    """What :func:`run_seesaw` found.  ``per_restart`` holds one
+    ``(objective, sweeps)`` pair per start, and ``nonconverged`` the number of
+    that start's measurement steps that ran out of iterations."""
+
     s_max: float
     rho: DensityOperator
     povm: tuple
     trajectory: tuple
     restarts_used: int
     per_restart: tuple
+    nonconverged: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +190,9 @@ def quartet_alice_first_warm_start() -> tuple:
 # ---------------------------------------------------------------------------
 # objective and the two half-steps
 #
-# The kernels work on stacks: a probe stack is (R, d, d), a sigma or POVM
-# stack is (R, n, d, d) with one row per restart and one slot per arm.
+# The kernels work on stacks with one row per restart and one slot per arm:
+# probe vectors (R, d) or matrices (R, d, d), sigma or POVM stacks
+# (R, n, d, d), orbit bases (R, d, w) and sigma blocks (R, n, w, w).
 
 
 #: Fixed-point iterations per measurement step, and the change in the
@@ -202,45 +223,96 @@ def _herm(mat: np.ndarray) -> np.ndarray:
 
 
 class _ArmStack:
-    """Every arm operator on one (K, d, d) stack, arm by arm: ``owner[k]`` is
-    the arm of operator ``k`` and ``starts[i]`` the first operator of arm i."""
+    """The task's distinct arm operators on one (K, d, d) stack, matched by
+    exact equality.  The arms' slots run arm by arm: slot s holds operator
+    ``index[s]``, and ``starts[i]`` is the first slot of arm i.
+    ``uses[k, i]`` counts the slots of operator k in arm i."""
 
     def __init__(self, task: EliminationTask):
-        self.units = np.stack([u for arm in task.arms for u in arm])
+        units, index = [], []
+        for u in (u for arm in task.arms for u in arm):
+            k = next((k for k, seen in enumerate(units) if np.array_equal(u, seen)), len(units))
+            if k == len(units):
+                units.append(u)
+            index.append(k)
+        self.units = np.stack(units)
         self.units_h = self.units.conj().mT
+        self.index = np.array(index)
         sizes = [len(arm) for arm in task.arms]
-        self.owner = np.repeat(np.arange(len(sizes)), sizes)
         self.starts = np.cumsum([0] + sizes[:-1])
+        self.uses = np.zeros((len(units), len(sizes)))
+        np.add.at(self.uses, (self.index, np.repeat(np.arange(len(sizes)), sizes)), 1.0)
 
 
 def _sigma_tildes(arms: _ArmStack, rho: np.ndarray) -> np.ndarray:
     """``sigma_i = sum_{U in arm i} U rho U^dag`` for a probe stack."""
-    return np.add.reduceat(arms.units @ rho[:, None] @ arms.units_h,
-                           arms.starts, axis=1)
+    images = arms.units @ rho[:, None] @ arms.units_h
+    return np.add.reduceat(images[:, arms.index], arms.starts, axis=1)
+
+
+def _sigma_blocks(arms: _ArmStack, vecs, rho=None) -> tuple:
+    """Basis Q (R, d, w) and sigma blocks ``Q^dag sigma_i Q`` (R, n, w, w) of
+    a probe stack given by unit vectors ``vecs`` (R, d), or by the matrices
+    ``rho`` when ``vecs`` is ``None``.
+
+    For vectors, Q has orthonormal columns spanning every ``U v``, and the
+    blocks come from the coordinates of the ``U v``, which the QR factor
+    holds; a dependent image leaves a padding column on which every sigma
+    vanishes.  Matrices, and vectors with at least d distinct operators,
+    take the identity basis and the full sigmas."""
+    if vecs is None or len(arms.units) >= vecs.shape[1]:
+        if rho is None:
+            rho = vecs[:, :, None] * vecs.conj()[:, None, :]
+        rows, dim, _ = rho.shape
+        basis = np.broadcast_to(np.eye(dim, dtype=complex), (rows, dim, dim))
+        return basis, _sigma_tildes(arms, rho)
+    basis, coords = np.linalg.qr((arms.units @ vecs[:, None, :, None])[..., 0].mT)
+    cols = coords.mT[:, arms.index]
+    return basis, np.add.reduceat(cols[..., :, None] * cols.conj()[..., None, :],
+                                  arms.starts, axis=1)
+
+
+def _traces(sigmas: np.ndarray, povm: np.ndarray) -> np.ndarray:
+    """``Tr(sigma_i M_i)`` per row and arm, elementwise."""
+    return np.einsum("...ij,...ji->...", sigmas, povm).real
 
 
 def _score(sigmas: np.ndarray, povm: np.ndarray) -> np.ndarray:
-    """``sum_i Tr(sigma_i M_i)`` per row."""
-    return (sigmas @ povm).trace(axis1=-2, axis2=-1).real.sum(axis=-1)
+    """``sum_i Tr(sigma_i M_i)`` per row, elementwise."""
+    return np.einsum("rnij,rnji->r", sigmas, povm).real
+
+
+def _probe(task: EliminationTask, rho, what: str) -> tuple:
+    """A probe validated at the boundary: its (dim, dim) matrix, and its unit
+    vector when it comes as a :class:`StateVector` (else ``None``).  Anything
+    else must pass as a :class:`DensityOperator`."""
+    if isinstance(rho, StateVector):
+        vec = rho.amplitudes
+        mat = np.outer(vec, vec.conj())
+    else:
+        vec = None
+        mat = (rho if isinstance(rho, DensityOperator) else DensityOperator(rho)).matrix
+    _check_dim(task, mat, what)
+    return mat, vec
 
 
 def elimination_objective(task: EliminationTask, rho, povm) -> float:
-    """Total false-elimination weight ``sum_i Tr(sigma_i M_i)``."""
+    """Total false-elimination weight ``sum_i Tr(sigma_i M_i)``.  ``rho`` is
+    a density operator (a raw array is validated as one) or a state vector."""
     _check_outcomes(task, povm)
-    rho_m = rho.matrix if isinstance(rho, DensityOperator) else as_matrix(rho)
+    rho_m, _ = _probe(task, rho, "rho")
     povm_m = np.stack([as_matrix(m) for m in povm])
-    _check_dim(task, rho_m, "rho")
     _check_dim(task, povm_m, "each POVM element")
     return float(_score(_sigma_tildes(_ArmStack(task), rho_m[None]), povm_m[None])[0])
 
 
 def _rho_kernel(arms: _ArmStack, povm: np.ndarray) -> np.ndarray:
     """Bottom eigenvector of ``K = sum_i sum_{U in arm i} U^dag M_i U`` per
-    row, as a probe stack."""
-    k = (arms.units_h @ povm[:, arms.owner] @ arms.units).sum(axis=1)
-    vecs = np.linalg.eigh(_herm(k))[1]
-    v = vecs[..., :, 0]
-    return v[:, :, None] * v.conj()[:, None, :]
+    row: each distinct U conjugates the sum of the elements of its arms."""
+    rows, n, dim, _ = povm.shape
+    weights = (arms.uses @ povm.reshape(rows, n, dim * dim)).reshape(rows, -1, dim, dim)
+    k = (arms.units_h @ weights @ arms.units).sum(axis=1)
+    return np.linalg.eigh(_herm(k))[1][..., :, 0]
 
 
 def rho_step(task: EliminationTask, povm) -> DensityOperator:
@@ -249,59 +321,82 @@ def rho_step(task: EliminationTask, povm) -> DensityOperator:
     _check_outcomes(task, povm)
     povm_m = np.stack(povm)
     _check_dim(task, povm_m, "each POVM element")
-    return DensityOperator(_rho_kernel(_ArmStack(task), povm_m[None])[0])
+    v = _rho_kernel(_ArmStack(task), povm_m[None])[0]
+    return DensityOperator(np.outer(v, v.conj()))
 
 
-def _psd_sqrt_pinv(mat: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(_herm(mat))
-    floor = _PINV_CUTOFF * np.maximum(1.0, vals[..., -1:])
+def _psd_sqrt_pinv(mat: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """Pseudo-inverse square root of a Hermitian stack, reading its lower
+    triangle; eigenvalues at or below ``_PINV_CUTOFF`` times the larger of
+    ``base`` (per row, at least 1) and the top eigenvalue count as zero."""
+    vals, vecs = np.linalg.eigh(mat)
+    floor = _PINV_CUTOFF * np.maximum(base[:, None], vals[..., -1:])
     inv = np.where(vals > floor, 1.0 / np.sqrt(np.maximum(vals, _PINV_CUTOFF)), 0.0)
     return (vecs * inv[..., None, :]) @ vecs.conj().mT
 
 
-def _measurement_kernel(sigmas: np.ndarray) -> np.ndarray:
-    """Best fixed-point iterate per row of a sigma stack (see
-    :func:`measurement_step`).  A row leaves the iteration once its objective
-    settles; each row still iterating after the last one logs a warning."""
-    rows, n, d, _ = sigmas.shape
-    eye = np.eye(d, dtype=complex)
-    lam = np.linalg.eigvalsh(_herm(sigmas))[..., -1].max(axis=1) + 1e-6
-    rewards = lam[:, None, None, None] * eye - sigmas
-    povm = np.broadcast_to(eye / n, sigmas.shape)
+def _measurement_kernel(basis: np.ndarray, blocks: np.ndarray) -> tuple:
+    """Best fixed-point iterate per row (see :func:`measurement_step`), its
+    objective, and whether the row ran out of iterations.
+
+    ``blocks`` holds ``Q^dag sigma_i Q`` for the orthonormal columns Q of
+    ``basis`` (R, d, w), whose span holds the support of every sigma_i.  On
+    the complement of Q each reward is ``lambda 1``, so the iterates there
+    stay ``1/n`` and the total ``lambda^2``: the iteration runs on the w x w
+    blocks, the complement's ``lambda^2`` joins the pseudo-inverse floor, and
+    the POVM returned is ``Q M_i Q^dag + (1 - Q Q^dag)/n``.  (The total is
+    at most ``n lambda^2``, so ``lambda^2`` clears the floor unless every
+    sigma_i vanishes, when every POVM scores 0.)  A row leaves the
+    iteration once its objective settles; each row still iterating after the
+    last one logs a warning."""
+    rows, n, w, _ = blocks.shape
+    dim = basis.shape[1]
+    lam = np.linalg.eigvalsh(blocks)[..., -1].max(axis=1) + 1e-6
+    base = np.maximum(1.0, lam * lam) if w < dim else np.ones(rows)
+    eye = np.eye(w, dtype=complex)
+    rewards = lam[:, None, None, None] * eye - blocks
+    povm = np.broadcast_to(eye / n, blocks.shape)
     best = povm
-    best_val = _score(sigmas, povm)
+    best_val = _score(blocks, povm)
     prev = best_val
-    out = np.empty(sigmas.shape, dtype=complex)
+    out = np.empty(blocks.shape, dtype=complex)
+    out_val = np.empty(rows)
     live = np.arange(rows)
     for _ in range(_STEP_ITERATIONS):
         tmt = rewards @ povm @ rewards
-        g = _psd_sqrt_pinv(tmt.sum(axis=1))[:, None]
-        new = g @ tmt @ g
-        rest = _herm(eye - new.sum(axis=1))
-        gap = np.linalg.norm(rest, axis=(1, 2)) > 1e-14
+        g = _psd_sqrt_pinv(tmt.sum(axis=1), base)[:, None]
+        povm = _herm(g @ tmt @ g)
+        rest = eye - povm.sum(axis=1)
+        gap = _traces(rest, rest) > 1e-28  # squared norm of a Hermitian rest
         if gap.any():
             # hand the uncovered subspace to the outcome it penalizes least
-            scores = (sigmas[gap] @ rest[gap, None]).trace(axis1=-2, axis2=-1).real
-            new[gap, scores.argmin(axis=1)] += rest[gap]
-        povm = _herm(new)
-        val = _score(sigmas, povm)
+            scores = _traces(blocks[gap], rest[gap, None])
+            povm[gap, scores.argmin(axis=1)] += rest[gap]
+        val = _score(blocks, povm)
         better = val < best_val
-        best = np.where(better[:, None, None, None], povm, best)
-        best_val = np.where(better, val, best_val)
+        if better.all():
+            best, best_val = povm, val
+        elif better.any():
+            best = np.where(better[:, None, None, None], povm, best)
+            best_val = np.where(better, val, best_val)
         done = np.abs(val - prev) < _STEP_TOL
         prev = val
         if done.any():
-            out[live[done]] = best[done]
+            out[live[done]], out_val[live[done]] = best[done], best_val[done]
             keep = ~done
-            live, sigmas, rewards, povm, best, best_val, prev = (
-                a[keep] for a in (live, sigmas, rewards, povm, best, best_val, prev))
+            live, blocks, rewards, base, povm, best, best_val, prev = (
+                a[keep] for a in (live, blocks, rewards, base, povm, best, best_val, prev))
             if not live.size:
-                return out
+                break
     for _ in live:
         _log.warning("measurement step did not converge in %d iterations",
                      _STEP_ITERATIONS)
-    out[live] = best
-    return out
+    out[live], out_val[live] = best, best_val
+    missed = np.zeros(rows, dtype=bool)
+    missed[live] = True
+    outside = (np.eye(dim) - basis @ basis.conj().mT) / n
+    full = basis[:, None] @ out @ basis.conj().mT[:, None] + outside[:, None]
+    return _herm(full), out_val, missed
 
 
 def measurement_step(task: EliminationTask, rho):
@@ -313,41 +408,42 @@ def measurement_step(task: EliminationTask, rho):
     identity terms.  The update conjugates each element by its reward and
     renormalizes through the pseudo-inverse square root of the total; mass
     outside the support is assigned to a least-penalized outcome.  Returns
-    the best iterate.
+    the best iterate.  A :class:`StateVector` probe is solved on the span of
+    its images under the arm operators; a density operator (a raw array is
+    validated as one) on the full space.
     """
-    rho_m = rho.matrix if isinstance(rho, DensityOperator) else as_matrix(rho)
-    _check_dim(task, rho_m, "rho")
-    return tuple(_measurement_kernel(_sigma_tildes(_ArmStack(task), rho_m[None]))[0])
+    rho_m, vec = _probe(task, rho, "rho")
+    basis, blocks = _sigma_blocks(_ArmStack(task), None if vec is None else vec[None],
+                                  rho_m[None])
+    return tuple(_measurement_kernel(basis, blocks)[0][0])
 
 
 # ---------------------------------------------------------------------------
 # main loop
 
 
-def _random_rho(dim: int, rng: np.random.Generator) -> DensityOperator:
+def _random_probe(dim: int, rng: np.random.Generator) -> np.ndarray:
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    v = v / np.linalg.norm(v)
-    return DensityOperator(np.outer(v, v.conj()))
+    return v / np.linalg.norm(v)
 
 
 def _starts(task: EliminationTask, restarts: int, seed: int, warm_starts):
-    """Probe and POVM (or ``None``) of every start: warm starts, then random."""
+    """Probe matrix, probe vector (or ``None``) and POVM (or ``None``) of every
+    start: warm starts, then random."""
     starts = []
     for entry in warm_starts:
         if isinstance(entry, (tuple, list)):
             rho0, povm0 = entry
         else:
             rho0, povm0 = entry, None
-        if not isinstance(rho0, DensityOperator):
-            rho0 = DensityOperator(as_matrix(rho0))
-        _check_dim(task, rho0.matrix, "warm-start rho")
+        mat, vec = _probe(task, rho0, "warm-start rho")
         if povm0 is not None:
             _check_outcomes(task, povm0)
             povm0 = np.stack(check_povm(povm0, task.dim, "warm-start POVM"))
-        starts.append((rho0.matrix, povm0))
+        starts.append((mat, vec, povm0))
     for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
-        starts.append((_random_rho(task.dim, rng).matrix, None))
+        v = _random_probe(task.dim, np.random.default_rng([seed, r]))
+        starts.append((np.outer(v, v.conj()), v, None))
     return starts
 
 
@@ -365,41 +461,56 @@ def run_seesaw(
     increase the objective, so accepted sweep values are non-increasing up
     to the sweep tolerance.  ``warm_starts`` entries are ``(rho, povm)``
     pairs (``povm`` may be ``None``) evaluated before the random restarts.
-    A warm-start rho must be a (dim, dim) density operator, and a warm-start
-    POVM must have one (dim, dim) Hermitian PSD element per arm, summing to
-    the identity; both are checked on entry (``ValueError``).  All restarts
-    sweep together as one stack; a restart leaves it once it converges.
-    Reported ``s_max`` is one minus the smallest objective found, taking the
-    first start in order on ties within 1e-15.
+    A warm-start rho must be a (dim, dim) density operator or a state
+    vector, and a warm-start POVM must have one (dim, dim) Hermitian PSD
+    element per arm, summing to the identity; both are checked on entry
+    (``ValueError``), as are ``restarts >= 0`` and ``max_sweeps >= 1``.  All
+    restarts sweep together as one stack; a restart leaves it once it
+    converges.  Reported ``s_max`` is one minus the smallest objective
+    found, taking the first start in order on ties within 1e-15.
     """
+    if restarts < 0:
+        raise ValueError(f"restarts must be at least 0, got {restarts}")
+    if max_sweeps < 1:
+        raise ValueError(f"max_sweeps must be at least 1, got {max_sweeps}")
     if restarts < 1 and not warm_starts:
         raise ValueError("need at least one restart or warm start")
     starts = _starts(task, restarts, seed, warm_starts)
     arms = _ArmStack(task)
-    rho = np.stack([r for r, _ in starts])
-    sigmas = _sigma_tildes(arms, rho)
-    cold = [i for i, (_, p) in enumerate(starts) if p is None]
-    povm = np.empty(sigmas.shape, dtype=complex)
-    for i, (_, p) in enumerate(starts):
-        if p is not None:
-            povm[i] = p
+    rows, n, dim = len(starts), len(task.arms), task.dim
+    povm = np.empty((rows, n, dim, dim), dtype=complex)
+    current = np.empty(rows)
+    misses = np.zeros(rows, dtype=int)
+    warm = [i for i, (_, _, p) in enumerate(starts) if p is not None]
+    cold = [i for i, (_, _, p) in enumerate(starts) if p is None]
+    if warm:
+        povm[warm] = [starts[i][2] for i in warm]
+        rho = np.stack([starts[i][0] for i in warm])
+        current[warm] = _score(_sigma_tildes(arms, rho), povm[warm])
     if cold:
-        povm[cold] = _measurement_kernel(sigmas[cold])
-    current = _score(sigmas, povm)
+        vecs = [starts[i][1] for i in cold]
+        basis, blocks = _sigma_blocks(
+            arms, None if any(v is None for v in vecs) else np.stack(vecs),
+            np.stack([starts[i][0] for i in cold]))
+        povm[cold], current[cold], misses[cold] = _measurement_kernel(basis, blocks)
     trajs = [[float(v)] for v in current]
 
-    # final probe, POVM, value and sweep count per start
-    final_rho, final_povm = rho.copy(), povm.copy()
-    final_val = current.copy()
-    sweeps = np.zeros(len(starts), dtype=int)
-    live = np.arange(len(starts))
+    # final probe vector, POVM, value and sweep count per start
+    final_vec = np.empty((rows, dim), dtype=complex)
+    final_povm = np.empty_like(povm)
+    final_val = np.empty(rows)
+    sweeps = np.zeros(rows, dtype=int)
+    live = np.arange(rows)
     for sweep in range(1, max_sweeps + 1):
-        rho = _rho_kernel(arms, povm)
-        sigmas = _sigma_tildes(arms, rho)
-        cand_povm = _measurement_kernel(sigmas)
-        accept = _score(sigmas, cand_povm) <= current + _SWEEP_TOL
+        vecs = _rho_kernel(arms, povm)
+        basis, blocks = _sigma_blocks(arms, vecs)
+        cand_povm, cand_val, missed = _measurement_kernel(basis, blocks)
+        misses[live] += missed
+        accept = cand_val <= current + _SWEEP_TOL
+        # the previous POVM scores against the new sigmas as Q^dag M_i Q
+        old_val = _score(blocks, basis.conj().mT[:, None] @ povm @ basis[:, None])
+        new = np.where(accept, cand_val, old_val)
         povm = np.where(accept[:, None, None, None], cand_povm, povm)
-        new = _score(sigmas, povm)
         done = np.abs(current - new) < _SWEEP_TOL
         current = np.minimum(new, current)
         for i, v in zip(live, current):
@@ -408,7 +519,7 @@ def run_seesaw(
             done[:] = True
         if done.any():
             ended = live[done]
-            final_rho[ended], final_povm[ended] = rho[done], povm[done]
+            final_vec[ended], final_povm[ended] = vecs[done], povm[done]
             final_val[ended], sweeps[ended] = current[done], sweep
             keep = ~done
             live, povm, current = live[keep], povm[keep], current[keep]
@@ -416,14 +527,16 @@ def run_seesaw(
                 break
 
     best = 0
-    for i in range(1, len(starts)):
+    for i in range(1, rows):
         if final_val[i] < final_val[best] - 1e-15:
             best = i
+    v = final_vec[best]
     return SeesawResult(
         s_max=1.0 - float(final_val[best]),
-        rho=DensityOperator(final_rho[best]),
+        rho=DensityOperator(np.outer(v, v.conj())),
         povm=tuple(final_povm[best]),
         trajectory=tuple(trajs[best]),
-        restarts_used=len(starts),
+        restarts_used=rows,
         per_restart=tuple((float(v), int(s)) for v, s in zip(final_val, sweeps)),
+        nonconverged=tuple(int(k) for k in misses),
     )

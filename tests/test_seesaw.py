@@ -13,7 +13,8 @@ import logging
 import numpy as np
 import pytest
 
-from unidisc.qcore import DensityOperator
+from unidisc.jsonio import seesaw_to_json
+from unidisc.qcore import DensityOperator, StateVector
 from unidisc.seesaw import (
     EliminationTask,
     QUARTET_BOB_FIRST_SMAX_BOUND,
@@ -25,6 +26,7 @@ from unidisc.seesaw import (
     rho_step,
     run_seesaw,
 )
+from unidisc.seesaw import _ArmStack, _sigma_blocks
 
 I2 = np.eye(2, dtype=complex)
 
@@ -258,6 +260,93 @@ class TestObjectiveAndSteps:
                 <= elimination_objective(task, rho, uniform) + 1e-10)
 
 
+    @pytest.mark.parametrize("rho", [
+        5 * np.eye(9),  # trace 45
+        np.eye(9) / 9 + np.triu(np.ones((9, 9)), 1) / 9,  # not Hermitian
+        np.diag([2.0] + [-1.0 / 8] * 8),  # trace 1, not PSD
+    ])
+    def test_raw_rho_validated_as_density_operator(self, rho):
+        task = quartet_bob_first_task()
+        with pytest.raises(ValueError):
+            measurement_step(task, rho)
+        with pytest.raises(ValueError):
+            elimination_objective(task, rho, (np.eye(9) / 4,) * 4)
+
+    def test_raw_rho_runs_like_density_operator(self):
+        task = quartet_bob_first_task()
+        rho = np.eye(9) / 9
+        for a, b in zip(measurement_step(task, rho),
+                        measurement_step(task, DensityOperator(rho))):
+            assert np.array_equal(a, b)
+
+    def test_state_vector_probe_of_wrong_dimension_rejected(self):
+        with pytest.raises(ValueError, match="rho is 3x3, the task dimension is 9"):
+            measurement_step(quartet_bob_first_task(), StateVector(np.ones(3)))
+
+
+def _random_vector(dim, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return v / np.linalg.norm(v)
+
+
+def _assert_step_matches_reference(task, probe):
+    """``measurement_step`` against the one-arm-at-a-time oracle."""
+    rho = probe.density().matrix if isinstance(probe, StateVector) else probe.matrix
+    ref = _ref_measurement_step(task, rho, [])
+    got = measurement_step(task, probe)
+    assert len(got) == len(ref)
+    assert max(np.abs(a - b).max() for a, b in zip(got, ref)) <= 1e-12
+
+
+class TestOrbitSubspace:
+    """The measurement step on the probe's orbit subspace reproduces the
+    full-space iteration."""
+
+    def test_second_party_probe_iterates_on_three_dimensions(self):
+        arms = _ArmStack(quartet_bob_first_task())
+        assert len(arms.units) == 3
+        assert arms.index.tolist() == [0, 1, 0, 2, 1, 2, 0]
+        basis, blocks = _sigma_blocks(arms, _random_vector(9, 0)[None])
+        assert basis.shape == (1, 9, 3) and blocks.shape == (1, 4, 3, 3)
+        assert np.abs(basis[0].conj().T @ basis[0] - np.eye(3)).max() < 1e-14
+
+    @pytest.mark.parametrize("make_task", [quartet_bob_first_task, quartet_alice_first_task])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_pure_probes(self, make_task, seed):
+        task = make_task()
+        _assert_step_matches_reference(task, StateVector(_random_vector(task.dim, seed)))
+
+    def test_degenerate_orbit_pads_the_basis(self):
+        # every arm operator fixes e0 (x) e0, so the orbit is one ray and QR
+        # pads two columns on which every sigma vanishes
+        task = quartet_bob_first_task()
+        v = np.zeros(9, dtype=complex)
+        v[0] = 1.0
+        basis, blocks = _sigma_blocks(_ArmStack(task), v[None])
+        assert basis.shape == (1, 9, 3)
+        assert np.abs(blocks[0, :, 1:, :]).max() < 1e-15
+        _assert_step_matches_reference(task, StateVector(v))
+
+    def test_full_rank_mixed_probe(self):
+        task = quartet_bob_first_task()
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+        rho = a @ a.conj().T
+        _assert_step_matches_reference(task, DensityOperator(rho / np.trace(rho).real))
+
+    def test_qubit_orbit_fills_the_space(self):
+        _assert_step_matches_reference(two_arm_task(np.pi / 3),
+                                       StateVector(_random_vector(2, 5)))
+
+    def test_annihilated_probe(self):
+        # both arms annihilate the probe: the orbit is empty, every sigma
+        # vanishes and the basis is padding only
+        p0, p1 = np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0])
+        task = EliminationTask(dim=3, arms=((p0,), (p1,)))
+        _assert_step_matches_reference(task, StateVector(np.array([0, 0, 1.0])))
+
+
 class TestRunSeesaw:
     def test_two_arm_toy_matches_analytic(self):
         for phi in (np.pi / 4, np.pi / 3):
@@ -285,6 +374,16 @@ class TestRunSeesaw:
         task = EliminationTask(dim=3, arms=((np.eye(3),),))
         res = run_seesaw(task, restarts=2, seed=0)
         assert abs(res.s_max) < 1e-9
+
+    @pytest.mark.parametrize("max_sweeps", [0, -1])
+    def test_rejects_max_sweeps_below_one(self, max_sweeps):
+        with pytest.raises(ValueError, match="max_sweeps"):
+            run_seesaw(two_arm_task(np.pi / 4), restarts=1, max_sweeps=max_sweeps)
+
+    def test_rejects_negative_restarts(self):
+        rho, povm = quartet_alice_first_warm_start()
+        with pytest.raises(ValueError, match="restarts"):
+            run_seesaw(quartet_alice_first_task(), restarts=-2, warm_starts=((rho, povm),))
 
     def test_result_povm_and_rho_valid(self):
         res = run_seesaw(two_arm_task(np.pi / 4), restarts=3, seed=2)
@@ -340,6 +439,15 @@ class TestQuartetTasks:
             run_seesaw(quartet_bob_first_task(), restarts=1, seed=39)
         assert _nonconverged(caplog) == 2
         assert len(caplog.records) == 2
+
+    def test_nonconverged_steps_counted_per_restart(self, caplog):
+        task = quartet_bob_first_task()
+        with caplog.at_level(logging.WARNING, logger="unidisc.seesaw"):
+            res = run_seesaw(task, restarts=3, seed=39)
+        assert res.nonconverged == (2, 0, 0)
+        assert _nonconverged(caplog) == 2
+        per_restart = seesaw_to_json(res, restarts=3)["per_restart"]
+        assert [entry["nonconverged"] for entry in per_restart] == [2, 0, 0]
 
     def test_warm_start_povm_as_a_stack(self):
         task = quartet_alice_first_task()
@@ -412,3 +520,17 @@ class TestReferenceOracle:
         runs, _ = _ref_run(task, starts + _random_starts(task.dim, 2, 2))
         _assert_matches_reference(res, runs)
         assert res.restarts_used == 7
+
+    def test_mixed_warm_start_among_random_restarts(self, caplog):
+        # the mixed start runs its first measurement step on the full space,
+        # and with it the random restarts' first steps
+        task = quartet_bob_first_task()
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(9, 3)) + 1j * rng.normal(size=(9, 3))
+        mixed = a @ a.conj().T
+        mixed /= np.trace(mixed).real
+        with caplog.at_level(logging.WARNING, logger="unidisc.seesaw"):
+            res = run_seesaw(task, restarts=2, seed=6, warm_starts=(mixed,))
+        runs, misses = _ref_run(task, [(mixed, None)] + _random_starts(task.dim, 2, 6))
+        _assert_matches_reference(res, runs)
+        assert _nonconverged(caplog) == misses == sum(res.nonconverged)
