@@ -100,6 +100,8 @@ def min_convex_norm(phases, tol: Tolerances = DEFAULT_TOL) -> ConvexNormResult:
     triangle containing the origin are the weights.
     """
     phases = np.atleast_1d(np.asarray(phases))
+    if phases.ndim > 1:
+        raise ValueError(f"phases must be one-dimensional, got shape {phases.shape}")
     if np.iscomplexobj(phases):
         raise ValueError("phases must be real angles, not unit-circle points")
     phases = phases.astype(float)

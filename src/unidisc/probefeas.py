@@ -5,15 +5,26 @@ u_i to mutually orthogonal states iff its reduced density operator rho on
 the system satisfies Tr(rho K) = 0 for every relative unitary K = u_i{dag}
 u_j in the constraint set.  Feasibility over density operators is decided
 
+* exactly, for one constraint operator, by the hull of its eigenvalues:
+  Tr(rho K) ranges over the convex hull of K's eigenvalues, so the problem
+  is feasible iff the origin lies in that hull (Acin, PRL 87, 177901
+  (2001); Duan, Feng & Ying, PRL 98, 100503 (2007)).  This is the
+  common-eigenbasis linear program below on one operator, solved in closed
+  form by :func:`~unidisc.eigdist.min_convex_norm`.  The witness is the
+  pure state sum_j sqrt(w_j) v_j over K's eigenvectors with the hull
+  weights w, so it needs no ancilla; when the origin lies at distance
+  delta along the direction e^{i phi} outside the hull, every eigenvalue
+  has Re(e^{-i phi} lambda_j) >= delta, so (cos phi ReK + sin phi ImK) /
+  delta >= 1 is a certificate of the form below;
 * exactly, by a phase-1 simplex over simplex weights in the common
-  eigenbasis, when all constraint operators commute; the witness is the
-  pure state with those weights as squared amplitudes, so it needs no
-  ancilla;
+  eigenbasis, when two or more constraint operators commute; the witness
+  is the pure state with those weights as squared amplitudes, so it needs
+  no ancilla;
 * by testing the maximally mixed candidate, which settles every feasible
   qubit instance and many composite ones;
 * exactly in the negative, whenever some single constraint operator already
-  has its eigenvalue hull away from the origin (a one-operator problem is
-  always a commuting problem);
+  has its eigenvalue hull away from the origin, by that operator's hull
+  certificate;
 * otherwise by Dykstra-corrected alternating projections between the
   density-operator set and the constraint subspace, one run from the
   maximally mixed state.  Both sets are convex, so one start suffices: the
@@ -43,11 +54,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .eigdist import min_convex_norm
 from .qcore import (
     DEFAULT_TOL,
     DensityOperator,
     StateVector,
     Tolerances,
+    _eig_unitary,
     _valid_prefix,
     as_matrix,
     simultaneous_eigenbasis,
@@ -168,7 +181,9 @@ def verify_certificate(problem: OrthogonalityProblem,
     fails to clear the strictly positive bar, since then it proves nothing.
     """
     n = len(problem.operators)
-    bad = [k for k in cert.op_indices if not (isinstance(k, (int, np.integer)) and 0 <= k < n)]
+    # bool is an int subclass, but True is no name for operator 1
+    bad = [k for k in cert.op_indices if isinstance(k, bool)
+           or not (isinstance(k, (int, np.integer)) and 0 <= k < n)]
     if bad:
         raise ValueError(f"certificate op_indices {bad} are not indices "
                          f"of a problem with {n} operators")
@@ -185,14 +200,15 @@ def verify_certificate(problem: OrthogonalityProblem,
 
 def _solve_commuting(problem, indices, tol=DEFAULT_TOL):
     """Exact LP over simplex weights in the common eigenbasis of a commuting
-    subset of the constraints.
+    subset of the constraints; :func:`common_probe_feasible` poses it with
+    two or more operators, since :func:`_solve_single` solves the
+    one-operator LP in closed form.
 
     ``not_found`` when the answer fails its re-check: the simplex's own
     (a point off the constraints, a Farkas vector that does not separate),
     a certificate bound below the :func:`verify_certificate` bar, or a
     witness that misses a constraint by more than ``tol.comparison`` or is
-    not a density operator.  Near-antipodal spectra, whose hull passes
-    within rounding of the origin, end there.
+    not a density operator.
     """
     ops = [problem.operators[k] for k in indices]
     parts = []
@@ -243,6 +259,54 @@ def _solve_commuting(problem, indices, tol=DEFAULT_TOL):
     return ProbeFeasibility(
         status="infeasible_certified",
         certificate=cert,
+        note="common-eigenbasis linear program (Farkas dual)",
+    )
+
+
+def _solve_single(problem, k, spectrum, tol):
+    """Decide Tr(rho K) = 0 for the one constraint operator K =
+    ``problem.operators[k]`` from ``spectrum``, the ``(phases, vectors,
+    hull)`` of K: its :func:`~unidisc.qcore.eig_unitary` eigensystem and the
+    :func:`~unidisc.eigdist.min_convex_norm` of its eigenphases.  This is
+    the linear program of :func:`_solve_commuting` on one operator, solved
+    in closed form, so the answers carry that program's notes; the
+    certificate is a Farkas vector of it.
+
+    Feasible when the hull holds the origin, with the pure witness
+    sum_j sqrt(w_j) v_j; otherwise certified by the unit direction e^{i phi}
+    of the closest hull point, at distance delta, as the coefficients
+    (cos phi, sin phi) / delta on (ReK, ImK) (see the module docstring).
+    ``not_found`` when the witness misses K by more than ``tol.comparison``
+    or is not a density operator, or the certificate's bound is below the
+    :func:`verify_certificate` bar.
+    """
+    _, vecs, hull = spectrum
+    op = problem.operators[k]
+
+    def failed(why, residual=None):
+        return ProbeFeasibility(status="not_found", residual=residual,
+                                note=f"common-eigenbasis linear program failed: {why}")
+
+    if hull.distinguishable:
+        psi = vecs @ np.sqrt(hull.weights)
+        rho = np.outer(psi, psi.conj())
+        residual = float(abs(np.trace(rho @ op)))
+        if residual > tol.comparison:
+            return failed(f"witness residual {residual:.3e}", residual)
+        try:
+            witness = DensityOperator(rho)
+        except ValueError as exc:
+            return failed(f"witness {exc}", residual)
+        return ProbeFeasibility(status="feasible", witness=witness, residual=residual,
+                                note="common-eigenbasis linear program")
+    phi = np.angle(hull.weights @ hull.points)
+    coeffs = np.array([np.cos(phi), np.sin(phi)]) / hull.min_norm
+    lo = _combined_min_eig(problem, (k,), coeffs)
+    if not lo >= 1 - tol.comparison:  # NaN fails too
+        return failed(f"certificate bound failed: min eig {lo:.6e}")
+    return ProbeFeasibility(
+        status="infeasible_certified",
+        certificate=InfeasibilityCertificate(op_indices=(k,), coeffs=coeffs, min_eig=lo),
         note="common-eigenbasis linear program (Farkas dual)",
     )
 
@@ -375,43 +439,59 @@ def _solve_by_projections(problem, tol, iterations=5000):
 # -----------------------------------------------------------------------------
 
 def common_probe_feasible(problem: OrthogonalityProblem,
-                          tol: Tolerances = DEFAULT_TOL) -> ProbeFeasibility:
+                          tol: Tolerances = DEFAULT_TOL, *,
+                          spectrum=None) -> ProbeFeasibility:
     """Decide whether one reduced probe state satisfies every constraint.
 
     The routes run in this order, and the first that decides answers: an
-    empty constraint set; the common-eigenbasis LP when the operators
-    commute; the maximally mixed state; one single-operator LP per
-    operator, looking for a spectral certificate; the projections.  The
-    mixed state may go before the single-operator LPs because whatever it
-    settles they cannot contradict: a state meeting every constraint meets
-    each one alone, and by the theorem of alternatives no operator it meets
-    has a certificate, so those LPs could only come back feasible.  A mixed
-    residual that is merely below ``tol.comparison`` is accepted at that
-    tolerance, as the projections' witnesses are; a single-operator
+    empty constraint set; the eigenvalue hull of a single operator; the
+    common-eigenbasis LP when two or more operators commute; the maximally
+    mixed state; each operator's eigenvalue hull, looking for a spectral
+    certificate; the projections.  The mixed state may go before the
+    per-operator hulls because whatever it settles they cannot contradict:
+    a state meeting every constraint meets each one alone, and by the
+    theorem of alternatives no operator it meets has a certificate.  A
+    mixed residual that is merely below ``tol.comparison`` is accepted at
+    that tolerance, as the projections' witnesses are; a single-operator
     certificate could then exist only with coefficients above 1/residual.
+
+    ``spectrum(t)``, when given, returns the ``(phases, vectors, hull)`` of
+    operator t: its :func:`~unidisc.qcore.eig_unitary` eigensystem and the
+    :func:`~unidisc.eigdist.min_convex_norm` of its eigenphases under
+    ``tol``.  :class:`~unidisc.protocols.SetAnalysis` passes its stored
+    entries, so no eigensystem or hull is computed twice for one set;
+    without it they are computed here.
     """
     d = problem.dim
+    ops = problem.operators
 
-    if not problem.operators:
+    if not ops:
         return ProbeFeasibility(status="feasible",
                                 witness=DensityOperator(np.eye(d) / d),
                                 residual=0.0, note="empty constraint set")
 
+    if spectrum is None:
+        def spectrum(t):
+            phases, vecs = _eig_unitary(ops[t], tol)
+            return phases, vecs, min_convex_norm(phases, tol)
+
+    if len(ops) == 1:
+        return _solve_single(problem, 0, spectrum(0), tol)
+
     if problem.commuting:
-        return _solve_commuting(problem, range(len(problem.operators)), tol)
+        return _solve_commuting(problem, range(len(ops)), tol)
 
     # cheap exact candidate: the maximally mixed state; it goes before the
-    # single-operator LPs, which could only agree with it (see above)
+    # per-operator hulls, which could only agree with it (see above)
     mixed = np.eye(d) / d
-    mixed_residual = float(max(abs(np.trace(mixed @ k)) for k in problem.operators))
+    mixed_residual = float(max(abs(np.trace(mixed @ k)) for k in ops))
     if mixed_residual < tol.comparison:
         return ProbeFeasibility(status="feasible", witness=DensityOperator(mixed),
                                 residual=mixed_residual, note="maximally mixed witness")
 
-    # one operator alone is a commuting problem; any single-operator
-    # infeasibility certifies the whole system
-    for k in range(len(problem.operators)):
-        sub = _solve_commuting(problem, [k], tol)
+    # any single-operator infeasibility certifies the whole system
+    for k in range(len(ops)):
+        sub = _solve_single(problem, k, spectrum(k), tol)
         if sub.status == "infeasible_certified":
             return ProbeFeasibility(
                 status="infeasible_certified",

@@ -403,11 +403,13 @@ class SetAnalysis:
     tolerances, each computed on first request and then kept.
 
     It holds each party's relative factors U_i{dag} U_j (i < j), sorted
-    into phase-equality classes, whose traces give the factor groups; each
-    relative's eigensystem, pair criterion, pair probe and eigenrays; the
-    common-probe problem that any index pairs pose on one party (responder,
-    stage-1 and union problems), with the measurement realizing its witness;
-    the purification of each witness; and the GDR problem.
+    into phase-equality classes, whose traces give the factor groups; the
+    spectrum (eigensystem and pair criterion) of each relative and of each
+    operator of a probe problem, which the problems read; each relative's
+    pair probe and eigenrays; the common-probe problem that any index pairs
+    pose on one party (responder, stage-1 and union problems), with the
+    measurement realizing its witness; the purification of each witness;
+    and the GDR problem.
     Entries that depend only on matrices are keyed by their bytes, so a
     problem posed twice, by one decider or by two, is solved once.  The
     table only decides which call computes an entry: the solvers and their
@@ -470,8 +472,13 @@ class SetAnalysis:
             return None
         dim = ops[0].shape[0]
         return self._entry(("feasibility", dim, b"".join(k.tobytes() for k in ops)),
-                           lambda: common_probe_feasible(
-                               OrthogonalityProblem(dim=dim, operators=ops), self.tol))
+                           lambda: self._solve(OrthogonalityProblem(dim=dim, operators=ops)))
+
+    def _solve(self, problem: OrthogonalityProblem) -> ProbeFeasibility:
+        """:func:`~unidisc.probefeas.common_probe_feasible` of ``problem``,
+        reading each operator's eigensystem and hull from the table."""
+        return common_probe_feasible(problem, self.tol,
+                                     spectrum=lambda t: self.spectrum(problem.operators[t]))
 
     def purified(self, feas: ProbeFeasibility):
         """:func:`~unidisc.probefeas.purify_witness` of the witness of ``feas``."""
@@ -486,38 +493,40 @@ class SetAnalysis:
                            lambda: _orthogonal_measurement([fs[k] for k in members],
                                                            self.purified(feas)))
 
-    def _keyed(self, kind, party, i, j, compute):
-        k = self.relatives(party)[0][i, j]
+    def _keyed(self, kind, k, compute):
         return self._entry((kind, k.shape, k.tobytes()), lambda: compute(k))
 
-    def eigensystem(self, party, i, j):
-        """:func:`~unidisc.qcore.eig_unitary` of U_i{dag} U_j on ``party``."""
-        return self._keyed("eig", party, i, j, lambda k: eig_unitary(k, self.tol))
+    def spectrum(self, k):
+        """``(phases, vectors, hull)`` of the unitary ``k``: its
+        :func:`~unidisc.qcore.eig_unitary` eigensystem, keyed by the bytes
+        of ``k``, and the pair criterion (a ``ConvexNormResult``) of its
+        eigenphases, keyed by the phases it reads."""
+        phases, vecs = self._keyed("eig", k, lambda k: eig_unitary(k, self.tol))
+        return phases, vecs, self._entry(("pair", phases.tobytes()),
+                                         lambda: min_convex_norm(phases, self.tol))
 
     def pair(self, party, i, j):
-        """The pair criterion (a ``ConvexNormResult``) of U_i and U_j on
-        ``party``, keyed by the eigenphases it reads."""
-        phases = self.eigensystem(party, i, j)[0]
-        return self._entry(("pair", phases.tobytes()), lambda: min_convex_norm(phases, self.tol))
+        """The pair criterion of U_i and U_j on ``party``."""
+        return self.spectrum(self.relatives(party)[0][i, j])[2]
 
     def pair_probe(self, party, i, j):
         """:func:`~unidisc.eigdist.build_pair_probe` for U_i and U_j on
         ``party``."""
         fs = self.uset.factors(party)
-        return self._entry(("pair_probe", party, i, j), lambda: _pair_probe(
-            fs[i], fs[j], self.eigensystem(party, i, j)[1], self.pair(party, i, j), self.tol))
+        _, vecs, hull = self.spectrum(self.relatives(party)[0][i, j])
+        return self._entry(("pair_probe", party, i, j),
+                           lambda: _pair_probe(fs[i], fs[j], vecs, hull, self.tol))
 
     def eigenrays(self, party, i, j) -> tuple:
         """Unit eigenvectors of U_i{dag} U_j on ``party``, from ``np.linalg.eig``."""
         def compute(k):
             _, vecs = np.linalg.eig(k)
             return tuple(vecs[:, c] / np.linalg.norm(vecs[:, c]) for c in range(k.shape[0]))
-        return self._keyed("eigenrays", party, i, j, compute)
+        return self._keyed("eigenrays", self.relatives(party)[0][i, j], compute)
 
     def gdr(self) -> ProbeFeasibility:
         """The :func:`gdr_problem` of the set, solved."""
-        return self._entry(("gdr",), lambda: common_probe_feasible(gdr_problem(self.uset),
-                                                                   self.tol))
+        return self._entry(("gdr",), lambda: self._solve(gdr_problem(self.uset)))
 
 
 # -----------------------------------------------------------------------------

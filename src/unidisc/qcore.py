@@ -336,11 +336,18 @@ def eig_unitary(u, tol: Tolerances = DEFAULT_TOL):
     d = mat.shape[0]
     if mat.shape[0] != mat.shape[1]:
         raise ValueError("unitary must be square")
-    adj = mat.conj().T
     if not isinstance(u, UnitaryOperator):
-        err = float(np.abs(adj @ mat - np.eye(d)).max())
+        err = float(np.abs(mat.conj().T @ mat - np.eye(d)).max())
         if err > tol.validation * d:
             raise ValueError(f"matrix is not unitary: deviation {err:.3e}")
+    return _eig_unitary(mat, tol)
+
+
+def _eig_unitary(mat, tol: Tolerances):
+    """:func:`eig_unitary` of a square complex array already checked to be
+    unitary by its owner."""
+    d = mat.shape[0]
+    adj = mat.conj().T
     c = (mat + adj) / 2
     s = (mat - adj) / 2j
 

@@ -9,6 +9,8 @@ from several starts.  A test-local reference, a generic planar hull
 pins the results bit for bit on well-separated phases.
 """
 
+import re
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -323,6 +325,13 @@ class TestMinConvexNorm:
                                         [0.0, np.inf, 1.0]])
     def test_non_finite_raises(self, phases):
         with pytest.raises(ValueError, match=r"phases must be finite, got \[(nan|inf)\]"):
+            min_convex_norm(phases)
+
+    @pytest.mark.parametrize("phases", [[[0.1, 0.2]], np.zeros((2, 2)), np.zeros((1, 1, 3))])
+    def test_multi_dimensional_phases_raise(self, phases):
+        # a nested list had died with IndexError inside the hull code
+        shape = re.escape(str(np.shape(phases)))
+        with pytest.raises(ValueError, match=f"one-dimensional, got shape {shape}"):
             min_convex_norm(phases)
 
     @pytest.mark.parametrize("eps", NEAR_CHORD_EPS)

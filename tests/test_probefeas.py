@@ -1,4 +1,5 @@
-"""Common-probe feasibility: exact LP path, certificates, projections."""
+"""Common-probe feasibility: eigenvalue hull, exact LP path, certificates,
+projections."""
 
 import json
 from dataclasses import replace
@@ -7,6 +8,14 @@ import numpy as np
 import pytest
 
 from unidisc import probefeas
+from unidisc.eigdist import pair_distinguishable
+from unidisc.families import (
+    PhasePairParams,
+    pauli_hadamard_set,
+    phase_pair_set,
+    qutrit_quartet_set,
+    random_qubit_set,
+)
 from unidisc.jsonio import certificate_from_json, dumps, verdict_to_json
 from unidisc.probefeas import (
     InfeasibilityCertificate,
@@ -17,8 +26,8 @@ from unidisc.probefeas import (
     purify_witness,
     verify_certificate,
 )
-from unidisc.protocols import ProductUnitarySet, check_gdr, gdr_problem
-from unidisc.qcore import DEFAULT_TOL, DensityOperator, haar_unitary, partial_trace
+from unidisc.protocols import ProductUnitarySet, check_gdr, gdr_problem, hierarchy_audit
+from unidisc.qcore import DEFAULT_TOL, DensityOperator, eig_unitary, haar_unitary, partial_trace
 
 W3 = np.exp(2j * np.pi / 3)
 CLOCK = np.diag([1.0, W3, W3 * W3])
@@ -87,24 +96,145 @@ class TestSingleOperator:
         assert f.status == "infeasible_certified"
         assert f.certificate is not None
 
-    def test_near_antipodal_spectra_answer_or_not_found(self):
+    def test_near_antipodal_spectra_match_pair_criterion(self):
         # diag(e^{i t}, -e^{i(t + eps)}) with |eps| <= 1e-9: the hull misses
-        # the origin by rounding only, so a certificate needs coefficients
-        # near 1/|eps| and the simplex may fail its own re-checks; every
-        # answer must still be one a reader can re-verify
+        # the origin by rounding only, which the pair criterion calls
+        # distinguishable; the one-operator problem reads the same hull, so
+        # it answers as the pair criterion does, and every answer must be
+        # one a reader can re-verify
         rng = np.random.default_rng(0)
-        statuses = []
         for _ in range(2000):
             t, eps = rng.uniform(0, 2 * np.pi), rng.uniform(-1e-9, 1e-9)
-            prob = OrthogonalityProblem(2, (np.diag([np.exp(1j * t), -np.exp(1j * (t + eps))]),))
+            k = np.diag([np.exp(1j * t), -np.exp(1j * (t + eps))])
+            prob = OrthogonalityProblem(2, (k,))
             f = common_probe_feasible(prob)
-            statuses.append(f.status)
             assert f.note.startswith("common-eigenbasis linear program")
+            assert f.status != "not_found"
+            pair = pair_distinguishable(np.eye(2), k)
+            assert f.status == ("feasible" if pair.distinguishable else "infeasible_certified")
             if f.status == "infeasible_certified":
                 verify_certificate(prob, f.certificate)
-            elif f.status == "feasible":
+            else:
                 assert f.residual <= DEFAULT_TOL.comparison
-        assert {"feasible", "infeasible_certified", "not_found"} <= set(statuses)
+
+
+def _hull_oracle(k):
+    """``(delta, phi)`` for a unitary whose eigenvalue hull misses the
+    origin, from the widest gap g > pi between its eigenphases (from
+    ``np.linalg.eigvals``): the closest point is the midpoint of the chord
+    across the gap, at distance -cos(g/2), along the bisector of the rest
+    of the circle; one distinct eigenvalue is its own closest point."""
+    p = np.sort(np.mod(np.angle(np.linalg.eigvals(k)), 2 * np.pi))
+    gaps = np.diff(np.concatenate([p, [p[0] + 2 * np.pi]]))
+    g = int(np.argmax(gaps))
+    if gaps[g] > 2 * np.pi - 1e-9:  # one distinct eigenvalue
+        return 1.0, p[0]
+    return -np.cos(gaps[g] / 2), p[g] + gaps[g] / 2 + np.pi
+
+
+def _single_operators(rng):
+    """600 one-operator problems: Haar unitaries in d = 2, 3, 4,
+    degenerate spectra (Z x Z and turned copies, e^{i a} I, two doubly
+    degenerate eigenvalues) and 1 x 1 operators."""
+    z = np.diag([1.0, -1.0])
+    ops = [haar_unitary(d, rng).matrix for d in (2, 3, 4) for _ in range(150)]
+    ops.append(np.kron(z, z))
+    for _ in range(40):
+        v = haar_unitary(4, rng).matrix
+        ops.append(v @ np.kron(z, z) @ v.conj().T * np.exp(1j * rng.uniform(0, 2 * np.pi)))
+    for d in (1, 2, 3, 4):
+        ops.extend(np.exp(1j * a) * np.eye(d) for a in rng.uniform(0, 2 * np.pi, size=10))
+    for n in range(49):
+        a, b = rng.uniform(0, 2 * np.pi, size=2)
+        if n % 5 == 0:  # antipodal: feasible
+            b = a + np.pi
+        v = haar_unitary(4, rng).matrix
+        ops.append(v @ np.diag(np.exp(1j * np.array([a, a, b, b]))) @ v.conj().T)
+    ops.extend(np.array([[np.exp(1j * a)]]) for a in rng.uniform(0, 2 * np.pi, size=20))
+    return ops
+
+
+class TestEigenvalueHull:
+    """One-operator problems are decided by the hull of the operator's
+    eigenvalues; the common-eigenbasis LP on the same operator is the
+    oracle."""
+
+    def test_lp_oracle(self):
+        rng = np.random.default_rng(2024)
+        ops = _single_operators(rng)
+        assert len(ops) == 600
+        seen = set()
+        for k in ops:
+            prob = OrthogonalityProblem(k.shape[0], (k,))
+            f = common_probe_feasible(prob)
+            lp = probefeas._solve_commuting(prob, [0])
+            seen.add(f.status)
+            if lp.status != "not_found":
+                assert f.status == lp.status
+            if f.status == "feasible":
+                assert f.residual == abs(np.trace(f.witness.matrix @ k))
+                assert f.residual <= DEFAULT_TOL.comparison
+                DensityOperator(f.witness.matrix)
+                assert purify_witness(f.witness)[1] == 1
+            else:
+                assert f.status == "infeasible_certified"
+                assert f.certificate.op_indices == (0,)
+                assert verify_certificate(prob, f.certificate) >= 1 - DEFAULT_TOL.comparison
+                delta, phi = _hull_oracle(k)
+                assert np.allclose(f.certificate.coeffs * delta, [np.cos(phi), np.sin(phi)],
+                                   rtol=0, atol=1e-9)
+        assert seen == {"feasible", "infeasible_certified"}
+
+    def test_near_antipodal_d4_sweep(self):
+        # diag(e^{i t1}, e^{i t2}, -e^{i(t1 + e1)}, -e^{i(t2 + e2)}): the
+        # origin lies well inside the hull, but the simplex's vertex can
+        # carry an entry near -5e-10, whose clipped witness fails its trace
+        rng = np.random.default_rng(1)
+        worst = 0.0
+        for _ in range(2000):
+            t1, t2 = rng.uniform(0, 2 * np.pi, size=2)
+            e1, e2 = rng.uniform(-1e-9, 1e-9, size=2)
+            k = np.diag(np.exp(1j * np.array([t1, t2, t1 + e1 + np.pi, t2 + e2 + np.pi])))
+            f = common_probe_feasible(OrthogonalityProblem(4, (k,)))
+            assert f.status == "feasible", f.note
+            worst = max(worst, f.residual)
+        assert worst <= 1e-9
+
+    @pytest.mark.parametrize("phase, status", [
+        pytest.param(np.pi / 4, "infeasible_certified", id="certified"),
+        pytest.param(np.pi, "feasible", id="feasible"),
+    ])
+    def test_operator_checked_by_its_problem_only(self, phase, status):
+        # unitary within the problem's bar but not within eig_unitary's own
+        # (tol.validation * d): the operator was validated once, by the
+        # problem, so deciding it must not re-check it and raise
+        k = np.diag([1.0, np.exp(1j * phase)]) * (1 + 3e-10)
+        with pytest.raises(ValueError, match="not unitary"):
+            eig_unitary(k)
+        f = common_probe_feasible(OrthogonalityProblem(2, (k,)))
+        assert f.status == status
+
+    def test_simplex_never_sees_one_operator(self, monkeypatch):
+        sizes = []
+        solve = probefeas._solve_commuting
+
+        def spy(problem, indices, tol=DEFAULT_TOL):
+            sizes.append(len(indices))
+            return solve(problem, indices, tol)
+
+        monkeypatch.setattr(probefeas, "_solve_commuting", spy)
+        rng = np.random.default_rng(5)
+        for d in (2, 3, 4):
+            common_probe_feasible(OrthogonalityProblem(d, (haar_unitary(d, rng).matrix,)))
+        common_probe_feasible(OrthogonalityProblem(3, (CLOCK, FLIP)))
+        common_probe_feasible(OrthogonalityProblem(3, (CLOCK, CLOCK @ CLOCK)))
+        common_probe_feasible(STALLED)
+        sets = [pauli_hadamard_set(), qutrit_quartet_set(),
+                phase_pair_set(PhasePairParams(0.3, 0.5, 0.9, np.pi - 1.7))]
+        sets += [random_qubit_set(rng) for _ in range(10)]
+        for uset in sets:
+            hierarchy_audit(uset)
+        assert sizes and min(sizes) >= 2
 
 
 class TestClockFlipPair:
@@ -153,6 +283,8 @@ class TestClockFlipPair:
                      id="index-past-end"),
         pytest.param((0.0, 1), [1.0, 0.0, 1.0, 0.0], r"op_indices \[0.0\] are not indices",
                      id="float-index"),
+        pytest.param((True,), [1.0, 0.0], r"op_indices \[True\] are not indices",
+                     id="bool-index"),
         pytest.param((0, 1), [1.0, 0.0, 1.0], "needs 4 coefficients for 2 op_indices",
                      id="too-few-coeffs"),
         pytest.param((0,), [1.0, 0.0, 1.0], "needs 2 coefficients for 1 op_indices",
@@ -262,14 +394,12 @@ class TestMixedStateScreen:
         return v @ np.diag(np.concatenate([half, -half])) @ v.conj().T
 
     def test_traceless_problem_skips_single_operator_lps(self, monkeypatch):
+        # neither the LP nor the per-operator hull runs
         calls = []
-        solve = probefeas._solve_commuting
-
-        def spy(problem, indices):
-            calls.append(list(indices))
-            return solve(problem, indices)
-
-        monkeypatch.setattr(probefeas, "_solve_commuting", spy)
+        for name in ("_solve_commuting", "_solve_single"):
+            solve = getattr(probefeas, name)
+            monkeypatch.setattr(probefeas, name,
+                                lambda *args, _solve=solve: calls.append(args) or _solve(*args))
         x = np.array([[0, 1], [1, 0]], dtype=complex)
         z = np.diag([1.0, -1.0])
         f = common_probe_feasible(OrthogonalityProblem(2, (x, z)))

@@ -404,7 +404,7 @@ class TestHierarchyAudit:
 
         calls = []
         keys = {
-            "common_probe_feasible": lambda problem, tol=None: b"".join(
+            "common_probe_feasible": lambda problem, tol=None, spectrum=None: b"".join(
                 k.tobytes() for k in problem.operators),
             "eig_unitary": lambda u, tol=None: u.tobytes(),
             "min_convex_norm": lambda phases, tol=None: phases.tobytes(),
