@@ -60,9 +60,9 @@ from .qcore import (
     DensityOperator,
     StateVector,
     Tolerances,
-    _eig_unitary,
     _valid_prefix,
     as_matrix,
+    eig_unitary,
     simultaneous_eigenbasis,
 )
 from .simplex import feasible_point
@@ -263,11 +263,26 @@ def _solve_commuting(problem, indices, tol=DEFAULT_TOL):
     )
 
 
+def _operator_spectrum(op, tol: Tolerances = DEFAULT_TOL, hull=None):
+    """``(phases, vectors, hull)`` of a constraint operator: its
+    :func:`~unidisc.qcore.eig_unitary` eigensystem and the
+    :func:`~unidisc.eigdist.min_convex_norm` of its eigenphases under
+    ``tol``.  The operator's owner has checked it unitary (an
+    :class:`OrthogonalityProblem` does, as a ``ProductUnitarySet`` does its
+    factors), so it is not checked again at the stricter bar of
+    :func:`~unidisc.qcore.eig_unitary`.
+
+    ``hull(phases)``, when given, returns that ``min_convex_norm`` from
+    elsewhere: :class:`~unidisc.protocols.SetAnalysis` keys it by the
+    phases, which operators of one spectrum share."""
+    phases, vecs = eig_unitary(op, tol, checked=True)
+    return phases, vecs, hull(phases) if hull else min_convex_norm(phases, tol)
+
+
 def _solve_single(problem, k, spectrum, tol):
     """Decide Tr(rho K) = 0 for the one constraint operator K =
-    ``problem.operators[k]`` from ``spectrum``, the ``(phases, vectors,
-    hull)`` of K: its :func:`~unidisc.qcore.eig_unitary` eigensystem and the
-    :func:`~unidisc.eigdist.min_convex_norm` of its eigenphases.  This is
+    ``problem.operators[k]`` from ``spectrum``, its
+    :func:`_operator_spectrum`.  This is
     the linear program of :func:`_solve_commuting` on one operator, solved
     in closed form, so the answers carry that program's notes; the
     certificate is a Farkas vector of it.
@@ -455,12 +470,10 @@ def common_probe_feasible(problem: OrthogonalityProblem,
     that tolerance, as the projections' witnesses are; a single-operator
     certificate could then exist only with coefficients above 1/residual.
 
-    ``spectrum(t)``, when given, returns the ``(phases, vectors, hull)`` of
-    operator t: its :func:`~unidisc.qcore.eig_unitary` eigensystem and the
-    :func:`~unidisc.eigdist.min_convex_norm` of its eigenphases under
-    ``tol``.  :class:`~unidisc.protocols.SetAnalysis` passes its stored
-    entries, so no eigensystem or hull is computed twice for one set;
-    without it they are computed here.
+    ``spectrum(t)``, when given, returns the :func:`_operator_spectrum` of
+    operator t under ``tol``.  :class:`~unidisc.protocols.SetAnalysis`
+    passes its stored entries, so no eigensystem or hull is computed twice
+    for one set; without it they are computed here.
     """
     d = problem.dim
     ops = problem.operators
@@ -472,8 +485,7 @@ def common_probe_feasible(problem: OrthogonalityProblem,
 
     if spectrum is None:
         def spectrum(t):
-            phases, vecs = _eig_unitary(ops[t], tol)
-            return phases, vecs, min_convex_norm(phases, tol)
+            return _operator_spectrum(ops[t], tol)
 
     if len(ops) == 1:
         return _solve_single(problem, 0, spectrum(0), tol)
@@ -489,9 +501,13 @@ def common_probe_feasible(problem: OrthogonalityProblem,
         return ProbeFeasibility(status="feasible", witness=DensityOperator(mixed),
                                 residual=mixed_residual, note="maximally mixed witness")
 
-    # any single-operator infeasibility certifies the whole system
+    # any single-operator infeasibility certifies the whole system; an
+    # operator whose hull holds the origin has no certificate
     for k in range(len(ops)):
-        sub = _solve_single(problem, k, spectrum(k), tol)
+        spec = spectrum(k)
+        if spec[2].distinguishable:
+            continue
+        sub = _solve_single(problem, k, spec, tol)
         if sub.status == "infeasible_certified":
             return ProbeFeasibility(
                 status="infeasible_certified",

@@ -43,10 +43,15 @@ from .qcore import (
     _valid_prefix,
     as_matrix,
     check_povm,
-    eig_unitary,
 )
 from .eigdist import _pair_probe, min_convex_norm
-from .probefeas import OrthogonalityProblem, ProbeFeasibility, common_probe_feasible, purify_witness
+from .probefeas import (
+    OrthogonalityProblem,
+    ProbeFeasibility,
+    _operator_spectrum,
+    common_probe_feasible,
+    purify_witness,
+)
 
 __all__ = [
     "ProductUnitarySet",
@@ -497,13 +502,15 @@ class SetAnalysis:
         return self._entry((kind, k.shape, k.tobytes()), lambda: compute(k))
 
     def spectrum(self, k):
-        """``(phases, vectors, hull)`` of the unitary ``k``: its
-        :func:`~unidisc.qcore.eig_unitary` eigensystem, keyed by the bytes
-        of ``k``, and the pair criterion (a ``ConvexNormResult``) of its
-        eigenphases, keyed by the phases it reads."""
-        phases, vecs = self._keyed("eig", k, lambda k: eig_unitary(k, self.tol))
-        return phases, vecs, self._entry(("pair", phases.tobytes()),
-                                         lambda: min_convex_norm(phases, self.tol))
+        """``(phases, vectors, hull)`` of the unitary ``k``, a relative or
+        a probe-problem operator of the set: its
+        :func:`~unidisc.probefeas._operator_spectrum`, keyed by the bytes of
+        ``k``, with the pair criterion (a ``ConvexNormResult``) as the hull,
+        keyed by the phases it reads."""
+        def hull(phases):
+            return self._entry(("pair", phases.tobytes()),
+                               lambda: min_convex_norm(phases, self.tol))
+        return self._keyed("spectrum", k, lambda k: _operator_spectrum(k, self.tol, hull))
 
     def pair(self, party, i, j):
         """The pair criterion of U_i and U_j on ``party``."""

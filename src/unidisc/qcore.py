@@ -321,7 +321,7 @@ def simultaneous_eigenbasis(ops) -> np.ndarray:
     return basis
 
 
-def eig_unitary(u, tol: Tolerances = DEFAULT_TOL):
+def eig_unitary(u, tol: Tolerances = DEFAULT_TOL, *, checked: bool = False):
     """Eigenphases and eigenvectors of a unitary.
 
     Returns ``(phases, vectors)`` with phases in ``[0, 2*pi)`` sorted
@@ -331,23 +331,22 @@ def eig_unitary(u, tol: Tolerances = DEFAULT_TOL):
     part (U-U+)/2i commute; a generic real combination of the two usually
     separates all eigenvectors in one shot.  Degenerate combinations are
     rescued by refining with both parts blockwise.
+
+    A raw array must be unitary within ``tol.validation * d`` unless
+    ``checked`` says its owner has already checked it at the owner's bar:
+    a ``ProductUnitarySet`` factor or an ``OrthogonalityProblem`` operator
+    may be off by up to 1e-8.  The decomposition residual is checked either
+    way.
     """
     mat = u.matrix if isinstance(u, UnitaryOperator) else as_matrix(u)
     d = mat.shape[0]
     if mat.shape[0] != mat.shape[1]:
         raise ValueError("unitary must be square")
-    if not isinstance(u, UnitaryOperator):
-        err = float(np.abs(mat.conj().T @ mat - np.eye(d)).max())
+    adj = mat.conj().T
+    if not (checked or isinstance(u, UnitaryOperator)):
+        err = float(np.abs(adj @ mat - np.eye(d)).max())
         if err > tol.validation * d:
             raise ValueError(f"matrix is not unitary: deviation {err:.3e}")
-    return _eig_unitary(mat, tol)
-
-
-def _eig_unitary(mat, tol: Tolerances):
-    """:func:`eig_unitary` of a square complex array already checked to be
-    unitary by its owner."""
-    d = mat.shape[0]
-    adj = mat.conj().T
     c = (mat + adj) / 2
     s = (mat - adj) / 2j
 

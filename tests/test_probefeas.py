@@ -26,7 +26,13 @@ from unidisc.probefeas import (
     purify_witness,
     verify_certificate,
 )
-from unidisc.protocols import ProductUnitarySet, check_gdr, gdr_problem, hierarchy_audit
+from unidisc.protocols import (
+    ProductUnitarySet,
+    check_gdr,
+    check_lda,
+    gdr_problem,
+    hierarchy_audit,
+)
 from unidisc.qcore import DEFAULT_TOL, DensityOperator, eig_unitary, haar_unitary, partial_trace
 
 W3 = np.exp(2j * np.pi / 3)
@@ -213,6 +219,23 @@ class TestEigenvalueHull:
             eig_unitary(k)
         f = common_probe_feasible(OrthogonalityProblem(2, (k,)))
         assert f.status == status
+
+    @pytest.mark.parametrize("phase, status", [
+        pytest.param(np.pi / 4, "indistinguishable_certified", id="certified"),
+        pytest.param(np.pi, "distinguishable", id="distinguishable"),
+    ])
+    @pytest.mark.parametrize("decide", [
+        pytest.param(lambda uset: [check_gdr(uset)], id="gdr"),
+        pytest.param(lambda uset: [check_lda(uset, "A")], id="lda"),
+        pytest.param(lambda uset: [v for _, v in hierarchy_audit(uset)], id="audit"),
+    ])
+    def test_factor_checked_by_its_set_only(self, phase, status, decide):
+        # the same for a factor the set accepted: its relatives and the GDR
+        # operator are checked through the set, not again by the deciders
+        a = np.diag([1.0, np.exp(1j * phase)]) * (1 + 3e-10)
+        uset = ProductUnitarySet(party_dims=(2, 2),
+                                 items=(("I", np.eye(2), np.eye(2)), ("K", a, np.eye(2))))
+        assert {v.status for v in decide(uset)} == {status}
 
     def test_simplex_never_sees_one_operator(self, monkeypatch):
         sizes = []
@@ -409,8 +432,9 @@ class TestMixedStateScreen:
     @pytest.mark.parametrize("d", [2, 4])
     def test_mixed_witness_leaves_no_single_operator_certificate(self, d):
         # whenever the maximally mixed state meets every constraint (here up
-        # to rounding), each one-operator LP the screen now skips is
-        # feasible, so skipping it cannot hide a certificate
+        # to rounding), each one-operator problem the screen now skips is
+        # feasible, by the LP and by the hull route that would run, so
+        # skipping it cannot hide a certificate
         rng = np.random.default_rng(31 + d)
         for _ in range(40):
             ops = tuple(self._traceless_unitary(d, rng) for _ in range(int(rng.integers(2, 5))))
@@ -420,6 +444,10 @@ class TestMixedStateScreen:
             assert common_probe_feasible(prob).note == "maximally mixed witness"
             for k in range(len(ops)):
                 assert probefeas._solve_commuting(prob, [k]).status == "feasible"
+                spectrum = probefeas._operator_spectrum(ops[k])
+                assert spectrum[2].distinguishable
+                assert (probefeas._solve_single(prob, k, spectrum, DEFAULT_TOL).status
+                        == "feasible")
 
 
 def _ref_simplex(vals):

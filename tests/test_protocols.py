@@ -406,7 +406,7 @@ class TestHierarchyAudit:
         keys = {
             "common_probe_feasible": lambda problem, tol=None, spectrum=None: b"".join(
                 k.tobytes() for k in problem.operators),
-            "eig_unitary": lambda u, tol=None: u.tobytes(),
+            "eig_unitary": lambda u, tol=None, checked=False: u.tobytes(),
             "min_convex_norm": lambda phases, tol=None: phases.tobytes(),
             "pair_distinguishable": lambda u1, u2, tol=None: u1.tobytes() + u2.tobytes(),
             "purify_witness": lambda witness, tol=None: witness.matrix.tobytes(),
