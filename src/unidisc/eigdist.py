@@ -76,9 +76,12 @@ class PairProbe:
 
 
 def _segment_closest(a, b):
-    """Closest point to the origin on segment ab, for a != b; returns
-    (point, t) with point = t*a + (1-t)*b."""
-    ab = b - a
+    """Closest point to the origin on segment ab, for a != b given as
+    (x, y) pairs; returns (point, t) with point = t*a + (1-t)*b, the point
+    a 2-vector.  The dot products are numpy's, whose rounding sets the
+    weights and distances."""
+    a = np.array(a)
+    ab = np.array(b) - a
     s = float(-(a @ ab)) / float(ab @ ab)
     s = min(1.0, max(0.0, s))
     p = a + s * ab
@@ -98,23 +101,30 @@ def min_convex_norm(phases, tol: Tolerances = DEFAULT_TOL) -> ConvexNormResult:
     the widest angular gap can face the origin; if it does, the closest
     point lies on it, otherwise the barycentric coordinates of a fan
     triangle containing the origin are the weights.
+
+    The hull work runs on Python floats, which round as numpy's float64
+    scalars do; the 2-vector dot products, ``np.hypot`` and the final
+    weights stay numpy's, since their rounding differs from Python's.
     """
     phases = np.atleast_1d(np.asarray(phases))
     if phases.ndim > 1:
         raise ValueError(f"phases must be one-dimensional, got shape {phases.shape}")
-    if np.iscomplexobj(phases):
+    if phases.dtype.kind == "c":
         raise ValueError("phases must be real angles, not unit-circle points")
+    if phases.dtype.kind not in "iuf":  # bool, str and object arrays cast to float
+        raise ValueError(f"phases must be real numbers, got dtype {phases.dtype}")
     phases = phases.astype(float)
     if phases.size == 0:
         raise ValueError("need at least one phase")
     if not np.isfinite(phases).all():
         raise ValueError(f"phases must be finite, got {phases[~np.isfinite(phases)].tolist()}")
     points = np.exp(1j * phases)
+    zs = points.tolist()
 
     # merge numerically identical points, keeping the first representative
     reps: list[int] = []
-    for j in range(points.size):
-        if not any(abs(points[j] - points[r]) < _DEDUPE for r in reps):
+    for j, z in enumerate(zs):
+        if not any(abs(z - zs[r]) < _DEDUPE for r in reps):
             reps.append(j)
 
     weights = np.zeros(points.size)
@@ -139,14 +149,14 @@ def min_convex_norm(phases, tol: Tolerances = DEFAULT_TOL) -> ConvexNormResult:
     if len(reps) == 1:
         return finish(1.0, {reps[0]: 1.0})
 
-    pts = [np.array([points[r].real, points[r].imag]) for r in reps]
+    pts = [(zs[r].real, zs[r].imag) for r in reps]
 
     if len(reps) == 2:
         p, t = _segment_closest(pts[0], pts[1])
         return finish(float(np.hypot(*p)), {reps[0]: t, reps[1]: 1.0 - t})
 
     # counter-clockwise from the leftmost point (the lowest one on ties)
-    first = min(range(len(pts)), key=lambda k: (pts[k][0], pts[k][1]))
+    first = min(range(len(pts)), key=pts.__getitem__)
     angle = np.angle(points[reps])
     turn = np.mod(angle - angle[first], 2 * np.pi).tolist()
     hull = sorted(range(len(turn)), key=turn.__getitem__)
@@ -158,10 +168,10 @@ def min_convex_norm(phases, tol: Tolerances = DEFAULT_TOL) -> ConvexNormResult:
     if _side(pts[a], pts[b]) < -1e-15:
         return finish(*chord)
 
-    anchor = pts[hull[0]]
+    ax, ay = anchor = pts[hull[0]]
     for i, j in zip(hull[1:-1], hull[2:]):
-        u, v = pts[i] - anchor, pts[j] - anchor
-        det = u[0] * v[1] - v[0] * u[1]
+        (ix, iy), (jx, jy) = pts[i], pts[j]
+        det = (ix - ax) * (jy - ay) - (jx - ax) * (iy - ay)
         if abs(det) < 1e-15:
             continue
         l1 = -_side(anchor, pts[j]) / det
@@ -169,7 +179,7 @@ def min_convex_norm(phases, tol: Tolerances = DEFAULT_TOL) -> ConvexNormResult:
         l0 = 1.0 - l1 - l2
         # a sliver triangle can pass the sign test on rounding alone, so its
         # weights must also land on the origin
-        miss = np.hypot(*(l0 * anchor + l1 * pts[i] + l2 * pts[j]))
+        miss = np.hypot(l0 * ax + l1 * ix + l2 * jx, l0 * ay + l1 * iy + l2 * jy)
         if min(l0, l1, l2) >= -1e-12 and miss <= 10 * tol.orthogonality:
             return finish(0.0, {reps[hull[0]]: l0, reps[i]: l1, reps[j]: l2})
     # no fan triangle passed: the origin lies on the widest chord within
@@ -188,7 +198,8 @@ def min_convex_norm(phases, tol: Tolerances = DEFAULT_TOL) -> ConvexNormResult:
         if c in (a, b) or cb == ca:
             return np.inf, {}
         mu = min(1.0, max(0.0, cb / (cb - ca)))
-        n = float(np.hypot(*(mu * pts[a] + (1.0 - mu) * pts[b])))
+        (ax, ay), (bx, by) = pts[a], pts[b]
+        n = float(np.hypot(mu * ax + (1.0 - mu) * bx, mu * ay + (1.0 - mu) * by))
         w = {reps[c]: n / (1 + n), reps[a]: mu / (1 + n), reps[b]: (1 - mu) / (1 + n)}
         return abs(sum(v * points[k] for k, v in w.items())), w
 

@@ -40,6 +40,11 @@ u_j in the constraint set.  Feasibility over density operators is decided
   projections certify only infeasible problems.  ``not_found`` means the
   iteration budget ran out with neither a witness nor a certificate.
 
+The two exact routes return the pure witness they build as
+``ProbeFeasibility.state``, which the deciders measure as it is; only mixed
+witnesses (the maximally mixed state, the projections' witnesses) go through
+:func:`purify_witness`.
+
 Infeasibility certificates are stored basis-free: real coefficients c such
 that G = sum_k (cRe_k ReK_k + cIm_k ImK_k) satisfies G >= 1, which makes
 Tr(rho G) >= 1 > 0 for every density operator while the constraints demand
@@ -133,8 +138,13 @@ class OrthogonalityProblem:
 
 @dataclass(frozen=True)
 class ProbeFeasibility:
+    """The answer to one problem.  ``state`` is the pure probe whose outer
+    product is ``witness``, when the route built one (the eigenvalue hull
+    and the commuting linear program do); the JSON form does not carry it."""
+
     status: str  # "feasible" | "infeasible_certified" | "not_found"
     witness: DensityOperator | None = None
+    state: StateVector | None = None
     certificate: InfeasibilityCertificate | None = None
     residual: float | None = None
     note: str = ""
@@ -250,8 +260,8 @@ def _solve_commuting(problem, indices, tol=DEFAULT_TOL):
             witness = DensityOperator(rho)
         except ValueError as exc:
             return failed(f"witness {exc}", residual)
-        return ProbeFeasibility(status="feasible", witness=witness, residual=residual,
-                                note="common-eigenbasis linear program")
+        return ProbeFeasibility(status="feasible", witness=witness, state=StateVector(psi),
+                                residual=residual, note="common-eigenbasis linear program")
     try:
         cert = _certificate_from_lp(problem, indices, lp.certificate, tol)
     except ValueError as exc:
@@ -312,8 +322,8 @@ def _solve_single(problem, k, spectrum, tol):
             witness = DensityOperator(rho)
         except ValueError as exc:
             return failed(f"witness {exc}", residual)
-        return ProbeFeasibility(status="feasible", witness=witness, residual=residual,
-                                note="common-eigenbasis linear program")
+        return ProbeFeasibility(status="feasible", witness=witness, state=StateVector(psi),
+                                residual=residual, note="common-eigenbasis linear program")
     phi = np.angle(hull.weights @ hull.points)
     coeffs = np.array([np.cos(phi), np.sin(phi)]) / hull.min_norm
     lo = _combined_min_eig(problem, (k,), coeffs)

@@ -93,9 +93,20 @@ def _other(party):
 # The set
 # -----------------------------------------------------------------------------
 
+# a factor further than this off unitary is off by more than rounding
+_ROUNDING = 1e-12
+
+
 @dataclass(frozen=True)
 class ProductUnitarySet:
-    """Indexed product unitaries A_i (x) B_i."""
+    """Indexed product unitaries A_i (x) B_i.
+
+    A factor may be off unitary by up to 1e-8 (the largest entry of
+    F{dag}F - 1).  One off by more than rounding is kept as its nearest
+    unitary, the polar factor u vh of its SVD, so that the relatives and
+    products the deciders build from the factors are unitary to rounding
+    too and decompose like those of exact factors.
+    """
 
     party_dims: tuple
     items: tuple  # of (label, factor_A, factor_B)
@@ -118,15 +129,24 @@ class ProductUnitarySet:
 
         norm_items, held = _valid_prefix(self.items, item)
         if norm_items:
-            fails = np.zeros(len(norm_items), dtype=bool)
+            errs = []
             for k, d in ((1, da), (2, db)):  # one stack per party
                 f = np.array([it[k] for it in norm_items])
-                fails |= np.abs(f.conj().transpose(0, 2, 1) @ f - np.eye(d)).max(axis=(1, 2)) > 1e-8
-            if fails.any():
-                k = int(fails.argmax())
+                errs.append(np.abs(f.conj().transpose(0, 2, 1) @ f - np.eye(d)).max(axis=(1, 2)))
+            worst = np.maximum(*errs)
+            top = worst.max()
+            if top > 1e-8:
+                k = int((worst > 1e-8).argmax())
                 raise ValueError(f"item {self.items[k][0]!r}: factor is not unitary")
         if held is not None:
             raise held
+        if top > _ROUNDING:
+            items = [list(it) for it in norm_items]
+            for k, err in zip((1, 2), errs):
+                for i in np.flatnonzero(err > _ROUNDING):
+                    u, _, vh = np.linalg.svd(items[i][k])
+                    items[i][k] = u @ vh
+            norm_items = map(tuple, items)
         object.__setattr__(self, "items", tuple(norm_items))
         object.__setattr__(self, "party_dims", (int(da), int(db)))
 
@@ -392,8 +412,7 @@ def _orthogonal_measurement(factors, purified):
     """(probe, ancilla_dim, povm, has_rest): the ``(state, ancilla_dim)``
     purification of a feasibility witness, and the projective measurement
     onto the states ``factors`` evolve it to."""
-    psi, r = purified
-    probe = StateVector(psi.amplitudes)
+    probe, r = purified
     states = [_evolved(f, r, probe) for f in factors]
     povm, has_rest = _projective_povm(states, factors[0].shape[0] * r)
     return probe, r, tuple(povm), has_rest
@@ -413,8 +432,8 @@ class SetAnalysis:
     operator of a probe problem, which the problems read; each relative's
     pair probe and eigenrays; the common-probe problem that any index pairs
     pose on one party (responder, stage-1 and union problems), with the
-    measurement realizing its witness; the purification of each witness;
-    and the GDR problem.
+    measurement realizing its witness; the purification of each mixed
+    witness (a pure one comes with its state); and the GDR problem.
     Entries that depend only on matrices are keyed by their bytes, so a
     problem posed twice, by one decider or by two, is solved once.  The
     table only decides which call computes an entry: the solvers and their
@@ -486,17 +505,22 @@ class SetAnalysis:
                                      spectrum=lambda t: self.spectrum(problem.operators[t]))
 
     def purified(self, feas: ProbeFeasibility):
-        """:func:`~unidisc.probefeas.purify_witness` of the witness of ``feas``."""
+        """``(state, ancilla_dim)`` for the witness of ``feas``: its pure
+        state with no ancilla when the solver built one, and otherwise the
+        :func:`~unidisc.probefeas.purify_witness` of the mixed witness."""
+        if feas.state is not None:
+            return feas.state, 1
         return self._entry(("purified", feas.witness.matrix.tobytes()),
                            lambda: purify_witness(feas.witness, self.tol))
 
     def measurement(self, party, members, feas: ProbeFeasibility):
         """:func:`_orthogonal_measurement` of the factors of ``members`` on
-        ``party`` with the witness of ``feas``."""
+        ``party`` with the witness of ``feas``, keyed by its purification:
+        two pure witnesses may share the bytes of one density matrix."""
         fs = self.uset.factors(party)
-        return self._entry(("measurement", party, members, feas.witness.matrix.tobytes()),
-                           lambda: _orthogonal_measurement([fs[k] for k in members],
-                                                           self.purified(feas)))
+        psi, r = self.purified(feas)
+        return self._entry(("measurement", party, members, r, psi.amplitudes.tobytes()),
+                           lambda: _orthogonal_measurement([fs[k] for k in members], (psi, r)))
 
     def _keyed(self, kind, k, compute):
         return self._entry((kind, k.shape, k.tobytes()), lambda: compute(k))

@@ -279,6 +279,13 @@ def partial_trace(rho, dims, keep) -> np.ndarray:
 # cluster during blockwise refinement
 _CLUSTER_GAP = 1e-8
 
+# the fixed pseudo-random angle at which eig_unitary mixes a unitary's two
+# Hermitian parts; irrational multiples of pi rarely collide with spectral
+# symmetries
+_MIX_ANGLE = 0.7390851332151607
+_MIX_COS = float(np.cos(_MIX_ANGLE))
+_MIX_SIN = float(np.sin(_MIX_ANGLE))
+
 
 def simultaneous_eigenbasis(ops) -> np.ndarray:
     """Common eigenbasis of a family of commuting Hermitian operators.
@@ -334,9 +341,8 @@ def eig_unitary(u, tol: Tolerances = DEFAULT_TOL, *, checked: bool = False):
 
     A raw array must be unitary within ``tol.validation * d`` unless
     ``checked`` says its owner has already checked it at the owner's bar:
-    a ``ProductUnitarySet`` factor or an ``OrthogonalityProblem`` operator
-    may be off by up to 1e-8.  The decomposition residual is checked either
-    way.
+    an ``OrthogonalityProblem`` operator may be off by up to 1e-8.  The
+    decomposition residual is checked either way.
     """
     mat = u.matrix if isinstance(u, UnitaryOperator) else as_matrix(u)
     d = mat.shape[0]
@@ -350,25 +356,23 @@ def eig_unitary(u, tol: Tolerances = DEFAULT_TOL, *, checked: bool = False):
     c = (mat + adj) / 2
     s = (mat - adj) / 2j
 
-    # fixed pseudo-random mixing angle; irrational multiples of pi rarely
-    # collide with spectral symmetries
-    t = 0.7390851332151607
-    w, q = np.linalg.eigh(np.cos(t) * c + np.sin(t) * s)
+    _, q = np.linalg.eigh(_MIX_COS * c + _MIX_SIN * s)
     diag = q.conj().T @ mat @ q
     off = np.abs(diag)
     off.flat[::d + 1] = 0.0  # the diagonal
     if off.max() <= 1e-10:
-        basis, lam = q, np.diag(diag)
+        basis, lam = q, diag.diagonal()
     else:
         basis = simultaneous_eigenbasis([c, s])
-        lam = np.diag(basis.conj().T @ mat @ basis)
-    resid = np.abs(mat @ basis - basis * lam[None, :]).max()
+        lam = (basis.conj().T @ mat @ basis).diagonal()
+    resid = np.abs(mat @ basis - basis * lam).max()
     if resid > tol.comparison:
         raise ValueError(f"eigendecomposition residual {resid:.3e}")
 
-    phases = np.mod(np.angle(lam), 2 * np.pi)
+    # np.angle without its wrapper, and np.mod as its operator
+    phases = np.arctan2(lam.imag, lam.real) % (2 * np.pi)
     phases[phases > 2 * np.pi - 1e-12] = 0.0
-    order = np.argsort(phases, kind="stable")
+    order = phases.argsort(kind="stable")
     return phases[order], basis[:, order]
 
 

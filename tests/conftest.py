@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from unidisc.families import CLOCK3, FLIP3, ket, uniform_superposition
+from unidisc.families import CLOCK3, FLIP3, H, I2, X, Z, ket, uniform_superposition
 from unidisc.protocols import OutcomeBranch, ProtocolTree, StageTwo
 from unidisc.qcore import StateVector
 
@@ -59,3 +59,17 @@ def quartet_tree() -> ProtocolTree:
         ),
         note="adaptive two-step protocol for the qutrit quartet",
     )
+
+
+@pytest.fixture(params=["scaled", "non-normal"])
+def near_unitary_items(request):
+    """Items (label, A, B) over the factors X, Z, H and I, each moved 4.9e-9
+    off unitary, within the 1e-8 a set accepts: scaled by 1 + 4.9e-9, or
+    plus a nilpotent (non-normal) term of that size.  Their relatives and
+    products are off by up to four times as much."""
+    if request.param == "scaled":
+        factors = [m * (1 + 4.9e-9) for m in (X, Z, H, I2)]
+    else:
+        factors = [m + np.array([[0, 4.9e-9], [0, 0]]) for m in (X, Z, H, I2)]
+    return tuple((f"{a}{b}", factors[a], factors[b])
+                 for a, b in ((0, 1), (1, 2), (2, 3), (3, 0), (0, 0)))

@@ -172,6 +172,21 @@ class TestCheck:
         assert main(["check", str(path), "--strategy", "gda-sep",
                      "--tol", "1e-6"]) in (0, 3)
 
+    def test_near_unitary_set_file_decided(self, tmp_path, near_unitary_items):
+        # factors the set accepts, written as given, get a verdict from every
+        # strategy: exit 0, 3 or 4 (distinguishable, certified, not_found)
+        data = {"party_dims": [2, 2],
+                "items": [{"label": label, "A": matrix_to_json(a), "B": matrix_to_json(b)}
+                          for label, a, b in near_unitary_items]}
+        path = tmp_path / "set.json"
+        path.write_text(json.dumps(data))
+        for strategy in ("gdr", "gda", "gda-sep"):
+            assert main(["check", str(path), "--strategy", strategy]) in (0, 3, 4)
+        for strategy in ("ldr", "lda"):
+            for start in ("a", "b", "either"):
+                assert main(["check", str(path), "--strategy", strategy,
+                             "--start", start]) in (0, 3, 4)
+
     def test_set_file_field_error(self, tmp_path, capsys):
         data = set_to_json(pauli_hadamard_set())
         del data["items"][1]["label"]

@@ -334,6 +334,14 @@ class TestMinConvexNorm:
         with pytest.raises(ValueError, match=f"one-dimensional, got shape {shape}"):
             min_convex_norm(phases)
 
+    @pytest.mark.parametrize("phases, dtype", [
+        (["1", "2"], "<U1"), ([True, False], "bool"),
+        (np.array([0.5, 2.0], dtype=object), "object")])
+    def test_non_real_dtype_raises(self, phases, dtype):
+        # numeric strings and bools cast to float, so they had passed as angles
+        with pytest.raises(ValueError, match=f"real numbers, got dtype {dtype}"):
+            min_convex_norm(phases)
+
     @pytest.mark.parametrize("eps", NEAR_CHORD_EPS)
     def test_origin_on_widest_chord(self, eps):
         r = min_convex_norm([0.0, np.pi - eps, np.pi])

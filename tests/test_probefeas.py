@@ -16,7 +16,7 @@ from unidisc.families import (
     qutrit_quartet_set,
     random_qubit_set,
 )
-from unidisc.jsonio import certificate_from_json, dumps, verdict_to_json
+from unidisc.jsonio import certificate_from_json, dumps, feasibility_to_json, verdict_to_json
 from unidisc.probefeas import (
     InfeasibilityCertificate,
     OrthogonalityProblem,
@@ -38,6 +38,7 @@ from unidisc.qcore import DEFAULT_TOL, DensityOperator, eig_unitary, haar_unitar
 W3 = np.exp(2j * np.pi / 3)
 CLOCK = np.diag([1.0, W3, W3 * W3])
 FLIP = np.diag([1.0, 1.0, -1.0])
+X2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 def random_diag_unitary(d, rng):
@@ -702,6 +703,63 @@ class TestPurifyWitness:
         assert r == 2
         back = partial_trace(state.density(), (3, 2), keep=[0])
         assert np.max(np.abs(back - rho.matrix)) < 1e-12
+
+
+class TestCarriedState:
+    """The eigenvalue hull and the commuting linear program return the pure
+    state they build, which the deciders measure as it is."""
+
+    @staticmethod
+    def answers():
+        """Feasible answers of the hull (one operator) and of the linear
+        program (two or more commuting operators)."""
+        rng = np.random.default_rng(17)
+        hull = [common_probe_feasible(OrthogonalityProblem(d, (haar_unitary(d, rng).matrix,)))
+                for d in (2, 3, 4) for _ in range(20)]
+        lp = [common_probe_feasible(OrthogonalityProblem(3, (CLOCK, CLOCK @ CLOCK)))]
+        for _ in range(20):
+            # two commuting operators with antipodal phase pairs on the same
+            # eigenvectors of a Haar basis v, so the problem is feasible
+            v = haar_unitary(4, rng).matrix
+            ops = []
+            for _ in range(2):
+                a, b = rng.uniform(0, 2 * np.pi, size=2)
+                ops.append(v @ np.diag(np.exp(1j * np.array([a, a + np.pi, b, b + np.pi])))
+                           @ v.conj().T)
+            lp.append(common_probe_feasible(OrthogonalityProblem(4, tuple(ops))))
+        hull = [f for f in hull if f.status == "feasible"]
+        assert len(hull) >= 20 and {f.status for f in lp} == {"feasible"}
+        return hull + lp
+
+    def test_state_matches_witness(self):
+        for f in self.answers():
+            psi = f.state.amplitudes
+            assert abs(np.linalg.norm(psi) - 1) < 1e-15
+            outer = np.outer(psi, psi.conj())
+            assert np.abs(outer - f.witness.matrix).max() <= DEFAULT_TOL.comparison
+
+    def test_mixed_routes_carry_no_state(self):
+        empty = common_probe_feasible(OrthogonalityProblem(2, ()))
+        mixed = common_probe_feasible(OrthogonalityProblem(2, (np.diag([1.0, -1.0]), X2)))
+        assert [f.note for f in (empty, mixed)] == ["empty constraint set",
+                                                    "maximally mixed witness"]
+        assert empty.state is None and mixed.state is None
+
+    def test_json_keys_unchanged(self):
+        for f in self.answers():
+            assert list(feasibility_to_json(f)) == [
+                "status", "residual", "note", "witness", "certificate"]
+
+    @pytest.mark.parametrize("uset", [
+        pytest.param(phase_pair_set(PhasePairParams(0.3, 0.5, 0.9, np.pi - 1.7)), id="lp"),
+        pytest.param(ProductUnitarySet((2, 2), (("II", np.eye(2), np.eye(2)),
+                                               ("XZ", X2, np.diag([1.0, -1.0])))), id="hull"),
+    ])
+    def test_verdict_witness_needs_no_ancilla(self, uset):
+        verdict = check_gdr(uset)
+        assert verdict.status == "distinguishable"
+        assert verdict.feasibility.state is not None
+        assert verdict.witness.ancilla_dim == 1
 
 
 def test_gram_overlaps_known_value():

@@ -65,6 +65,35 @@ class TestProductUnitarySet:
                 assert s.global_unitary(i).tobytes() == want.tobytes()
 
 
+class TestNearUnitaryFactors:
+    """A set accepts factors up to 1e-8 off unitary, so every decider must
+    answer on one; ``not_found`` is an answer, raising is not."""
+
+    def test_set_keeps_nearest_unitaries(self, near_unitary_items):
+        uset = ProductUnitarySet((2, 2), near_unitary_items)
+        for (_, *given), i in zip(near_unitary_items, range(uset.size)):
+            for f, party in zip(given, "AB"):
+                kept = uset.factor(i, party)
+                assert np.abs(kept.conj().T @ kept - np.eye(2)).max() < 1e-14
+                assert np.abs(kept - f).max() < 1e-8
+
+    def test_every_decider_answers(self, near_unitary_items):
+        # the relatives and GDR products of the factors as given are off
+        # unitary by up to 3.9e-8, past a problem's 1e-8 bar
+        uset = ProductUnitarySet((2, 2), near_unitary_items)
+        verdicts = [check_gdr(uset), check_gda(uset), check_gda_separable(uset)]
+        verdicts += [check(uset, start) for check in (check_ldr, check_lda) for start in "AB"]
+        verdicts += [v for _, v in hierarchy_audit(uset)]
+        for v in verdicts:
+            assert v.status in ("distinguishable", "indistinguishable_certified", "not_found")
+            if v.status != "distinguishable":
+                continue
+            if isinstance(v.witness, ProbeWitness):
+                assert verify_probe(uset.global_unitaries(), v.witness).min() > 1 - 1e-9
+            else:
+                assert verify_tree(uset, v.witness).success.min() > 1 - 1e-9
+
+
 class TestPhaseEqual:
     def test_global_phase_ignored(self):
         assert phase_equal(H, np.exp(1.3j) * H)
@@ -402,7 +431,7 @@ class TestHierarchyAudit:
         # beyond it
         import unidisc
 
-        calls = []
+        calls, answers = [], []
         keys = {
             "common_probe_feasible": lambda problem, tol=None, spectrum=None: b"".join(
                 k.tobytes() for k in problem.operators),
@@ -418,7 +447,10 @@ class TestHierarchyAudit:
 
             def counting(*args, _name=name, _key=key, _original=original, **kwargs):
                 calls.append((_name, _key(*args, **kwargs)))
-                return _original(*args, **kwargs)
+                out = _original(*args, **kwargs)
+                if _name == "common_probe_feasible":
+                    answers.append(out)
+                return out
 
             for m in modules:
                 if getattr(m, name, None) is original:
@@ -430,10 +462,15 @@ class TestHierarchyAudit:
         kinds = set()
         for uset in sets:
             calls.clear()
+            answers.clear()
             hierarchy_audit(uset)
             first = list(calls)
             assert len(set(first)) == len(first)
             kinds.update(name for name, _ in first)
+            # only mixed witnesses are purified: a pure one comes with its state
+            mixed = {f.witness.matrix.tobytes() for f in answers
+                     if f.witness is not None and f.state is None}
+            assert {k for name, k in first if name == "purify_witness"} <= mixed
             calls.clear()
             hierarchy_audit(uset)
             assert len(calls) == len(first)

@@ -200,6 +200,85 @@ class TestEigUnitary:
         assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(3))) < 1e-9
 
 
+# -----------------------------------------------------------------------------
+# Bytes oracle: eig_unitary's decomposition as first written, with numpy's
+# cos, sin, diag and angle helpers.  The trimmed routine must return the same
+# bytes.
+# -----------------------------------------------------------------------------
+
+def _reference_eig_unitary(mat, tol=DEFAULT_TOL):
+    d = mat.shape[0]
+    adj = mat.conj().T
+    c = (mat + adj) / 2
+    s = (mat - adj) / 2j
+    t = 0.7390851332151607
+    w, q = np.linalg.eigh(np.cos(t) * c + np.sin(t) * s)
+    diag = q.conj().T @ mat @ q
+    off = np.abs(diag)
+    off.flat[::d + 1] = 0.0
+    if off.max() <= 1e-10:
+        basis, lam = q, np.diag(diag)
+    else:
+        basis = simultaneous_eigenbasis([c, s])
+        lam = np.diag(basis.conj().T @ mat @ basis)
+    resid = np.abs(mat @ basis - basis * lam[None, :]).max()
+    assert resid <= tol.comparison
+    phases = np.mod(np.angle(lam), 2 * np.pi)
+    phases[phases > 2 * np.pi - 1e-12] = 0.0
+    order = np.argsort(phases, kind="stable")
+    return phases[order], basis[:, order]
+
+
+def _byte_oracle_matrices():
+    rng = np.random.default_rng(12345)
+    mats = [haar_unitary(d, rng).matrix for d in (2, 3, 4, 9) for _ in range(100)]
+    for _ in range(100):
+        d = int(rng.integers(1, 6))
+        angles = [0.0, np.pi / 2, np.pi, 3 * np.pi / 2, rng.uniform(0, 7)]
+        mats.append(np.diag(np.exp(1j * rng.choice(angles, d))))
+    z = np.diag([1.0, -1.0]).astype(complex)
+    for _ in range(100):
+        a = haar_unitary(int(rng.integers(2, 4)), rng).matrix
+        mats.append(np.kron(a, haar_unitary(2, rng).matrix if rng.random() < 0.5 else z))
+    return mats
+
+
+def _mixing_degenerate(rng):
+    """A unitary whose phases t +- 0.4 sit symmetrically about the mixing
+    angle t, so the mixed Hermitian part is degenerate and eig_unitary must
+    refine with ``simultaneous_eigenbasis``."""
+    t = 0.7390851332151607
+    v = haar_unitary(3, rng).matrix
+    return v @ np.diag(np.exp(1j * np.array([t + 0.4, t - 0.4, 2.5]))) @ v.conj().T
+
+
+class TestEigUnitaryBytes:
+    def test_matches_reference_bytes(self):
+        for mat in _byte_oracle_matrices():
+            want = _reference_eig_unitary(mat)
+            for checked in (False, True):
+                got = eig_unitary(mat, checked=checked)
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    def test_refinement_matches_reference_bytes(self, monkeypatch):
+        import unidisc.qcore as qcore
+
+        refined = []
+
+        def spy(ops):
+            refined.append(1)
+            return simultaneous_eigenbasis(ops)
+
+        monkeypatch.setattr(qcore, "simultaneous_eigenbasis", spy)
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            mat = _mixing_degenerate(rng)
+            got = eig_unitary(mat)
+            assert [a.tobytes() for a in got] == [
+                a.tobytes() for a in _reference_eig_unitary(mat)]
+        assert len(refined) == 20
+
+
 class TestSimultaneousEigenbasis:
     def test_commuting_family(self):
         rng = np.random.default_rng(37)

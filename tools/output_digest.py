@@ -5,13 +5,18 @@ Usage::
     python3 tools/output_digest.py > digests.txt
 
 Run it in two checkouts and ``diff`` the two files: a change that keeps
-every verdict, witness and JSON byte prints identical lines.  The script
+every verdict, witness and JSON byte prints identical lines.  Run the same
+version of the script in both (copy it into the other checkout), since
+another version labels its lines differently.  The script
 imports only the ``src/`` of the checkout it sits in, runs the command line
 tool from that ``src/`` in child processes, and writes no file (bytecode
 caching is off for it and its children).  One line per output:
 
 * ``jsonio.dumps(verdict_to_json(v))`` for every ``hierarchy_audit`` row on
-  ``random_qubit_set`` rng 0 sets 0-299 and on the three builtin sets;
+  ``random_qubit_set`` rng 0 sets 0-299 and on the three builtin sets,
+  labelled with the row's verdict status, so the ``diff`` of two runs tells
+  a status that moved (the label differs) from bytes that moved under one
+  status (only the digest differs);
 * ``tree_to_json(pauli_hadamard_tree(s))``, and the three ``verify_tree``
   arrays together, for s = A and B;
 * stdout, stderr and exit code of ``unidisc repro T --json`` for every
@@ -53,7 +58,8 @@ def _line(label, *chunks):
 
 def _audit(label, uset):
     for row, verdict in hierarchy_audit(uset):
-        _line(f"audit {label} {row}", jsonio.dumps(jsonio.verdict_to_json(verdict)))
+        _line(f"audit {label} {row} {verdict.status}",
+              jsonio.dumps(jsonio.verdict_to_json(verdict)))
 
 
 def _cli(*args):
