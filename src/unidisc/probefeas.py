@@ -65,6 +65,8 @@ from .qcore import (
     DensityOperator,
     StateVector,
     Tolerances,
+    _ROUNDING,
+    _nearest_unitary,
     _valid_prefix,
     as_matrix,
     eig_unitary,
@@ -99,7 +101,13 @@ class InfeasibilityCertificate:
 
 @dataclass(frozen=True)
 class OrthogonalityProblem:
-    """Constraint set Tr(rho K_k) = 0 over densities on a given dimension."""
+    """Constraint set Tr(rho K_k) = 0 over densities on a given dimension.
+
+    An operator may be off unitary by up to 1e-8 (the largest entry of
+    K{dag}K - 1).  One off by more than rounding is kept as its nearest
+    unitary, the polar factor u vh of its SVD, so that it decomposes like
+    an exact unitary; one within rounding is kept as given.
+    """
 
     dim: int
     operators: tuple
@@ -116,16 +124,23 @@ class OrthogonalityProblem:
             return k
 
         valid, held = _valid_prefix(ops, shaped)
+        top = 0.0
         if valid:
             stack = np.array(valid)
             err = np.abs(stack.conj().transpose(0, 2, 1) @ stack
                          - np.eye(self.dim)).max(axis=(1, 2))
-            bad = err > 1e-8
-            if bad.any():
-                k = int(bad.argmax())
+            top = float(err.max())
+            if top > 1e-8:
+                k = int((err > 1e-8).argmax())
                 raise ValueError(f"constraint operator not unitary (err {err[k]:.3e})")
         if held is not None:
             raise held
+        if top > _ROUNDING:
+            ops = list(ops)
+            for i in np.flatnonzero(err > _ROUNDING):
+                ops[i] = _nearest_unitary(ops[i])
+            ops = tuple(ops)
+            stack = np.array(ops)
         object.__setattr__(self, "operators", ops)
         comm = True
         if len(ops) > 1:

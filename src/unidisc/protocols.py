@@ -39,7 +39,9 @@ from .qcore import (
     DEFAULT_TOL,
     StateVector,
     Tolerances,
+    _ROUNDING,
     _kron,
+    _nearest_unitary,
     _valid_prefix,
     as_matrix,
     check_povm,
@@ -93,10 +95,6 @@ def _other(party):
 # The set
 # -----------------------------------------------------------------------------
 
-# a factor further than this off unitary is off by more than rounding
-_ROUNDING = 1e-12
-
-
 @dataclass(frozen=True)
 class ProductUnitarySet:
     """Indexed product unitaries A_i (x) B_i.
@@ -144,8 +142,7 @@ class ProductUnitarySet:
             items = [list(it) for it in norm_items]
             for k, err in zip((1, 2), errs):
                 for i in np.flatnonzero(err > _ROUNDING):
-                    u, _, vh = np.linalg.svd(items[i][k])
-                    items[i][k] = u @ vh
+                    items[i][k] = _nearest_unitary(items[i][k])
             norm_items = map(tuple, items)
         object.__setattr__(self, "items", tuple(norm_items))
         object.__setattr__(self, "party_dims", (int(da), int(db)))

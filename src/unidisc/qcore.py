@@ -108,6 +108,17 @@ def _valid_prefix(items, check):
     return out, None
 
 
+#: An operator further than this off unitary (the largest entry of
+#: ``U^dag U - 1``) is off by more than rounding.
+_ROUNDING = 1e-12
+
+
+def _nearest_unitary(mat: np.ndarray) -> np.ndarray:
+    """The polar factor ``u vh`` of ``mat``'s SVD, its nearest unitary."""
+    u, _, vh = np.linalg.svd(mat)
+    return u @ vh
+
+
 def check_povm(povm, dim: int, what: str = "POVM") -> tuple:
     """Validate a POVM on a ``dim``-dimensional space and return its elements
     as complex arrays: each one (dim, dim), Hermitian and PSD, summing to 1.
@@ -340,8 +351,8 @@ def eig_unitary(u, tol: Tolerances = DEFAULT_TOL, *, checked: bool = False):
     rescued by refining with both parts blockwise.
 
     A raw array must be unitary within ``tol.validation * d`` unless
-    ``checked`` says its owner has already checked it at the owner's bar:
-    an ``OrthogonalityProblem`` operator may be off by up to 1e-8.  The
+    ``checked`` says its owner has already checked it: an
+    ``OrthogonalityProblem`` keeps its operators unitary to rounding.  The
     decomposition residual is checked either way.
     """
     mat = u.matrix if isinstance(u, UnitaryOperator) else as_matrix(u)

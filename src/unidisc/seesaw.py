@@ -26,15 +26,21 @@ On the orthogonal complement each reward ``lambda 1 - sigma_i`` is
 ``lambda 1``, so from the start ``1/n`` every iterate, its total and the
 total's pseudo-inverse square root split into a block on W and a multiple
 of the identity on the complement, in exact arithmetic.  The iteration
-therefore runs on the w x w blocks in an orthonormal basis of W, with one
-small batched ``eigh`` per iteration; the complement's eigenvalue
-``lambda^2`` of the total still counts towards the pseudo-inverse floor.
-For the pure probes of the quartet's second-party task w is 3 instead of
-9.  The basis comes from a QR factorization of the ``U v_k``, with no rank
-threshold: a column left over by a dependent image carries no part of any
-sigma_i, so it behaves like the complement.  A mixed probe, or one whose
-images fill the space, runs with the identity basis.  The public
-:func:`measurement_step` and :func:`rho_step` are the kernels on one probe.
+therefore runs on the w x w blocks in an orthonormal basis of W; the
+complement's eigenvalue ``lambda^2`` of the total still counts towards the
+pseudo-inverse floor.  For the pure probes of the quartet's second-party
+task w is 3 instead of 9.  The basis comes from a QR factorization of the
+``U v_k``, with no rank threshold: a column left over by a dependent image
+carries no part of any sigma_i, so it behaves like the complement.  A mixed
+probe, or one whose images fill the space, runs with the identity basis.
+The public :func:`measurement_step` and :func:`rho_step` are the kernels on
+one probe.
+
+On blocks that small an iteration is bound by the overhead of its few dozen
+numpy calls, not by their arithmetic.  So the iteration calls the LAPACK
+gufunc under ``np.linalg.eigh`` directly, enters one ``errstate`` for the
+whole step instead of one per decomposition, and tests its row flags as
+Python lists; every output byte is that of the plain numpy formulation.
 
 A vanishing optimum means a perfect elimination measurement exists; a
 strictly positive optimum across restarts is numerical evidence (not a
@@ -47,6 +53,7 @@ from dataclasses import dataclass
 import logging
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .families import CLOCK3, FLIP3
 from .qcore import DensityOperator, StateVector, _kron, as_matrix, check_povm
@@ -272,11 +279,6 @@ def _sigma_blocks(arms: _ArmStack, vecs, rho=None) -> tuple:
                                   arms.starts, axis=1)
 
 
-def _traces(sigmas: np.ndarray, povm: np.ndarray) -> np.ndarray:
-    """``Tr(sigma_i M_i)`` per row and arm, elementwise."""
-    return np.einsum("...ij,...ji->...", sigmas, povm).real
-
-
 def _score(sigmas: np.ndarray, povm: np.ndarray) -> np.ndarray:
     """``sum_i Tr(sigma_i M_i)`` per row, elementwise."""
     return np.einsum("rnij,rnji->r", sigmas, povm).real
@@ -325,14 +327,17 @@ def rho_step(task: EliminationTask, povm) -> DensityOperator:
     return DensityOperator(np.outer(v, v.conj()))
 
 
-def _psd_sqrt_pinv(mat: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """Pseudo-inverse square root of a Hermitian stack, reading its lower
-    triangle; eigenvalues at or below ``_PINV_CUTOFF`` times the larger of
-    ``base`` (per row, at least 1) and the top eigenvalue count as zero."""
-    vals, vecs = np.linalg.eigh(mat)
-    floor = _PINV_CUTOFF * np.maximum(base[:, None], vals[..., -1:])
-    inv = np.where(vals > floor, 1.0 / np.sqrt(np.maximum(vals, _PINV_CUTOFF)), 0.0)
-    return (vecs * inv[..., None, :]) @ vecs.conj().mT
+def _raise_nonconvergence(err, flag):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+#: The LAPACK gufunc that ``np.linalg.eigh`` wraps (``zheevd`` on the lower
+#: triangle), bound once from numpy's private ``numpy.linalg._umath_linalg``.
+#: Called as ``_eigh(mat, signature="D->dD")`` it returns the wrapper's bytes
+#: without the wrapper's checks and its ``errstate`` per call; the caller
+#: enters ``np.errstate(call=_raise_nonconvergence, invalid="call")`` itself,
+#: so a failed decomposition still raises ``LinAlgError``.
+_eigh = _umath_linalg.eigh_lo
 
 
 def _measurement_kernel(basis: np.ndarray, blocks: np.ndarray) -> tuple:
@@ -348,46 +353,61 @@ def _measurement_kernel(basis: np.ndarray, blocks: np.ndarray) -> tuple:
     at most ``n lambda^2``, so ``lambda^2`` clears the floor unless every
     sigma_i vanishes, when every POVM scores 0.)  A row leaves the
     iteration once its objective settles; each row still iterating after the
-    last one logs a warning."""
+    last one logs a warning.  A failed eigendecomposition raises
+    ``LinAlgError``."""
     rows, n, w, _ = blocks.shape
     dim = basis.shape[1]
     lam = np.linalg.eigvalsh(blocks)[..., -1].max(axis=1) + 1e-6
-    base = np.maximum(1.0, lam * lam) if w < dim else np.ones(rows)
+    # the pseudo-inverse square root of the total treats eigenvalues at or
+    # below _PINV_CUTOFF times the larger of base (per row) and the top
+    # eigenvalue as zero
+    base = (np.maximum(1.0, lam * lam) if w < dim else np.ones(rows))[:, None]
     eye = np.eye(w, dtype=complex)
     rewards = lam[:, None, None, None] * eye - blocks
     povm = np.broadcast_to(eye / n, blocks.shape)
     best = povm
-    best_val = _score(blocks, povm)
-    prev = best_val
+    best_val = np.einsum("rnij,rnji->r", blocks, povm).real
+    prev = best_val.tolist()
     out = np.empty(blocks.shape, dtype=complex)
     out_val = np.empty(rows)
     live = np.arange(rows)
-    for _ in range(_STEP_ITERATIONS):
-        tmt = rewards @ povm @ rewards
-        g = _psd_sqrt_pinv(tmt.sum(axis=1), base)[:, None]
-        povm = _herm(g @ tmt @ g)
-        rest = eye - povm.sum(axis=1)
-        gap = _traces(rest, rest) > 1e-28  # squared norm of a Hermitian rest
-        if gap.any():
-            # hand the uncovered subspace to the outcome it penalizes least
-            scores = _traces(blocks[gap], rest[gap, None])
-            povm[gap, scores.argmin(axis=1)] += rest[gap]
-        val = _score(blocks, povm)
-        better = val < best_val
-        if better.all():
-            best, best_val = povm, val
-        elif better.any():
-            best = np.where(better[:, None, None, None], povm, best)
-            best_val = np.where(better, val, best_val)
-        done = np.abs(val - prev) < _STEP_TOL
-        prev = val
-        if done.any():
-            out[live[done]], out_val[live[done]] = best[done], best_val[done]
-            keep = ~done
-            live, blocks, rewards, base, povm, best, best_val, prev = (
-                a[keep] for a in (live, blocks, rewards, base, povm, best, best_val, prev))
-            if not live.size:
-                break
+    with np.errstate(call=_raise_nonconvergence, invalid="call"):
+        for _ in range(_STEP_ITERATIONS):
+            tmt = rewards @ povm @ rewards
+            vals, vecs = _eigh(tmt.sum(axis=1), signature="D->dD")
+            floor = _PINV_CUTOFF * np.maximum(base, vals[..., -1:])
+            # the flags over the square roots: 1/sqrt above the floor, 0 below
+            inv = (vals > floor) / np.sqrt(np.maximum(vals, _PINV_CUTOFF))
+            g = ((vecs * inv[..., None, :]) @ vecs.conj().mT)[:, None]
+            povm = g @ tmt @ g
+            povm = (povm + povm.conj().mT) / 2
+            rest = eye - povm.sum(axis=1)
+            # squared norm of a Hermitian rest
+            gap = np.einsum("...ij,...ji->...", rest, rest).real > 1e-28
+            if any(gap.tolist()):
+                # hand the uncovered subspace to the outcome it penalizes least
+                scores = np.einsum("...ij,...ji->...", blocks[gap], rest[gap, None]).real
+                povm[gap, scores.argmin(axis=1)] += rest[gap]
+            val = np.einsum("rnij,rnji->r", blocks, povm).real
+            better = val < best_val
+            better_rows = better.tolist()
+            if all(better_rows):
+                best, best_val = povm, val
+            elif any(better_rows):
+                best = np.where(better[:, None, None, None], povm, best)
+                best_val = np.where(better, val, best_val)
+            now = val.tolist()
+            done = [abs(v - p) < _STEP_TOL for v, p in zip(now, prev)]
+            prev = now
+            if any(done):
+                done = np.array(done)
+                out[live[done]], out_val[live[done]] = best[done], best_val[done]
+                keep = ~done
+                live, blocks, rewards, base, povm, best, best_val, val = (
+                    a[keep] for a in (live, blocks, rewards, base, povm, best, best_val, val))
+                prev = val.tolist()
+                if not live.size:
+                    break
     for _ in live:
         _log.warning("measurement step did not converge in %d iterations",
                      _STEP_ITERATIONS)

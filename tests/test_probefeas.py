@@ -261,6 +261,45 @@ class TestEigenvalueHull:
         assert sizes and min(sizes) >= 2
 
 
+class TestNearUnitaryOperators:
+    """A problem accepts operators up to 1e-8 off unitary, so it must decide
+    them: one further off than rounding is kept as its polar factor, one
+    within rounding as given."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_perturbed_haar_operators_answer(self, d):
+        # Haar unitary plus a complex perturbation whose largest entry is
+        # 3e-9: non-normal, so the hull route's eigendecomposition of the
+        # operator as given had raised on most draws
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            e = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            k = haar_unitary(d, rng).matrix + 3e-9 * e / np.abs(e).max()
+            prob = OrthogonalityProblem(d, (k,))
+            kept = prob.operators[0]
+            assert np.abs(kept.conj().T @ kept - np.eye(d)).max() < 1e-14
+            assert np.abs(kept - k).max() < 1e-8
+            f = common_probe_feasible(prob)
+            if f.status == "feasible":
+                DensityOperator(f.witness.matrix)
+                assert f.residual == abs(np.trace(f.witness.matrix @ kept))
+                assert f.residual <= DEFAULT_TOL.comparison
+                assert abs(np.trace(f.witness.matrix @ k)) <= 1e-8
+            else:
+                assert f.status == "infeasible_certified", f.note
+                assert verify_certificate(prob, f.certificate) >= 1 - DEFAULT_TOL.comparison
+
+    def test_operators_within_rounding_kept_as_given(self):
+        # off by rounding (a Haar draw, and 8e-13) next to one off by 2e-9
+        u = haar_unitary(3, np.random.default_rng(1)).matrix
+        ops = (u, CLOCK * (1 + 4e-13), u * (1 + 1e-9))
+        kept = OrthogonalityProblem(3, ops).operators
+        for given, op in zip(ops[:2], kept):
+            assert op.tobytes() == given.tobytes()
+        assert np.abs(kept[2] - u).max() < 1e-14
+        assert np.abs(kept[2] - ops[2]).max() > 1e-10
+
+
 class TestClockFlipPair:
     def test_certified_infeasible(self):
         prob = OrthogonalityProblem(3, (CLOCK, FLIP))

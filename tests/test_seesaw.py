@@ -26,7 +26,8 @@ from unidisc.seesaw import (
     rho_step,
     run_seesaw,
 )
-from unidisc.seesaw import _ArmStack, _sigma_blocks
+from unidisc import seesaw
+from unidisc.seesaw import _ArmStack, _measurement_kernel, _sigma_blocks
 
 I2 = np.eye(2, dtype=complex)
 
@@ -534,3 +535,176 @@ class TestReferenceOracle:
         runs, misses = _ref_run(task, [(mixed, None)] + _random_starts(task.dim, 2, 6))
         _assert_matches_reference(res, runs)
         assert _nonconverged(caplog) == misses == sum(res.nonconverged)
+
+
+# ---------------------------------------------------------------------------
+# the stacked measurement kernel in its plain numpy form: np.linalg.eigh per
+# iteration and the helpers as functions; the flat loop must give its bytes
+
+
+def _plain_psd_sqrt_pinv(mat, base):
+    vals, vecs = np.linalg.eigh(mat)
+    floor = 1e-12 * np.maximum(base[:, None], vals[..., -1:])
+    inv = np.where(vals > floor, 1.0 / np.sqrt(np.maximum(vals, 1e-12)), 0.0)
+    return (vecs * inv[..., None, :]) @ vecs.conj().mT
+
+
+def _plain_herm(mat):
+    return (mat + mat.conj().mT) / 2
+
+
+def _plain_traces(sigmas, povm):
+    return np.einsum("...ij,...ji->...", sigmas, povm).real
+
+
+def _plain_score(sigmas, povm):
+    return np.einsum("rnij,rnji->r", sigmas, povm).real
+
+
+def _plain_measurement_kernel(basis, blocks):
+    rows, n, w, _ = blocks.shape
+    dim = basis.shape[1]
+    lam = np.linalg.eigvalsh(blocks)[..., -1].max(axis=1) + 1e-6
+    base = np.maximum(1.0, lam * lam) if w < dim else np.ones(rows)
+    eye = np.eye(w, dtype=complex)
+    rewards = lam[:, None, None, None] * eye - blocks
+    povm = np.broadcast_to(eye / n, blocks.shape)
+    best = povm
+    best_val = _plain_score(blocks, povm)
+    prev = best_val
+    out = np.empty(blocks.shape, dtype=complex)
+    out_val = np.empty(rows)
+    live = np.arange(rows)
+    for _ in range(200):
+        tmt = rewards @ povm @ rewards
+        g = _plain_psd_sqrt_pinv(tmt.sum(axis=1), base)[:, None]
+        povm = _plain_herm(g @ tmt @ g)
+        rest = eye - povm.sum(axis=1)
+        gap = _plain_traces(rest, rest) > 1e-28
+        if gap.any():
+            scores = _plain_traces(blocks[gap], rest[gap, None])
+            povm[gap, scores.argmin(axis=1)] += rest[gap]
+        val = _plain_score(blocks, povm)
+        better = val < best_val
+        if better.all():
+            best, best_val = povm, val
+        elif better.any():
+            best = np.where(better[:, None, None, None], povm, best)
+            best_val = np.where(better, val, best_val)
+        done = np.abs(val - prev) < 1e-12
+        prev = val
+        if done.any():
+            out[live[done]], out_val[live[done]] = best[done], best_val[done]
+            keep = ~done
+            live, blocks, rewards, base, povm, best, best_val, prev = (
+                a[keep] for a in (live, blocks, rewards, base, povm, best, best_val, prev))
+            if not live.size:
+                break
+    out[live], out_val[live] = best, best_val
+    missed = np.zeros(rows, dtype=bool)
+    missed[live] = True
+    outside = (np.eye(dim) - basis @ basis.conj().mT) / n
+    full = basis[:, None] @ out @ basis.conj().mT[:, None] + outside[:, None]
+    return _plain_herm(full), out_val, missed
+
+
+def _assert_kernel_bytes(basis, blocks):
+    """The kernel's POVM, values and missed flags, byte for byte."""
+    got = _measurement_kernel(basis, blocks)
+    want = _plain_measurement_kernel(basis, blocks)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    return got
+
+
+def _spy_eigh(monkeypatch):
+    """The row count of each call of the bound LAPACK gufunc, which the
+    kernel makes once per iteration."""
+    calls, eigh = [], seesaw._eigh
+
+    def spy(mat, **kwargs):
+        calls.append(mat.shape[0])
+        return eigh(mat, **kwargs)
+
+    monkeypatch.setattr(seesaw, "_eigh", spy)
+    return calls
+
+
+def _spy_kernel(monkeypatch):
+    """Keep the ``(basis, blocks)`` of every kernel call."""
+    calls = []
+
+    def spy(basis, blocks):
+        calls.append((basis.copy(), blocks.copy()))
+        return _measurement_kernel(basis, blocks)
+
+    monkeypatch.setattr(seesaw, "_measurement_kernel", spy)
+    return calls
+
+
+class TestMeasurementKernelBytes:
+    """The flat iteration returns the bytes of the plain numpy kernel."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bob_first_pure_probes(self, seed):
+        arms = _ArmStack(quartet_bob_first_task())
+        basis, blocks = _sigma_blocks(arms, _random_vector(9, seed)[None])
+        assert blocks.shape == (1, 4, 3, 3)
+        _assert_kernel_bytes(basis, blocks)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_alice_first_pure_probes(self, seed):
+        arms = _ArmStack(quartet_alice_first_task())
+        basis, blocks = _sigma_blocks(arms, _random_vector(9, seed)[None])
+        assert blocks.shape == (1, 2, 2, 2)
+        _assert_kernel_bytes(basis, blocks)
+
+    def test_qubit_toy_on_the_identity_basis(self):
+        arms = _ArmStack(two_arm_task(np.pi / 3))
+        basis, blocks = _sigma_blocks(arms, _random_vector(2, 5)[None])
+        assert np.array_equal(basis[0], np.eye(2))
+        _assert_kernel_bytes(basis, blocks)
+
+    def test_full_rank_mixed_probe(self):
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+        rho = a @ a.conj().T
+        rho /= np.trace(rho).real
+        basis, blocks = _sigma_blocks(_ArmStack(quartet_bob_first_task()), None, rho[None])
+        assert blocks.shape == (1, 4, 9, 9)
+        _assert_kernel_bytes(basis, blocks)
+
+    def test_rows_leave_at_different_iterations(self, monkeypatch):
+        arms = _ArmStack(quartet_bob_first_task())
+        basis, blocks = _sigma_blocks(arms, np.stack([_random_vector(9, s) for s in (7, 8, 9)]))
+        calls = _spy_eigh(monkeypatch)
+        _assert_kernel_bytes(basis, blocks)
+        # the stack shrinks from three rows to one, a row at a time
+        assert calls[0] == 3 and calls[-1] == 1 and 2 in calls
+
+    def test_every_call_of_seeded_runs(self, monkeypatch):
+        # seed 39's first restart has two steps that hit the iteration cap,
+        # and its sweeps hand the kernel stacks of three rows and fewer
+        calls = _spy_kernel(monkeypatch)
+        run_seesaw(quartet_bob_first_task(), restarts=3, seed=39)
+        run_seesaw(quartet_alice_first_task(), restarts=1, seed=0,
+                   warm_starts=(quartet_alice_first_warm_start(),))
+        monkeypatch.undo()
+        missed = [_assert_kernel_bytes(basis, blocks)[2].sum() for basis, blocks in calls]
+        assert sum(missed) == 2
+        assert {blocks.shape[:2] for _, blocks in calls} >= {(3, 4), (1, 4), (1, 2)}
+
+    def test_nan_block_raises(self, monkeypatch):
+        # eigvalsh reads the lower triangle only, so a NaN above the diagonal
+        # first meets LAPACK in the iteration's decomposition of the total
+        arms = _ArmStack(quartet_bob_first_task())
+        basis, blocks = _sigma_blocks(arms, _random_vector(9, 0)[None])
+        blocks = blocks.copy()
+        blocks[0, 0, 0, 2] = np.nan
+        with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
+            _plain_measurement_kernel(basis, blocks)
+        calls = _spy_eigh(monkeypatch)
+        with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
+            _measurement_kernel(basis, blocks)
+        assert calls == [1]
