@@ -22,6 +22,7 @@ from .qcore import (
     StateVector,
     Tolerances,
     UnitaryOperator,
+    _near_unitaries,
     as_matrix,
     eig_unitary,
     projector,
@@ -209,14 +210,22 @@ def min_convex_norm(phases, tol: Tolerances = DEFAULT_TOL) -> ConvexNormResult:
 def _pair_eigensystem(u1, u2, tol: Tolerances):
     """``(m1, m2, phases, vecs)``: the matrices of a pair, checked to be
     square and of one shape, and the :func:`~unidisc.qcore.eig_unitary`
-    eigensystem of m1{dag} m2."""
+    eigensystem of m1{dag} m2.
+
+    The pair is accepted as unitary by the rule a set applies to its
+    factors (:func:`~unidisc.qcore._near_unitaries`: up to 1e-8 off, kept
+    as the polar factor past rounding), unless both are
+    ``UnitaryOperator`` instances, which their constructor checked."""
     m1 = u1.matrix if isinstance(u1, UnitaryOperator) else as_matrix(u1)
     m2 = u2.matrix if isinstance(u2, UnitaryOperator) else as_matrix(u2)
     if m1.shape != m2.shape:
         raise ValueError(f"dimension mismatch {m1.shape} vs {m2.shape}")
     if m1.shape[0] != m1.shape[1]:
         raise ValueError(f"pair unitaries must be square, got shape {m1.shape}")
-    return (m1, m2, *eig_unitary(m1.conj().T @ m2, tol))
+    if not (isinstance(u1, UnitaryOperator) and isinstance(u2, UnitaryOperator)):
+        ((m1, m2),) = _near_unitaries(
+            ([m1, m2],), lambda k, err: f"u{k + 1} is not unitary (err {err:.3e})")
+    return (m1, m2, *eig_unitary(m1.conj().T @ m2, tol, checked=True))
 
 
 def pair_distinguishable(u1, u2, tol: Tolerances = DEFAULT_TOL) -> ConvexNormResult:

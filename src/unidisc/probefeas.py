@@ -43,14 +43,17 @@ u_j in the constraint set.  Feasibility over density operators is decided
 The two exact routes return the pure witness they build as
 ``ProbeFeasibility.state``, which the deciders measure as it is; only mixed
 witnesses (the maximally mixed state, the projections' witnesses) go through
-:func:`purify_witness`.
+:func:`purify_witness`.  Both accept a pure witness by one check: it meets
+every constraint to ``tol.comparison`` and is a density operator, or the
+answer is ``not_found``.
 
 Infeasibility certificates are stored basis-free: real coefficients c such
 that G = sum_k (cRe_k ReK_k + cIm_k ImK_k) satisfies G >= 1, which makes
 Tr(rho G) >= 1 > 0 for every density operator while the constraints demand
 it vanish (a theorem of alternatives; Boyd & Vandenberghe, Convex
-Optimization, section 5.8).  ``verify_certificate`` recomputes the spectral
-bound from scratch.
+Optimization, section 5.8).  Every route, and ``verify_certificate``, which
+recomputes the spectral bound from scratch, holds a certificate to one bar:
+lambda_min(G) >= 1 - ``tol.comparison``, and a NaN bound fails.
 """
 
 from __future__ import annotations
@@ -65,8 +68,7 @@ from .qcore import (
     DensityOperator,
     StateVector,
     Tolerances,
-    _ROUNDING,
-    _nearest_unitary,
+    _near_unitaries,
     _valid_prefix,
     as_matrix,
     eig_unitary,
@@ -103,10 +105,10 @@ class InfeasibilityCertificate:
 class OrthogonalityProblem:
     """Constraint set Tr(rho K_k) = 0 over densities on a given dimension.
 
-    An operator may be off unitary by up to 1e-8 (the largest entry of
-    K{dag}K - 1).  One off by more than rounding is kept as its nearest
-    unitary, the polar factor u vh of its SVD, so that it decomposes like
-    an exact unitary; one within rounding is kept as given.
+    The operators are accepted as unitary by the rule of
+    :func:`~unidisc.qcore._near_unitaries`: up to 1e-8 off, kept as their
+    polar factor past rounding, so that they decompose like exact
+    unitaries.
     """
 
     dim: int
@@ -124,28 +126,16 @@ class OrthogonalityProblem:
             return k
 
         valid, held = _valid_prefix(ops, shaped)
-        top = 0.0
-        if valid:
-            stack = np.array(valid)
-            err = np.abs(stack.conj().transpose(0, 2, 1) @ stack
-                         - np.eye(self.dim)).max(axis=(1, 2))
-            top = float(err.max())
-            if top > 1e-8:
-                k = int((err > 1e-8).argmax())
-                raise ValueError(f"constraint operator not unitary (err {err[k]:.3e})")
+        (ops,) = _near_unitaries(
+            (valid,), lambda k, err: f"constraint operator not unitary (err {err:.3e})")
         if held is not None:
             raise held
-        if top > _ROUNDING:
-            ops = list(ops)
-            for i in np.flatnonzero(err > _ROUNDING):
-                ops[i] = _nearest_unitary(ops[i])
-            ops = tuple(ops)
-            stack = np.array(ops)
         object.__setattr__(self, "operators", ops)
         comm = True
         if len(ops) > 1:
             # every product K_i K_j at once: the family commutes iff the
             # products agree in both orders
+            stack = np.array(ops)
             prod = stack[:, None] @ stack[None, :]
             comm = bool(np.abs(prod - prod.transpose(1, 0, 2, 3)).max() <= 1e-9)
         object.__setattr__(self, "commuting", comm)
@@ -183,16 +173,49 @@ def _combined_min_eig(problem, indices, coeffs):
     return float(np.linalg.eigvalsh((g + g.conj().T) / 2).min())
 
 
-def _certificate_from_lp(problem, indices, farkas, tol):
-    """Convert a Farkas vector of the eigenbasis LP into a spectral bound;
-    raises ``ValueError`` unless the bound clears the bar of
-    :func:`verify_certificate`."""
-    y = farkas.y
-    coeffs = -np.asarray(y[:-1], dtype=float)  # drop the normalization row
+def _certificate(problem, indices, coeffs, tol):
+    """``(cert, lo)``: lo is the smallest eigenvalue of the combination of
+    the constraint operators ``indices`` with ``coeffs``, computed once, and
+    cert the certificate carrying it, or ``None`` unless lo clears the one
+    bar every certificate must, ``lo >= 1 - tol.comparison`` (NaN fails)."""
     lo = _combined_min_eig(problem, indices, coeffs)
-    if not lo >= 1 - tol.comparison:  # NaN fails too
-        raise ValueError(f"certificate bound failed: min eig {lo:.6e}")
-    return InfeasibilityCertificate(op_indices=tuple(indices), coeffs=coeffs, min_eig=lo)
+    if not lo >= 1 - tol.comparison:
+        return None, lo
+    return InfeasibilityCertificate(op_indices=tuple(indices), coeffs=coeffs, min_eig=lo), lo
+
+
+def _lp_failed(why, residual=None):
+    """The ``not_found`` answer of the linear program, by either route."""
+    return ProbeFeasibility(status="not_found", residual=residual,
+                            note=f"common-eigenbasis linear program failed: {why}")
+
+
+def _lp_witness(problem, indices, psi, tol):
+    """The linear program's answer with the pure witness ``psi`` for the
+    constraint operators ``indices``: ``feasible`` when the witness meets
+    each of them to ``tol.comparison`` and is a density operator, and
+    ``not_found`` if not."""
+    rho = np.outer(psi, psi.conj())
+    residual = float(max(abs(np.trace(rho @ problem.operators[k])) for k in indices))
+    if residual > tol.comparison:
+        return _lp_failed(f"witness residual {residual:.3e}", residual)
+    try:
+        witness = DensityOperator(rho)
+    except ValueError as exc:
+        return _lp_failed(f"witness {exc}", residual)
+    return ProbeFeasibility(status="feasible", witness=witness, state=StateVector(psi),
+                            residual=residual, note="common-eigenbasis linear program")
+
+
+def _lp_certified(problem, indices, coeffs, tol):
+    """The linear program's answer with the Farkas coefficients ``coeffs``
+    on the constraint operators ``indices``: certified when their
+    :func:`_certificate` clears the bar, and ``not_found`` if not."""
+    cert, lo = _certificate(problem, indices, coeffs, tol)
+    if cert is None:
+        return _lp_failed(f"certificate bound failed: min eig {lo:.6e}")
+    return ProbeFeasibility(status="infeasible_certified", certificate=cert,
+                            note="common-eigenbasis linear program (Farkas dual)")
 
 
 def verify_certificate(problem: OrthogonalityProblem,
@@ -217,8 +240,8 @@ def verify_certificate(problem: OrthogonalityProblem,
                          f"{len(cert.op_indices)} op_indices, got shape {np.shape(cert.coeffs)}")
     if not np.isfinite(cert.coeffs).all():
         raise ValueError("certificate coefficients must be finite")
-    lo = _combined_min_eig(problem, cert.op_indices, cert.coeffs)
-    if lo < 1 - tol.comparison:
+    checked, lo = _certificate(problem, cert.op_indices, cert.coeffs, tol)
+    if checked is None:
         raise ValueError(f"certificate does not verify: min eig {lo:.6e}")
     return lo
 
@@ -231,9 +254,8 @@ def _solve_commuting(problem, indices, tol=DEFAULT_TOL):
 
     ``not_found`` when the answer fails its re-check: the simplex's own
     (a point off the constraints, a Farkas vector that does not separate),
-    a certificate bound below the :func:`verify_certificate` bar, or a
-    witness that misses a constraint by more than ``tol.comparison`` or is
-    not a density operator.
+    or the witness check of :func:`_lp_witness` or the certificate bar of
+    :func:`_certificate`.
     """
     ops = [problem.operators[k] for k in indices]
     parts = []
@@ -255,37 +277,16 @@ def _solve_commuting(problem, indices, tol=DEFAULT_TOL):
     b = np.zeros(len(rows))
     b[-1] = 1.0
 
-    def failed(why, residual=None):
-        return ProbeFeasibility(status="not_found", residual=residual,
-                                note=f"common-eigenbasis linear program failed: {why}")
-
     try:
         lp = feasible_point(a, b)
     except AssertionError as exc:  # the simplex re-checks its answer
-        return failed(exc)
+        return _lp_failed(exc)
     if lp.status == "feasible":
         # every constraint is diagonal in the basis, so the pure state with
         # weights q meets them exactly as the mixture would, without ancilla
-        psi = basis @ np.sqrt(np.maximum(lp.x, 0.0))
-        rho = np.outer(psi, psi.conj())
-        residual = float(max(abs(np.trace(rho @ k)) for k in ops))
-        if residual > tol.comparison:
-            return failed(f"witness residual {residual:.3e}", residual)
-        try:
-            witness = DensityOperator(rho)
-        except ValueError as exc:
-            return failed(f"witness {exc}", residual)
-        return ProbeFeasibility(status="feasible", witness=witness, state=StateVector(psi),
-                                residual=residual, note="common-eigenbasis linear program")
-    try:
-        cert = _certificate_from_lp(problem, indices, lp.certificate, tol)
-    except ValueError as exc:
-        return failed(exc)
-    return ProbeFeasibility(
-        status="infeasible_certified",
-        certificate=cert,
-        note="common-eigenbasis linear program (Farkas dual)",
-    )
+        return _lp_witness(problem, indices, basis @ np.sqrt(np.maximum(lp.x, 0.0)), tol)
+    # the Farkas vector, without its normalization row
+    return _lp_certified(problem, indices, -np.asarray(lp.certificate.y[:-1], dtype=float), tol)
 
 
 def _operator_spectrum(op, tol: Tolerances = DEFAULT_TOL, hull=None):
@@ -316,39 +317,14 @@ def _solve_single(problem, k, spectrum, tol):
     sum_j sqrt(w_j) v_j; otherwise certified by the unit direction e^{i phi}
     of the closest hull point, at distance delta, as the coefficients
     (cos phi, sin phi) / delta on (ReK, ImK) (see the module docstring).
-    ``not_found`` when the witness misses K by more than ``tol.comparison``
-    or is not a density operator, or the certificate's bound is below the
-    :func:`verify_certificate` bar.
+    ``not_found`` when the witness fails the check of :func:`_lp_witness`
+    or the certificate the bar of :func:`_certificate`.
     """
     _, vecs, hull = spectrum
-    op = problem.operators[k]
-
-    def failed(why, residual=None):
-        return ProbeFeasibility(status="not_found", residual=residual,
-                                note=f"common-eigenbasis linear program failed: {why}")
-
     if hull.distinguishable:
-        psi = vecs @ np.sqrt(hull.weights)
-        rho = np.outer(psi, psi.conj())
-        residual = float(abs(np.trace(rho @ op)))
-        if residual > tol.comparison:
-            return failed(f"witness residual {residual:.3e}", residual)
-        try:
-            witness = DensityOperator(rho)
-        except ValueError as exc:
-            return failed(f"witness {exc}", residual)
-        return ProbeFeasibility(status="feasible", witness=witness, state=StateVector(psi),
-                                residual=residual, note="common-eigenbasis linear program")
+        return _lp_witness(problem, (k,), vecs @ np.sqrt(hull.weights), tol)
     phi = np.angle(hull.weights @ hull.points)
-    coeffs = np.array([np.cos(phi), np.sin(phi)]) / hull.min_norm
-    lo = _combined_min_eig(problem, (k,), coeffs)
-    if not lo >= 1 - tol.comparison:  # NaN fails too
-        return failed(f"certificate bound failed: min eig {lo:.6e}")
-    return ProbeFeasibility(
-        status="infeasible_certified",
-        certificate=InfeasibilityCertificate(op_indices=(k,), coeffs=coeffs, min_eig=lo),
-        note="common-eigenbasis linear program (Farkas dual)",
-    )
+    return _lp_certified(problem, (k,), np.array([np.cos(phi), np.sin(phi)]) / hull.min_norm, tol)
 
 
 def _project_density(x):
@@ -382,23 +358,15 @@ def _gap_certificate(problem, funcs, gram_pinv, slots, cand, tol):
     """An infeasibility certificate from the component of the density
     ``cand`` in the constraint span, rescaled to smallest eigenvalue 1, or
     None unless that component is positive definite and the certificate
-    passes ``verify_certificate``.  ``slots`` maps the rows of ``funcs`` to
-    their (cRe_k, cIm_k) positions."""
+    clears the bar of :func:`_certificate`.  ``slots`` maps the rows of
+    ``funcs`` to their (cRe_k, cIm_k) positions."""
     coef = _span_coefficients(cand, funcs, gram_pinv)
     lo = np.linalg.eigvalsh((coef @ funcs).reshape(cand.shape)).min()
     if lo <= 0:
         return None
     coeffs = np.zeros(2 * len(problem.operators))
     coeffs[slots] = coef / lo
-    indices = tuple(range(len(problem.operators)))
-    cert = InfeasibilityCertificate(
-        op_indices=indices, coeffs=coeffs,
-        min_eig=_combined_min_eig(problem, indices, coeffs))
-    try:
-        verify_certificate(problem, cert, tol)
-    except ValueError:
-        return None
-    return cert
+    return _certificate(problem, range(len(problem.operators)), coeffs, tol)[0]
 
 
 def _violations(rho, ops_t):
@@ -433,9 +401,9 @@ def _solve_by_projections(problem, tol, iterations=5000):
 
     Every 50 iterations and at the last, the projected iterate is returned
     as a witness once its residual is below 1e-11, and otherwise its
-    component in the constraint span is returned as a certificate once
-    ``verify_certificate`` accepts it.  When the budget runs out, the last
-    projected iterate is a witness if its residual is below
+    component in the constraint span is returned as a certificate once it
+    clears the bar of :func:`_certificate`.  When the budget runs out, the
+    last projected iterate is a witness if its residual is below
     ``tol.comparison``, and the answer is ``not_found`` if not.
     """
     if iterations < 1:

@@ -39,9 +39,8 @@ from .qcore import (
     DEFAULT_TOL,
     StateVector,
     Tolerances,
-    _ROUNDING,
     _kron,
-    _nearest_unitary,
+    _near_unitaries,
     _valid_prefix,
     as_matrix,
     check_povm,
@@ -99,11 +98,11 @@ def _other(party):
 class ProductUnitarySet:
     """Indexed product unitaries A_i (x) B_i.
 
-    A factor may be off unitary by up to 1e-8 (the largest entry of
-    F{dag}F - 1).  One off by more than rounding is kept as its nearest
-    unitary, the polar factor u vh of its SVD, so that the relatives and
-    products the deciders build from the factors are unitary to rounding
-    too and decompose like those of exact factors.
+    The factors are accepted as unitary by the rule of
+    :func:`~unidisc.qcore._near_unitaries` (up to 1e-8 off, kept as their
+    polar factor past rounding), so the relatives and products the
+    deciders build from them are unitary to rounding too and decompose
+    like those of exact factors.
     """
 
     party_dims: tuple
@@ -125,26 +124,14 @@ class ProductUnitarySet:
                                  f"do not match party dims {self.party_dims}")
             return str(label), a, b
 
-        norm_items, held = _valid_prefix(self.items, item)
-        if norm_items:
-            errs = []
-            for k, d in ((1, da), (2, db)):  # one stack per party
-                f = np.array([it[k] for it in norm_items])
-                errs.append(np.abs(f.conj().transpose(0, 2, 1) @ f - np.eye(d)).max(axis=(1, 2)))
-            worst = np.maximum(*errs)
-            top = worst.max()
-            if top > 1e-8:
-                k = int((worst > 1e-8).argmax())
-                raise ValueError(f"item {self.items[k][0]!r}: factor is not unitary")
+        valid, held = _valid_prefix(self.items, item)
+        fa, fb = _near_unitaries(
+            ([a for _, a, _ in valid], [b for _, _, b in valid]),
+            lambda k, _: f"item {self.items[k][0]!r}: factor is not unitary")
         if held is not None:
             raise held
-        if top > _ROUNDING:
-            items = [list(it) for it in norm_items]
-            for k, err in zip((1, 2), errs):
-                for i in np.flatnonzero(err > _ROUNDING):
-                    items[i][k] = _nearest_unitary(items[i][k])
-            norm_items = map(tuple, items)
-        object.__setattr__(self, "items", tuple(norm_items))
+        object.__setattr__(self, "items",
+                           tuple(zip([label for label, _, _ in valid], fa, fb)))
         object.__setattr__(self, "party_dims", (int(da), int(db)))
 
     @property
@@ -768,9 +755,8 @@ def _gda_from_parts(gdr: StrategyVerdict, lda) -> StrategyVerdict:
 def check_gda(uset: ProductUnitarySet, tol: Tolerances = DEFAULT_TOL) -> StrategyVerdict:
     """Global adaptive strategies reduce to the better of the global
     restricted check and the local adaptive check over starting parties."""
-    # the GDR problem shares no entry with the local deciders
     table = SetAnalysis(uset, tol)
-    return _gda_from_parts(check_gdr(uset, tol), lambda p: _local_verdicts(table, p)[1])
+    return _gda_from_parts(_gdr_verdict(table), lambda p: _local_verdicts(table, p)[1])
 
 
 # -----------------------------------------------------------------------------

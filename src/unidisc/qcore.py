@@ -108,15 +108,37 @@ def _valid_prefix(items, check):
     return out, None
 
 
-#: An operator further than this off unitary (the largest entry of
-#: ``U^dag U - 1``) is off by more than rounding.
-_ROUNDING = 1e-12
-
-
 def _nearest_unitary(mat: np.ndarray) -> np.ndarray:
     """The polar factor ``u vh`` of ``mat``'s SVD, its nearest unitary."""
     u, _, vh = np.linalg.svd(mat)
     return u @ vh
+
+
+def _near_unitaries(columns, message):
+    """Accept matrices from outside the package as unitaries: each may be
+    up to 1e-8 off (the largest entry of ``U^dag U - 1``), and one off by
+    more than rounding (1e-12) is kept as its :func:`_nearest_unitary`, so
+    that it decomposes like an exact unitary.
+
+    ``columns`` are equally long sequences of square matrices, one shape
+    per column, each checked by one batched product.  Raises
+    ``ValueError(message(k, err))`` for the first index k at which some
+    column is more than 1e-8 off, by ``err``; returns the columns as
+    tuples."""
+    if not len(columns[0]):
+        return [tuple(c) for c in columns]
+    devs = [np.abs(s.conj().transpose(0, 2, 1) @ s - np.eye(s.shape[1]))
+            for s in map(np.array, columns)]
+    if max(d.max() for d in devs) <= 1e-12:  # the common case, one reduction
+        return [tuple(c) for c in columns]
+    errs = [d.max(axis=(1, 2)) for d in devs]
+    worst = np.max(errs, axis=0)
+    bad = ~(worst <= 1e-8)  # NaN fails too
+    if bad.any():
+        k = int(bad.argmax())
+        raise ValueError(message(k, float(worst[k])))
+    return [tuple(_nearest_unitary(m) if e > 1e-12 else m for m, e in zip(c, err))
+            for c, err in zip(columns, errs)]
 
 
 def check_povm(povm, dim: int, what: str = "POVM") -> tuple:
@@ -351,9 +373,10 @@ def eig_unitary(u, tol: Tolerances = DEFAULT_TOL, *, checked: bool = False):
     rescued by refining with both parts blockwise.
 
     A raw array must be unitary within ``tol.validation * d`` unless
-    ``checked`` says its owner has already checked it: an
-    ``OrthogonalityProblem`` keeps its operators unitary to rounding.  The
-    decomposition residual is checked either way.
+    ``checked`` says its owner has already checked it: problems, sets and
+    the pair criterion keep what they accept unitary to rounding
+    (:func:`_near_unitaries`).  The decomposition residual is checked
+    either way.
     """
     mat = u.matrix if isinstance(u, UnitaryOperator) else as_matrix(u)
     d = mat.shape[0]

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import unidisc
-from unidisc.probefeas import OrthogonalityProblem, common_probe_feasible
+from unidisc.probefeas import OrthogonalityProblem, common_probe_feasible, verify_certificate
 
 _TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -64,3 +64,17 @@ def test_probe_route_classifies_every_route(tracing, route, dim, ops):
 
 def test_route_cases_cover_every_route(tracing):
     assert {c.values[0] for c in _ROUTE_CASES} == set(tracing.ROUTES)
+
+
+def test_route_certificates_carry_the_recomputed_bound():
+    # each certifying route computes a certificate's bound once and carries
+    # it; verify_certificate must recompute exactly that bound
+    certified = []
+    for case in _ROUTE_CASES:
+        _, dim, ops = case.values
+        problem = OrthogonalityProblem(dim=dim, operators=ops)
+        cert = common_probe_feasible(problem).certificate
+        if cert is not None:
+            assert cert.min_eig == verify_certificate(problem, cert), case.id
+            certified.append(case.id)
+    assert certified == ["single_op_cert", "projections_certified"]

@@ -107,6 +107,14 @@ class TestPair:
         assert "unitary" in capsys.readouterr().err
 
 
+    def test_non_unitary_pair_with_unitary_relative_rejected(self, tmp_path, capsys):
+        # the relative diag(-1, 1) is unitary, the matrices are not
+        a = write_matrix(tmp_path / "a.json", np.diag([2.0, 1.0]))
+        b = write_matrix(tmp_path / "b.json", np.diag([-0.5, 1.0]))
+        assert main(["pair", a, b]) == 2
+        assert "u1 is not unitary" in capsys.readouterr().err
+
+
 class TestCheck:
     def test_builtin_lda_start_a(self, capsys):
         assert main(["check", "qutrit-quartet", "--strategy", "lda",
@@ -377,6 +385,26 @@ def test_module_entry_point_pair_on_a_near_antipodal_chord(tmp_path):
     proc = run_cli([sys.executable, "-m", "unidisc", "pair", a, b, "--json"])
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["status"] == "distinguishable"
+
+
+@pytest.mark.parametrize("u1, u2, code, verdict", [
+    pytest.param(np.eye(2), np.array([[1.0, 1.0], [1.0, -1.0]]) * 0.707106781, 0,
+                 "verdict: distinguishable", id="nine-digit-hadamard"),
+    pytest.param(np.diag([2.0, 1.0]), np.diag([-0.5, 1.0]), 2, None, id="non-unitary"),
+])
+def test_module_entry_point_pair_takes_what_a_set_takes(tmp_path, u1, u2, code, verdict):
+    # a set accepts factors up to 1e-8 off unitary, and so does the pair
+    # criterion, which rejects matrices further off even when their
+    # relative is unitary
+    a = write_matrix(tmp_path / "a.json", u1)
+    b = write_matrix(tmp_path / "b.json", u2)
+    proc = run_cli([sys.executable, "-m", "unidisc", "pair", a, b])
+    assert proc.returncode == code, proc.stderr
+    if verdict is None:
+        assert "u1 is not unitary" in proc.stderr
+        assert "Traceback" not in proc.stderr
+    else:
+        assert verdict in proc.stdout
 
 
 @pytest.mark.skipif(shutil.which("unidisc") is None,

@@ -21,6 +21,7 @@ from unidisc.eigdist import (
     min_convex_norm,
     pair_distinguishable,
 )
+from unidisc.protocols import ProductUnitarySet
 from unidisc.qcore import DEFAULT_TOL, haar_unitary
 
 # relative phases {0, pi - eps, pi}: the origin lies on the chord across
@@ -407,6 +408,25 @@ class TestPairDistinguishable:
         # the shape of the inputs is named, not the deviation of m1{dag} m2
         with pytest.raises(ValueError, match=r"must be square, got shape \(2, 3\)"):
             decider(np.ones((2, 3)), np.ones((2, 3)))
+
+    @pytest.mark.parametrize("decider", [pair_distinguishable, build_pair_probe])
+    def test_rejects_non_unitary_pair_with_unitary_relative(self, decider):
+        # m1{dag} m2 = diag(-1, 1) is unitary, but neither matrix is
+        with pytest.raises(ValueError, match=r"u1 is not unitary \(err 3.000e\+00\)"):
+            decider(np.diag([2.0, 1.0]), np.diag([-0.5, 1.0]))
+
+    def test_accepts_factors_a_set_accepts(self):
+        # a Hadamard typed with 9 digits is 5.3e-10 off unitary: a set keeps
+        # it as its polar factor, and so does the pair criterion
+        h9 = np.array([[1.0, 1.0], [1.0, -1.0]]) * 0.707106781
+        r = pair_distinguishable(np.eye(2), h9)
+        assert r.distinguishable
+        assert np.allclose(np.sort(r.phases), [0.0, np.pi], atol=1e-12)
+        uset = ProductUnitarySet((2, 1), [("I", np.eye(2), [[1]]), ("H", h9, [[1]])])
+        assert r.min_norm == pair_distinguishable(*uset.factors("A")).min_norm
+        psi = build_pair_probe(np.eye(2), h9, r).probe.amplitudes
+        h = uset.factor(1, "A")
+        assert abs(np.vdot(psi, h @ psi)) <= DEFAULT_TOL.orthogonality
 
     @pytest.mark.parametrize("eps", NEAR_CHORD_EPS)
     def test_near_antipodal_chord(self, eps):

@@ -374,6 +374,23 @@ class TestClockFlipPair:
             verify_certificate(OrthogonalityProblem(3, ()), cert)
 
 
+def test_carried_bounds_are_exact_on_gdr_problems():
+    # a certificate carries the bound its route computed once; that must be
+    # the bound verify_certificate recomputes, to the last bit, on every
+    # certified GDR problem of the rng 0 pool, over every certifying route
+    rng = np.random.default_rng(0)
+    routes = set()
+    for _ in range(300):
+        problem = gdr_problem(random_qubit_set(rng))
+        f = common_probe_feasible(problem)
+        if f.certificate is not None:
+            assert f.certificate.min_eig == verify_certificate(problem, f.certificate), f.note
+            routes.add(f.note.split(" (")[0])
+    assert routes == {"common-eigenbasis linear program",
+                      "single-operator spectral certificate",
+                      "alternating projections separating certificate"}
+
+
 def test_empty_constraints_maximally_mixed():
     f = common_probe_feasible(OrthogonalityProblem(4, ()))
     assert f.status == "feasible"

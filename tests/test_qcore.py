@@ -10,6 +10,7 @@ from unidisc.qcore import (
     Tolerances,
     UnitaryOperator,
     _kron,
+    _near_unitaries,
     as_matrix,
     check_povm,
     eig_unitary,
@@ -74,6 +75,22 @@ class TestUnitaryOperator:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="not unitary"):
             UnitaryOperator(np.array([[1.0, 0.0], [0.0, 2.0]]))
+
+
+class TestNearUnitaries:
+    """The one rule for matrices from outside: up to 1e-8 off unitary, kept
+    as given within rounding and as the polar factor beyond it."""
+
+    def test_first_failing_index_over_all_columns(self):
+        # column 0 fails at index 2, column 1 at index 1: index 1 is named
+        cols = ([np.eye(2), np.eye(2), 2 * np.eye(2)], [np.eye(3), 3 * np.eye(3), np.eye(3)])
+        with pytest.raises(ValueError, match=r"^1 8\.000e\+00$"):
+            _near_unitaries(cols, lambda k, err: f"{k} {err:.3e}")
+
+    def test_nan_deviation_fails(self):
+        # no comparison with NaN holds, so a NaN deviation must not pass
+        with pytest.raises(ValueError, match="^1 nan$"):
+            _near_unitaries(([np.eye(2), np.full((2, 2), np.nan)],), lambda k, err: f"{k} {err}")
 
 
 class TestDensityOperator:

@@ -10,13 +10,20 @@ version of the script in both (copy it into the other checkout), since
 another version labels its lines differently.  The script
 imports only the ``src/`` of the checkout it sits in, runs the command line
 tool from that ``src/`` in child processes, and writes no file (bytecode
-caching is off for it and its children).  One line per output:
+caching is off for it and its children) except the matrix files it hands
+``unidisc pair``, in a temporary directory it removes.  One line per output:
 
 * ``jsonio.dumps(verdict_to_json(v))`` for every ``hierarchy_audit`` row on
   ``random_qubit_set`` rng 0 sets 0-299 and on the three builtin sets,
   labelled with the row's verdict status, so the ``diff`` of two runs tells
   a status that moved (the label differs) from bytes that moved under one
   status (only the digest differs);
+* the phases and ``min_norm`` of ``pair_distinguishable`` and, for a
+  distinguishable pair, the probe and measurement of ``build_pair_probe``,
+  for both local factor pairs of every ``pair-gap`` grid point and for
+  ``random_pair`` rng 0 draws 0-19 in each of the dimensions 2, 3 and 4;
+* stdout, stderr and exit code of ``unidisc pair U1 U2 --json`` for the
+  first of those draws in each dimension;
 * ``tree_to_json(pauli_hadamard_tree(s))``, and the three ``verify_tree``
   arrays together, for s = A and B;
 * stdout, stderr and exit code of ``unidisc repro T --json`` for every
@@ -28,13 +35,14 @@ caching is off for it and its children).  One line per output:
 * stdout, stderr and exit code of ``unidisc check SET --strategy S
   [--start P] --json`` for every builtin set, strategy and start.
 
-It prints 2158 lines and takes about 20 s on 2 CPUs.
+It prints 3561 lines and takes about 20 s on 2 CPUs.
 """
 
 import hashlib
 import os
 import subprocess
 import sys
+import tempfile
 
 sys.dont_write_bytecode = True
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -44,12 +52,21 @@ import numpy as np  # noqa: E402
 
 from unidisc import jsonio  # noqa: E402
 from unidisc.cli import _builtin_set  # noqa: E402
-from unidisc.families import pauli_hadamard_set, pauli_hadamard_tree, random_qubit_set  # noqa: E402
+from unidisc.eigdist import build_pair_probe, pair_distinguishable  # noqa: E402
+from unidisc.families import (  # noqa: E402
+    PhasePairParams,
+    pauli_hadamard_set,
+    pauli_hadamard_tree,
+    phase_pair_set,
+    random_pair,
+    random_qubit_set,
+)
 from unidisc.protocols import hierarchy_audit, verify_tree  # noqa: E402
-from unidisc.repro import BUNDLES  # noqa: E402
+from unidisc.repro import BUNDLES, _grid_angles  # noqa: E402
 
 BUILTINS = ("phasepair:0.3,0.5,0.9,1.4415926535897932", "qutrit-quartet", "pauli-hadamard")
 POOL_SETS = 300
+PAIR_DRAWS = 20
 
 
 def _line(label, *chunks):
@@ -66,10 +83,20 @@ def _audit(label, uset):
               jsonio.dumps(jsonio.verdict_to_json(verdict)))
 
 
-def _cli(*args):
+def _pair(label, u1, u2):
+    res = pair_distinguishable(u1, u2)
+    chunks = [res.phases.tobytes(), np.float64(res.min_norm).tobytes()]
+    if res.distinguishable:
+        pp = build_pair_probe(u1, u2, res)
+        chunks += [pp.probe.amplitudes.tobytes(), *(m.tobytes() for m in pp.measurement)]
+    _line(f"pair {label} {'distinguishable' if res.distinguishable else 'indistinguishable'}",
+          *chunks)
+
+
+def _cli(*args, cwd=None):
     env = dict(os.environ, PYTHONPATH=SRC, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "-m", "unidisc", *args, "--json"],
-                          capture_output=True, env=env)
+                          capture_output=True, env=env, cwd=cwd)
     _line("cli " + " ".join(args), proc.stdout, proc.stderr, proc.returncode)
 
 
@@ -81,6 +108,24 @@ def main():
         _audit(f"pool {k}", random_qubit_set(rng))
     for name in BUILTINS:
         _audit(name, _builtin_set(name))
+
+    # the grid of the pair-gap bundle (repro.pair_gap)
+    for k, angles in enumerate(_grid_angles(10)):
+        uset = phase_pair_set(PhasePairParams(*angles))
+        for party in ("A", "B"):
+            _pair(f"pair-gap {k} {party}", uset.factor(0, party), uset.factor(1, party))
+    rng = np.random.default_rng(0)
+    with tempfile.TemporaryDirectory() as tmp:
+        for dim in (2, 3, 4):
+            for k in range(PAIR_DRAWS):
+                u1, u2 = random_pair(rng, dim)
+                _pair(f"random_pair d={dim} {k}", u1, u2)
+                if k == 0:
+                    names = [f"u{i}_d{dim}.json" for i in (1, 2)]
+                    for name, u in zip(names, (u1, u2)):
+                        with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                            fh.write(jsonio.dumps(jsonio.matrix_to_json(u.matrix)))
+                    _cli("pair", *names, cwd=tmp)
 
     uset = pauli_hadamard_set()
     for start in ("A", "B"):
