@@ -126,16 +126,15 @@ class OrthogonalityProblem:
             return k
 
         valid, held = _valid_prefix(ops, shaped)
-        (ops,) = _near_unitaries(
+        (stack,) = _near_unitaries(
             (valid,), lambda k, err: f"constraint operator not unitary (err {err:.3e})")
         if held is not None:
             raise held
-        object.__setattr__(self, "operators", ops)
+        object.__setattr__(self, "operators", tuple(stack))
         comm = True
-        if len(ops) > 1:
+        if len(stack) > 1:
             # every product K_i K_j at once: the family commutes iff the
             # products agree in both orders
-            stack = np.array(ops)
             prod = stack[:, None] @ stack[None, :]
             comm = bool(np.abs(prod - prod.transpose(1, 0, 2, 3)).max() <= 1e-9)
         object.__setattr__(self, "commuting", comm)

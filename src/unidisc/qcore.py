@@ -123,22 +123,22 @@ def _near_unitaries(columns, message):
     ``columns`` are equally long sequences of square matrices, one shape
     per column, each checked by one batched product.  Raises
     ``ValueError(message(k, err))`` for the first index k at which some
-    column is more than 1e-8 off, by ``err``; returns the columns as
-    tuples."""
-    if not len(columns[0]):
-        return [tuple(c) for c in columns]
-    devs = [np.abs(s.conj().transpose(0, 2, 1) @ s - np.eye(s.shape[1]))
-            for s in map(np.array, columns)]
-    if max(d.max() for d in devs) <= 1e-12:  # the common case, one reduction
-        return [tuple(c) for c in columns]
-    errs = [d.max(axis=(1, 2)) for d in devs]
-    worst = np.max(errs, axis=0)
-    bad = ~(worst <= 1e-8)  # NaN fails too
-    if bad.any():
-        k = int(bad.argmax())
-        raise ValueError(message(k, float(worst[k])))
-    return [tuple(_nearest_unitary(m) if e > 1e-12 else m for m, e in zip(c, err))
-            for c, err in zip(columns, errs)]
+    column is more than 1e-8 off, by ``err`` (a NaN deviation is off);
+    returns one stack per column, each row the matrix as given or its
+    polar factor."""
+    stacks = [np.array(c) for c in columns]
+    if not len(stacks[0]):
+        return stacks
+    errs = [np.abs(s.conj().transpose(0, 2, 1) @ s - np.eye(s.shape[1])).max(axis=(1, 2))
+            .tolist() for s in stacks]
+    for k, ek in enumerate(zip(*errs)):
+        if not all(e <= 1e-8 for e in ek):  # NaN fails too
+            raise ValueError(message(k, float(np.max(ek))))
+    for s, err in zip(stacks, errs):
+        for i, e in enumerate(err):
+            if e > 1e-12:
+                s[i] = _nearest_unitary(s[i])
+    return stacks
 
 
 def check_povm(povm, dim: int, what: str = "POVM") -> tuple:

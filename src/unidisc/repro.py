@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigdist import pair_distinguishable
 from .families import (
     PhasePairParams,
     pauli_hadamard_set,
@@ -23,6 +22,7 @@ from .families import (
 )
 from .probefeas import verify_certificate
 from .protocols import (
+    SetAnalysis,
     check_gdr,
     check_lda,
     check_ldr,
@@ -30,6 +30,7 @@ from .protocols import (
     hierarchy_audit,
     verify_tree,
     _evolved,
+    _gdr_verdict,
 )
 from .qcore import DEFAULT_TOL, Tolerances
 from .seesaw import (
@@ -83,7 +84,8 @@ def pair_gap(seed: int, restarts: int, tol: Tolerances = DEFAULT_TOL) -> BundleR
     failing = []
     for angles in grid:
         uset = phase_pair_set(PhasePairParams(*angles))
-        verdict = check_gdr(uset, tol)
+        table = SetAnalysis(uset, tol)  # one table: the set's factors are checked once
+        verdict = _gdr_verdict(table)
         ok = verdict.status == "distinguishable"
         if ok:
             w = verdict.witness
@@ -92,8 +94,7 @@ def pair_gap(seed: int, restarts: int, tol: Tolerances = DEFAULT_TOL) -> BundleR
             worst_overlap = max(worst_overlap, overlap)
             ok = overlap < 1e-10
         for party in ("A", "B"):
-            geom = pair_distinguishable(uset.factor(0, party),
-                                        uset.factor(1, party), tol)
+            geom = table.pair(party, 0, 1)
             worst_local = min(worst_local, geom.min_norm)
             ok = ok and not geom.distinguishable
         if not ok:

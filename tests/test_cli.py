@@ -107,6 +107,13 @@ class TestPair:
         assert "unitary" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("tol,off,code", [("1e-6", 1e-7, 2), ("1e-12", 2e-9, 0)])
+    def test_tol_does_not_move_the_unitarity_bar(self, tmp_path, tol, off, code):
+        # a pair is accepted up to 1e-8 off unitary under any --tol
+        a = write_matrix(tmp_path / "a.json", np.eye(2))
+        b = write_matrix(tmp_path / "b.json", np.array([[0.0, 1.0], [1.0, 0.0]]) * (1 + off))
+        assert main(["pair", a, b, "--tol", tol]) == code
+
     def test_non_unitary_pair_with_unitary_relative_rejected(self, tmp_path, capsys):
         # the relative diag(-1, 1) is unitary, the matrices are not
         a = write_matrix(tmp_path / "a.json", np.diag([2.0, 1.0]))
@@ -194,6 +201,16 @@ class TestCheck:
             for start in ("a", "b", "either"):
                 assert main(["check", str(path), "--strategy", strategy,
                              "--start", start]) in (0, 3, 4)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy warns of the overflow
+    def test_set_file_with_overflowing_factor_rejected(self, tmp_path, capsys):
+        # finite entries, but B{dag}B of the second item overflows
+        data = set_to_json(ProductUnitarySet((2, 2), (("I", I2, I2), ("X", X, X))))
+        data["items"][1]["B"] = matrix_to_json(1e200 * np.array([[1.0, 1.0], [1.0, -1.0]]))
+        path = tmp_path / "set.json"
+        path.write_text(json.dumps(data))
+        assert main(["check", str(path), "--strategy", "gdr"]) == 2
+        assert "item 'X': factor is not unitary" in capsys.readouterr().err
 
     def test_set_file_field_error(self, tmp_path, capsys):
         data = set_to_json(pauli_hadamard_set())

@@ -22,7 +22,7 @@ from unidisc.eigdist import (
     pair_distinguishable,
 )
 from unidisc.protocols import ProductUnitarySet
-from unidisc.qcore import DEFAULT_TOL, haar_unitary
+from unidisc.qcore import DEFAULT_TOL, Tolerances, haar_unitary
 
 # relative phases {0, pi - eps, pi}: the origin lies on the chord across
 # the widest gap, and the fan triangle is too thin to contain it in rounding
@@ -427,6 +427,14 @@ class TestPairDistinguishable:
         psi = build_pair_probe(np.eye(2), h9, r).probe.amplitudes
         h = uset.factor(1, "A")
         assert abs(np.vdot(psi, h @ psi)) <= DEFAULT_TOL.orthogonality
+
+    def test_tolerances_do_not_move_the_unitarity_bar(self):
+        # the pair takes what a set takes, 1e-8 off, whatever Tolerances say
+        x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="u2 is not unitary"):
+            pair_distinguishable(np.eye(2), x * (1 + 1e-7), Tolerances(1e-6, 1e-6, 1e-6))
+        loose = pair_distinguishable(np.eye(2), x * (1 + 2e-9), Tolerances(1e-12, 1e-12, 1e-12))
+        assert loose.distinguishable
 
     @pytest.mark.parametrize("eps", NEAR_CHORD_EPS)
     def test_near_antipodal_chord(self, eps):

@@ -92,6 +92,13 @@ class TestNearUnitaries:
         with pytest.raises(ValueError, match="^1 nan$"):
             _near_unitaries(([np.eye(2), np.full((2, 2), np.nan)],), lambda k, err: f"{k} {err}")
 
+    def test_nan_in_a_later_column_fails(self):
+        # exact matrices in the first column, a NaN deviation in the second:
+        # the reduction over columns must not drop it
+        with pytest.raises(ValueError, match="^1 nan$"):
+            _near_unitaries(([np.eye(2), np.eye(2)], [np.eye(2), np.full((2, 2), np.nan)]),
+                            lambda k, err: f"{k} {err}")
+
 
 class TestDensityOperator:
     def test_accepts_maximally_mixed(self):
