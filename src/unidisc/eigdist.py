@@ -223,8 +223,8 @@ def _pair_eigensystem(u1, u2, tol: Tolerances):
     if m1.shape[0] != m1.shape[1]:
         raise ValueError(f"pair unitaries must be square, got shape {m1.shape}")
     if not (isinstance(u1, UnitaryOperator) and isinstance(u2, UnitaryOperator)):
-        ((m1, m2),) = _near_unitaries(
-            ([m1, m2],), lambda k, err: f"u{k + 1} is not unitary (err {err:.3e})")
+        (m1, m2), _ = _near_unitaries(
+            ([m1, m2],), lambda k, err: f"u{k + 1} is not unitary (err {err:.3e})")[0]
     return (m1, m2, *eig_unitary(m1.conj().T @ m2, tol, checked=True))
 
 

@@ -126,13 +126,13 @@ class OrthogonalityProblem:
             return k
 
         valid, held = _valid_prefix(ops, shaped)
-        (stack,) = _near_unitaries(
+        ((ops, stack),) = _near_unitaries(
             (valid,), lambda k, err: f"constraint operator not unitary (err {err:.3e})")
         if held is not None:
             raise held
-        object.__setattr__(self, "operators", tuple(stack))
+        object.__setattr__(self, "operators", ops)
         comm = True
-        if len(stack) > 1:
+        if len(ops) > 1:
             # every product K_i K_j at once: the family commutes iff the
             # products agree in both orders
             prod = stack[:, None] @ stack[None, :]

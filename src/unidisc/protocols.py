@@ -125,7 +125,7 @@ class ProductUnitarySet:
             return str(label), a, b
 
         valid, held = _valid_prefix(self.items, item)
-        fa, fb = _near_unitaries(
+        (fa, _), (fb, _) = _near_unitaries(
             ([a for _, a, _ in valid], [b for _, _, b in valid]),
             lambda k, _: f"item {self.items[k][0]!r}: factor is not unitary")
         if held is not None:

@@ -123,22 +123,25 @@ def _near_unitaries(columns, message):
     ``columns`` are equally long sequences of square matrices, one shape
     per column, each checked by one batched product.  Raises
     ``ValueError(message(k, err))`` for the first index k at which some
-    column is more than 1e-8 off, by ``err`` (a NaN deviation is off);
-    returns one stack per column, each row the matrix as given or its
-    polar factor."""
+    column is more than 1e-8 off, by ``err`` (a NaN deviation is off).
+    Returns, per column, the accepted matrices as a tuple and their
+    stack."""
     stacks = [np.array(c) for c in columns]
     if not len(stacks[0]):
-        return stacks
+        return [(tuple(c), s) for c, s in zip(columns, stacks)]
     errs = [np.abs(s.conj().transpose(0, 2, 1) @ s - np.eye(s.shape[1])).max(axis=(1, 2))
             .tolist() for s in stacks]
     for k, ek in enumerate(zip(*errs)):
         if not all(e <= 1e-8 for e in ek):  # NaN fails too
             raise ValueError(message(k, float(np.max(ek))))
-    for s, err in zip(stacks, errs):
+    out = []
+    for c, s, err in zip(columns, stacks, errs):
+        c = list(c)
         for i, e in enumerate(err):
             if e > 1e-12:
-                s[i] = _nearest_unitary(s[i])
-    return stacks
+                c[i] = s[i] = _nearest_unitary(s[i])
+        out.append((tuple(c), s))
+    return out
 
 
 def check_povm(povm, dim: int, what: str = "POVM") -> tuple:
