@@ -75,8 +75,7 @@ def _config(args) -> RunConfig:
     tol = DEFAULT_TOL
     if getattr(args, "tol", None) is not None:
         try:
-            tol = Tolerances(validation=args.tol, comparison=args.tol,
-                             orthogonality=args.tol)
+            tol = Tolerances(comparison=args.tol, orthogonality=args.tol)
         except ValueError:
             raise _CliError(f"--tol must be finite and positive, got {args.tol}") from None
     seed = getattr(args, "seed", 0)

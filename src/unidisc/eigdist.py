@@ -214,8 +214,8 @@ def _pair_eigensystem(u1, u2, tol: Tolerances):
 
     The pair is accepted as unitary by the rule a set applies to its
     factors (:func:`~unidisc.qcore._near_unitaries`: up to 1e-8 off, kept
-    as the polar factor past rounding), unless both are
-    ``UnitaryOperator`` instances, which their constructor checked."""
+    as the polar factor past rounding); a ``UnitaryOperator`` has passed
+    that rule at construction, so a pair of them is not checked again."""
     m1 = u1.matrix if isinstance(u1, UnitaryOperator) else as_matrix(u1)
     m2 = u2.matrix if isinstance(u2, UnitaryOperator) else as_matrix(u2)
     if m1.shape != m2.shape:
@@ -225,7 +225,7 @@ def _pair_eigensystem(u1, u2, tol: Tolerances):
     if not (isinstance(u1, UnitaryOperator) and isinstance(u2, UnitaryOperator)):
         (m1, m2), _ = _near_unitaries(
             ([m1, m2],), lambda k, err: f"u{k + 1} is not unitary (err {err:.3e})")[0]
-    return (m1, m2, *eig_unitary(m1.conj().T @ m2, tol, checked=True))
+    return (m1, m2, *eig_unitary(m1.conj().T @ m2, tol))
 
 
 def pair_distinguishable(u1, u2, tol: Tolerances = DEFAULT_TOL) -> ConvexNormResult:

@@ -292,15 +292,14 @@ def _operator_spectrum(op, tol: Tolerances = DEFAULT_TOL, hull=None):
     """``(phases, vectors, hull)`` of a constraint operator: its
     :func:`~unidisc.qcore.eig_unitary` eigensystem and the
     :func:`~unidisc.eigdist.min_convex_norm` of its eigenphases under
-    ``tol``.  The operator's owner has checked it unitary (an
+    ``tol``.  The operator's owner has accepted it as unitary (an
     :class:`OrthogonalityProblem` does, as a ``ProductUnitarySet`` does its
-    factors), so it is not checked again at the stricter bar of
-    :func:`~unidisc.qcore.eig_unitary`.
+    factors), and :func:`~unidisc.qcore.eig_unitary` takes it as given.
 
     ``hull(phases)``, when given, returns that ``min_convex_norm`` from
     elsewhere: :class:`~unidisc.protocols.SetAnalysis` keys it by the
     phases, which operators of one spectrum share."""
-    phases, vecs = eig_unitary(op, tol, checked=True)
+    phases, vecs = eig_unitary(op, tol)
     return phases, vecs, hull(phases) if hull else min_convex_norm(phases, tol)
 
 

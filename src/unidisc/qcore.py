@@ -45,17 +45,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical tolerances used across the package.
+    """Numerical tolerances of the deciders.
 
-    validation : bound on constructor invariants (unitarity, hermiticity, ...)
     comparison : bound when comparing computed against expected quantities
     orthogonality : bound on inner products that must vanish
 
-    Every field must be finite and positive: a NaN bound makes every
-    comparison false and an infinite one makes every comparison true.
+    Neither moves which matrices are accepted as unitary: that is the one
+    rule of :func:`_near_unitaries`.  Every field must be finite and
+    positive: a NaN bound makes every comparison false and an infinite one
+    makes every comparison true.
     """
 
-    validation: float = 1e-10
     comparison: float = 1e-9
     orthogonality: float = 1e-10
 
@@ -129,8 +129,10 @@ def _near_unitaries(columns, message):
     stacks = [np.array(c) for c in columns]
     if not len(stacks[0]):
         return [(tuple(c), s) for c, s in zip(columns, stacks)]
-    errs = [np.abs(s.conj().transpose(0, 2, 1) @ s - np.eye(s.shape[1])).max(axis=(1, 2))
-            .tolist() for s in stacks]
+    # an overflow gives inf or NaN, which fails below: the error is the only report
+    with np.errstate(over="ignore", invalid="ignore"):
+        errs = [np.abs(s.conj().transpose(0, 2, 1) @ s - np.eye(s.shape[1])).max(axis=(1, 2))
+                .tolist() for s in stacks]
     for k, ek in enumerate(zip(*errs)):
         if not all(e <= 1e-8 for e in ek):  # NaN fails too
             raise ValueError(message(k, float(np.max(ek))))
@@ -193,23 +195,27 @@ def _as_vector(v) -> np.ndarray:
 
 @dataclass(frozen=True)
 class UnitaryOperator:
-    """A square matrix U with U{dag}U = 1 within the validation tolerance."""
+    """A square matrix accepted by the one unitarity rule,
+    :func:`_near_unitaries`: up to 1e-8 off, held as its polar factor past
+    rounding, so that ``matrix`` is unitary to rounding."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = as_matrix(self.matrix)
-        n, k = m.shape
-        if n != k:
+        if m.shape[0] != m.shape[1]:
             raise ValueError(f"unitary must be square, got {m.shape}")
-        err = np.abs(m.conj().T @ m - np.eye(n)).max()
-        if err > DEFAULT_TOL.validation:
-            raise ValueError(f"not unitary: max |U+U - 1| = {err:.3e}")
+        (((m,), _),) = _near_unitaries(
+            ([m],), lambda _, err: f"not unitary: max |U+U - 1| = {err:.3e}")
         object.__setattr__(self, "matrix", m)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+
+# bound on a density operator's Hermiticity, trace and smallest eigenvalue
+_DENSITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -225,13 +231,13 @@ class DensityOperator:
             raise ValueError(f"density operator must be square, got {m.shape}")
         adj = m.conj().T
         herm = np.abs(m - adj).max()
-        if herm > DEFAULT_TOL.validation:
+        if herm > _DENSITY_TOL:
             raise ValueError(f"not Hermitian: max |rho - rho+| = {herm:.3e}")
         tr = m.trace()
-        if abs(tr - 1.0) > DEFAULT_TOL.validation:
+        if abs(tr - 1.0) > _DENSITY_TOL:
             raise ValueError(f"trace is {tr:.12g}, expected 1")
         lo = np.linalg.eigvalsh((m + adj) / 2).min()
-        if lo < -DEFAULT_TOL.validation:
+        if lo < -_DENSITY_TOL:
             raise ValueError(f"negative eigenvalue {lo:.3e}")
         object.__setattr__(self, "matrix", m)
 
@@ -364,7 +370,7 @@ def simultaneous_eigenbasis(ops) -> np.ndarray:
     return basis
 
 
-def eig_unitary(u, tol: Tolerances = DEFAULT_TOL, *, checked: bool = False):
+def eig_unitary(u, tol: Tolerances = DEFAULT_TOL):
     """Eigenphases and eigenvectors of a unitary.
 
     Returns ``(phases, vectors)`` with phases in ``[0, 2*pi)`` sorted
@@ -375,21 +381,15 @@ def eig_unitary(u, tol: Tolerances = DEFAULT_TOL, *, checked: bool = False):
     separates all eigenvectors in one shot.  Degenerate combinations are
     rescued by refining with both parts blockwise.
 
-    A raw array must be unitary within ``tol.validation * d`` unless
-    ``checked`` says its owner has already checked it: problems, sets and
-    the pair criterion keep what they accept unitary to rounding
-    (:func:`_near_unitaries`).  The decomposition residual is checked
-    either way.
+    It decomposes the matrix it is given: a :class:`UnitaryOperator`, or an
+    array that a set, problem or pair has accepted by the rule of
+    :func:`_near_unitaries`.  Only the decomposition residual is checked.
     """
     mat = u.matrix if isinstance(u, UnitaryOperator) else as_matrix(u)
     d = mat.shape[0]
     if mat.shape[0] != mat.shape[1]:
         raise ValueError("unitary must be square")
     adj = mat.conj().T
-    if not (checked or isinstance(u, UnitaryOperator)):
-        err = float(np.abs(adj @ mat - np.eye(d)).max())
-        if err > tol.validation * d:
-            raise ValueError(f"matrix is not unitary: deviation {err:.3e}")
     c = (mat + adj) / 2
     s = (mat - adj) / 2j
 

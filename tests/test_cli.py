@@ -202,7 +202,6 @@ class TestCheck:
                 assert main(["check", str(path), "--strategy", strategy,
                              "--start", start]) in (0, 3, 4)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy warns of the overflow
     def test_set_file_with_overflowing_factor_rejected(self, tmp_path, capsys):
         # finite entries, but B{dag}B of the second item overflows
         data = set_to_json(ProductUnitarySet((2, 2), (("I", I2, I2), ("X", X, X))))
@@ -422,6 +421,34 @@ def test_module_entry_point_pair_takes_what_a_set_takes(tmp_path, u1, u2, code, 
         assert "Traceback" not in proc.stderr
     else:
         assert verdict in proc.stdout
+
+
+OVERFLOWING = 1e200 * np.array([[1.0, 1.0], [1.0, -1.0]])
+
+
+@pytest.mark.parametrize("command, error", [
+    pytest.param("pair", "error: matrix: u2 is not unitary (err ", id="pair"),
+    pytest.param("check", "error: {path}: set: item 'X': factor is not unitary", id="check"),
+])
+def test_overflowing_factor_error_is_the_only_output(tmp_path, command, error):
+    # finite entries whose U{dag}U overflows: the boundary's error line is
+    # all the command prints, with no numpy warning before it
+    if command == "pair":
+        argv = ["pair", write_matrix(tmp_path / "a.json", I2),
+                write_matrix(tmp_path / "b.json", OVERFLOWING)]
+    else:
+        data = set_to_json(ProductUnitarySet((2, 2), (("I", I2, I2), ("X", X, X))))
+        data["items"][1]["B"] = matrix_to_json(OVERFLOWING.astype(complex))
+        path = tmp_path / "set.json"
+        path.write_text(json.dumps(data))
+        argv = ["check", str(path), "--strategy", "gdr"]
+        error = error.format(path=path)
+    proc = run_cli([sys.executable, "-m", "unidisc", *argv])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    # one line: the deviation it names may read inf or nan
+    assert proc.stderr.startswith(error) and proc.stderr.count("\n") == 1
+    assert proc.stderr.endswith("\n")
 
 
 @pytest.mark.skipif(shutil.which("unidisc") is None,

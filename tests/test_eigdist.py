@@ -432,8 +432,8 @@ class TestPairDistinguishable:
         # the pair takes what a set takes, 1e-8 off, whatever Tolerances say
         x = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ValueError, match="u2 is not unitary"):
-            pair_distinguishable(np.eye(2), x * (1 + 1e-7), Tolerances(1e-6, 1e-6, 1e-6))
-        loose = pair_distinguishable(np.eye(2), x * (1 + 2e-9), Tolerances(1e-12, 1e-12, 1e-12))
+            pair_distinguishable(np.eye(2), x * (1 + 1e-7), Tolerances(1e-6, 1e-6))
+        loose = pair_distinguishable(np.eye(2), x * (1 + 2e-9), Tolerances(1e-12, 1e-12))
         assert loose.distinguishable
 
     @pytest.mark.parametrize("eps", NEAR_CHORD_EPS)

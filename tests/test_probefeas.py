@@ -33,7 +33,14 @@ from unidisc.protocols import (
     gdr_problem,
     hierarchy_audit,
 )
-from unidisc.qcore import DEFAULT_TOL, DensityOperator, eig_unitary, haar_unitary, partial_trace
+from unidisc.qcore import (
+    DEFAULT_TOL,
+    DensityOperator,
+    UnitaryOperator,
+    _nearest_unitary,
+    haar_unitary,
+    partial_trace,
+)
 
 W3 = np.exp(2j * np.pi / 3)
 CLOCK = np.diag([1.0, W3, W3 * W3])
@@ -212,12 +219,11 @@ class TestEigenvalueHull:
         pytest.param(np.pi, "feasible", id="feasible"),
     ])
     def test_operator_checked_by_its_problem_only(self, phase, status):
-        # unitary within the problem's bar but not within eig_unitary's own
-        # (tol.validation * d): the operator was validated once, by the
-        # problem, so deciding it must not re-check it and raise
+        # 3e-10 off unitary: a UnitaryOperator accepts it by the problem's
+        # rule, as its polar factor, and deciding the problem does not
+        # check it again
         k = np.diag([1.0, np.exp(1j * phase)]) * (1 + 3e-10)
-        with pytest.raises(ValueError, match="not unitary"):
-            eig_unitary(k)
+        assert UnitaryOperator(k).matrix.tobytes() == _nearest_unitary(k).tobytes()
         f = common_probe_feasible(OrthogonalityProblem(2, (k,)))
         assert f.status == status
 

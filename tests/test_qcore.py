@@ -1,5 +1,8 @@
 """Core operator and state types, tensor plumbing, unitary spectra."""
 
+import warnings
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from unidisc.qcore import (
     UnitaryOperator,
     _kron,
     _near_unitaries,
+    _nearest_unitary,
     as_matrix,
     check_povm,
     eig_unitary,
@@ -23,10 +27,11 @@ from unidisc.qcore import (
 
 def test_tolerance_defaults():
     t = Tolerances()
-    assert t.validation == 1e-10
     assert t.comparison == 1e-9
     assert t.orthogonality == 1e-10
     assert DEFAULT_TOL == t
+    # the unitarity rule has no field: no tolerance moves it
+    assert [f.name for f in fields(Tolerances)] == ["comparison", "orthogonality"]
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1e-9])
@@ -75,6 +80,39 @@ class TestUnitaryOperator:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="not unitary"):
             UnitaryOperator(np.array([[1.0, 0.0], [0.0, 2.0]]))
+
+    # the one rule of _near_unitaries, as sets, problems and pairs apply it
+
+    def test_accepts_near_unitary_as_its_polar_factor(self):
+        m = np.array([[0.0, 1.0], [1.0, 0.0]]) * (1 + 5e-9)
+        u = UnitaryOperator(m)
+        assert u.matrix.tobytes() == _nearest_unitary(m.astype(complex)).tobytes()
+        assert np.abs(u.matrix.conj().T @ u.matrix - np.eye(2)).max() <= 1e-15
+
+    def test_rejects_beyond_the_rule(self):
+        with pytest.raises(ValueError, match=r"^not unitary: max \|U\+U - 1\| = 4\.000e-08$"):
+            UnitaryOperator(np.eye(2) * (1 + 2e-8))
+
+    def test_rejects_nan_deviation(self):
+        # finite entries whose U{dag}U overflows, with inf - inf off the
+        # diagonal: no comparison with NaN holds, so it must not pass
+        with pytest.raises(ValueError, match="not unitary"):
+            UnitaryOperator(np.array([[1e200, 1e200], [1e200, 1e200j]]))
+
+    def test_overflow_raises_only_the_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not unitary"):
+                UnitaryOperator(1e200 * np.array([[1.0, 1.0], [1.0, -1.0]]))
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_haar_keeps_the_qr_bytes(self, dim):
+        # QR's factor is unitary to rounding, so it is held as computed
+        z_rng, rng = np.random.default_rng(11), np.random.default_rng(11)
+        z = z_rng.normal(size=(dim, dim)) + 1j * z_rng.normal(size=(dim, dim))
+        q, r = np.linalg.qr(z)
+        ph = np.diag(r) / np.abs(np.diag(r))
+        assert haar_unitary(dim, rng).matrix.tobytes() == (q * ph[None, :]).tobytes()
 
 
 class TestNearUnitaries:
@@ -280,9 +318,8 @@ class TestEigUnitaryBytes:
     def test_matches_reference_bytes(self):
         for mat in _byte_oracle_matrices():
             want = _reference_eig_unitary(mat)
-            for checked in (False, True):
-                got = eig_unitary(mat, checked=checked)
-                assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+            got = eig_unitary(mat)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
     def test_refinement_matches_reference_bytes(self, monkeypatch):
         import unidisc.qcore as qcore
