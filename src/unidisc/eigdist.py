@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -76,17 +77,16 @@ class PairProbe:
     ancilla_dim: int = 1
 
 
-def _segment_closest(a, b):
-    """Closest point to the origin on segment ab, for a != b given as
-    (x, y) pairs; returns (point, t) with point = t*a + (1-t)*b, the point
-    a 2-vector.  The dot products are numpy's, whose rounding sets the
-    weights and distances."""
-    a = np.array(a)
-    ab = np.array(b) - a
-    s = float(-(a @ ab)) / float(ab @ ab)
-    s = min(1.0, max(0.0, s))
-    p = a + s * ab
-    return p, 1.0 - s
+def _chord(pts, reps, a, b):
+    """Distance from the origin to the segment between the distinct (x, y)
+    pairs ``pts[a]`` and ``pts[b]``, and the weights of ``reps[a]`` and
+    ``reps[b]`` at its closest point.  The dot products and ``np.hypot`` stay
+    numpy's, whose rounding differs from Python's; the rest is Python floats."""
+    (ax, ay), (bx, by) = pts[a], pts[b]
+    ab = np.array((bx - ax, by - ay))
+    s = min(1.0, max(0.0, float(-(np.array(pts[a]) @ ab)) / float(ab @ ab)))
+    t = 1.0 - s
+    return float(np.hypot(ax + s * (bx - ax), ay + s * (by - ay))), {reps[a]: t, reps[b]: 1.0 - t}
 
 
 def _side(a, b):
@@ -117,7 +117,7 @@ def min_convex_norm(phases, tol: Tolerances = DEFAULT_TOL) -> ConvexNormResult:
     phases = phases.astype(float)
     if phases.size == 0:
         raise ValueError("need at least one phase")
-    if not np.isfinite(phases).all():
+    if not all(map(isfinite, phases.tolist())):
         raise ValueError(f"phases must be finite, got {phases[~np.isfinite(phases)].tolist()}")
     points = np.exp(1j * phases)
     zs = points.tolist()
@@ -153,21 +153,18 @@ def min_convex_norm(phases, tol: Tolerances = DEFAULT_TOL) -> ConvexNormResult:
     pts = [(zs[r].real, zs[r].imag) for r in reps]
 
     if len(reps) == 2:
-        p, t = _segment_closest(pts[0], pts[1])
-        return finish(float(np.hypot(*p)), {reps[0]: t, reps[1]: 1.0 - t})
+        return finish(*_chord(pts, reps, 0, 1))
 
     # counter-clockwise from the leftmost point (the lowest one on ties)
     first = min(range(len(pts)), key=pts.__getitem__)
-    angle = np.angle(points[reps])
+    angle = np.arctan2(points.imag[reps], points.real[reps])  # np.angle, unwrapped
     turn = np.mod(angle - angle[first], 2 * np.pi).tolist()
     hull = sorted(range(len(turn)), key=turn.__getitem__)
     ends = [turn[h] for h in hull] + [2 * np.pi]
     k = max(range(len(hull)), key=lambda g: ends[g + 1] - ends[g])  # widest gap
     a, b = hull[k], hull[(k + 1) % len(hull)]
-    p, t = _segment_closest(pts[a], pts[b])
-    chord = (float(np.hypot(*p)), {reps[a]: t, reps[b]: 1.0 - t})
     if _side(pts[a], pts[b]) < -1e-15:
-        return finish(*chord)
+        return finish(*_chord(pts, reps, a, b))
 
     ax, ay = anchor = pts[hull[0]]
     for i, j in zip(hull[1:-1], hull[2:]):
@@ -188,6 +185,7 @@ def min_convex_norm(phases, tol: Tolerances = DEFAULT_TOL) -> ConvexNormResult:
     # vertex c through the origin leaves the hull at a point p on the edge
     # across c's antipode, and 0 = (|p| c + p) / (1 + |p|); that split is
     # well conditioned for some c, so the one landing nearest the origin wins
+    chord = _chord(pts, reps, a, b)
     if chord[0] <= tol.comparison:
         return finish(*chord)
 

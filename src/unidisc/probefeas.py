@@ -68,6 +68,8 @@ from .qcore import (
     DensityOperator,
     StateVector,
     Tolerances,
+    _eigh_c,
+    _eigvalsh_c,
     _near_unitaries,
     _valid_prefix,
     as_matrix,
@@ -169,7 +171,7 @@ def _combined_min_eig(problem, indices, coeffs):
     for t, k in enumerate(indices):
         h, s = _hermitian_parts(problem.operators[k])
         g = g + coeffs[2 * t] * h + coeffs[2 * t + 1] * s
-    return float(np.linalg.eigvalsh((g + g.conj().T) / 2).min())
+    return float(_eigvalsh_c((g + g.conj().T) / 2).min())
 
 
 def _certificate(problem, indices, coeffs, tol):
@@ -329,7 +331,7 @@ def _project_density(x):
     """Nearest density operator to the Hermitian part of ``x``: one ``eigh``,
     then the eigenvalues go to their Euclidean projection onto the
     probability simplex."""
-    w, v = np.linalg.eigh((x + x.conj().T) / 2)
+    w, v = _eigh_c((x + x.conj().T) / 2)
     u = w[::-1]  # eigh returns the eigenvalues in ascending order
     css = np.cumsum(u) - 1.0
     idx = np.arange(1, len(u) + 1)
@@ -520,18 +522,14 @@ def purify_witness(witness: DensityOperator, tol: Tolerances = DEFAULT_TOL):
     recovers the witness.
     """
     rho = witness.matrix
-    w, v = np.linalg.eigh(rho)
-    keep = [i for i in range(len(w)) if w[i] > 1e-12]
-    keep.reverse()  # largest eigenvalue first
-    r = len(keep)
+    w, v = _eigh_c(rho)
+    keep = np.flatnonzero(w > 1e-12)[::-1]  # largest eigenvalue first
+    d, r = rho.shape[0], keep.size
     if r == 0:
         raise ValueError("witness has numerically zero rank")
-    d = rho.shape[0]
-    amp = np.zeros((d, r), dtype=complex)
-    for slot, i in enumerate(keep):
-        # the kept eigenvector, weighted, in its ancilla column: adding it to
-        # zeros leaves the bytes a Kronecker product with e_slot would give
-        amp[:, slot] += np.sqrt(w[i]) * v[:, i]
+    # each kept eigenvector, weighted, in its ancilla column: adding them to
+    # zeros leaves the bytes a Kronecker product with e_slot would give
+    amp = np.zeros((d, r), dtype=complex) + np.sqrt(w[keep]) * v[:, keep]
     state = StateVector(amp.reshape(-1))
     # with the amplitudes as a (system, ancilla) matrix a, tracing the
     # ancilla out of the state leaves a a{dag}

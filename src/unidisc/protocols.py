@@ -41,6 +41,7 @@ from .qcore import (
     Tolerances,
     _kron,
     _near_unitaries,
+    _qr_c,
     _valid_prefix,
     as_matrix,
     check_povm,
@@ -355,10 +356,9 @@ def verify_probe(unitaries, witness: ProbeWitness) -> np.ndarray:
 def _orthonormalize_states(states):
     """Orthonormalize near-orthogonal unit vectors, keeping each output
     aligned with its input (QR with a phase fix on the diagonal)."""
-    mat = np.column_stack(states)
-    q, r = np.linalg.qr(mat)
+    q, f = _qr_c(np.array(states).T)
     for k in range(len(states)):
-        piv = r[k, k]
+        piv = f[k, k]  # r's diagonal, on the factored matrix
         if abs(piv) < 1e-12:
             raise ValueError("states are not linearly independent")
         q[:, k] *= piv / abs(piv)

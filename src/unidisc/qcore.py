@@ -20,8 +20,10 @@ bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 __all__ = [
     "Tolerances",
@@ -91,6 +93,39 @@ def _kron(a, b) -> np.ndarray:
         a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
+# -----------------------------------------------------------------------------
+# LAPACK binding
+# -----------------------------------------------------------------------------
+# On matrices this small a ``np.linalg`` wrapper costs more than its LAPACK call, so
+# the kernels call its gufunc (numpy's private ``_umath_linalg``) on complex128 input,
+# with its signature and floating-point state: the same bytes and ``LinAlgError``.
+
+def _raise_nonconvergence(err, flag):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def _raise_qr(err, flag):
+    raise np.linalg.LinAlgError("Incorrect argument found while performing QR factorization")
+
+
+def _lapack(gufunc, raiser, *args, signature):
+    with np.errstate(call=raiser, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return gufunc(*args, signature=signature)
+
+
+#: ``zheevd`` on the lower triangle; the seesaw loop enters its own ``errstate``
+_eigh = _umath_linalg.eigh_lo
+_eigh_c = partial(_lapack, _eigh, _raise_nonconvergence, signature="D->dD")
+_eigvalsh_c = partial(_lapack, _umath_linalg.eigvalsh_lo, _raise_nonconvergence, signature="D->d")
+
+
+def _qr_c(a):
+    """``np.linalg.qr(a)`` as ``(q, f)``, with ``r`` the upper triangle of ``f``."""
+    f = a.astype(complex)
+    tau = _lapack(_umath_linalg.qr_r_raw, _raise_qr, f, signature="D->D")
+    return _lapack(_umath_linalg.qr_reduced, _raise_qr, f, tau, signature="DD->D"), f
+
+
 def _valid_prefix(items, check):
     """``check`` applied to each item until one raises ``ValueError``: the
     results so far and that error (``None`` when every item passed).
@@ -131,8 +166,8 @@ def _near_unitaries(columns, message):
         return [(tuple(c), s) for c, s in zip(columns, stacks)]
     # an overflow gives inf or NaN, which fails below: the error is the only report
     with np.errstate(over="ignore", invalid="ignore"):
-        errs = [np.abs(s.conj().transpose(0, 2, 1) @ s - np.eye(s.shape[1])).max(axis=(1, 2))
-                .tolist() for s in stacks]
+        errs = [np.abs(s.conj().mT @ s - np.eye(s.shape[1])).max(axis=(1, 2)).tolist()
+                for s in stacks]
     for k, ek in enumerate(zip(*errs)):
         if not all(e <= 1e-8 for e in ek):  # NaN fails too
             raise ValueError(message(k, float(np.max(ek))))
@@ -165,7 +200,7 @@ def check_povm(povm, dim: int, what: str = "POVM") -> tuple:
         stack = np.array(mats)
         adj = stack.conj().transpose(0, 2, 1)
         herm = np.abs(stack - adj).max(axis=(1, 2)) > 1e-8
-        lo = np.linalg.eigvalsh((stack + adj) / 2).min(axis=1)
+        lo = _eigvalsh_c((stack + adj) / 2).min(axis=1)
         bad = herm | (lo < -1e-10)
         if bad.any():
             k = int(bad.argmax())
@@ -178,6 +213,14 @@ def check_povm(povm, dim: int, what: str = "POVM") -> tuple:
     if err > 1e-8:
         raise ValueError(f"{what}: completeness violated by {err:.3e}")
     return tuple(mats)
+
+
+def _unit(v) -> np.ndarray:
+    """``v / np.linalg.norm(v)`` for a nonzero 1-D complex ``v``, by its sum."""
+    n = np.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
+    if n < 1e-12:
+        raise ValueError("cannot normalize a (near-)zero vector")
+    return v / n
 
 
 def _as_vector(v) -> np.ndarray:
@@ -236,7 +279,7 @@ class DensityOperator:
         tr = m.trace()
         if abs(tr - 1.0) > _DENSITY_TOL:
             raise ValueError(f"trace is {tr:.12g}, expected 1")
-        lo = np.linalg.eigvalsh((m + adj) / 2).min()
+        lo = _eigvalsh_c((m + adj) / 2).min()
         if lo < -_DENSITY_TOL:
             raise ValueError(f"negative eigenvalue {lo:.3e}")
         object.__setattr__(self, "matrix", m)
@@ -253,11 +296,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        v = _as_vector(self.amplitudes)
-        n = np.linalg.norm(v)
-        if n < 1e-12:
-            raise ValueError("cannot normalize a (near-)zero vector")
-        object.__setattr__(self, "amplitudes", v / n)
+        object.__setattr__(self, "amplitudes", _unit(_as_vector(self.amplitudes)))
 
     @property
     def dim(self) -> int:
@@ -273,10 +312,9 @@ class StateVector:
 # -----------------------------------------------------------------------------
 
 def projector(psi) -> np.ndarray:
-    """|psi><psi| as a plain array."""
-    v = psi.amplitudes if isinstance(psi, StateVector) else _as_vector(psi)
-    v = v / np.linalg.norm(v)
-    return np.outer(v, v.conj())
+    """|psi><psi| as a plain array, for a state or a nonzero vector."""
+    v = _unit(psi.amplitudes if isinstance(psi, StateVector) else _as_vector(psi))
+    return v[:, None] * v.conj()[None, :]  # np.outer, unwrapped
 
 
 def partial_trace(rho, dims, keep) -> np.ndarray:
@@ -286,6 +324,9 @@ def partial_trace(rho, dims, keep) -> np.ndarray:
     iterable of subsystem indices to retain (order preserved as given).
     """
     m = rho.matrix if isinstance(rho, DensityOperator) else as_matrix(rho)
+    dims, keep = list(dims), list(keep)
+    if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in dims + keep):
+        raise ValueError(f"dims {dims} and keep indices {keep} must be integers")
     dims = [int(d) for d in dims]
     total = int(np.prod(dims))
     if m.shape != (total, total):
@@ -356,7 +397,7 @@ def simultaneous_eigenbasis(ops) -> np.ndarray:
             cols = basis[:, a:b]
             comp = cols.conj().T @ h @ cols
             comp = (comp + comp.conj().T) / 2
-            w, q = np.linalg.eigh(comp)
+            w, q = _eigh_c(comp)
             basis[:, a:b] = cols @ q
             # split the block wherever the spectrum jumps
             cuts = [a, *(a + i for i in range(1, b - a) if w[i] - w[i - 1] > _CLUSTER_GAP), b]
@@ -378,12 +419,12 @@ def eig_unitary(u, tol: Tolerances = DEFAULT_TOL):
 
     A unitary is normal, so its Hermitian part (U+U+)/2 and anti-Hermitian
     part (U-U+)/2i commute; a generic real combination of the two usually
-    separates all eigenvectors in one shot.  Degenerate combinations are
-    rescued by refining with both parts blockwise.
+    separates all eigenvectors in one shot, by one ``eigh`` through the LAPACK
+    binding.  Degenerate combinations are refined with both parts blockwise.
 
     It decomposes the matrix it is given: a :class:`UnitaryOperator`, or an
-    array that a set, problem or pair has accepted by the rule of
-    :func:`_near_unitaries`.  Only the decomposition residual is checked.
+    array a set, problem or pair has accepted by :func:`_near_unitaries`.
+    Only the decomposition residual is checked; a NaN residual fails.
     """
     mat = u.matrix if isinstance(u, UnitaryOperator) else as_matrix(u)
     d = mat.shape[0]
@@ -393,7 +434,7 @@ def eig_unitary(u, tol: Tolerances = DEFAULT_TOL):
     c = (mat + adj) / 2
     s = (mat - adj) / 2j
 
-    _, q = np.linalg.eigh(_MIX_COS * c + _MIX_SIN * s)
+    _, q = _eigh_c(_MIX_COS * c + _MIX_SIN * s)
     diag = q.conj().T @ mat @ q
     off = np.abs(diag)
     off.flat[::d + 1] = 0.0  # the diagonal
@@ -403,7 +444,7 @@ def eig_unitary(u, tol: Tolerances = DEFAULT_TOL):
         basis = simultaneous_eigenbasis([c, s])
         lam = (basis.conj().T @ mat @ basis).diagonal()
     resid = np.abs(mat @ basis - basis * lam).max()
-    if resid > tol.comparison:
+    if not resid <= tol.comparison:  # NaN fails too
         raise ValueError(f"eigendecomposition residual {resid:.3e}")
 
     # np.angle without its wrapper, and np.mod as its operator
@@ -422,8 +463,7 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> UnitaryOperator:
     if dim < 1:
         raise ValueError(f"dimension must be positive, got dim={dim}")
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
+    q, f = _qr_c(z)
     # fix the phase ambiguity of QR so the distribution is Haar
-    ph = np.diag(r).copy()
-    ph /= np.abs(ph)
+    ph = f.diagonal() / np.abs(f.diagonal())
     return UnitaryOperator(q * ph[None, :])

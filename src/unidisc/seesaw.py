@@ -38,9 +38,10 @@ one probe.
 
 On blocks that small an iteration is bound by the overhead of its few dozen
 numpy calls, not by their arithmetic.  So the iteration calls the LAPACK
-gufunc under ``np.linalg.eigh`` directly, enters one ``errstate`` for the
-whole step instead of one per decomposition, and tests its row flags as
-Python lists; every output byte is that of the plain numpy formulation.
+gufunc under ``np.linalg.eigh`` directly (``qcore._eigh``, the package's one
+LAPACK binding), enters one ``errstate`` for the whole step instead of one per
+decomposition, and tests its row flags as Python lists; every output byte is
+that of the plain numpy formulation.
 
 A vanishing optimum means a perfect elimination measurement exists; a
 strictly positive optimum across restarts is numerical evidence (not a
@@ -53,10 +54,10 @@ from dataclasses import dataclass
 import logging
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .families import CLOCK3, FLIP3
-from .qcore import DensityOperator, StateVector, _kron, as_matrix, check_povm
+from .qcore import (DensityOperator, StateVector, _eigh, _kron, _raise_nonconvergence, as_matrix,
+                    check_povm)
 
 __all__ = [
     "EliminationTask",
@@ -325,19 +326,6 @@ def rho_step(task: EliminationTask, povm) -> DensityOperator:
     _check_dim(task, povm_m, "each POVM element")
     v = _rho_kernel(_ArmStack(task), povm_m[None])[0]
     return DensityOperator(np.outer(v, v.conj()))
-
-
-def _raise_nonconvergence(err, flag):
-    raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-
-#: The LAPACK gufunc that ``np.linalg.eigh`` wraps (``zheevd`` on the lower
-#: triangle), bound once from numpy's private ``numpy.linalg._umath_linalg``.
-#: Called as ``_eigh(mat, signature="D->dD")`` it returns the wrapper's bytes
-#: without the wrapper's checks and its ``errstate`` per call; the caller
-#: enters ``np.errstate(call=_raise_nonconvergence, invalid="call")`` itself,
-#: so a failed decomposition still raises ``LinAlgError``.
-_eigh = _umath_linalg.eigh_lo
 
 
 def _measurement_kernel(basis: np.ndarray, blocks: np.ndarray) -> tuple:

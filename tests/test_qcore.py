@@ -471,3 +471,39 @@ class TestCheckPovm:
         assert all(np.array_equal(g, p) for g, p in zip(got, povm))
         with pytest.raises(ValueError, match="empty POVM"):
             check_povm(np.zeros((0, 2, 2)), 2)
+
+
+class TestProjectorAndIndexInputs:
+    @pytest.mark.parametrize("v", [np.zeros(2), np.full(3, 1e-13j)])
+    def test_projector_rejects_a_near_zero_vector(self, v):
+        # the bar and message of StateVector, with no NaN matrix or warning
+        with pytest.raises(ValueError, match=r"cannot normalize a \(near-\)zero vector"):
+            projector(v)
+
+    def test_projector_keeps_the_outer_product_bytes(self):
+        rng = np.random.default_rng(19)
+        for d in (1, 2, 4, 9):
+            v = rng.normal(size=d) + 1j * rng.normal(size=d)
+            u = v / np.linalg.norm(v)
+            assert projector(v).tobytes() == np.outer(u, u.conj()).tobytes()
+            psi = StateVector(v)
+            u = psi.amplitudes / np.linalg.norm(psi.amplitudes)
+            assert projector(psi).tobytes() == np.outer(u, u.conj()).tobytes()
+
+    @pytest.mark.parametrize("dims, keep", [
+        ([2, 2], [True]),
+        ([2, 2], [np.bool_(False)]),
+        ([2, 2], [0.0]),
+        ([2, 2], [1.7]),
+        ([2.0, 2], [0]),
+        ([2.5, 2], [0]),
+        ([True, 4], [1]),
+    ])
+    def test_partial_trace_rejects_bools_and_non_integers(self, dims, keep):
+        with pytest.raises(ValueError, match="must be integers"):
+            partial_trace(np.eye(4) / 4, dims, keep)
+
+    def test_partial_trace_takes_numpy_integers_and_iterables(self):
+        rho = np.kron(np.diag([0.25, 0.75]), np.eye(2) / 2)
+        got = partial_trace(rho, np.array([2, 2]), (k for k in [np.int64(0)]))
+        assert np.array_equal(got, np.diag([0.25, 0.75]))

@@ -1,0 +1,101 @@
+"""Print the time per call of the small kernels the library rests on.
+
+Usage::
+
+    python3 tools/kernel_timings.py
+
+The script imports only the ``src/`` of the checkout it sits in, needs numpy
+and the standard library only, takes no options and writes no file.  Each
+kernel runs on fixed inputs; ``timeit`` times ``REPEATS`` batches of
+``number`` calls, and the median and minimum over the batches, divided by
+``number``, are printed in microseconds.  The batches of all kernels take
+turns, so a slow stretch of a shared host falls on every kernel alike
+rather than on whichever kernel it happened to be timing.  Run it in two
+checkouts, one after the other, to compare them; the minimum is the
+steadier figure on a shared host.
+
+The kernels, on the inputs the benchmark's ``pair-grid`` and ``qubit-audit``
+workloads give them:
+
+* ``qcore.eig_unitary`` on a Haar unitary of dimension 2 and 4, as the plain
+  array the internal callers pass;
+* ``eigdist.min_convex_norm`` on those unitaries' 2 and 4 eigenphases;
+* ``qcore._near_unitaries`` on one column of two 2x2 factors, as a pair;
+* ``qcore.check_povm`` on a two-outcome projective measurement in
+  dimension 4;
+* ``simplex.feasible_point`` on the 3 x 4 system of a commuting problem;
+* ``protocols.verify_tree`` on the Pauli-Hadamard set and its tree;
+* ``jsonio.dumps`` of the GDR verdict on the phase-pair set.
+"""
+
+import os
+import platform
+import statistics
+import sys
+import timeit
+
+sys.dont_write_bytecode = True
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+sys.path.insert(0, SRC)
+
+import numpy as np  # noqa: E402
+
+from unidisc import jsonio  # noqa: E402
+from unidisc.eigdist import min_convex_norm  # noqa: E402
+from unidisc.families import (  # noqa: E402
+    PhasePairParams,
+    pauli_hadamard_set,
+    pauli_hadamard_tree,
+    phase_pair_set,
+)
+from unidisc.protocols import check_gdr, verify_tree  # noqa: E402
+from unidisc.qcore import _near_unitaries, check_povm, eig_unitary, haar_unitary  # noqa: E402
+from unidisc.simplex import feasible_point  # noqa: E402
+
+REPEATS = 60
+
+
+def _kernels():
+    rng = np.random.default_rng(2024)
+    u2, u4 = (haar_unitary(d, rng).matrix for d in (2, 4))
+    phases2, phases4 = eig_unitary(u2)[0], eig_unitary(u4)[0]
+    pair = [haar_unitary(2, rng).matrix, haar_unitary(2, rng).matrix]
+    v = haar_unitary(4, rng).matrix[:, 0]
+    p = np.outer(v, v.conj())
+    povm = [p, np.eye(4) - p]
+    # the commuting route's system: convex weights on 4 eigenvalues whose
+    # real and imaginary parts average to zero
+    pts = np.exp(1j * np.array([0.3, 1.9, 3.4, 5.0]))
+    a_eq, b_eq = np.vstack([pts.real, pts.imag, np.ones(4)]), [0.0, 0.0, 1.0]
+    ph_set, ph_tree = pauli_hadamard_set(), pauli_hadamard_tree("A")
+    verdict = jsonio.verdict_to_json(
+        check_gdr(phase_pair_set(PhasePairParams(0.3, 0.5, 0.9, np.pi - 1.7))))
+    message = lambda k, err: f"{k} {err}"  # noqa: E731
+    return [
+        ("qcore.eig_unitary d=2", 500, lambda: eig_unitary(u2)),
+        ("qcore.eig_unitary d=4", 500, lambda: eig_unitary(u4)),
+        ("eigdist.min_convex_norm 2 phases", 500, lambda: min_convex_norm(phases2)),
+        ("eigdist.min_convex_norm 4 phases", 500, lambda: min_convex_norm(phases4)),
+        ("qcore._near_unitaries 2 x 2x2", 500, lambda: _near_unitaries((pair,), message)),
+        ("qcore.check_povm 2 x 4x4", 500, lambda: check_povm(povm, 4)),
+        ("simplex.feasible_point 3x4", 500, lambda: feasible_point(a_eq, b_eq)),
+        ("protocols.verify_tree pauli-hadamard", 40, lambda: verify_tree(ph_set, ph_tree)),
+        ("jsonio.dumps phase-pair GDR verdict", 100, lambda: jsonio.dumps(verdict)),
+    ]
+
+
+def main():
+    print(f"cpus {os.cpu_count()}  python {platform.python_version()}  numpy {np.__version__}")
+    kernels = _kernels()
+    timers = [timeit.Timer(call) for _, _, call in kernels]
+    per_call = [[] for _ in kernels]
+    for _ in range(REPEATS):
+        for (_, number, _), timer, times in zip(kernels, timers, per_call):
+            times.append(timer.timeit(number) / number * 1e6)
+    print(f"{'kernel':40s} {'median_us':>10s} {'min_us':>10s}")
+    for (name, _, _), times in zip(kernels, per_call):
+        print(f"{name:40s} {statistics.median(times):10.2f} {min(times):10.2f}")
+
+
+if __name__ == "__main__":
+    main()
