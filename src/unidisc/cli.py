@@ -75,7 +75,7 @@ def _config(args) -> RunConfig:
     tol = DEFAULT_TOL
     if getattr(args, "tol", None) is not None:
         try:
-            tol = Tolerances(comparison=args.tol, orthogonality=args.tol)
+            tol = Tolerances(comparison=args.tol)
         except ValueError:
             raise _CliError(f"--tol must be finite and positive, got {args.tol}") from None
     seed = getattr(args, "seed", 0)
@@ -172,9 +172,6 @@ def _cmd_pair(args) -> int:
     cfg = _config(args)
     u1 = _load_matrix(args.u1)
     u2 = _load_matrix(args.u2)
-    if u1.shape != u2.shape:
-        raise _CliError(
-            f"matrix: dimension mismatch {u1.shape} vs {u2.shape}")
     try:
         res = pair_distinguishable(u1, u2, cfg.tol)
     except ValueError as exc:

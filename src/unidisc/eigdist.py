@@ -47,8 +47,8 @@ class ConvexNormResult:
 
     ``weights[j]`` is the mass placed on ``points[j]``; at most three entries
     are nonzero (Caratheodory in the plane) and
-    ``|sum_j weights[j] points[j]| == min_norm`` up to the orthogonality
-    tolerance.  Duplicate phases carry their mass on the first occurrence.
+    ``|sum_j weights[j] points[j]| == min_norm`` up to ``tol.comparison``.
+    Duplicate phases carry their mass on the first occurrence.
     ``distinguishable`` is the pair criterion, ``min_norm <= tol.comparison``
     for the tolerances the distance was computed under.
     """
@@ -139,7 +139,7 @@ def min_convex_norm(phases, tol: Tolerances = DEFAULT_TOL) -> ConvexNormResult:
             raise AssertionError("empty weight assignment")
         weights[:] /= total
         achieved = abs(np.dot(weights, points))
-        if abs(achieved - norm) > 10 * tol.orthogonality:
+        if abs(achieved - norm) > tol.comparison:
             raise AssertionError(
                 f"weight/norm mismatch: |sum w z| = {achieved:.3e}, min_norm = {norm:.3e}"
             )
@@ -178,7 +178,7 @@ def min_convex_norm(phases, tol: Tolerances = DEFAULT_TOL) -> ConvexNormResult:
         # a sliver triangle can pass the sign test on rounding alone, so its
         # weights must also land on the origin
         miss = np.hypot(l0 * ax + l1 * ix + l2 * jx, l0 * ay + l1 * iy + l2 * jy)
-        if min(l0, l1, l2) >= -1e-12 and miss <= 10 * tol.orthogonality:
+        if min(l0, l1, l2) >= -1e-12 and miss <= tol.comparison:
             return finish(0.0, {reps[hull[0]]: l0, reps[i]: l1, reps[j]: l2})
     # no fan triangle passed: the origin lies on the widest chord within
     # rounding, or only sliver fan triangles hold it.  Then the ray from a
@@ -266,7 +266,7 @@ def _pair_probe(m1, m2, vecs, result: ConvexNormResult, tol: Tolerances) -> Pair
     ev1 = m1 @ probe.amplitudes
     ev2 = m2 @ probe.amplitudes
     cross = abs(np.vdot(ev1, ev2))
-    if cross > tol.orthogonality:
+    if cross > tol.comparison / 10:  # 1e-10 at the default tolerance
         raise AssertionError(f"evolved states not orthogonal: |<.|.>| = {cross:.3e}")
     p = projector(ev1)
     measurement = (p, np.eye(m1.shape[0]) - p)

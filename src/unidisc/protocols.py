@@ -185,18 +185,6 @@ def group_by_factor(uset: ProductUnitarySet, party) -> tuple:
     return SetAnalysis(uset).groups(party)
 
 
-def _relative(a, b):
-    return a.conj().T @ b
-
-
-def _dedup_phase(ops):
-    kept = []
-    for k in ops:
-        if not any(_phase_equal(k, other) for other in kept):
-            kept.append(k)
-    return kept
-
-
 # -----------------------------------------------------------------------------
 # Protocol trees and their simulation
 # -----------------------------------------------------------------------------
@@ -417,9 +405,10 @@ class SetAnalysis:
     pair probe and eigenrays; the common-probe problem that any index pairs
     pose on one party (responder, stage-1 and union problems), with the
     measurement realizing its witness; the purification of each mixed
-    witness (a pure one comes with its state); and the GDR problem.
-    Entries that depend only on matrices are keyed by their bytes, so a
-    problem posed twice, by one decider or by two, is solved once.  The
+    witness (a pure one comes with its state); and the GDR problem, whose
+    operators are products of the two parties' relatives.  Entries that
+    depend only on matrices are keyed by their bytes, so a problem posed
+    twice, by one decider or by two, is solved once.  The
     table only decides which call computes an entry: the solvers and their
     operator orders are those the deciders used on their own.  Each public
     decider builds its own table and :func:`hierarchy_audit` builds one for
@@ -444,7 +433,7 @@ class SetAnalysis:
             fs = self.uset.factors(party)
             rel, cls, firsts = {}, {}, []
             for p in combinations(range(self.uset.size), 2):
-                k = rel[p] = _relative(fs[p[0]], fs[p[1]])
+                k = rel[p] = fs[p[0]].conj().T @ fs[p[1]]
                 cls[p] = next((q for q in firsts if _phase_equal(k, rel[q])), p)
                 if cls[p] == p:
                     firsts.append(p)
@@ -539,9 +528,20 @@ class SetAnalysis:
             return tuple(vecs[:, c] / np.linalg.norm(vecs[:, c]) for c in range(k.shape[0]))
         return self._keyed("eigenrays", self.relatives(party)[0][i, j], compute)
 
+    def gdr_problem(self) -> OrthogonalityProblem:
+        """The problem of :func:`gdr_problem`: the product (U_i{dag} U_j on
+        A) (x) (U_i{dag} U_j on B) of the first pair, in lexicographic order,
+        of each pair of phase classes the two parties' relatives fall in."""
+        (ra, ca), (rb, cb) = self.relatives("A"), self.relatives("B")
+        first = {}
+        for p in ra:
+            first.setdefault((ca[p], cb[p]), p)
+        return OrthogonalityProblem(dim=self.uset.dim,
+                                    operators=tuple(_kron(ra[p], rb[p]) for p in first.values()))
+
     def gdr(self) -> ProbeFeasibility:
-        """The :func:`gdr_problem` of the set, solved."""
-        return self._entry(("gdr",), lambda: self._solve(gdr_problem(self.uset)))
+        """The :meth:`gdr_problem` of the set, solved."""
+        return self._entry(("gdr",), lambda: self._solve(self.gdr_problem()))
 
 
 # -----------------------------------------------------------------------------
@@ -550,17 +550,13 @@ class SetAnalysis:
 
 def gdr_problem(uset: ProductUnitarySet) -> OrthogonalityProblem:
     """The orthogonalization problem a fixed composite probe must solve:
-    one constraint per pairwise relative product unitary, phase-deduplicated.
+    one constraint per pairwise relative product unitary, up to phase, read
+    from the set's relative table (:meth:`SetAnalysis.gdr_problem`).
 
     Exposed so certificates attached to a verdict can be re-verified
     against the exact constraint system that produced them.
     """
-    ops = []
-    for i in range(uset.size):
-        for j in range(i + 1, uset.size):
-            ops.append(_kron(_relative(uset.factor(i, "A"), uset.factor(j, "A")),
-                             _relative(uset.factor(i, "B"), uset.factor(j, "B"))))
-    return OrthogonalityProblem(dim=uset.dim, operators=tuple(_dedup_phase(ops)))
+    return SetAnalysis(uset).gdr_problem()
 
 
 def check_gdr(uset: ProductUnitarySet, tol: Tolerances = DEFAULT_TOL) -> StrategyVerdict:

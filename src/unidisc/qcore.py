@@ -47,24 +47,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical tolerances of the deciders.
+    """Numerical tolerance of the deciders.
 
-    comparison : bound when comparing computed against expected quantities
-    orthogonality : bound on inner products that must vanish
+    comparison : bound when comparing computed against expected quantities,
+        and a tenth of it bounds a pair probe's evolved overlap
 
-    Neither moves which matrices are accepted as unitary: that is the one
-    rule of :func:`_near_unitaries`.  Every field must be finite and
-    positive: a NaN bound makes every comparison false and an infinite one
-    makes every comparison true.
+    It does not move which matrices are accepted as unitary: that is the one
+    rule of :func:`_near_unitaries`.  It must be finite and positive: a NaN
+    bound makes every comparison false and an infinite one makes every
+    comparison true.
     """
 
     comparison: float = 1e-9
-    orthogonality: float = 1e-10
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if not 0 < value < float("inf"):
-                raise ValueError(f"tolerance {name} must be finite and positive, got {value}")
+        if not 0 < self.comparison < float("inf"):
+            raise ValueError(
+                f"tolerance comparison must be finite and positive, got {self.comparison}")
 
 
 DEFAULT_TOL = Tolerances()
@@ -431,10 +430,12 @@ def eig_unitary(u, tol: Tolerances = DEFAULT_TOL):
     if mat.shape[0] != mat.shape[1]:
         raise ValueError("unitary must be square")
     adj = mat.conj().T
-    c = (mat + adj) / 2
-    s = (mat - adj) / 2j
-
-    _, q = _eigh_c(_MIX_COS * c + _MIX_SIN * s)
+    # entries near the float limit overflow here; the checks below reject them
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = (mat + adj) / 2
+        s = (mat - adj) / 2j
+        mix = _MIX_COS * c + _MIX_SIN * s
+    _, q = _eigh_c(mix)
     diag = q.conj().T @ mat @ q
     off = np.abs(diag)
     off.flat[::d + 1] = 0.0  # the diagonal

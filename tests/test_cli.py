@@ -95,10 +95,12 @@ class TestPair:
         assert "square" in capsys.readouterr().err
 
     def test_dimension_mismatch_rejected(self, tmp_path, capsys):
-        a = write_matrix(tmp_path / "a.json", np.eye(3))
-        b = write_matrix(tmp_path / "b.json", np.eye(2))
+        # the pair criterion's own check, under the CLI's "matrix:" prefix
+        a = write_matrix(tmp_path / "a.json", np.eye(2))
+        b = write_matrix(tmp_path / "b.json", np.eye(3))
         assert main(["pair", a, b]) == 2
-        assert "mismatch" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: matrix: dimension mismatch (2, 2) vs (3, 3)\n")
 
     def test_non_unitary_rejected(self, tmp_path, capsys):
         a = write_matrix(tmp_path / "a.json", [[1, 0], [0, 2]])

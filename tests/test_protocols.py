@@ -1,6 +1,7 @@
 """Strategy checkers, protocol trees, and the exact tree simulator."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -23,12 +24,13 @@ from unidisc.protocols import (
     verify_probe,
     verify_tree,
 )
-from unidisc.jsonio import dumps, verdict_to_json
-from unidisc.separable import check_gda_separable
-from unidisc.probefeas import verify_certificate
+from unidisc.jsonio import dumps, verdict_to_json, witness_from_json
+from unidisc.separable import check_gda_separable, separable_start_analysis
+from unidisc.probefeas import ProbeFeasibility, verify_certificate
 from unidisc.qcore import StateVector, haar_unitary
 from unidisc.families import (
     CLOCK3,
+    FLIP3,
     H,
     I2,
     I3,
@@ -527,3 +529,84 @@ class TestHierarchyAudit:
         monkeypatch.setattr(separable, "_gda_separable", lambda table: (planted, None))
         with pytest.raises(RuntimeError, match="GDA_separable=1 exceeds GDA=0"):
             hierarchy_audit(uset)
+
+
+class TestOneItemSets:
+    @pytest.mark.parametrize("dims, b", [((2, 2), Z), ((2, 3), CLOCK3)])
+    def test_every_row_distinguishable_with_a_rechecked_witness(self, dims, b):
+        uset = ProductUnitarySet(dims, (("only", X, b),))
+        rows = hierarchy_audit(uset)
+        assert ("GDA_separable" in dict(rows)) == (dims == (2, 2))
+        for label, verdict in rows:
+            assert verdict.status == "distinguishable", label
+            witness = witness_from_json(json.loads(dumps(verdict_to_json(verdict)))["witness"])
+            if isinstance(witness, ProtocolTree):
+                success = verify_tree(uset, witness).success
+            else:
+                success = verify_probe(uset.global_unitaries(), witness)
+            assert success.tolist() == [1.0], label
+        assert gdr_problem(uset).operators == ()
+
+    def test_separable_start_analysis(self):
+        uset = ProductUnitarySet((2, 2), (("only", X, Z),))
+        for start in ("A", "B"):
+            assert separable_start_analysis(uset, start).verdict == "distinguishable"
+
+
+class TestStalledSearch:
+    """Local verdicts when the probe search stalls on one party's problems,
+    which a (2, 3) set tells apart by their dimension."""
+
+    @staticmethod
+    def stall(monkeypatch, dim):
+        """Answer ``not_found`` for every problem on dimension ``dim``; the
+        answers, in call order."""
+        import unidisc.protocols as protocols
+
+        solve = protocols.common_probe_feasible
+        answers = []
+
+        def fake(problem, *args, **kwargs):
+            if problem.dim != dim:
+                return solve(problem, *args, **kwargs)
+            answers.append(ProbeFeasibility(status="not_found", note=f"stall {len(answers)}"))
+            return answers[-1]
+
+        monkeypatch.setattr(protocols, "common_probe_feasible", fake)
+        return answers
+
+    def test_stage_one_stall(self, monkeypatch):
+        # A tells I from X only through its stage-1 problem, which stalls, and
+        # B's equal factors leave the responder nothing to do alone
+        answers = self.stall(monkeypatch, 2)
+        uset = ProductUnitarySet((2, 3), (("u", I2, I3), ("v", X, I3)))
+        rows = dict(hierarchy_audit(uset))
+        (stalled,) = answers
+        for label in ("LDR:A", "LDA:A"):
+            v = rows[label]
+            assert v.status == "not_found", label
+            assert v.note == "stage-1 search stalled: stall 0", label
+            assert v.feasibility is stalled, label
+        # from B, the same A problem is the one group's responder problem
+        assert rows["LDR:B"].note == "shared-probe search stalled: stall 0"
+        assert rows["LDA:B"].note == "within-group search stalled: stall 0"
+        assert rows["LDR:B"].feasibility is rows["LDA:B"].feasibility is stalled
+
+    def test_stage_two_stall(self, monkeypatch):
+        # A identifies the group {0, 1} or {2, 3}; B's problems within each
+        # group and their union all stall, in that order, once per checker
+        answers = self.stall(monkeypatch, 3)
+        uset = ProductUnitarySet((2, 3), (("a", I2, I3), ("b", I2, CLOCK3),
+                                          ("c", X, I3), ("d", X, FLIP3)))
+        ldr = check_ldr(uset, "A")
+        assert len(answers) == 3
+        lda = check_lda(uset, "A")
+        assert len(answers) == 6
+        assert (ldr.status, lda.status) == ("not_found", "not_found")
+        assert ldr.note == "shared-probe search stalled: stall 2"
+        assert ldr.feasibility is answers[2]
+        assert lda.note == "within-group search stalled: stall 3"
+        assert lda.feasibility is answers[3]
+        rows = dict(hierarchy_audit(uset))
+        assert rows["LDR:A"].note == "shared-probe search stalled: stall 8"
+        assert rows["LDA:A"].note == "within-group search stalled: stall 6"

@@ -28,10 +28,9 @@ from unidisc.qcore import (
 def test_tolerance_defaults():
     t = Tolerances()
     assert t.comparison == 1e-9
-    assert t.orthogonality == 1e-10
     assert DEFAULT_TOL == t
-    # the unitarity rule has no field: no tolerance moves it
-    assert [f.name for f in fields(Tolerances)] == ["comparison", "orthogonality"]
+    # one tolerance, and the unitarity rule has no field: no tolerance moves it
+    assert [f.name for f in fields(Tolerances)] == ["comparison"]
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1e-9])
@@ -251,6 +250,16 @@ class TestEigUnitary:
         for j in range(2):
             assert np.allclose(x @ vecs[:, j],
                                np.exp(1j * phases[j]) * vecs[:, j])
+
+    @pytest.mark.parametrize("mat", [[[1e308, 1e308], [1e308, -1e308]],
+                                     [[1e308, -1e308], [1e308, 1e308]],
+                                     [[1e308j, 1e308], [-1e308, 1e308]]])
+    def test_overflowing_hermitian_parts_raise_only_the_error(self, mat):
+        # finite entries whose (U + U{dag})/2 or (U - U{dag})/2i overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                eig_unitary(np.array(mat))
 
     def test_clustered_spectrum(self):
         # eigenvalues {1, 1, -1} force the blockwise rescue path to stay exact

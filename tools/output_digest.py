@@ -23,7 +23,8 @@ caching is off for it and its children) except the matrix files it hands
   for both local factor pairs of every ``pair-gap`` grid point and for
   ``random_pair`` rng 0 draws 0-19 in each of the dimensions 2, 3 and 4;
 * stdout, stderr and exit code of ``unidisc pair U1 U2 --json`` for the
-  first of those draws in each dimension;
+  first of those draws in each dimension, and of the same command with
+  ``--tol 1e-6`` for the first draw in dimension 3;
 * ``tree_to_json(pauli_hadamard_tree(s))``, and the three ``verify_tree``
   arrays together, for s = A and B;
 * stdout, stderr and exit code of ``unidisc repro T --json`` for every
@@ -33,9 +34,12 @@ caching is off for it and its children) except the matrix files it hands
   --json``, whose reports carry every start's value and the best start's
   rho and POVM entries;
 * stdout, stderr and exit code of ``unidisc check SET --strategy S
-  [--start P] --json`` for every builtin set, strategy and start.
+  [--start P] --json`` for every builtin set, strategy and start, and of
+  ``unidisc check SET --strategy S --tol 1e-6 --json`` for every builtin
+  set and S in gdr, lda and gda-sep, so a change in what ``--tol`` sets
+  shows too.
 
-It prints 3561 lines and takes about 20 s on 2 CPUs.
+It prints 3571 lines and takes about 20 s on 2 CPUs.
 """
 
 import hashlib
@@ -126,6 +130,8 @@ def main():
                         with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
                             fh.write(jsonio.dumps(jsonio.matrix_to_json(u.matrix)))
                     _cli("pair", *names, cwd=tmp)
+                    if dim == 3:
+                        _cli("pair", *names, "--tol", "1e-6", cwd=tmp)
 
     uset = pauli_hadamard_set()
     for start in ("A", "B"):
@@ -145,6 +151,8 @@ def main():
         for strategy in ("ldr", "lda"):
             for start in ("a", "b", "either"):
                 _cli("check", name, "--strategy", strategy, "--start", start)
+        for strategy in ("gdr", "lda", "gda-sep"):
+            _cli("check", name, "--strategy", strategy, "--tol", "1e-6")
 
 
 if __name__ == "__main__":
