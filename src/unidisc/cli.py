@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +40,7 @@ from .seesaw import (
 )
 from .separable import gda_separable_analysis
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -54,51 +53,36 @@ _STATUS_EXIT = {
     "indistinguishable_certified": EXIT_CERTIFIED,
     "not_found": EXIT_NOT_FOUND,
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved run options shared by the subcommands."""
-
-    tol: Tolerances
-    seed: int
-    restarts: int
-    output: str  # "human" | "json"
-    out_path: str | None
+# ``--start either`` reports the start whose status sorts first: a witness
+# beats an open search, which beats a certificate; ties go to A
+_EITHER_ORDER = {"distinguishable": 0, "not_found": 1, "indistinguishable_certified": 2}
 
 
 class _CliError(Exception):
     pass
 
 
-def _config(args) -> RunConfig:
-    tol = DEFAULT_TOL
-    if getattr(args, "tol", None) is not None:
-        try:
-            tol = Tolerances(comparison=args.tol)
-        except ValueError:
-            raise _CliError(f"--tol must be finite and positive, got {args.tol}") from None
-    seed = getattr(args, "seed", 0)
-    if seed < 0:
-        raise _CliError(f"--seed must be non-negative, got {seed}")
-    restarts = getattr(args, "restarts", 50)
-    if restarts < 1:
+def _tolerances(args) -> Tolerances:
+    try:
+        return Tolerances(comparison=args.tol)
+    except ValueError:
+        raise _CliError(f"--tol must be finite and positive, got {args.tol}") from None
+
+
+def _check_starts(args) -> None:
+    """Reject a negative ``--seed`` or fewer than one ``--restarts``."""
+    if args.seed < 0:
+        raise _CliError(f"--seed must be non-negative, got {args.seed}")
+    if args.restarts < 1:
         raise _CliError("--restarts must be at least 1")
-    return RunConfig(
-        tol=tol,
-        seed=seed,
-        restarts=restarts,
-        output="json" if getattr(args, "json", False) else "human",
-        out_path=getattr(args, "out", None),
-    )
 
 
-def _emit(cfg: RunConfig, report: dict, human_lines) -> None:
+def _emit(args, report: dict, human_lines) -> None:
     text = jsonio.dumps(report)
-    if cfg.out_path:
-        with open(cfg.out_path, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    if cfg.output == "json":
+    if args.json:
         sys.stdout.write(text)
     else:
         for line in human_lines:
@@ -169,11 +153,11 @@ def _load_set(source: str):
 
 
 def _cmd_pair(args) -> int:
-    cfg = _config(args)
+    tol = _tolerances(args)
     u1 = _load_matrix(args.u1)
     u2 = _load_matrix(args.u2)
     try:
-        res = pair_distinguishable(u1, u2, cfg.tol)
+        res = pair_distinguishable(u1, u2, tol)
     except ValueError as exc:
         raise _CliError(f"matrix: {exc}") from exc
     report = {
@@ -191,14 +175,14 @@ def _cmd_pair(args) -> int:
         f"verdict: {report['status']}",
     ]
     if res.distinguishable:
-        pp = build_pair_probe(u1, u2, res, cfg.tol)
+        pp = build_pair_probe(u1, u2, res, tol)
         report["probe"] = jsonio.vector_to_json(pp.probe.amplitudes)
         report["measurement"] = [jsonio.matrix_to_json(el)
                                  for el in pp.measurement]
         lines.append("probe: "
                      + ", ".join(f"{z.real:+.4f}{z.imag:+.4f}i"
                                  for z in pp.probe.amplitudes))
-    _emit(cfg, report, lines)
+    _emit(args, report, lines)
     return EXIT_OK if res.distinguishable else EXIT_CERTIFIED
 
 
@@ -239,29 +223,19 @@ def _run_strategy(uset, strategy: str, start: str, tol: Tolerances):
             return fn(uset, start.upper(), tol), {}
         va = fn(uset, "A", tol)
         vb = fn(uset, "B", tol)
-        for v in (va, vb):
-            if v.status == "distinguishable":
-                chosen = v
-                break
-        else:
-            if (va.status == vb.status ==
-                    "indistinguishable_certified"):
-                chosen = va
-            else:
-                chosen = va if va.status == "not_found" else vb
+        chosen = min((va, vb), key=lambda v: _EITHER_ORDER[v.status])
         return chosen, {"per_start": {"A": jsonio.verdict_to_json(va),
                                       "B": jsonio.verdict_to_json(vb)}}
-    raise _CliError(f"unknown strategy {strategy!r}")
 
 
 def _cmd_check(args) -> int:
-    cfg = _config(args)
+    tol = _tolerances(args)
     if args.strategy in ("gdr", "gda", "gda-sep") and args.start != "either":
         raise _CliError(
             f"--start has no effect for strategy {args.strategy}; "
             "omit it or use 'either'")
     uset = _load_set(args.set)
-    verdict, extra = _run_strategy(uset, args.strategy, args.start, cfg.tol)
+    verdict, extra = _run_strategy(uset, args.strategy, args.start, tol)
     report = {"set_size": uset.size,
               "party_dims": list(uset.party_dims),
               "verdict": jsonio.verdict_to_json(verdict)}
@@ -272,7 +246,7 @@ def _cmd_check(args) -> int:
     ]
     if verdict.note:
         lines.append(f"note: {verdict.note}")
-    _emit(cfg, report, lines)
+    _emit(args, report, lines)
     return _STATUS_EXIT[verdict.status]
 
 
@@ -281,7 +255,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_seesaw(args) -> int:
-    cfg = _config(args)
+    _check_starts(args)
     if args.task == "quartet-bob-first":
         task = quartet_bob_first_task()
         warm = ()
@@ -292,16 +266,16 @@ def _cmd_seesaw(args) -> int:
         raise _CliError(
             f"unknown task {args.task!r}; builtins: quartet-bob-first, "
             "quartet-alice-first")
-    result = run_seesaw(task, restarts=cfg.restarts, seed=cfg.seed,
+    result = run_seesaw(task, restarts=args.restarts, seed=args.seed,
                         warm_starts=warm)
-    report = jsonio.seesaw_to_json(result, cfg.restarts)
+    report = jsonio.seesaw_to_json(result, args.restarts)
     report["task"] = args.task
     report["descriptions"] = list(task.descriptions)
     lines = [
         f"task {args.task}: s_max = {result.s_max:.12f} "
         f"over {result.restarts_used} starts",
     ]
-    _emit(cfg, report, lines)
+    _emit(args, report, lines)
     return EXIT_OK
 
 
@@ -310,11 +284,12 @@ def _cmd_seesaw(args) -> int:
 
 
 def _cmd_repro(args) -> int:
-    cfg = _config(args)
-    result = repro.BUNDLES[args.target](cfg.seed, cfg.restarts, cfg.tol)
+    tol = _tolerances(args)
+    _check_starts(args)
+    result = repro.BUNDLES[args.target](args.seed, args.restarts, tol)
     report = {
         "target": args.target,
-        "seed": cfg.seed,
+        "seed": args.seed,
         "checks": [{"name": n, "ok": bool(ok), "detail": str(d)}
                    for n, ok, d in result.checks],
         "passed": result.passed,
@@ -324,7 +299,7 @@ def _cmd_repro(args) -> int:
     failed = [name for name, ok, _ in result.checks if not ok]
     lines.append("result: " + ("all checks passed" if not failed
                                else "failed: " + ", ".join(failed)))
-    _emit(cfg, report, lines)
+    _emit(args, report, lines)
     return EXIT_OK if result.passed else EXIT_FAIL
 
 
@@ -340,8 +315,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--tol", type=float, default=None,
-                       help="override all tolerances with one value")
         p.add_argument("--json", action="store_true",
                        help="print the JSON report instead of text")
         p.add_argument("--out", default=None,
@@ -371,7 +344,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_repro.add_argument("target", choices=sorted(repro.BUNDLES))
     common(p_repro)
     p_repro.set_defaults(fn=_cmd_repro)
-    # only the commands that draw random starts take a seed and restarts
+    # only the commands that decide take a tolerance, and only those that
+    # draw random starts take a seed and restarts
+    for p in (p_pair, p_check, p_repro):
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL.comparison,
+                       help="the deciders' comparison tolerance "
+                            f"(default {DEFAULT_TOL.comparison:g})")
     for p, seed_default in ((p_seesaw, 1), (p_repro, 0)):
         p.add_argument("--seed", type=int, default=seed_default)
         p.add_argument("--restarts", type=int, default=50)

@@ -9,7 +9,6 @@ maps to a usage-error exit.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import json
 import math
@@ -190,17 +189,24 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _real(x, field: str) -> float:
+    """``x`` as a float, when it is a JSON number in float range and finite."""
+    if not _is_number(x):
+        raise FormatError(f"{field}: expected a number")
+    try:
+        x = float(x)
+    except OverflowError:  # an integer past the float range
+        raise FormatError(f"{field}: number out of float range") from None
+    # json reads NaN, Infinity and 1e999 (as inf)
+    if not math.isfinite(x):
+        raise FormatError(f"{field}: number is not finite")
+    return x
+
+
 def complex_from_json(v, field: str) -> complex:
     if not isinstance(v, (list, tuple)) or len(v) != 2 or not all(map(_is_number, v)):
         raise FormatError(f"{field}: expected a [re, im] number pair, got {v!r}")
-    try:
-        z = complex(float(v[0]), float(v[1]))
-    except OverflowError:
-        raise FormatError(f"{field}: number out of float range") from None
-    # json reads NaN, Infinity and 1e999 (as inf)
-    if not cmath.isfinite(z):
-        raise FormatError(f"{field}: number is not finite")
-    return z
+    return complex(_real(v[0], field), _real(v[1], field))
 
 
 def _complex_array(entries: list) -> np.ndarray | None:
@@ -497,22 +503,9 @@ def certificate_from_json(data, field: str = "certificate") -> InfeasibilityCert
     ):
         raise FormatError(
             f"{field}.coeffs: expected {2 * len(idx)} real coefficients")
-    try:
-        coeffs = np.array(coeffs_data, dtype=float)
-    except OverflowError:
-        raise FormatError(f"{field}.coeffs: coefficient out of float range") from None
-    bad = np.flatnonzero(~np.isfinite(coeffs))
-    if bad.size:
-        raise FormatError(f"{field}.coeffs[{bad[0]}]: number is not finite")
-    min_eig = _expect_key(data, "min_eig", field)
-    if not _is_number(min_eig):
-        raise FormatError(f"{field}.min_eig: expected a number")
-    try:
-        min_eig = float(min_eig)
-    except OverflowError:
-        raise FormatError(f"{field}.min_eig: number out of float range") from None
-    if not math.isfinite(min_eig):
-        raise FormatError(f"{field}.min_eig: number is not finite")
+    coeffs = np.array([_real(c, f"{field}.coeffs[{k}]") for k, c in enumerate(coeffs_data)],
+                      dtype=float)
+    min_eig = _real(_expect_key(data, "min_eig", field), f"{field}.min_eig")
     return InfeasibilityCertificate(op_indices=tuple(idx), coeffs=coeffs,
                                     min_eig=min_eig)
 

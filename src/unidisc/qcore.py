@@ -423,14 +423,15 @@ def eig_unitary(u, tol: Tolerances = DEFAULT_TOL):
 
     It decomposes the matrix it is given: a :class:`UnitaryOperator`, or an
     array a set, problem or pair has accepted by :func:`_near_unitaries`.
-    Only the decomposition residual is checked; a NaN residual fails.
+    Only the decomposition is checked: its residual (a NaN residual fails),
+    and then each eigenvalue's modulus, which must lie within 1e-8 of 1.
     """
     mat = u.matrix if isinstance(u, UnitaryOperator) else as_matrix(u)
     d = mat.shape[0]
     if mat.shape[0] != mat.shape[1]:
         raise ValueError("unitary must be square")
     adj = mat.conj().T
-    # entries near the float limit overflow here; the checks below reject them
+    # entries near the float limit overflow here; the fallback rejects them
     with np.errstate(over="ignore", invalid="ignore"):
         c = (mat + adj) / 2
         s = (mat - adj) / 2j
@@ -442,11 +443,17 @@ def eig_unitary(u, tol: Tolerances = DEFAULT_TOL):
     if off.max() <= 1e-10:
         basis, lam = q, diag.diagonal()
     else:
+        if not np.isfinite(mix).all():
+            raise ValueError("Hermitian parts overflow: entries too large for a unitary")
         basis = simultaneous_eigenbasis([c, s])
         lam = (basis.conj().T @ mat @ basis).diagonal()
     resid = np.abs(mat @ basis - basis * lam).max()
     if not resid <= tol.comparison:  # NaN fails too
         raise ValueError(f"eigendecomposition residual {resid:.3e}")
+    mod = np.abs(lam)
+    worst = np.abs(mod - 1.0).argmax()
+    if abs(mod[worst] - 1.0) > 1e-8:
+        raise ValueError(f"eigenvalue modulus {mod[worst]:.12g}, expected 1")
 
     # np.angle without its wrapper, and np.mod as its operator
     phases = np.arctan2(lam.imag, lam.real) % (2 * np.pi)

@@ -116,11 +116,8 @@ def _rays_parallel(u: np.ndarray, v: np.ndarray) -> bool:
 
 def _dedup_rays(rays) -> list:
     out: list[np.ndarray] = []
-    for r in rays:
-        n = np.linalg.norm(r)
-        if n < 1e-12:
-            continue
-        r = r / n
+    for r in rays:  # unit vectors, renormalized for the witness bytes
+        r = r / np.linalg.norm(r)
         if not any(_rays_parallel(r, s) for s in out):
             out.append(r)
     return out

@@ -19,11 +19,11 @@ import numpy as np
 import pytest
 
 import unidisc
-from unidisc import repro
+from unidisc import cli, repro
 from unidisc.cli import main
 from unidisc.families import I2, X, Z, pauli_hadamard_set
 from unidisc.jsonio import dumps, matrix_to_json, set_to_json
-from unidisc.protocols import ProductUnitarySet
+from unidisc.protocols import ProductUnitarySet, StrategyVerdict
 
 RT2 = 1.0 / math.sqrt(2.0)
 
@@ -71,6 +71,18 @@ class TestPair:
         a = write_matrix(tmp_path / "a.json", np.eye(2), wrap=True)
         b = write_matrix(tmp_path / "b.json", [[0, 1], [1, 0]])
         assert main(["pair", a, b]) == 0
+
+    def test_missing_file_named(self, tmp_path, pair_files, capsys):
+        missing = str(tmp_path / "missing.json")
+        assert main(["pair", missing, pair_files[1]]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {missing}: No such file or directory\n")
+
+    def test_matrix_object_without_matrix_key(self, tmp_path, pair_files, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"rows": matrix_to_json(np.eye(2))}))
+        assert main(["pair", str(bad), pair_files[1]]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: matrix: missing\n"
 
     def test_malformed_json_names_position(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -154,6 +166,48 @@ class TestCheck:
             assert rep["verdict"] == "infeasible_certified"
             assert rep["eliminable"]
 
+    def test_gda_sep_without_start_reports(self, capsys):
+        # two inputs: the separable decider needs no per-start search
+        name = f"phasepair:0.3,0.5,0.9,{math.pi - 1.7}"
+        assert main(["check", name, "--strategy", "gda-sep", "--json"]) == 3
+        report = json.loads(capsys.readouterr().out)
+        assert sorted(report) == ["party_dims", "set_size", "verdict"]
+        assert report["verdict"]["status"] == "indistinguishable_certified"
+
+    # the verdict --start either reports for each (A, B) pair of statuses:
+    # a witness beats an open search, which beats a certificate; A on ties
+    EITHER = {
+        ("distinguishable", "distinguishable"): "A",
+        ("distinguishable", "not_found"): "A",
+        ("distinguishable", "indistinguishable_certified"): "A",
+        ("not_found", "distinguishable"): "B",
+        ("not_found", "not_found"): "A",
+        ("not_found", "indistinguishable_certified"): "A",
+        ("indistinguishable_certified", "distinguishable"): "B",
+        ("indistinguishable_certified", "not_found"): "B",
+        ("indistinguishable_certified", "indistinguishable_certified"): "A",
+    }
+
+    @pytest.mark.parametrize("strategy", ["ldr", "lda"])
+    @pytest.mark.parametrize("statuses", sorted(EITHER))
+    def test_either_start_picks_one_verdict(self, strategy, statuses, monkeypatch, capsys):
+        def fake(uset, start, tol):
+            return StrategyVerdict(strategy.upper(), start, statuses["AB".index(start)])
+
+        monkeypatch.setattr(cli, f"check_{strategy}", fake)
+        code = main(["check", "pauli-hadamard", "--strategy", strategy, "--json"])
+        report = json.loads(capsys.readouterr().out)
+        start = self.EITHER[statuses]
+        assert report["verdict"]["starting_party"] == start
+        assert report["verdict"]["status"] == statuses["AB".index(start)]
+        assert code == cli._STATUS_EXIT[report["verdict"]["status"]]
+        assert [report["per_start"][p]["status"] for p in "AB"] == list(statuses)
+
+    def test_tol_checked_before_start(self, capsys):
+        assert main(["check", "pauli-hadamard", "--strategy", "gdr", "--start", "a",
+                     "--tol", "nan"]) == 2
+        assert capsys.readouterr().err == "error: --tol must be finite and positive, got nan\n"
+
     def test_phasepair_builtin(self):
         name = f"phasepair:0.3,0.5,0.9,{math.pi - 1.7}"
         assert main(["check", name, "--strategy", "gdr"]) == 0
@@ -226,12 +280,16 @@ class TestCheck:
             main(["check", "pauli-hadamard", "--strategy", "teleport"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("flag", ["--seed", "--restarts"])
+    @pytest.mark.parametrize("flag", ["--seed", "--restarts", "--tol"])
     def test_seed_and_restarts_not_options(self, flag, pair_files, capsys):
-        # only seesaw and repro draw random starts
+        # only seesaw and repro draw random starts, and seesaw decides nothing
         a, b = pair_files
-        for argv in (["pair", a, b, flag, "3"],
-                     ["check", "pauli-hadamard", "--strategy", "gdr", flag, "3"]):
+        if flag == "--tol":
+            argvs = (["seesaw", flag, "1e-6"], ["seesaw", "quartet-bob-first", flag, "1e-6"])
+        else:
+            argvs = (["pair", a, b, flag, "3"],
+                     ["check", "pauli-hadamard", "--strategy", "gdr", flag, "3"])
+        for argv in argvs:
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
@@ -246,6 +304,10 @@ class TestSeesaw:
     def test_negative_seed_usage_error(self, capsys):
         assert main(["seesaw", "--seed", "-1", "--restarts", "1"]) == 2
         assert "--seed" in capsys.readouterr().err
+
+    def test_seed_checked_before_restarts(self, capsys):
+        assert main(["seesaw", "--seed", "-1", "--restarts", "0"]) == 2
+        assert capsys.readouterr().err == "error: --seed must be non-negative, got -1\n"
 
     def test_unknown_task_usage_error(self, capsys):
         assert main(["seesaw", "warp-drive"]) == 2
@@ -308,6 +370,20 @@ class TestRepro:
         monkeypatch.setitem(repro.BUNDLES, "start-asymmetry", bundle)
         assert main(["repro", "start-asymmetry", "--restarts", "0"]) == 2
         assert "restarts" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, error", [
+        (["--tol", "nan", "--seed", "-1", "--restarts", "0"],
+         "--tol must be finite and positive, got nan"),
+        (["--seed", "-1", "--restarts", "0"], "--seed must be non-negative, got -1"),
+        (["--restarts", "0"], "--restarts must be at least 1"),
+    ])
+    def test_option_errors_in_order_before_bundle(self, argv, error, monkeypatch, capsys):
+        def bundle(seed, restarts, tol):
+            raise AssertionError("bundle ran with invalid options")
+
+        monkeypatch.setitem(repro.BUNDLES, "pair-gap", bundle)
+        assert main(["repro", "pair-gap", *argv]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
 
     @pytest.mark.parametrize("target", ["hierarchy", "start-asymmetry"])
     def test_negative_seed_usage_error_before_bundle(self, target, monkeypatch, capsys):

@@ -266,10 +266,22 @@ class TestArrayDecoders:
         ops = [np.eye(2), np.diag([1.0, np.exp(1j * np.pi / 4)])]
         data = feasibility_to_json(common_probe_feasible(
             OrthogonalityProblem(2, ops)))["certificate"]
-        with pytest.raises(FormatError, match=r"certificate\.coeffs"):
-            certificate_from_json({**data, "coeffs": [HUGE] + data["coeffs"][1:]})
-        with pytest.raises(FormatError, match=r"certificate\.min_eig"):
+        with pytest.raises(FormatError,
+                           match=r"^certificate\.coeffs\[1\]: number out of float range$"):
+            certificate_from_json({**data, "coeffs": data["coeffs"][:1] + [HUGE]
+                                   + data["coeffs"][2:]})
+        with pytest.raises(FormatError,
+                           match=r"^certificate\.min_eig: number out of float range$"):
             certificate_from_json({**data, "min_eig": -HUGE})
+
+    def test_certificate_coefficients_keep_numpy_bytes(self):
+        # each coefficient is checked on its own, and an integer still
+        # rounds to the float64 numpy gives it
+        coeffs = [0, -0.0, 2 ** 53 + 1, -(2 ** 60 + 1), 10 ** 300 + 12345, 0.1]
+        cert = certificate_from_json({"op_indices": [0, 1, 2], "coeffs": coeffs,
+                                      "min_eig": 2 ** 53 + 1})
+        assert cert.coeffs.tobytes() == np.array(coeffs, dtype=float).tobytes()
+        assert cert.min_eig == float(2 ** 53 + 1)
 
 
     # json.loads reads all three: NaN, Infinity and 1e999 (which becomes inf)
@@ -295,6 +307,51 @@ class TestArrayDecoders:
             certificate_from_json({**data, "coeffs": coeffs})
         with pytest.raises(FormatError, match=r"^certificate\.min_eig: number is not finite"):
             certificate_from_json({**data, "min_eig": json.loads("1e999")})
+
+
+class TestFieldErrors:
+    """The message each decoder gives for one faulty field."""
+
+    def test_vector_not_a_list(self):
+        with pytest.raises(FormatError, match=r"^v: expected a non-empty list of entries$"):
+            vector_from_json({"re": 1.0}, "v")
+
+    def test_field_of_a_non_object(self):
+        with pytest.raises(FormatError, match=r"^set: expected an object$"):
+            set_from_json([1, 2])
+
+    def test_set_items_not_a_list(self):
+        data = set_to_json(pauli_hadamard_set())
+        for items in ([], {"0": data["items"][0]}):
+            with pytest.raises(FormatError, match=r"^set\.items: expected a non-empty list$"):
+                set_from_json({**data, "items": items})
+
+    def test_set_label_not_a_string(self):
+        data = set_to_json(pauli_hadamard_set())
+        data["items"][2]["label"] = 7
+        with pytest.raises(FormatError, match=r"^set\.items\[2\]\.label: expected a string$"):
+            set_from_json(data)
+
+    def test_probe_witness_povm_not_a_list(self):
+        data = probe_witness_to_json(TestWitnessCodec()._probe_witness()[1])
+        with pytest.raises(FormatError, match=r"^witness\.povm: expected a non-empty list$"):
+            probe_witness_from_json({**data, "povm": []})
+
+    def test_probe_witness_guess_count(self):
+        data = probe_witness_to_json(TestWitnessCodec()._probe_witness()[1])
+        n = len(data["povm"])
+        with pytest.raises(FormatError, match=rf"^witness\.guesses: expected {n} entries$"):
+            probe_witness_from_json({**data, "guesses": data["guesses"][1:]})
+
+    def test_witness_of_unknown_type(self):
+        with pytest.raises(TypeError, match=r"^cannot serialize witness of type int$"):
+            witness_to_json(3)
+
+    @pytest.mark.parametrize("value", ["1.0", True, None, [1.0]])
+    def test_certificate_min_eig_not_a_number(self, value):
+        data = {"op_indices": [0], "coeffs": [1.0, 0.0], "min_eig": value}
+        with pytest.raises(FormatError, match=r"^certificate\.min_eig: expected a number$"):
+            certificate_from_json(data)
 
 
 class TestSetCodec:

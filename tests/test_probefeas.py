@@ -103,6 +103,20 @@ class TestSingleOperator:
         assert f.residual == max(abs(v) for v in gram_overlaps(f.witness, ops))
         assert f.residual < 1e-12
 
+    def test_lp_witness_residual_above_tolerance(self):
+        # |0> meets Z with overlap 1
+        f = probefeas._lp_witness(OrthogonalityProblem(2, (np.diag([1.0, -1.0]),)), (0,),
+                                  np.array([1.0, 0.0], dtype=complex), DEFAULT_TOL)
+        assert (f.status, f.residual, f.witness) == ("not_found", 1.0, None)
+        assert f.note == "common-eigenbasis linear program failed: witness residual 1.000e+00"
+
+    def test_lp_witness_not_a_density_operator(self):
+        # (1, 1) meets Z exactly but has trace 2
+        f = probefeas._lp_witness(OrthogonalityProblem(2, (np.diag([1.0, -1.0]),)), (0,),
+                                  np.array([1.0, 1.0], dtype=complex), DEFAULT_TOL)
+        assert (f.status, f.residual, f.witness) == ("not_found", 0.0, None)
+        assert f.note == "common-eigenbasis linear program failed: witness trace is 2+0j, expected 1"
+
     def test_hull_gap_certified(self):
         # eigenphases {0, pi/4} cannot average to zero
         u = np.diag([1.0, np.exp(1j * np.pi / 4)])

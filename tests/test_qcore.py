@@ -1,5 +1,6 @@
 """Core operator and state types, tensor plumbing, unitary spectra."""
 
+import re
 import warnings
 from dataclasses import fields
 
@@ -155,6 +156,11 @@ class TestDensityOperator:
         with pytest.raises(ValueError, match="Hermitian"):
             DensityOperator(m)
 
+    def test_rejects_nonsquare(self):
+        with pytest.raises(ValueError,
+                           match=r"^density operator must be square, got \(2, 3\)$"):
+            DensityOperator(np.ones((2, 3)) / 2)
+
 
 class TestStateVector:
     def test_normalizes(self):
@@ -165,6 +171,10 @@ class TestStateVector:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             StateVector([0.0, 0.0])
+
+    def test_rejects_2d(self):
+        with pytest.raises(ValueError, match=r"^expected a 1-D vector, got shape \(2, 1\)$"):
+            StateVector([[1.0], [0.0]])
 
     def test_density_is_projector(self):
         psi = StateVector([1.0, 1j])
@@ -221,6 +231,11 @@ class TestPartialTrace:
             partial_trace(np.eye(4) / 4, (2, 3), keep=[0])
         with pytest.raises(ValueError):
             partial_trace(np.eye(4) / 4, (2, 2), keep=[0, 0])
+        with pytest.raises(ValueError,
+                           match=r"^keep indices \[0, 2\] out of range for 2 subsystems$"):
+            partial_trace(np.eye(4) / 4, (2, 2), keep=[0, 2])
+        with pytest.raises(ValueError, match=r"out of range"):
+            partial_trace(np.eye(4) / 4, (2, 2), keep=[-1])
 
 
 class TestEigUnitary:
@@ -258,8 +273,25 @@ class TestEigUnitary:
         # finite entries whose (U + U{dag})/2 or (U - U{dag})/2i overflows
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="^Hermitian parts overflow: "
+                                                 "entries too large for a unitary$"):
                 eig_unitary(np.array(mat))
+
+    @pytest.mark.parametrize("mat, modulus", [
+        (np.diag([2.0, 1.0]), "2"),
+        (np.diag([1e200, 1.0]), "1e+200"),
+        (np.diag([1.0, 1j * (1 + 2e-8)]), "1.00000002"),
+    ])
+    def test_eigenvalue_off_the_unit_circle_named(self, mat, modulus):
+        # the residual of a diagonal matrix is exactly 0; the modulus is not 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^eigenvalue modulus {re.escape(modulus)}, expected 1$"):
+                eig_unitary(mat)
+
+    def test_rejects_nonsquare(self):
+        with pytest.raises(ValueError, match="^unitary must be square$"):
+            eig_unitary(np.ones((2, 3)))
 
     def test_clustered_spectrum(self):
         # eigenvalues {1, 1, -1} force the blockwise rescue path to stay exact
@@ -370,6 +402,10 @@ class TestSimultaneousEigenbasis:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             simultaneous_eigenbasis([])
+
+    def test_two_sizes_raise(self):
+        with pytest.raises(ValueError, match="^operators must share one dimension$"):
+            simultaneous_eigenbasis([np.eye(2), np.eye(3)])
 
 
 class TestHaarUnitary:

@@ -13,11 +13,12 @@ from unidisc.jsonio import dumps, tree_to_json
 from unidisc.protocols import (
     ProbeWitness,
     ProductUnitarySet,
+    SetAnalysis,
     check_lda,
     verify_probe,
     verify_tree,
 )
-from unidisc.qcore import haar_unitary
+from unidisc.qcore import check_povm, haar_unitary
 from unidisc import separable
 from unidisc.simplex import feasible_point
 from unidisc.separable import (
@@ -305,3 +306,24 @@ class TestCompletionScreen:
             p = np.outer(kr, kr.conj())
             a_eq = np.array([[p[0, 0].real], [p[1, 1].real], [p[0, 1].real], [p[0, 1].imag]])
             assert feasible_point(a_eq, [1.0, 1.0, 0.0, 0.0]).status == "infeasible"
+
+
+class TestSequentialTree:
+    def test_class_of_every_input_and_remainder_outcome(self):
+        # A's factors are diagonal, so the probe |0> evolves to |0> under
+        # each: one class holds every input, and its kernel weight 1/2 leaves
+        # the remainder diag(1, 1/2) as an outcome of its own
+        s = ProductUnitarySet((2, 2), (("I", I2, I2), ("Z", Z, X),
+                                       ("S", np.diag([1.0, 1j]), H)))
+        ket0 = np.array([1.0, 0.0], dtype=complex)
+        tree = separable._sequential_tree(SetAnalysis(s), "A", "B", ket0,
+                                          [(ket0, [0, 1, 2])], [0.5])
+        assert np.allclose(check_povm(tree.povm, 2),
+                           [np.diag([0.0, 0.5]), np.diag([1.0, 0.5])], atol=0)
+        assert [(br.retained, br.guess, br.stage2) for br in tree.branches] == \
+            [((), None, None)] * 2
+        res = verify_tree(s, tree)
+        # every input lands on the remainder outcome, which eliminates all
+        assert np.array_equal(res.stage1_probs, [[0.0, 1.0]] * 3)
+        assert np.array_equal(res.leakage, res.stage1_probs[:, 1])
+        assert np.array_equal(res.success, np.zeros(3))

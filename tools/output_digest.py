@@ -10,8 +10,9 @@ version of the script in both (copy it into the other checkout), since
 another version labels its lines differently.  The script
 imports only the ``src/`` of the checkout it sits in, runs the command line
 tool from that ``src/`` in child processes, and writes no file (bytecode
-caching is off for it and its children) except the matrix files it hands
-``unidisc pair``, in a temporary directory it removes.  One line per output:
+caching is off for it and its children) except the matrix and set files it
+hands ``unidisc pair`` and ``unidisc check``, in temporary directories it
+removes.  One line per output:
 
 * ``jsonio.dumps(verdict_to_json(v))`` for every ``hierarchy_audit`` row on
   ``random_qubit_set`` rng 0 sets 0-299 and on the three builtin sets,
@@ -23,8 +24,9 @@ caching is off for it and its children) except the matrix files it hands
   for both local factor pairs of every ``pair-gap`` grid point and for
   ``random_pair`` rng 0 draws 0-19 in each of the dimensions 2, 3 and 4;
 * stdout, stderr and exit code of ``unidisc pair U1 U2 --json`` for the
-  first of those draws in each dimension, and of the same command with
-  ``--tol 1e-6`` for the first draw in dimension 3;
+  first of those draws in each dimension, of the same command with
+  ``--tol 1e-6`` for the first draw in dimension 3, and with ``--tol nan``
+  for the first draw in dimension 2;
 * ``tree_to_json(pauli_hadamard_tree(s))``, and the three ``verify_tree``
   arrays together, for s = A and B;
 * stdout, stderr and exit code of ``unidisc repro T --json`` for every
@@ -37,9 +39,15 @@ caching is off for it and its children) except the matrix files it hands
   [--start P] --json`` for every builtin set, strategy and start, and of
   ``unidisc check SET --strategy S --tol 1e-6 --json`` for every builtin
   set and S in gdr, lda and gda-sep, so a change in what ``--tol`` sets
-  shows too.
+  shows too;
+* stdout, stderr and exit code of the commands the tool rejects, so that
+  its error texts show: ``--tol nan`` on check and repro, ``--seed -1``
+  and ``--restarts 0`` on seesaw and repro, an unknown seesaw task,
+  ``seesaw --tol 1e-6``, ``check SET --strategy gdr --start a``, and
+  ``check`` on three set files holding an integer past the float range,
+  ``1e999``, and an entry that is not an ``[re, im]`` pair.
 
-It prints 3571 lines and takes about 20 s on 2 CPUs.
+It prints 3584 lines and takes about 25 s on 2 CPUs.
 """
 
 import hashlib
@@ -130,6 +138,8 @@ def main():
                         with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
                             fh.write(jsonio.dumps(jsonio.matrix_to_json(u.matrix)))
                     _cli("pair", *names, cwd=tmp)
+                    if dim == 2:
+                        _cli("pair", *names, "--tol", "nan", cwd=tmp)
                     if dim == 3:
                         _cli("pair", *names, "--tol", "1e-6", cwd=tmp)
 
@@ -153,6 +163,30 @@ def main():
                 _cli("check", name, "--strategy", strategy, "--start", start)
         for strategy in ("gdr", "lda", "gda-sep"):
             _cli("check", name, "--strategy", strategy, "--tol", "1e-6")
+    _rejected()
+
+
+def _rejected():
+    """The error outputs of commands the tool rejects."""
+    _cli("check", BUILTINS[2], "--strategy", "gdr", "--tol", "nan")
+    _cli("check", BUILTINS[2], "--strategy", "gdr", "--start", "a")
+    _cli("repro", "pair-gap", "--tol", "nan")
+    for command in (("seesaw",), ("repro", "pair-gap")):
+        _cli(*command, "--seed", "-1")
+        _cli(*command, "--restarts", "0")
+    _cli("seesaw", "warp-drive")
+    _cli("seesaw", "--tol", "1e-6")
+    # one faulty entry each, written as JSON text
+    faults = {"range.json": f"[{10 ** 400}, 0.0]", "infinite.json": "[1e999, 0.0]",
+              "not-pair.json": "[1.0]"}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, fault in faults.items():
+            data = jsonio.set_to_json(pauli_hadamard_set())
+            data["items"][1]["A"][0][1] = "FAULT"
+            text = jsonio.dumps(data).replace('"FAULT"', fault)
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
+            _cli("check", name, "--strategy", "gdr", cwd=tmp)
 
 
 if __name__ == "__main__":
