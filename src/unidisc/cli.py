@@ -30,7 +30,7 @@ from .families import (
     phase_pair_set,
     qutrit_quartet_set,
 )
-from .protocols import check_gda, check_gdr, check_lda, check_ldr
+from .protocols import SetAnalysis, check_gda, check_gdr, check_lda, check_ldr
 from .qcore import DEFAULT_TOL, Tolerances
 from .seesaw import (
     quartet_alice_first_task,
@@ -190,13 +190,13 @@ def _cmd_pair(args) -> int:
 # check
 
 
-def _run_strategy(uset, strategy: str, start: str, tol: Tolerances):
+def _run_strategy(table: SetAnalysis, strategy: str, start: str):
     if strategy == "gdr":
-        return check_gdr(uset, tol), {}
+        return check_gdr(table), {}
     if strategy == "gda":
-        return check_gda(uset, tol), {}
+        return check_gda(table), {}
     if strategy == "gda-sep":
-        verdict, reports = gda_separable_analysis(uset, tol)
+        verdict, reports = gda_separable_analysis(table)
         if reports is None:
             return verdict, {}
         return verdict, {"start_reports": {
@@ -220,9 +220,8 @@ def _run_strategy(uset, strategy: str, start: str, tol: Tolerances):
     if strategy in ("ldr", "lda"):
         fn = check_ldr if strategy == "ldr" else check_lda
         if start in ("a", "b"):
-            return fn(uset, start.upper(), tol), {}
-        va = fn(uset, "A", tol)
-        vb = fn(uset, "B", tol)
+            return fn(table, start.upper()), {}
+        va, vb = (fn(table, p) for p in "AB")
         chosen = min((va, vb), key=lambda v: _EITHER_ORDER[v.status])
         return chosen, {"per_start": {"A": jsonio.verdict_to_json(va),
                                       "B": jsonio.verdict_to_json(vb)}}
@@ -235,7 +234,7 @@ def _cmd_check(args) -> int:
             f"--start has no effect for strategy {args.strategy}; "
             "omit it or use 'either'")
     uset = _load_set(args.set)
-    verdict, extra = _run_strategy(uset, args.strategy, args.start, tol)
+    verdict, extra = _run_strategy(SetAnalysis(uset, tol), args.strategy, args.start)
     report = {"set_size": uset.size,
               "party_dims": list(uset.party_dims),
               "verdict": jsonio.verdict_to_json(verdict)}

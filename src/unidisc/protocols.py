@@ -26,6 +26,11 @@ certification routes exact:
 When none of these routes close a failed search (a branch relies on the
 unexplored partial-elimination family), the status is not_found rather
 than a fake certificate.
+
+Every decider takes a set or its :class:`SetAnalysis`, whose entries it
+reads and adds to.  Its ``tol`` of ``None`` means ``DEFAULT_TOL`` for a
+set and the table's own tolerances for a table; a table given another
+``tol`` raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -410,9 +415,10 @@ class SetAnalysis:
     depend only on matrices are keyed by their bytes, so a problem posed
     twice, by one decider or by two, is solved once.  The
     table only decides which call computes an entry: the solvers and their
-    operator orders are those the deciders used on their own.  Each public
-    decider builds its own table and :func:`hierarchy_audit` builds one for
-    all its rows, so no entry outlives one public call.
+    operator orders are those the deciders use on a set of their own.  The
+    GDR verdict and each start's (LDR, LDA) pair are entries too.  A
+    decider given a set builds a table for it, and :func:`hierarchy_audit`
+    builds one for all its rows; entries live as long as the table.
     """
 
     def __init__(self, uset: ProductUnitarySet, tol: Tolerances = DEFAULT_TOL):
@@ -539,9 +545,18 @@ class SetAnalysis:
         return OrthogonalityProblem(dim=self.uset.dim,
                                     operators=tuple(_kron(ra[p], rb[p]) for p in first.values()))
 
-    def gdr(self) -> ProbeFeasibility:
-        """The :meth:`gdr_problem` of the set, solved."""
-        return self._entry(("gdr",), lambda: self._solve(self.gdr_problem()))
+    def local(self, start) -> tuple:
+        """The (LDR, LDA) verdicts from ``start``: :func:`_local_verdicts`."""
+        return self._entry(("local", start), lambda: _local_verdicts(self, start))
+
+
+def _table(uset, tol) -> SetAnalysis:
+    """The table a decider reads for ``uset``, a set or its table."""
+    if isinstance(uset, SetAnalysis):
+        if tol not in (None, uset.tol):
+            raise ValueError(f"tol {tol} differs from the table's {uset.tol}")
+        return uset
+    return SetAnalysis(uset, DEFAULT_TOL if tol is None else tol)
 
 
 # -----------------------------------------------------------------------------
@@ -559,31 +574,34 @@ def gdr_problem(uset: ProductUnitarySet) -> OrthogonalityProblem:
     return SetAnalysis(uset).gdr_problem()
 
 
-def check_gdr(uset: ProductUnitarySet, tol: Tolerances = DEFAULT_TOL) -> StrategyVerdict:
+def check_gdr(uset: ProductUnitarySet | SetAnalysis,
+              tol: Tolerances | None = None) -> StrategyVerdict:
     """One composite probe, one measurement: feasibility of a common probe
-    orthogonalizing all pairwise relative product unitaries."""
-    return _gdr_verdict(SetAnalysis(uset, tol))
-
-
-def _gdr_verdict(table: SetAnalysis) -> StrategyVerdict:
+    orthogonalizing all pairwise relative product unitaries.  Takes a set
+    or its table."""
+    table = _table(uset, tol)
     uset = table.uset
-    m = uset.size
-    if m == 1:
+
+    def verdict():
+        m = uset.size
+        if m == 1:
+            return StrategyVerdict(strategy="GDR", starting_party="either",
+                                   status="distinguishable", witness=_one_input_witness(uset.dim),
+                                   note="at most one candidate")
+        feas = table._solve(table.gdr_problem())
+        status = {"feasible": "distinguishable",
+                  "infeasible_certified": "indistinguishable_certified"}.get(
+                      feas.status, "not_found")
+        witness = None
+        if feas.status == "feasible":
+            probe, r, povm, has_rest = _orthogonal_measurement(uset.global_unitaries(),
+                                                               table.purified(feas))
+            witness = ProbeWitness(probe=probe, ancilla_dim=r, povm=povm,
+                                   guesses=tuple(range(m)) + ((None,) if has_rest else ()))
         return StrategyVerdict(strategy="GDR", starting_party="either",
-                               status="distinguishable", witness=_one_input_witness(uset.dim),
-                               note="at most one candidate")
-    feas = table.gdr()
-    status = {"feasible": "distinguishable",
-              "infeasible_certified": "indistinguishable_certified"}.get(feas.status, "not_found")
-    witness = None
-    if feas.status == "feasible":
-        probe, r, povm, has_rest = _orthogonal_measurement(uset.global_unitaries(),
-                                                           table.purified(feas))
-        witness = ProbeWitness(probe=probe, ancilla_dim=r, povm=povm,
-                               guesses=tuple(range(m)) + ((None,) if has_rest else ()))
-    return StrategyVerdict(strategy="GDR", starting_party="either",
-                           status=status, witness=witness,
-                           note=feas.note, feasibility=feas)
+                               status=status, witness=witness,
+                               note=feas.note, feasibility=feas)
+    return table._entry(("GDR",), verdict)
 
 
 # -----------------------------------------------------------------------------
@@ -712,28 +730,34 @@ def _local_verdicts(table: SetAnalysis, start):
     return ldr, verdict("LDA", group_feas, "within-group")
 
 
-def check_lda(uset: ProductUnitarySet, starting_party: str,
-              tol: Tolerances = DEFAULT_TOL) -> StrategyVerdict:
-    """Local sequential discrimination, responder probe chosen per outcome."""
-    return _local_verdicts(SetAnalysis(uset, tol), starting_party)[1]
+def check_lda(uset: ProductUnitarySet | SetAnalysis, starting_party: str,
+              tol: Tolerances | None = None) -> StrategyVerdict:
+    """Local sequential discrimination, responder probe chosen per outcome.
+    Takes a set or its table."""
+    return _table(uset, tol).local(starting_party)[1]
 
 
-def check_ldr(uset: ProductUnitarySet, starting_party: str,
-              tol: Tolerances = DEFAULT_TOL) -> StrategyVerdict:
-    """Local sequential discrimination with both probes fixed upfront."""
-    return _local_verdicts(SetAnalysis(uset, tol), starting_party)[0]
+def check_ldr(uset: ProductUnitarySet | SetAnalysis, starting_party: str,
+              tol: Tolerances | None = None) -> StrategyVerdict:
+    """Local sequential discrimination with both probes fixed upfront.
+    Takes a set or its table."""
+    return _table(uset, tol).local(starting_party)[0]
 
 
-def _gda_from_parts(gdr: StrategyVerdict, lda) -> StrategyVerdict:
-    """The GDA verdict composed from the GDR verdict and ``lda(party)``, the
-    LDA verdict per starting party (asked for only while GDR has failed)."""
+def check_gda(uset: ProductUnitarySet | SetAnalysis,
+              tol: Tolerances | None = None) -> StrategyVerdict:
+    """Global adaptive strategies reduce to the better of the global
+    restricted check and, while that fails, the local adaptive check over
+    starting parties.  Takes a set or its table."""
+    table = _table(uset, tol)
+    gdr = check_gdr(table)
     if gdr.status == "distinguishable":
         return StrategyVerdict(strategy="GDA", starting_party="either",
                                status="distinguishable", witness=gdr.witness,
                                note="via a fixed composite probe", feasibility=gdr.feasibility)
     parts = [gdr]
     for p in _PARTIES:
-        v = lda(p)
+        v = check_lda(table, p)
         if v.status == "distinguishable":
             return StrategyVerdict(strategy="GDA", starting_party=p,
                                    status="distinguishable", witness=v.witness,
@@ -746,13 +770,6 @@ def _gda_from_parts(gdr: StrategyVerdict, lda) -> StrategyVerdict:
                                      "are certified infeasible"))
     return StrategyVerdict(strategy="GDA", starting_party="either", status="not_found",
                            note="no route succeeded and at least one search is inconclusive")
-
-
-def check_gda(uset: ProductUnitarySet, tol: Tolerances = DEFAULT_TOL) -> StrategyVerdict:
-    """Global adaptive strategies reduce to the better of the global
-    restricted check and the local adaptive check over starting parties."""
-    table = SetAnalysis(uset, tol)
-    return _gda_from_parts(_gdr_verdict(table), lambda p: _local_verdicts(table, p)[1])
 
 
 # -----------------------------------------------------------------------------
@@ -769,19 +786,16 @@ def hierarchy_audit(uset: ProductUnitarySet, tol: Tolerances = DEFAULT_TOL):
     (per starting party where applicable), and GDA_separable <= GDA where
     that row exists; a certified contradiction raises.  Returns the ordered
     (label, verdict) table, with a GDA_separable row last for qubit-qubit
-    sets.  Every row reads one :class:`SetAnalysis`, so each sub-problem is
-    solved once for the set, and each row is the verdict its public checker
-    returns.
+    sets.  Each row is its public decider's verdict on one shared
+    :class:`SetAnalysis`, so each sub-problem is solved once for the set.
     """
     table = SetAnalysis(uset, tol)
-    local = {p: _local_verdicts(table, p) for p in _PARTIES}
-    rows = [(f"{s}:{p}", local[p][k]) for k, s in enumerate(("LDR", "LDA")) for p in _PARTIES]
-    rows.append(("GDR", _gdr_verdict(table)))
-    row = dict(rows)
-    rows.append(("GDA", _gda_from_parts(row["GDR"], lambda p: row[f"LDA:{p}"])))
+    rows = [(f"{s}:{p}", check(table, p))
+            for s, check in (("LDR", check_ldr), ("LDA", check_lda)) for p in _PARTIES]
+    rows += [("GDR", check_gdr(table)), ("GDA", check_gda(table))]
     if uset.party_dims == (2, 2):
-        from .separable import _gda_separable
-        rows.append(("GDA_separable", _gda_separable(table)[0]))
+        from .separable import check_gda_separable
+        rows.append(("GDA_separable", check_gda_separable(table)))
 
     val = {label: _RANK[v.status] for label, v in rows}
     ordering = [("LDR:A", "LDA:A"), ("LDR:B", "LDA:B"),

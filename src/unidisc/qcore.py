@@ -277,7 +277,7 @@ class DensityOperator:
             raise ValueError(f"not Hermitian: max |rho - rho+| = {herm:.3e}")
         tr = m.trace()
         if abs(tr - 1.0) > _DENSITY_TOL:
-            raise ValueError(f"trace is {tr:.12g}, expected 1")
+            raise ValueError(f"trace is {tr.real:.12g}, expected 1")
         lo = _eigvalsh_c((m + adj) / 2).min()
         if lo < -_DENSITY_TOL:
             raise ValueError(f"negative eigenvalue {lo:.3e}")

@@ -26,11 +26,9 @@ from .protocols import (
     check_gdr,
     check_lda,
     check_ldr,
-    gdr_problem,
     hierarchy_audit,
     verify_tree,
     _evolved,
-    _gdr_verdict,
 )
 from .qcore import DEFAULT_TOL, Tolerances
 from .seesaw import (
@@ -85,7 +83,7 @@ def pair_gap(seed: int, restarts: int, tol: Tolerances = DEFAULT_TOL) -> BundleR
     for angles in grid:
         uset = phase_pair_set(PhasePairParams(*angles))
         table = SetAnalysis(uset, tol)  # one table: the set's factors are checked once
-        verdict = _gdr_verdict(table)
+        verdict = check_gdr(table)
         ok = verdict.status == "distinguishable"
         if ok:
             w = verdict.witness
@@ -110,25 +108,25 @@ def pair_gap(seed: int, restarts: int, tol: Tolerances = DEFAULT_TOL) -> BundleR
 
 def adaptive_gap(seed: int, restarts: int, tol: Tolerances = DEFAULT_TOL) -> BundleResult:
     """Qutrit quartet: adaptive local succeeds, fixed probes certifiably fail."""
-    uset = qutrit_quartet_set()
+    table = SetAnalysis(qutrit_quartet_set(), tol)
     checks = []
-    v_lda = check_lda(uset, "A", tol)
+    v_lda = check_lda(table, "A")
     ok_tree = False
     detail = "no witness"
     if v_lda.status == "distinguishable" and v_lda.witness is not None:
-        ok_tree, min_success = _tree_exact(uset, v_lda.witness)
+        ok_tree, min_success = _tree_exact(table.uset, v_lda.witness)
         detail = f"min success {min_success:.12f}"
     checks.append(("adaptive local protocol exists and verifies",
                    v_lda.status == "distinguishable" and ok_tree, detail))
-    v_gdr = check_gdr(uset, tol)
+    v_gdr = check_gdr(table)
     cert = v_gdr.feasibility.certificate if v_gdr.feasibility is not None else None
     bound = None
     if v_gdr.status == "indistinguishable_certified" and cert is not None:
-        bound = verify_certificate(gdr_problem(uset), cert, tol)
+        bound = verify_certificate(table.gdr_problem(), cert, tol)
     checks.append(("fixed composite probe certified impossible",
                    bound is not None and bound >= 1.0 - tol.comparison,
                    f"status {v_gdr.status}"))
-    v_ldr = check_ldr(uset, "A", tol)
+    v_ldr = check_ldr(table, "A")
     checks.append(("fixed local probes certified impossible",
                    v_ldr.status == "indistinguishable_certified",
                    f"status {v_ldr.status}"))
@@ -138,12 +136,12 @@ def adaptive_gap(seed: int, restarts: int, tol: Tolerances = DEFAULT_TOL) -> Bun
 
 def start_asymmetry(seed: int, restarts: int, tol: Tolerances = DEFAULT_TOL) -> BundleResult:
     """Qutrit quartet: the first party can start a perfect protocol, the second not."""
-    uset = qutrit_quartet_set()
+    table = SetAnalysis(qutrit_quartet_set(), tol)
     checks = []
-    v_a = check_lda(uset, "A", tol)
+    v_a = check_lda(table, "A")
     checks.append(("first party starting succeeds",
                    v_a.status == "distinguishable", v_a.status))
-    v_b = check_lda(uset, "B", tol)
+    v_b = check_lda(table, "B")
     checks.append(("second party starting finds no protocol",
                    v_b.status != "distinguishable", v_b.status))
     res = run_seesaw(quartet_bob_first_task(), restarts=restarts, seed=seed)
@@ -163,14 +161,15 @@ def start_asymmetry(seed: int, restarts: int, tol: Tolerances = DEFAULT_TOL) -> 
 def separable_probes(seed: int, restarts: int, tol: Tolerances = DEFAULT_TOL) -> BundleResult:
     """Pauli-Hadamard quintet: separable probes certifiably fail, entangled ones work."""
     uset = pauli_hadamard_set()
+    table = SetAnalysis(uset, tol)
     checks = []
-    v, reports = gda_separable_analysis(uset, tol)
+    v, reports = gda_separable_analysis(table)
     checks.append(("single-system probes certified impossible",
                    v.status == "indistinguishable_certified", v.status))
     for party, rep in reports.items():
         checks.append((f"sequential start {party} certified impossible",
                        rep.verdict == "infeasible_certified", rep.note))
-    v_ldr = check_ldr(uset, "A", tol)
+    v_ldr = check_ldr(table, "A")
     ok = False
     detail = v_ldr.status
     if v_ldr.status == "distinguishable" and v_ldr.witness is not None:

@@ -48,12 +48,13 @@ from .protocols import (
     StrategyVerdict,
     _PARTIES,
     _idle_stage,
-    _local_verdicts,
     _one_input_witness,
     _other,
     _party_index,
+    _table,
+    check_lda,
 )
-from .qcore import DEFAULT_TOL, StateVector, Tolerances, _kron
+from .qcore import StateVector, Tolerances, _kron
 from .simplex import feasible_point
 
 __all__ = [
@@ -256,12 +257,12 @@ def _sequential_tree(table, start, responder, probe, classes, weights):
 
 
 def separable_start_analysis(
-    uset: ProductUnitarySet,
+    uset: ProductUnitarySet | SetAnalysis,
     start: str,
-    tol: Tolerances = DEFAULT_TOL,
+    tol: Tolerances | None = None,
 ) -> SeparableStartReport:
     """Decide the sequential product-probe strategy with ``start`` measuring
-    first.
+    first.  Takes a set or its table.
 
     Exact for qubit factors on both sides.  For four or fewer inputs the
     probe search is exhaustive; for five or more the disjointness of
@@ -269,15 +270,12 @@ def separable_start_analysis(
     failed search is only certified when the responder cannot finish any
     pair, otherwise the verdict stays open.
     """
+    table = _table(uset, tol)
+    uset = table.uset
     if start not in ("A", "B"):
         raise ValueError(f"start must be 'A' or 'B', got {start!r}")
     if uset.party_dims != (2, 2):
         raise ValueError("sequential product-probe analysis requires qubit factors")
-    return _start_analysis(SetAnalysis(uset, tol), start)
-
-
-def _start_analysis(table: SetAnalysis, start: str) -> SeparableStartReport:
-    uset = table.uset
     responder = _other(start)
     m = uset.size
     s_factors = uset.factors(start)
@@ -286,7 +284,7 @@ def _start_analysis(table: SetAnalysis, start: str) -> SeparableStartReport:
         # with at most two inputs the local decider is exact, and its trees
         # use single-system probes: every sub-problem is one commuting
         # operator, whose witness is pure
-        lda = _local_verdicts(table, start)[1]
+        lda = check_lda(table, start)
         pairs = tuple(sorted(_responder_pairs(table, responder)))
         verdict = {"indistinguishable_certified": "infeasible_certified"}.get(lda.status,
                                                                              lda.status)
@@ -295,28 +293,16 @@ def _start_analysis(table: SetAnalysis, start: str) -> SeparableStartReport:
 
     good_pairs = _responder_pairs(table, responder)
     pair_list = tuple(sorted(good_pairs))
-    necessary = tuple(
-        tuple(k for k in range(m) if k not in pair) for pair in pair_list
-    )
+    necessary = tuple(tuple(k for k in range(m) if k not in pair) for pair in pair_list)
     eliminable = []
     for members in necessary:
         probes, any_probe = _class_probes(table, start, members)
         if any_probe or probes:
-            eliminable.append(
-                EliminableClass(member_indices=members, probes=probes,
-                                any_probe=any_probe)
-            )
+            eliminable.append(EliminableClass(members, probes, any_probe))
 
     def report(verdict, tree, note):
-        return SeparableStartReport(
-            starting_party=start,
-            responder_pairs=pair_list,
-            necessary_sets=necessary,
-            eliminable=tuple(eliminable),
-            verdict=verdict,
-            tree=tree,
-            note=note,
-        )
+        return SeparableStartReport(start, pair_list, necessary, tuple(eliminable),
+                                    verdict, tree, note)
 
     if m >= 5:
         # admissible classes have at least m - 2 members, so at most one
@@ -368,9 +354,10 @@ def _start_analysis(table: SetAnalysis, start: str) -> SeparableStartReport:
 
 
 def check_gda_separable(
-    uset: ProductUnitarySet, tol: Tolerances = DEFAULT_TOL
+    uset: ProductUnitarySet | SetAnalysis, tol: Tolerances | None = None
 ) -> StrategyVerdict:
-    """Global-answer discrimination with single-system probes only.
+    """Global-answer discrimination with single-system probes only.  Takes a
+    set or its table.
 
     Decided from the two sequential measurement orders: ``distinguishable``
     with the first protocol tree found (A measuring first, then B),
@@ -385,11 +372,12 @@ def check_gda_separable(
     return gda_separable_analysis(uset, tol)[0]
 
 
-def gda_separable_analysis(uset: ProductUnitarySet, tol: Tolerances = DEFAULT_TOL):
+def gda_separable_analysis(uset: ProductUnitarySet | SetAnalysis,
+                           tol: Tolerances | None = None):
     """``(verdict, reports)``: the :func:`check_gda_separable` verdict and the
     ``{"A": ..., "B": ...}`` :class:`SeparableStartReport` pair it was decided
     from, or ``None`` when the sequential analysis does not apply (at most
-    two inputs, or factors that are not qubits).
+    two inputs, or factors that are not qubits).  Takes a set or its table.
 
     Why two branches suffice.  Take a product probe ``alpha (x) beta`` that
     sends ``m >= 3`` inputs to pairwise-orthogonal product states
@@ -427,11 +415,7 @@ def gda_separable_analysis(uset: ProductUnitarySet, tol: Tolerances = DEFAULT_TO
     certified impossible implies no such product probe exists, and a
     product-probe witness implies a sequential witness.
     """
-    return _gda_separable(SetAnalysis(uset, tol))
-
-
-def _gda_separable(table: SetAnalysis):
-    """:func:`gda_separable_analysis` on the set of ``table``."""
+    table = _table(uset, tol)
     uset = table.uset
     strategy = "GDA_separable"
     m = uset.size
@@ -468,7 +452,7 @@ def _gda_separable(table: SetAnalysis):
             note="exact product-probe analysis is implemented for qubit "
                  "factors only"), None
 
-    reports = {p: _start_analysis(table, p) for p in _PARTIES}
+    reports = {p: separable_start_analysis(table, p) for p in _PARTIES}
     for party, rep in reports.items():
         if rep.verdict == "distinguishable":
             return StrategyVerdict(strategy, party, "distinguishable",

@@ -78,3 +78,26 @@ def test_route_certificates_carry_the_recomputed_bound():
             assert cert.min_eig == verify_certificate(problem, cert), case.id
             certified.append(case.id)
     assert certified == ["single_op_cert", "projections_certified"]
+
+
+def test_audit_spans_the_public_deciders(tracing):
+    # the audit's rows are the public deciders' verdicts, so each shows as a
+    # span of its own, and check_gda asks check_gdr for the GDR verdict
+    from unidisc.families import pauli_hadamard_set, qutrit_quartet_set
+
+    tracer = tracing.Tracer()
+    tracer.install(unidisc)
+    try:
+        unidisc.protocols.hierarchy_audit(pauli_hadamard_set())
+        audit = len(tracer.spans)
+        unidisc.protocols.check_gda(qutrit_quartet_set())
+    finally:
+        tracer.uninstall()
+    names = {span[0] for span in tracer.spans[:audit]}
+    deciders = {"protocols.check_ldr", "protocols.check_lda", "protocols.check_gdr",
+                "protocols.check_gda", "separable.check_gda_separable",
+                "separable.separable_start_analysis"}
+    assert deciders - names == set()
+    gda = [k for k, span in enumerate(tracer.spans) if span[0] == "protocols.check_gda"][-1]
+    parents = [span[3] for span in tracer.spans[audit:] if span[0] == "protocols.check_gdr"]
+    assert parents and set(parents) == {gda}

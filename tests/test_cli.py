@@ -191,7 +191,7 @@ class TestCheck:
     @pytest.mark.parametrize("strategy", ["ldr", "lda"])
     @pytest.mark.parametrize("statuses", sorted(EITHER))
     def test_either_start_picks_one_verdict(self, strategy, statuses, monkeypatch, capsys):
-        def fake(uset, start, tol):
+        def fake(table, start, tol=None):
             return StrategyVerdict(strategy.upper(), start, statuses["AB".index(start)])
 
         monkeypatch.setattr(cli, f"check_{strategy}", fake)

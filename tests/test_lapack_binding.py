@@ -118,7 +118,7 @@ def _plain_density(m):
         raise ValueError(f"not Hermitian: max |rho - rho+| = {herm:.3e}")
     tr = m.trace()
     if abs(tr - 1.0) > 1e-10:
-        raise ValueError(f"trace is {tr:.12g}, expected 1")
+        raise ValueError(f"trace is {tr.real:.12g}, expected 1")
     lo = np.linalg.eigvalsh((m + adj) / 2).min()
     if lo < -1e-10:
         raise ValueError(f"negative eigenvalue {lo:.3e}")

@@ -115,7 +115,7 @@ class TestSingleOperator:
         f = probefeas._lp_witness(OrthogonalityProblem(2, (np.diag([1.0, -1.0]),)), (0,),
                                   np.array([1.0, 1.0], dtype=complex), DEFAULT_TOL)
         assert (f.status, f.residual, f.witness) == ("not_found", 0.0, None)
-        assert f.note == "common-eigenbasis linear program failed: witness trace is 2+0j, expected 1"
+        assert f.note == "common-eigenbasis linear program failed: witness trace is 2, expected 1"
 
     def test_hull_gap_certified(self):
         # eigenphases {0, pi/4} cannot average to zero

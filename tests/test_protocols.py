@@ -11,6 +11,7 @@ from unidisc.protocols import (
     ProbeWitness,
     ProductUnitarySet,
     ProtocolTree,
+    SetAnalysis,
     StageTwo,
     StrategyVerdict,
     check_gda,
@@ -25,9 +26,13 @@ from unidisc.protocols import (
     verify_tree,
 )
 from unidisc.jsonio import dumps, verdict_to_json, witness_from_json
-from unidisc.separable import check_gda_separable, separable_start_analysis
+from unidisc.separable import (
+    check_gda_separable,
+    gda_separable_analysis,
+    separable_start_analysis,
+)
 from unidisc.probefeas import ProbeFeasibility, verify_certificate
-from unidisc.qcore import StateVector, haar_unitary
+from unidisc.qcore import StateVector, Tolerances, haar_unitary
 from unidisc.families import (
     CLOCK3,
     FLIP3,
@@ -407,7 +412,9 @@ class TestHierarchyAudit:
 
     def test_rows_match_standalone_checkers(self):
         # the audit shares one analysis across its rows; each row must still
-        # be, byte for byte, the verdict of the public checker for that row
+        # be, byte for byte, the verdict of the public checker for that row,
+        # given the set or given a table of its own that the checkers share
+        # in the reverse of the audit's order
         rng = np.random.default_rng(0)
         sets = [qutrit_quartet_set(), pauli_hadamard_set(),
                 phase_pair_set(PhasePairParams(0.3, 0.5, 0.9, np.pi - 1.7))]
@@ -418,10 +425,12 @@ class TestHierarchyAudit:
             checkers[f"LDA:{p}"] = lambda uset, p=p: check_lda(uset, p)
         statuses = set()
         for uset in sets:
-            for label, verdict in hierarchy_audit(uset):
+            table = SetAnalysis(uset)
+            for label, verdict in reversed(hierarchy_audit(uset)):
                 statuses.add(verdict.status)
-                assert (dumps(verdict_to_json(verdict))
-                        == dumps(verdict_to_json(checkers[label](uset)))), label
+                row = dumps(verdict_to_json(verdict))
+                assert row == dumps(verdict_to_json(checkers[label](uset))), label
+                assert row == dumps(verdict_to_json(checkers[label](table))), label
         assert statuses == {"distinguishable", "indistinguishable_certified",
                             "not_found"}
 
@@ -525,10 +534,45 @@ class TestHierarchyAudit:
         assert rows["GDA_separable"].status == "indistinguishable_certified"
         planted = StrategyVerdict("GDA_separable", "either", "distinguishable",
                                   note="planted")
-        # the audit reads its row from the analysis it shares with the other rows
-        monkeypatch.setattr(separable, "_gda_separable", lambda table: (planted, None))
+        # the audit's row is the public decider's verdict on the shared table
+        monkeypatch.setattr(separable, "check_gda_separable", lambda table: planted)
         with pytest.raises(RuntimeError, match="GDA_separable=1 exceeds GDA=0"):
             hierarchy_audit(uset)
+
+
+class TestSetOrTable:
+    """Every public decider takes a set or its :class:`SetAnalysis`."""
+
+    DECIDERS = [
+        pytest.param(check_gdr, id="check_gdr"),
+        pytest.param(check_gda, id="check_gda"),
+        pytest.param(lambda s, tol=None: check_ldr(s, "B", tol), id="check_ldr"),
+        pytest.param(lambda s, tol=None: check_lda(s, "B", tol), id="check_lda"),
+        pytest.param(check_gda_separable, id="check_gda_separable"),
+        pytest.param(gda_separable_analysis, id="gda_separable_analysis"),
+        pytest.param(lambda s, tol=None: separable_start_analysis(s, "B", tol),
+                     id="separable_start_analysis"),
+    ]
+
+    @pytest.mark.parametrize("decide", DECIDERS)
+    def test_table_with_another_tol_raises(self, decide):
+        table = SetAnalysis(pauli_hadamard_set(), Tolerances(1e-7))
+        with pytest.raises(ValueError, match="differs from the table's"):
+            decide(table, Tolerances())
+        decide(table, Tolerances(1e-7))  # an equal record is the table's own
+
+    def test_verdicts_are_table_entries(self):
+        table = SetAnalysis(qutrit_quartet_set())
+        assert check_gdr(table) is check_gdr(table)
+        for p in ("A", "B"):
+            assert check_ldr(table, p) is check_ldr(table, p)
+            assert check_lda(table, p) is check_lda(table, p)
+
+    def test_gda_reads_the_gdr_entry(self):
+        table = SetAnalysis(phase_pair_set(PhasePairParams(0.3, 0.5, 0.9, np.pi - 1.7)))
+        gdr = check_gdr(table)
+        assert gdr.status == "distinguishable"
+        assert check_gda(table).witness is gdr.witness
 
 
 class TestOneItemSets:
