@@ -35,7 +35,7 @@ set and the table's own tolerances for a table; a table given another
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from itertools import chain, combinations
 
 import numpy as np
@@ -399,9 +399,30 @@ def _orthogonal_measurement(factors, purified):
 # The analysis table
 # -----------------------------------------------------------------------------
 
+# the store is emptied when it holds this many entries: auditing the first
+# 1000 ``random_qubit_set`` draws of rng 0 leaves 965, of about 1 KB each
+_STORE_CAP = 2048
+_store = {}  # the one-party entries of every table, by (tolerances, kind, bytes)
+
+
+def _read_only(value):
+    """``value``, with every array it holds, through tuples and dataclass
+    fields, made read-only."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, tuple):
+        for v in value:
+            _read_only(v)
+    elif is_dataclass(value):
+        for f in fields(value):
+            _read_only(getattr(value, f.name))
+    return value
+
+
 class SetAnalysis:
     """The sub-problems the deciders pose about one set under one set of
-    tolerances, each computed on first request and then kept.
+    tolerances (``None`` means ``DEFAULT_TOL``), each computed on first
+    request and then kept.
 
     It holds each party's relative factors U_i{dag} U_j (i < j), sorted
     into phase-equality classes, whose traces give the factor groups; the
@@ -411,25 +432,46 @@ class SetAnalysis:
     pose on one party (responder, stage-1 and union problems), with the
     measurement realizing its witness; the purification of each mixed
     witness (a pure one comes with its state); and the GDR problem, whose
-    operators are products of the two parties' relatives.  Entries that
-    depend only on matrices are keyed by their bytes, so a problem posed
-    twice, by one decider or by two, is solved once.  The
+    operators are products of the two parties' relatives.  The
     table only decides which call computes an entry: the solvers and their
     operator orders are those the deciders use on a set of their own.  The
     GDR verdict and each start's (LDR, LDA) pair are entries too.  A
     decider given a set builds a table for it, and :func:`hierarchy_audit`
-    builds one for all its rows; entries live as long as the table.
+    builds one for all its rows.
+
+    Entries posed on one party's factors (spectra, pair criteria, pair
+    probes and eigenrays of relatives, the one-party probe problems, their
+    purifications and measurements) are pure functions of the bytes they
+    read, and snapped sets share them, so they outlive the table: they sit
+    in one process-wide store, keyed by those bytes and the tolerances,
+    with their arrays read-only.  The store is emptied whenever it holds
+    ``_STORE_CAP`` (2048) entries.  The set-level entries (the relatives,
+    the two verdict entries and everything on the GDR problem, its spectra
+    included) live as long as the table.
     """
 
-    def __init__(self, uset: ProductUnitarySet, tol: Tolerances = DEFAULT_TOL):
+    def __init__(self, uset: ProductUnitarySet, tol: Tolerances | None = None):
         self.uset = uset
-        self.tol = tol
+        self.tol = DEFAULT_TOL if tol is None else tol
         self._entries = {}
 
     def _entry(self, key, compute):
+        """A set-level entry, kept by the table."""
         if key not in self._entries:
             self._entries[key] = compute()
         return self._entries[key]
+
+    def _stored(self, key, compute):
+        """A one-party entry, kept in the store under the table's tolerances
+        and ``key``, computed on first request with its arrays made
+        read-only; a full store is emptied before it takes one more."""
+        key = (self.tol,) + key
+        if key not in _store:
+            value = _read_only(compute())
+            if len(_store) >= _STORE_CAP:
+                _store.clear()
+            _store[key] = value
+        return _store[key]
 
     def relatives(self, party):
         """``(rel, cls)``: ``rel[i, j]`` is U_i{dag} U_j on ``party`` for
@@ -474,65 +516,72 @@ class SetAnalysis:
         if not ops:
             return None
         dim = ops[0].shape[0]
-        return self._entry(("feasibility", dim, b"".join(k.tobytes() for k in ops)),
-                           lambda: self._solve(OrthogonalityProblem(dim=dim, operators=ops)))
+        return self._stored(
+            ("feasibility", dim, b"".join(k.tobytes() for k in ops)),
+            lambda: self._solve(OrthogonalityProblem(dim=dim, operators=ops), self._stored))
 
-    def _solve(self, problem: OrthogonalityProblem) -> ProbeFeasibility:
+    def _solve(self, problem: OrthogonalityProblem, entry) -> ProbeFeasibility:
         """:func:`~unidisc.probefeas.common_probe_feasible` of ``problem``,
-        reading each operator's eigensystem and hull from the table."""
-        return common_probe_feasible(problem, self.tol,
-                                     spectrum=lambda t: self.spectrum(problem.operators[t]))
+        reading each operator's spectrum through ``entry``: the store for a
+        one-party problem, the table for the GDR problem."""
+        return common_probe_feasible(
+            problem, self.tol, spectrum=lambda t: self._spectrum(problem.operators[t], entry))
 
-    def purified(self, feas: ProbeFeasibility):
+    def _purified(self, feas: ProbeFeasibility, entry):
         """``(state, ancilla_dim)`` for the witness of ``feas``: its pure
         state with no ancilla when the solver built one, and otherwise the
-        :func:`~unidisc.probefeas.purify_witness` of the mixed witness."""
+        :func:`~unidisc.probefeas.purify_witness` of the mixed witness, kept
+        through ``entry``."""
         if feas.state is not None:
             return feas.state, 1
-        return self._entry(("purified", feas.witness.matrix.tobytes()),
-                           lambda: purify_witness(feas.witness, self.tol))
+        return entry(("purified", feas.witness.matrix.tobytes()),
+                     lambda: purify_witness(feas.witness, self.tol))
 
     def measurement(self, party, members, feas: ProbeFeasibility):
         """:func:`_orthogonal_measurement` of the factors of ``members`` on
-        ``party`` with the witness of ``feas``, keyed by its purification:
-        two pure witnesses may share the bytes of one density matrix."""
-        fs = self.uset.factors(party)
-        psi, r = self.purified(feas)
-        return self._entry(("measurement", party, members, r, psi.amplitudes.tobytes()),
-                           lambda: _orthogonal_measurement([fs[k] for k in members], (psi, r)))
+        ``party`` with the witness of ``feas``, keyed by the factors and its
+        purification: two pure witnesses may share the bytes of one density
+        matrix."""
+        fs = [self.uset.factor(k, party) for k in members]
+        psi, r = self._purified(feas, self._stored)
+        return self._stored(
+            ("measurement", r, psi.amplitudes.tobytes(), b"".join(f.tobytes() for f in fs)),
+            lambda: _orthogonal_measurement(fs, (psi, r)))
 
-    def _keyed(self, kind, k, compute):
-        return self._entry((kind, k.shape, k.tobytes()), lambda: compute(k))
-
-    def spectrum(self, k):
-        """``(phases, vectors, hull)`` of the unitary ``k``, a relative or
-        a probe-problem operator of the set: its
+    def _spectrum(self, k, entry):
+        """``(phases, vectors, hull)`` of the unitary ``k``, a relative or a
+        probe-problem operator, kept through ``entry``: its
         :func:`~unidisc.probefeas._operator_spectrum`, keyed by the bytes of
         ``k``, with the pair criterion (a ``ConvexNormResult``) as the hull,
         keyed by the phases it reads."""
         def hull(phases):
-            return self._entry(("pair", phases.tobytes()),
-                               lambda: min_convex_norm(phases, self.tol))
-        return self._keyed("spectrum", k, lambda k: _operator_spectrum(k, self.tol, hull))
+            return entry(("pair", phases.tobytes()), lambda: min_convex_norm(phases, self.tol))
+        return entry(("spectrum", k.shape, k.tobytes()),
+                     lambda: _operator_spectrum(k, self.tol, hull))
+
+    def _relative_spectrum(self, party, i, j):
+        return self._spectrum(self.relatives(party)[0][i, j], self._stored)
 
     def pair(self, party, i, j):
         """The pair criterion of U_i and U_j on ``party``."""
-        return self.spectrum(self.relatives(party)[0][i, j])[2]
+        return self._relative_spectrum(party, i, j)[2]
 
     def pair_probe(self, party, i, j):
         """:func:`~unidisc.eigdist.build_pair_probe` for U_i and U_j on
-        ``party``."""
+        ``party``, keyed by the two factors."""
         fs = self.uset.factors(party)
-        _, vecs, hull = self.spectrum(self.relatives(party)[0][i, j])
-        return self._entry(("pair_probe", party, i, j),
-                           lambda: _pair_probe(fs[i], fs[j], vecs, hull, self.tol))
+        _, vecs, hull = self._relative_spectrum(party, i, j)
+        return self._stored(("pair_probe", fs[i].tobytes() + fs[j].tobytes()),
+                            lambda: _pair_probe(fs[i], fs[j], vecs, hull, self.tol))
 
     def eigenrays(self, party, i, j) -> tuple:
         """Unit eigenvectors of U_i{dag} U_j on ``party``, from ``np.linalg.eig``."""
-        def compute(k):
+        k = self.relatives(party)[0][i, j]
+
+        def compute():
             _, vecs = np.linalg.eig(k)
             return tuple(vecs[:, c] / np.linalg.norm(vecs[:, c]) for c in range(k.shape[0]))
-        return self._keyed("eigenrays", self.relatives(party)[0][i, j], compute)
+        return self._stored(("eigenrays", k.shape, k.tobytes()), compute)
 
     def gdr_problem(self) -> OrthogonalityProblem:
         """The problem of :func:`gdr_problem`: the product (U_i{dag} U_j on
@@ -556,7 +605,7 @@ def _table(uset, tol) -> SetAnalysis:
         if tol not in (None, uset.tol):
             raise ValueError(f"tol {tol} differs from the table's {uset.tol}")
         return uset
-    return SetAnalysis(uset, DEFAULT_TOL if tol is None else tol)
+    return SetAnalysis(uset, tol)
 
 
 # -----------------------------------------------------------------------------
@@ -588,14 +637,14 @@ def check_gdr(uset: ProductUnitarySet | SetAnalysis,
             return StrategyVerdict(strategy="GDR", starting_party="either",
                                    status="distinguishable", witness=_one_input_witness(uset.dim),
                                    note="at most one candidate")
-        feas = table._solve(table.gdr_problem())
+        feas = table._solve(table.gdr_problem(), table._entry)
         status = {"feasible": "distinguishable",
                   "infeasible_certified": "indistinguishable_certified"}.get(
                       feas.status, "not_found")
         witness = None
         if feas.status == "feasible":
-            probe, r, povm, has_rest = _orthogonal_measurement(uset.global_unitaries(),
-                                                               table.purified(feas))
+            probe, r, povm, has_rest = _orthogonal_measurement(
+                uset.global_unitaries(), table._purified(feas, table._entry))
             witness = ProbeWitness(probe=probe, ancilla_dim=r, povm=povm,
                                    guesses=tuple(range(m)) + ((None,) if has_rest else ()))
         return StrategyVerdict(strategy="GDR", starting_party="either",
@@ -779,7 +828,7 @@ def check_gda(uset: ProductUnitarySet | SetAnalysis,
 _RANK = {"distinguishable": 1, "indistinguishable_certified": 0, "not_found": None}
 
 
-def hierarchy_audit(uset: ProductUnitarySet, tol: Tolerances = DEFAULT_TOL):
+def hierarchy_audit(uset: ProductUnitarySet, tol: Tolerances | None = None):
     """Run every checker and confirm the strategy-power orderings.
 
     Certified verdicts must satisfy LDR <= LDA <= GDA and LDR <= GDR <= GDA
@@ -788,6 +837,7 @@ def hierarchy_audit(uset: ProductUnitarySet, tol: Tolerances = DEFAULT_TOL):
     (label, verdict) table, with a GDA_separable row last for qubit-qubit
     sets.  Each row is its public decider's verdict on one shared
     :class:`SetAnalysis`, so each sub-problem is solved once for the set.
+    ``tol`` of ``None`` means ``DEFAULT_TOL``, as for the deciders.
     """
     table = SetAnalysis(uset, tol)
     rows = [(f"{s}:{p}", check(table, p))

@@ -39,9 +39,10 @@ one probe.
 On blocks that small an iteration is bound by the overhead of its few dozen
 numpy calls, not by their arithmetic.  So the iteration calls the LAPACK
 gufunc under ``np.linalg.eigh`` directly (``qcore._eigh``, the package's one
-LAPACK binding), enters one ``errstate`` for the whole step instead of one per
-decomposition, and tests its row flags as Python lists; every output byte is
-that of the plain numpy formulation.
+LAPACK binding), takes its traces from the ``c_einsum`` that ``np.einsum``
+runs when it does not optimize, enters one ``errstate`` for the whole step
+instead of one per decomposition, and tests its row flags as Python lists;
+every output byte is that of the plain numpy formulation.
 
 A vanishing optimum means a perfect elimination measurement exists; a
 strictly positive optimum across restarts is numerical evidence (not a
@@ -54,6 +55,7 @@ from dataclasses import dataclass
 import logging
 
 import numpy as np
+from numpy._core.multiarray import c_einsum  # np.einsum without its dispatch
 
 from .families import CLOCK3, FLIP3
 from .qcore import (DensityOperator, StateVector, _eigh, _kron, _raise_nonconvergence, as_matrix,
@@ -282,7 +284,7 @@ def _sigma_blocks(arms: _ArmStack, vecs, rho=None) -> tuple:
 
 def _score(sigmas: np.ndarray, povm: np.ndarray) -> np.ndarray:
     """``sum_i Tr(sigma_i M_i)`` per row, elementwise."""
-    return np.einsum("rnij,rnji->r", sigmas, povm).real
+    return c_einsum("rnij,rnji->r", sigmas, povm).real
 
 
 def _probe(task: EliminationTask, rho, what: str) -> tuple:
@@ -354,7 +356,7 @@ def _measurement_kernel(basis: np.ndarray, blocks: np.ndarray) -> tuple:
     rewards = lam[:, None, None, None] * eye - blocks
     povm = np.broadcast_to(eye / n, blocks.shape)
     best = povm
-    best_val = np.einsum("rnij,rnji->r", blocks, povm).real
+    best_val = c_einsum("rnij,rnji->r", blocks, povm).real
     prev = best_val.tolist()
     out = np.empty(blocks.shape, dtype=complex)
     out_val = np.empty(rows)
@@ -371,12 +373,12 @@ def _measurement_kernel(basis: np.ndarray, blocks: np.ndarray) -> tuple:
             povm = (povm + povm.conj().mT) / 2
             rest = eye - povm.sum(axis=1)
             # squared norm of a Hermitian rest
-            gap = np.einsum("...ij,...ji->...", rest, rest).real > 1e-28
+            gap = c_einsum("...ij,...ji->...", rest, rest).real > 1e-28
             if any(gap.tolist()):
                 # hand the uncovered subspace to the outcome it penalizes least
-                scores = np.einsum("...ij,...ji->...", blocks[gap], rest[gap, None]).real
+                scores = c_einsum("...ij,...ji->...", blocks[gap], rest[gap, None]).real
                 povm[gap, scores.argmin(axis=1)] += rest[gap]
-            val = np.einsum("rnij,rnji->r", blocks, povm).real
+            val = c_einsum("rnij,rnji->r", blocks, povm).real
             better = val < best_val
             better_rows = better.tolist()
             if all(better_rows):

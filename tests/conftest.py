@@ -5,9 +5,18 @@ import math
 import numpy as np
 import pytest
 
+from unidisc import protocols
 from unidisc.families import CLOCK3, FLIP3, H, I2, X, Z, ket, uniform_superposition
 from unidisc.protocols import OutcomeBranch, ProtocolTree, StageTwo
 from unidisc.qcore import StateVector
+
+
+@pytest.fixture(autouse=True)
+def empty_store():
+    """Start each test with an empty store of one-party entries
+    (``protocols._store``), so that no test reads what another solved,
+    or what a patched solver answered there."""
+    protocols._store.clear()
 
 
 @pytest.fixture

@@ -32,7 +32,7 @@ from unidisc.separable import (
     separable_start_analysis,
 )
 from unidisc.probefeas import ProbeFeasibility, verify_certificate
-from unidisc.qcore import StateVector, Tolerances, haar_unitary
+from unidisc.qcore import DEFAULT_TOL, StateVector, Tolerances, haar_unitary
 from unidisc.families import (
     CLOCK3,
     FLIP3,
@@ -435,21 +435,25 @@ class TestHierarchyAudit:
                             "not_found"}
 
     def test_audit_solves_each_problem_once(self, monkeypatch):
-        # solver calls keyed by the bytes of their inputs: within one audit
-        # no probe problem, eigensystem or pair criterion is solved twice and
-        # no witness is purified twice, and a second audit of the same set
-        # repeats every call, so nothing the first one solved was kept
-        # beyond it
+        # solver calls keyed by the dimension and bytes of their inputs:
+        # within one audit no probe problem, eigensystem or pair criterion
+        # is solved twice and no witness is purified twice.  A second audit
+        # of the same set repeats exactly the calls on the GDR problem,
+        # whose entries die with the table, and no call on one party, whose
+        # entries the store keeps; once the store is emptied, an audit
+        # repeats every call
         import unidisc
+        import unidisc.protocols as protocols
 
         calls, answers = [], []
         keys = {
-            "common_probe_feasible": lambda problem, tol=None, spectrum=None: b"".join(
-                k.tobytes() for k in problem.operators),
-            "eig_unitary": lambda u, tol=None: u.tobytes(),
-            "min_convex_norm": lambda phases, tol=None: phases.tobytes(),
-            "pair_distinguishable": lambda u1, u2, tol=None: u1.tobytes() + u2.tobytes(),
-            "purify_witness": lambda witness, tol=None: witness.matrix.tobytes(),
+            "common_probe_feasible": lambda problem, tol=None, spectrum=None: (
+                problem.dim, b"".join(k.tobytes() for k in problem.operators)),
+            "eig_unitary": lambda u, tol=None: (u.shape[0], u.tobytes()),
+            "min_convex_norm": lambda phases, tol=None: (len(phases), phases.tobytes()),
+            "pair_distinguishable": lambda u1, u2, tol=None: (
+                u1.shape[0], u1.tobytes() + u2.tobytes()),
+            "purify_witness": lambda witness, tol=None: (witness.dim, witness.matrix.tobytes()),
         }
         modules = [m for m in vars(unidisc).values()
                    if getattr(m, "__name__", "").startswith("unidisc.")]
@@ -457,7 +461,7 @@ class TestHierarchyAudit:
             original = next(getattr(m, name) for m in modules if hasattr(m, name))
 
             def counting(*args, _name=name, _key=key, _original=original, **kwargs):
-                calls.append((_name, _key(*args, **kwargs)))
+                calls.append((_name, *_key(*args, **kwargs)))
                 out = _original(*args, **kwargs)
                 if _name == "common_probe_feasible":
                     answers.append(out)
@@ -472,19 +476,29 @@ class TestHierarchyAudit:
         sets += [random_qubit_set(rng) for _ in range(20)]
         kinds = set()
         for uset in sets:
+            protocols._store.clear()
             calls.clear()
             answers.clear()
             hierarchy_audit(uset)
             first = list(calls)
             assert len(set(first)) == len(first)
-            kinds.update(name for name, _ in first)
+            kinds.update(name for name, _, _ in first)
             # only mixed witnesses are purified: a pure one comes with its state
             mixed = {f.witness.matrix.tobytes() for f in answers
                      if f.witness is not None and f.state is None}
-            assert {k for name, k in first if name == "purify_witness"} <= mixed
+            assert {k for name, _, k in first if name == "purify_witness"} <= mixed
+            # every call is on one party or on the GDR problem, told apart
+            # by their dimensions, and some are on one party
+            assert {d for _, d, _ in first} <= {*uset.party_dims, uset.dim}
+            assert uset.dim not in uset.party_dims
+            assert any(d != uset.dim for _, d, _ in first)
             calls.clear()
             hierarchy_audit(uset)
-            assert len(calls) == len(first)
+            assert calls == [c for c in first if c[1] == uset.dim]
+            protocols._store.clear()
+            calls.clear()
+            hierarchy_audit(uset)
+            assert calls == first
         assert kinds == {"common_probe_feasible", "eig_unitary", "min_convex_norm",
                          "purify_witness"}
 
@@ -503,6 +517,7 @@ class TestHierarchyAudit:
         monkeypatch.setattr(protocols, "common_probe_feasible", counting)
 
         def count(fn):
+            protocols._store.clear()
             calls.clear()
             fn()
             return len(calls)
@@ -575,6 +590,131 @@ class TestSetOrTable:
         assert check_gda(table).witness is gdr.witness
 
 
+def _rows(uset, tol=DEFAULT_TOL):
+    """The canonical JSON bytes of each row of the audit of ``uset``."""
+    return [dumps(verdict_to_json(v)) for _, v in hierarchy_audit(uset, tol)]
+
+
+def _arrays(value):
+    """Every array ``value`` holds, through tuples and dataclass fields."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, tuple):
+        return [a for v in value for a in _arrays(v)]
+    if dataclasses.is_dataclass(value):
+        return [a for f in dataclasses.fields(value) for a in _arrays(getattr(value, f.name))]
+    return []
+
+
+class TestSharedStore:
+    """Entries on one party's factors outlive their table in one store,
+    keyed by their bytes and the tolerances, and read the same bytes
+    whichever set solved them first."""
+
+    ONE_PARTY = {"spectrum", "pair", "eigenrays", "feasibility", "purified",
+                 "pair_probe", "measurement"}
+
+    @pytest.fixture(scope="class")
+    def sets(self):
+        rng = np.random.default_rng(0)
+        return [qutrit_quartet_set(), pauli_hadamard_set(),
+                phase_pair_set(PhasePairParams(0.3, 0.5, 0.9, np.pi - 1.7))] + [
+                    random_qubit_set(rng) for _ in range(100)]
+
+    @pytest.mark.parametrize("cap", [None, 5])
+    def test_sharing_is_byte_exact(self, sets, cap, monkeypatch):
+        # each set audited with the store emptied before it, then all in
+        # order and in reverse with the store warm from the sets before;
+        # with a small cap the store is emptied again and again on the way,
+        # and it never holds more than the cap
+        import unidisc.protocols as protocols
+
+        class Watched(dict):
+            peak, clears = 0, 0
+
+            def __setitem__(self, key, value):
+                super().__setitem__(key, value)
+                Watched.peak = max(Watched.peak, len(self))
+
+            def clear(self):
+                Watched.clears += 1
+                super().clear()
+
+        monkeypatch.setattr(protocols, "_store", Watched())
+        if cap is not None:
+            monkeypatch.setattr(protocols, "_STORE_CAP", cap)
+        cold = []
+        for uset in sets:
+            protocols._store.clear()
+            cold.append(_rows(uset))
+        protocols._store.clear()
+        assert [_rows(uset) for uset in sets] == cold
+        if cap is None:
+            assert {key[1] for key in protocols._store} == self.ONE_PARTY
+            assert {key[0] for key in protocols._store} == {DEFAULT_TOL}
+        assert [_rows(uset) for uset in reversed(sets)] == cold[::-1]
+        assert Watched.peak <= protocols._STORE_CAP
+        if cap is not None:
+            assert Watched.clears > 2 * len(sets)  # the full store was emptied
+
+    def test_shared_arrays_are_read_only(self, sets):
+        import unidisc.protocols as protocols
+
+        for uset in sets[:20]:
+            hierarchy_audit(uset)
+        arrays = [a for value in protocols._store.values() for a in _arrays(value)]
+        assert len(arrays) > len(protocols._store)
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+        # a probe read from another set's table is the stored, read-only one
+        table = SetAnalysis(sets[1])
+        with pytest.raises(ValueError, match="read-only"):
+            table.pair_probe("A", 0, 1).probe.amplitudes[0] = 1
+
+    def test_set_level_entries_stay_in_the_table(self):
+        # the GDR problem is the set's own: check_gdr leaves the store empty
+        import unidisc.protocols as protocols
+
+        assert check_gdr(phase_pair_set(PhasePairParams(0.3, 0.5, 0.9, np.pi - 1.7))
+                         ).status == "distinguishable"
+        assert check_gdr(qutrit_quartet_set()).status == "indistinguishable_certified"
+        assert protocols._store == {}
+
+    def test_tolerances_key_the_store(self):
+        # a table under other tolerances solves its one-party problems anew
+        # and gives the rows it gives with the store empty
+        import unidisc.protocols as protocols
+
+        uset = pauli_hadamard_set()
+        tol = Tolerances(1e-7)
+        want = _rows(uset, tol)
+        protocols._store.clear()
+        _rows(uset)
+        assert _rows(uset, tol) == want
+        assert {key[0] for key in protocols._store} == {DEFAULT_TOL, tol}
+
+    @pytest.mark.parametrize("uset", [pauli_hadamard_set(), qutrit_quartet_set()],
+                             ids=["pauli-hadamard", "qutrit-quartet"])
+    def test_none_tol_is_the_default(self, uset):
+        # hierarchy_audit and SetAnalysis read tol=None as DEFAULT_TOL, as
+        # the deciders do
+        import unidisc.protocols as protocols
+
+        want = _rows(uset)
+        protocols._store.clear()
+        assert _rows(uset, None) == want
+        protocols._store.clear()
+        table = SetAnalysis(uset, None)
+        assert table.tol == DEFAULT_TOL
+        decide = {"GDR": check_gdr, "GDA": check_gda, "GDA_separable": check_gda_separable}
+        for p in ("A", "B"):
+            decide[f"LDR:{p}"] = lambda t, p=p: check_ldr(t, p)
+            decide[f"LDA:{p}"] = lambda t, p=p: check_lda(t, p)
+        labels = [label for label, _ in hierarchy_audit(uset)]
+        assert [dumps(verdict_to_json(decide[label](table))) for label in labels] == want
+
+
 class TestOneItemSets:
     @pytest.mark.parametrize("dims, b", [((2, 2), Z), ((2, 3), CLOCK3)])
     def test_every_row_distinguishable_with_a_rechecked_witness(self, dims, b):
@@ -639,11 +779,15 @@ class TestStalledSearch:
     def test_stage_two_stall(self, monkeypatch):
         # A identifies the group {0, 1} or {2, 3}; B's problems within each
         # group and their union all stall, in that order, once per checker
+        # when the store is emptied between checkers
+        import unidisc.protocols as protocols
+
         answers = self.stall(monkeypatch, 3)
         uset = ProductUnitarySet((2, 3), (("a", I2, I3), ("b", I2, CLOCK3),
                                           ("c", X, I3), ("d", X, FLIP3)))
         ldr = check_ldr(uset, "A")
         assert len(answers) == 3
+        protocols._store.clear()
         lda = check_lda(uset, "A")
         assert len(answers) == 6
         assert (ldr.status, lda.status) == ("not_found", "not_found")
@@ -651,6 +795,21 @@ class TestStalledSearch:
         assert ldr.feasibility is answers[2]
         assert lda.note == "within-group search stalled: stall 3"
         assert lda.feasibility is answers[3]
+        protocols._store.clear()
         rows = dict(hierarchy_audit(uset))
         assert rows["LDR:A"].note == "shared-probe search stalled: stall 8"
         assert rows["LDA:A"].note == "within-group search stalled: stall 6"
+        # with the store kept, check_lda after check_ldr on the set solves
+        # no problem: it reads the answers check_ldr's problems got
+        protocols._store.clear()
+        before = len(answers)
+        check_ldr(uset, "A")
+        assert len(answers) == before + 3
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("a problem was solved again")
+
+        monkeypatch.setattr(protocols, "common_probe_feasible", unexpected)
+        lda = check_lda(uset, "A")
+        assert lda.note == f"within-group search stalled: stall {before}"
+        assert lda.feasibility is answers[before]

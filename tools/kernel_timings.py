@@ -25,7 +25,13 @@ workloads give them:
   dimension 4;
 * ``simplex.feasible_point`` on the 3 x 4 system of a commuting problem;
 * ``protocols.verify_tree`` on the Pauli-Hadamard set and its tree;
-* ``jsonio.dumps`` of the GDR verdict on the phase-pair set.
+* ``jsonio.dumps`` of the GDR verdict on the phase-pair set;
+* ``protocols.hierarchy_audit`` on one pool set (the first
+  ``random_qubit_set`` draw of rng 0: four items, GDR distinguishable, some
+  local rows ``not_found``), cold with the store of one-party entries
+  emptied before each call, and warm with the store holding them, as it does
+  when an earlier set posed the same one-party problems.  The gap is what
+  the store saves on that set.
 """
 
 import os
@@ -47,8 +53,10 @@ from unidisc.families import (  # noqa: E402
     pauli_hadamard_set,
     pauli_hadamard_tree,
     phase_pair_set,
+    random_qubit_set,
 )
-from unidisc.protocols import check_gdr, verify_tree  # noqa: E402
+from unidisc import protocols  # noqa: E402
+from unidisc.protocols import check_gdr, hierarchy_audit, verify_tree  # noqa: E402
 from unidisc.qcore import _near_unitaries, check_povm, eig_unitary, haar_unitary  # noqa: E402
 from unidisc.simplex import feasible_point  # noqa: E402
 
@@ -71,6 +79,16 @@ def _kernels():
     verdict = jsonio.verdict_to_json(
         check_gdr(phase_pair_set(PhasePairParams(0.3, 0.5, 0.9, np.pi - 1.7))))
     message = lambda k, err: f"{k} {err}"  # noqa: E731
+    pool_set = random_qubit_set(np.random.default_rng(0))
+
+    def cold():
+        protocols._store.clear()
+        hierarchy_audit(pool_set)
+
+    def warm():
+        hierarchy_audit(pool_set)
+
+    # (name, calls per batch, call, and a setup run before each batch if any)
     return [
         ("qcore.eig_unitary d=2", 500, lambda: eig_unitary(u2)),
         ("qcore.eig_unitary d=4", 500, lambda: eig_unitary(u4)),
@@ -81,19 +99,21 @@ def _kernels():
         ("simplex.feasible_point 3x4", 500, lambda: feasible_point(a_eq, b_eq)),
         ("protocols.verify_tree pauli-hadamard", 40, lambda: verify_tree(ph_set, ph_tree)),
         ("jsonio.dumps phase-pair GDR verdict", 100, lambda: jsonio.dumps(verdict)),
+        ("protocols.hierarchy_audit pool set, cold", 20, cold),
+        ("protocols.hierarchy_audit pool set, warm", 20, warm, warm),
     ]
 
 
 def main():
     print(f"cpus {os.cpu_count()}  python {platform.python_version()}  numpy {np.__version__}")
     kernels = _kernels()
-    timers = [timeit.Timer(call) for _, _, call in kernels]
+    timers = [timeit.Timer(call, *setup) for _, _, call, *setup in kernels]
     per_call = [[] for _ in kernels]
     for _ in range(REPEATS):
-        for (_, number, _), timer, times in zip(kernels, timers, per_call):
+        for (_, number, *_), timer, times in zip(kernels, timers, per_call):
             times.append(timer.timeit(number) / number * 1e6)
     print(f"{'kernel':40s} {'median_us':>10s} {'min_us':>10s}")
-    for (name, _, _), times in zip(kernels, per_call):
+    for (name, *_), times in zip(kernels, per_call):
         print(f"{name:40s} {statistics.median(times):10.2f} {min(times):10.2f}")
 
 
