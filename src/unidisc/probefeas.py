@@ -107,10 +107,10 @@ class InfeasibilityCertificate:
 class OrthogonalityProblem:
     """Constraint set Tr(rho K_k) = 0 over densities on a given dimension.
 
-    The operators are accepted as unitary by the rule of
-    :func:`~unidisc.qcore._near_unitaries`: up to 1e-8 off, kept as their
-    polar factor past rounding, so that they decompose like exact
-    unitaries.
+    The constructor accepts outside operators by the rule of
+    :func:`~unidisc.qcore._near_unitaries` (up to 1e-8 off, kept as their
+    polar factor past rounding).  A ``SetAnalysis`` poses its problems by
+    :meth:`_accepted`, on operators built from an accepted set, unchecked.
     """
 
     dim: int
@@ -128,18 +128,29 @@ class OrthogonalityProblem:
             return k
 
         valid, held = _valid_prefix(ops, shaped)
-        ((ops, stack),) = _near_unitaries(
+        ((ops, _),) = _near_unitaries(
             (valid,), lambda k, err: f"constraint operator not unitary (err {err:.3e})")
         if held is not None:
             raise held
+        self._hold(self.dim, ops)
+
+    @classmethod
+    def _accepted(cls, dim: int, operators: tuple) -> OrthogonalityProblem:
+        """The problem on unitaries built from accepted ones (a set's relatives
+        and their products), held as they are, past the constructor's checks."""
+        return object.__new__(cls)._hold(dim, operators)
+
+    def _hold(self, dim, ops):
+        """Store the fields; the family commutes iff each K_i K_j = K_j K_i."""
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "operators", ops)
         comm = True
         if len(ops) > 1:
-            # every product K_i K_j at once: the family commutes iff the
-            # products agree in both orders
-            prod = stack[:, None] @ stack[None, :]
+            stack = np.array(ops)
+            prod = stack[:, None] @ stack[None, :]  # every product K_i K_j at once
             comm = bool(np.abs(prod - prod.transpose(1, 0, 2, 3)).max() <= 1e-9)
         object.__setattr__(self, "commuting", comm)
+        return self
 
 
 @dataclass(frozen=True)
@@ -294,9 +305,9 @@ def _operator_spectrum(op, tol: Tolerances = DEFAULT_TOL, hull=None):
     """``(phases, vectors, hull)`` of a constraint operator: its
     :func:`~unidisc.qcore.eig_unitary` eigensystem and the
     :func:`~unidisc.eigdist.min_convex_norm` of its eigenphases under
-    ``tol``.  The operator's owner has accepted it as unitary (an
-    :class:`OrthogonalityProblem` does, as a ``ProductUnitarySet`` does its
-    factors), and :func:`~unidisc.qcore.eig_unitary` takes it as given.
+    ``tol``.  The operator is unitary to rounding (a problem's constructor
+    accepted it, or a table built it from an accepted set), and
+    :func:`~unidisc.qcore.eig_unitary` takes it as given.
 
     ``hull(phases)``, when given, returns that ``min_convex_norm`` from
     elsewhere: :class:`~unidisc.protocols.SetAnalysis` keys it by the

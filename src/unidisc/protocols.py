@@ -432,12 +432,13 @@ class SetAnalysis:
     pose on one party (responder, stage-1 and union problems), with the
     measurement realizing its witness; the purification of each mixed
     witness (a pure one comes with its state); and the GDR problem, whose
-    operators are products of the two parties' relatives.  The
-    table only decides which call computes an entry: the solvers and their
-    operator orders are those the deciders use on a set of their own.  The
-    GDR verdict and each start's (LDR, LDA) pair are entries too.  A
-    decider given a set builds a table for it, and :func:`hierarchy_audit`
-    builds one for all its rows.
+    operators are products of the two parties' relatives.  Every problem is
+    posed by ``OrthogonalityProblem._accepted``, unchecked, as its operators
+    come from the accepted set.  The table only decides which call computes
+    an entry: the solvers and their operator orders are those the deciders
+    use on a set of their own.  The GDR verdict and each start's (LDR, LDA)
+    pair are entries too.  A decider given a set builds a table for it, and
+    :func:`hierarchy_audit` builds one for all its rows.
 
     Entries posed on one party's factors (spectra, pair criteria, pair
     probes and eigenrays of relatives, the one-party probe problems, their
@@ -518,7 +519,7 @@ class SetAnalysis:
         dim = ops[0].shape[0]
         return self._stored(
             ("feasibility", dim, b"".join(k.tobytes() for k in ops)),
-            lambda: self._solve(OrthogonalityProblem(dim=dim, operators=ops), self._stored))
+            lambda: self._solve(OrthogonalityProblem._accepted(dim, ops), self._stored))
 
     def _solve(self, problem: OrthogonalityProblem, entry) -> ProbeFeasibility:
         """:func:`~unidisc.probefeas.common_probe_feasible` of ``problem``,
@@ -591,8 +592,8 @@ class SetAnalysis:
         first = {}
         for p in ra:
             first.setdefault((ca[p], cb[p]), p)
-        return OrthogonalityProblem(dim=self.uset.dim,
-                                    operators=tuple(_kron(ra[p], rb[p]) for p in first.values()))
+        return OrthogonalityProblem._accepted(
+            self.uset.dim, tuple(_kron(ra[p], rb[p]) for p in first.values()))
 
     def local(self, start) -> tuple:
         """The (LDR, LDA) verdicts from ``start``: :func:`_local_verdicts`."""

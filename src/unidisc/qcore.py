@@ -239,7 +239,7 @@ def _as_vector(v) -> np.ndarray:
 class UnitaryOperator:
     """A square matrix accepted by the one unitarity rule,
     :func:`_near_unitaries`: up to 1e-8 off, held as its polar factor past
-    rounding, so that ``matrix`` is unitary to rounding."""
+    rounding, so unitary to rounding; :func:`haar_unitary` holds its draws unchecked."""
 
     matrix: np.ndarray
 
@@ -422,7 +422,7 @@ def eig_unitary(u, tol: Tolerances = DEFAULT_TOL):
     binding.  Degenerate combinations are refined with both parts blockwise.
 
     It decomposes the matrix it is given: a :class:`UnitaryOperator`, or an
-    array a set, problem or pair has accepted by :func:`_near_unitaries`.
+    array accepted by :func:`_near_unitaries` or built from accepted ones.
     Only the decomposition is checked: its residual (a NaN residual fails),
     and then each eigenvalue's modulus, which must lie within 1e-8 of 1.
     """
@@ -474,4 +474,6 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> UnitaryOperator:
     q, f = _qr_c(z)
     # fix the phase ambiguity of QR so the distribution is Haar
     ph = f.diagonal() / np.abs(f.diagonal())
-    return UnitaryOperator(q * ph[None, :])
+    u = object.__new__(UnitaryOperator)  # unitary by construction: held unchecked
+    object.__setattr__(u, "matrix", q * ph[None, :])
+    return u

@@ -101,3 +101,37 @@ def test_audit_spans_the_public_deciders(tracing):
     gda = [k for k, span in enumerate(tracer.spans) if span[0] == "protocols.check_gda"][-1]
     parents = [span[3] for span in tracer.spans[audit:] if span[0] == "protocols.check_gdr"]
     assert parents and set(parents) == {gda}
+
+
+def _decomposed_in(spans, first, kernel, deciders):
+    """Whether a ``kernel`` span from index ``first`` on sits in a
+    ``common_probe_feasible`` span whose parent is one of ``deciders``."""
+    def parent(span):
+        return spans[span[3]] if span[3] >= 0 else ("", 0, 0, -1, 0)
+
+    return any(span[0] == kernel
+               and parent(span)[0].startswith("probefeas.common_probe_feasible.")
+               and parent(parent(span))[0] in deciders for span in spans[first:])
+
+
+def test_problems_decompose_through_the_spanned_kernels(tracing):
+    # a table poses its problems unchecked, but each operator's spectrum
+    # still comes from the public eig_unitary and min_convex_norm, so the
+    # benchmark's per-layer view counts them: the GDR problem's operator
+    # under check_gdr, and the one-party problems' under the local deciders
+    from unidisc.families import PhasePairParams, phase_pair_set, random_qubit_set
+
+    phase_pair = phase_pair_set(PhasePairParams(0.3, 0.5, 0.9, np.pi - 1.7))
+    pool_set = random_qubit_set(np.random.default_rng(0))
+    tracer = tracing.Tracer()
+    tracer.install(unidisc)
+    try:
+        unidisc.protocols.check_gdr(phase_pair)
+        audit = len(tracer.spans)
+        unidisc.protocols.hierarchy_audit(pool_set)
+    finally:
+        tracer.uninstall()
+    local = {"protocols.check_ldr", "protocols.check_lda"}
+    for kernel in ("qcore.eig_unitary", "eigdist.min_convex_norm"):
+        assert _decomposed_in(tracer.spans[:audit], 0, kernel, {"protocols.check_gdr"}), kernel
+        assert _decomposed_in(tracer.spans, audit, kernel, local), kernel

@@ -60,13 +60,19 @@ def gram_overlaps(witness, operators) -> list:
 
 
 class TestProblemValidation:
+    # the public constructor is the one check on outside operators; the
+    # problems a table poses skip it, so its messages are pinned here
     def test_rejects_non_unitary(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^constraint operator not unitary \(err 3\.000e\+00\)$"):
             OrthogonalityProblem(2, (np.array([[1.0, 0.0], [0.0, 2.0]]),))
 
     def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^operator shape \(2, 2\) does not match dim 3$"):
             OrthogonalityProblem(3, (np.eye(2),))
+
+    def test_rejects_nan_entry(self):
+        with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+            OrthogonalityProblem(2, (np.eye(2), np.array([[1.0, 0.0], [0.0, np.nan]])))
 
     @pytest.mark.parametrize("dim", [0, -1])
     def test_rejects_non_positive_dimension(self, dim):

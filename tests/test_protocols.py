@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -590,6 +591,15 @@ class TestSetOrTable:
         assert check_gda(table).witness is gdr.witness
 
 
+@pytest.fixture(scope="module")
+def sets():
+    """The three builtins and ``random_qubit_set`` rng 0 sets 0-99."""
+    rng = np.random.default_rng(0)
+    return [qutrit_quartet_set(), pauli_hadamard_set(),
+            phase_pair_set(PhasePairParams(0.3, 0.5, 0.9, np.pi - 1.7))] + [
+                random_qubit_set(rng) for _ in range(100)]
+
+
 def _rows(uset, tol=DEFAULT_TOL):
     """The canonical JSON bytes of each row of the audit of ``uset``."""
     return [dumps(verdict_to_json(v)) for _, v in hierarchy_audit(uset, tol)]
@@ -613,13 +623,6 @@ class TestSharedStore:
 
     ONE_PARTY = {"spectrum", "pair", "eigenrays", "feasibility", "purified",
                  "pair_probe", "measurement"}
-
-    @pytest.fixture(scope="class")
-    def sets(self):
-        rng = np.random.default_rng(0)
-        return [qutrit_quartet_set(), pauli_hadamard_set(),
-                phase_pair_set(PhasePairParams(0.3, 0.5, 0.9, np.pi - 1.7))] + [
-                    random_qubit_set(rng) for _ in range(100)]
 
     @pytest.mark.parametrize("cap", [None, 5])
     def test_sharing_is_byte_exact(self, sets, cap, monkeypatch):
@@ -713,6 +716,56 @@ class TestSharedStore:
             decide[f"LDA:{p}"] = lambda t, p=p: check_lda(t, p)
         labels = [label for label, _ in hierarchy_audit(uset)]
         assert [dumps(verdict_to_json(decide[label](table))) for label in labels] == want
+
+
+class TestAcceptedProblems:
+    """A table poses its problems on relatives of accepted factors and their
+    products, held as they are, past the public constructor's check; that
+    check must have held the same operators."""
+
+    def test_table_problems_match_the_constructor(self, sets, monkeypatch):
+        import unidisc.protocols as protocols
+        from unidisc.probefeas import OrthogonalityProblem
+
+        posed = []
+        accepted = OrthogonalityProblem._accepted.__func__
+
+        def spy(cls, dim, operators):
+            posed.append(accepted(cls, dim, operators))
+            return posed[-1]
+
+        monkeypatch.setattr(OrthogonalityProblem, "_accepted", classmethod(spy))
+        for uset in sets:
+            protocols._store.clear()  # so that every one-party problem is posed
+            posed.append(SetAnalysis(uset).gdr_problem())
+            hierarchy_audit(uset)
+        assert {p.dim for p in posed} == {2, 3, 4, 9}
+        for p in posed:
+            public = OrthogonalityProblem(p.dim, p.operators)
+            assert public.dim == p.dim
+            assert [k.tobytes() for k in public.operators] == [k.tobytes() for k in p.operators]
+            assert public.commuting == p.commuting
+
+    def test_deciders_check_no_operator_again(self, sets, monkeypatch):
+        # once the set is built, no decider re-applies the unitarity rule
+        import unidisc.protocols as protocols
+        from unidisc import qcore
+
+        calls = []
+        original = qcore._near_unitaries
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("unidisc") and getattr(mod, "_near_unitaries", None) is original:
+                monkeypatch.setattr(mod, "_near_unitaries", spy)
+        for uset in sets[:30]:
+            protocols._store.clear()
+            check_gdr(SetAnalysis(uset))
+            hierarchy_audit(uset)
+        assert calls == []
 
 
 class TestOneItemSets:

@@ -431,6 +431,20 @@ class TestHaarUnitary:
         with pytest.raises(ValueError, match=f"dimension must be positive, got dim={dim}"):
             haar_unitary(dim, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_draws_hold_the_constructors_bytes(self, dim):
+        # a draw is held past UnitaryOperator's check, so it must be what
+        # that check would keep: the QR factor as computed, unitary to rounding
+        z_rng, rng = np.random.default_rng(dim), np.random.default_rng(dim)
+        for _ in range(500):
+            z = z_rng.normal(size=(dim, dim)) + 1j * z_rng.normal(size=(dim, dim))
+            q, r = np.linalg.qr(z)
+            ph = np.diag(r) / np.abs(np.diag(r))
+            u = haar_unitary(dim, rng)
+            assert type(u) is UnitaryOperator
+            assert u.matrix.tobytes() == UnitaryOperator(q * ph[None, :]).matrix.tobytes()
+            assert np.abs(u.matrix.conj().T @ u.matrix - np.eye(dim)).max() <= 1e-12
+
 
 def _signed_operand(shape, kind, rng):
     """Random entries of one dtype, with some parts set to +0.0 or -0.0."""

@@ -26,6 +26,11 @@ workloads give them:
 * ``simplex.feasible_point`` on the 3 x 4 system of a commuting problem;
 * ``protocols.verify_tree`` on the Pauli-Hadamard set and its tree;
 * ``jsonio.dumps`` of the GDR verdict on the phase-pair set;
+* ``protocols.check_gdr`` on the phase-pair set, which builds a fresh
+  analysis table per call and so poses its GDR problem every time;
+* ``probefeas.OrthogonalityProblem`` on that set's GDR operator through
+  the public constructor, whose unitarity check the table's problems
+  skip: the saving per ``check_gdr`` call;
 * ``protocols.hierarchy_audit`` on one pool set (the first
   ``random_qubit_set`` draw of rng 0: four items, GDR distinguishable, some
   local rows ``not_found``), cold with the store of one-party entries
@@ -56,7 +61,8 @@ from unidisc.families import (  # noqa: E402
     random_qubit_set,
 )
 from unidisc import protocols  # noqa: E402
-from unidisc.protocols import check_gdr, hierarchy_audit, verify_tree  # noqa: E402
+from unidisc.probefeas import OrthogonalityProblem  # noqa: E402
+from unidisc.protocols import check_gdr, gdr_problem, hierarchy_audit, verify_tree  # noqa: E402
 from unidisc.qcore import _near_unitaries, check_povm, eig_unitary, haar_unitary  # noqa: E402
 from unidisc.simplex import feasible_point  # noqa: E402
 
@@ -76,8 +82,9 @@ def _kernels():
     pts = np.exp(1j * np.array([0.3, 1.9, 3.4, 5.0]))
     a_eq, b_eq = np.vstack([pts.real, pts.imag, np.ones(4)]), [0.0, 0.0, 1.0]
     ph_set, ph_tree = pauli_hadamard_set(), pauli_hadamard_tree("A")
-    verdict = jsonio.verdict_to_json(
-        check_gdr(phase_pair_set(PhasePairParams(0.3, 0.5, 0.9, np.pi - 1.7))))
+    phase_pair = phase_pair_set(PhasePairParams(0.3, 0.5, 0.9, np.pi - 1.7))
+    verdict = jsonio.verdict_to_json(check_gdr(phase_pair))
+    gdr_ops = gdr_problem(phase_pair).operators
     message = lambda k, err: f"{k} {err}"  # noqa: E731
     pool_set = random_qubit_set(np.random.default_rng(0))
 
@@ -99,6 +106,9 @@ def _kernels():
         ("simplex.feasible_point 3x4", 500, lambda: feasible_point(a_eq, b_eq)),
         ("protocols.verify_tree pauli-hadamard", 40, lambda: verify_tree(ph_set, ph_tree)),
         ("jsonio.dumps phase-pair GDR verdict", 100, lambda: jsonio.dumps(verdict)),
+        ("protocols.check_gdr phase-pair fresh", 200, lambda: check_gdr(phase_pair)),
+        ("OrthogonalityProblem phase-pair GDR", 500,
+         lambda: OrthogonalityProblem(phase_pair.dim, gdr_ops)),
         ("protocols.hierarchy_audit pool set, cold", 20, cold),
         ("protocols.hierarchy_audit pool set, warm", 20, warm, warm),
     ]
