@@ -152,16 +152,12 @@ def phase_pair_set(params: PhasePairParams) -> ProductUnitarySet:
     relative unitary then carries phases ``{0, beta+delta, alpha+gamma,
     pi}``; the antipodal pair puts the origin inside the convex hull, so the
     two products are globally distinguishable, while each local factor pair
-    spans a phase gap strictly below ``pi`` and is not.
+    spans a phase gap strictly below ``pi`` and is not.  The four factors
+    are the :func:`diag_phase` matrices of their angles, from one ``np.exp``.
     """
-    a1 = diag_phase([0.0, -params.alpha])
-    r1 = diag_phase([0.0, -params.beta])
-    a2 = diag_phase([0.0, params.gamma])
-    r2 = diag_phase([0.0, params.delta])
-    return ProductUnitarySet(
-        (2, 2),
-        [("U1", a1, r1), ("U2", a2, r2)],
-    )
+    angles = [[0.0, -params.alpha], [0.0, -params.beta], [0.0, params.gamma], [0.0, params.delta]]
+    a1, r1, a2, r2 = map(np.diag, np.exp(1j * np.array(angles)))
+    return ProductUnitarySet((2, 2), [("U1", a1, r1), ("U2", a2, r2)])
 
 
 # ---------------------------------------------------------------------------

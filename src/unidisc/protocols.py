@@ -104,11 +104,12 @@ def _other(party):
 class ProductUnitarySet:
     """Indexed product unitaries A_i (x) B_i.
 
-    The factors are accepted as unitary by the rule of
-    :func:`~unidisc.qcore._near_unitaries` (up to 1e-8 off, kept as their
-    polar factor past rounding), so the relatives and products the
-    deciders build from them are unitary to rounding too and decompose
-    like those of exact factors.
+    Each party's factors are coerced and tested as one stack and accepted
+    as unitary by the rule of :func:`~unidisc.qcore._near_unitaries` (up to
+    1e-8 off, kept as their polar factor past rounding), so the relatives
+    and products the deciders build from them are unitary to rounding too
+    and decompose like those of exact factors.  A faulty set raises the
+    error of its first faulty item, as a loop over the items would.
     """
 
     party_dims: tuple
@@ -121,23 +122,33 @@ class ProductUnitarySet:
         if da < 1 or db < 1:
             raise ValueError(f"party dimensions must be positive, got {self.party_dims}")
 
+        def not_unitary(k, _):
+            return f"item {self.items[k][0]!r}: factor is not unitary"
+
         def item(entry):
             label, a, b = entry
-            a = as_matrix(a)
-            b = as_matrix(b)
+            a, b = as_matrix(a), as_matrix(b)
             if a.shape != (da, da) or b.shape != (db, db):
                 raise ValueError(f"item {label!r}: factor shapes {a.shape}, {b.shape} "
                                  f"do not match party dims {self.party_dims}")
             return str(label), a, b
 
-        valid, held = _valid_prefix(self.items, item)
-        (fa, _), (fb, _) = _near_unitaries(
-            ([a for _, a, _ in valid], [b for _, _, b in valid]),
-            lambda k, _: f"item {self.items[k][0]!r}: factor is not unitary")
-        if held is not None:
-            raise held
-        object.__setattr__(self, "items",
-                           tuple(zip([label for label, _, _ in valid], fa, fb)))
+        try:  # a non-finite entry makes its unitarity error non-finite, so it fails too
+            labels, fa, fb = zip(*[(str(label), a, b) for label, a, b in self.items])
+            stacks = [np.array(fa, dtype=complex), np.array(fb, dtype=complex)]
+            if [s.shape[1:] for s in stacks] != [(da, da), (db, db)]:
+                raise ValueError("a factor is not a matrix of its party's shape")
+            # each factor as given when it is a complex array, else a copy of its own
+            kept = [[f if type(f) is np.ndarray and f.dtype == complex else row.copy()
+                     for f, row in zip(fs, stack)] for fs, stack in zip((fa, fb), stacks)]
+            (fa, _), (fb, _) = _near_unitaries(kept, not_unitary, stacks)
+        except Exception:  # any type: the scan raises what a loop over the items raises
+            fa = None
+        if fa is None:  # scan the items one by one to name the first fault
+            valid, held = _valid_prefix(self.items, item)
+            _near_unitaries(([a for _, a, _ in valid], [b for _, _, b in valid]), not_unitary)
+            raise held or ValueError("the factors do not stack")
+        object.__setattr__(self, "items", tuple(zip(labels, fa, fb)))
         object.__setattr__(self, "party_dims", (int(da), int(db)))
 
     @property

@@ -148,36 +148,38 @@ def _nearest_unitary(mat: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-def _near_unitaries(columns, message):
+def _near_unitaries(columns, message, stacks=None):
     """Accept matrices from outside the package as unitaries: each may be
     up to 1e-8 off (the largest entry of ``U^dag U - 1``), and one off by
     more than rounding (1e-12) is kept as its :func:`_nearest_unitary`, so
     that it decomposes like an exact unitary.
 
-    ``columns`` are equally long sequences of square matrices, one shape
-    per column, each checked by one batched product.  Raises
+    ``columns`` are equally long sequences of square matrices (``stacks``
+    their stacks, if the caller has them); columns of one shape take one
+    batched product together, and otherwise one each.  Raises
     ``ValueError(message(k, err))`` for the first index k at which some
     column is more than 1e-8 off, by ``err`` (a NaN deviation is off).
-    Returns, per column, the accepted matrices as a tuple and their
-    stack."""
-    stacks = [np.array(c) for c in columns]
-    if not len(stacks[0]):
+    Returns, per column, the accepted matrices as a tuple and their stack."""
+    stacks = stacks or [np.array(c) for c in columns]
+    n = len(stacks[0])
+    if not n:
         return [(tuple(c), s) for c, s in zip(columns, stacks)]
+    joint = len(stacks) > 1 and len({s.shape for s in stacks}) == 1
+    errs = []  # per column
     # an overflow gives inf or NaN, which fails below: the error is the only report
     with np.errstate(over="ignore", invalid="ignore"):
-        errs = [np.abs(s.conj().mT @ s - np.eye(s.shape[1])).max(axis=(1, 2)).tolist()
-                for s in stacks]
+        for s in [np.concatenate(stacks)] if joint else stacks:
+            p = s.conj().mT @ s
+            p.reshape(len(s), -1)[:, ::s.shape[1] + 1] -= 1  # U^dag U - 1, on the diagonal
+            errs += np.abs(p).max(axis=(1, 2)).reshape(-1, n).tolist()
+    out = [list(c) for c in columns]
     for k, ek in enumerate(zip(*errs)):
         if not all(e <= 1e-8 for e in ek):  # NaN fails too
             raise ValueError(message(k, float(np.max(ek))))
-    out = []
-    for c, s, err in zip(columns, stacks, errs):
-        c = list(c)
-        for i, e in enumerate(err):
+        for j, e in enumerate(ek):
             if e > 1e-12:
-                c[i] = s[i] = _nearest_unitary(s[i])
-        out.append((tuple(c), s))
-    return out
+                out[j][k] = stacks[j][k] = _nearest_unitary(stacks[j][k])
+    return [(tuple(c), s) for c, s in zip(out, stacks)]
 
 
 def check_povm(povm, dim: int, what: str = "POVM") -> tuple:

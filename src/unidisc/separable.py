@@ -369,15 +369,63 @@ def check_gda_separable(
     two inputs are decided (the pair criterion is probe-shape agnostic: a
     product of factor-wise hull points achieves any needed orthogonality).
     """
-    return gda_separable_analysis(uset, tol)[0]
+    table = _table(uset, tol)
+    uset = table.uset
+    strategy = "GDA_separable"
+    m = uset.size
+    if m == 1:
+        return StrategyVerdict(strategy, "either", "distinguishable",
+                               witness=_one_input_witness(uset.dim),
+                               note="at most one input")
+
+    if m == 2:
+        for party in _PARTIES:
+            if table.pair(party, 0, 1).distinguishable:
+                # the pair probe on ``party``, the idle stage on the other
+                pp = table.pair_probe(party, 0, 1)
+                idle, (eye,) = _idle_stage(uset.party_dims[_party_index(_other(party))])
+
+                def product(own, rest):
+                    return _kron(own, rest) if party == "A" else _kron(rest, own)
+
+                probe = product(pp.probe.amplitudes, idle.amplitudes)
+                povm = tuple(product(el, eye) for el in pp.measurement)
+                witness = ProbeWitness(probe=StateVector(probe), ancilla_dim=1,
+                                       povm=povm, guesses=(0, 1))
+                return StrategyVerdict(
+                    strategy, "either", "distinguishable", witness=witness,
+                    note=f"pair criterion met by party {party}")
+        return StrategyVerdict(
+            strategy, "either", "indistinguishable_certified",
+            note="two inputs and neither factor pair admits an "
+                 "orthogonalizing probe; no probe shape can help")
+
+    if uset.party_dims != (2, 2):
+        return StrategyVerdict(
+            strategy, "either", "not_found",
+            note="exact product-probe analysis is implemented for qubit "
+                 "factors only")
+
+    reports = {}
+    for party in _PARTIES:  # B's report is left unread when A's is distinguishable
+        rep = reports[party] = _start_report(table, party)
+        if rep.verdict == "distinguishable":
+            return StrategyVerdict(strategy, party, "distinguishable",
+                                   witness=rep.tree, note=rep.note)
+    note = "; ".join(f"first-measurer {p}: {rep.verdict} ({rep.note})"
+                     for p, rep in reports.items())
+    if all(rep.verdict == "infeasible_certified" for rep in reports.values()):
+        return StrategyVerdict(strategy, "either", "indistinguishable_certified",
+                               note=note)
+    return StrategyVerdict(strategy, "either", "not_found", note=note)
 
 
 def gda_separable_analysis(uset: ProductUnitarySet | SetAnalysis,
                            tol: Tolerances | None = None):
     """``(verdict, reports)``: the :func:`check_gda_separable` verdict and the
-    ``{"A": ..., "B": ...}`` :class:`SeparableStartReport` pair it was decided
-    from, or ``None`` when the sequential analysis does not apply (at most
-    two inputs, or factors that are not qubits).  Takes a set or its table.
+    ``{"A": ..., "B": ...}`` :class:`SeparableStartReport` pair, or ``None``
+    when the sequential analysis does not apply (at most two inputs, or
+    factors that are not qubits).  Takes a set or its table.
 
     Why two branches suffice.  Take a product probe ``alpha (x) beta`` that
     sends ``m >= 3`` inputs to pairwise-orthogonal product states
@@ -416,50 +464,11 @@ def gda_separable_analysis(uset: ProductUnitarySet | SetAnalysis,
     product-probe witness implies a sequential witness.
     """
     table = _table(uset, tol)
-    uset = table.uset
-    strategy = "GDA_separable"
-    m = uset.size
-    if m == 1:
-        return StrategyVerdict(strategy, "either", "distinguishable",
-                               witness=_one_input_witness(uset.dim),
-                               note="at most one input"), None
+    sequential = table.uset.size > 2 and table.uset.party_dims == (2, 2)
+    return check_gda_separable(table), (
+        {p: _start_report(table, p) for p in _PARTIES} if sequential else None)
 
-    if m == 2:
-        for party in _PARTIES:
-            if table.pair(party, 0, 1).distinguishable:
-                # the pair probe on ``party``, the idle stage on the other
-                pp = table.pair_probe(party, 0, 1)
-                idle, (eye,) = _idle_stage(uset.party_dims[_party_index(_other(party))])
 
-                def product(own, rest):
-                    return _kron(own, rest) if party == "A" else _kron(rest, own)
-
-                probe = product(pp.probe.amplitudes, idle.amplitudes)
-                povm = tuple(product(el, eye) for el in pp.measurement)
-                witness = ProbeWitness(probe=StateVector(probe), ancilla_dim=1,
-                                       povm=povm, guesses=(0, 1))
-                return StrategyVerdict(
-                    strategy, "either", "distinguishable", witness=witness,
-                    note=f"pair criterion met by party {party}"), None
-        return StrategyVerdict(
-            strategy, "either", "indistinguishable_certified",
-            note="two inputs and neither factor pair admits an "
-                 "orthogonalizing probe; no probe shape can help"), None
-
-    if uset.party_dims != (2, 2):
-        return StrategyVerdict(
-            strategy, "either", "not_found",
-            note="exact product-probe analysis is implemented for qubit "
-                 "factors only"), None
-
-    reports = {p: separable_start_analysis(table, p) for p in _PARTIES}
-    for party, rep in reports.items():
-        if rep.verdict == "distinguishable":
-            return StrategyVerdict(strategy, party, "distinguishable",
-                                   witness=rep.tree, note=rep.note), reports
-    note = "; ".join(f"first-measurer {p}: {rep.verdict} ({rep.note})"
-                     for p, rep in reports.items())
-    if all(rep.verdict == "infeasible_certified" for rep in reports.values()):
-        return StrategyVerdict(strategy, "either", "indistinguishable_certified",
-                               note=note), reports
-    return StrategyVerdict(strategy, "either", "not_found", note=note), reports
+def _start_report(table: SetAnalysis, start: str) -> SeparableStartReport:
+    """The table's entry for the :func:`separable_start_analysis` of ``start``."""
+    return table._entry(("separable", start), lambda: separable_start_analysis(table, start))

@@ -4,7 +4,8 @@ Each kernel is compared byte for byte with a test-local copy of its plain
 numpy formulation (``np.linalg.eigh``, ``eigvalsh``, ``qr`` and ``norm``
 through their wrappers), on the inputs the deciders give it and on the
 inputs that take its error paths; an error must carry the same type and
-message.
+message.  The set constructor, which stacks each party's factors for the
+unitarity rule, is compared the same way with the item-by-item loop.
 """
 
 import warnings
@@ -287,6 +288,136 @@ def test_near_unitaries_names_the_first_failing_index():
     rng = np.random.default_rng(3)
     got = _outcome(_near_unitaries, _columns(rng)[5], _message)
     assert got[0] is ValueError and got[1].startswith("item 2: ")
+
+
+# -----------------------------------------------------------------------------
+# The set constructor, which stacks each party's factors for the rule
+# -----------------------------------------------------------------------------
+
+def _plain_matrix(m):
+    a = np.asarray(m, dtype=complex)
+    if a.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix contains non-finite entries")
+    return a
+
+
+def _plain_set(dims, items):
+    """A set's items accepted one by one: each item's type and shape up to
+    the first fault, then the unitarity of the items before it, then that
+    fault; the labels and factors of an accepted set."""
+    if not items:
+        raise ValueError("a set needs at least one item")
+    da, db = dims
+    if da < 1 or db < 1:
+        raise ValueError(f"party dimensions must be positive, got {dims}")
+    valid, held = [], None
+    for entry in items:
+        try:
+            label, a, b = entry
+            a, b = _plain_matrix(a), _plain_matrix(b)
+            if a.shape != (da, da) or b.shape != (db, db):
+                raise ValueError(f"item {label!r}: factor shapes {a.shape}, {b.shape} "
+                                 f"do not match party dims {dims}")
+            valid.append((str(label), a, b))
+        except ValueError as exc:
+            held = exc
+            break
+    (fa, _), (fb, _) = _plain_near_unitaries(
+        ([a for _, a, _ in valid], [b for _, _, b in valid]),
+        lambda k, _: f"item {items[k][0]!r}: factor is not unitary")
+    if held is not None:
+        raise held
+    return tuple(zip([label for label, _, _ in valid], fa, fb))
+
+
+def _set_outcome(make, dims, items):
+    try:
+        return make(dims, items)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def _real_unitary(rng, d):
+    """A signed permutation matrix, as int, float or nested-list input."""
+    m = np.eye(d, dtype=int)[rng.permutation(d)] * rng.choice([-1, 1], d)
+    return [m, m.astype(float), m.tolist()][rng.integers(3)]
+
+
+def _factor(rng, d):
+    """A unitary of dimension d in one of the forms a caller gives: a complex
+    array exact to rounding or off by about 1e-9 (kept as its polar factor),
+    a complex nested list, or a real matrix."""
+    u = haar_unitary(d, rng).matrix
+    return [u, u + _noise(rng, (d, d), 3e-10), u.tolist(), _real_unitary(rng, d)][
+        rng.integers(4)]
+
+
+_FAULTS = {
+    "nan": lambda u, d: np.where(np.eye(d, dtype=bool), np.asarray(u, dtype=complex), np.nan),
+    "inf": lambda u, d: np.full((d, d), np.inf),
+    "1-D": lambda u, d: np.ones(d, dtype=complex),
+    "shape": lambda u, d: np.eye(d + 1, dtype=complex),
+    "string": lambda u, d: [["x"] * d] * d,
+    "ragged": lambda u, d: [[1.0] * d] + [[1.0] * (d + 1)] * (d - 1),
+    "not unitary": lambda u, d: 2 * np.asarray(u, dtype=complex),
+    "object": lambda u, d: object(),
+}
+
+
+def _set_cases(rng):
+    """(dims, items): accepted sets in every party-dimension mix, and each
+    fault at one item, alone and with a factor that is not unitary at an
+    earlier or a later item."""
+    cases = [((2, 2), []), ((0, 2), [("a", np.eye(1), np.eye(2))])]
+    for dims in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        for m in (1, 2, 4):
+            for _ in range(6):
+                cases.append((dims, [(f"U{i}", _factor(rng, dims[0]), _factor(rng, dims[1]))
+                                     for i in range(m)]))
+    for dims in ((2, 2), (2, 3)):
+        for fault in _FAULTS:
+            for other in (None, "before", "after"):
+                for _ in range(4):
+                    items = [[f"U{i}", _factor(rng, dims[0]), _factor(rng, dims[1])]
+                             for i in range(4)]
+                    k = int(rng.integers(1, 3))
+                    side = int(rng.integers(2))
+                    items[k][1 + side] = _FAULTS[fault](items[k][1 + side], dims[side])
+                    if other is not None:
+                        j = k - 1 if other == "before" else k + 1
+                        side = int(rng.integers(2))
+                        items[j][1 + side] = _FAULTS["not unitary"](items[j][1 + side],
+                                                                    dims[side])
+                    cases.append((dims, [tuple(it) for it in items]))
+    # an entry that is not a triple, and a label that is not a string
+    u = np.eye(2, dtype=complex)
+    cases += [((2, 2), [("a", u, u), ("b", u)]), ((2, 2), [(7, u, u), (8, 2 * u, u)])]
+    return cases
+
+
+def test_set_acceptance_matches_the_per_item_loop():
+    # accepted sets hold the factors the per-item loop holds, byte for byte,
+    # each the caller's array or one of its own (the polar factor of a
+    # complex array off by 1e-12 to 1e-8); faulty sets raise its error
+    rng = np.random.default_rng(33)
+    outcomes, swapped = set(), 0
+    for dims, items in _set_cases(rng):
+        want = _set_outcome(_plain_set, dims, items)
+        got = _set_outcome(lambda d, it: ProductUnitarySet(d, it).items, dims, items)
+        _assert_same(got, want)
+        outcomes.add(want[0] if isinstance(want[0], type) else "accepted")
+        if want[0] is ValueError or want[0] is TypeError:
+            continue
+        given = [f for _, a, b in items for f in (a, b)]
+        for kept, plain, f in zip((f for _, a, b in got for f in (a, b)),
+                                  (f for _, a, b in want for f in (a, b)), given):
+            assert (kept is f) == (plain is f)
+            assert kept is f or kept.base is None
+            swapped += type(f) is np.ndarray and f.dtype == complex and kept is not f
+    assert outcomes == {"accepted", ValueError, TypeError}
+    assert swapped > 0
 
 
 def _povms(rng):

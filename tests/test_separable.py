@@ -5,11 +5,13 @@ hand-verified: every listed class is re-checked here from first principles
 (parallel evolved rays, responder pair criterion on the complement).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from unidisc.eigdist import pair_distinguishable
-from unidisc.jsonio import dumps, tree_to_json
+from unidisc.jsonio import dumps, tree_to_json, verdict_to_json
 from unidisc.protocols import (
     ProbeWitness,
     ProductUnitarySet,
@@ -44,6 +46,20 @@ EXPECTED_RESPONDER_PAIRS = {
     "B": {(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4),
           (2, 4), (3, 4)},
 }
+
+
+def _leaves(x):
+    """Every leaf of a nested report: arrays as (dtype, shape, bytes),
+    through dataclass fields, tuples, lists and dicts."""
+    if isinstance(x, np.ndarray):
+        return [(x.dtype.str, x.shape, x.tobytes())]
+    if dataclasses.is_dataclass(x):
+        return [_leaves(getattr(x, f.name)) for f in dataclasses.fields(x)]
+    if isinstance(x, (tuple, list)):
+        return [_leaves(v) for v in x]
+    if isinstance(x, dict):
+        return [(k, _leaves(v)) for k, v in x.items()]
+    return [x]
 
 
 def ray_parallel(u, v):
@@ -232,6 +248,30 @@ class TestCheckGdaSeparable:
         assert v.starting_party == "A"
         res = verify_tree(s, v.witness)
         assert np.all(np.abs(res.success - 1.0) < 1e-9)
+
+    def test_verdict_leaves_b_unread_when_a_decides(self, monkeypatch):
+        # A's report is distinguishable, so the verdict reads no B report;
+        # the analysis still returns both, as each start computes them alone
+        s = ProductUnitarySet((2, 2),
+                              (("a", I2, I2), ("b", Z, I2), ("c", I2, Z)))
+        alone = {start: separable_start_analysis(s, start) for start in ("A", "B")}
+        assert alone["A"].verdict == "distinguishable"
+        starts = []
+        original = separable.separable_start_analysis
+
+        def spy(uset, start, tol=None):
+            starts.append(start)
+            return original(uset, start, tol)
+
+        monkeypatch.setattr(separable, "separable_start_analysis", spy)
+        v = check_gda_separable(s)
+        assert (v.starting_party, starts) == ("A", ["A"])
+        v2, reports = gda_separable_analysis(s)
+        assert starts == ["A", "A", "B"]
+        assert dumps(verdict_to_json(v2)) == dumps(verdict_to_json(v))
+        assert list(reports) == ["A", "B"]
+        for start, rep in reports.items():
+            assert _leaves(rep) == _leaves(alone[start])
 
     def test_pauli_grid_eight_inputs_certified(self):
         # eight inputs exceed the four orthogonal states of C^2 (x) C^2;

@@ -21,6 +21,11 @@ workloads give them:
   array the internal callers pass;
 * ``eigdist.min_convex_norm`` on those unitaries' 2 and 4 eigenphases;
 * ``qcore._near_unitaries`` on one column of two 2x2 factors, as a pair;
+* the set boundary: ``families.phase_pair_set``, which builds its four
+  diagonal factors and accepts them through the set constructor;
+  ``protocols.ProductUnitarySet`` on a four-item set of ``SNAP_GATES``
+  factors; and ``qcore._near_unitaries`` on that set's two four-factor
+  columns, the unitarity half of the constructor;
 * ``qcore.check_povm`` on a two-outcome projective measurement in
   dimension 4;
 * ``simplex.feasible_point`` on the 3 x 4 system of a commuting problem;
@@ -54,6 +59,7 @@ import numpy as np  # noqa: E402
 from unidisc import jsonio  # noqa: E402
 from unidisc.eigdist import min_convex_norm  # noqa: E402
 from unidisc.families import (  # noqa: E402
+    SNAP_GATES,
     PhasePairParams,
     pauli_hadamard_set,
     pauli_hadamard_tree,
@@ -62,7 +68,13 @@ from unidisc.families import (  # noqa: E402
 )
 from unidisc import protocols  # noqa: E402
 from unidisc.probefeas import OrthogonalityProblem  # noqa: E402
-from unidisc.protocols import check_gdr, gdr_problem, hierarchy_audit, verify_tree  # noqa: E402
+from unidisc.protocols import (  # noqa: E402
+    ProductUnitarySet,
+    check_gdr,
+    gdr_problem,
+    hierarchy_audit,
+    verify_tree,
+)
 from unidisc.qcore import _near_unitaries, check_povm, eig_unitary, haar_unitary  # noqa: E402
 from unidisc.simplex import feasible_point  # noqa: E402
 
@@ -82,7 +94,10 @@ def _kernels():
     pts = np.exp(1j * np.array([0.3, 1.9, 3.4, 5.0]))
     a_eq, b_eq = np.vstack([pts.real, pts.imag, np.ones(4)]), [0.0, 0.0, 1.0]
     ph_set, ph_tree = pauli_hadamard_set(), pauli_hadamard_tree("A")
-    phase_pair = phase_pair_set(PhasePairParams(0.3, 0.5, 0.9, np.pi - 1.7))
+    params = PhasePairParams(0.3, 0.5, 0.9, np.pi - 1.7)
+    phase_pair = phase_pair_set(params)
+    snap_items = [(f"U{k}", SNAP_GATES[k], SNAP_GATES[7 - k]) for k in range(4)]
+    snap_columns = [[a for _, a, _ in snap_items], [b for _, _, b in snap_items]]
     verdict = jsonio.verdict_to_json(check_gdr(phase_pair))
     gdr_ops = gdr_problem(phase_pair).operators
     message = lambda k, err: f"{k} {err}"  # noqa: E731
@@ -102,6 +117,10 @@ def _kernels():
         ("eigdist.min_convex_norm 2 phases", 500, lambda: min_convex_norm(phases2)),
         ("eigdist.min_convex_norm 4 phases", 500, lambda: min_convex_norm(phases4)),
         ("qcore._near_unitaries 2 x 2x2", 500, lambda: _near_unitaries((pair,), message)),
+        ("families.phase_pair_set", 500, lambda: phase_pair_set(params)),
+        ("ProductUnitarySet 4 snap items", 500, lambda: ProductUnitarySet((2, 2), snap_items)),
+        ("qcore._near_unitaries 2 x 4 x 2x2", 500,
+         lambda: _near_unitaries(snap_columns, message)),
         ("qcore.check_povm 2 x 4x4", 500, lambda: check_povm(povm, 4)),
         ("simplex.feasible_point 3x4", 500, lambda: feasible_point(a_eq, b_eq)),
         ("protocols.verify_tree pauli-hadamard", 40, lambda: verify_tree(ph_set, ph_tree)),

@@ -45,9 +45,13 @@ removes.  One line per output:
   and ``--restarts 0`` on seesaw and repro, an unknown seesaw task,
   ``seesaw --tol 1e-6``, ``check SET --strategy gdr --start a``, and
   ``check`` on three set files holding an integer past the float range,
-  ``1e999``, and an entry that is not an ``[re, im]`` pair.
+  ``1e999``, and an entry that is not an ``[re, im]`` pair, and on three
+  set files that decode but that the set constructor rejects: one with a
+  factor that is not unitary, one with a factor of the wrong shape after
+  such a factor, and one with a factor that is not unitary after a factor
+  of the wrong shape.
 
-It prints 3584 lines and takes about 25 s on 2 CPUs.
+It prints 3587 lines and takes about 25 s on 2 CPUs.
 """
 
 import hashlib
@@ -186,6 +190,19 @@ def _rejected():
             text = jsonio.dumps(data).replace('"FAULT"', fault)
             with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
                 fh.write(text)
+            _cli("check", name, "--strategy", "gdr", cwd=tmp)
+        # faults of whole factors, by item: the constructor names the first
+        doubled = lambda m: [[[2 * re, 2 * im] for re, im in row] for row in m]  # noqa: E731
+        eye3 = jsonio.matrix_to_json(np.eye(3))
+        faults = {"not-unitary.json": {1: ("A", doubled)},
+                  "shape-after.json": {1: ("A", doubled), 3: ("B", lambda m: eye3)},
+                  "unitary-after.json": {1: ("B", lambda m: eye3), 3: ("A", doubled)}}
+        for name, fault in faults.items():
+            data = jsonio.set_to_json(pauli_hadamard_set())
+            for k, (party, change) in fault.items():
+                data["items"][k][party] = change(data["items"][k][party])
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                fh.write(jsonio.dumps(data))
             _cli("check", name, "--strategy", "gdr", cwd=tmp)
 
 
