@@ -10,10 +10,10 @@ maps to a usage-error exit.
 from __future__ import annotations
 
 import functools
-import json
 import math
+from array import array
 from itertools import chain
-from json.encoder import encode_basestring_ascii
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 import numpy as np
 
@@ -64,8 +64,10 @@ def dumps(obj) -> str:
     and ``TypeError`` on objects JSON cannot represent.  The standard library writes indented
     output in pure Python, one value at a time; here each rectangular nested
     list of numbers (matrices, POVM elements, vectors) is rendered in one
-    pass of its C compact encoder, and the number strings fill an
-    indentation template cached per shape and depth.
+    pass: a block of floats reads each float's text from a cache keyed by
+    its bits, any other block goes through the standard library's C
+    encoder, and the number strings fill an indentation template cached
+    per shape and depth.
     """
     out = []
     _encode(obj, 0, out, set())
@@ -79,7 +81,14 @@ _INDENT = "  "
 _LEAF_TYPES = frozenset((float, int, bool, type(None)))
 # number types as JSON decodes them
 _NUMBER_TYPES = frozenset((float, int))
-_compact = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
+# the standard library's C encoder, compact and without a circular check,
+# for blocks that hold more than floats: called with (block, 0)
+_compact = c_make_encoder(None, None, encode_basestring_ascii, None, ":", ",",
+                          False, False, False)
+# the JSON text of finite floats, by their IEEE-754 bits (so 0.0 and -0.0
+# differ); emptied when it holds this many entries, at most about 0.14 MB
+_FLOAT_TEXT_CAP = 1024
+_float_text = {}
 
 
 def _scalar_text(o) -> str | None:
@@ -160,13 +169,38 @@ def _number_block(o, level: int) -> str | None:
             return None
         shape.append(n)
         leaves = list(chain.from_iterable(leaves))
-    if not shape or not _LEAF_TYPES.issuperset(map(type, leaves)):
+    types = set(map(type, leaves))
+    if not shape or not _LEAF_TYPES.issuperset(types):
         return None
+    if types == {float}:
+        numbers = _float_texts(leaves)
+    else:
+        try:
+            numbers = "".join(_compact(leaves, 0))[1:-1].split(",")
+        except ValueError:  # NaN or infinity: the per-value path names it
+            return None
+    return None if numbers is None else _block_template(tuple(shape), level) % tuple(numbers)
+
+
+def _float_texts(leaves: list) -> list | None:
+    """``float.__repr__`` of each float, the text the C encoder writes, read
+    from the cache by bit pattern; None at the first NaN or infinity."""
+    bits = array("q", array("d", leaves).tobytes())
     try:
-        numbers = _compact(leaves)[1:-1].split(",")
-    except ValueError:  # NaN or infinity: the per-value path names it
-        return None
-    return _block_template(tuple(shape), level) % tuple(numbers)
+        return list(map(_float_text.__getitem__, bits))
+    except KeyError:
+        pass
+    numbers = []
+    for b, x in zip(bits, leaves):
+        text = _float_text.get(b)
+        if text is None:
+            if not math.isfinite(x):
+                return None
+            if len(_float_text) >= _FLOAT_TEXT_CAP:
+                _float_text.clear()
+            text = _float_text[b] = float.__repr__(x)
+        numbers.append(text)
+    return numbers
 
 
 @functools.lru_cache(maxsize=256)
@@ -209,36 +243,50 @@ def complex_from_json(v, field: str) -> complex:
     return complex(_real(v[0], field), _real(v[1], field))
 
 
-def _complex_array(entries: list) -> np.ndarray | None:
-    """The entries as one complex array when each is a list of two finite
+def _complex_array(data: list, depth: int) -> np.ndarray | None:
+    """``data`` as one complex array when it is ``depth`` levels of equally
+    long non-empty lists above entries that are each a list of two finite
     JSON numbers in float range, else None (the per-entry path then decodes
     or names the bad entry).  The numbers are read as one float64 array and
     viewed as complex, so signed zeros survive."""
-    if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
+    shape = []
+    items = [data]
+    for _ in range(depth):
+        if set(map(type, items)) != {list}:
+            return None
+        n = len(items[0])
+        if not n or set(map(len, items)) != {n}:
+            return None
+        shape.append(n)
+        items = list(chain.from_iterable(items))
+    if set(map(type, items)) != {list} or set(map(len, items)) != {2}:
         return None
-    leaves = list(chain.from_iterable(entries))
+    leaves = list(chain.from_iterable(items))
     if not _NUMBER_TYPES.issuperset(map(type, leaves)):
         return None
     try:
         a = np.array(leaves, dtype=float)
     except OverflowError:
         return None
-    return a.view(complex) if np.isfinite(a).all() else None
+    return a.view(complex).reshape(shape) if np.isfinite(a).all() else None
+
+
+def _pairs(a: np.ndarray) -> list:
+    """A complex array as nested lists of ``[re, im]`` floats."""
+    return np.ascontiguousarray(a).view(float).reshape(*a.shape, 2).tolist()
 
 
 def matrix_to_json(m) -> list:
-    m = np.asarray(m, dtype=complex)
-    return np.stack((m.real, m.imag), -1).tolist()
+    return _pairs(np.asarray(m, dtype=complex))
 
 
 def matrix_from_json(data, field: str) -> np.ndarray:
     if not isinstance(data, list) or not data:
         raise FormatError(f"{field}: expected a non-empty list of rows")
+    m = _complex_array(data, 2)
+    if m is not None:
+        return m
     width = len(data[0]) if isinstance(data[0], list) else 0
-    if width and all(type(row) is list and len(row) == width for row in data):
-        m = _complex_array(list(chain.from_iterable(data)))
-        if m is not None:
-            return m.reshape(len(data), width)
     rows = []
     for r, row in enumerate(data):
         if not isinstance(row, list) or not row:
@@ -253,14 +301,13 @@ def matrix_from_json(data, field: str) -> np.ndarray:
 
 
 def vector_to_json(v) -> list:
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    return np.stack((v.real, v.imag), -1).tolist()
+    return _pairs(np.asarray(v, dtype=complex).reshape(-1))
 
 
 def vector_from_json(data, field: str) -> np.ndarray:
     if not isinstance(data, list) or not data:
         raise FormatError(f"{field}: expected a non-empty list of entries")
-    v = _complex_array(data)
+    v = _complex_array(data, 1)
     if v is None:
         v = np.array([complex_from_json(z, f"{field}[{k}]") for k, z in enumerate(data)],
                      dtype=complex)
@@ -353,8 +400,10 @@ def _probe_block_from_json(data, field: str, guesses: bool = True) -> dict:
     povm_data = _expect_key(data, "povm", field)
     if not isinstance(povm_data, list) or not povm_data:
         raise FormatError(f"{field}.povm: expected a non-empty list")
-    povm = tuple(matrix_from_json(el, f"{field}.povm[{k}]")
-                 for k, el in enumerate(povm_data))
+    # elements of one shape decode as one stack; the per-matrix path names a fault
+    stack = _complex_array(povm_data, 3)
+    povm = tuple(stack) if stack is not None else tuple(
+        matrix_from_json(el, f"{field}.povm[{k}]") for k, el in enumerate(povm_data))
     try:
         probe = StateVector(probe)
     except ValueError as exc:  # the zero vector

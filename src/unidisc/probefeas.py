@@ -128,7 +128,7 @@ class OrthogonalityProblem:
             return k
 
         valid, held = _valid_prefix(ops, shaped)
-        ((ops, _),) = _near_unitaries(
+        (ops,) = _near_unitaries(
             (valid,), lambda k, err: f"constraint operator not unitary (err {err:.3e})")
         if held is not None:
             raise held

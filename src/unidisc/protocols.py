@@ -141,7 +141,7 @@ class ProductUnitarySet:
             # each factor as given when it is a complex array, else a copy of its own
             kept = [[f if type(f) is np.ndarray and f.dtype == complex else row.copy()
                      for f, row in zip(fs, stack)] for fs, stack in zip((fa, fb), stacks)]
-            (fa, _), (fb, _) = _near_unitaries(kept, not_unitary, stacks)
+            fa, fb = _near_unitaries(kept, not_unitary, stacks)
         except Exception:  # any type: the scan raises what a loop over the items raises
             fa = None
         if fa is None:  # scan the items one by one to name the first fault

@@ -159,11 +159,11 @@ def _near_unitaries(columns, message, stacks=None):
     batched product together, and otherwise one each.  Raises
     ``ValueError(message(k, err))`` for the first index k at which some
     column is more than 1e-8 off, by ``err`` (a NaN deviation is off).
-    Returns, per column, the accepted matrices as a tuple and their stack."""
+    Returns, per column, the accepted matrices as a tuple."""
     stacks = stacks or [np.array(c) for c in columns]
     n = len(stacks[0])
     if not n:
-        return [(tuple(c), s) for c, s in zip(columns, stacks)]
+        return [tuple(c) for c in columns]
     joint = len(stacks) > 1 and len({s.shape for s in stacks}) == 1
     errs = []  # per column
     # an overflow gives inf or NaN, which fails below: the error is the only report
@@ -178,8 +178,8 @@ def _near_unitaries(columns, message, stacks=None):
             raise ValueError(message(k, float(np.max(ek))))
         for j, e in enumerate(ek):
             if e > 1e-12:
-                out[j][k] = stacks[j][k] = _nearest_unitary(stacks[j][k])
-    return [(tuple(c), s) for c, s in zip(out, stacks)]
+                out[j][k] = _nearest_unitary(stacks[j][k])
+    return [tuple(c) for c in out]
 
 
 def check_povm(povm, dim: int, what: str = "POVM") -> tuple:
@@ -249,7 +249,7 @@ class UnitaryOperator:
         m = as_matrix(self.matrix)
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"unitary must be square, got {m.shape}")
-        (((m,), _),) = _near_unitaries(
+        ((m,),) = _near_unitaries(
             ([m],), lambda _, err: f"not unitary: max |U+U - 1| = {err:.3e}")
         object.__setattr__(self, "matrix", m)
 

@@ -110,6 +110,11 @@ class TestDumpsMatchesStdlib:
         [["a", "b"], ["c", "d"]], [[1.0, "x,y"]],
         {"b": 1, "a": {"d": [1, 2], "c": None}}, {2: "x", 1: "y"}, {1.5: 0, 0.5: 1},
         {True: 1}, {None: [1.0]}, [[[[1.0]]]],
+        # subnormals and the float extremes
+        [[5e-324, -5e-324, 1e-310, 2.225073858507201e-308, 2.2250738585072014e-308],
+         [1.7976931348623157e308, -1.7976931348623157e308, 1e16, 1e-7, 0.1 + 0.2]],
+        # blocks that hold more than floats, after the same floats were cached
+        [[1.0, 0.5], [1, 1.0, True], [None, 0.5], [[1.0, 1], [0.5, None]], [1, 2, 3]],
     ])
     def test_edge_cases(self, obj):
         assert dumps(obj) == stdlib_dumps(obj)
@@ -117,6 +122,43 @@ class TestDumpsMatchesStdlib:
     def test_numpy_float_encodes_as_stdlib(self):
         obj = {"x": np.float64(0.1), "m": [[np.float64(-0.0), 1.0]]}
         assert dumps(obj) == stdlib_dumps(obj)
+
+    def test_numpy_float_blocks_after_cached_floats(self):
+        # np.float64 leaves, alone or among floats of the same bits, take the
+        # per-value path and still write float.__repr__
+        dumps([0.1, -0.0, 1e16, 5e-324])
+        for obj in ([np.float64(0.1), np.float64(-0.0)], [[np.float64(1e16), 1e16]],
+                    [0.1, np.float64(0.1)], [[np.float64(5e-324)], [np.float64(2.5)]]):
+            assert dumps(obj) == stdlib_dumps(obj)
+
+    def test_signed_zeros_in_one_block_and_across_calls(self):
+        jsonio._float_text.clear()
+        for obj in ([0.0, -0.0, 0.0], [-0.0], [[0.0]], [[-0.0, -0.0], [0.0, -0.0]],
+                    [[[0.0, -0.0]], [[-0.0, 0.0]]], [0.0]):
+            assert dumps(obj) == stdlib_dumps(obj)
+
+    def test_block_past_the_cache_size_empties_it_mid_block(self):
+        cap = jsonio._FLOAT_TEXT_CAP
+        values = [k + 0.25 for k in range(2 * cap + 7)]
+        # a float seen early in the block recurs after the cache was emptied
+        obj = [values + values[:5] + [-0.0, 0.0]]
+        jsonio._float_text.clear()
+        assert dumps(obj) == stdlib_dumps(obj)
+        assert 0 < len(jsonio._float_text) <= cap
+        assert dumps(obj) == stdlib_dumps(obj)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -math.nan])
+    def test_non_finite_after_cached_floats(self, bad):
+        dumps([[1.5, -0.0], [2.5, 0.0]])
+        held = dict(jsonio._float_text)
+        for obj in ([1.5, bad], [[bad, 2.5]], {"m": [[[1.5, -0.0], [0.0, bad]]]}, [bad]):
+            with pytest.raises(ValueError) as ours:
+                dumps(obj)
+            with pytest.raises(ValueError) as theirs:
+                stdlib_dumps(obj)
+            assert str(ours.value) == str(theirs.value)
+        # a non-finite float is never stored
+        assert jsonio._float_text == held
 
     @pytest.mark.parametrize("obj", [np.int64(1), [np.int64(1)], [[np.int64(1), 2]],
                                      {"a": object()}, {(1, 2): 3}, np.zeros(2)])
@@ -216,6 +258,57 @@ class TestArrayDecoders:
             got = vector_from_json(block["probe"], "v")
             assert got.tobytes() == per_entry_matrix([block["probe"]])[0].tobytes()
         assert checked > 100
+
+    def test_stacked_povm_matches_per_matrix_path(self, audit_verdicts, monkeypatch):
+        blocks = []
+        for verdict in audit_verdicts:
+            witness = json.loads(dumps(verdict_to_json(verdict)))["witness"]
+            if witness is not None:
+                block = witness.get("tree") or witness["probe_witness"]
+                blocks.append(block)
+                blocks += [br["stage2"] for br in block.get("branches", ())
+                           if br["stage2"] is not None]
+        want = [[matrix_from_json(el, "m") for el in block["povm"]] for block in blocks]
+        # every audit POVM decodes as one stack, without the per-matrix path
+        monkeypatch.setattr(jsonio, "matrix_from_json", None)
+        for block, mats in zip(blocks, want):
+            got = jsonio._probe_block_from_json(block, "w", guesses="guesses" in block)["povm"]
+            assert [(m.dtype, m.shape, m.tobytes()) for m in got] == [
+                (m.dtype, m.shape, m.tobytes()) for m in mats]
+        assert len(blocks) > 100
+
+    @staticmethod
+    def _witness_with_povm(povm):
+        good = [[1.0, 0.0], [0.0, 0.0]]
+        return {"kind": "probe", "probe_witness": {"probe": good, "ancilla_dim": 1,
+                                                   "povm": povm, "guesses": [0] * len(povm)}}
+
+    @pytest.mark.parametrize("fault, message", [
+        (lambda el: el[0].__setitem__(1, [True, 0.0]), r"\[1\]\[0\]\[1\]: expected a \[re, im\]"),
+        (lambda el: el[0].__setitem__(1, ["0", 0.0]), r"\[1\]\[0\]\[1\]: expected a \[re, im\]"),
+        (lambda el: el[0].__setitem__(1, None), r"\[1\]\[0\]\[1\]: expected a \[re, im\]"),
+        (lambda el: el[0].__setitem__(1, [0.0, None]), r"\[1\]\[0\]\[1\]: expected a \[re, im\]"),
+        (lambda el: el[1].__setitem__(0, [HUGE, 0.0]), r"\[1\]\[1\]\[0\]: number out of float range"),
+        (lambda el: el[1].__setitem__(1, [0.0, math.nan]), r"\[1\]\[1\]\[1\]: number is not finite"),
+        (lambda el: el[1].pop(), r"\[1\]\[1\]: ragged row of length 1, expected 2"),
+        (lambda el: el.__setitem__(1, []), r"\[1\]\[1\]: expected a non-empty row"),
+        (lambda el: el.clear(), r"\[1\]: expected a non-empty list of rows"),
+    ])
+    def test_stacked_povm_faults_named(self, fault, message):
+        povm = [[[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]] for _ in range(3)]
+        fault(povm[1])
+        with pytest.raises(FormatError, match=r"^witness\.probe_witness\.povm" + message):
+            witness_from_json(self._witness_with_povm(povm))
+        with pytest.raises(FormatError, match=r"^witness\.probe_witness\.povm\[1\]"):
+            witness_from_json(self._witness_with_povm([povm[0], "x"] + povm[1:]))
+
+    def test_povm_of_unequal_shapes_decodes_per_matrix(self):
+        el2 = [[[0.5, 0.0], [0.0, -0.0]], [[0.0, 0.0], [0.5, 0.0]]]
+        el3 = [[[1, 0.0], [0.0, 0.0], [0.0, 0.0]]] * 3
+        for povm in ([el2, el3], [el3, el2, el2], [el2, el2[:1]], [el2, [row[:1] for row in el2]]):
+            got = witness_from_json(self._witness_with_povm(povm)).povm
+            assert [m.tobytes() for m in got] == [per_entry_matrix(el).tobytes() for el in povm]
+            assert [m.shape for m in got] == [per_entry_matrix(el).shape for el in povm]
 
     def test_signed_zeros_and_ints_survive(self):
         data = [[[-0.0, -0.0], [0.0, -0.0]], [[1, -0.0], [-0.0, 2]]]

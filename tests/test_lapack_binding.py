@@ -71,7 +71,7 @@ def _plain_eig_unitary(mat, tol=DEFAULT_TOL):
 def _plain_near_unitaries(columns, message):
     stacks = [np.array(c) for c in columns]
     if not len(stacks[0]):
-        return [(tuple(c), s) for c, s in zip(columns, stacks)]
+        return [tuple(c) for c in columns]
     with np.errstate(over="ignore", invalid="ignore"):
         errs = [np.abs(s.conj().transpose(0, 2, 1) @ s - np.eye(s.shape[1])).max(axis=(1, 2))
                 .tolist() for s in stacks]
@@ -83,8 +83,8 @@ def _plain_near_unitaries(columns, message):
         c = list(c)
         for i, e in enumerate(err):
             if e > 1e-12:
-                c[i] = s[i] = _nearest_unitary(s[i])
-        out.append((tuple(c), s))
+                c[i] = _nearest_unitary(s[i])
+        out.append(tuple(c))
     return out
 
 
@@ -324,7 +324,7 @@ def _plain_set(dims, items):
         except ValueError as exc:
             held = exc
             break
-    (fa, _), (fb, _) = _plain_near_unitaries(
+    fa, fb = _plain_near_unitaries(
         ([a for _, a, _ in valid], [b for _, _, b in valid]),
         lambda k, _: f"item {items[k][0]!r}: factor is not unitary")
     if held is not None:

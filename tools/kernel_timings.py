@@ -31,6 +31,10 @@ workloads give them:
 * ``simplex.feasible_point`` on the 3 x 4 system of a commuting problem;
 * ``protocols.verify_tree`` on the Pauli-Hadamard set and its tree;
 * ``jsonio.dumps`` of the GDR verdict on the phase-pair set;
+* the JSON round trip of every row of the pool set's audit (below), as the
+  ``qubit-audit`` workload re-checks them: ``jsonio.verdict_to_json``,
+  ``jsonio.dumps``, ``json.loads``, then ``jsonio.witness_from_json`` and,
+  where a row carries one, ``jsonio.certificate_from_json``;
 * ``protocols.check_gdr`` on the phase-pair set, which builds a fresh
   analysis table per call and so poses its GDR problem every time;
 * ``probefeas.OrthogonalityProblem`` on that set's GDR operator through
@@ -44,6 +48,7 @@ workloads give them:
   the store saves on that set.
 """
 
+import json
 import os
 import platform
 import statistics
@@ -110,6 +115,15 @@ def _kernels():
     def warm():
         hierarchy_audit(pool_set)
 
+    pool_rows = [verdict for _, verdict in hierarchy_audit(pool_set)]
+
+    def round_trip():
+        for verdict in pool_rows:
+            data = json.loads(jsonio.dumps(jsonio.verdict_to_json(verdict)))
+            jsonio.witness_from_json(data["witness"])
+            if data["feasibility"] and data["feasibility"]["certificate"]:
+                jsonio.certificate_from_json(data["feasibility"]["certificate"])
+
     # (name, calls per batch, call, and a setup run before each batch if any)
     return [
         ("qcore.eig_unitary d=2", 500, lambda: eig_unitary(u2)),
@@ -125,6 +139,7 @@ def _kernels():
         ("simplex.feasible_point 3x4", 500, lambda: feasible_point(a_eq, b_eq)),
         ("protocols.verify_tree pauli-hadamard", 40, lambda: verify_tree(ph_set, ph_tree)),
         ("jsonio.dumps phase-pair GDR verdict", 100, lambda: jsonio.dumps(verdict)),
+        (f"jsonio round trip pool audit {len(pool_rows)} rows", 50, round_trip),
         ("protocols.check_gdr phase-pair fresh", 200, lambda: check_gdr(phase_pair)),
         ("OrthogonalityProblem phase-pair GDR", 500,
          lambda: OrthogonalityProblem(phase_pair.dim, gdr_ops)),
