@@ -8,6 +8,12 @@ exceeds pi; the distance is then that of the chord across the gap.  The
 distance comes with convex weights attaining it (no iterative
 optimization); a vanishing distance converts directly into a probe and a
 two-outcome measurement that succeed with certainty.
+
+The eigensystem of a relative unitary and its pair criterion are computed
+once per process by :func:`_spectrum` and kept in the store of
+:mod:`~unidisc.qcore`, which the analysis tables fill too: the pair kernels
+check their input on every call, then read the shared, read-only entry of
+u1{dag} u2.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from .qcore import (
     Tolerances,
     UnitaryOperator,
     _near_unitaries,
+    _stored,
     as_matrix,
     eig_unitary,
     projector,
@@ -205,10 +212,31 @@ def min_convex_norm(phases, tol: Tolerances = DEFAULT_TOL) -> ConvexNormResult:
     return finish(0.0, min(map(through, range(len(hull))), key=lambda r: r[0])[1])
 
 
-def _pair_eigensystem(u1, u2, tol: Tolerances):
-    """``(m1, m2, phases, vecs)``: the matrices of a pair, checked to be
-    square and of one shape, and the :func:`~unidisc.qcore.eig_unitary`
-    eigensystem of m1{dag} m2.
+def _spectrum(k, tol: Tolerances = DEFAULT_TOL, keep=None):
+    """``(phases, vectors, hull)`` of the unitary ``k``: its
+    :func:`~unidisc.qcore.eig_unitary` eigensystem and the pair criterion
+    (:func:`min_convex_norm`) of its eigenphases under ``tol``.  ``k`` is
+    unitary to rounding (built from accepted matrices), and
+    :func:`~unidisc.qcore.eig_unitary` takes it as given.
+
+    The eigensystem is kept under ``("spectrum", shape, bytes of k)`` and
+    the hull under ``("pair", bytes of the phases)``, which operators of one
+    spectrum share, through ``keep(key, compute)``: the process-wide store
+    under ``tol`` when ``None``, or a table's own entries."""
+    if keep is None:
+        def keep(key, compute):
+            return _stored((tol,) + key, compute)
+
+    def compute():
+        phases, vecs = eig_unitary(k, tol)
+        return phases, vecs, keep(("pair", phases.tobytes()),
+                                  lambda: min_convex_norm(phases, tol))
+    return keep(("spectrum", k.shape, k.tobytes()), compute)
+
+
+def _pair_matrices(u1, u2):
+    """``(m1, m2)``: the matrices of a pair, checked to be square and of one
+    shape.
 
     The pair is accepted as unitary by the rule a set applies to its
     factors (:func:`~unidisc.qcore._near_unitaries`: up to 1e-8 off, kept
@@ -223,12 +251,17 @@ def _pair_eigensystem(u1, u2, tol: Tolerances):
     if not (isinstance(u1, UnitaryOperator) and isinstance(u2, UnitaryOperator)):
         ((m1, m2),) = _near_unitaries(
             ([m1, m2],), lambda k, err: f"u{k + 1} is not unitary (err {err:.3e})")
-    return (m1, m2, *eig_unitary(m1.conj().T @ m2, tol))
+    return m1, m2
 
 
 def pair_distinguishable(u1, u2, tol: Tolerances = DEFAULT_TOL) -> ConvexNormResult:
-    """Apply the hull criterion to the eigenphases of u1{dag} u2."""
-    return min_convex_norm(_pair_eigensystem(u1, u2, tol)[2], tol)
+    """Apply the hull criterion to the eigenphases of u1{dag} u2.
+
+    The pair is checked on every call; the result is the stored pair
+    criterion of u1{dag} u2, shared with every caller that asks for it
+    (an analysis table among them) and read-only."""
+    m1, m2 = _pair_matrices(u1, u2)
+    return _spectrum(m1.conj().T @ m2, tol)[2]
 
 
 def build_pair_probe(u1, u2, result: ConvexNormResult | None = None,
@@ -238,15 +271,17 @@ def build_pair_probe(u1, u2, result: ConvexNormResult | None = None,
     The probe is sum_j sqrt(p_j) |v_j> over the (at most three) eigenvectors
     of u1{dag} u2 carrying nonzero hull weight; since those eigenvectors are
     orthonormal the evolved overlap equals sum_j p_j e^{i theta_j} = 0 and
-    the two evolved states are exactly orthogonal.
+    the two evolved states are exactly orthogonal.  The pair is checked on
+    every call, and the eigensystem is the stored one that
+    :func:`pair_distinguishable` reads.
     """
-    m1, m2, phases, vecs = _pair_eigensystem(u1, u2, tol)
+    m1, m2 = _pair_matrices(u1, u2)
+    phases, vecs, hull = _spectrum(m1.conj().T @ m2, tol)
     if result is None:
-        result = min_convex_norm(phases, tol)
-    else:
-        if result.phases.shape != phases.shape or np.max(
-                np.abs(np.exp(1j * result.phases) - np.exp(1j * phases))) > 1e-9:
-            raise ValueError("supplied ConvexNormResult does not match this pair")
+        result = hull
+    elif result.phases.shape != phases.shape or np.max(
+            np.abs(np.exp(1j * result.phases) - np.exp(1j * phases))) > 1e-9:
+        raise ValueError("supplied ConvexNormResult does not match this pair")
     return _pair_probe(m1, m2, vecs, result, tol)
 
 

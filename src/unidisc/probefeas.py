@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigdist import min_convex_norm
+from .eigdist import _spectrum
 from .qcore import (
     DEFAULT_TOL,
     DensityOperator,
@@ -73,7 +73,6 @@ from .qcore import (
     _near_unitaries,
     _valid_prefix,
     as_matrix,
-    eig_unitary,
     simultaneous_eigenbasis,
 )
 from .simplex import feasible_point
@@ -301,28 +300,13 @@ def _solve_commuting(problem, indices, tol=DEFAULT_TOL):
     return _lp_certified(problem, indices, -np.asarray(lp.certificate.y[:-1], dtype=float), tol)
 
 
-def _operator_spectrum(op, tol: Tolerances = DEFAULT_TOL, hull=None):
-    """``(phases, vectors, hull)`` of a constraint operator: its
-    :func:`~unidisc.qcore.eig_unitary` eigensystem and the
-    :func:`~unidisc.eigdist.min_convex_norm` of its eigenphases under
-    ``tol``.  The operator is unitary to rounding (a problem's constructor
-    accepted it, or a table built it from an accepted set), and
-    :func:`~unidisc.qcore.eig_unitary` takes it as given.
-
-    ``hull(phases)``, when given, returns that ``min_convex_norm`` from
-    elsewhere: :class:`~unidisc.protocols.SetAnalysis` keys it by the
-    phases, which operators of one spectrum share."""
-    phases, vecs = eig_unitary(op, tol)
-    return phases, vecs, hull(phases) if hull else min_convex_norm(phases, tol)
-
-
 def _solve_single(problem, k, spectrum, tol):
     """Decide Tr(rho K) = 0 for the one constraint operator K =
     ``problem.operators[k]`` from ``spectrum``, its
-    :func:`_operator_spectrum`.  This is
-    the linear program of :func:`_solve_commuting` on one operator, solved
-    in closed form, so the answers carry that program's notes; the
-    certificate is a Farkas vector of it.
+    :func:`~unidisc.eigdist._spectrum`.  This is the linear program of
+    :func:`_solve_commuting` on one operator, solved in closed form, so the
+    answers carry that program's notes; the certificate is a Farkas vector
+    of it.
 
     Feasible when the hull holds the origin, with the pure witness
     sum_j sqrt(w_j) v_j; otherwise certified by the unit direction e^{i phi}
@@ -474,10 +458,10 @@ def common_probe_feasible(problem: OrthogonalityProblem,
     that tolerance, as the projections' witnesses are; a single-operator
     certificate could then exist only with coefficients above 1/residual.
 
-    ``spectrum(t)``, when given, returns the :func:`_operator_spectrum` of
-    operator t under ``tol``.  :class:`~unidisc.protocols.SetAnalysis`
-    passes its stored entries, so no eigensystem or hull is computed twice
-    for one set; without it they are computed here.
+    ``spectrum(t)`` returns the :func:`~unidisc.eigdist._spectrum` of
+    operator t under ``tol``: from the process-wide store by default, and
+    through a table's own entries when
+    :class:`~unidisc.protocols.SetAnalysis` poses a set-level problem.
     """
     d = problem.dim
     ops = problem.operators
@@ -489,7 +473,7 @@ def common_probe_feasible(problem: OrthogonalityProblem,
 
     if spectrum is None:
         def spectrum(t):
-            return _operator_spectrum(ops[t], tol)
+            return _spectrum(ops[t], tol)
 
     if len(ops) == 1:
         return _solve_single(problem, 0, spectrum(0), tol)

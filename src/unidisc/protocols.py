@@ -35,7 +35,7 @@ set and the table's own tolerances for a table; a table given another
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 from itertools import chain, combinations
 
 import numpy as np
@@ -47,15 +47,16 @@ from .qcore import (
     _kron,
     _near_unitaries,
     _qr_c,
+    _store,  # noqa: F401 - the store's own dict, which ``protocols._store.clear()`` empties
+    _stored,
     _valid_prefix,
     as_matrix,
     check_povm,
 )
-from .eigdist import _pair_probe, min_convex_norm
+from .eigdist import _pair_probe, _spectrum
 from .probefeas import (
     OrthogonalityProblem,
     ProbeFeasibility,
-    _operator_spectrum,
     common_probe_feasible,
     purify_witness,
 )
@@ -410,26 +411,6 @@ def _orthogonal_measurement(factors, purified):
 # The analysis table
 # -----------------------------------------------------------------------------
 
-# the store is emptied when it holds this many entries: auditing the first
-# 1000 ``random_qubit_set`` draws of rng 0 leaves 965, of about 1 KB each
-_STORE_CAP = 2048
-_store = {}  # the one-party entries of every table, by (tolerances, kind, bytes)
-
-
-def _read_only(value):
-    """``value``, with every array it holds, through tuples and dataclass
-    fields, made read-only."""
-    if isinstance(value, np.ndarray):
-        value.flags.writeable = False
-    elif isinstance(value, tuple):
-        for v in value:
-            _read_only(v)
-    elif is_dataclass(value):
-        for f in fields(value):
-            _read_only(getattr(value, f.name))
-    return value
-
-
 class SetAnalysis:
     """The sub-problems the deciders pose about one set under one set of
     tolerances (``None`` means ``DEFAULT_TOL``), each computed on first
@@ -455,9 +436,14 @@ class SetAnalysis:
     probes and eigenrays of relatives, the one-party probe problems, their
     purifications and measurements) are pure functions of the bytes they
     read, and snapped sets share them, so they outlive the table: they sit
-    in one process-wide store, keyed by those bytes and the tolerances,
-    with their arrays read-only.  The store is emptied whenever it holds
-    ``_STORE_CAP`` (2048) entries.  The set-level entries (the relatives,
+    in the process-wide store of :mod:`~unidisc.qcore`, keyed by those
+    bytes and the tolerances, with their arrays read-only.  The spectra and
+    pair criteria there come from :func:`~unidisc.eigdist._spectrum`, which
+    the public pair kernels read too, so
+    :func:`~unidisc.eigdist.pair_distinguishable` of two factors returns the
+    object :meth:`pair` holds.  The store is emptied whenever it holds
+    ``_STORE_CAP`` (2048) entries, about 2-4 MB (the sizes of its entries
+    are noted at its definition).  The set-level entries (the relatives,
     the two verdict entries and everything on the GDR problem, its spectra
     included) live as long as the table.
     """
@@ -475,15 +461,8 @@ class SetAnalysis:
 
     def _stored(self, key, compute):
         """A one-party entry, kept in the store under the table's tolerances
-        and ``key``, computed on first request with its arrays made
-        read-only; a full store is emptied before it takes one more."""
-        key = (self.tol,) + key
-        if key not in _store:
-            value = _read_only(compute())
-            if len(_store) >= _STORE_CAP:
-                _store.clear()
-            _store[key] = value
-        return _store[key]
+        and ``key``."""
+        return _stored((self.tol,) + key, compute)
 
     def relatives(self, party):
         """``(rel, cls)``: ``rel[i, j]`` is U_i{dag} U_j on ``party`` for
@@ -537,7 +516,7 @@ class SetAnalysis:
         reading each operator's spectrum through ``entry``: the store for a
         one-party problem, the table for the GDR problem."""
         return common_probe_feasible(
-            problem, self.tol, spectrum=lambda t: self._spectrum(problem.operators[t], entry))
+            problem, self.tol, spectrum=lambda t: _spectrum(problem.operators[t], self.tol, entry))
 
     def _purified(self, feas: ProbeFeasibility, entry):
         """``(state, ancilla_dim)`` for the witness of ``feas``: its pure
@@ -560,19 +539,8 @@ class SetAnalysis:
             ("measurement", r, psi.amplitudes.tobytes(), b"".join(f.tobytes() for f in fs)),
             lambda: _orthogonal_measurement(fs, (psi, r)))
 
-    def _spectrum(self, k, entry):
-        """``(phases, vectors, hull)`` of the unitary ``k``, a relative or a
-        probe-problem operator, kept through ``entry``: its
-        :func:`~unidisc.probefeas._operator_spectrum`, keyed by the bytes of
-        ``k``, with the pair criterion (a ``ConvexNormResult``) as the hull,
-        keyed by the phases it reads."""
-        def hull(phases):
-            return entry(("pair", phases.tobytes()), lambda: min_convex_norm(phases, self.tol))
-        return entry(("spectrum", k.shape, k.tobytes()),
-                     lambda: _operator_spectrum(k, self.tol, hull))
-
     def _relative_spectrum(self, party, i, j):
-        return self._spectrum(self.relatives(party)[0][i, j], self._stored)
+        return _spectrum(self.relatives(party)[0][i, j], self.tol)
 
     def pair(self, party, i, j):
         """The pair criterion of U_i and U_j on ``party``."""

@@ -19,7 +19,7 @@ bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from functools import partial
 
 import numpy as np
@@ -462,6 +462,49 @@ def eig_unitary(u, tol: Tolerances = DEFAULT_TOL):
     phases[phases > 2 * np.pi - 1e-12] = 0.0
     order = phases.argsort(kind="stable")
     return phases[order], basis[:, order]
+
+
+# -----------------------------------------------------------------------------
+# The store
+# -----------------------------------------------------------------------------
+# The spectra and pair criteria of :func:`~unidisc.eigdist._spectrum` (which
+# the analysis tables and the public pair kernels read) and the other one-party
+# entries of :class:`~unidisc.protocols.SetAnalysis` are pure functions of the
+# bytes they read, so they are computed once per process and shared, read-only.
+
+# the store is emptied when it holds this many entries.  A spectrum or a pair
+# criterion of a qubit relative takes about 0.8 KB with its key, one of
+# dimension 4 about 1.1 KB; an audit's entries average about 1.9 KB, and
+# auditing the first 1000 ``random_qubit_set`` draws of rng 0 leaves 965, so
+# a full store holds about 2-4 MB
+_STORE_CAP = 2048
+_store = {}  # the shared entries, by (tolerances, kind, bytes)
+
+
+def _read_only(value):
+    """``value``, with every array it holds, through tuples and dataclass
+    fields, made read-only."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, tuple):
+        for v in value:
+            _read_only(v)
+    elif is_dataclass(value):
+        for f in fields(value):
+            _read_only(getattr(value, f.name))
+    return value
+
+
+def _stored(key, compute):
+    """The entry of the store under ``key``, computed on first request with
+    its arrays made read-only; a full store is emptied before it takes one
+    more."""
+    if key not in _store:
+        value = _read_only(compute())
+        if len(_store) >= _STORE_CAP:
+            _store.clear()
+        _store[key] = value
+    return _store[key]
 
 
 # -----------------------------------------------------------------------------

@@ -50,6 +50,21 @@ class TestPair:
         out = capsys.readouterr().out
         assert "verdict: distinguishable" in out
 
+    def test_distinguishable_pair_decomposed_once(self, pair_files, monkeypatch):
+        # the criterion and the probe read one stored eigensystem
+        from unidisc import eigdist
+
+        calls = []
+        decompose = eigdist.eig_unitary
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return decompose(*args, **kwargs)
+
+        monkeypatch.setattr(eigdist, "eig_unitary", counting)
+        assert main(["pair", *pair_files, "--json"]) == 0
+        assert len(calls) == 1
+
     def test_indistinguishable_exit_three(self, tmp_path, capsys):
         a = write_matrix(tmp_path / "a.json", np.eye(2))
         b = write_matrix(tmp_path / "b.json", np.diag([1.0, 1j]))

@@ -15,14 +15,35 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from unidisc import eigdist, qcore
 from unidisc.eigdist import (
     ConvexNormResult,
+    _pair_probe,
     build_pair_probe,
     min_convex_norm,
     pair_distinguishable,
 )
-from unidisc.protocols import ProductUnitarySet
-from unidisc.qcore import DEFAULT_TOL, Tolerances, haar_unitary
+from unidisc.families import (
+    H,
+    I2,
+    X,
+    Z,
+    PhasePairParams,
+    pauli_hadamard_set,
+    phase_pair_set,
+    qutrit_quartet_set,
+    random_qubit_set,
+)
+from unidisc.protocols import ProductUnitarySet, SetAnalysis
+from unidisc.qcore import (
+    DEFAULT_TOL,
+    Tolerances,
+    UnitaryOperator,
+    _near_unitaries,
+    as_matrix,
+    eig_unitary,
+    haar_unitary,
+)
 
 # relative phases {0, pi - eps, pi}: the origin lies on the chord across
 # the widest gap, and the fan triangle is too thin to contain it in rounding
@@ -504,3 +525,150 @@ class TestBuildPairProbe:
         w = np.exp(2j * np.pi / 3)
         pp = build_pair_probe(np.eye(3), np.diag([1.0, w, w * w]))
         assert pp.ancilla_dim == 1
+
+
+def unstored_pair(u1, u2, tol=DEFAULT_TOL):
+    """``(result, probe)`` of a pair without the store: the pair's boundary,
+    the ``eig_unitary`` eigensystem of m1{dag} m2, the ``min_convex_norm`` of
+    its phases and, for a distinguishable pair, ``_pair_probe`` (``None``
+    otherwise), as the pair kernels computed them on every call before
+    they shared the store."""
+    m1 = u1.matrix if isinstance(u1, UnitaryOperator) else as_matrix(u1)
+    m2 = u2.matrix if isinstance(u2, UnitaryOperator) else as_matrix(u2)
+    if m1.shape != m2.shape:
+        raise ValueError(f"dimension mismatch {m1.shape} vs {m2.shape}")
+    if m1.shape[0] != m1.shape[1]:
+        raise ValueError(f"pair unitaries must be square, got shape {m1.shape}")
+    if not (isinstance(u1, UnitaryOperator) and isinstance(u2, UnitaryOperator)):
+        ((m1, m2),) = _near_unitaries(
+            ([m1, m2],), lambda k, err: f"u{k + 1} is not unitary (err {err:.3e})")
+    phases, vecs = eig_unitary(m1.conj().T @ m2, tol)
+    result = min_convex_norm(phases, tol)
+    probe = _pair_probe(m1, m2, vecs, result, tol) if result.distinguishable else None
+    return result, probe
+
+
+def reference_pairs():
+    """Seeded Haar pairs at d = 2, 3, 4, raw and as ``UnitaryOperator``s
+    (and one of each), exactly distinguishable qubit pairs, pairs 4.9e-9
+    off unitary, which are held as their polar factors, and the near-chord,
+    near-duplicate and sliver phase cases."""
+    rng = np.random.default_rng(3535)
+    pairs = []
+    for d in (2, 3, 4):
+        for _ in range(20):
+            u1, u2 = haar_unitary(d, rng), haar_unitary(d, rng)
+            pairs += [(u1.matrix, u2.matrix), (u1, u2), (u1, u2.matrix)]
+    for a, b in ((I2, X), (I2, H), (Z, X), (X, Z @ X)):
+        pairs += [(a, b), (UnitaryOperator(a), UnitaryOperator(b))]
+    h9 = np.array([[1.0, 1.0], [1.0, -1.0]]) * 0.707106781
+    nilpotent = np.array([[0.0, 4.9e-9], [0.0, 0.0]])
+    pairs += [(np.eye(2), h9), (h9, X), (np.eye(2), X * (1 + 4.9e-9)),
+              (Z, X + nilpotent), (H + nilpotent, Z)]
+    pairs += [near_chord_pair(eps) for eps in NEAR_CHORD_EPS]
+    for phases in (NEAR_DUPLICATE_PHASES, SLIVER_INSIDE_PHASES):
+        pairs.append((np.eye(len(phases)), np.diag(np.exp(1j * np.array(phases)))))
+    return pairs
+
+
+def assert_same_result(got, want):
+    for name in ("phases", "points", "weights"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert np.float64(got.min_norm).tobytes() == np.float64(want.min_norm).tobytes()
+    assert got.distinguishable is want.distinguishable
+
+
+def assert_same_probe(got, want):
+    assert got.probe.amplitudes.tobytes() == want.probe.amplitudes.tobytes()
+    assert [m.tobytes() for m in got.measurement] == [m.tobytes() for m in want.measurement]
+    assert (got.support, got.ancilla_dim) == (want.support, want.ancilla_dim)
+
+
+def store_snapshot():
+    return {key: id(value) for key, value in qcore._store.items()}
+
+
+class TestStoredPairCriterion:
+    """The public pair kernels check their input on every call and then read
+    the pair criterion of the relative from the store an analysis table
+    fills."""
+
+    def test_is_the_tables_entry(self):
+        rng = np.random.default_rng(8)
+        sets = [pauli_hadamard_set(), qutrit_quartet_set(),
+                phase_pair_set(PhasePairParams(0.3, 0.5, 0.9, np.pi - 1.7))]
+        sets += [random_qubit_set(rng) for _ in range(12)]
+        for n, uset in enumerate(sets):
+            table = SetAnalysis(uset)
+            for party in ("A", "B"):
+                fs = uset.factors(party)
+                for i in range(uset.size):
+                    for j in range(i + 1, uset.size):
+                        # the table first on even sets, the public kernel on odd ones
+                        held = table.pair(party, i, j) if n % 2 == 0 else None
+                        r = pair_distinguishable(fs[i], fs[j])
+                        assert r is table.pair(party, i, j)
+                        assert held in (None, r)
+
+    def test_probe_after_criterion_decomposes_once(self, monkeypatch):
+        calls = []
+
+        def counting(u, tol=DEFAULT_TOL):
+            calls.append(u.tobytes())
+            return eig_unitary(u, tol)
+
+        monkeypatch.setattr(eigdist, "eig_unitary", counting)
+        rng = np.random.default_rng(91)
+        found = 0
+        while found < 5:
+            u1, u2 = haar_unitary(4, rng), haar_unitary(4, rng)
+            if not unstored_pair(u1, u2)[0].distinguishable:
+                continue
+            found += 1
+            calls.clear()
+            r = pair_distinguishable(u1, u2)
+            build_pair_probe(u1, u2, r)
+            build_pair_probe(u1.matrix, u2.matrix)
+            assert len(calls) == 1
+
+    def test_results_are_read_only(self):
+        w = np.exp(2j * np.pi / 3)
+        for u2 in (np.diag([1.0, w, w * w]), np.diag([1.0, 1j, 1.0])):
+            r = pair_distinguishable(np.eye(3), u2)
+            for a in (r.phases, r.points, r.weights):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[...] = 0
+
+    def test_bytes_match_unstored_computation(self):
+        pairs = reference_pairs()
+        assert sum(unstored_pair(*p)[0].distinguishable for p in pairs) >= 30
+        # each pair twice: the store is cold for it, then warm
+        for u1, u2 in pairs + pairs:
+            want, want_probe = unstored_pair(u1, u2)
+            r = pair_distinguishable(u1, u2)
+            assert_same_result(r, want)
+            if want_probe is None:
+                with pytest.raises(ValueError, match="not perfectly"):
+                    build_pair_probe(u1, u2)
+                continue
+            assert_same_probe(build_pair_probe(u1, u2, r), want_probe)
+            assert_same_probe(build_pair_probe(u1, u2), want_probe)
+            assert_same_probe(build_pair_probe(u1, u2, want), want_probe)
+
+    @pytest.mark.parametrize("u1, u2", [
+        (np.eye(2), np.eye(3)),
+        (np.ones((2, 3)), np.ones((2, 3))),
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), np.eye(2)),
+        (np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]) * (1 + 1e-7)),
+        (np.diag([2.0, 1.0]), np.diag([-0.5, 1.0])),
+    ], ids=["shape-mismatch", "non-square", "nan", "non-unitary", "unitary-relative"])
+    @pytest.mark.parametrize("decider", [pair_distinguishable, build_pair_probe])
+    def test_rejects_as_before_and_leaves_the_store(self, decider, u1, u2):
+        with pytest.raises(Exception) as want:
+            unstored_pair(u1, u2)
+        pair_distinguishable(np.eye(2), X)
+        before = store_snapshot()
+        with pytest.raises(type(want.value)) as got:
+            decider(u1, u2)
+        assert str(got.value) == str(want.value)
+        assert store_snapshot() == before

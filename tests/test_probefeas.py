@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from unidisc import probefeas
+from unidisc import eigdist, probefeas
 from unidisc.eigdist import pair_distinguishable
 from unidisc.families import (
     PhasePairParams,
@@ -527,7 +527,7 @@ class TestMixedStateScreen:
             assert common_probe_feasible(prob).note == "maximally mixed witness"
             for k in range(len(ops)):
                 assert probefeas._solve_commuting(prob, [k]).status == "feasible"
-                spectrum = probefeas._operator_spectrum(ops[k])
+                spectrum = eigdist._spectrum(ops[k])
                 assert spectrum[2].distinguishable
                 assert (probefeas._solve_single(prob, k, spectrum, DEFAULT_TOL).status
                         == "feasible")

@@ -630,7 +630,7 @@ class TestSharedStore:
         # order and in reverse with the store warm from the sets before;
         # with a small cap the store is emptied again and again on the way,
         # and it never holds more than the cap
-        import unidisc.protocols as protocols
+        import unidisc.qcore as store
 
         class Watched(dict):
             peak, clears = 0, 0
@@ -643,22 +643,73 @@ class TestSharedStore:
                 Watched.clears += 1
                 super().clear()
 
-        monkeypatch.setattr(protocols, "_store", Watched())
+        monkeypatch.setattr(store, "_store", Watched())
         if cap is not None:
-            monkeypatch.setattr(protocols, "_STORE_CAP", cap)
+            monkeypatch.setattr(store, "_STORE_CAP", cap)
         cold = []
         for uset in sets:
-            protocols._store.clear()
+            store._store.clear()
             cold.append(_rows(uset))
-        protocols._store.clear()
+        store._store.clear()
         assert [_rows(uset) for uset in sets] == cold
         if cap is None:
-            assert {key[1] for key in protocols._store} == self.ONE_PARTY
-            assert {key[0] for key in protocols._store} == {DEFAULT_TOL}
+            assert {key[1] for key in store._store} == self.ONE_PARTY
+            assert {key[0] for key in store._store} == {DEFAULT_TOL}
         assert [_rows(uset) for uset in reversed(sets)] == cold[::-1]
-        assert Watched.peak <= protocols._STORE_CAP
+        assert Watched.peak <= store._STORE_CAP
         if cap is not None:
             assert Watched.clears > 2 * len(sets)  # the full store was emptied
+
+    def test_public_pair_calls_share_the_capped_store(self, sets, monkeypatch):
+        # the public pair kernels under two tolerances, mixed with audits:
+        # under a small cap the store never holds more than the cap, each
+        # entry is keyed by the tolerances it was computed under, and every
+        # answer is the one each set gets with the store emptied before it
+        import unidisc.qcore as store
+        from unidisc.eigdist import build_pair_probe, pair_distinguishable
+
+        class Watched(dict):
+            peak, added = 0, []
+
+            def __setitem__(self, key, value):
+                super().__setitem__(key, value)
+                Watched.added.append(key)
+                Watched.peak = max(Watched.peak, len(self))
+
+        loose = Tolerances(1e-7)
+
+        def answers(uset):
+            Watched.added.clear()
+            out = _rows(uset)
+            assert {key[0] for key in Watched.added} == {DEFAULT_TOL}
+            for tol in (loose, DEFAULT_TOL):
+                for party in ("A", "B"):
+                    fs = uset.factors(party)
+                    for i in range(uset.size):
+                        for j in range(i + 1, uset.size):
+                            Watched.added.clear()
+                            r = pair_distinguishable(fs[i], fs[j], tol)
+                            out.append((r.phases.tobytes(), r.weights.tobytes(), r.min_norm))
+                            if r.distinguishable:
+                                pp = build_pair_probe(fs[i], fs[j], r, tol)
+                                out.append(pp.probe.amplitudes.tobytes())
+                            k = fs[i].conj().T @ fs[j]
+                            assert (tol, "spectrum", k.shape, k.tobytes()) in store._store
+                            assert {key[0] for key in Watched.added} <= {tol}
+                            assert {key[1] for key in Watched.added} <= {"spectrum", "pair"}
+            return out
+
+        monkeypatch.setattr(store, "_store", Watched())
+        cold = []
+        for uset in sets[:30]:
+            store._store.clear()
+            cold.append(answers(uset))
+        monkeypatch.setattr(store, "_STORE_CAP", 5)
+        store._store.clear()
+        Watched.peak = 0
+        assert [answers(uset) for uset in sets[:30]] == cold
+        assert Watched.peak <= 5
+        assert {key[0] for key in store._store} <= {DEFAULT_TOL, loose}
 
     def test_shared_arrays_are_read_only(self, sets):
         import unidisc.protocols as protocols

@@ -21,6 +21,12 @@ workloads give them:
   array the internal callers pass;
 * ``eigdist.min_convex_norm`` on those unitaries' 2 and 4 eigenphases;
 * ``qcore._near_unitaries`` on one column of two 2x2 factors, as a pair;
+* ``eigdist.pair_distinguishable`` on a distinguishable Haar pair of
+  dimension 4, given as plain arrays, cold with the store emptied before
+  each call and warm with the store holding the pair's entries; and the
+  ``pair-grid`` Haar op's calls on it, ``pair_distinguishable`` followed by
+  ``build_pair_probe``, cold.  Warm, a call only checks the pair and reads
+  the stored criterion;
 * the set boundary: ``families.phase_pair_set``, which builds its four
   diagonal factors and accepts them through the set constructor;
   ``protocols.ProductUnitarySet`` on a four-item set of ``SNAP_GATES``
@@ -62,7 +68,7 @@ sys.path.insert(0, SRC)
 import numpy as np  # noqa: E402
 
 from unidisc import jsonio  # noqa: E402
-from unidisc.eigdist import min_convex_norm  # noqa: E402
+from unidisc.eigdist import build_pair_probe, min_convex_norm, pair_distinguishable  # noqa: E402
 from unidisc.families import (  # noqa: E402
     SNAP_GATES,
     PhasePairParams,
@@ -91,6 +97,9 @@ def _kernels():
     u2, u4 = (haar_unitary(d, rng).matrix for d in (2, 4))
     phases2, phases4 = eig_unitary(u2)[0], eig_unitary(u4)[0]
     pair = [haar_unitary(2, rng).matrix, haar_unitary(2, rng).matrix]
+    haar_pair = [haar_unitary(4, rng).matrix, haar_unitary(4, rng).matrix]
+    while not pair_distinguishable(*haar_pair).distinguishable:
+        haar_pair = [haar_unitary(4, rng).matrix, haar_unitary(4, rng).matrix]
     v = haar_unitary(4, rng).matrix[:, 0]
     p = np.outer(v, v.conj())
     povm = [p, np.eye(4) - p]
@@ -115,6 +124,17 @@ def _kernels():
     def warm():
         hierarchy_audit(pool_set)
 
+    def pair_cold():
+        protocols._store.clear()
+        pair_distinguishable(*haar_pair)
+
+    def pair_warm():
+        pair_distinguishable(*haar_pair)
+
+    def pair_and_probe():
+        protocols._store.clear()
+        build_pair_probe(*haar_pair, pair_distinguishable(*haar_pair))
+
     pool_rows = [verdict for _, verdict in hierarchy_audit(pool_set)]
 
     def round_trip():
@@ -131,6 +151,9 @@ def _kernels():
         ("eigdist.min_convex_norm 2 phases", 500, lambda: min_convex_norm(phases2)),
         ("eigdist.min_convex_norm 4 phases", 500, lambda: min_convex_norm(phases4)),
         ("qcore._near_unitaries 2 x 2x2", 500, lambda: _near_unitaries((pair,), message)),
+        ("eigdist.pair_distinguishable d=4, cold", 500, pair_cold),
+        ("eigdist.pair_distinguishable d=4, warm", 500, pair_warm, pair_warm),
+        ("eigdist.pair+build_pair_probe d=4, cold", 500, pair_and_probe),
         ("families.phase_pair_set", 500, lambda: phase_pair_set(params)),
         ("ProductUnitarySet 4 snap items", 500, lambda: ProductUnitarySet((2, 2), snap_items)),
         ("qcore._near_unitaries 2 x 4 x 2x2", 500,
