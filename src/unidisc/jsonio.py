@@ -4,16 +4,16 @@ Complex scalars serialize as two-element arrays ``[re, im]``; matrices as
 row-major nested arrays of those pairs; vectors as flat arrays of pairs.
 Every decoder validates shape and numeric content and raises
 :class:`FormatError` naming the offending field, which the command line
-maps to a usage-error exit.
+maps to a usage-error exit.  :func:`dumps` writes every report in one
+canonical text: the standard library's compact form with sorted keys, one
+line per report.
 """
 
 from __future__ import annotations
 
-import functools
+import json
 import math
-from array import array
 from itertools import chain
-from json.encoder import c_make_encoder, encode_basestring_ascii
 
 import numpy as np
 
@@ -56,166 +56,21 @@ class FormatError(ValueError):
 
 
 def dumps(obj) -> str:
-    """Canonical serialization: sorted keys, two-space indent, newline end.
+    """Canonical serialization: ``json.dumps(obj, sort_keys=True,
+    separators=(",", ":"), allow_nan=False)`` plus a newline, so one line.
 
-    Identical structures produce byte-identical text, the same as
-    ``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\\n"``,
-    with the same ``ValueError`` on NaN, infinity or a circular reference
-    and ``TypeError`` on objects JSON cannot represent.  The standard library writes indented
-    output in pure Python, one value at a time; here each rectangular nested
-    list of numbers (matrices, POVM elements, vectors) is rendered in one
-    pass: a block of floats reads each float's text from a cache keyed by
-    its bits, any other block goes through the standard library's C
-    encoder, and the number strings fill an indentation template cached
-    per shape and depth.
+    Identical structures produce byte-identical text.  It raises
+    ``ValueError`` on NaN, infinity or a circular reference and
+    ``TypeError`` on objects JSON cannot represent.
     """
-    out = []
-    _encode(obj, 0, out, set())
-    out.append("\n")
-    return "".join(out)
-
-
-_INDENT = "  "
-# scalar types the compact encoder renders as the indented one does, and
-# whose text never holds a comma
-_LEAF_TYPES = frozenset((float, int, bool, type(None)))
-# number types as JSON decodes them
-_NUMBER_TYPES = frozenset((float, int))
-# the standard library's C encoder, compact and without a circular check,
-# for blocks that hold more than floats: called with (block, 0)
-_compact = c_make_encoder(None, None, encode_basestring_ascii, None, ":", ",",
-                          False, False, False)
-# the JSON text of finite floats, by their IEEE-754 bits (so 0.0 and -0.0
-# differ); emptied when it holds this many entries, at most about 0.14 MB
-_FLOAT_TEXT_CAP = 1024
-_float_text = {}
-
-
-def _scalar_text(o) -> str | None:
-    """JSON text of a string or scalar, or None for anything else."""
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        if o != o or o in (math.inf, -math.inf):
-            raise ValueError(f"Out of range float values are not JSON compliant: {o!r}")
-        return float.__repr__(o)
-    return None
-
-
-def _encode(o, level: int, out: list, open_ids: set) -> None:
-    """Append the text of ``o`` at nesting depth ``level`` to ``out``;
-    ``open_ids`` holds the ids of the containers being encoded."""
-    text = _scalar_text(o)
-    if text is not None:
-        out.append(text)
-        return
-    pad = "\n" + _INDENT * (level + 1)
-    if isinstance(o, (list, tuple)):
-        block = _number_block(o, level) if o else "[]"
-        if block is not None:
-            out.append(block)
-            return
-        _enter(o, open_ids)
-        sep = "[" + pad
-        for item in o:
-            out.append(sep)
-            sep = "," + pad
-            _encode(item, level + 1, out, open_ids)
-        out.append("\n" + _INDENT * level + "]")
-    elif isinstance(o, dict):
-        if not o:
-            out.append("{}")
-            return
-        _enter(o, open_ids)
-        sep = "{" + pad
-        for key, item in sorted(o.items()):
-            if not isinstance(key, str):
-                text = _scalar_text(key)
-                if text is None:
-                    raise TypeError(f"keys must be str, int, float, bool or None, "
-                                    f"not {key.__class__.__name__}")
-                key = text
-            out.append(sep + encode_basestring_ascii(key) + ": ")
-            sep = "," + pad
-            _encode(item, level + 1, out, open_ids)
-        out.append("\n" + _INDENT * level + "}")
-    else:
-        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-    open_ids.remove(id(o))
-
-
-def _enter(container, open_ids: set) -> None:
-    if id(container) in open_ids:
-        raise ValueError("Circular reference detected")
-    open_ids.add(id(container))
-
-
-def _number_block(o, level: int) -> str | None:
-    """Text of a rectangular nested list of numbers at depth ``level``, or
-    None when ``o`` is anything else."""
-    shape = []
-    leaves = [o]
-    while type(leaves[0]) is list and leaves[0]:
-        n = len(leaves[0])
-        if set(map(type, leaves)) != {list} or set(map(len, leaves)) != {n}:
-            return None
-        shape.append(n)
-        leaves = list(chain.from_iterable(leaves))
-    types = set(map(type, leaves))
-    if not shape or not _LEAF_TYPES.issuperset(types):
-        return None
-    if types == {float}:
-        numbers = _float_texts(leaves)
-    else:
-        try:
-            numbers = "".join(_compact(leaves, 0))[1:-1].split(",")
-        except ValueError:  # NaN or infinity: the per-value path names it
-            return None
-    return None if numbers is None else _block_template(tuple(shape), level) % tuple(numbers)
-
-
-def _float_texts(leaves: list) -> list | None:
-    """``float.__repr__`` of each float, the text the C encoder writes, read
-    from the cache by bit pattern; None at the first NaN or infinity."""
-    bits = array("q", array("d", leaves).tobytes())
-    try:
-        return list(map(_float_text.__getitem__, bits))
-    except KeyError:
-        pass
-    numbers = []
-    for b, x in zip(bits, leaves):
-        text = _float_text.get(b)
-        if text is None:
-            if not math.isfinite(x):
-                return None
-            if len(_float_text) >= _FLOAT_TEXT_CAP:
-                _float_text.clear()
-            text = _float_text[b] = float.__repr__(x)
-        numbers.append(text)
-    return numbers
-
-
-@functools.lru_cache(maxsize=256)
-def _block_template(shape: tuple, level: int) -> str:
-    """Indented layout of a nested list of ``shape`` at depth ``level``,
-    with a ``%s`` slot per number."""
-    if not shape:
-        return "%s"
-    pad = "\n" + _INDENT * (level + 1)
-    inner = _block_template(shape[1:], level + 1)
-    return "[" + pad + ("," + pad).join([inner] * shape[0]) + "\n" + _INDENT * level + "]"
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # scalars, vectors, matrices
+
+# number types as JSON decodes them
+_NUMBER_TYPES = frozenset((float, int))
 
 
 def _is_number(x) -> bool:

@@ -47,7 +47,6 @@ from .qcore import (
     _kron,
     _near_unitaries,
     _qr_c,
-    _store,  # noqa: F401 - the store's own dict, which ``protocols._store.clear()`` empties
     _stored,
     _valid_prefix,
     as_matrix,

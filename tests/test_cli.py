@@ -481,7 +481,7 @@ def test_module_entry_point_check_json_is_canonical(builtin, strategy):
     proc = run_cli([sys.executable, "-m", "unidisc", "check", builtin,
                     "--strategy", strategy, "--json"])
     assert proc.returncode in (0, 3), proc.stderr
-    canonical = json.dumps(json.loads(proc.stdout), indent=2, sort_keys=True,
+    canonical = json.dumps(json.loads(proc.stdout), sort_keys=True, separators=(",", ":"),
                            allow_nan=False) + "\n"
     assert proc.stdout == canonical
 

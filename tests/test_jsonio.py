@@ -49,7 +49,7 @@ HUGE = 10 ** 400  # a JSON integer outside float range
 
 def stdlib_dumps(obj) -> str:
     """The canonical form by definition: the oracle for ``dumps``."""
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def per_entry_matrix(data) -> np.ndarray:
@@ -113,8 +113,16 @@ class TestDumpsMatchesStdlib:
         # subnormals and the float extremes
         [[5e-324, -5e-324, 1e-310, 2.225073858507201e-308, 2.2250738585072014e-308],
          [1.7976931348623157e308, -1.7976931348623157e308, 1e16, 1e-7, 0.1 + 0.2]],
-        # blocks that hold more than floats, after the same floats were cached
+        # blocks that hold more than floats
         [[1.0, 0.5], [1, 1.0, True], [None, 0.5], [[1.0, 1], [0.5, None]], [1, 2, 3]],
+        # signed zeros, alone and in blocks
+        [0.0, -0.0, 0.0], [-0.0], [[0.0]], [[-0.0, -0.0], [0.0, -0.0]],
+        [[[0.0, -0.0]], [[-0.0, 0.0]]],
+        # np.float64 leaves, alone and among floats of the same bits
+        [np.float64(0.1), np.float64(-0.0)], [[np.float64(1e16), 1e16]],
+        [0.1, np.float64(0.1)], [[np.float64(5e-324)], [np.float64(2.5)]],
+        # a long block with recurring floats
+        [[k + 0.25 for k in range(2055)] + [0.25, 1.25, -0.0, 0.0]],
     ])
     def test_edge_cases(self, obj):
         assert dumps(obj) == stdlib_dumps(obj)
@@ -122,43 +130,6 @@ class TestDumpsMatchesStdlib:
     def test_numpy_float_encodes_as_stdlib(self):
         obj = {"x": np.float64(0.1), "m": [[np.float64(-0.0), 1.0]]}
         assert dumps(obj) == stdlib_dumps(obj)
-
-    def test_numpy_float_blocks_after_cached_floats(self):
-        # np.float64 leaves, alone or among floats of the same bits, take the
-        # per-value path and still write float.__repr__
-        dumps([0.1, -0.0, 1e16, 5e-324])
-        for obj in ([np.float64(0.1), np.float64(-0.0)], [[np.float64(1e16), 1e16]],
-                    [0.1, np.float64(0.1)], [[np.float64(5e-324)], [np.float64(2.5)]]):
-            assert dumps(obj) == stdlib_dumps(obj)
-
-    def test_signed_zeros_in_one_block_and_across_calls(self):
-        jsonio._float_text.clear()
-        for obj in ([0.0, -0.0, 0.0], [-0.0], [[0.0]], [[-0.0, -0.0], [0.0, -0.0]],
-                    [[[0.0, -0.0]], [[-0.0, 0.0]]], [0.0]):
-            assert dumps(obj) == stdlib_dumps(obj)
-
-    def test_block_past_the_cache_size_empties_it_mid_block(self):
-        cap = jsonio._FLOAT_TEXT_CAP
-        values = [k + 0.25 for k in range(2 * cap + 7)]
-        # a float seen early in the block recurs after the cache was emptied
-        obj = [values + values[:5] + [-0.0, 0.0]]
-        jsonio._float_text.clear()
-        assert dumps(obj) == stdlib_dumps(obj)
-        assert 0 < len(jsonio._float_text) <= cap
-        assert dumps(obj) == stdlib_dumps(obj)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -math.nan])
-    def test_non_finite_after_cached_floats(self, bad):
-        dumps([[1.5, -0.0], [2.5, 0.0]])
-        held = dict(jsonio._float_text)
-        for obj in ([1.5, bad], [[bad, 2.5]], {"m": [[[1.5, -0.0], [0.0, bad]]]}, [bad]):
-            with pytest.raises(ValueError) as ours:
-                dumps(obj)
-            with pytest.raises(ValueError) as theirs:
-                stdlib_dumps(obj)
-            assert str(ours.value) == str(theirs.value)
-        # a non-finite float is never stored
-        assert jsonio._float_text == held
 
     @pytest.mark.parametrize("obj", [np.int64(1), [np.int64(1)], [[np.int64(1), 2]],
                                      {"a": object()}, {(1, 2): 3}, np.zeros(2)])
@@ -171,7 +142,11 @@ class TestDumpsMatchesStdlib:
 
     @pytest.mark.parametrize("obj", [math.nan, [math.inf], [[1.0, -math.inf]],
                                      {"m": [[[0.0, math.nan]]]}, {math.nan: 1},
-                                     _circular_list(), {"a": [{"b": _circular_dict()}]}])
+                                     _circular_list(), {"a": [{"b": _circular_dict()}]},
+                                     # non-finite values inside blocks
+                                     [1.5, math.nan], [[-math.inf, 2.5]],
+                                     {"m": [[[1.5, -0.0], [0.0, math.inf]]]},
+                                     [[1.5, -0.0], [2.5, -math.nan]]])
     def test_value_error_as_stdlib(self, obj):
         with pytest.raises(ValueError) as ours:
             dumps(obj)
@@ -183,7 +158,7 @@ class TestDumpsMatchesStdlib:
 class TestDumps:
     def test_canonical_layout(self):
         text = dumps({"b": 1, "a": [1, 2]})
-        assert text == '{\n  "a": [\n    1,\n    2\n  ],\n  "b": 1\n}\n'
+        assert text == '{"a":[1,2],"b":1}\n'
 
     def test_identical_structures_identical_bytes(self):
         a = dumps({"x": [1.5, -2.0], "y": "s"})

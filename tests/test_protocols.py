@@ -33,6 +33,7 @@ from unidisc.separable import (
     separable_start_analysis,
 )
 from unidisc.probefeas import ProbeFeasibility, verify_certificate
+from unidisc import qcore
 from unidisc.qcore import DEFAULT_TOL, StateVector, Tolerances, haar_unitary
 from unidisc.families import (
     CLOCK3,
@@ -444,7 +445,6 @@ class TestHierarchyAudit:
         # entries the store keeps; once the store is emptied, an audit
         # repeats every call
         import unidisc
-        import unidisc.protocols as protocols
 
         calls, answers = [], []
         keys = {
@@ -477,7 +477,7 @@ class TestHierarchyAudit:
         sets += [random_qubit_set(rng) for _ in range(20)]
         kinds = set()
         for uset in sets:
-            protocols._store.clear()
+            qcore._store.clear()
             calls.clear()
             answers.clear()
             hierarchy_audit(uset)
@@ -496,7 +496,7 @@ class TestHierarchyAudit:
             calls.clear()
             hierarchy_audit(uset)
             assert calls == [c for c in first if c[1] == uset.dim]
-            protocols._store.clear()
+            qcore._store.clear()
             calls.clear()
             hierarchy_audit(uset)
             assert calls == first
@@ -518,7 +518,7 @@ class TestHierarchyAudit:
         monkeypatch.setattr(protocols, "common_probe_feasible", counting)
 
         def count(fn):
-            protocols._store.clear()
+            qcore._store.clear()
             calls.clear()
             fn()
             return len(calls)
@@ -712,12 +712,10 @@ class TestSharedStore:
         assert {key[0] for key in store._store} <= {DEFAULT_TOL, loose}
 
     def test_shared_arrays_are_read_only(self, sets):
-        import unidisc.protocols as protocols
-
         for uset in sets[:20]:
             hierarchy_audit(uset)
-        arrays = [a for value in protocols._store.values() for a in _arrays(value)]
-        assert len(arrays) > len(protocols._store)
+        arrays = [a for value in qcore._store.values() for a in _arrays(value)]
+        assert len(arrays) > len(qcore._store)
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
@@ -728,37 +726,31 @@ class TestSharedStore:
 
     def test_set_level_entries_stay_in_the_table(self):
         # the GDR problem is the set's own: check_gdr leaves the store empty
-        import unidisc.protocols as protocols
-
         assert check_gdr(phase_pair_set(PhasePairParams(0.3, 0.5, 0.9, np.pi - 1.7))
                          ).status == "distinguishable"
         assert check_gdr(qutrit_quartet_set()).status == "indistinguishable_certified"
-        assert protocols._store == {}
+        assert qcore._store == {}
 
     def test_tolerances_key_the_store(self):
         # a table under other tolerances solves its one-party problems anew
         # and gives the rows it gives with the store empty
-        import unidisc.protocols as protocols
-
         uset = pauli_hadamard_set()
         tol = Tolerances(1e-7)
         want = _rows(uset, tol)
-        protocols._store.clear()
+        qcore._store.clear()
         _rows(uset)
         assert _rows(uset, tol) == want
-        assert {key[0] for key in protocols._store} == {DEFAULT_TOL, tol}
+        assert {key[0] for key in qcore._store} == {DEFAULT_TOL, tol}
 
     @pytest.mark.parametrize("uset", [pauli_hadamard_set(), qutrit_quartet_set()],
                              ids=["pauli-hadamard", "qutrit-quartet"])
     def test_none_tol_is_the_default(self, uset):
         # hierarchy_audit and SetAnalysis read tol=None as DEFAULT_TOL, as
         # the deciders do
-        import unidisc.protocols as protocols
-
         want = _rows(uset)
-        protocols._store.clear()
+        qcore._store.clear()
         assert _rows(uset, None) == want
-        protocols._store.clear()
+        qcore._store.clear()
         table = SetAnalysis(uset, None)
         assert table.tol == DEFAULT_TOL
         decide = {"GDR": check_gdr, "GDA": check_gda, "GDA_separable": check_gda_separable}
@@ -775,7 +767,6 @@ class TestAcceptedProblems:
     check must have held the same operators."""
 
     def test_table_problems_match_the_constructor(self, sets, monkeypatch):
-        import unidisc.protocols as protocols
         from unidisc.probefeas import OrthogonalityProblem
 
         posed = []
@@ -787,7 +778,7 @@ class TestAcceptedProblems:
 
         monkeypatch.setattr(OrthogonalityProblem, "_accepted", classmethod(spy))
         for uset in sets:
-            protocols._store.clear()  # so that every one-party problem is posed
+            qcore._store.clear()  # so that every one-party problem is posed
             posed.append(SetAnalysis(uset).gdr_problem())
             hierarchy_audit(uset)
         assert {p.dim for p in posed} == {2, 3, 4, 9}
@@ -799,9 +790,6 @@ class TestAcceptedProblems:
 
     def test_deciders_check_no_operator_again(self, sets, monkeypatch):
         # once the set is built, no decider re-applies the unitarity rule
-        import unidisc.protocols as protocols
-        from unidisc import qcore
-
         calls = []
         original = qcore._near_unitaries
 
@@ -813,7 +801,7 @@ class TestAcceptedProblems:
             if name.startswith("unidisc") and getattr(mod, "_near_unitaries", None) is original:
                 monkeypatch.setattr(mod, "_near_unitaries", spy)
         for uset in sets[:30]:
-            protocols._store.clear()
+            qcore._store.clear()
             check_gdr(SetAnalysis(uset))
             hierarchy_audit(uset)
         assert calls == []
@@ -891,7 +879,7 @@ class TestStalledSearch:
                                           ("c", X, I3), ("d", X, FLIP3)))
         ldr = check_ldr(uset, "A")
         assert len(answers) == 3
-        protocols._store.clear()
+        qcore._store.clear()
         lda = check_lda(uset, "A")
         assert len(answers) == 6
         assert (ldr.status, lda.status) == ("not_found", "not_found")
@@ -899,13 +887,13 @@ class TestStalledSearch:
         assert ldr.feasibility is answers[2]
         assert lda.note == "within-group search stalled: stall 3"
         assert lda.feasibility is answers[3]
-        protocols._store.clear()
+        qcore._store.clear()
         rows = dict(hierarchy_audit(uset))
         assert rows["LDR:A"].note == "shared-probe search stalled: stall 8"
         assert rows["LDA:A"].note == "within-group search stalled: stall 6"
         # with the store kept, check_lda after check_ldr on the set solves
         # no problem: it reads the answers check_ldr's problems got
-        protocols._store.clear()
+        qcore._store.clear()
         before = len(answers)
         check_ldr(uset, "A")
         assert len(answers) == before + 3

@@ -67,7 +67,7 @@ sys.path.insert(0, SRC)
 
 import numpy as np  # noqa: E402
 
-from unidisc import jsonio  # noqa: E402
+from unidisc import jsonio, qcore  # noqa: E402
 from unidisc.eigdist import build_pair_probe, min_convex_norm, pair_distinguishable  # noqa: E402
 from unidisc.families import (  # noqa: E402
     SNAP_GATES,
@@ -77,7 +77,6 @@ from unidisc.families import (  # noqa: E402
     phase_pair_set,
     random_qubit_set,
 )
-from unidisc import protocols  # noqa: E402
 from unidisc.probefeas import OrthogonalityProblem  # noqa: E402
 from unidisc.protocols import (  # noqa: E402
     ProductUnitarySet,
@@ -118,21 +117,21 @@ def _kernels():
     pool_set = random_qubit_set(np.random.default_rng(0))
 
     def cold():
-        protocols._store.clear()
+        qcore._store.clear()
         hierarchy_audit(pool_set)
 
     def warm():
         hierarchy_audit(pool_set)
 
     def pair_cold():
-        protocols._store.clear()
+        qcore._store.clear()
         pair_distinguishable(*haar_pair)
 
     def pair_warm():
         pair_distinguishable(*haar_pair)
 
     def pair_and_probe():
-        protocols._store.clear()
+        qcore._store.clear()
         build_pair_probe(*haar_pair, pair_distinguishable(*haar_pair))
 
     pool_rows = [verdict for _, verdict in hierarchy_audit(pool_set)]

@@ -5,16 +5,25 @@ Usage::
     python3 tools/output_digest.py > digests.txt
 
 Run it in two checkouts and ``diff`` the two files: a change that keeps
-every verdict, witness and JSON byte prints identical lines.  Run the same
-version of the script in both (copy it into the other checkout), since
-another version labels its lines differently.  The script
-imports only the ``src/`` of the checkout it sits in, runs the command line
-tool from that ``src/`` in child processes, and writes no file (bytecode
-caching is off for it and its children) except the matrix and set files it
-hands ``unidisc pair`` and ``unidisc check``, in temporary directories it
-removes.  One line per output:
+every verdict, witness and decoded JSON value prints identical lines.  Run
+the same version of the script in both (copy it into the other checkout),
+since another version labels its lines differently.
 
-* ``jsonio.dumps(verdict_to_json(v))`` for every ``hierarchy_audit`` row on
+Each JSON output is hashed by its decoded value, written as
+``json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False)``.
+``jsonio.dumps`` writes exactly that text plus a newline, so between two
+checkouts that both write it, equal lines also mean equal bytes.  A
+``--json`` call whose stdout is not empty and does not parse is a fault: the
+script stops and names the call.
+
+The script imports only the ``src/`` of the checkout it sits in, runs the
+command line tool from that ``src/`` in child processes, and writes no file
+(bytecode caching is off for it and its children) except the matrix and set
+files it hands ``unidisc pair`` and ``unidisc check``, in temporary
+directories it removes.  One line per output, where the stdout of a call
+stands for its decoded value:
+
+* ``verdict_to_json(v)`` for every ``hierarchy_audit`` row on
   ``random_qubit_set`` rng 0 sets 0-299 and on the three builtin sets,
   labelled with the row's verdict status, so the ``diff`` of two runs tells
   a status that moved (the label differs) from bytes that moved under one
@@ -55,6 +64,7 @@ It prints 3587 lines and takes about 25 s on 2 CPUs.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -93,10 +103,14 @@ def _line(label, *chunks):
     print(f"{h.hexdigest()}  {label}", flush=True)
 
 
+def _canonical(value):
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 def _audit(label, uset):
     for row, verdict in hierarchy_audit(uset):
         _line(f"audit {label} {row} {verdict.status}",
-              jsonio.dumps(jsonio.verdict_to_json(verdict)))
+              _canonical(jsonio.verdict_to_json(verdict)))
 
 
 def _pair(label, u1, u2):
@@ -113,7 +127,14 @@ def _cli(*args, cwd=None):
     env = dict(os.environ, PYTHONPATH=SRC, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "-m", "unidisc", *args, "--json"],
                           capture_output=True, env=env, cwd=cwd)
-    _line("cli " + " ".join(args), proc.stdout, proc.stderr, proc.returncode)
+    label = "cli " + " ".join(args)
+    stdout = proc.stdout
+    if stdout:
+        try:
+            stdout = _canonical(json.loads(stdout))
+        except ValueError as exc:
+            sys.exit(f"{label}: stdout is not JSON: {exc}")
+    _line(label, stdout, proc.stderr, proc.returncode)
 
 
 def main():
@@ -150,7 +171,7 @@ def main():
     uset = pauli_hadamard_set()
     for start in ("A", "B"):
         tree = pauli_hadamard_tree(start)
-        _line(f"pauli_hadamard_tree {start}", jsonio.dumps(jsonio.tree_to_json(tree)))
+        _line(f"pauli_hadamard_tree {start}", _canonical(jsonio.tree_to_json(tree)))
         res = verify_tree(uset, tree)
         _line(f"verify_tree pauli_hadamard_tree {start}",
               *(a.tobytes() for a in (res.success, res.leakage, res.stage1_probs)))
