@@ -9,6 +9,11 @@ Three families recur throughout the test suite and the command line tool:
 * a five-element two-qubit family mixing Pauli and Hadamard-type factors
   (``pauli_hadamard_set``).
 
+Their factors, and those of ``random_qubit_set``, come from checked angles
+or from the gate constants below, all unitary to rounding, so the builders
+hand them to :meth:`~unidisc.protocols.ProductUnitarySet._accepted` rather
+than checking them again.
+
 For the quintet, explicit adaptive two-way protocols are constructed here
 as :class:`~unidisc.protocols.ProtocolTree` objects so that their success
 probabilities can be checked numerically rather than argued.
@@ -153,11 +158,14 @@ def phase_pair_set(params: PhasePairParams) -> ProductUnitarySet:
     pi}``; the antipodal pair puts the origin inside the convex hull, so the
     two products are globally distinguishable, while each local factor pair
     spans a phase gap strictly below ``pi`` and is not.  The four factors
-    are the :func:`diag_phase` matrices of their angles, from one ``np.exp``.
+    are the :func:`diag_phase` matrices of their angles, from one ``np.exp``,
+    each an array of its own.
     """
     angles = [[0.0, -params.alpha], [0.0, -params.beta], [0.0, params.gamma], [0.0, params.delta]]
-    a1, r1, a2, r2 = map(np.diag, np.exp(1j * np.array(angles)))
-    return ProductUnitarySet((2, 2), [("U1", a1, r1), ("U2", a2, r2)])
+    block = np.zeros((4, 2, 2), dtype=complex)
+    block.reshape(4, 4)[:, ::3] = np.exp(1j * np.array(angles))  # the four diagonals
+    a1, r1, a2, r2 = (f.copy() for f in block)
+    return ProductUnitarySet._accepted((2, 2), [("U1", a1, r1), ("U2", a2, r2)])
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +180,7 @@ def qutrit_quartet_set() -> ProductUnitarySet:
     level.  All factors commute, yet the family separates the adaptive
     strategies from the non-adaptive ones.
     """
-    return ProductUnitarySet(
+    return ProductUnitarySet._accepted(
         (3, 3),
         [
             ("V1", I3, I3),
@@ -195,7 +203,7 @@ def pauli_hadamard_set() -> ProductUnitarySet:
     gate and its column-swapped variant, which differ by a right Pauli-X
     factor.
     """
-    return ProductUnitarySet(
+    return ProductUnitarySet._accepted(
         (2, 2),
         [
             ("W1", I2, I2),
@@ -324,4 +332,4 @@ def random_qubit_set(rng: np.random.Generator) -> ProductUnitarySet:
         return SNAP_GATES[int(np.argmax(scores))]
 
     items = [(f"U{i + 1}", snap(), snap()) for i in range(m)]
-    return ProductUnitarySet((2, 2), items)
+    return ProductUnitarySet._accepted((2, 2), items)

@@ -104,12 +104,17 @@ def _other(party):
 class ProductUnitarySet:
     """Indexed product unitaries A_i (x) B_i.
 
-    Each party's factors are coerced and tested as one stack and accepted
-    as unitary by the rule of :func:`~unidisc.qcore._near_unitaries` (up to
-    1e-8 off, kept as their polar factor past rounding), so the relatives
-    and products the deciders build from them are unitary to rounding too
-    and decompose like those of exact factors.  A faulty set raises the
-    error of its first faulty item, as a loop over the items would.
+    There are two ways in.  The constructor takes factors from outside the
+    package (JSON, the command line, callers): each party's factors are
+    coerced and tested as one stack and accepted as unitary by the rule of
+    :func:`~unidisc.qcore._near_unitaries` (up to 1e-8 off, kept as their
+    polar factor past rounding), so the relatives and products the deciders
+    build from them are unitary to rounding too and decompose like those of
+    exact factors.  A faulty set raises the error of its first faulty item,
+    as a loop over the items would.  The set builders of
+    :mod:`~unidisc.families` go in by :meth:`_accepted`, unchecked, since
+    they build their factors unitary to rounding, and the constructor would
+    keep such factors as given.
     """
 
     party_dims: tuple
@@ -150,6 +155,17 @@ class ProductUnitarySet:
             raise held or ValueError("the factors do not stack")
         object.__setattr__(self, "items", tuple(zip(labels, fa, fb)))
         object.__setattr__(self, "party_dims", (int(da), int(db)))
+
+    @classmethod
+    def _accepted(cls, party_dims: tuple, items) -> ProductUnitarySet:
+        """The set of ``(label, A, B)`` items the package built, each factor a
+        complex array of its party's shape and unitary to rounding, held as
+        they are (``str`` labels, ``int`` dims), past the constructor's
+        checks."""
+        uset = object.__new__(cls)
+        object.__setattr__(uset, "items", tuple(items))
+        object.__setattr__(uset, "party_dims", party_dims)
+        return uset
 
     @property
     def size(self):

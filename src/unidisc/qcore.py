@@ -479,19 +479,29 @@ def eig_unitary(u, tol: Tolerances = DEFAULT_TOL):
 # a full store holds about 2-4 MB
 _STORE_CAP = 2048
 _store = {}  # the shared entries, by (tolerances, kind, bytes)
+# the values stored since the store was last empty, by id: read-only already,
+# so an entry that holds one (a spectrum holds its pair criterion) skips it
+_held = {}
+_field_names = {}  # type -> the names of its fields, none unless a dataclass
 
 
 def _read_only(value):
     """``value``, with every array it holds, through tuples and dataclass
-    fields, made read-only."""
+    fields, made read-only.  A value of ``_held`` is not walked again."""
     if isinstance(value, np.ndarray):
-        value.flags.writeable = False
+        value.setflags(write=False)
+    elif _held.get(id(value)) is value:
+        pass
     elif isinstance(value, tuple):
         for v in value:
             _read_only(v)
-    elif is_dataclass(value):
-        for f in fields(value):
-            _read_only(getattr(value, f.name))
+    else:
+        names = _field_names.get(type(value))
+        if names is None:
+            names = _field_names[type(value)] = (
+                tuple(f.name for f in fields(value)) if is_dataclass(value) else ())
+        for name in names:
+            _read_only(getattr(value, name))
     return value
 
 
@@ -500,10 +510,13 @@ def _stored(key, compute):
     its arrays made read-only; a full store is emptied before it takes one
     more."""
     if key not in _store:
+        if not _store:  # emptied, here or by a caller
+            _held.clear()
         value = _read_only(compute())
         if len(_store) >= _STORE_CAP:
             _store.clear()
-        _store[key] = value
+            _held.clear()
+        _store[key] = _held[id(value)] = value
     return _store[key]
 
 

@@ -82,7 +82,7 @@ def pair_gap(seed: int, restarts: int, tol: Tolerances = DEFAULT_TOL) -> BundleR
     failing = []
     for angles in grid:
         uset = phase_pair_set(PhasePairParams(*angles))
-        table = SetAnalysis(uset, tol)  # one table: the set's factors are checked once
+        table = SetAnalysis(uset, tol)  # one table: the factors are built accepted
         verdict = check_gdr(table)
         ok = verdict.status == "distinguishable"
         if ok:

@@ -39,7 +39,8 @@ from unidisc.families import (
     uniform_superposition,
 )
 from unidisc.eigdist import min_convex_norm, pair_distinguishable
-from unidisc.protocols import check_gdr, verify_tree
+from unidisc.protocols import ProductUnitarySet, check_gdr, verify_tree
+from unidisc.repro import _grid_angles
 
 RT2 = 1.0 / math.sqrt(2.0)
 
@@ -247,3 +248,80 @@ class TestRandomInstances:
         assert a.size == b.size
         for i in range(a.size):
             assert np.allclose(a.global_unitary(i), b.global_unitary(i))
+
+
+def _simplex_grid(n):
+    """Interior points of the angle simplex on an ``n``-step grid, every
+    angle in (0, pi/2): the phase-pair grid of the benchmark's pair
+    workload at n = 16."""
+    vals = [(k + 1) * (math.pi / 2.0) / (n + 1) for k in range(n)]
+    return [(a, b, g, math.pi - a - b - g) for a in vals for b in vals for g in vals
+            if 1e-9 < math.pi - a - b - g < math.pi / 2.0 - 1e-9]
+
+
+PAIR_GRID = list(_grid_angles(10)) + _simplex_grid(16)[::7]
+GATES = {"I2": I2, "X": X, "Z": Z, "H": H, "HX": HX, "I3": I3, "CLOCK3": CLOCK3, "FLIP3": FLIP3,
+         **{f"SNAP_GATES[{k}]": g for k, g in enumerate(SNAP_GATES)}}
+
+
+class TestAcceptedSets:
+    """The set builders hand their factors to the set unchecked; the public
+    constructor, which keeps a factor within 1e-12 of unitary as given,
+    would hold the same set."""
+
+    @staticmethod
+    def _family_sets():
+        yield phase_pair_set(PhasePairParams(0.3, 0.5, 0.9, math.pi - 1.7))
+        yield qutrit_quartet_set()
+        yield pauli_hadamard_set()
+        for angles in PAIR_GRID:
+            yield phase_pair_set(PhasePairParams(*angles))
+        rng = np.random.default_rng(0)
+        for _ in range(1000):
+            yield random_qubit_set(rng)
+
+    def test_grid_sizes(self):
+        assert len(list(_grid_angles(10))) == 670
+        assert len(_simplex_grid(16)) == 2736
+        assert len(PAIR_GRID) == 670 + 391
+
+    def test_same_set_as_public_constructor(self):
+        count = 0
+        for uset in self._family_sets():
+            checked = ProductUnitarySet(uset.party_dims, uset.items)
+            assert uset.labels == checked.labels
+            assert all(type(label) is str for label in uset.labels)
+            assert uset.party_dims == checked.party_dims
+            assert all(type(d) is int for d in uset.party_dims)
+            for got, want in zip(uset.items, checked.items, strict=True):
+                for f, g in zip(got[1:], want[1:]):
+                    assert f.tobytes() == g.tobytes()
+                    assert f.dtype == g.dtype == np.complex128
+                    assert f.shape == g.shape
+                    assert f.flags.c_contiguous == g.flags.c_contiguous
+            count += 1
+        assert count == 3 + len(PAIR_GRID) + 1000
+
+    @pytest.mark.parametrize("name", list(GATES))
+    def test_gate_constants_unitary_to_rounding(self, name):
+        u = GATES[name]
+        assert u.dtype == np.complex128
+        assert np.abs(u.conj().T @ u - np.eye(len(u))).max() <= 1e-12
+
+    def test_phase_pair_factors_are_arrays_of_their_own(self):
+        """Each factor has the bytes of ``np.diag`` of its phases (``+0.0``
+        off the diagonal) and is a C-contiguous, writeable complex array
+        owning its data, not a view into a shared block."""
+        for angles in PAIR_GRID:
+            a, b, g, d = angles
+            rows = np.exp(1j * np.array([[0.0, -a], [0.0, -b], [0.0, g], [0.0, d]]))
+            want = [np.diag(row) for row in rows]
+            uset = phase_pair_set(PhasePairParams(*angles))
+            got = [uset.factor(0, "A"), uset.factor(0, "B"), uset.factor(1, "A"),
+                   uset.factor(1, "B")]
+            for f, w in zip(got, want):
+                assert f.tobytes() == w.tobytes()
+                assert f.dtype == np.complex128 and f.shape == (2, 2)
+                assert f.flags.c_contiguous and f.flags.writeable and f.flags.owndata
+            off = np.array([[f[0, 1], f[1, 0]] for f in got])
+            assert not np.signbit(off.view(float)).any()

@@ -28,7 +28,10 @@ workloads give them:
   ``build_pair_probe``, cold.  Warm, a call only checks the pair and reads
   the stored criterion;
 * the set boundary: ``families.phase_pair_set``, which builds its four
-  diagonal factors and accepts them through the set constructor;
+  diagonal factors and hands them to the set unchecked
+  (``ProductUnitarySet._accepted``); the public ``protocols.ProductUnitarySet``
+  on that set's items, which checks the same four factors again, so the gap
+  between the two lines is what the set builders save per set;
   ``protocols.ProductUnitarySet`` on a four-item set of ``SNAP_GATES``
   factors; and ``qcore._near_unitaries`` on that set's two four-factor
   columns, the unitarity half of the constructor;
@@ -154,6 +157,8 @@ def _kernels():
         ("eigdist.pair_distinguishable d=4, warm", 500, pair_warm, pair_warm),
         ("eigdist.pair+build_pair_probe d=4, cold", 500, pair_and_probe),
         ("families.phase_pair_set", 500, lambda: phase_pair_set(params)),
+        ("ProductUnitarySet phase-pair items", 500,
+         lambda: ProductUnitarySet((2, 2), phase_pair.items)),
         ("ProductUnitarySet 4 snap items", 500, lambda: ProductUnitarySet((2, 2), snap_items)),
         ("qcore._near_unitaries 2 x 4 x 2x2", 500,
          lambda: _near_unitaries(snap_columns, message)),
