@@ -2,6 +2,11 @@
 
 Complex scalars serialize as two-element arrays ``[re, im]``; matrices as
 row-major nested arrays of those pairs; vectors as flat arrays of pairs.
+A POVM has two forms.  A projective measurement
+(:class:`~unidisc.protocols.ProjectivePOVM`, which the deciders build) is
+written as ``{"states": [vector, ...]}``, its orthonormal states; decoding
+rebuilds its elements with the deciders' own constructor, so they are
+byte-identical to the ones written.  Any other POVM is a list of matrices.
 Every decoder validates shape and numeric content and raises
 :class:`FormatError` naming the offending field, which the command line
 maps to a usage-error exit.  :func:`dumps` writes every report in one
@@ -22,9 +27,11 @@ from .protocols import (
     OutcomeBranch,
     ProbeWitness,
     ProductUnitarySet,
+    ProjectivePOVM,
     ProtocolTree,
     StageTwo,
     StrategyVerdict,
+    _projective_povm,
 )
 from .qcore import StateVector
 
@@ -233,11 +240,14 @@ def set_from_json(data, field: str = "set") -> ProductUnitarySet:
 
 def _probe_block_to_json(block) -> dict:
     """The probe, ancilla size and POVM of a tree, stage 2 or probe witness,
-    plus the guesses of the latter two."""
+    plus the guesses of the latter two.  A projective POVM is written as its
+    states."""
+    povm = block.povm
     out = {
         "probe": vector_to_json(block.probe.amplitudes),
         "ancilla_dim": block.ancilla_dim,
-        "povm": [matrix_to_json(el) for el in block.povm],
+        "povm": ({"states": _pairs(povm.states)} if isinstance(povm, ProjectivePOVM)
+                 else [matrix_to_json(el) for el in povm]),
     }
     if not isinstance(block, ProtocolTree):
         out["guesses"] = list(block.guesses)
@@ -253,12 +263,17 @@ def _probe_block_from_json(data, field: str, guesses: bool = True) -> dict:
     if not _is_index(anc) or anc < 1:
         raise FormatError(f"{field}.ancilla_dim: expected a positive integer")
     povm_data = _expect_key(data, "povm", field)
-    if not isinstance(povm_data, list) or not povm_data:
+    if isinstance(povm_data, dict):
+        states = _states_from_json(_expect_key(povm_data, "states", f"{field}.povm"),
+                                   len(probe), f"{field}.povm.states")
+        povm = _projective_povm(states, len(probe))
+    elif not isinstance(povm_data, list) or not povm_data:
         raise FormatError(f"{field}.povm: expected a non-empty list")
-    # elements of one shape decode as one stack; the per-matrix path names a fault
-    stack = _complex_array(povm_data, 3)
-    povm = tuple(stack) if stack is not None else tuple(
-        matrix_from_json(el, f"{field}.povm[{k}]") for k, el in enumerate(povm_data))
+    else:
+        # elements of one shape decode as one stack; the per-matrix path names a fault
+        stack = _complex_array(povm_data, 3)
+        povm = tuple(stack) if stack is not None else tuple(
+            matrix_from_json(el, f"{field}.povm[{k}]") for k, el in enumerate(povm_data))
     try:
         probe = StateVector(probe)
     except ValueError as exc:  # the zero vector
@@ -273,6 +288,26 @@ def _probe_block_from_json(data, field: str, guesses: bool = True) -> dict:
                 raise FormatError(f"{field}.guesses[{k}]: expected an index or null")
         block["guesses"] = tuple(values)
     return block
+
+
+def _states_from_json(data, dim: int, field: str) -> np.ndarray:
+    """The states of a projective POVM as one (k, dim) array: a non-empty
+    list of at most ``dim`` vectors of ``dim`` entries each.  Whether they
+    are orthonormal is for verification, which checks the elements they
+    give as any POVM."""
+    if not isinstance(data, list) or not data:
+        raise FormatError(f"{field}: expected a non-empty list of vectors")
+    states = _complex_array(data, 2)
+    if states is None or states.shape[1] != dim:
+        # the per-vector path names the first bad entry or length
+        states = [vector_from_json(v, f"{field}[{k}]") for k, v in enumerate(data)]
+        for k, v in enumerate(states):
+            if len(v) != dim:
+                raise FormatError(f"{field}[{k}]: expected {dim} entries, got {len(v)}")
+        states = np.array(states)
+    if len(states) > dim:
+        raise FormatError(f"{field}: {len(states)} states on a {dim}-dimensional space")
+    return states
 
 
 def _stage2_to_json(st: StageTwo) -> dict:

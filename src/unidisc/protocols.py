@@ -67,6 +67,7 @@ __all__ = [
     "OutcomeBranch",
     "ProtocolTree",
     "ProbeWitness",
+    "ProjectivePOVM",
     "StrategyVerdict",
     "VerifyResult",
     "phase_equal",
@@ -385,18 +386,30 @@ def _orthonormalize_states(states):
     return [q[:, k] for k in range(len(states))]
 
 
-def _projective_povm(states, dim):
-    """Projectors onto orthonormalized states plus the remainder element."""
-    ortho = _orthonormalize_states(states)
-    povm = [np.outer(v, v.conj()) for v in ortho]
+class ProjectivePOVM(tuple):
+    """The elements of a projective measurement, with ``states``: the
+    orthonormal rows of a (k, dim) array whose rank-one projectors are the
+    first k elements.  A last element I - sum P follows when the states do
+    not span the space.  :func:`_projective_povm` builds one, and JSON
+    carries only its states."""
+
+    states: np.ndarray
+
+
+def _projective_povm(states, dim) -> ProjectivePOVM:
+    """Projectors onto the orthonormal rows of ``states`` plus the
+    remainder element, folded into the last projector when it is
+    numerically zero."""
+    povm = [np.outer(v, v.conj()) for v in states]
     rest = np.eye(dim, dtype=complex) - sum(povm)
     rest = (rest + rest.conj().T) / 2
     if np.abs(rest).max() > 1e-12:
         povm.append(rest)
-        return povm, True
-    # states span everything; fold the numerically zero remainder away
-    povm[-1] = povm[-1] + rest
-    return povm, False
+    else:  # states span everything; fold the numerically zero remainder away
+        povm[-1] = povm[-1] + rest
+    povm = ProjectivePOVM(povm)
+    povm.states = states
+    return povm
 
 
 def _idle_stage(d):
@@ -413,13 +426,13 @@ def _one_input_witness(d):
 
 
 def _orthogonal_measurement(factors, purified):
-    """(probe, ancilla_dim, povm, has_rest): the ``(state, ancilla_dim)``
-    purification of a feasibility witness, and the projective measurement
-    onto the states ``factors`` evolve it to."""
+    """(probe, ancilla_dim, povm): the ``(state, ancilla_dim)`` purification
+    of a feasibility witness, and the projective measurement onto the
+    states ``factors`` evolve it to.  The POVM has a remainder outcome when
+    ``len(povm) > len(povm.states)``."""
     probe, r = purified
-    states = [_evolved(f, r, probe) for f in factors]
-    povm, has_rest = _projective_povm(states, factors[0].shape[0] * r)
-    return probe, r, tuple(povm), has_rest
+    states = _orthonormalize_states([_evolved(f, r, probe) for f in factors])
+    return probe, r, _projective_povm(np.array(states), factors[0].shape[0] * r)
 
 
 # -----------------------------------------------------------------------------
@@ -638,10 +651,11 @@ def check_gdr(uset: ProductUnitarySet | SetAnalysis,
                       feas.status, "not_found")
         witness = None
         if feas.status == "feasible":
-            probe, r, povm, has_rest = _orthogonal_measurement(
+            probe, r, povm = _orthogonal_measurement(
                 uset.global_unitaries(), table._purified(feas, table._entry))
             witness = ProbeWitness(probe=probe, ancilla_dim=r, povm=povm,
-                                   guesses=tuple(range(m)) + ((None,) if has_rest else ()))
+                                   guesses=tuple(range(m))
+                                   + ((None,) if len(povm) > len(povm.states) else ()))
         return StrategyVerdict(strategy="GDR", starting_party="either",
                                status=status, witness=witness,
                                note=feas.note, feasibility=feas)
@@ -682,9 +696,9 @@ def _local_verdicts(table: SetAnalysis, start):
         the witness of ``feas``."""
         if len(members) == 1:
             return OutcomeBranch(retained=members, guess=members[0])
-        probe2, r2, povm2, rest2 = table.measurement(resp, members, feas)
+        probe2, r2, povm2 = table.measurement(resp, members, feas)
         st = StageTwo(party=resp, probe=probe2, ancilla_dim=r2, povm=povm2,
-                      guesses=members + ((None,) if rest2 else ()))
+                      guesses=members + ((None,) if len(povm2) > len(povm2.states) else ()))
         return OutcomeBranch(retained=members, stage2=st)
 
     # responder problems inside each group; these constraints bind every
@@ -749,10 +763,10 @@ def _local_verdicts(table: SetAnalysis, start):
             return StrategyVerdict(strategy=strategy, starting_party=start, status="not_found",
                                    note=f"{search} search stalled: {stalled[0].note}",
                                    feasibility=stalled[0])
-        probe, anc, povm, has_rest = table.measurement(start, reps, stage1_feas)
+        probe, anc, povm = table.measurement(start, reps, stage1_feas)
         branches = [branch_for(g.member_indices, stage2_feas[gi])
                     for gi, g in enumerate(groups)]
-        if has_rest:
+        if len(povm) > len(povm.states):
             branches.append(OutcomeBranch(retained=(), guess=None))
         tree = ProtocolTree(start=start, probe=probe, ancilla_dim=anc, povm=povm,
                             branches=tuple(branches),

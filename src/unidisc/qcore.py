@@ -487,7 +487,8 @@ _field_names = {}  # type -> the names of its fields, none unless a dataclass
 
 def _read_only(value):
     """``value``, with every array it holds, through tuples and dataclass
-    fields, made read-only.  A value of ``_held`` is not walked again."""
+    fields, made read-only; a tuple's ``states`` too (the projective
+    measurement's).  A value of ``_held`` is not walked again."""
     if isinstance(value, np.ndarray):
         value.setflags(write=False)
     elif _held.get(id(value)) is value:
@@ -495,6 +496,8 @@ def _read_only(value):
     elif isinstance(value, tuple):
         for v in value:
             _read_only(v)
+        if isinstance(getattr(value, "states", None), np.ndarray):
+            value.states.setflags(write=False)
     else:
         names = _field_names.get(type(value))
         if names is None:

@@ -41,7 +41,15 @@ from unidisc.probefeas import (
     common_probe_feasible,
     verify_certificate,
 )
-from unidisc.protocols import check_gdr, hierarchy_audit, verify_probe, verify_tree
+from unidisc.protocols import (
+    ProjectivePOVM,
+    ProtocolTree,
+    check_gdr,
+    check_lda,
+    hierarchy_audit,
+    verify_probe,
+    verify_tree,
+)
 from unidisc.seesaw import EliminationTask, run_seesaw
 
 HUGE = 10 ** 400  # a JSON integer outside float range
@@ -226,7 +234,8 @@ class TestArrayDecoders:
             if witness is None:
                 continue
             block = witness.get("tree") or witness["probe_witness"]
-            for el in block["povm"]:
+            # a projective POVM travels as its states: build the matrix form
+            for el in json.loads(dumps([matrix_to_json(el) for el in verdict.witness.povm])):
                 got = matrix_from_json(el, "m")
                 assert got.tobytes() == per_entry_matrix(el).tobytes()
                 checked += 1
@@ -237,12 +246,14 @@ class TestArrayDecoders:
     def test_stacked_povm_matches_per_matrix_path(self, audit_verdicts, monkeypatch):
         blocks = []
         for verdict in audit_verdicts:
-            witness = json.loads(dumps(verdict_to_json(verdict)))["witness"]
+            witness = verdict.witness
             if witness is not None:
-                block = witness.get("tree") or witness["probe_witness"]
-                blocks.append(block)
-                blocks += [br["stage2"] for br in block.get("branches", ())
-                           if br["stage2"] is not None]
+                for obj in (witness, *(br.stage2 for br in getattr(witness, "branches", ())
+                                       if br.stage2 is not None)):
+                    # the matrix form, which a projective POVM is not written in
+                    block = jsonio._probe_block_to_json(obj)
+                    block["povm"] = [matrix_to_json(el) for el in obj.povm]
+                    blocks.append(json.loads(dumps(block)))
         want = [[matrix_from_json(el, "m") for el in block["povm"]] for block in blocks]
         # every audit POVM decodes as one stack, without the per-matrix path
         monkeypatch.setattr(jsonio, "matrix_from_json", None)
@@ -406,8 +417,9 @@ class TestFieldErrors:
             probe_witness_from_json({**data, "povm": []})
 
     def test_probe_witness_guess_count(self):
-        data = probe_witness_to_json(TestWitnessCodec()._probe_witness()[1])
-        n = len(data["povm"])
+        witness = TestWitnessCodec()._probe_witness()[1]
+        data = probe_witness_to_json(witness)
+        n = len(witness.povm)
         with pytest.raises(FormatError, match=rf"^witness\.guesses: expected {n} entries$"):
             probe_witness_from_json({**data, "guesses": data["guesses"][1:]})
 
@@ -605,6 +617,151 @@ class TestWitnessCodec:
     def test_unknown_kind_rejected(self):
         with pytest.raises(FormatError, match="kind"):
             witness_from_json({"kind": "hologram"})
+
+
+def _blocks(witness):
+    """The probe blocks of a witness: itself, and a tree's stage 2s."""
+    if not isinstance(witness, ProtocolTree):
+        return [witness]
+    return [witness] + [br.stage2 for br in witness.branches if br.stage2 is not None]
+
+
+def _without_probes(data):
+    """Decoded JSON with every ``probe`` entry dropped."""
+    if isinstance(data, dict):
+        return {k: _without_probes(v) for k, v in data.items() if k != "probe"}
+    if isinstance(data, list):
+        return [_without_probes(v) for v in data]
+    return data
+
+
+@pytest.fixture(scope="module")
+def projective_witnesses():
+    """The witnesses of every audit row on the builtins and pool sets 0-99
+    (random_qubit_set, rng 0), and the qutrit quartet's LDA trees."""
+    sets = [phase_pair_set(PhasePairParams(0.3, 0.5, 0.9, math.pi - 1.7)),
+            qutrit_quartet_set(), pauli_hadamard_set()]
+    rng = np.random.default_rng(0)
+    sets += [random_qubit_set(rng) for _ in range(100)]
+    witnesses = [v.witness for uset in sets for _, v in hierarchy_audit(uset)]
+    witnesses += [check_lda(qutrit_quartet_set(), s).witness for s in "AB"]
+    return [w for w in witnesses if w is not None]
+
+
+class TestProjectiveStates:
+    """A projective measurement travels as its states, and decodes to the
+    elements the decider built."""
+
+    @staticmethod
+    def _data():
+        uset = phase_pair_set(PhasePairParams(0.3, 0.5, 0.9, math.pi - 1.7))
+        witness = check_gdr(uset).witness
+        return uset, witness, {"kind": "probe",
+                               "probe_witness": json.loads(dumps(probe_witness_to_json(witness)))}
+
+    def test_written_as_states(self):
+        _, witness, data = self._data()
+        povm = data["probe_witness"]["povm"]
+        assert isinstance(witness.povm, ProjectivePOVM)
+        assert povm == {"states": [vector_to_json(v) for v in witness.povm.states]}
+        # the seesaw's POVM and a bundled tree's stay matrix lists
+        tree = tree_to_json(pauli_hadamard_tree("A"))
+        assert isinstance(tree["povm"], list)
+        assert isinstance(seesaw_to_json(_seesaw_result(), 2)["povm"], list)
+
+    def test_round_trip_byte_identity(self, projective_witnesses):
+        projective = 0
+        for witness in projective_witnesses:
+            clone = witness_from_json(json.loads(dumps(witness_to_json(witness))))
+            assert type(clone) is type(witness)
+            for a, b in zip(_blocks(witness), _blocks(clone), strict=True):
+                assert type(b.povm) is type(a.povm)
+                assert [(m.dtype, m.shape, m.tobytes()) for m in b.povm] == [
+                    (m.dtype, m.shape, m.tobytes()) for m in a.povm]
+                if isinstance(a.povm, ProjectivePOVM):
+                    assert b.povm.states.tobytes() == a.povm.states.tobytes()
+                    projective += 1
+                # decoding renormalizes the probe, which can move its last bit
+                assert np.abs(b.probe.amplitudes - a.probe.amplitudes).max() <= 4.5e-16
+                assert (b.ancilla_dim, getattr(b, "guesses", None)) == (
+                    a.ancilla_dim, getattr(a, "guesses", None))
+            if isinstance(witness, ProtocolTree):
+                assert [(br.retained, br.guess) for br in clone.branches] == [
+                    (br.retained, br.guess) for br in witness.branches]
+        assert projective > 300
+
+    def test_re_encoding_gives_identical_text(self, projective_witnesses):
+        same = 0
+        for witness in projective_witnesses:
+            text = dumps(witness_to_json(witness))
+            again = dumps(witness_to_json(witness_from_json(json.loads(text))))
+            # every field but the renormalized probes, whose text mostly holds too
+            assert _without_probes(json.loads(again)) == _without_probes(json.loads(text))
+            same += again == text
+        assert same >= 0.95 * len(projective_witnesses)
+
+    def test_matrix_form_still_decodes(self, projective_witnesses):
+        # the form earlier versions wrote for every POVM
+        for witness in projective_witnesses[:40]:
+            data = json.loads(dumps(witness_to_json(witness)))
+            block = data.get("tree") or data["probe_witness"]
+            block["povm"] = json.loads(dumps([matrix_to_json(m) for m in witness.povm]))
+            clone = witness_from_json(data)
+            assert type(clone.povm) is tuple
+            assert [m.tobytes() for m in clone.povm] == [m.tobytes() for m in witness.povm]
+        uset, witness, data = self._data()
+        data["probe_witness"]["povm"] = [matrix_to_json(m) for m in witness.povm]
+        ops = [uset.global_unitary(i) for i in range(uset.size)]
+        assert np.all(np.abs(verify_probe(ops, witness_from_json(data)) - 1.0) < 1e-9)
+
+    @pytest.mark.parametrize("change", ["repeat", "tilt", "stretch"])
+    def test_verify_rejects_states_not_orthonormal(self, change):
+        uset, witness, data = self._data()
+        s0, s1 = witness.povm.states
+        bad = {"repeat": s0, "tilt": (s0 + s1) / np.sqrt(2), "stretch": 2 * s1}[change]
+        data["probe_witness"]["povm"]["states"][1] = vector_to_json(bad)
+        clone = witness_from_json(data)
+        ops = [uset.global_unitary(i) for i in range(uset.size)]
+        with pytest.raises(ValueError, match=r"^witness POVM: element \d has eigenvalue"):
+            verify_probe(ops, clone)
+
+    @pytest.mark.parametrize("fault, message", [
+        (lambda st: st.__setitem__(slice(None), ["x"] * 2), r"\[0\]: expected a non-empty list of entries"),
+        (lambda st: st.__setitem__(1, 3), r"\[1\]: expected a non-empty list of entries"),
+        (lambda st: st[1].pop(), r"\[1\]: expected 4 entries, got 3"),
+        (lambda st: st[1].append([0.0, 0.0]), r"\[1\]: expected 4 entries, got 5"),
+        (lambda st: [v.pop() for v in st], r"\[0\]: expected 4 entries, got 3"),
+        (lambda st: st[1].__setitem__(2, [math.nan, 0.0]), r"\[1\]\[2\]: number is not finite"),
+        (lambda st: st[1].__setitem__(2, [0.0, math.inf]), r"\[1\]\[2\]: number is not finite"),
+        (lambda st: st[1].__setitem__(0, [True, 0.0]), r"\[1\]\[0\]: expected a \[re, im\]"),
+        (lambda st: st[1].__setitem__(0, [0.0, False]), r"\[1\]\[0\]: expected a \[re, im\]"),
+        (lambda st: st.extend([st[0]] * 3), r": 5 states on a 4-dimensional space"),
+    ])
+    def test_malformed_states_named(self, fault, message):
+        _, _, data = self._data()
+        fault(data["probe_witness"]["povm"]["states"])
+        with pytest.raises(FormatError, match=r"^witness\.probe_witness\.povm\.states" + message):
+            witness_from_json(data)
+
+    @pytest.mark.parametrize("states", ["x", {"0": [[1.0, 0.0]]}, [], None])
+    def test_states_not_a_list(self, states):
+        _, _, data = self._data()
+        data["probe_witness"]["povm"]["states"] = states
+        with pytest.raises(FormatError, match=r"^witness\.probe_witness\.povm\.states: "
+                                              r"expected a non-empty list of vectors$"):
+            witness_from_json(data)
+        del data["probe_witness"]["povm"]["states"]
+        with pytest.raises(FormatError, match=r"^witness\.probe_witness\.povm\.states: missing$"):
+            witness_from_json(data)
+
+    def test_stage2_states_named(self):
+        tree = check_lda(qutrit_quartet_set(), "A").witness
+        data = tree_to_json(tree)
+        k = next(k for k, br in enumerate(data["branches"]) if br["stage2"] is not None)
+        data["branches"][k]["stage2"]["povm"]["states"][0][1] = [0.0, None]
+        with pytest.raises(FormatError, match=rf"^tree\.branches\[{k}\]\.stage2\.povm"
+                                              r"\.states\[0\]\[1\]: expected a \[re, im\]"):
+            tree_from_json(data)
 
 
 class TestFeasibilityCodec:

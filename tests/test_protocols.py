@@ -606,11 +606,12 @@ def _rows(uset, tol=DEFAULT_TOL):
 
 
 def _arrays(value):
-    """Every array ``value`` holds, through tuples and dataclass fields."""
+    """Every array ``value`` holds, through tuples (and a projective
+    measurement's states) and dataclass fields."""
     if isinstance(value, np.ndarray):
         return [value]
     if isinstance(value, tuple):
-        return [a for v in value for a in _arrays(v)]
+        return [a for v in value for a in _arrays(v)] + _arrays(getattr(value, "states", None))
     if dataclasses.is_dataclass(value):
         return [a for f in dataclasses.fields(value) for a in _arrays(getattr(value, f.name))]
     return []
@@ -719,6 +720,10 @@ class TestSharedStore:
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
+        # a stored measurement shares the states its POVM was built from
+        states = [value[2].states for key, value in qcore._store.items()
+                  if key[1] == "measurement"]
+        assert states and all(any(a is s for a in arrays) for s in states)
         # a probe read from another set's table is the stored, read-only one
         table = SetAnalysis(sets[1])
         with pytest.raises(ValueError, match="read-only"):

@@ -44,6 +44,10 @@ workloads give them:
   ``qubit-audit`` workload re-checks them: ``jsonio.verdict_to_json``,
   ``jsonio.dumps``, ``json.loads``, then ``jsonio.witness_from_json`` and,
   where a row carries one, ``jsonio.certificate_from_json``;
+* ``jsonio.witness_from_json`` of the pool set's GDR witness, a projective
+  measurement on dimension 8 (ancilla 2) with four states and the
+  remainder, in the states form it is written in and in the matrix-list
+  form that spells out its five elements;
 * ``protocols.check_gdr`` on the phase-pair set, which builds a fresh
   analysis table per call and so poses its GDR problem every time;
 * ``probefeas.OrthogonalityProblem`` on that set's GDR operator through
@@ -138,6 +142,11 @@ def _kernels():
         build_pair_probe(*haar_pair, pair_distinguishable(*haar_pair))
 
     pool_rows = [verdict for _, verdict in hierarchy_audit(pool_set)]
+    gdr_witness = dict(hierarchy_audit(pool_set))["GDR"].witness
+    states_form = json.loads(jsonio.dumps(jsonio.witness_to_json(gdr_witness)))
+    matrix_form = {**states_form, "probe_witness": {
+        **states_form["probe_witness"],
+        "povm": [jsonio.matrix_to_json(m) for m in gdr_witness.povm]}}
 
     def round_trip():
         for verdict in pool_rows:
@@ -167,6 +176,10 @@ def _kernels():
         ("protocols.verify_tree pauli-hadamard", 40, lambda: verify_tree(ph_set, ph_tree)),
         ("jsonio.dumps phase-pair GDR verdict", 100, lambda: jsonio.dumps(verdict)),
         (f"jsonio round trip pool audit {len(pool_rows)} rows", 50, round_trip),
+        ("jsonio.witness_from_json GDR states", 200,
+         lambda: jsonio.witness_from_json(states_form)),
+        ("jsonio.witness_from_json GDR matrices", 200,
+         lambda: jsonio.witness_from_json(matrix_form)),
         ("protocols.check_gdr phase-pair fresh", 200, lambda: check_gdr(phase_pair)),
         ("OrthogonalityProblem phase-pair GDR", 500,
          lambda: OrthogonalityProblem(phase_pair.dim, gdr_ops)),

@@ -27,7 +27,11 @@ stands for its decoded value:
   ``random_qubit_set`` rng 0 sets 0-299 and on the three builtin sets,
   labelled with the row's verdict status, so the ``diff`` of two runs tells
   a status that moved (the label differs) from bytes that moved under one
-  status (only the digest differs);
+  status (only the digest differs); and, on a second ``witness`` line, the
+  witness decoded from that JSON text: dtype, shape and bytes of every
+  probe and POVM element, with the guesses and the branch structure.  A
+  change of JSON form that decodes to the same arrays moves only the first
+  line;
 * the phases and ``min_norm`` of ``pair_distinguishable`` and, for a
   distinguishable pair, the probe and measurement of ``build_pair_probe``,
   for both local factor pairs of every ``pair-gap`` grid point and for
@@ -36,8 +40,9 @@ stands for its decoded value:
   first of those draws in each dimension, of the same command with
   ``--tol 1e-6`` for the first draw in dimension 3, and with ``--tol nan``
   for the first draw in dimension 2;
-* ``tree_to_json(pauli_hadamard_tree(s))``, and the three ``verify_tree``
-  arrays together, for s = A and B;
+* ``tree_to_json(pauli_hadamard_tree(s))``, the tree decoded from that
+  JSON text (as the audit rows' ``witness`` lines), and the three
+  ``verify_tree`` arrays together, for s = A and B;
 * stdout, stderr and exit code of ``unidisc repro T --json`` for every
   target;
 * stdout, stderr and exit code of ``unidisc seesaw quartet-bob-first
@@ -60,7 +65,7 @@ stands for its decoded value:
   such a factor, and one with a factor that is not unitary after a factor
   of the wrong shape.
 
-It prints 3587 lines and takes about 25 s on 2 CPUs.
+It prints 5709 lines and takes about 27 s on 2 CPUs.
 """
 
 import hashlib
@@ -87,7 +92,7 @@ from unidisc.families import (  # noqa: E402
     random_pair,
     random_qubit_set,
 )
-from unidisc.protocols import hierarchy_audit, verify_tree  # noqa: E402
+from unidisc.protocols import ProtocolTree, hierarchy_audit, verify_tree  # noqa: E402
 from unidisc.repro import BUNDLES, _grid_angles  # noqa: E402
 
 BUILTINS = ("phasepair:0.3,0.5,0.9,1.4415926535897932", "qutrit-quartet", "pauli-hadamard")
@@ -107,10 +112,35 @@ def _canonical(value):
     return json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
+def _block_chunks(block):
+    """The arrays of a probe block as dtype, shape and bytes, with its
+    ancilla size."""
+    chunks = [block.ancilla_dim]
+    for a in (block.probe.amplitudes, *block.povm):
+        chunks += [a.dtype, a.shape, a.tobytes()]
+    return chunks
+
+
+def _witness_chunks(witness):
+    """Everything a decoded witness says: its arrays, guesses and branches."""
+    if witness is None:
+        return ["none"]
+    if not isinstance(witness, ProtocolTree):
+        return ["probe", *_block_chunks(witness), witness.guesses]
+    chunks = ["tree", witness.start, *_block_chunks(witness)]
+    for br in witness.branches:
+        chunks += [br.retained, br.guess]
+        st = br.stage2
+        chunks += [None] if st is None else [st.party, *_block_chunks(st), st.guesses]
+    return chunks
+
+
 def _audit(label, uset):
     for row, verdict in hierarchy_audit(uset):
-        _line(f"audit {label} {row} {verdict.status}",
-              _canonical(jsonio.verdict_to_json(verdict)))
+        text = _canonical(jsonio.verdict_to_json(verdict))
+        _line(f"audit {label} {row} {verdict.status}", text)
+        _line(f"audit {label} {row} {verdict.status} witness",
+              *_witness_chunks(jsonio.witness_from_json(json.loads(text)["witness"])))
 
 
 def _pair(label, u1, u2):
@@ -171,7 +201,10 @@ def main():
     uset = pauli_hadamard_set()
     for start in ("A", "B"):
         tree = pauli_hadamard_tree(start)
-        _line(f"pauli_hadamard_tree {start}", _canonical(jsonio.tree_to_json(tree)))
+        text = _canonical(jsonio.tree_to_json(tree))
+        _line(f"pauli_hadamard_tree {start}", text)
+        _line(f"pauli_hadamard_tree {start} witness",
+              *_witness_chunks(jsonio.tree_from_json(json.loads(text))))
         res = verify_tree(uset, tree)
         _line(f"verify_tree pauli_hadamard_tree {start}",
               *(a.tobytes() for a in (res.success, res.leakage, res.stage1_probs)))
