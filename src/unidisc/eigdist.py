@@ -11,9 +11,9 @@ two-outcome measurement that succeed with certainty.
 
 The eigensystem of a relative unitary and its pair criterion are computed
 once per process by :func:`_spectrum` and kept in the store of
-:mod:`~unidisc.qcore`, which the analysis tables fill too: the pair kernels
-check their input on every call, then read the shared, read-only entry of
-u1{dag} u2.
+:mod:`~unidisc.qcore`, which the analysis tables and the probe solver fill
+too: the pair kernels check their input on every call, then read the
+shared, read-only entry of u1{dag} u2.
 """
 
 from __future__ import annotations
@@ -212,26 +212,22 @@ def min_convex_norm(phases, tol: Tolerances = DEFAULT_TOL) -> ConvexNormResult:
     return finish(0.0, min(map(through, range(len(hull))), key=lambda r: r[0])[1])
 
 
-def _spectrum(k, tol: Tolerances = DEFAULT_TOL, keep=None):
+def _spectrum(k, tol: Tolerances = DEFAULT_TOL):
     """``(phases, vectors, hull)`` of the unitary ``k``: its
     :func:`~unidisc.qcore.eig_unitary` eigensystem and the pair criterion
     (:func:`min_convex_norm`) of its eigenphases under ``tol``.  ``k`` is
     unitary to rounding (built from accepted matrices), and
     :func:`~unidisc.qcore.eig_unitary` takes it as given.
 
-    The eigensystem is kept under ``("spectrum", shape, bytes of k)`` and
-    the hull under ``("pair", bytes of the phases)``, which operators of one
-    spectrum share, through ``keep(key, compute)``: the process-wide store
-    under ``tol`` when ``None``, or a table's own entries."""
-    if keep is None:
-        def keep(key, compute):
-            return _stored((tol,) + key, compute)
-
+    Both are kept in the process-wide store under ``tol``: the eigensystem
+    under ``("spectrum", shape, bytes of k)`` and the hull under
+    ``("pair", bytes of the phases)``, which operators of one spectrum
+    share."""
     def compute():
         phases, vecs = eig_unitary(k, tol)
-        return phases, vecs, keep(("pair", phases.tobytes()),
-                                  lambda: min_convex_norm(phases, tol))
-    return keep(("spectrum", k.shape, k.tobytes()), compute)
+        return phases, vecs, _stored((tol, "pair", phases.tobytes()),
+                                     lambda: min_convex_norm(phases, tol))
+    return _stored((tol, "spectrum", k.shape, k.tobytes()), compute)
 
 
 def _pair_matrices(u1, u2):

@@ -442,8 +442,7 @@ def _solve_by_projections(problem, tol, iterations=5000):
 # -----------------------------------------------------------------------------
 
 def common_probe_feasible(problem: OrthogonalityProblem,
-                          tol: Tolerances = DEFAULT_TOL, *,
-                          spectrum=None) -> ProbeFeasibility:
+                          tol: Tolerances = DEFAULT_TOL) -> ProbeFeasibility:
     """Decide whether one reduced probe state satisfies every constraint.
 
     The routes run in this order, and the first that decides answers: an
@@ -458,10 +457,10 @@ def common_probe_feasible(problem: OrthogonalityProblem,
     that tolerance, as the projections' witnesses are; a single-operator
     certificate could then exist only with coefficients above 1/residual.
 
-    ``spectrum(t)`` returns the :func:`~unidisc.eigdist._spectrum` of
-    operator t under ``tol``: from the process-wide store by default, and
-    through a table's own entries when
-    :class:`~unidisc.protocols.SetAnalysis` poses a set-level problem.
+    Each operator's eigensystem and hull is its
+    :func:`~unidisc.eigdist._spectrum` under ``tol``, read from the
+    process-wide store, so a problem that shares an operator's bytes with
+    an earlier one skips its decomposition.
     """
     d = problem.dim
     ops = problem.operators
@@ -471,12 +470,8 @@ def common_probe_feasible(problem: OrthogonalityProblem,
                                 witness=DensityOperator(np.eye(d) / d),
                                 residual=0.0, note="empty constraint set")
 
-    if spectrum is None:
-        def spectrum(t):
-            return _spectrum(ops[t], tol)
-
     if len(ops) == 1:
-        return _solve_single(problem, 0, spectrum(0), tol)
+        return _solve_single(problem, 0, _spectrum(ops[0], tol), tol)
 
     if problem.commuting:
         return _solve_commuting(problem, range(len(ops)), tol)
@@ -492,7 +487,7 @@ def common_probe_feasible(problem: OrthogonalityProblem,
     # any single-operator infeasibility certifies the whole system; an
     # operator whose hull holds the origin has no certificate
     for k in range(len(ops)):
-        spec = spectrum(k)
+        spec = _spectrum(ops[k], tol)
         if spec[2].distinguishable:
             continue
         sub = _solve_single(problem, k, spec, tol)

@@ -376,14 +376,15 @@ def verify_probe(unitaries, witness: ProbeWitness) -> np.ndarray:
 
 def _orthonormalize_states(states):
     """Orthonormalize near-orthogonal unit vectors, keeping each output
-    aligned with its input (QR with a phase fix on the diagonal)."""
+    aligned with its input (QR with a phase fix on the diagonal): the
+    outputs are the rows of one (k, dim) array."""
     q, f = _qr_c(np.array(states).T)
     for k in range(len(states)):
         piv = f[k, k]  # r's diagonal, on the factored matrix
         if abs(piv) < 1e-12:
             raise ValueError("states are not linearly independent")
         q[:, k] *= piv / abs(piv)
-    return [q[:, k] for k in range(len(states))]
+    return q.T
 
 
 class ProjectivePOVM(tuple):
@@ -432,7 +433,7 @@ def _orthogonal_measurement(factors, purified):
     ``len(povm) > len(povm.states)``."""
     probe, r = purified
     states = _orthonormalize_states([_evolved(f, r, probe) for f in factors])
-    return probe, r, _projective_povm(np.array(states), factors[0].shape[0] * r)
+    return probe, r, _projective_povm(states, factors[0].shape[0] * r)
 
 
 # -----------------------------------------------------------------------------
@@ -460,20 +461,20 @@ class SetAnalysis:
     pair are entries too.  A decider given a set builds a table for it, and
     :func:`hierarchy_audit` builds one for all its rows.
 
-    Entries posed on one party's factors (spectra, pair criteria, pair
-    probes and eigenrays of relatives, the one-party probe problems, their
-    purifications and measurements) are pure functions of the bytes they
-    read, and snapped sets share them, so they outlive the table: they sit
-    in the process-wide store of :mod:`~unidisc.qcore`, keyed by those
-    bytes and the tolerances, with their arrays read-only.  The spectra and
-    pair criteria there come from :func:`~unidisc.eigdist._spectrum`, which
-    the public pair kernels read too, so
-    :func:`~unidisc.eigdist.pair_distinguishable` of two factors returns the
-    object :meth:`pair` holds.  The store is emptied whenever it holds
-    ``_STORE_CAP`` (2048) entries, about 2-4 MB (the sizes of its entries
-    are noted at its definition).  The set-level entries (the relatives,
-    the two verdict entries and everything on the GDR problem, its spectra
-    included) live as long as the table.
+    The sub-problems (spectra and pair criteria, the GDR problem's too;
+    pair probes; eigenrays; one-party problems; purifications;
+    measurements) are pure functions of the bytes they read, so they
+    outlive the table: they sit in the process-wide store of
+    :mod:`~unidisc.qcore`, keyed by those bytes and the tolerances, with
+    their arrays read-only, for any set that poses the same bytes.  The
+    spectra come from :func:`~unidisc.eigdist._spectrum`, which the public
+    pair kernels and :func:`~unidisc.probefeas.common_probe_feasible` read
+    too, so :func:`~unidisc.eigdist.pair_distinguishable` of two factors
+    returns the object :meth:`pair` holds.  The store is emptied whenever
+    it holds ``_STORE_CAP`` (2048) entries, about 2-4 MB (the sizes of its
+    entries are noted at its definition).  The table keeps only what is
+    specific to its set: the relatives, the verdict entries (the GDR
+    problem's solution lives in its verdict) and the separable reports.
     """
 
     def __init__(self, uset: ProductUnitarySet, tol: Tolerances | None = None):
@@ -488,8 +489,8 @@ class SetAnalysis:
         return self._entries[key]
 
     def _stored(self, key, compute):
-        """A one-party entry, kept in the store under the table's tolerances
-        and ``key``."""
+        """A sub-problem entry, kept in the store under the table's
+        tolerances and ``key``."""
         return _stored((self.tol,) + key, compute)
 
     def relatives(self, party):
@@ -537,24 +538,17 @@ class SetAnalysis:
         dim = ops[0].shape[0]
         return self._stored(
             ("feasibility", dim, b"".join(k.tobytes() for k in ops)),
-            lambda: self._solve(OrthogonalityProblem._accepted(dim, ops), self._stored))
+            lambda: common_probe_feasible(OrthogonalityProblem._accepted(dim, ops), self.tol))
 
-    def _solve(self, problem: OrthogonalityProblem, entry) -> ProbeFeasibility:
-        """:func:`~unidisc.probefeas.common_probe_feasible` of ``problem``,
-        reading each operator's spectrum through ``entry``: the store for a
-        one-party problem, the table for the GDR problem."""
-        return common_probe_feasible(
-            problem, self.tol, spectrum=lambda t: _spectrum(problem.operators[t], self.tol, entry))
-
-    def _purified(self, feas: ProbeFeasibility, entry):
+    def _purified(self, feas: ProbeFeasibility):
         """``(state, ancilla_dim)`` for the witness of ``feas``: its pure
         state with no ancilla when the solver built one, and otherwise the
-        :func:`~unidisc.probefeas.purify_witness` of the mixed witness, kept
-        through ``entry``."""
+        stored :func:`~unidisc.probefeas.purify_witness` of the mixed
+        witness."""
         if feas.state is not None:
             return feas.state, 1
-        return entry(("purified", feas.witness.matrix.tobytes()),
-                     lambda: purify_witness(feas.witness, self.tol))
+        return self._stored(("purified", feas.witness.matrix.tobytes()),
+                            lambda: purify_witness(feas.witness, self.tol))
 
     def measurement(self, party, members, feas: ProbeFeasibility):
         """:func:`_orthogonal_measurement` of the factors of ``members`` on
@@ -562,7 +556,7 @@ class SetAnalysis:
         purification: two pure witnesses may share the bytes of one density
         matrix."""
         fs = [self.uset.factor(k, party) for k in members]
-        psi, r = self._purified(feas, self._stored)
+        psi, r = self._purified(feas)
         return self._stored(
             ("measurement", r, psi.amplitudes.tobytes(), b"".join(f.tobytes() for f in fs)),
             lambda: _orthogonal_measurement(fs, (psi, r)))
@@ -645,14 +639,14 @@ def check_gdr(uset: ProductUnitarySet | SetAnalysis,
             return StrategyVerdict(strategy="GDR", starting_party="either",
                                    status="distinguishable", witness=_one_input_witness(uset.dim),
                                    note="at most one candidate")
-        feas = table._solve(table.gdr_problem(), table._entry)
+        feas = common_probe_feasible(table.gdr_problem(), table.tol)
         status = {"feasible": "distinguishable",
                   "infeasible_certified": "indistinguishable_certified"}.get(
                       feas.status, "not_found")
         witness = None
         if feas.status == "feasible":
             probe, r, povm = _orthogonal_measurement(
-                uset.global_unitaries(), table._purified(feas, table._entry))
+                uset.global_unitaries(), table._purified(feas))
             witness = ProbeWitness(probe=probe, ancilla_dim=r, povm=povm,
                                    guesses=tuple(range(m))
                                    + ((None,) if len(povm) > len(povm.states) else ()))

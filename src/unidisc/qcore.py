@@ -468,14 +468,15 @@ def eig_unitary(u, tol: Tolerances = DEFAULT_TOL):
 # The store
 # -----------------------------------------------------------------------------
 # The spectra and pair criteria of :func:`~unidisc.eigdist._spectrum` (which
-# the analysis tables and the public pair kernels read) and the other one-party
-# entries of :class:`~unidisc.protocols.SetAnalysis` are pure functions of the
-# bytes they read, so they are computed once per process and shared, read-only.
+# the analysis tables, the probe solver and the public pair kernels read) and
+# the other sub-problem entries of :class:`~unidisc.protocols.SetAnalysis`,
+# the GDR problem's included, are pure functions of the bytes they read, so
+# they are computed once per process and shared, read-only.
 
 # the store is emptied when it holds this many entries.  A spectrum or a pair
 # criterion of a qubit relative takes about 0.8 KB with its key, one of
 # dimension 4 about 1.1 KB; an audit's entries average about 1.9 KB, and
-# auditing the first 1000 ``random_qubit_set`` draws of rng 0 leaves 965, so
+# auditing the first 1000 ``random_qubit_set`` draws of rng 0 leaves 1491, so
 # a full store holds about 2-4 MB
 _STORE_CAP = 2048
 _store = {}  # the shared entries, by (tolerances, kind, bytes)

@@ -13,7 +13,7 @@ from unidisc.qcore import StateVector
 
 @pytest.fixture(autouse=True)
 def empty_store():
-    """Start each test with an empty store of one-party entries
+    """Start each test with an empty store of sub-problem entries
     (``qcore._store``), so that no test reads what another solved,
     or what a patched solver answered there."""
     qcore._store.clear()

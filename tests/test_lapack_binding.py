@@ -480,7 +480,8 @@ def test_orthonormalize_states_matches_plain_bytes():
         for n in range(1, min(d, 4) + 1):
             u = haar_unitary(d, rng).matrix
             states = [u[:, k] + _noise(rng, d, 1e-9) for k in range(n)]
-            _assert_same(_outcome(_orthonormalize_states, states),
+            # the rows of the (k, dim) result are the plain columns
+            _assert_same(_outcome(lambda s: list(_orthonormalize_states(s)), states),
                          _outcome(_plain_orthonormalize, states))
     dependent = [np.array([1.0, 0.0], dtype=complex), np.array([1.0, 0.0], dtype=complex)]
     got = _outcome(_orthonormalize_states, dependent)

@@ -440,15 +440,15 @@ class TestHierarchyAudit:
         # solver calls keyed by the dimension and bytes of their inputs:
         # within one audit no probe problem, eigensystem or pair criterion
         # is solved twice and no witness is purified twice.  A second audit
-        # of the same set repeats exactly the calls on the GDR problem,
-        # whose entries die with the table, and no call on one party, whose
-        # entries the store keeps; once the store is emptied, an audit
-        # repeats every call
+        # of the same set repeats exactly the solver call on the GDR problem,
+        # whose solution lives in the verdict the table keeps, and no
+        # decomposition or purification, which the store keeps; once the
+        # store is emptied, an audit repeats every call
         import unidisc
 
         calls, answers = [], []
         keys = {
-            "common_probe_feasible": lambda problem, tol=None, spectrum=None: (
+            "common_probe_feasible": lambda problem, tol=None: (
                 problem.dim, b"".join(k.tobytes() for k in problem.operators)),
             "eig_unitary": lambda u, tol=None: (u.shape[0], u.tobytes()),
             "min_convex_norm": lambda phases, tol=None: (len(phases), phases.tobytes()),
@@ -495,7 +495,8 @@ class TestHierarchyAudit:
             assert any(d != uset.dim for _, d, _ in first)
             calls.clear()
             hierarchy_audit(uset)
-            assert calls == [c for c in first if c[1] == uset.dim]
+            assert calls == [c for c in first if c[:2] == ("common_probe_feasible", uset.dim)]
+            assert len(calls) == (uset.size > 1)
             qcore._store.clear()
             calls.clear()
             hierarchy_audit(uset)
@@ -730,11 +731,53 @@ class TestSharedStore:
             table.pair_probe("A", 0, 1).probe.amplitudes[0] = 1
 
     def test_set_level_entries_stay_in_the_table(self):
-        # the GDR problem is the set's own: check_gdr leaves the store empty
-        assert check_gdr(phase_pair_set(PhasePairParams(0.3, 0.5, 0.9, np.pi - 1.7))
-                         ).status == "distinguishable"
-        assert check_gdr(qutrit_quartet_set()).status == "indistinguishable_certified"
-        assert qcore._store == {}
+        # check_gdr stores only the GDR problem's spectra, pair criteria and
+        # purification; its verdict, which holds the solution, stays in the
+        # table
+        sets = [phase_pair_set(PhasePairParams(0.3, 0.5, 0.9, np.pi - 1.7)),
+                qutrit_quartet_set(), random_qubit_set(np.random.default_rng(0))]
+        statuses = []
+        for uset in sets:
+            table = SetAnalysis(uset)
+            verdict = check_gdr(table)
+            assert table._entries.keys() == {("relatives", "A"), ("relatives", "B"), ("GDR",)}
+            assert table._entries[("GDR",)] is verdict
+            statuses.append((verdict.status, verdict.witness and verdict.witness.ancilla_dim))
+        assert statuses == [("distinguishable", 1), ("indistinguishable_certified", None),
+                            ("distinguishable", 2)]
+        assert {key[1] for key in qcore._store} == {"spectrum", "pair", "purified"}
+
+    def test_gdr_problem_is_shared_across_sets(self, monkeypatch):
+        # the GDR operator of a phase-pair set depends only on alpha + gamma,
+        # so two grid points can pose byte-identical GDR problems: the
+        # second reads the first's spectrum from the store and gives the
+        # bytes it gives with the store empty
+        from itertools import product
+
+        import unidisc.eigdist as eigdist
+
+        vals = [(k + 1) * (np.pi / 2) / 17 for k in range(16)]  # pair-grid's angles
+        seen = {}
+        for a, b, g in product(vals, repeat=3):
+            d = np.pi - a - b - g
+            if not 1e-9 < d < np.pi / 2 - 1e-9:
+                continue
+            second = phase_pair_set(PhasePairParams(a, b, g, d))
+            key = b"".join(k.tobytes() for k in gdr_problem(second).operators)
+            if key in seen:
+                first = seen[key]
+                break
+            seen[key] = second
+        assert not np.array_equal(first.global_unitary(1), second.global_unitary(1))
+        want = dumps(verdict_to_json(check_gdr(second)))
+        qcore._store.clear()
+        check_gdr(first)
+
+        def no_eig(*args, **kwargs):
+            raise AssertionError("eig_unitary called")
+
+        monkeypatch.setattr(eigdist, "eig_unitary", no_eig)
+        assert dumps(verdict_to_json(check_gdr(second))) == want
 
     def test_tolerances_key_the_store(self):
         # a table under other tolerances solves its one-party problems anew

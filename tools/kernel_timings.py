@@ -49,16 +49,19 @@ workloads give them:
   remainder, in the states form it is written in and in the matrix-list
   form that spells out its five elements;
 * ``protocols.check_gdr`` on the phase-pair set, which builds a fresh
-  analysis table per call and so poses its GDR problem every time;
+  analysis table per call and so solves its GDR problem every time: cold
+  with the store emptied before each call, so the GDR operator's spectrum
+  is decomposed every time too, and warm with the store holding it, as it
+  does when an earlier set posed the same GDR operator;
 * ``probefeas.OrthogonalityProblem`` on that set's GDR operator through
   the public constructor, whose unitarity check the table's problems
   skip: the saving per ``check_gdr`` call;
 * ``protocols.hierarchy_audit`` on one pool set (the first
   ``random_qubit_set`` draw of rng 0: four items, GDR distinguishable, some
-  local rows ``not_found``), cold with the store of one-party entries
-  emptied before each call, and warm with the store holding them, as it does
-  when an earlier set posed the same one-party problems.  The gap is what
-  the store saves on that set.
+  local rows ``not_found``), cold with the store emptied before each
+  call, and warm with the store holding its sub-problems, as it does when
+  earlier sets posed the same problems.  The gap is what the store saves
+  on that set.
 """
 
 import json
@@ -130,6 +133,13 @@ def _kernels():
     def warm():
         hierarchy_audit(pool_set)
 
+    def gdr_cold():
+        qcore._store.clear()
+        check_gdr(phase_pair)
+
+    def gdr_warm():
+        check_gdr(phase_pair)
+
     def pair_cold():
         qcore._store.clear()
         pair_distinguishable(*haar_pair)
@@ -180,7 +190,8 @@ def _kernels():
          lambda: jsonio.witness_from_json(states_form)),
         ("jsonio.witness_from_json GDR matrices", 200,
          lambda: jsonio.witness_from_json(matrix_form)),
-        ("protocols.check_gdr phase-pair fresh", 200, lambda: check_gdr(phase_pair)),
+        ("protocols.check_gdr phase-pair, cold", 200, gdr_cold),
+        ("protocols.check_gdr phase-pair, warm", 200, gdr_warm, gdr_warm),
         ("OrthogonalityProblem phase-pair GDR", 500,
          lambda: OrthogonalityProblem(phase_pair.dim, gdr_ops)),
         ("protocols.hierarchy_audit pool set, cold", 20, cold),
