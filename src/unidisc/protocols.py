@@ -52,7 +52,7 @@ from .qcore import (
     as_matrix,
     check_povm,
 )
-from .eigdist import _pair_probe, _spectrum
+from .eigdist import _spectrum
 from .probefeas import (
     OrthogonalityProblem,
     ProbeFeasibility,
@@ -445,36 +445,37 @@ class SetAnalysis:
     tolerances (``None`` means ``DEFAULT_TOL``), each computed on first
     request and then kept.
 
-    It holds each party's relative factors U_i{dag} U_j (i < j), sorted
-    into phase-equality classes, whose traces give the factor groups; the
+    It holds each party's relative factors U_i{dag} U_j (i < j), sorted into
+    phase-equality classes, whose traces give the factor groups; the
     spectrum (eigensystem and pair criterion) of each relative and of each
-    operator of a probe problem, which the problems read; each relative's
-    pair probe and eigenrays; the common-probe problem that any index pairs
-    pose on one party (responder, stage-1 and union problems), with the
-    measurement realizing its witness; the purification of each mixed
-    witness (a pure one comes with its state); and the GDR problem, whose
-    operators are products of the two parties' relatives.  Every problem is
-    posed by ``OrthogonalityProblem._accepted``, unchecked, as its operators
-    come from the accepted set.  The table only decides which call computes
-    an entry: the solvers and their operator orders are those the deciders
-    use on a set of their own.  The GDR verdict and each start's (LDR, LDA)
-    pair are entries too.  A decider given a set builds a table for it, and
+    operator of a probe problem, which the problems read; the common-probe
+    problem that any index pairs pose on one party (responder, stage-1 and
+    union problems, and the one-pair problems of the separable decider),
+    with the measurement realizing its witness, which :meth:`branch` hands
+    to a stage 2; the purification of each mixed witness (a pure one comes
+    with its state); and the GDR problem, whose operators are products of
+    the two parties' relatives.  Every problem is posed by
+    ``OrthogonalityProblem._accepted``, unchecked, as its operators come
+    from the accepted set.  The table only decides which call computes an
+    entry: the solvers and their operator orders are those the deciders use
+    on a set of their own.  The GDR verdict and each start's (LDR, LDA) pair
+    are entries too.  A decider given a set builds a table for it, and
     :func:`hierarchy_audit` builds one for all its rows.
 
     The sub-problems (spectra and pair criteria, the GDR problem's too;
-    pair probes; eigenrays; one-party problems; purifications;
-    measurements) are pure functions of the bytes they read, so they
-    outlive the table: they sit in the process-wide store of
-    :mod:`~unidisc.qcore`, keyed by those bytes and the tolerances, with
-    their arrays read-only, for any set that poses the same bytes.  The
-    spectra come from :func:`~unidisc.eigdist._spectrum`, which the public
-    pair kernels and :func:`~unidisc.probefeas.common_probe_feasible` read
-    too, so :func:`~unidisc.eigdist.pair_distinguishable` of two factors
-    returns the object :meth:`pair` holds.  The store is emptied whenever
-    it holds ``_STORE_CAP`` (2048) entries, about 2-4 MB (the sizes of its
-    entries are noted at its definition).  The table keeps only what is
-    specific to its set: the relatives, the verdict entries (the GDR
-    problem's solution lives in its verdict) and the separable reports.
+    one-party problems; purifications; measurements) are pure functions of
+    the bytes they read, so they outlive the table: they sit in the
+    process-wide store of :mod:`~unidisc.qcore`, keyed by those bytes and
+    the tolerances, with their arrays read-only, for any set that poses the
+    same bytes.  The spectra come from :func:`~unidisc.eigdist._spectrum`,
+    which the public pair kernels and
+    :func:`~unidisc.probefeas.common_probe_feasible` read too, so
+    :func:`~unidisc.eigdist.pair_distinguishable` of two factors returns the
+    object :meth:`pair` holds.  The store is emptied whenever it holds
+    ``_STORE_CAP`` (2048) entries, about 2-4 MB (the sizes of its entries
+    are noted at its definition).  The table keeps only what is specific to
+    its set: the relatives, the verdict entries (the GDR problem's solution
+    lives in its verdict) and the separable reports.
     """
 
     def __init__(self, uset: ProductUnitarySet, tol: Tolerances | None = None):
@@ -561,29 +562,25 @@ class SetAnalysis:
             ("measurement", r, psi.amplitudes.tobytes(), b"".join(f.tobytes() for f in fs)),
             lambda: _orthogonal_measurement(fs, (psi, r)))
 
-    def _relative_spectrum(self, party, i, j):
+    def spectrum(self, party, i, j):
+        """The stored :func:`~unidisc.eigdist._spectrum` ``(phases, vectors,
+        hull)`` of U_i{dag} U_j on ``party``; eigenvectors are columns."""
         return _spectrum(self.relatives(party)[0][i, j], self.tol)
 
     def pair(self, party, i, j):
         """The pair criterion of U_i and U_j on ``party``."""
-        return self._relative_spectrum(party, i, j)[2]
+        return self.spectrum(party, i, j)[2]
 
-    def pair_probe(self, party, i, j):
-        """:func:`~unidisc.eigdist.build_pair_probe` for U_i and U_j on
-        ``party``, keyed by the two factors."""
-        fs = self.uset.factors(party)
-        _, vecs, hull = self._relative_spectrum(party, i, j)
-        return self._stored(("pair_probe", fs[i].tobytes() + fs[j].tobytes()),
-                            lambda: _pair_probe(fs[i], fs[j], vecs, hull, self.tol))
-
-    def eigenrays(self, party, i, j) -> tuple:
-        """Unit eigenvectors of U_i{dag} U_j on ``party``, from ``np.linalg.eig``."""
-        k = self.relatives(party)[0][i, j]
-
-        def compute():
-            _, vecs = np.linalg.eig(k)
-            return tuple(vecs[:, c] / np.linalg.norm(vecs[:, c]) for c in range(k.shape[0]))
-        return self._stored(("eigenrays", k.shape, k.tobytes()), compute)
+    def branch(self, party, members, feas: ProbeFeasibility | None) -> OutcomeBranch:
+        """The outcome retaining ``members``: a dead end when empty, guessed
+        when alone, else separated by ``party`` with the :meth:`measurement`
+        of ``feas``."""
+        if len(members) < 2:
+            return OutcomeBranch(retained=members, guess=members[0] if members else None)
+        probe, r, povm = self.measurement(party, members, feas)
+        st = StageTwo(party=party, probe=probe, ancilla_dim=r, povm=povm,
+                      guesses=members + ((None,) if len(povm) > len(povm.states) else ()))
+        return OutcomeBranch(retained=members, stage2=st)
 
     def gdr_problem(self) -> OrthogonalityProblem:
         """The problem of :func:`gdr_problem`: the product (U_i{dag} U_j on
@@ -685,16 +682,6 @@ def _local_verdicts(table: SetAnalysis, start):
         is nothing to separate)."""
         return table.feasibility(resp, combinations(members, 2))
 
-    def branch_for(members, feas):
-        """Outcome retaining ``members``, which the responder separates with
-        the witness of ``feas``."""
-        if len(members) == 1:
-            return OutcomeBranch(retained=members, guess=members[0])
-        probe2, r2, povm2 = table.measurement(resp, members, feas)
-        st = StageTwo(party=resp, probe=probe2, ancilla_dim=r2, povm=povm2,
-                      guesses=members + ((None,) if len(povm2) > len(povm2.states) else ()))
-        return OutcomeBranch(retained=members, stage2=st)
-
     # responder problems inside each group; these constraints bind every
     # protocol because phase-equal starting factors are never split
     groups = table.groups(start)
@@ -720,7 +707,7 @@ def _local_verdicts(table: SetAnalysis, start):
         if alone is None or alone.status == "feasible":
             probe, povm = _idle_stage(uset.party_dims[_party_index(start)])
             tree = ProtocolTree(start=start, probe=probe, ancilla_dim=1, povm=povm,
-                                branches=(branch_for(tuple(range(m)), alone),),
+                                branches=(table.branch(resp, tuple(range(m)), alone),),
                                 note="starting party measures nothing, responder works alone")
             return both(status="distinguishable", witness=tree, note=tree.note,
                         feasibility=alone)
@@ -758,7 +745,7 @@ def _local_verdicts(table: SetAnalysis, start):
                                    note=f"{search} search stalled: {stalled[0].note}",
                                    feasibility=stalled[0])
         probe, anc, povm = table.measurement(start, reps, stage1_feas)
-        branches = [branch_for(g.member_indices, stage2_feas[gi])
+        branches = [table.branch(resp, g.member_indices, stage2_feas[gi])
                     for gi, g in enumerate(groups)]
         if len(povm) > len(povm.states):
             branches.append(OutcomeBranch(retained=(), guess=None))

@@ -216,9 +216,14 @@ def check_povm(povm, dim: int, what: str = "POVM") -> tuple:
     return tuple(mats)
 
 
+def _norm(v):
+    """The 2-norm of a 1-D complex ``v``, by the sum of its squared parts."""
+    return np.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
+
+
 def _unit(v) -> np.ndarray:
-    """``v / np.linalg.norm(v)`` for a nonzero 1-D complex ``v``, by its sum."""
-    n = np.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
+    """``v / np.linalg.norm(v)`` for a nonzero 1-D complex ``v``, by :func:`_norm`."""
+    n = _norm(v)
     if n < 1e-12:
         raise ValueError("cannot normalize a (near-)zero vector")
     return v / n
@@ -292,7 +297,7 @@ class DensityOperator:
 
 @dataclass(frozen=True)
 class StateVector:
-    """A pure state; the constructor normalizes, so norm is exactly 1."""
+    """A pure state; the constructor normalizes, so its norm is 1 to rounding."""
 
     amplitudes: np.ndarray
 

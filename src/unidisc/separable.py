@@ -28,6 +28,11 @@ states; for five or more inputs two disjoint classes of the required size
 cannot coexist at all, so the sequential branch is infeasible outright.
 With three inputs a failed probe search is certified only when the
 responder can finish no pair; otherwise that order stays ``not_found``.
+
+Each sub-problem is one the local deciders pose too, read from the set's
+:class:`~unidisc.protocols.SetAnalysis`: a relative's stored spectrum
+gives its eigenrays, and its one-pair problem the balanced superposition
+and the projective measurement of a retained pair's stage 2.
 """
 
 from __future__ import annotations
@@ -44,7 +49,6 @@ from .protocols import (
     ProductUnitarySet,
     ProtocolTree,
     SetAnalysis,
-    StageTwo,
     StrategyVerdict,
     _PARTIES,
     _idle_stage,
@@ -153,8 +157,9 @@ def _class_probes(table: SetAnalysis, party: str, members) -> tuple:
 
     A probe works iff it is a common eigenray of all relatives within the
     class, so the eigenrays of any one non-phase-equal relative exhaust the
-    candidates; a class of phase-equal factors is parallel under every
-    probe.
+    candidates: the columns of its stored spectrum
+    (:meth:`~unidisc.protocols.SetAnalysis.spectrum`).  A class of
+    phase-equal factors is parallel under every probe.
     """
     mats = [table.uset.factor(k, party) for k in members]
     nontrivial = [(members[0], k) for k in members[1:]
@@ -162,7 +167,7 @@ def _class_probes(table: SetAnalysis, party: str, members) -> tuple:
     if not nontrivial:
         return (), True
     good = []
-    for ray in _dedup_rays(table.eigenrays(party, *nontrivial[0])):
+    for ray in _dedup_rays(table.spectrum(party, *nontrivial[0])[1].T):
         imgs = [m @ ray for m in mats]
         if all(_rays_parallel(imgs[0], v) for v in imgs[1:]):
             good.append(ray)
@@ -182,13 +187,17 @@ def _parallel_classes(evolved) -> list:
 
 
 def _candidate_probes(table: SetAnalysis, party: str) -> list:
+    """The axis states, then each non-phase-equal relative's eigenrays (its
+    spectrum's columns) and, if distinguishable, its pure one-pair witness."""
     rays = list(_AXIS_STATES)
     for i, j in combinations(range(table.uset.size), 2):
         if table.same_factor(party, i, j):
             continue
-        rays.extend(table.eigenrays(party, i, j))
+        rays.extend(table.spectrum(party, i, j)[1].T)
         if table.pair(party, i, j).distinguishable:
-            rays.append(table.pair_probe(party, i, j).probe.amplitudes)
+            state = table.feasibility(party, ((i, j),)).state
+            if state is not None:
+                rays.append(state.amplitudes)
     return _dedup_rays(rays)
 
 
@@ -231,17 +240,10 @@ def _sequential_tree(table, start, responder, probe, classes, weights):
         el = w * np.outer(kr, kr.conj())
         total += el
         retained = tuple(k for k in range(m) if k not in members)
-        if len(retained) == 2:
-            pp = table.pair_probe(responder, *retained)
-            branch = OutcomeBranch(retained=retained, stage2=StageTwo(
-                party=responder, probe=pp.probe, ancilla_dim=pp.ancilla_dim,
-                povm=tuple(pp.measurement), guesses=retained))
-        elif len(retained) == 1:
-            branch = OutcomeBranch(retained=retained, guess=retained[0])
-        else:
-            branch = OutcomeBranch(retained=(), guess=None)
         povm.append(el)
-        branches.append(branch)
+        # the responder separates a retained pair by its one-pair problem
+        branches.append(table.branch(responder, retained,
+                                     table.feasibility(responder, combinations(retained, 2))))
     rest = np.eye(d, dtype=complex) - total
     if np.max(np.abs(rest)) > 1e-12:
         povm.append(rest)
@@ -381,17 +383,17 @@ def check_gda_separable(
     if m == 2:
         for party in _PARTIES:
             if table.pair(party, 0, 1).distinguishable:
-                # the pair probe on ``party``, the idle stage on the other
-                pp = table.pair_probe(party, 0, 1)
+                # the pair's stage on ``party`` (a one-pair witness is pure), idle on the other
+                st = table.branch(party, (0, 1), table.feasibility(party, ((0, 1),))).stage2
                 idle, (eye,) = _idle_stage(uset.party_dims[_party_index(_other(party))])
 
                 def product(own, rest):
                     return _kron(own, rest) if party == "A" else _kron(rest, own)
 
-                probe = product(pp.probe.amplitudes, idle.amplitudes)
-                povm = tuple(product(el, eye) for el in pp.measurement)
+                probe = product(st.probe.amplitudes, idle.amplitudes)
+                povm = tuple(product(el, eye) for el in st.povm)
                 witness = ProbeWitness(probe=StateVector(probe), ancilla_dim=1,
-                                       povm=povm, guesses=(0, 1))
+                                       povm=povm, guesses=st.guesses)
                 return StrategyVerdict(
                     strategy, "either", "distinguishable", witness=witness,
                     note=f"pair criterion met by party {party}")

@@ -626,15 +626,6 @@ def _blocks(witness):
     return [witness] + [br.stage2 for br in witness.branches if br.stage2 is not None]
 
 
-def _without_probes(data):
-    """Decoded JSON with every ``probe`` entry dropped."""
-    if isinstance(data, dict):
-        return {k: _without_probes(v) for k, v in data.items() if k != "probe"}
-    if isinstance(data, list):
-        return [_without_probes(v) for v in data]
-    return data
-
-
 @pytest.fixture(scope="module")
 def projective_witnesses():
     """The witnesses of every audit row on the builtins and pool sets 0-99
@@ -681,8 +672,7 @@ class TestProjectiveStates:
                 if isinstance(a.povm, ProjectivePOVM):
                     assert b.povm.states.tobytes() == a.povm.states.tobytes()
                     projective += 1
-                # decoding renormalizes the probe, which can move its last bit
-                assert np.abs(b.probe.amplitudes - a.probe.amplitudes).max() <= 4.5e-16
+                assert b.probe.amplitudes.tobytes() == a.probe.amplitudes.tobytes()
                 assert (b.ancilla_dim, getattr(b, "guesses", None)) == (
                     a.ancilla_dim, getattr(a, "guesses", None))
             if isinstance(witness, ProtocolTree):
@@ -691,14 +681,9 @@ class TestProjectiveStates:
         assert projective > 300
 
     def test_re_encoding_gives_identical_text(self, projective_witnesses):
-        same = 0
         for witness in projective_witnesses:
             text = dumps(witness_to_json(witness))
-            again = dumps(witness_to_json(witness_from_json(json.loads(text))))
-            # every field but the renormalized probes, whose text mostly holds too
-            assert _without_probes(json.loads(again)) == _without_probes(json.loads(text))
-            same += again == text
-        assert same >= 0.95 * len(projective_witnesses)
+            assert dumps(witness_to_json(witness_from_json(json.loads(text)))) == text
 
     def test_matrix_form_still_decodes(self, projective_witnesses):
         # the form earlier versions wrote for every POVM

@@ -505,8 +505,8 @@ class TestHierarchyAudit:
                          "purify_witness"}
 
     def test_local_rows_solve_shared_problems_once(self, monkeypatch):
-        # the LDR rows come from the same pass as the LDA rows, so the
-        # audit's local rows cost no more probe problems than LDA alone
+        # the LDR rows come from the same pass as the LDA rows, so the four
+        # local rows on one table cost no more probe problems than LDA alone
         import unidisc.protocols as protocols
 
         calls = []
@@ -527,8 +527,15 @@ class TestHierarchyAudit:
         rng = np.random.default_rng(0)
         sets = [qutrit_quartet_set(), pauli_hadamard_set()]
         sets += [random_qubit_set(rng) for _ in range(6)]
+
+        def local_rows(uset):
+            table = SetAnalysis(uset)
+            for check in (check_ldr, check_lda):
+                for p in ("A", "B"):
+                    check(table, p)
+
         for uset in sets:
-            local = count(lambda: hierarchy_audit(uset)) - count(lambda: check_gdr(uset))
+            local = count(lambda: local_rows(uset))
             lda = count(lambda: check_lda(uset, "A")) + count(lambda: check_lda(uset, "B"))
             assert local <= lda
 
@@ -623,8 +630,7 @@ class TestSharedStore:
     keyed by their bytes and the tolerances, and read the same bytes
     whichever set solved them first."""
 
-    ONE_PARTY = {"spectrum", "pair", "eigenrays", "feasibility", "purified",
-                 "pair_probe", "measurement"}
+    ONE_PARTY = {"spectrum", "pair", "feasibility", "purified", "measurement"}
 
     @pytest.mark.parametrize("cap", [None, 5])
     def test_sharing_is_byte_exact(self, sets, cap, monkeypatch):
@@ -725,10 +731,10 @@ class TestSharedStore:
         states = [value[2].states for key, value in qcore._store.items()
                   if key[1] == "measurement"]
         assert states and all(any(a is s for a in arrays) for s in states)
-        # a probe read from another set's table is the stored, read-only one
+        # a spectrum read from another set's table is the stored, read-only one
         table = SetAnalysis(sets[1])
         with pytest.raises(ValueError, match="read-only"):
-            table.pair_probe("A", 0, 1).probe.amplitudes[0] = 1
+            table.spectrum("A", 0, 1)[1][0] = 1
 
     def test_set_level_entries_stay_in_the_table(self):
         # check_gdr stores only the GDR problem's spectra, pair criteria and

@@ -6,29 +6,47 @@ hand-verified: every listed class is re-checked here from first principles
 """
 
 import dataclasses
+import json
+from itertools import combinations
+import math
 
 import numpy as np
 import pytest
 
 from unidisc.eigdist import pair_distinguishable
-from unidisc.jsonio import dumps, tree_to_json, verdict_to_json
+from unidisc.jsonio import dumps, tree_from_json, tree_to_json, verdict_to_json
 from unidisc.protocols import (
     ProbeWitness,
     ProductUnitarySet,
+    ProjectivePOVM,
+    ProtocolTree,
     SetAnalysis,
     check_lda,
+    hierarchy_audit,
     verify_probe,
     verify_tree,
 )
 from unidisc.qcore import check_povm, haar_unitary
-from unidisc import separable
+from unidisc import qcore, separable
 from unidisc.simplex import feasible_point
 from unidisc.separable import (
     check_gda_separable,
     gda_separable_analysis,
     separable_start_analysis,
 )
-from unidisc.families import H, HX, I2, SNAP_GATES, X, Z, pauli_hadamard_set
+from unidisc.families import (
+    H,
+    HX,
+    I2,
+    SNAP_GATES,
+    PhasePairParams,
+    X,
+    Z,
+    pauli_hadamard_set,
+    phase_pair_set,
+    qutrit_quartet_set,
+    random_qubit_set,
+)
 
 W = pauli_hadamard_set()
 
@@ -367,3 +385,55 @@ class TestSequentialTree:
         assert np.array_equal(res.stage1_probs, [[0.0, 1.0]] * 3)
         assert np.array_equal(res.leakage, res.stage1_probs[:, 1])
         assert np.array_equal(res.success, np.zeros(3))
+
+
+def _pool(n):
+    """``random_qubit_set`` rng 0 sets 0 to n - 1."""
+    rng = np.random.default_rng(0)
+    return [random_qubit_set(rng) for _ in range(n)]
+
+
+class TestSharedSubProblems:
+    """The separable decider reads the relatives' spectra and one-pair
+    problems that its table holds for the local deciders."""
+
+    def test_stage2_is_the_stored_measurement(self):
+        # each stage 2 of a sequential tree is the projective measurement
+        # the table stores for its party and retained pair, and it comes
+        # back from JSON with the same element bytes
+        stages = 0
+        for uset in _pool(100):
+            table = SetAnalysis(uset)
+            v = check_gda_separable(table)
+            if v.status != "distinguishable" or not isinstance(v.witness, ProtocolTree):
+                continue
+            clone = tree_from_json(json.loads(dumps(tree_to_json(v.witness))))
+            for br, br2 in zip(v.witness.branches, clone.branches, strict=True):
+                st = br.stage2
+                if st is None:
+                    continue
+                assert isinstance(st.povm, ProjectivePOVM)
+                feas = table.feasibility(st.party, combinations(br.retained, 2))
+                assert st.povm is table.measurement(st.party, br.retained, feas)[2]
+                assert [m.tobytes() for m in br2.stage2.povm] == [m.tobytes() for m in st.povm]
+                stages += 1
+        assert stages > 50
+
+    def test_audit_runs_without_a_general_eigensolver(self, monkeypatch):
+        # every eigensystem comes from the stored unitary spectra, so an
+        # audit from an empty store never calls np.linalg.eig
+        sets = [phase_pair_set(PhasePairParams(0.3, 0.5, 0.9, math.pi - 1.7)),
+                qutrit_quartet_set(), pauli_hadamard_set()] + _pool(100)
+
+        def statuses():
+            qcore._store.clear()
+            return [[(label, v.status) for label, v in hierarchy_audit(uset)]
+                    for uset in sets]
+
+        plain = statuses()
+
+        def eig(*args, **kwargs):
+            raise AssertionError("np.linalg.eig called")
+
+        monkeypatch.setattr(np.linalg, "eig", eig)
+        assert statuses() == plain

@@ -61,7 +61,11 @@ workloads give them:
   local rows ``not_found``), cold with the store emptied before each
   call, and warm with the store holding its sub-problems, as it does when
   earlier sets posed the same problems.  The gap is what the store saves
-  on that set.
+  on that set;
+* ``separable.check_gda_separable`` on the next pool set (the second draw:
+  three items, a distinguishable sequential tree), cold with the store
+  emptied before each call, so a fresh table solves the relatives'
+  spectra, one-pair problems and stage-2 measurements it reads.
 """
 
 import json
@@ -96,6 +100,7 @@ from unidisc.protocols import (  # noqa: E402
     verify_tree,
 )
 from unidisc.qcore import _near_unitaries, check_povm, eig_unitary, haar_unitary  # noqa: E402
+from unidisc.separable import check_gda_separable  # noqa: E402
 from unidisc.simplex import feasible_point  # noqa: E402
 
 REPEATS = 60
@@ -124,7 +129,8 @@ def _kernels():
     verdict = jsonio.verdict_to_json(check_gdr(phase_pair))
     gdr_ops = gdr_problem(phase_pair).operators
     message = lambda k, err: f"{k} {err}"  # noqa: E731
-    pool_set = random_qubit_set(np.random.default_rng(0))
+    pool_rng = np.random.default_rng(0)
+    pool_set, separable_set = random_qubit_set(pool_rng), random_qubit_set(pool_rng)
 
     def cold():
         qcore._store.clear()
@@ -132,6 +138,10 @@ def _kernels():
 
     def warm():
         hierarchy_audit(pool_set)
+
+    def separable_cold():
+        qcore._store.clear()
+        check_gda_separable(separable_set)
 
     def gdr_cold():
         qcore._store.clear()
@@ -196,6 +206,7 @@ def _kernels():
          lambda: OrthogonalityProblem(phase_pair.dim, gdr_ops)),
         ("protocols.hierarchy_audit pool set, cold", 20, cold),
         ("protocols.hierarchy_audit pool set, warm", 20, warm, warm),
+        ("separable.check_gda_separable pool set, cold", 100, separable_cold),
     ]
 
 
@@ -207,9 +218,9 @@ def main():
     for _ in range(REPEATS):
         for (_, number, *_), timer, times in zip(kernels, timers, per_call):
             times.append(timer.timeit(number) / number * 1e6)
-    print(f"{'kernel':40s} {'median_us':>10s} {'min_us':>10s}")
+    print(f"{'kernel':46s} {'median_us':>10s} {'min_us':>10s}")
     for (name, *_), times in zip(kernels, per_call):
-        print(f"{name:40s} {statistics.median(times):10.2f} {min(times):10.2f}")
+        print(f"{name:46s} {statistics.median(times):10.2f} {min(times):10.2f}")
 
 
 if __name__ == "__main__":
