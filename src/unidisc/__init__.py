@@ -7,8 +7,9 @@ infeasibility certificates, and bundles the concrete families and see-saw
 searches used by the acceptance suite.
 """
 
-from . import eigdist, families, jsonio, probefeas, protocols, qcore, seesaw, separable
+from . import checker, eigdist, families, jsonio, probefeas, protocols, qcore, seesaw, separable
 from .qcore import *
+from .checker import *
 from .eigdist import *
 from .probefeas import *
 from .protocols import *
@@ -17,5 +18,5 @@ from .seesaw import *
 
 __version__ = "0.1.0"
 
-_MODULES = (qcore, eigdist, probefeas, protocols, separable, seesaw)
+_MODULES = (qcore, checker, eigdist, probefeas, protocols, separable, seesaw)
 __all__ = [name for module in _MODULES for name in module.__all__] + ["families", "jsonio"]

@@ -51,9 +51,10 @@ Infeasibility certificates are stored basis-free: real coefficients c such
 that G = sum_k (cRe_k ReK_k + cIm_k ImK_k) satisfies G >= 1, which makes
 Tr(rho G) >= 1 > 0 for every density operator while the constraints demand
 it vanish (a theorem of alternatives; Boyd & Vandenberghe, Convex
-Optimization, section 5.8).  Every route, and ``verify_certificate``, which
-recomputes the spectral bound from scratch, holds a certificate to one bar:
-lambda_min(G) >= 1 - ``tol.comparison``, and a NaN bound fails.
+Optimization, section 5.8).  Every route holds a certificate to the one bar
+of :mod:`~unidisc.checker`, whose ``verify_certificate`` recomputes the
+spectral bound from scratch: lambda_min(G) >= 1 - ``tol.comparison``, and a
+NaN bound fails.
 """
 
 from __future__ import annotations
@@ -62,6 +63,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checker import _clears_bar, _combined_min_eig, _hermitian_parts
+from .checker import verify_certificate  # noqa: F401 - callers import it from here too
 from .eigdist import _spectrum
 from .qcore import (
     DEFAULT_TOL,
@@ -69,7 +72,6 @@ from .qcore import (
     StateVector,
     Tolerances,
     _eigh_c,
-    _eigvalsh_c,
     _near_unitaries,
     _valid_prefix,
     as_matrix,
@@ -82,7 +84,6 @@ __all__ = [
     "ProbeFeasibility",
     "InfeasibilityCertificate",
     "common_probe_feasible",
-    "verify_certificate",
     "purify_witness",
 ]
 
@@ -170,27 +171,13 @@ class ProbeFeasibility:
 # Pieces
 # -----------------------------------------------------------------------------
 
-def _hermitian_parts(k):
-    return (k + k.conj().T) / 2, (k - k.conj().T) / 2j
-
-
-def _combined_min_eig(problem, indices, coeffs):
-    """Smallest eigenvalue of G = sum_t (c_2t ReK + c_2t+1 ImK) over the
-    constraint operators K that ``indices`` names, in that order."""
-    g = np.zeros((problem.dim, problem.dim), dtype=complex)
-    for t, k in enumerate(indices):
-        h, s = _hermitian_parts(problem.operators[k])
-        g = g + coeffs[2 * t] * h + coeffs[2 * t + 1] * s
-    return float(_eigvalsh_c((g + g.conj().T) / 2).min())
-
-
 def _certificate(problem, indices, coeffs, tol):
     """``(cert, lo)``: lo is the smallest eigenvalue of the combination of
     the constraint operators ``indices`` with ``coeffs``, computed once, and
     cert the certificate carrying it, or ``None`` unless lo clears the one
-    bar every certificate must, ``lo >= 1 - tol.comparison`` (NaN fails)."""
+    bar every certificate must, :func:`~unidisc.checker._clears_bar`."""
     lo = _combined_min_eig(problem, indices, coeffs)
-    if not lo >= 1 - tol.comparison:
+    if not _clears_bar(lo, tol):
         return None, lo
     return InfeasibilityCertificate(op_indices=tuple(indices), coeffs=coeffs, min_eig=lo), lo
 
@@ -229,34 +216,6 @@ def _lp_certified(problem, indices, coeffs, tol):
                             note="common-eigenbasis linear program (Farkas dual)")
 
 
-def verify_certificate(problem: OrthogonalityProblem,
-                       cert: InfeasibilityCertificate,
-                       tol: Tolerances = DEFAULT_TOL) -> float:
-    """Recompute the spectral lower bound of a certificate from scratch.
-
-    Returns the recomputed minimum eigenvalue; raises ``ValueError`` if the
-    certificate does not fit the problem (an index that is not an integer
-    in range, or not two finite coefficients per index) or if the bound
-    fails to clear the strictly positive bar, since then it proves nothing.
-    """
-    n = len(problem.operators)
-    # bool is an int subclass, but True is no name for operator 1
-    bad = [k for k in cert.op_indices if isinstance(k, bool)
-           or not (isinstance(k, (int, np.integer)) and 0 <= k < n)]
-    if bad:
-        raise ValueError(f"certificate op_indices {bad} are not indices "
-                         f"of a problem with {n} operators")
-    if np.shape(cert.coeffs) != (2 * len(cert.op_indices),):
-        raise ValueError(f"certificate needs {2 * len(cert.op_indices)} coefficients for "
-                         f"{len(cert.op_indices)} op_indices, got shape {np.shape(cert.coeffs)}")
-    if not np.isfinite(cert.coeffs).all():
-        raise ValueError("certificate coefficients must be finite")
-    checked, lo = _certificate(problem, cert.op_indices, cert.coeffs, tol)
-    if checked is None:
-        raise ValueError(f"certificate does not verify: min eig {lo:.6e}")
-    return lo
-
-
 def _solve_commuting(problem, indices, tol=DEFAULT_TOL):
     """Exact LP over simplex weights in the common eigenbasis of a commuting
     subset of the constraints; :func:`common_probe_feasible` poses it with
@@ -288,10 +247,9 @@ def _solve_commuting(problem, indices, tol=DEFAULT_TOL):
     b = np.zeros(len(rows))
     b[-1] = 1.0
 
-    try:
-        lp = feasible_point(a, b)
-    except AssertionError as exc:  # the simplex re-checks its answer
-        return _lp_failed(exc)
+    lp = feasible_point(a, b)
+    if lp.status == "failed":  # the simplex re-checks its answer
+        return _lp_failed(lp.note)
     if lp.status == "feasible":
         # every constraint is diagonal in the basis, so the pure state with
         # weights q meets them exactly as the mixture would, without ancilla

@@ -40,6 +40,8 @@ from itertools import chain, combinations
 
 import numpy as np
 
+from .checker import _PARTIES, _evolved, _other, _party_index
+from .checker import verify_probe, verify_tree  # noqa: F401 - callers import them from here too
 from .qcore import (
     DEFAULT_TOL,
     StateVector,
@@ -50,7 +52,6 @@ from .qcore import (
     _stored,
     _valid_prefix,
     as_matrix,
-    check_povm,
 )
 from .eigdist import _spectrum
 from .probefeas import (
@@ -69,12 +70,9 @@ __all__ = [
     "ProbeWitness",
     "ProjectivePOVM",
     "StrategyVerdict",
-    "VerifyResult",
     "phase_equal",
     "group_by_factor",
     "SetAnalysis",
-    "verify_tree",
-    "verify_probe",
     "check_gdr",
     "check_lda",
     "check_ldr",
@@ -82,19 +80,6 @@ __all__ = [
     "gdr_problem",
     "hierarchy_audit",
 ]
-
-_PARTIES = ("A", "B")
-
-
-def _party_index(party):
-    if party not in _PARTIES:
-        raise ValueError(f"party must be 'A' or 'B', got {party!r}")
-    return _PARTIES.index(party)
-
-
-def _other(party):
-    """The party that is not ``party``."""
-    return _PARTIES[1 - _party_index(party)]
 
 
 # -----------------------------------------------------------------------------
@@ -219,7 +204,7 @@ def group_by_factor(uset: ProductUnitarySet, party) -> tuple:
 
 
 # -----------------------------------------------------------------------------
-# Protocol trees and their simulation
+# Protocol trees
 # -----------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -270,104 +255,6 @@ class StrategyVerdict:
     witness: object | None = None
     note: str = ""
     feasibility: ProbeFeasibility | None = None
-
-
-@dataclass(frozen=True)
-class VerifyResult:
-    success: np.ndarray  # per-unitary probability of the correct guess
-    leakage: np.ndarray  # per-unitary mass on outcomes that should not fire
-    stage1_probs: np.ndarray  # (num unitaries) x (stage-1 outcomes)
-
-
-def _evolved(u, ancilla_dim, probe: StateVector):
-    if ancilla_dim > 1:
-        u = _kron(u, np.eye(ancilla_dim))
-    return u @ probe.amplitudes
-
-
-def _checked_povm(block, d, answers, what):
-    """The POVM of a probe block (a tree's stage 1, a stage 2 or a probe
-    witness) on a ``d``-dimensional system, checked with everything else
-    the block says about it: the probe lives on the system and its
-    ancilla, and ``answers`` (branches or guesses) name every outcome."""
-    dim = d * block.ancilla_dim
-    if block.probe.dim != dim:
-        raise ValueError(f"{what} probe dim {block.probe.dim} != {d} * {block.ancilla_dim}")
-    povm = check_povm(block.povm, dim, f"{what} POVM")
-    if len(answers) != len(povm):
-        noun = "branches" if isinstance(block, ProtocolTree) else "guesses"
-        raise ValueError(f"{what} has {len(answers)} {noun} for {len(povm)} outcomes")
-    return povm
-
-
-def _probability(phi, el) -> float:
-    """Probability of the outcome with POVM element ``el`` on the state ``phi``."""
-    return float(np.real(phi.conj() @ (el @ phi)))
-
-
-def verify_tree(uset: ProductUnitarySet, tree: ProtocolTree) -> VerifyResult:
-    """Exact simulation of a protocol tree on every unitary of the set.
-
-    Returns per-unitary success probability, leakage (mass on outcomes
-    whose retained set excludes the true index, plus mass on dead ends),
-    and the full stage-1 outcome table.
-    """
-    start, resp = tree.start, _other(tree.start)
-    d1, d2 = (uset.party_dims[_party_index(p)] for p in (start, resp))
-    povm1 = _checked_povm(tree, d1, tree.branches, "stage-1")
-    povm2 = {}  # stage-2 POVMs by outcome, checked on every branch, reached or not
-    for a, br in enumerate(tree.branches):
-        st = br.stage2
-        if st is not None:
-            if st.party != resp:
-                raise ValueError(f"stage-2 (outcome {a}) party must be the responder")
-            povm2[a] = _checked_povm(st, d2, st.guesses, f"stage-2 (outcome {a})")
-
-    m = uset.size
-    success = np.zeros(m)
-    leakage = np.zeros(m)
-    stage1 = np.zeros((m, len(tree.povm)))
-
-    def answer(i, guess, p):
-        if guess is None:
-            leakage[i] += p  # declared possible but no answer
-        elif guess == i:
-            success[i] += p
-
-    for i in range(m):
-        phi1 = _evolved(uset.factor(i, start), tree.ancilla_dim, tree.probe)
-        for a, (el, br) in enumerate(zip(povm1, tree.branches)):
-            p = stage1[i, a] = max(_probability(phi1, el), 0.0)
-            if p < 1e-15:
-                continue
-            if i not in br.retained:
-                leakage[i] += p
-            elif br.stage2 is None:
-                answer(i, br.guess, p)
-            else:
-                st = br.stage2
-                phi2 = _evolved(uset.factor(i, resp), st.ancilla_dim, st.probe)
-                for el2, guess in zip(povm2[a], st.guesses):
-                    answer(i, guess, p * max(_probability(phi2, el2), 0.0))
-    return VerifyResult(success=success, leakage=leakage, stage1_probs=stage1)
-
-
-def verify_probe(unitaries, witness: ProbeWitness) -> np.ndarray:
-    """Success probabilities of a one-shot probe witness on given unitaries."""
-    mats = [as_matrix(u) for u in unitaries]
-    if not mats:
-        raise ValueError("no unitaries to verify")
-    for i, u in enumerate(mats):
-        if u.shape != mats[0].shape:
-            raise ValueError(f"unitary {i} has shape {u.shape}, unitary 0 has {mats[0].shape}")
-    povm = _checked_povm(witness, mats[0].shape[0], witness.guesses, "witness")
-    success = np.zeros(len(mats))
-    for i, u in enumerate(mats):
-        phi = _evolved(u, witness.ancilla_dim, witness.probe)
-        for el, guess in zip(povm, witness.guesses):
-            if guess == i:
-                success[i] += _probability(phi, el)
-    return success
 
 
 # -----------------------------------------------------------------------------

@@ -32,7 +32,6 @@ __all__ = [
     "DensityOperator",
     "StateVector",
     "as_matrix",
-    "check_povm",
     "partial_trace",
     "eig_unitary",
     "simultaneous_eigenbasis",
@@ -180,40 +179,6 @@ def _near_unitaries(columns, message, stacks=None):
             if e > 1e-12:
                 out[j][k] = _nearest_unitary(stacks[j][k])
     return [tuple(c) for c in out]
-
-
-def check_povm(povm, dim: int, what: str = "POVM") -> tuple:
-    """Validate a POVM on a ``dim``-dimensional space and return its elements
-    as complex arrays: each one (dim, dim), Hermitian and PSD, summing to 1.
-    ``povm`` is a sequence of matrices or one ``(n, dim, dim)`` stack."""
-    if len(povm) == 0:
-        raise ValueError(f"{what}: empty POVM")
-
-    def element(km):
-        k, m = km
-        m = as_matrix(m)
-        if m.shape != (dim, dim):
-            raise ValueError(f"{what}: element {k} has shape {m.shape}, expected {(dim, dim)}")
-        return m
-
-    mats, held = _valid_prefix(enumerate(povm), element)
-    if mats:
-        stack = np.array(mats)
-        adj = stack.conj().transpose(0, 2, 1)
-        herm = np.abs(stack - adj).max(axis=(1, 2)) > 1e-8
-        lo = _eigvalsh_c((stack + adj) / 2).min(axis=1)
-        bad = herm | (lo < -1e-10)
-        if bad.any():
-            k = int(bad.argmax())
-            if herm[k]:
-                raise ValueError(f"{what}: element {k} is not Hermitian")
-            raise ValueError(f"{what}: element {k} has eigenvalue {float(lo[k]):.3e} < -1e-10")
-    if held is not None:
-        raise held
-    err = float(np.abs(sum(mats) - np.eye(dim)).max())
-    if err > 1e-8:
-        raise ValueError(f"{what}: completeness violated by {err:.3e}")
-    return tuple(mats)
 
 
 def _norm(v):

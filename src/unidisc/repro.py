@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checker import _evolved, verify_certificate, verify_tree
 from .families import (
     PhasePairParams,
     pauli_hadamard_set,
@@ -20,16 +21,7 @@ from .families import (
     qutrit_quartet_set,
     random_qubit_set,
 )
-from .probefeas import verify_certificate
-from .protocols import (
-    SetAnalysis,
-    check_gdr,
-    check_lda,
-    check_ldr,
-    hierarchy_audit,
-    verify_tree,
-    _evolved,
-)
+from .protocols import SetAnalysis, check_gdr, check_lda, check_ldr, hierarchy_audit
 from .qcore import DEFAULT_TOL, Tolerances
 from .seesaw import (
     QUARTET_BOB_FIRST_SMAX_BOUND,

@@ -57,9 +57,9 @@ import logging
 import numpy as np
 from numpy._core.multiarray import c_einsum  # np.einsum without its dispatch
 
+from .checker import check_povm
 from .families import CLOCK3, FLIP3
-from .qcore import (DensityOperator, StateVector, _eigh, _kron, _raise_nonconvergence, as_matrix,
-                    check_povm)
+from .qcore import DensityOperator, StateVector, _eigh, _kron, _raise_nonconvergence, as_matrix
 
 __all__ = [
     "EliminationTask",

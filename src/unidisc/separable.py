@@ -43,6 +43,7 @@ import math
 
 import numpy as np
 
+from .checker import _PARTIES, _other, _party_index
 from .protocols import (
     OutcomeBranch,
     ProbeWitness,
@@ -50,11 +51,8 @@ from .protocols import (
     ProtocolTree,
     SetAnalysis,
     StrategyVerdict,
-    _PARTIES,
     _idle_stage,
     _one_input_witness,
-    _other,
-    _party_index,
     _table,
     check_lda,
 )
@@ -205,9 +203,10 @@ def _completion_lp(class_rays):
     """Nonnegative weights making the kernel projectors sum to the identity.
 
     ``sum_a c_a |r_a^perp><r_a^perp| = 1`` on a qubit is four real linear
-    equations in the weights; returns the weight vector or ``None``.  Fewer
-    than two rays never complete: a multiple of one rank-1 projector is not
-    the identity, so that case needs no LP.
+    equations in the weights; returns the :func:`~unidisc.simplex.feasible_point`
+    answer, or ``None`` for fewer than two rays, which never complete: a
+    multiple of one rank-1 projector is not the identity, so that case needs
+    no LP.
     """
     if len(class_rays) < 2:
         return None
@@ -220,11 +219,7 @@ def _completion_lp(class_rays):
             [p[0, 1].imag for p in projs],
         ]
     )
-    b_eq = np.array([1.0, 1.0, 0.0, 0.0])
-    res = feasible_point(a_eq, b_eq)
-    if res.status != "feasible":
-        return None
-    return res.x
+    return feasible_point(a_eq, np.array([1.0, 1.0, 0.0, 0.0]))
 
 
 def _sequential_tree(table, start, responder, probe, classes, weights):
@@ -270,7 +265,8 @@ def separable_start_analysis(
     probe search is exhaustive; for five or more the disjointness of
     eliminated classes already forbids a solution.  With three inputs a
     failed search is only certified when the responder cannot finish any
-    pair, otherwise the verdict stays open.
+    pair, otherwise the verdict stays open.  A completion LP that fails its
+    re-check proves nothing and leaves the verdict open.
     """
     table = _table(uset, tol)
     uset = table.uset
@@ -316,6 +312,7 @@ def separable_start_analysis(
         ))
 
     # search over candidate probes for a completable elimination POVM
+    failed = None  # why the last completion LP failed its re-check, if one did
     for probe in _candidate_probes(table, start):
         evolved = [f @ probe for f in s_factors]
         classes = _parallel_classes(evolved)
@@ -327,15 +324,17 @@ def separable_start_analysis(
             if len(retained) == 2 and retained not in good_pairs:
                 continue
             admissible.append((ray, members))
-        if not admissible:
+        lp = _completion_lp([ray for ray, _ in admissible])
+        if lp is not None and lp.status == "failed":
+            failed = lp.note
+        if lp is None or lp.status != "feasible":
             continue
-        weights = _completion_lp([ray for ray, _ in admissible])
-        if weights is None:
-            continue
-        tree = _sequential_tree(table, start, responder, probe, admissible, weights)
+        tree = _sequential_tree(table, start, responder, probe, admissible, lp.x)
         return report("distinguishable", tree,
                       "elimination probe found by exhaustive ray search")
 
+    if failed:
+        return report("not_found", None, f"probe search incomplete: completion LP failed: {failed}")
     if m == 4:
         return report("infeasible_certified", None, (
             "exhaustive probe search failed; every completable structure pairs "

@@ -5,7 +5,9 @@ Instances here are tiny (tens of variables at most), so the implementation
 favors robustness over speed: Bland's anti-cycling pivot rule throughout, a
 fixed pivot tolerance, a re-checked residual for every returned point, and
 an explicitly re-verified Farkas certificate whenever phase 1 proves
-infeasibility.
+infeasibility.  An answer that fails its re-check (rounding can make it do
+so on nearly parallel columns) comes back as status ``failed`` with the
+reason, and is neither a point nor a certificate.
 
 The pivots run on a tableau of plain Python floats, one list per row: at
 these sizes reading and writing numpy scalars one at a time costs more than
@@ -43,9 +45,10 @@ class FarkasCertificate:
 
 @dataclass(frozen=True)
 class LpResult:
-    status: str  # "feasible" | "infeasible"
+    status: str  # "feasible" | "infeasible" | "failed"
     x: np.ndarray | None
     certificate: FarkasCertificate | None
+    note: str = ""  # why a "failed" answer failed its re-check
 
 
 def _pivot(rows, basis, row, col):
@@ -62,7 +65,8 @@ def _pivot(rows, basis, row, col):
 
 def _simplex_core(rows, basis, cost_row, ncols):
     """Run Bland-rule simplex on an (m+1)-row tableau of ncols+1 columns in
-    place until no reduced cost is negative.
+    place until no reduced cost is negative; ``True`` when rounding leaves
+    no leaving row (phase 1 unbounded), ``False`` otherwise.
 
     Row ``cost_row`` holds reduced costs (minimization); rightmost column is
     the rhs.  Only phase 1 runs here, whose objective is bounded below by 0.
@@ -76,7 +80,7 @@ def _simplex_core(rows, basis, cost_row, ncols):
                 enter = j
                 break
         if enter < 0:
-            return
+            return False
         leave = -1
         best = math.inf
         for r in range(m):
@@ -90,12 +94,13 @@ def _simplex_core(rows, basis, cost_row, ncols):
                     best = ratio
                     leave = r
         if leave < 0:
-            raise AssertionError("phase 1 unbounded")
+            return True
         _pivot(rows, basis, leave, enter)
 
 
 def feasible_point(a_eq, b_eq) -> LpResult:
-    """A point of {x >= 0 : A x = b}, or a Farkas certificate that none exists."""
+    """A point of {x >= 0 : A x = b}, a Farkas certificate that none exists,
+    or a ``failed`` answer naming the re-check it failed."""
     a = np.array(a_eq, dtype=float)
     b = np.array(b_eq, dtype=float).ravel()
     if a.ndim != 2:
@@ -126,7 +131,8 @@ def feasible_point(a_eq, b_eq) -> LpResult:
     rows.append((-a.sum(axis=0)).tolist() + [0.0] * m + [float(-b.sum())])
     basis = list(range(n, n + m))
 
-    _simplex_core(rows, basis, m, n + m)
+    if _simplex_core(rows, basis, m, n + m):
+        return LpResult("failed", None, None, "phase 1 unbounded")
     phase1 = -rows[m][-1]
 
     if phase1 > 1e-7 * max(1.0, max(map(abs, rhs), default=0.0)):
@@ -137,11 +143,12 @@ def feasible_point(a_eq, b_eq) -> LpResult:
         y[flip] *= -1
         num = float(y @ b0)
         if num <= PIVOT_TOL:
-            raise AssertionError("Farkas extraction failed: y.b not positive")
+            return LpResult("failed", None, None, "Farkas extraction failed: y.b not positive")
         y /= num
         margin = float((y @ a0).max()) if n else 0.0
         if margin > 1e-7:
-            raise AssertionError(f"Farkas certificate failed re-verification ({margin:.3e})")
+            return LpResult("failed", None, None,
+                            f"Farkas certificate failed re-verification ({margin:.3e})")
         return LpResult("infeasible", None, FarkasCertificate(y=y, margin=margin))
 
     # drive leftover artificials out of the basis where possible; redundant
@@ -160,5 +167,6 @@ def feasible_point(a_eq, b_eq) -> LpResult:
     x[np.abs(x) < 1e-12] = 0.0
     resid = np.max(np.abs(a0 @ x - b0)) if m else 0.0
     if resid > 1e-7:
-        raise AssertionError(f"simplex solution violates constraints ({resid:.3e})")
+        return LpResult("failed", None, None,
+                        f"simplex solution violates constraints ({resid:.3e})")
     return LpResult("feasible", x, None)

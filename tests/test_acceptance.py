@@ -10,7 +10,8 @@ assertion message.  Items:
    reaches 1
 4. separable-probe analysis of the quintet: enumerations, impossibility,
    entangled trees
-5. the exact pair criterion agrees with brute-force probe minimization
+5. the exact pair criterion agrees with an exact oracle: an LP hull test, the
+   probe for each distinguishable pair, a certificate for every other
 6. strategy-power orderings audit over families and random sets
 7. fixed and adaptive local strategies coincide on qubit sets
 8. POVM hygiene and witness serialization round trips
@@ -23,9 +24,10 @@ import math
 import os
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import linprog
 
 from unidisc import jsonio, repro
+from unidisc.checker import check_povm
 from unidisc.eigdist import build_pair_probe, pair_distinguishable
 from unidisc.families import (
     H,
@@ -46,7 +48,6 @@ from unidisc.protocols import (
     verify_probe,
     verify_tree,
 )
-from unidisc.qcore import check_povm
 from unidisc.seesaw import (
     QUARTET_BOB_FIRST_SMAX_BOUND,
     quartet_bob_first_task,
@@ -192,42 +193,50 @@ def test_quintet_separable_probe_analysis_and_trees():
           f"trees exact, evolved-state table max deviation {worst:.1e}")
 
 
-def _brute_force_min_overlap(rel, rng, starts=8):
-    d = rel.shape[0]
-
-    def objective(x):
-        v = x[:d] + 1j * x[d:]
-        n2 = float(np.real(np.vdot(v, v)))
-        if n2 < 1e-12:
-            return 2.0
-        return abs(np.vdot(v, rel @ v)) / n2
-
-    best = np.inf
-    for _ in range(starts):
-        x0 = rng.normal(size=2 * d)
-        res = minimize(objective, x0, method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-12,
-                                "maxiter": 4000})
-        best = min(best, float(res.fun))
-    return best
+def _in_hull(points):
+    """Whether the origin is a convex combination of the complex ``points``:
+    HiGHS on w >= 0, sum w = 1, sum w p = 0."""
+    a_eq = np.vstack([points.real, points.imag, np.ones(len(points))])
+    res = linprog(np.zeros(len(points)), A_eq=a_eq, b_eq=[0.0, 0.0, 1.0],
+                  bounds=(0, None), method="highs")
+    assert res.status in (0, 2), res.message  # solved, or proved infeasible
+    return res.status == 0
 
 
-def test_pair_criterion_matches_brute_force():
+def _separating_angle(points):
+    """The middle of the shortest arc holding the unit-circle ``points``,
+    across from the widest gap between neighbouring phases."""
+    theta = np.sort(np.angle(points))
+    gaps = np.diff(np.append(theta, theta[0] + 2 * np.pi))
+    k = int(np.argmax(gaps))
+    return theta[k] + gaps[k] / 2 + np.pi
+
+
+def test_pair_criterion_matches_exact_oracle():
+    # each verdict checked both ways: a distinguishable pair's probe must
+    # reach evolved overlap 0, and any other pair's relative, turned by a
+    # separating phase, must have a positive definite Hermitian part, so no
+    # probe state rho has Tr(rho u1{dag} u2) = 0
     rng = np.random.default_rng(90125)
-    agree = 0
+    overlaps, margins = [], []
     for k in range(200):
         d = 2 if k < 100 else 3
         u1, u2 = random_pair(rng, d)
-        exact = pair_distinguishable(u1, u2)
         rel = u1.matrix.conj().T @ u2.matrix
-        brute = _brute_force_min_overlap(rel, rng)
-        brute_verdict = brute < 1e-6
-        assert brute_verdict == exact.distinguishable, (
-            k, d, exact.min_norm, brute)
-        agree += 1
-    assert agree == 200
-    print(f"\n[5/8] PASS pair criterion vs brute force: 200/200 verdicts "
-          f"agree (dims 2 and 3)")
+        exact = pair_distinguishable(u1, u2)
+        assert _in_hull(np.linalg.eigvals(rel)) == exact.distinguishable, (k, d, exact.min_norm)
+        if exact.distinguishable:
+            psi = build_pair_probe(u1, u2).probe.amplitudes
+            overlaps.append(abs(np.vdot(psi, rel @ psi)))
+            assert overlaps[-1] <= 1e-10, (k, d, overlaps[-1])
+        else:
+            turned = np.exp(-1j * _separating_angle(np.linalg.eigvals(rel))) * rel
+            margins.append(np.linalg.eigvalsh((turned + turned.conj().T) / 2).min())
+            assert margins[-1] > 0, (k, d, margins[-1])
+    print(f"\n[5/8] PASS pair criterion vs exact oracle: 200/200 verdicts "
+          f"agree (dims 2 and 3), {len(overlaps)} probes reach overlap "
+          f"<= {max(overlaps):.1e}, {len(margins)} certificates with min eig "
+          f">= {min(margins):.1e}")
 
 
 def test_strategy_orderings_audit():

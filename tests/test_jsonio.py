@@ -46,6 +46,7 @@ from unidisc.protocols import (
     ProtocolTree,
     check_gdr,
     check_lda,
+    gdr_problem,
     hierarchy_audit,
     verify_probe,
     verify_tree,
@@ -590,6 +591,22 @@ class TestBooleanIndicesRejected:
             certificate_from_json(data)
 
 
+def _checker_rejects(check) -> bool:
+    """Whether ``check()``, a success probability or a certificate bound,
+    falls below 1 - 1e-9 or raises ``ValueError``."""
+    try:
+        return check() < 1 - 1e-9
+    except ValueError:
+        return True
+
+
+def _tamper(data, path):
+    """Add 0.01 to the number at ``path`` in decoded JSON."""
+    for key in path[:-1]:
+        data = data[key]
+    data[path[-1]] += 0.01
+
+
 class TestWitnessCodec:
     def _probe_witness(self):
         uset = phase_pair_set(PhasePairParams(0.3, 0.5, 0.9, math.pi - 1.7))
@@ -602,6 +619,28 @@ class TestWitnessCodec:
         clone = probe_witness_from_json(probe_witness_to_json(witness))
         ops = [uset.global_unitary(i) for i in range(uset.size)]
         assert np.all(np.abs(verify_probe(ops, clone) - 1.0) < 1e-9)
+
+    @pytest.mark.parametrize("kind, path", [
+        ("probe", ("probe_witness", "povm", "states", 0, 0, 0)),  # a POVM state amplitude
+        ("tree", ("tree", "probe", 0, 0)),  # a stage-1 probe amplitude
+    ])
+    def test_tampered_witness_is_rejected(self, kind, path):
+        # the phase-pair GDR witness, and the qutrit quartet's LDA tree from A
+        if kind == "probe":
+            uset, witness = self._probe_witness()
+        else:
+            uset = qutrit_quartet_set()
+            witness = check_lda(uset, "A").witness
+
+        def success(w):
+            if kind == "probe":
+                return verify_probe(uset.global_unitaries(), w).min()
+            return verify_tree(uset, w).success.min()
+
+        data = json.loads(dumps(witness_to_json(witness)))
+        assert not _checker_rejects(lambda: success(witness_from_json(data)))
+        _tamper(data, path)
+        assert _checker_rejects(lambda: success(witness_from_json(data)))
 
     def test_tagged_forms(self):
         _, witness = self._probe_witness()
@@ -761,6 +800,17 @@ class TestFeasibilityCodec:
         cert = certificate_from_json(data["certificate"])
         problem = OrthogonalityProblem(2, ops)
         assert verify_certificate(problem, cert) >= 1.0 - 1e-9
+
+    def test_tampered_certificate_is_rejected(self):
+        # the qutrit quartet's GDR certificate, one coefficient changed
+        uset = qutrit_quartet_set()
+        data = json.loads(dumps(feasibility_to_json(check_gdr(uset).feasibility)))
+        problem = gdr_problem(uset)
+        assert not _checker_rejects(
+            lambda: verify_certificate(problem, certificate_from_json(data["certificate"])))
+        _tamper(data, ("certificate", "coeffs", 0))
+        assert _checker_rejects(
+            lambda: verify_certificate(problem, certificate_from_json(data["certificate"])))
 
     def test_certificate_field_errors(self):
         with pytest.raises(FormatError, match="op_indices"):

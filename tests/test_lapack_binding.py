@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
+from unidisc.checker import check_povm
 from unidisc.eigdist import pair_distinguishable
 from unidisc.probefeas import _project_density, purify_witness
 from unidisc.protocols import ProductUnitarySet, _orthonormalize_states
@@ -30,7 +31,6 @@ from unidisc.qcore import (
     _raise_nonconvergence,
     _raise_qr,
     as_matrix,
-    check_povm,
     eig_unitary,
     haar_unitary,
     projector,

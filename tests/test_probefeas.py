@@ -41,6 +41,7 @@ from unidisc.qcore import (
     haar_unitary,
     partial_trace,
 )
+from unidisc.simplex import LpResult
 
 W3 = np.exp(2j * np.pi / 3)
 CLOCK = np.diag([1.0, W3, W3 * W3])
@@ -122,6 +123,15 @@ class TestSingleOperator:
                                   np.array([1.0, 1.0], dtype=complex), DEFAULT_TOL)
         assert (f.status, f.residual, f.witness) == ("not_found", 0.0, None)
         assert f.note == "common-eigenbasis linear program failed: witness trace is 2, expected 1"
+
+    def test_failed_simplex_is_not_found(self, monkeypatch):
+        # an LP answer that failed its own re-check proves nothing either way
+        why = "Farkas certificate failed re-verification (4.785e-04)"
+        monkeypatch.setattr(probefeas, "feasible_point",
+                            lambda a, b: LpResult("failed", None, None, why))
+        f = common_probe_feasible(OrthogonalityProblem(3, (CLOCK, CLOCK @ CLOCK)))
+        assert (f.status, f.witness, f.certificate) == ("not_found", None, None)
+        assert f.note == f"common-eigenbasis linear program failed: {why}"
 
     def test_hull_gap_certified(self):
         # eigenphases {0, pi/4} cannot average to zero

@@ -7,6 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from unidisc.checker import check_povm
 from unidisc.qcore import (
     DEFAULT_TOL,
     DensityOperator,
@@ -17,7 +18,6 @@ from unidisc.qcore import (
     _near_unitaries,
     _nearest_unitary,
     as_matrix,
-    check_povm,
     eig_unitary,
     haar_unitary,
     partial_trace,

@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from unidisc.checker import check_povm
 from unidisc.eigdist import pair_distinguishable
 from unidisc.jsonio import dumps, tree_from_json, tree_to_json, verdict_to_json
 from unidisc.protocols import (
@@ -26,9 +27,9 @@ from unidisc.protocols import (
     verify_probe,
     verify_tree,
 )
-from unidisc.qcore import check_povm, haar_unitary
+from unidisc.qcore import haar_unitary
 from unidisc import qcore, separable
-from unidisc.simplex import feasible_point
+from unidisc.simplex import LpResult, feasible_point
 from unidisc.separable import (
     check_gda_separable,
     gda_separable_analysis,
@@ -350,9 +351,25 @@ class TestCompletionScreen:
         def no_lp(*args):
             raise AssertionError("completion LP ran")
 
-        monkeypatch.setattr("unidisc.simplex.feasible_point", no_lp)
+        monkeypatch.setattr(separable, "feasible_point", no_lp)
         assert separable._completion_lp([np.array([1.0, 0.0], dtype=complex)]) is None
         assert separable._completion_lp([]) is None
+
+    def test_failed_lp_leaves_the_start_open(self, monkeypatch):
+        # pool set 0 (four inputs): from A both completion LPs prove
+        # infeasibility and the exhaustive search certifies the start; an LP
+        # that fails its re-check proves nothing, so the start stays open
+        s = random_qubit_set(np.random.default_rng(0))
+        assert separable_start_analysis(s, "A").verdict == "infeasible_certified"
+        assert check_gda_separable(s).status == "indistinguishable_certified"
+        why = "Farkas extraction failed: y.b not positive"
+        monkeypatch.setattr(separable, "feasible_point",
+                            lambda a, b: LpResult("failed", None, None, why))
+        rep = separable_start_analysis(s, "A")
+        assert (rep.verdict, rep.tree) == ("not_found", None)
+        assert rep.note == f"probe search incomplete: completion LP failed: {why}"
+        assert check_gda_separable(s).status == "not_found"
+        assert dict(hierarchy_audit(s))["GDA_separable"].status == "not_found"
 
     def test_one_ray_lp_is_infeasible(self):
         # the screened-out LP: one weighted rank-1 kernel projector set equal

@@ -87,6 +87,35 @@ def test_random_feasible_systems_agree_with_lstsq():
         assert np.all(res.x >= -1e-9)
 
 
+# Nearly parallel columns, from a seeded search (default_rng(0); columns
+# c * s_j plus 1e-8 noise, b in their cone plus 1e-7 noise; draws 16 and 89):
+# rounding makes the simplex reject its own point or Farkas vector.
+_RESIDUAL_FAILS = (
+    [[-0.7213213315606689, -0.2429324275001841, -0.43284920335078586],
+     [0.42954241683746536, 0.14466475553817415, 0.2577590257798913],
+     [1.6587697008393911, 0.5586538504475329, 0.9953915037289844],
+     [1.9502164487262417, 0.656809649063407, 1.1702823328864989]],
+    [-0.6801175434891265, 0.40500592427661664, 1.56401628421919, 1.8388147892961797],
+)
+_FARKAS_FAILS = (
+    [[-1.636817339993568, -0.9332091272105945, -1.2356709264929913],
+     [-2.666819995061722, -1.5204511181047027, -2.0132435298009392],
+     [2.345105226876633, 1.3370298205421831, 1.7703736730919706]],
+    [-1.905893437194247, -3.105217625107188, 2.7306163609193495],
+)
+
+
+@pytest.mark.parametrize("system, why", [
+    (_RESIDUAL_FAILS, "simplex solution violates constraints ("),
+    (_FARKAS_FAILS, "Farkas certificate failed re-verification ("),
+])
+def test_failed_recheck_is_a_typed_answer(system, why):
+    # neither a point nor a certificate, and no exception
+    res = feasible_point(*system)
+    assert (res.status, res.x, res.certificate) == ("failed", None, None)
+    assert res.note.startswith(why), res.note
+
+
 def test_empty_system_is_feasible():
     # no rows: every x >= 0 is feasible, and the origin is returned
     res = feasible_point(np.zeros((0, 3)), np.zeros(0))

@@ -35,10 +35,13 @@ workloads give them:
   ``protocols.ProductUnitarySet`` on a four-item set of ``SNAP_GATES``
   factors; and ``qcore._near_unitaries`` on that set's two four-factor
   columns, the unitarity half of the constructor;
-* ``qcore.check_povm`` on a two-outcome projective measurement in
+* ``checker.check_povm`` on a two-outcome projective measurement in
   dimension 4;
 * ``simplex.feasible_point`` on the 3 x 4 system of a commuting problem;
-* ``protocols.verify_tree`` on the Pauli-Hadamard set and its tree;
+* the trusted checker on a witness or certificate of each kind:
+  ``checker.verify_tree`` on the Pauli-Hadamard set and its tree,
+  ``checker.verify_probe`` on the phase-pair set's GDR witness, and
+  ``checker.verify_certificate`` on the qutrit quartet's GDR certificate;
 * ``jsonio.dumps`` of the GDR verdict on the phase-pair set;
 * the JSON round trip of every row of the pool set's audit (below), as the
   ``qubit-audit`` workload re-checks them: ``jsonio.verdict_to_json``,
@@ -82,6 +85,7 @@ sys.path.insert(0, SRC)
 import numpy as np  # noqa: E402
 
 from unidisc import jsonio, qcore  # noqa: E402
+from unidisc.checker import check_povm, verify_certificate, verify_probe, verify_tree  # noqa: E402
 from unidisc.eigdist import build_pair_probe, min_convex_norm, pair_distinguishable  # noqa: E402
 from unidisc.families import (  # noqa: E402
     SNAP_GATES,
@@ -89,6 +93,7 @@ from unidisc.families import (  # noqa: E402
     pauli_hadamard_set,
     pauli_hadamard_tree,
     phase_pair_set,
+    qutrit_quartet_set,
     random_qubit_set,
 )
 from unidisc.probefeas import OrthogonalityProblem  # noqa: E402
@@ -97,9 +102,8 @@ from unidisc.protocols import (  # noqa: E402
     check_gdr,
     gdr_problem,
     hierarchy_audit,
-    verify_tree,
 )
-from unidisc.qcore import _near_unitaries, check_povm, eig_unitary, haar_unitary  # noqa: E402
+from unidisc.qcore import _near_unitaries, eig_unitary, haar_unitary  # noqa: E402
 from unidisc.separable import check_gda_separable  # noqa: E402
 from unidisc.simplex import feasible_point  # noqa: E402
 
@@ -127,6 +131,11 @@ def _kernels():
     snap_items = [(f"U{k}", SNAP_GATES[k], SNAP_GATES[7 - k]) for k in range(4)]
     snap_columns = [[a for _, a, _ in snap_items], [b for _, _, b in snap_items]]
     verdict = jsonio.verdict_to_json(check_gdr(phase_pair))
+    phase_pair_ops = phase_pair.global_unitaries()
+    phase_pair_witness = check_gdr(phase_pair).witness
+    quartet = qutrit_quartet_set()
+    quartet_problem = gdr_problem(quartet)
+    quartet_cert = check_gdr(quartet).feasibility.certificate
     gdr_ops = gdr_problem(phase_pair).operators
     message = lambda k, err: f"{k} {err}"  # noqa: E731
     pool_rng = np.random.default_rng(0)
@@ -191,9 +200,13 @@ def _kernels():
         ("ProductUnitarySet 4 snap items", 500, lambda: ProductUnitarySet((2, 2), snap_items)),
         ("qcore._near_unitaries 2 x 4 x 2x2", 500,
          lambda: _near_unitaries(snap_columns, message)),
-        ("qcore.check_povm 2 x 4x4", 500, lambda: check_povm(povm, 4)),
+        ("checker.check_povm 2 x 4x4", 500, lambda: check_povm(povm, 4)),
         ("simplex.feasible_point 3x4", 500, lambda: feasible_point(a_eq, b_eq)),
-        ("protocols.verify_tree pauli-hadamard", 40, lambda: verify_tree(ph_set, ph_tree)),
+        ("checker.verify_tree pauli-hadamard", 40, lambda: verify_tree(ph_set, ph_tree)),
+        ("checker.verify_probe phase-pair GDR", 500,
+         lambda: verify_probe(phase_pair_ops, phase_pair_witness)),
+        ("checker.verify_certificate quartet GDR", 500,
+         lambda: verify_certificate(quartet_problem, quartet_cert)),
         ("jsonio.dumps phase-pair GDR verdict", 100, lambda: jsonio.dumps(verdict)),
         (f"jsonio round trip pool audit {len(pool_rows)} rows", 50, round_trip),
         ("jsonio.witness_from_json GDR states", 200,

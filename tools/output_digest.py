@@ -82,6 +82,7 @@ sys.path.insert(0, SRC)
 import numpy as np  # noqa: E402
 
 from unidisc import jsonio  # noqa: E402
+from unidisc.checker import verify_tree  # noqa: E402
 from unidisc.cli import _builtin_set  # noqa: E402
 from unidisc.eigdist import build_pair_probe, pair_distinguishable  # noqa: E402
 from unidisc.families import (  # noqa: E402
@@ -92,7 +93,7 @@ from unidisc.families import (  # noqa: E402
     random_pair,
     random_qubit_set,
 )
-from unidisc.protocols import ProtocolTree, hierarchy_audit, verify_tree  # noqa: E402
+from unidisc.protocols import ProtocolTree, hierarchy_audit  # noqa: E402
 from unidisc.repro import BUNDLES, _grid_angles  # noqa: E402
 
 BUILTINS = ("phasepair:0.3,0.5,0.9,1.4415926535897932", "qutrit-quartet", "pauli-hadamard")
